@@ -40,7 +40,7 @@ def main():
     Y = TruncSeries2.variable(1, n)
     saddle = LocalGerm(X * 2 * (Y + 1), Y ** 2 * (X + 1), 2)
     res = saddle_normal_form(saddle)
-    res.verify()
+    assert res.verify()
     print("\nsaddle normal form of (2x(1+y), y^2(1+x)):")
     print("  first  =", res.germ.first)
     print("  steps  =", len(res.conjugacies))
@@ -58,7 +58,7 @@ def main():
     Y = TruncSeries2.variable(1, n)
     par = LocalGerm(X + X ** 2, Y ** 2 * (X + 1), 2)
     k, res = parabolic_normal_form(par)
-    res.verify()
+    assert res.verify()
     print(f"\nparabolic normal form of (x + x^2, y^2(1+x)): k = {k}")
     sector = SectorMap.from_parabolic(res.germ, k, r=0.005)
     cur = VerticalGraphSample.constant(complex(2 * sector.R, 0.0), rho=0.001)

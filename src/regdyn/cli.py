@@ -201,14 +201,13 @@ def _cmd_stable_manifold(args):
                  "lambda": _json(germ.lam),
                  "phi_coefficients": [_json(c) for c in phi.coeffs]}
         try:
-            red = reduce_form(germ, phi)
             if germ.lam == 1:
-                k, res = parabolic_normal_form(germ)
+                k, res = parabolic_normal_form(germ, phi)
                 entry["normal_form"] = {"kind": "parabolic", "k": k,
                                         "steps": len(res.conjugacies),
                                         "verified": res.verify()}
             else:
-                res = saddle_normal_form(red.germ)
+                res = saddle_normal_form(reduce_form(germ, phi).germ)
                 entry["normal_form"] = {"kind": "saddle",
                                         "steps": len(res.conjugacies),
                                         "verified": res.verify()}

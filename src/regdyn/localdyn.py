@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from sympy import integer_nthroot
+
 from .maps import RegularMap
 from .polyalg import MultiPoly
 from .series import TruncSeries, TruncSeries2, log_unit, exp_series
@@ -115,10 +117,6 @@ class LocalGerm:
         return f"LocalGerm({self.first!r}, {self.second!r}, d={self.d})"
 
 
-def _make_germ(first, second, d, chart=None) -> LocalGerm:
-    return LocalGerm(first, second, d, chart)
-
-
 # ---------------------------------------------------------------------------
 # conjugacies
 
@@ -165,7 +163,7 @@ class Shear(Conjugacy):
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
         g1 = f1 - _univ_in(self.phi, f2)
-        return _make_germ(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
 class UnitScale(Conjugacy):
@@ -182,7 +180,7 @@ class UnitScale(Conjugacy):
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
         g1 = f1 * (_univ_in(self.phi, f2) + 1).reciprocal()
-        return _make_germ(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
 class HigherScale(Conjugacy):
@@ -206,7 +204,7 @@ class HigherScale(Conjugacy):
             if nxt == g1:
                 break
             g1 = nxt
-        return _make_germ(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
 class YCoord(Conjugacy):
@@ -222,7 +220,7 @@ class YCoord(Conjugacy):
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
         g2 = _univ_in(self.beta, f2)
-        return _make_germ(f1, g2, germ.d, germ.chart)
+        return LocalGerm(f1, g2, germ.d, germ.chart)
 
 
 class XCoord(Conjugacy):
@@ -238,7 +236,7 @@ class XCoord(Conjugacy):
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
         g1 = _univ_in(self.psi, f1)
-        return _make_germ(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
 class Scale(Conjugacy):
@@ -255,7 +253,7 @@ class Scale(Conjugacy):
 
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
-        return _make_germ(f1 * (1 / self.a), f2 * (1 / self.b), germ.d, germ.chart)
+        return LocalGerm(f1 * (1 / self.a), f2 * (1 / self.b), germ.d, germ.chart)
 
 
 @dataclass
@@ -271,12 +269,25 @@ class NormalFormResult:
                 return False
         return True
 
+    def _record(self, step: Conjugacy, image: Optional[LocalGerm] = None) -> LocalGerm:
+        """Append step and the germ it conjugates self.germ to (image, when
+        the caller has already computed it)."""
+        self.germ = step.conjugate(self.germ) if image is None else image
+        self.conjugacies.append(step)
+        self.intermediates.append(self.germ)
+        return self.germ
+
 
 def _chain(germ: LocalGerm, steps) -> NormalFormResult:
-    inter = [germ]
+    res = NormalFormResult(germ, [], [germ])
     for s in steps:
-        inter.append(s.conjugate(inter[-1]))
-    return NormalFormResult(inter[-1], list(steps), inter)
+        res._record(s)
+    return res
+
+
+def _is_reduced(germ: LocalGerm) -> bool:
+    """True when the first component vanishes on {x = 0}."""
+    return not any(i == 0 for i, _ in germ.first.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +296,13 @@ def _chain(germ: LocalGerm, steps) -> NormalFormResult:
 
 def _nth_root_fraction(c: Fraction, n: int) -> Fraction:
     """Exact rational n-th root, or raise."""
-    if n == 1:
-        return c
     if c < 0 and n % 2 == 0:
         raise ValueError("no real root")
-    sign = -1 if c < 0 else 1
-    num = round(abs(c.numerator) ** (1.0 / n))
-    den = round(c.denominator ** (1.0 / n))
-    for dn in (0, 1, -1):
-        for dd in (0, 1, -1):
-            a, b = num + dn, den + dd
-            if a > 0 and b > 0 and Fraction(sign * a**n, b**n) == c:
-                return Fraction(sign * a, b)
-    raise ValueError(f"{c} has no rational {n}-th root")
+    num, num_exact = integer_nthroot(abs(c.numerator), n)
+    den, den_exact = integer_nthroot(c.denominator, n)
+    if not (num_exact and den_exact):
+        raise ValueError(f"{c} has no rational {n}-th root")
+    return Fraction(-num if c < 0 else num, den)
 
 
 def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
@@ -349,8 +354,7 @@ def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
         x2, sy = _x2(N), _y2(N) * s
         first = first.compose(x2, sy)
         second = second.compose(x2, sy) * (1 / s)
-    return _make_germ(first, second, d,
-                      chart={"chart": chart, "center": b, "scale": s})
+    return LocalGerm(first, second, d, chart={"chart": chart, "center": b, "scale": s})
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +387,7 @@ def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries
     g = (germ.first - _x2(germ.N) * lam).truncate(N)
     h = germ.h_part().truncate(N)
     yid = _y2(N)
-    inv_lam = 1 / lam if not isinstance(lam, Fraction) else Fraction(1) / lam
+    inv_lam = 1 / lam
     phi = TruncSeries.zero(N)
     for _ in range(N + 1):
         phi2 = phi.to_series2(N)
@@ -408,7 +412,7 @@ def reduce_form(germ: LocalGerm, phi: TruncSeries) -> NormalFormResult:
 
     Output first component is divisible by x (reduced form)."""
     res = _chain(germ, [Shear(phi)])
-    if any(i == 0 and j > 0 for (i, j) in res.germ.first.coeffs):
+    if not _is_reduced(res.germ):
         raise GermShapeError("reduction failed: first component not divisible by x")
     return res
 
@@ -492,71 +496,52 @@ def saddle_normal_form(germ: LocalGerm) -> NormalFormResult:
 
     via Böttcher on {x=0}, Koenigs on {y=0}, and the infinite-product
     multiplicative correction."""
-    if any(i == 0 and j > 0 for (i, j) in germ.first.coeffs):
+    if not _is_reduced(germ):
         raise GermShapeError("saddle_normal_form needs a reduced-form germ")
-    steps = []
+    res = NormalFormResult(germ, [], [germ])
     # 1. Böttcher: straighten y -> y^d on the invariant axis {x = 0}
     u0 = germ.second.restrict_y_axis()
-    beta = bottcher_series(u0, germ.d)
-    steps.append(YCoord(beta))
-    g1 = steps[-1].conjugate(germ)
+    g1 = res._record(YCoord(bottcher_series(u0, germ.d)))
     assert g1.second.restrict_y_axis() == TruncSeries.monomial(1, germ.d, germ.N)
     # 2. Koenigs: linearize x -> lam*x*(1+...) on {y = 0}
-    s0 = g1.first.restrict_x_axis()
-    psi = koenigs_series(s0)
-    steps.append(XCoord(psi))
-    g2 = steps[-1].conjugate(g1)
+    g2 = res._record(XCoord(koenigs_series(g1.first.restrict_x_axis())))
     assert g2.first.restrict_x_axis() == TruncSeries([0, g2.lam], g2.N)
     # 3. multiplicative correction on the x-linear row
-    row1 = g2.x_row(1)
-    inv_lam = Fraction(1) / g2.lam if isinstance(g2.lam, Fraction) else 1 / g2.lam
-    grow = row1 * inv_lam - 1
+    grow = g2.x_row(1) * (1 / g2.lam) - 1
     if not grow.is_zero():
-        phi = _inf_product_phi(grow, g2.d)
-        steps.append(UnitScale(phi))
-        g2 = steps[-1].conjugate(g2)
-    out = g2
+        res._record(UnitScale(_inf_product_phi(grow, g2.d)))
+    out = res.germ
     lamx = _x2(out.N) * out.lam
     if not (out.first - lamx).divisible_by(2, 1):
         raise GermShapeError("saddle form: first component residual not in x^2*y")
     if not (out.second - _shift(TruncSeries2.constant(1, out.N), 0, out.d)) \
             .divisible_by(1, out.d):
         raise GermShapeError("saddle form: second component residual not in x*y^d")
-    return NormalFormResult(out, steps, _intermediates(germ, steps))
+    return res
 
 
-def _intermediates(germ, steps):
-    inter = [germ]
-    for s in steps:
-        inter.append(s.conjugate(inter[-1]))
-    return inter
-
-
-def parabolic_normal_form(germ: LocalGerm) -> tuple:
+def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> tuple:
     """For lam = 1: (k, result) with the germ conjugated to
 
         (x + x^{k+1} + x^{2k+1}*gt(x,y),  y^d*(1 + x*ht(x,y))).
 
     Requires the restriction to {y = 0} to differ from the identity at
-    the truncation order."""
+    the truncation order.  phi, when given, is super_stable_series(germ)."""
     if germ.lam != 1:
         raise GermShapeError("parabolic normal form needs lam = 1")
-    steps = []
-    work = germ
-    if work.mu != 0:
-        r = remove_mu(work)
-        steps += r.conjugacies
-        work = r.germ
-    # super-stable manifold to {x = 0}, then Böttcher on the vertical axis
-    phi = super_stable_series(work)
-    if not phi.is_zero():
-        steps.append(Shear(phi))
-        work = steps[-1].conjugate(work)
+    res = remove_mu(germ)
+    # super-stable manifold to {x = 0}, then Böttcher on the vertical axis;
+    # after the shear x -> x + c*y of remove_mu the graph is phi - c*y
+    if phi is None:
+        phi = super_stable_series(res.germ)
+    elif res.conjugacies:
+        phi = phi - res.conjugacies[0].phi
+    work = res._record(Shear(phi)) if not phi.is_zero() else res.germ
+    if not _is_reduced(work):
+        raise GermShapeError("reduction failed: first component not divisible by x")
     u0 = work.second.restrict_y_axis()
     if u0 != TruncSeries.monomial(1, work.d, work.N):
-        beta = bottcher_series(u0, work.d)
-        steps.append(YCoord(beta))
-        work = steps[-1].conjugate(work)
+        work = res._record(YCoord(bottcher_series(u0, work.d)))
     # read off k from the restriction to {y = 0}
     rx = work.first.restrict_x_axis()
     tail = rx - TruncSeries.identity(work.N)
@@ -566,41 +551,32 @@ def parabolic_normal_form(germ: LocalGerm) -> tuple:
     k = val - 1
     # 1-D normalization on the axis: f(x,0) = x + x^{k+1} + O(x^{2k+1})
     for j in range(k + 1, 2 * k):
-        cj = (work.first.restrict_x_axis() - TruncSeries.identity(work.N))[j + 1]
+        cj = work.first[(j + 1, 0)]
         if cj == 0:
             continue
         # the x^{j+1} coefficient is affine in e for S = x + e*x^{j-k+1}
-        def coeff_after(e):
+        def conjugate_by(e):
             st = XCoord(TruncSeries.identity(work.N)
                         + TruncSeries.monomial(e, j - k + 1, work.N))
-            return st, (st.conjugate(work).first.restrict_x_axis())[j + 1]
-        _, c1 = coeff_after(Fraction(1))
-        gamma = c1 - cj
+            return st, st.conjugate(work)
+        gamma = conjugate_by(Fraction(1))[1].first[(j + 1, 0)] - cj
         if gamma == 0:
             raise GermShapeError("degenerate axis normalization")
-        st, cnew = coeff_after(-cj / gamma)
-        assert cnew == 0
-        steps.append(st)
-        work = st.conjugate(work)
-    ck = work.first.restrict_x_axis()[k + 1]
+        st, image = conjugate_by(-cj / gamma)
+        assert image.first[(j + 1, 0)] == 0
+        work = res._record(st, image)
+    ck = work.first[(k + 1, 0)]
     if ck != 1:
-        alpha = _nth_root_fraction(Fraction(1) / ck, k)
-        steps.append(Scale(alpha, Fraction(1)))
-        work = steps[-1].conjugate(work)
-        assert work.first.restrict_x_axis()[k + 1] == 1
+        work = res._record(Scale(_nth_root_fraction(1 / ck, k), 1))
+        assert work.first[(k + 1, 0)] == 1
     # kill the y-dependence of the rows x^{n+1}, n = 0..2k-1
-    row1 = work.x_row(1)
-    g0 = row1 - 1
+    g0 = work.x_row(1) - 1
     if not g0.is_zero():
-        steps.append(UnitScale(_inf_product_phi(g0, work.d)))
-        work = steps[-1].conjugate(work)
+        work = res._record(UnitScale(_inf_product_phi(g0, work.d)))
     for n in range(1, 2 * k):
         gn = work.x_row(n + 1) - (1 if n == k else 0)
-        if gn.is_zero():
-            continue
-        phin = _geometric_sum_phi(gn, work.d)
-        steps.append(HigherScale(phin, n))
-        work = steps[-1].conjugate(work)
+        if not gn.is_zero():
+            work = res._record(HigherScale(_geometric_sum_phi(gn, work.d), n))
     # posts
     for n in range(0, 2 * k):
         row = work.x_row(n + 1)
@@ -610,7 +586,7 @@ def parabolic_normal_form(germ: LocalGerm) -> tuple:
     if not (work.second - _shift(TruncSeries2.constant(1, work.N), 0, work.d)) \
             .divisible_by(1, work.d):
         raise GermShapeError("parabolic form: second component residual not x*y^d")
-    return k, NormalFormResult(work, steps, _intermediates(germ, steps))
+    return k, res
 
 
 # ---------------------------------------------------------------------------

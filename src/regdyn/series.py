@@ -1,21 +1,34 @@
 """Exact truncated power series in one and two variables.
 
-Coefficients are Fractions by default but any exact field elements with
-Python arithmetic (e.g. number-field elements) work.  All operations
-truncate to a fixed order N, i.e. compute mod y^(N+1) resp. mod total
-degree N+1; truncation order is part of the value and mixed-order
+Coefficients are rationals: Fractions, with ints converted on the way in.
+All operations truncate to a fixed order N, i.e. compute mod y^(N+1) resp.
+mod total degree N+1; truncation order is part of the value and mixed-order
 arithmetic truncates to the smaller order.
+
+Products run on integer numerators over one common denominator per
+operand: a plain int convolution, then one Fraction (one gcd) per output
+coefficient instead of one Fraction multiply and add per pair of terms.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+_ZERO = Fraction(0)
 
 
 def _cf(c):
     if isinstance(c, int):
         return Fraction(c)
     return c
+
+
+def _numerators(cs):
+    """Integer numerators of the Fractions cs over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class TruncSeries:
@@ -28,6 +41,13 @@ class TruncSeries:
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.coeffs = cs
         self.order = order
+
+    @staticmethod
+    def _of(coeffs: list, order: int) -> "TruncSeries":
+        """Wrap len(coeffs) == order + 1 Fractions without re-checking them."""
+        s = object.__new__(TruncSeries)
+        s.coeffs, s.order = coeffs, order
+        return s
 
     @staticmethod
     def zero(order: int) -> "TruncSeries":
@@ -59,46 +79,53 @@ class TruncSeries:
         return None
 
     def truncate(self, order: int) -> "TruncSeries":
+        if order == self.order:
+            return self
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1], order)
+        return TruncSeries._of(self.coeffs[: order + 1], order)
 
     def _common(self, other):
-        if isinstance(other, TruncSeries):
-            n = min(self.order, other.order)
-            return self.truncate(n), other.truncate(n)
-        return self, TruncSeries([other], self.order)
+        n = min(self.order, other.order)
+        return self.truncate(n), other.truncate(n)
 
     def __add__(self, other):
+        if not isinstance(other, TruncSeries):
+            cs = list(self.coeffs)
+            if cs:  # order -1, the derivative of an order-0 series, has none
+                cs[0] += other
+            return TruncSeries._of(cs, self.order)
         a, b = self._common(other)
-        return TruncSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
+        return TruncSeries._of([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries._of([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            a, b = self._common(other)
-            n = a.order
-            out = [Fraction(0)] * (n + 1)
-            for i, ai in enumerate(a.coeffs):
-                if ai == 0:
-                    continue
-                for j in range(min(n - i, b.order) + 1):
-                    bj = b.coeffs[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return TruncSeries(out, n)
-        return TruncSeries([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, TruncSeries):
+            return TruncSeries([c * other for c in self.coeffs], self.order)
+        a, b = self._common(other)
+        n = a.order
+        na, da = _numerators(a.coeffs)
+        nb, db = _numerators(b.coeffs)
+        nb = [(j, c) for j, c in enumerate(nb) if c]  # nonzero terms of b
+        out = [0] * (n + 1)
+        for i, ai in enumerate(na):
+            if ai:
+                for j, bj in nb:
+                    if i + j > n:
+                        break
+                    out[i + j] += ai * bj
+        den = da * db
+        return TruncSeries._of([Fraction(v, den) if v else _ZERO for v in out], n)
 
     __rmul__ = __mul__
 
@@ -135,8 +162,8 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        inv0 = 1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0
-        out = [inv0] + [Fraction(0)] * self.order
+        inv0 = 1 / c0
+        out = [inv0] + [_ZERO] * self.order
         for k in range(1, self.order + 1):
             s = 0
             for j in range(1, k + 1):
@@ -161,7 +188,7 @@ class TruncSeries:
         a1 = self.coeffs[1]
         if a1 == 0:
             raise ValueError("reversion needs invertible linear term")
-        inv1 = 1 / a1 if not isinstance(a1, Fraction) else Fraction(1) / a1
+        inv1 = 1 / a1
         # g correct mod y^{m+1} stays correct and gains one order per pass:
         # self(g + delta) = self(g) + a1*delta + (higher valuation)
         g = TruncSeries([0, inv1], self.order)
@@ -171,13 +198,6 @@ class TruncSeries:
                 break
             g = g - err * inv1
         return g
-
-    def pad(self, order: int) -> "TruncSeries":
-        """Re-declare at a higher order (tail coefficients unknown-as-zero).
-
-        Only safe when the caller knows the extra coefficients vanish or
-        are irrelevant to the computation at hand."""
-        return TruncSeries(self.coeffs + [Fraction(0)] * (order - self.order), order)
 
     def nth_root_of_unit(self, n: int) -> "TruncSeries":
         """The unique n-th root with the same constant term 1."""
@@ -219,7 +239,7 @@ def log_unit(s: TruncSeries) -> TruncSeries:
         if s.order >= 1 else TruncSeries.zero(0)
     out = [Fraction(0)] * (s.order + 1)
     for k in range(1, s.order + 1):
-        out[k] = d[k - 1] / k if isinstance(d[k - 1], Fraction) else d[k - 1] * Fraction(1, k)
+        out[k] = d[k - 1] / k
     return TruncSeries(out, s.order)
 
 
@@ -227,13 +247,13 @@ def exp_series(a: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term (coefficient recursion e' = a'e)."""
     if a.coeffs[0] != 0:
         raise ValueError("exp needs zero constant term")
-    out = [Fraction(1)] + [Fraction(0)] * a.order
+    out = [Fraction(1)] + [_ZERO] * a.order
     for k in range(1, a.order + 1):
-        s = 0
+        s = _ZERO
         for m in range(1, k + 1):
             if a.coeffs[m] != 0:
                 s = s + m * a.coeffs[m] * out[k - m]
-        out[k] = s * Fraction(1, k) if not isinstance(s, Fraction) else s / k
+        out[k] = s / k
     return TruncSeries(out, a.order)
 
 
@@ -251,6 +271,13 @@ class TruncSeries2:
                     cs[(i, j)] = c
         self.coeffs = cs
         self.order = order
+
+    @staticmethod
+    def _of(coeffs: dict, order: int) -> "TruncSeries2":
+        """Wrap nonzero Fractions of total degree <= order without re-checking."""
+        s = object.__new__(TruncSeries2)
+        s.coeffs, s.order = coeffs, order
+        return s
 
     @staticmethod
     def zero(order: int) -> "TruncSeries2":
@@ -275,12 +302,9 @@ class TruncSeries2:
             return None
         return min(i + j for i, j in self.coeffs)
 
-    def valuation_in(self, var: int):
-        if not self.coeffs:
-            return None
-        return min(e[var] for e in self.coeffs)
-
     def truncate(self, order: int) -> "TruncSeries2":
+        if order == self.order:
+            return self
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncSeries2(self.coeffs, order)
@@ -300,12 +324,12 @@ class TruncSeries2:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return TruncSeries2(out, a.order)
+        return TruncSeries2._of(out, a.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries2({e: -c for e, c in self.coeffs.items()}, self.order)
+        return TruncSeries2._of({e: -c for e, c in self.coeffs.items()}, self.order)
 
     def __sub__(self, other):
         a, b = self._common(other)
@@ -315,23 +339,25 @@ class TruncSeries2:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries2):
-            a, b = self._common(other)
-            n = a.order
-            out = {}
-            for (i1, j1), c1 in a.coeffs.items():
-                d1 = i1 + j1
-                for (i2, j2), c2 in b.coeffs.items():
-                    if d1 + i2 + j2 > n:
-                        continue
-                    e = (i1 + i2, j1 + j2)
-                    s = out.get(e, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return TruncSeries2(out, n)
-        return TruncSeries2({e: c * other for e, c in self.coeffs.items()}, self.order)
+        if not isinstance(other, TruncSeries2):
+            return TruncSeries2({e: c * other for e, c in self.coeffs.items()}, self.order)
+        a, b = self._common(other)
+        n = a.order
+        w = n + 1  # x^i y^j sits at flat index i*w + j; sums never carry
+        na, da = _numerators(list(a.coeffs.values()))
+        nb, db = _numerators(list(b.coeffs.values()))
+        ta = [(i + j, i * w + j, c) for (i, j), c in zip(a.coeffs, na)]
+        tb = sorted((i + j, i * w + j, c) for (i, j), c in zip(b.coeffs, nb))
+        out = [0] * (w * w)
+        for d1, k1, c1 in ta:
+            room = n - d1
+            for d2, k2, c2 in tb:
+                if d2 > room:
+                    break
+                out[k1 + k2] += c1 * c2
+        den = da * db
+        return TruncSeries2._of({divmod(k, w): Fraction(v, den)
+                                 for k, v in enumerate(out) if v}, n)
 
     __rmul__ = __mul__
 
@@ -357,7 +383,7 @@ class TruncSeries2:
         c0 = self.coeffs.get((0, 0), Fraction(0))
         if c0 == 0:
             raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        inv0 = 1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0
+        inv0 = 1 / c0
         r = TruncSeries2.constant(inv0, self.order)
         known = 1
         while known <= self.order:
@@ -419,17 +445,6 @@ class TruncSeries2:
         for i in range(imax - 1, -1, -1):
             result = result * u + rows[i]
         return result
-
-    def subs_y(self, v) -> "TruncSeries2":
-        """Substitute for the second variable only (v vanishing at origin)."""
-        if isinstance(v, TruncSeries):
-            v = v.to_series2(self.order)
-        x = TruncSeries2.variable(0, min(self.order, v.order))
-        return self.compose(x, v)
-
-    def subs_x(self, u: "TruncSeries2") -> "TruncSeries2":
-        y = TruncSeries2.variable(1, min(self.order, u.order))
-        return self.compose(u, y)
 
     def coefficient_in_x(self, i: int) -> TruncSeries:
         """The series p_i(y) in self = sum_i x^i p_i(y)."""

@@ -188,7 +188,7 @@ def test_criterion_6_saddle_normal_form():
     Y = TruncSeries2.variable(1, N)
     g = LocalGerm(X * 2 * (Y + 1), Y ** 2 * (X + 1), 2)
     res = saddle_normal_form(g)
-    res.verify()  # exact conjugacy soundness at every step
+    assert res.verify()  # exact conjugacy soundness at every step
     out = res.germ
     resid1 = out.first - X * 2
     assert all(i >= 2 and j >= 1 for (i, j), c in resid1.coeffs.items() if c)
@@ -204,7 +204,7 @@ def test_criterion_7_parabolic_normal_form():
     Y = TruncSeries2.variable(1, N)
     g = LocalGerm(X * (Y + 1) + X ** 2, Y ** 2 * (X + 1), 2)
     k, res = parabolic_normal_form(g)
-    res.verify()
+    assert res.verify()
     assert k == 1
     first = res.germ.first
     assert first.coeffs.get((1, 0)) == 1

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from regdyn.localdyn import (ContractionError, GermShapeError, LocalGerm,
-                             ResonanceError, SectorMap, VerticalGraphSample,
+from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError,
+                             LocalGerm, ResonanceError, SectorMap,
+                             VerticalGraphSample, XCoord, _nth_root_fraction,
                              bottcher_series, graph_pullback, koenigs_series,
                              localize_at_infinity, parabolic_normal_form,
                              remove_mu, rescaling_check, saddle_normal_form,
@@ -56,7 +57,7 @@ def test_remove_mu():
     g = LocalGerm(X(n) * 2 + Y(n), Y(n) ** 2, 2)
     res = remove_mu(g)
     assert res.germ.mu == 0
-    res.verify()
+    assert res.verify()
 
 
 def test_super_stable_closed_form():
@@ -95,7 +96,7 @@ def test_saddle_normal_form():
     n = 12
     g = LocalGerm(X(n) * 2 * (Y(n) + 1), Y(n) ** 2 * (X(n) + 1), 2)
     res = saddle_normal_form(g)
-    res.verify()
+    assert res.verify()
     out = res.germ
     # both separatrices straightened: first = 2x exactly on y = 0 and the
     # correction is divisible by x^2 y; second = y^2 exactly on x = 0 with
@@ -112,7 +113,7 @@ def test_parabolic_normal_form():
     n = 12
     g = LocalGerm(X(n) * (Y(n) + 1) + X(n) ** 2, Y(n) ** 2 * (X(n) + 1), 2)
     k, res = parabolic_normal_form(g)
-    res.verify()
+    assert res.verify()
     assert k == 1
     out = res.germ
     first = out.first
@@ -131,6 +132,70 @@ def test_parabolic_scale_needs_rational_root():
     g = LocalGerm(X(n) + X(n) ** 3 * 3, Y(n) ** 2, 2)
     with pytest.raises(ValueError):
         parabolic_normal_form(g)
+
+
+def test_nth_root_fraction_exact_for_large_powers():
+    # float roots miss the square root of 3^80 and overflow on 7^800
+    assert _nth_root_fraction(F(3 ** 80), 2) == 3 ** 40
+    assert _nth_root_fraction(F(7 ** 800), 2) == 7 ** 400
+    assert _nth_root_fraction(F(-8, 3 ** 120), 3) == F(-2, 3 ** 40)
+    for c, n in ((F(3 ** 81), 2), (F(2, 7 ** 800), 2), (F(-4), 2)):
+        with pytest.raises(ValueError):
+            _nth_root_fraction(c, n)
+
+
+def _count_conjugations(monkeypatch) -> list:
+    calls = []
+    for cls in Conjugacy.__subclasses__():
+        def counted(self, germ, _conjugate=cls.conjugate):
+            calls.append(type(self).__name__)
+            return _conjugate(self, germ)
+        monkeypatch.setattr(cls, "conjugate", counted)
+    return calls
+
+
+def test_saddle_chain_conjugates_each_step_once(monkeypatch):
+    n = 12
+    g = LocalGerm(X(n) * 2 * (Y(n) + 1), Y(n) ** 2 * (X(n) + 1), 2)
+    calls = _count_conjugations(monkeypatch)
+    res = saddle_normal_form(g)
+    assert len(calls) == len(res.conjugacies) == 3
+    assert len(res.intermediates) == len(res.conjugacies) + 1
+    assert res.intermediates[0] is g and res.intermediates[-1] is res.germ
+
+
+PARABOLIC_GERMS = {
+    "k=1": lambda n: LocalGerm(X(n) * (Y(n) + 1) + X(n) ** 2, Y(n) ** 2 * (X(n) + 1), 2),
+    # k = 2 with an x^4 term: one axis-normalisation step
+    "k=2": lambda n: LocalGerm(X(n) + X(n) ** 3 + X(n) ** 4 * 2 + X(n) * Y(n),
+                               Y(n) ** 2 * (X(n) + 1), 2),
+    # mu != 0: remove_mu's shear comes first
+    "mu": lambda n: LocalGerm(X(n) + Y(n) * 3 + X(n) ** 2 + X(n) * Y(n),
+                              Y(n) ** 2 * (X(n) * 2 + 1), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARABOLIC_GERMS))
+def test_parabolic_chain_conjugates_each_step_once(monkeypatch, name):
+    g = PARABOLIC_GERMS[name](10)
+    calls = _count_conjugations(monkeypatch)
+    k, res = parabolic_normal_form(g)
+    axis_steps = sum(isinstance(s, XCoord) for s in res.conjugacies)
+    # one trial conjugation per axis-normalisation step on top of the chain
+    assert len(calls) == len(res.conjugacies) + axis_steps
+    assert axis_steps == (1 if name == "k=2" else 0)
+    assert len(res.intermediates) == len(res.conjugacies) + 1
+    assert res.verify()
+
+
+@pytest.mark.parametrize("name", sorted(PARABOLIC_GERMS))
+def test_parabolic_reuses_the_given_graph(name):
+    g = PARABOLIC_GERMS[name](10)
+    k, res = parabolic_normal_form(g)
+    k2, res2 = parabolic_normal_form(g, super_stable_series(g))
+    assert k == k2
+    assert res.germ.first == res2.germ.first and res.germ.second == res2.germ.second
+    assert [type(s) for s in res.conjugacies] == [type(s) for s in res2.conjugacies]
 
 
 def test_rescaling_deviation_decays():

@@ -107,3 +107,69 @@ def test_derivative_of_product(a):
     lhs = (s * t).derivative()
     rhs = s.derivative() * t.truncate(5) + s.truncate(5) * t.derivative()
     assert lhs == rhs
+
+
+# -- the integer-numerator product kernels against per-term Fraction products
+
+def _naive_mul(a, b):
+    n = min(a.order, b.order)
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a.coeffs[: n + 1]):
+        for j, bj in enumerate(b.coeffs[: n + 1 - i]):
+            out[i + j] += ai * bj
+    return out, n
+
+
+def _naive_mul2(a, b):
+    n = min(a.order, b.order)
+    out = {}
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            if i1 + j1 + i2 + j2 <= n:
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}, n
+
+
+wide = st.one_of(st.just(F(0)),
+                 st.fractions(min_value=-50, max_value=50, max_denominator=60))
+
+
+@st.composite
+def series1(draw):
+    order = draw(st.integers(0, 9))
+    return TruncSeries(draw(st.lists(wide, max_size=order + 1)), order)
+
+
+@st.composite
+def series2(draw):
+    order = draw(st.integers(0, 7))
+    zero_rows = draw(st.sets(st.integers(0, order)))
+    exps = st.tuples(st.integers(0, order), st.integers(0, order))
+    terms = draw(st.dictionaries(exps, wide, max_size=24))
+    return TruncSeries2({(i, j): c for (i, j), c in terms.items()
+                         if i + j <= order and i not in zero_rows}, order)
+
+
+@given(series1(), series1())
+def test_univariate_mul_matches_naive(a, b):
+    out, n = _naive_mul(a, b)
+    prod = a * b
+    assert prod.order == n and prod.coeffs == out
+    assert all(type(c) is F for c in prod.coeffs)
+
+
+@given(series2(), series2())
+def test_bivariate_mul_matches_naive(a, b):
+    out, n = _naive_mul2(a, b)
+    prod = a * b
+    assert prod.order == n and prod.coeffs == out
+    assert all(type(c) is F for c in prod.coeffs.values())
+
+
+def test_scalar_add_touches_the_constant_term_only():
+    s = TruncSeries([1, 2], 3)
+    assert s + 1 == TruncSeries([2, 2], 3)
+    assert 1 - s == TruncSeries([0, -2], 3)
+    d = TruncSeries([5], 0).derivative()  # order -1: no terms to add to
+    assert d.order == -1 and (d + 1).coeffs == []
