@@ -533,8 +533,8 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
     # super-stable manifold to {x = 0}, then Böttcher on the vertical axis;
     # after the shear x -> x + c*y of remove_mu the graph is phi - c*y
     if phi is None:
-        phi = super_stable_series(res.germ)
-    elif res.conjugacies:
+        phi = super_stable_series(germ)
+    if res.conjugacies:
         phi = phi - res.conjugacies[0].phi
     work = res._record(Shear(phi)) if not phi.is_zero() else res.germ
     if not _is_reduced(work):

@@ -188,14 +188,15 @@ def test_parabolic_chain_conjugates_each_step_once(monkeypatch, name):
     assert res.verify()
 
 
-@pytest.mark.parametrize("name", sorted(PARABOLIC_GERMS))
-def test_parabolic_reuses_the_given_graph(name):
-    g = PARABOLIC_GERMS[name](10)
-    k, res = parabolic_normal_form(g)
-    k2, res2 = parabolic_normal_form(g, super_stable_series(g))
-    assert k == k2
-    assert res.germ.first == res2.germ.first and res.germ.second == res2.germ.second
-    assert [type(s) for s in res.conjugacies] == [type(s) for s in res2.conjugacies]
+def test_shear_shifts_the_super_stable_graph():
+    # parabolic_normal_form reuses the graph across remove_mu's shear
+    # x -> x + c*y: the sheared germ's graph must be phi - c*y
+    g = PARABOLIC_GERMS["mu"](10)
+    sheared = remove_mu(g)
+    assert len(sheared.conjugacies) == 1
+    shifted = super_stable_series(g) - sheared.conjugacies[0].phi
+    assert shifted == super_stable_series(sheared.germ)
+    assert not shifted.is_zero()
 
 
 def test_rescaling_deviation_decays():
