@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -128,20 +129,24 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
 
     Two-stage resultant elimination per irreducible component, followed by
     exact extraneous-factor removal: a factor G of the eliminant is kept
-    iff the component's polynomial divides G(P, Q)."""
+    iff the component's polynomial divides G(P, Q).  By the projection
+    formula deg f(C_i) divides d * deg C_i for each component C_i; images of
+    two components can coincide, so deg f(C) need not divide d * deg C."""
     Pe = f.P.to_sympy(_z, _w)
     Qe = f.Q.to_sympy(_z, _w)
     Re = C.poly.to_sympy(_z, _w)
     kept = []
     for Ri, _m in sp.factor_list(Re, _z, _w)[1]:
-        if sp.Poly(Ri, _z, _w).total_degree() < 1:
+        deg = sp.Poly(Ri, _z, _w).total_degree()
+        if deg < 1:
             continue
-        kept.extend(_component_image(Ri, Pe, Qe))
+        image = _component_image(Ri, Pe, Qe)
+        if (f.d * deg) % sum(sp.Poly(G, _Z, _W).total_degree() for G in image):
+            raise EliminationError("image degree does not divide d * deg C "
+                                   "(elimination bug)")
+        kept.extend(image)
     prod = sp.expand(sp.prod(kept))
-    out = PlaneCurve(MultiPoly.from_sympy(prod, _Z, _W))
-    if out.degree > f.d * C.degree:
-        raise EliminationError("degree bound violated (elimination bug)")
-    return out
+    return PlaneCurve(MultiPoly.from_sympy(prod, _Z, _W))
 
 
 def _split_eliminant(expr, inner):
@@ -257,36 +262,39 @@ def _roots_of_unity(max_order: int):
                 yield a, n
 
 
+@lru_cache(maxsize=1024)
+def _cyclotomic_field(L: int) -> NumberField:
+    """Q(zeta_L), modulus the L-th cyclotomic polynomial."""
+    return NumberField(sp.Poly(sp.cyclotomic_poly(L, _t), _t).all_coeffs()[::-1])
+
+
 def _on_curve_cyclotomic(R: MultiPoly, a1, n1, a2, n2) -> bool:
     """Exact test R(zeta^e1, zeta^e2) = 0 in the lcm cyclotomic field."""
     L = n1 * n2 // math.gcd(n1, n2)
     e1, e2 = a1 * L // n1, a2 * L // n2
-    x = sp.Dummy("x")
-    expr = sp.Integer(0)
+    cs = [0] * L
     for (i, j), c in R.coeffs.items():
-        expr += sp.Rational(c.numerator, c.denominator) * x ** ((i * e1 + j * e2) % L)
-    return sp.rem(sp.Poly(expr, x), sp.Poly(sp.cyclotomic_poly(L, x), x)).is_zero
+        cs[(i * e1 + j * e2) % L] += c
+    return _cyclotomic_field(L)(cs).is_zero()
 
 
 def _cyclotomic_orbit(f: RegularMap, a1, n1, a2, n2, orbit_cap: int):
     """Exact orbit of (zeta^e1, zeta^e2) in Q(zeta_L); None if no cycle found."""
     L = n1 * n2 // math.gcd(n1, n2)
-    x = sp.Dummy("x")
-    K = NumberField(sp.Poly(sp.cyclotomic_poly(L, x), x).all_coeffs()[::-1])
-    g = K.generator()
-    cur = (g ** (a1 * L // n1), g ** (a2 * L // n2))
-    key = lambda pr: (tuple(pr[0].coeffs), tuple(pr[1].coeffs))
-    seen = {key(cur): 0}
+    K = _cyclotomic_field(L)
+    cur = (K([0] * (a1 * L // n1) + [1]), K([0] * (a2 * L // n2) + [1]))
+    seen = {cur: 0}
     orbit = [cur]
     for n in range(1, orbit_cap + 1):
         cur = (f.P.eval(cur[0], cur[1]), f.Q.eval(cur[0], cur[1]))
-        if key(cur) in seen:
-            k = seen[key(cur)]
+        if cur in seen:
+            k = seen[cur]
             return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
-        if max(abs(c.numerator) + c.denominator
-               for e in cur for c in e.coeffs) > 10**60:
+        # the cap is per coefficient in lowest terms; max|num| + den bounds it
+        if max(max(map(abs, e.num)) + e.den for e in cur) > 10**60 and max(
+                abs(c.numerator) + c.denominator for e in cur for c in e.coeffs) > 10**60:
             return None
-        seen[key(cur)] = n
+        seen[cur] = n
         orbit.append(cur)
     return None
 
@@ -325,13 +333,13 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             if verdict.kind == "Preperiodic":
                 found.append(FoundPoint((a, b), verdict))
     # roots-of-unity probes (numeric prefilter, exact confirmation)
-    rous = list(_roots_of_unity(max_order))
-    for a1, n1 in rous:
-        z1 = complex(math.cos(2 * math.pi * a1 / n1), math.sin(2 * math.pi * a1 / n1))
-        for a2, n2 in rous:
-            z2 = complex(math.cos(2 * math.pi * a2 / n2),
-                         math.sin(2 * math.pi * a2 / n2))
-            if abs(complex(R.eval(z1, z2))) > 1e-8:
+    rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
+            for a, n in _roots_of_unity(max_order)]
+    # complex(c) * z is the float product Fraction c * z computes
+    Rc = MultiPoly({e: complex(c) for e, c in R.coeffs.items()})
+    for a1, n1, z1 in rous:
+        for a2, n2, z2 in rous:
+            if abs(complex(Rc.eval(z1, z2))) > 1e-8:
                 continue
             if not _on_curve_cyclotomic(R, a1, n1, a2, n2):
                 continue

@@ -138,11 +138,6 @@ class ComplexInterval:
         s = lo(self.re) ** 2 + lo(self.im) ** 2
         return _sqrt_lower(s)
 
-    def abs_upper(self) -> Fraction:
-        s = max(abs(self.re.lower), abs(self.re.upper)) ** 2 \
-            + max(abs(self.im.lower), abs(self.im.upper)) ** 2
-        return _sqrt_upper(s)
-
 
 def _sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
     # floor-isqrt based certified lower bound for sqrt(q)
@@ -152,15 +147,6 @@ def _sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
     scale = 1 << bits
     n = q.numerator * q.denominator * scale * scale
     return Fraction(math.isqrt(n), q.denominator * scale)
-
-
-def _sqrt_upper(q: Fraction, bits: int = 128) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    import math
-    scale = 1 << bits
-    n = q.numerator * q.denominator * scale * scale
-    return Fraction(math.isqrt(n) + 1, q.denominator * scale)
 
 
 class AlgebraicNumber:
@@ -326,8 +312,3 @@ def find_expanding_place(a: AlgebraicNumber) -> Optional[ExpandingPlaceWitness]:
         # non-root-of-unity must have a conjugate of modulus > 1, keep refining
     raise RuntimeError("could not certify an expanding place; refinement exhausted")
 
-
-def nth_power_in_quotient(a: AlgebraicNumber, n: int):
-    """a^n computed exactly in Q[x]/(minpoly)."""
-    K = a.number_field()
-    return K.generator() ** n

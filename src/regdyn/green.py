@@ -12,7 +12,6 @@ by log(C_v) / (d^n (d-1)), which is what certifies every enclosure here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 import sympy as sp
 
@@ -185,16 +184,9 @@ def _log_p_multiple(p: int, m: int, tol: Fraction) -> RealInterval:
         prec *= 2
 
 
-def _iv_poly(poly: MultiPoly):
+def _iv_poly(poly: MultiPoly) -> MultiPoly:
     # enclose each rational coefficient at the current iv working precision
-    return [(i, j, frac_to_mpi(c)) for (i, j), c in poly.coeffs.items()]
-
-
-def _iv_eval(terms, z, w):
-    total = iv.mpf(0)
-    for i, j, c in terms:
-        total += c * z**i * w**j
-    return total
+    return MultiPoly({e: frac_to_mpi(c) for e, c in poly.coeffs.items()})
 
 
 def _green_arch(ctx: GreenContext, z, w, n: int, tol) -> RealInterval:
@@ -207,7 +199,7 @@ def _green_arch(ctx: GreenContext, z, w, n: int, tol) -> RealInterval:
             Pt, Qt = _iv_poly(f.P), _iv_poly(f.Q)
             zz, ww = frac_to_mpi(z), frac_to_mpi(w)
             for _ in range(n):
-                zz, ww = _iv_eval(Pt, zz, ww), _iv_eval(Qt, zz, ww)
+                zz, ww = Pt.eval(zz, ww), Qt.eval(zz, ww)
             m = ivmax(iv.mpf(1), ivmax(abs(zz), abs(ww)))
             gn = iv.log(m) / iv.mpf(d) ** n
             val = RealInterval.from_mpi(gn)
@@ -310,7 +302,7 @@ def _green_line_infinity(ctx: GreenContext, z1, z2, tol) -> RealInterval:
             At, Bt = _iv_poly(f.top_P), _iv_poly(f.top_Q)
             a, b = frac_to_mpi(z1), frac_to_mpi(z2)
             for _ in range(n):
-                a, b = _iv_eval(At, a, b), _iv_eval(Bt, a, b)
+                a, b = At.eval(a, b), Bt.eval(a, b)
             m = ivmax(abs(a), abs(b))
             val = RealInterval.from_mpi(iv.log(m) / iv.mpf(d) ** n)
         finally:

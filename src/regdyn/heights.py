@@ -20,7 +20,7 @@ from .exactnum import Place, valuation, AlgebraicNumber
 from .green import GreenContext, bad_places, green_value, _tail_iterations
 from .intervals import RealInterval, log_of_fraction, _mpf_tuple_to_fraction
 from .maps import RegularMap, BitSizeCap
-from .padic import PAdic, PrecisionLoss
+from .polyalg import MultiPoly
 
 _x = sp.Symbol("x")
 
@@ -216,13 +216,15 @@ def _arch_green_algebraic(f: RegularMap, alg, rat, alg_first, tol) -> RealInterv
     n = _tail_iterations(ctx.C, f.d, Fraction(tol) / 2)
     N = alg.degree
     with mpmath.workprec(300):
+        P, Q = (MultiPoly({e: mpmath.mpf(c.numerator) / c.denominator
+                           for e, c in g.coeffs.items()}) for g in (f.P, f.Q))
         roots = [mpmath.mpc(sp.N(r, 80)) for r in alg.minpoly.all_roots()]
         terms = []
         for r in roots:
             q = mpmath.mpf(rat.numerator) / rat.denominator
             zz, ww = (r, mpmath.mpc(q)) if alg_first else (mpmath.mpc(q), r)
             for _ in range(n):
-                zz, ww = _eval_mpc(f.P, zz, ww), _eval_mpc(f.Q, zz, ww)
+                zz, ww = P.eval(zz, ww), Q.eval(zz, ww)
             m = max(mpmath.mpf(1), abs(zz), abs(ww))
             terms.append(mpmath.log(m) / mpmath.mpf(f.d) ** n)
         mean = sum(terms) / N
@@ -230,13 +232,6 @@ def _arch_green_algebraic(f: RegularMap, alg, rat, alg_first, tol) -> RealInterv
     margin = Fraction(1, 10**40)
     mid = _mpf_tuple_to_fraction(mpmath.mpf(mean)._mpf_) if mean != 0 else Fraction(0)
     return RealInterval(mid - tail - margin, mid + tail + margin)
-
-
-def _eval_mpc(poly, z, w):
-    total = mpmath.mpc(0)
-    for (i, j), c in poly.coeffs.items():
-        total += mpmath.mpf(c.numerator) / c.denominator * z**i * w**j
-    return total
 
 
 # ---------------------------------------------------------------------------

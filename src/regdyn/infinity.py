@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import sympy as sp
 
@@ -20,7 +19,6 @@ from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity)
 from .heights import PreperiodicityVerdict
 from .maps import RegularMap
-from .numberfield import NumberField
 from .polyalg import MultiPoly
 
 _x = sp.Symbol("x")
@@ -116,12 +114,10 @@ def _nf_multiplier(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> Algebra
 def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     """Package an element of Q(alpha) as an AlgebraicNumber with the
     embedding matching alpha's."""
-    if elem == 0 or (hasattr(elem, "is_rational") and elem.is_rational()):
-        q = elem.as_rational() if hasattr(elem, "as_rational") else Fraction(elem)
-        return AlgebraicNumber.from_rational(q)
+    if elem.is_rational():
+        return AlgebraicNumber.from_rational(elem.as_rational())
     root = alpha.root()
-    expr = sum(sp.Rational(c.numerator, c.denominator) * root**k
-               for k, c in enumerate(elem.coeffs))
+    expr = sum(sp.Rational(n, elem.den) * root**k for k, n in enumerate(elem.num))
     return AlgebraicNumber.from_expr(expr)
 
 
@@ -280,7 +276,7 @@ def _nf_infinity_orbit(f: RegularMap, alpha: AlgebraicNumber, chart, orbit_cap):
     a0 = K.generator()
     cur = (K(1), a0) if chart == 0 else (a0, K(1))
     cur = _normalize_nf_pair(cur)
-    seen = {_nf_key(cur): 0}
+    seen = {cur: 0}
     orbit = [cur]
     for n in range(1, orbit_cap + 1):
         z1, z2 = cur
@@ -289,14 +285,15 @@ def _nf_infinity_orbit(f: RegularMap, alpha: AlgebraicNumber, chart, orbit_cap):
         if nz1.is_zero() and nz2.is_zero():
             raise RuntimeError("regular map sent a projective point to 0")
         cur = _normalize_nf_pair((nz1, nz2))
-        key = _nf_key(cur)
-        if key in seen:
-            k = seen[key]
+        if cur in seen:
+            k = seen[cur]
             return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
-        if max(c.numerator.bit_length() + c.denominator.bit_length()
-               for z in cur for c in z.coeffs) > 4096:
+        # the cap is per coefficient in lowest terms; max|num| and den bound it
+        if max(max(map(abs, z.num)).bit_length() + z.den.bit_length() for z in cur) > 4096 \
+                and max(c.numerator.bit_length() + c.denominator.bit_length()
+                        for z in cur for c in z.coeffs) > 4096:
             break
-        seen[key] = n
+        seen[cur] = n
         orbit.append(cur)
     return PreperiodicityVerdict.unknown()
 
@@ -306,10 +303,6 @@ def _normalize_nf_pair(pair):
     if not z2.is_zero():
         return (z1 / z2, z2 / z2)
     return (z1 / z1, z2 / z1)
-
-
-def _nf_key(pair):
-    return (pair[0].coeffs, pair[1].coeffs)
 
 
 def periodic_points_infinity(f: RegularMap, period: int, degree_cap: int = 4) -> list:

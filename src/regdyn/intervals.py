@@ -51,12 +51,6 @@ class RealInterval:
         lo, hi = x._mpi_
         return RealInterval(_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
 
-    def to_mpi(self):
-        lo = frac_to_mpi(self.lower)
-        if self.lower == self.upper:
-            return lo
-        return hull(lo, frac_to_mpi(self.upper))
-
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
@@ -107,10 +101,6 @@ class RealInterval:
             return RealInterval(self.lower * q, self.upper * q)
         return RealInterval(self.upper * q, self.lower * q)
 
-    def max_with(self, other) -> "RealInterval":
-        other = _coerce(other)
-        return RealInterval(max(self.lower, other.lower), max(self.upper, other.upper))
-
     def clamp_nonnegative(self) -> "RealInterval":
         return RealInterval(max(self.lower, Fraction(0)), max(self.upper, Fraction(0)))
 
@@ -130,12 +120,6 @@ def frac_to_mpi(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def hull(a, b):
-    lo = a.a if a.a <= b.a else b.a
-    hi = a.b if a.b >= b.b else b.b
-    return iv.mpf([lo.a, hi.b])
-
-
 def ivmax(a, b):
     """Interval max: [max lows, max highs] (mpmath's builtin max is not this)."""
     lo = a.a if a.a >= b.a else b.a
@@ -153,7 +137,3 @@ def log_of_fraction(q: Fraction, prec: int = DEFAULT_PREC) -> RealInterval:
         return RealInterval.from_mpi(iv.log(frac_to_mpi(q)))
     finally:
         iv.prec = old
-
-
-def log_interval_mpi(x):
-    return iv.log(x)

@@ -102,10 +102,6 @@ class LocalGerm:
     def mu(self):
         return self.first[(0, 1)]
 
-    def g_part(self) -> TruncSeries2:
-        """first - lam*x - mu*y (the order-2 remainder)."""
-        return self.first - _x2(self.N) * self.lam - _y2(self.N) * self.mu
-
     def h_part(self) -> TruncSeries2:
         """h with second = y^d*(1 + h)."""
         return _shift_div(self.second, self.d)
@@ -633,10 +629,6 @@ class SectorMap:
     def apply(self, z: complex, y: complex):
         return (z - 1 + self.a(z, y) / z,
                 y**self.d * (1 + self.b(z, y) / z**(1.0 / self.k)))
-
-    @staticmethod
-    def model(k: int, d: int, R: float, r: float) -> "SectorMap":
-        return SectorMap(lambda z, y: 0j, lambda z, y: 0j, k, d, R, r, 0.0)
 
     @staticmethod
     def from_parabolic(germ: LocalGerm, k: int, r: float) -> "SectorMap":

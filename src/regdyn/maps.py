@@ -65,11 +65,6 @@ class RegularMap:
         z0d = HomogPoly3({(self.d, 0, 0): 1}, self.d)
         return (z0d, homogenize(self.P, self.d), homogenize(self.Q, self.d))
 
-    def restrict_infinity(self) -> tuple:
-        """The induced self-map [P_d : Q_d] of the line at infinity, as a
-        coprime pair of binary forms in (z, w)."""
-        return (self.top_P, self.top_Q)
-
     def apply(self, pt):
         z, w = pt
         return (self.P.eval(z, w), self.Q.eval(z, w))

@@ -2,55 +2,90 @@
 
 Used wherever orbits must be iterated exactly inside the field generated
 by an algebraic coordinate (roots of unity on curves, fixed points at
-infinity, ...).  Elements are coefficient tuples, so equality and
-hashing are exact and cheap, which is what cycle detection needs.
+infinity, ...).  m is kept as a primitive integer polynomial.  An element
+is its integer numerators n_0..n_{D-1} over one positive denominator, in
+lowest terms, so equality and hashing are exact and cheap, which is what
+cycle detection needs.  A product is an integer
+convolution reduced by integer pseudo-division (for a non-monic m, the
+denominator takes the powers of m's leading coefficient); scaling by a
+rational scales the numerators.  `coeffs` gives the Fraction coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 
 def _trim(cs):
-    cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+def _conv(a, b):
+    """Product of two integer polynomials (ascending coefficient lists)."""
+    out = [0] * (len(a) + len(b) - 1)
+    nzb = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in nzb:
                 out[i + j] += ai * bj
     return out
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
+def _pdivmod(a, b):
+    """Integer pseudo-division of a by b (lists of ints, b[-1] != 0; a is
+    overwritten): (s, q, r) with s*a == q*b + r and len(r) <= deg b, where
+    s is a power of b's leading coefficient (1 when b is monic)."""
+    n = len(b) - 1
+    lead = b[-1]
+    low = [(j, bj) for j, bj in enumerate(b[:n]) if bj]
+    q = [0] * max(0, len(a) - n)
+    s = 1
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k]
         if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _trim(a)
+            if lead != 1:
+                for i in range(k):
+                    a[i] *= lead
+                for i in range(k - n + 1, len(q)):
+                    q[i] *= lead
+                s *= lead
+            q[k - n] = c
+            a[k] = 0
+            for j, bj in low:
+                a[k - n + j] -= c * bj
+    return s, q, a[:n]
 
 
 class NumberField:
-    """Q[x]/(m) with m monic irreducible over Q."""
+    """Q[x]/(m) with m irreducible over Q."""
 
     def __init__(self, modulus: Sequence):
         m = _trim([Fraction(c) for c in modulus])
         if len(m) < 2:
             raise ValueError("modulus must have positive degree")
-        lead = m[-1]
-        self.modulus = tuple(c / lead for c in m)
+        den = math.lcm(*(c.denominator for c in m))
+        ints = [c.numerator * (den // c.denominator) for c in m]
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        self.modulus = tuple(c // g for c in ints)
         self.degree = len(self.modulus) - 1
+
+    def _make(self, nums: list, den: int) -> "NFElement":
+        """The element (sum_k nums[k] x^k) / den for a fresh list of ints
+        and den > 0, reduced mod the modulus and put in lowest terms."""
+        if len(nums) > self.degree:
+            s, _q, nums = _pdivmod(nums, self.modulus)
+            den *= s
+        nums += [0] * (self.degree - len(nums))
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return NFElement(self, tuple(nums), den)
 
     def __call__(self, coeffs) -> "NFElement":
         if isinstance(coeffs, NFElement):
@@ -60,10 +95,8 @@ class NumberField:
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            _, cs = _poly_divmod(cs, list(self.modulus))
-        cs = cs + [Fraction(0)] * (self.degree - len(cs))
-        return NFElement(self, tuple(cs[: self.degree]))
+        den = math.lcm(*(c.denominator for c in cs))
+        return self._make([c.numerator * (den // c.denominator) for c in cs], den)
 
     def generator(self) -> "NFElement":
         return self([0, 1])
@@ -85,15 +118,23 @@ class NumberField:
 
 
 class NFElement:
-    __slots__ = ("field", "coeffs")
+    """num / den in its field: `num` a tuple of field.degree ints, `den` a
+    positive int, gcd(*num, den) == 1."""
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _lift(self, other):
         if isinstance(other, NFElement):
-            if other.field.modulus != self.field.modulus:
+            if other.field is not self.field and other.field.modulus != self.field.modulus:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -104,12 +145,15 @@ class NFElement:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return self.field._make([a + b for a, b in zip(self.num, o.num)], da)
+        return self.field._make([a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coeffs))
+        return NFElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -121,33 +165,36 @@ class NFElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return self.field._make([a * p for a in self.num], self.den * q)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        _, rem = _poly_divmod(prod, list(self.field.modulus))
-        rem = rem + [Fraction(0)] * (self.field.degree - len(rem))
-        return NFElement(self.field, tuple(rem[: self.field.degree]))
+        return self.field._make(_conv(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NFElement":
-        # extended Euclid in Q[x] against the modulus
+        """Extended Euclid against the modulus on primitive integer polynomials
+        (each remainder and its cofactor divided by their common content)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # invariant: t_i * self ≡ r_i (mod modulus)
-        r0, t0 = list(self.field.modulus), [Fraction(0)]
-        r1, t1 = _trim(self.coeffs), [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            qt = _poly_mul(q, t1)
-            n = max(len(t0), len(qt))
-            t = _trim([(t0[i] if i < len(t0) else 0) - (qt[i] if i < len(qt) else 0)
-                       for i in range(n)])
-            r0, t0, r1, t1 = r1, t1, r, t
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible; modulus reducible?")
-        return self.field([c / r0[0] for c in t0])
+        # invariant: t_i * num ≡ r_i (mod modulus)
+        r0, t0 = list(self.field.modulus), []
+        r1, t1 = _trim(list(self.num)), [1]
+        while len(r1) > 1:
+            s, q, r = _pdivmod(r0, r1)  # s*r0 = q*r1 + r
+            r = _trim(r)
+            if not r:
+                raise ZeroDivisionError("element not invertible; modulus reducible?")
+            t = [s * a - b for a, b in zip_longest(t0, _conv(q, t1), fillvalue=0)]
+            g = math.gcd(*r, *t)
+            r0, t0, r1, t1 = r1, t1, [c // g for c in r], [c // g for c in t]
+        # t1 * num ≡ r1[0], so 1 / (num / den) = den * t1 / r1[0]
+        c = r1[0]
+        sign = 1 if c > 0 else -1
+        return self.field._make([sign * self.den * x for x in t1], abs(c))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -166,29 +213,30 @@ class NFElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
+        return hash((self.field.modulus, self.num, self.den))
 
     def __repr__(self):
         return f"NFElement{self.coeffs}"

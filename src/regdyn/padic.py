@@ -67,10 +67,6 @@ class PAdic:
     def is_exact_zero(self) -> bool:
         return self.unit == 0 and self.v is None
 
-    @property
-    def is_zeroish(self) -> bool:
-        return self.unit == 0
-
     def valuation_lower(self):
         """Certified lower bound on the valuation (None = +infinity)."""
         return self.v

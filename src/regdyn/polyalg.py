@@ -144,10 +144,16 @@ class MultiPoly:
     # -- evaluation / substitution ------------------------------------
 
     def eval(self, z, w):
-        """Evaluate at a point of any commutative ring."""
+        """Evaluate at a point of any commutative ring: the sum of the terms
+        c * z**i * w**j in coefficient order, each power computed once."""
         total = 0
+        zp, wp = {}, {}
         for (i, j), c in self.coeffs.items():
-            total = total + c * z**i * w**j
+            if i not in zp:
+                zp[i] = z**i
+            if j not in wp:
+                wp[j] = w**j
+            total = total + c * zp[i] * wp[j]
         return total
 
     def compose(self, u: "MultiPoly", v: "MultiPoly") -> "MultiPoly":
@@ -162,15 +168,6 @@ class MultiPoly:
                 vpows[j] = v**j
             result = result + MultiPoly.constant(c) * upows[i] * vpows[j]
         return result
-
-    def compose_second(self, v: "MultiPoly") -> "MultiPoly":
-        out = MultiPoly.zero()
-        vpows = {0: MultiPoly.constant(1)}
-        for (i, j), c in self.coeffs.items():
-            if j not in vpows:
-                vpows[j] = v**j
-            out = out + MultiPoly({(i, 0): c}) * vpows[j]
-        return out
 
     # -- homogeneous pieces -------------------------------------------
 

@@ -31,6 +31,20 @@ def _numerators(cs):
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
+def _terms(s: "TruncSeries"):
+    """Nonzero terms (k, numerator) of s over its common denominator, and that denominator."""
+    ns, den = _numerators(s.coeffs)
+    return [(k, c) for k, c in enumerate(ns) if c], den
+
+
+def _terms2(s: "TruncSeries2", n: int):
+    """Nonzero terms of s as (total degree, flat index i*(n+1)+j,
+    numerator), sorted by degree, over their common denominator."""
+    ns, den = _numerators(list(s.coeffs.values()))
+    w = n + 1
+    return sorted((i + j, i * w + j, c) for (i, j), c in zip(s.coeffs, ns)), den
+
+
 class TruncSeries:
     """Univariate series a_0 + a_1 y + ... + a_N y^N (exact, mod y^{N+1})."""
 
@@ -113,14 +127,16 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return TruncSeries([c * other for c in self.coeffs], self.order)
         a, b = self._common(other)
-        n = a.order
-        na, da = _numerators(a.coeffs)
-        nb, db = _numerators(b.coeffs)
-        nb = [(j, c) for j, c in enumerate(nb) if c]  # nonzero terms of b
+        return a._times(*_terms(b))
+
+    def _times(self, tb, db) -> "TruncSeries":
+        """self * b for b of the same order given as _terms(b)."""
+        n = self.order
+        na, da = _numerators(self.coeffs)
         out = [0] * (n + 1)
         for i, ai in enumerate(na):
             if ai:
-                for j, bj in nb:
+                for j, bj in tb:
                     if i + j > n:
                         break
                     out[i + j] += ai * bj
@@ -153,8 +169,9 @@ class TruncSeries:
         n = min(self.order, inner.order)
         a = self
         result = TruncSeries([a.coeffs[n]], n)
+        tb = _terms(inner.truncate(n))
         for k in range(n - 1, -1, -1):  # Horner
-            result = result * inner.truncate(n) + a.coeffs[k]
+            result = result._times(*tb) + a.coeffs[k]
         return result
 
     def reciprocal(self) -> "TruncSeries":
@@ -342,12 +359,13 @@ class TruncSeries2:
         if not isinstance(other, TruncSeries2):
             return TruncSeries2({e: c * other for e, c in self.coeffs.items()}, self.order)
         a, b = self._common(other)
-        n = a.order
+        return a._times(*_terms2(b, a.order))
+
+    def _times(self, tb, db) -> "TruncSeries2":
+        """self * b for b of the same order given as _terms2(b, order)."""
+        n = self.order
         w = n + 1  # x^i y^j sits at flat index i*w + j; sums never carry
-        na, da = _numerators(list(a.coeffs.values()))
-        nb, db = _numerators(list(b.coeffs.values()))
-        ta = [(i + j, i * w + j, c) for (i, j), c in zip(a.coeffs, na)]
-        tb = sorted((i + j, i * w + j, c) for (i, j), c in zip(b.coeffs, nb))
+        ta, da = _terms2(self, n)
         out = [0] * (w * w)
         for d1, k1, c1 in ta:
             room = n - d1
@@ -414,6 +432,10 @@ class TruncSeries2:
         for (i, j), c in self.coeffs.items():
             by_i.setdefault(i, {})[j] = c
         imax = max(by_i) if by_i else 0
+        # the inner series in the form the Horner steps below take, made once
+        vu = TruncSeries([v[(0, j)] for j in range(n + 1)], n) \
+            if v_pure_y and not v_is_y else None
+        tv = None if v_pure_y else _terms2(v, n)
         rows = []
         for i in range(imax + 1):
             row = by_i.get(i, {})
@@ -423,14 +445,13 @@ class TruncSeries2:
                 cs = [Fraction(0)] * (n + 1)
                 for j, c in row.items():
                     cs[j] = c
-                vu = TruncSeries([v[(0, j)] for j in range(n + 1)], n)
                 qi = TruncSeries(cs, n).compose(vu).to_series2(n)
             else:
                 qi = TruncSeries2.zero(n)
                 if row:
                     jmax = max(row)
                     for j in range(jmax, 0, -1):
-                        qi = (qi + row.get(j, 0)) * v
+                        qi = (qi + row.get(j, 0))._times(*tv)
                     qi = qi + row.get(0, 0)
             rows.append(qi)
         if u_is_x:
@@ -442,8 +463,9 @@ class TruncSeries2:
                         out[e] = out.get(e, 0) + c
             return TruncSeries2(out, n)
         result = rows[imax]
+        tu = _terms2(u, n)
         for i in range(imax - 1, -1, -1):
-            result = result * u + rows[i]
+            result = result._times(*tu) + rows[i]
         return result
 
     def coefficient_in_x(self, i: int) -> TruncSeries:

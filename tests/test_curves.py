@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
-from regdyn.curves import (CurveOrbitStatus, PlaneCurve, curve_preperiodicity,
-                           dmm_report, find_preperiodic_points,
+from regdyn import curves
+from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve,
+                           curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
 from regdyn.maps import make_regular_map
 
@@ -75,6 +77,25 @@ def test_pushforward_witness_points():
     img = pushforward(f, C)
     for a in (F(1, 2), F(2), F(-3), F(5, 7)):
         assert img.contains(f.apply((a, a)))
+
+
+def test_pushforward_rejects_an_image_degree_not_dividing_d_deg_c(monkeypatch):
+    # under (z^3, w^3) a line's image has degree 1 or 3; a conic passes the
+    # bound deg <= d * deg C = 3 but is impossible
+    f = make_regular_map("z^3", "w^3")
+    Z, W = sp.symbols("Z W")
+    monkeypatch.setattr(curves, "_component_image", lambda Ri, Pe, Qe: [W - Z**2])
+    with pytest.raises(EliminationError):
+        pushforward(f, PlaneCurve("w - z"))
+
+
+def test_pushforward_reducible_curve_with_images_of_different_degrees():
+    # z = 0 goes onto itself and w = z + 1 onto a conic, so the image has
+    # degree 3, which does not divide d * deg C = 4; each component's does
+    f = make_regular_map("z^2", "w^2")
+    img = pushforward(f, PlaneCurve("z*(w - z - 1)"))
+    assert img == PlaneCurve(f"z*({pushforward(f, PlaneCurve('w - z - 1')).poly.to_string()})")
+    assert img.degree == 3
 
 
 def test_curve_preperiodicity_kinds():
