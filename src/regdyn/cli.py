@@ -37,12 +37,18 @@ def _default_tol() -> Fraction:
     raw = os.environ.get("REGDYN_TOL", "1e-9")
     try:
         return _parse_tol(raw)
-    except (ValueError, ZeroDivisionError):
+    except InputError:
         return Fraction(1, 10**9)
 
 
 def _parse_tol(text: str) -> Fraction:
-    return Fraction(text) if "/" in text else Fraction(str(text))
+    try:
+        tol = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad tol: {exc}") from exc
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {text!r}")
+    return tol
 
 
 def _parse_map(text: str):
@@ -69,10 +75,9 @@ def _parse_place(text: str) -> Place:
     if text in ("inf", "oo", "arch"):
         return Place.archimedean()
     try:
-        p = int(text)
-    except ValueError as exc:
+        return Place.finite(int(text))
+    except ValueError as exc:  # not an integer, or not a prime
         raise InputError(f"place must be 'inf' or a prime, got {text!r}") from exc
-    return Place.finite(p)
 
 
 # -- JSON rendering ---------------------------------------------------------
@@ -132,6 +137,8 @@ def _cmd_classify(args):
 
 
 def _cmd_green(args):
+    if not (args.point or args.homog):
+        raise InputError("green needs --point or --homog")
     f = _parse_map(args.map)
     v = _parse_place(args.place)
     tol = _parse_tol(args.tol) if args.tol else _default_tol()
@@ -224,8 +231,10 @@ def _cmd_curve(args):
     except (PolyParseError, ValueError) as exc:
         raise InputError(f"bad curve: {exc}") from exc
     div = points_at_infinity(C)
-    img = pushforward(f, C)
     status = curve_preperiodicity(f, C, args.max_iters, args.max_degree)
+    # the orbit holds the first image unless it closed at once (or --max-iters 0)
+    img = status.orbit[1] if len(status.orbit) > 1 else (
+        C if status.kind == "Fixed" else pushforward(f, C))
     result = {"curve": C.poly.to_string(),
               "points_at_infinity": [_point_json(p) for p in div.points],
               "pushforward": img.poly.to_string(),
@@ -323,11 +332,7 @@ def run(argv=None) -> int:
                      if k not in ("handler", "command") and v is not None}}
     try:
         result, witnesses, caps, code = args.handler(args)
-    except InputError as exc:
-        doc.update(error=str(exc), timing={"seconds": time.monotonic() - t0})
-        print(json.dumps(doc, indent=2))
-        return 2
-    except (NotRegular, PolyParseError) as exc:
+    except (InputError, NotRegular, PolyParseError) as exc:
         doc.update(error=str(exc), timing={"seconds": time.monotonic() - t0})
         print(json.dumps(doc, indent=2))
         return 2

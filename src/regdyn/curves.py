@@ -29,26 +29,20 @@ _t = sp.Symbol("t")
 
 
 class PlaneCurve:
-    """A plane curve {R = 0} in canonical form."""
+    """A plane curve {R = 0} in canonical form; R is a string, a MultiPoly,
+    a sympy Poly in two generators (read as z, w) or a PlaneCurve."""
 
     def __init__(self, poly):
         if isinstance(poly, str):
             poly = parse_poly(poly)
         if isinstance(poly, PlaneCurve):
             poly = poly.poly
-        expr = poly.to_sympy(_z, _w)
-        if sp.Poly(expr, _z, _w).total_degree() < 1:
+        p = poly if isinstance(poly, sp.Poly) else poly.to_poly(_z, _w)
+        if p.total_degree() < 1:
             raise ValueError("curve polynomial must be nonconstant")
-        # squarefree part
-        _c, factors = sp.factor_list(expr, _z, _w)
-        expr = sp.prod([b for b, _m in factors])
-        p = sp.Poly(sp.expand(expr), _z, _w, domain="QQ")
-        _den, p = p.clear_denoms(convert=True)
-        _cont, p = p.primitive()
-        # sign normalization on the lexicographically leading coefficient
-        if p.coeffs()[0] < 0:
-            p = -p
-        self.poly = MultiPoly.from_sympy(p.as_expr(), _z, _w)
+        # squarefree part: the product of the irreducible factors
+        self.poly = MultiPoly.from_poly(_primitive(sp.prod(
+            [b for b, _m in sp.factor_list(p)[1]])))
 
     @property
     def degree(self) -> int:
@@ -88,9 +82,6 @@ class InfinityPoint:
 class InfinityDivisor:
     points: list
 
-    def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.points)
-
 
 def points_at_infinity(C: PlaneCurve) -> InfinityDivisor:
     """Roots of the top homogeneous form of R, with multiplicities
@@ -98,22 +89,17 @@ def points_at_infinity(C: PlaneCurve) -> InfinityDivisor:
     top = homogeneous_top(C.poly)
     D = C.degree
     # chart 0 coordinate t = w/z
-    poly_t = sum(sp.Rational(c.numerator, c.denominator) * _t**j
-                 for (i, j), c in top.coeffs.items())
-    poly_t = sp.Poly(poly_t, _t)
+    poly_t = sp.Poly.from_dict({(j,): sp.Rational(c.numerator, c.denominator)
+                                for (i, j), c in top.coeffs.items()}, _t)
     pts = []
     drop = D - poly_t.degree()
     if drop > 0:  # the root [0 : 1]
         pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, drop))
     for fac, mult in sp.factor_list(poly_t)[1]:
-        fac = sp.Poly(fac, _t)
-        if fac.degree() == 0:
-            continue
         for idx in range(fac.degree()):
             pts.append(InfinityPoint(AlgebraicNumber(fac, idx), 0, mult))
-    div = InfinityDivisor(pts)
-    assert div.total_multiplicity() == D
-    return div
+    assert sum(p.multiplicity for p in pts) == D
+    return InfinityDivisor(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -132,70 +118,83 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     iff the component's polynomial divides G(P, Q).  By the projection
     formula deg f(C_i) divides d * deg C_i for each component C_i; images of
     two components can coincide, so deg f(C) need not divide d * deg C."""
-    Pe = f.P.to_sympy(_z, _w)
-    Qe = f.Q.to_sympy(_z, _w)
-    Re = C.poly.to_sympy(_z, _w)
+    P, Q = f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)
     kept = []
-    for Ri, _m in sp.factor_list(Re, _z, _w)[1]:
-        deg = sp.Poly(Ri, _z, _w).total_degree()
-        if deg < 1:
-            continue
-        image = _component_image(Ri, Pe, Qe)
-        if (f.d * deg) % sum(sp.Poly(G, _Z, _W).total_degree() for G in image):
+    for Ri, _m in sp.factor_list(C.poly.to_poly(_z, _w))[1]:
+        image = _component_image(Ri, P, Q)
+        if (f.d * Ri.total_degree()) % sum(G.total_degree() for G in image):
             raise EliminationError("image degree does not divide d * deg C "
                                    "(elimination bug)")
         kept.extend(image)
-    prod = sp.expand(sp.prod(kept))
-    return PlaneCurve(MultiPoly.from_sympy(prod, _Z, _W))
+    return PlaneCurve(sp.prod(kept))
 
 
-def _split_eliminant(expr, inner):
-    """(squarefree part of the factors involving inner, inner-free factors).
+def _primitive(p: sp.Poly) -> sp.Poly:
+    """p over ZZ with content 1 and a positive lex-leading coefficient."""
+    p = p.clear_denoms(convert=True)[1].primitive()[1]
+    return -p if p.LC() < 0 else p
+
+
+def _split_eliminant(E):
+    """(squarefree part of the factors involving the first generator, the
+    factors free of it as Polys in the other two), for E in (inner, Z, W).
 
     Pure-inner factors are dropped: they impose no condition on (Z, W).
     Discarding multiplicities keeps root sets, which is all the later
     divisibility filter needs."""
     mixed, free = [], []
-    for b, _m in sp.factor_list(expr, gens=(_z, _w, _Z, _W))[1]:
-        has_inner = sp.degree(b, inner) >= 1
-        has_target = sp.degree(b, _Z) >= 1 or sp.degree(b, _W) >= 1
-        if has_inner and has_target:
+    for b, _m in sp.factor_list(E)[1]:
+        d_inner, d_Z, d_W = b.degree_list()
+        if d_inner and (d_Z or d_W):
             mixed.append(b)
-        elif has_target:
-            free.append(b)
+        elif d_Z or d_W:
+            free.append(b.ltrim(1))
     return mixed, free
 
 
-def _component_image(Ri, Pe, Qe) -> list:
+def _component_image(Ri, P, Q) -> list:
+    """The irreducible G(Z, W), as primitive Polys, whose curves make up the
+    image of {Ri = 0} under (P, Q): factors of the eliminants under the
+    first shear Z -> Z + s*W that does not degenerate, each sheared back
+    and kept iff Ri | G(P, Q)."""
+    outer, inner = (_w, _z) if Ri.degree(_w) > 0 else (_z, _w)
+    # the eliminated variable is the first generator of each resultant
+    Ri, P, Q = (p.reorder(outer, inner) for p in (Ri, P, Q))
+    Zp, Wp = (sp.Poly(v, outer, inner, _Z, _W) for v in (_Z, _W))
     for shear in (0, 1, 2, 3, 5):
-        P1 = sp.expand(Pe + shear * Qe)
-        Rp = sp.Poly(Ri, _z, _w)
-        inner = _z if Rp.degree(_w) > 0 else _w
-        outer = _w if inner is _z else _z
-        E1 = sp.resultant(Ri, _Z - P1, outer)
-        E2 = sp.resultant(Ri, _W - Qe, outer)
-        if E1 == 0 or E2 == 0:
+        E1 = sp.resultant(Ri, Zp - (P + Q.mul_ground(shear)))
+        E2 = sp.resultant(Ri, Wp - Q)
+        if E1.is_zero or E2.is_zero:
             continue
-        m1, free1 = _split_eliminant(E1, inner)
-        m2, free2 = _split_eliminant(E2, inner)
-        candidates = list(free1) + list(free2)
+        m1, free1 = _split_eliminant(E1)
+        m2, free2 = _split_eliminant(E2)
+        candidates = free1 + free2
         if m1 and m2:
-            elim = sp.resultant(sp.prod(m1), sp.prod(m2), inner)
-            if elim == 0:
+            elim = sp.resultant(sp.prod(m1), sp.prod(m2))
+            if elim.is_zero:
                 continue  # shared inner factor; retry sheared
-            candidates += [G for G, _m in sp.factor_list(sp.expand(elim), _Z, _W)[1]
-                           if sp.Poly(G, _Z, _W).total_degree() >= 1]
-        out = []
+            candidates += [G for G, _m in sp.factor_list(elim)[1] if G.total_degree() >= 1]
+        unshear = sp.Poly(_Z + shear * _W, _Z, _W)
+        out = {}
         for G in candidates:
-            G0 = sp.expand(G.subs(_Z, _Z + shear * _W)) if shear else G
-            # exact component test: Ri | G0(P, Q)
-            val = sp.expand(G0.subs({_Z: Pe, _W: Qe}, simultaneous=True))
-            _q, r = sp.div(val, Ri, _z, _w)
-            if r == 0 and G0 not in out:
-                out.append(sp.expand(G0))
+            G0 = _primitive(G.compose(unshear))
+            # exact component test Ri | G0(P, Q), over ZZ when P, Q are (no QQ copy)
+            if G0 not in out and _substitute(G0, P, Q).rem(Ri, auto=False).is_zero:
+                out[G0] = None
         if out:
-            return out
+            return list(out)
     raise EliminationError("elimination degenerated for every shear tried")
+
+
+def _substitute(G, P, Q):
+    """G(P, Q) for G in (Z, W), by Horner's rule in Z and in W."""
+    val = P.zero
+    for row in G.rep.to_list():
+        inner = P.zero
+        for c in row:
+            inner = (inner * Q).add_ground(c)
+        val = val * P + inner
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +309,15 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     seen = set()
     # rational probes along vertical lines z = a
     for a in _bounded_rationals(height_bound):
-        expr = sum(sp.Rational((c * a**i).numerator, (c * a**i).denominator) * _w**j
-                   for (i, j), c in R.coeffs.items())
-        expr = sp.expand(expr)
-        if expr == 0:
+        line = R.compose(MultiPoly.constant(a), MultiPoly.variable(1)).to_poly(_z, _w)
+        if line.is_zero:
             roots = list(_bounded_rationals(height_bound))  # whole line on C
-        elif not expr.free_symbols:
+        elif line.total_degree() < 1:
             continue
-        else:
-            roots = []
-            for fac, _m in sp.factor_list(sp.Poly(expr, _w))[1]:
-                fac = sp.Poly(fac, _w)
-                if fac.degree() == 1:
-                    c1, c0 = fac.all_coeffs()
-                    roots.append(Fraction(int(sp.Rational(-c0, c1).p),
-                                          int(sp.Rational(-c0, c1).q)))
+        else:  # the rational roots, one per linear factor
+            roots = [Fraction(int(q.p), int(q.q))
+                     for fac, _m in sp.factor_list(line.ltrim(1))[1] if fac.degree() == 1
+                     for q in [-fac.nth(0) / fac.nth(1)]]
         for b in roots:
             if (a, b) in seen:
                 continue
@@ -335,11 +328,17 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     # roots-of-unity probes (numeric prefilter, exact confirmation)
     rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
             for a, n in _roots_of_unity(max_order)]
-    # complex(c) * z is the float product Fraction c * z computes
-    Rc = MultiPoly({e: complex(c) for e, c in R.coeffs.items()})
+    dw = R.degree_in(1)
     for a1, n1, z1 in rous:
+        # R(z1, w) = sum of row[dw - j] * w^j, for a Horner step per z2
+        row = [0j] * (dw + 1)
+        for (i, j), c in R.coeffs.items():
+            row[dw - j] += complex(c) * z1**i
         for a2, n2, z2 in rous:
-            if abs(complex(Rc.eval(z1, z2))) > 1e-8:
+            val = 0j
+            for c in row:
+                val = val * z2 + c
+            if abs(val) > 1e-8:
                 continue
             if not _on_curve_cyclotomic(R, a1, n1, a2, n2):
                 continue
@@ -422,10 +421,12 @@ def dmm_report(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
             notes.append(f"point {pt}: {note}")
     curve_status = curve_preperiodicity(f, C, max_iters, max_degree)
     pts = find_preperiodic_points(f, C, height_bound, max_order)
-    hypothesis = any(r.orbit_verdict.kind == "Preperiodic"
-                     and r.terminal_classification is not None
-                     and not isinstance(r.terminal_classification, Superattracting)
-                     for r in inf_reports)
+    # the points at infinity whose terminal cycle is not superattracting
+    witnesses = [(r.orbit_verdict.preperiod, r.orbit_verdict.period) for r in inf_reports
+                 if r.orbit_verdict.kind == "Preperiodic"
+                 and r.terminal_classification is not None
+                 and not isinstance(r.terminal_classification, Superattracting)]
+    hypothesis = bool(witnesses)
     conclusion = curve_status.kind in ("Fixed", "Periodic", "PreperiodicTo")
     if not hypothesis and conclusion:
         notes.append("curve preperiodic but outside the theorem's hypothesis "
@@ -434,14 +435,8 @@ def dmm_report(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
         notes.append("no preperiodic points found at the search caps; the "
                      "infinitude hypothesis is unsupported by this sample")
     consistency = None
-    if conclusion and curve_status.period is not None:
-        sides = [(r.orbit_verdict.preperiod, r.orbit_verdict.period)
-                 for r in inf_reports
-                 if r.orbit_verdict.kind == "Preperiodic"
-                 and r.terminal_classification is not None
-                 and not isinstance(r.terminal_classification, Superattracting)]
-        if sides:
-            consistency = all(s == (curve_status.preperiod, curve_status.period)
-                              for s in sides)
+    if conclusion and curve_status.period is not None and witnesses:
+        consistency = all(s == (curve_status.preperiod, curve_status.period)
+                          for s in witnesses)
     return DmmReport(inf_reports, pts, curve_status, hypothesis, conclusion,
                      consistency, notes)

@@ -176,21 +176,20 @@ class MultiPoly:
 
     # -- printing / sympy ---------------------------------------------
 
-    def to_sympy(self, zsym, wsym):
-        expr = sp.Integer(0)
-        for (i, j), c in self.coeffs.items():
-            c = sp.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c
-            expr += c * zsym**i * wsym**j
-        return expr
+    def to_poly(self, zgen, wgen) -> sp.Poly:
+        """A sympy Poly in the generators standing for z and w, over ZZ (QQ
+        if a coefficient is not an integer)."""
+        K = sp.ZZ if all(c.denominator == 1 for c in self.coeffs.values()) else sp.QQ
+        # a copy: from_dict converts the values of its dict in place
+        return sp.Poly.from_dict(dict(self.coeffs), zgen, wgen, domain=K)
 
     @staticmethod
-    def from_sympy(expr, zsym, wsym) -> "MultiPoly":
-        poly = sp.Poly(expr, zsym, wsym)
-        out = {}
-        for (i, j), c in zip(poly.monoms(), poly.coeffs()):
-            q = sp.Rational(c)
-            out[(i, j)] = Fraction(int(q.p), int(q.q))
-        return MultiPoly(out)
+    def from_poly(poly: sp.Poly) -> "MultiPoly":
+        """A sympy Poly over ZZ or QQ in two generators, read as z and w; the
+        terms keep the Poly's (lex) order."""
+        K = poly.domain
+        return MultiPoly({e: Fraction(int(K.numer(c)), int(K.denom(c)))
+                          for e, c in poly.rep.terms()})
 
     def to_string(self, vars=("z", "w")) -> str:
         if not self.coeffs:
@@ -280,11 +279,11 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> MultiPoly:
     Vanishes iff f and g share a factor involving that variable."""
     if f.degree_in(eliminate) <= 0 and g.degree_in(eliminate) <= 0:
         raise ValueError("both inputs constant in the eliminated variable")
-    fe = f.to_sympy(_Z, _W)
-    ge = g.to_sympy(_Z, _W)
-    var = _Z if eliminate == 0 else _W
-    res = sp.resultant(fe, ge, var)
-    return MultiPoly.from_sympy(sp.expand(res), _Z, _W)
+    x, y = (_Z, _W) if eliminate == 0 else (_W, _Z)
+    res = sp.resultant(*(p.to_poly(_Z, _W).reorder(x, y) for p in (f, g)))
+    # a Poly in y alone: put x back, with exponent 0
+    return MultiPoly.from_poly(sp.Poly.from_dict(
+        {(0,) + e: c for e, c in res.rep.terms()}, x, y, domain=res.domain).reorder(_Z, _W))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from regdyn.cli import run
+from regdyn.curves import PlaneCurve
 
 
 def _run(capsys, *argv):
@@ -107,3 +108,53 @@ def test_json_is_single_document(capsys):
     run(["classify", "--map", "z^2, w^2"])
     out = capsys.readouterr().out
     json.loads(out)  # would raise on trailing junk
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--map", "z^2, w^2", "--point", "1,2", "--place", "4"],
+    ["green", "--map", "z^2, w^2"],
+    ["height", "--map", "z^2, w^2", "--point", "1,2", "--tol", "0"],
+    ["height", "--map", "z^2, w^2", "--point", "1,2", "--tol=-1/2"],
+], ids=["non-prime-place", "no-point", "zero-tol", "negative-tol"])
+def test_malformed_input_exits_2_with_one_json_error(capsys, argv):
+    code, doc = _run(capsys, *argv)
+    assert code == 2
+    assert "error" in doc and "result" not in doc
+
+
+def _count_pushforwards(monkeypatch):
+    from regdyn import cli, curves
+    calls = []
+
+    def counting(f, C, _real=curves.pushforward):
+        calls.append(C)
+        return _real(f, C)
+
+    monkeypatch.setattr(curves, "pushforward", counting)
+    monkeypatch.setattr(cli, "pushforward", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("curve, iters, steps", [
+    ("w - z", "8", 1),        # Fixed: the first image closes the orbit
+    ("z + 1", "8", 2),        # z = -1 -> z = 1 -> z = 1
+    ("w - z - 1", "3", 3),    # degrees 1, 2, 4, 8: stopped by --max-iters
+])
+def test_curve_runs_one_pushforward_per_orbit_step(capsys, monkeypatch, curve, iters,
+                                                   steps):
+    calls = _count_pushforwards(monkeypatch)
+    code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", curve,
+                     "--max-iters", iters)
+    assert code in (0, 3)
+    assert len(calls) == steps
+
+
+def test_curve_with_no_iterations_still_reports_the_image(capsys, monkeypatch):
+    calls = _count_pushforwards(monkeypatch)
+    code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", "w - z - 1",
+                     "--max-iters", "0")
+    assert code == 3
+    assert len(calls) == 1
+    # (t, t + 1) goes to (t^2, (t + 1)^2), so w - z - 1 = 2t and (w - z - 1)^2 = 4z
+    assert PlaneCurve(doc["result"]["pushforward"]) == PlaneCurve("(w - z - 1)^2 - 4*z")
+    assert doc["witnesses"]["orbit_degrees"] == [1]

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from regdyn import curves
 from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve,
                            curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
 from regdyn.maps import make_regular_map
+from regdyn.polyalg import MultiPoly
 
 
 def test_plane_curve_canonical_form():
@@ -84,7 +87,8 @@ def test_pushforward_rejects_an_image_degree_not_dividing_d_deg_c(monkeypatch):
     # bound deg <= d * deg C = 3 but is impossible
     f = make_regular_map("z^3", "w^3")
     Z, W = sp.symbols("Z W")
-    monkeypatch.setattr(curves, "_component_image", lambda Ri, Pe, Qe: [W - Z**2])
+    monkeypatch.setattr(curves, "_component_image",
+                        lambda Ri, P, Q: [sp.Poly(W - Z**2, Z, W)])
     with pytest.raises(EliminationError):
         pushforward(f, PlaneCurve("w - z"))
 
@@ -153,3 +157,146 @@ def test_dmm_report_non_preperiodic_line():
                      height_bound=2, max_order=4)
     assert rep.hypothesis_witnessed  # [1:1] at infinity is fixed, multiplier 2
     assert not rep.conclusion_witnessed
+
+
+# -- canonical form ----------------------------------------------------------
+
+small = st.integers(min_value=-4, max_value=4)
+ratio = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: q != 0)
+
+
+@st.composite
+def distinct_lines(draw):
+    """1-3 lines a*z + b*w + c, pairwise not proportional, with rational
+    coefficients."""
+    lines, n = [], draw(st.integers(min_value=1, max_value=3))
+    while len(lines) < n:
+        a, b, c = draw(small), draw(small), draw(small)
+        q = draw(ratio)
+        if (a, b) == (0, 0) or any(a * l[4] == b * l[3] and a * l[5] == c * l[3]
+                                   and b * l[5] == c * l[4] for l in lines):
+            continue
+        lines.append((q * a, q * b, q * c, a, b, c))
+    return [MultiPoly({(1, 0): a, (0, 1): b, (0, 0): c}) for a, b, c, *_ in lines]
+
+
+def normalized_key(R: MultiPoly):
+    """Integer coefficients with gcd 1 and a positive coefficient at the
+    lex-largest exponent, computed from the Fractions alone."""
+    den = math.lcm(*(c.denominator for c in R.coeffs.values()))
+    ints = {e: int(c * den) for e, c in R.coeffs.items()}
+    g = math.gcd(*ints.values())
+    sign = 1 if ints[max(ints)] > 0 else -1
+    return tuple(sorted((e, F(sign * c, g)) for e, c in ints.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(distinct_lines(), st.data())
+def test_canonical_form_ignores_scaling_powers_signs_and_order(lines, data):
+    squarefree = lines[0]
+    for L in lines[1:]:
+        squarefree = squarefree * L
+    expected = PlaneCurve(squarefree)
+    assert expected.key() == normalized_key(squarefree)
+    powers = [data.draw(st.integers(min_value=1, max_value=3)) for _ in lines]
+    order = data.draw(st.permutations(range(len(lines))))
+    R = MultiPoly.constant(data.draw(ratio))
+    for k in order:
+        R = R * lines[k] ** powers[k]
+    C = PlaneCurve(R)
+    assert C == expected and C.key() == expected.key() and hash(C) == hash(expected)
+    assert PlaneCurve(-R) == expected
+    assert PlaneCurve(C) == expected
+
+
+def test_canonical_form_of_rational_coefficients():
+    a = PlaneCurve("1/2*w - 3/4*z^2 + 1/6")
+    b = PlaneCurve("9*z^2 - 6*w - 2")
+    assert a == b and hash(a) == hash(b)
+    assert a.poly.coeffs == {(2, 0): 9, (0, 1): -6, (0, 0): -2}
+    # reordered products with a squared factor and a sign flip
+    assert PlaneCurve("(z - w)^2*(2*z + 1)") == PlaneCurve("-(1 + 2*z)*(w - z)")
+
+
+# -- pushforward against an independent oracle ---------------------------------
+
+def _generic_map(draw):
+    """The regbench family: P = a z^2 + b z w + c w + e, Q = f w^2 + g z + h;
+    its top forms a z^2 + b z w and f w^2 have no common zero, so it is regular."""
+    P = (f"{draw(st.sampled_from([1, 2, -1]))}*z^2 + {draw(st.sampled_from([-1, 0, 1]))}*z*w"
+         f" + {draw(st.sampled_from([-1, 1, 2]))}*w + {draw(st.sampled_from([-1, 0, 1]))}")
+    Q = (f"{draw(st.sampled_from([1, -1, 2]))}*w^2 + {draw(st.sampled_from([-1, 1]))}*z"
+         f" + {draw(st.sampled_from([-1, 0, 2]))}")
+    return make_regular_map(P.replace("+ -", "- "), Q.replace("+ -", "- "))
+
+
+@st.composite
+def map_and_curve(draw):
+    """A generic map, an irreducible line or conic, and a parametrization
+    t -> (z(t), w(t)) of its rational points."""
+    f = _generic_map(draw)
+    q = st.fractions(-3, 3, max_denominator=4)
+    m, k = draw(q), draw(q)
+    a = draw(st.integers(-2, 2).filter(bool))
+    kind = draw(st.sampled_from(["line", "vertical", "parabola", "sideways", "hyperbola",
+                                 "circle"]))
+    if kind == "line":  # w = m z + k
+        R = MultiPoly({(0, 1): 1, (1, 0): -m, (0, 0): -k})
+        param = lambda t: (t, m * t + k)
+    elif kind == "vertical":  # z = k
+        R = MultiPoly({(1, 0): 1, (0, 0): -k})
+        param = lambda t: (k, t)
+    elif kind == "parabola":  # w = a z^2 + m z + k
+        R = MultiPoly({(0, 1): 1, (2, 0): -a, (1, 0): -m, (0, 0): -k})
+        param = lambda t: (t, a * t * t + m * t + k)
+    elif kind == "sideways":  # z = a w^2 + m w + k, quadratic in the eliminated w
+        R = MultiPoly({(1, 0): 1, (0, 2): -a, (0, 1): -m, (0, 0): -k})
+        param = lambda t: (a * t * t + m * t + k, t)
+    elif kind == "hyperbola":  # z w = a
+        R = MultiPoly({(1, 1): 1, (0, 0): -a})
+        param = lambda t: (t, F(a) / t)
+    else:  # z^2 + w^2 = 1, through (-1, 0) with slope t
+        R = MultiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})
+        param = lambda t: ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    return f, PlaneCurve(R), param
+
+
+def _monomials(n):
+    return [(i, e - i) for e in range(n + 1) for i in range(e + 1)]
+
+
+def _rank(rows):
+    """Rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                q = rows[r][col] / rows[rank][col]
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(map_and_curve())
+def test_pushforward_against_image_points(case):
+    f, C, param = case
+    G = pushforward(f, C).poly
+    ts = [F(n, den) for den in (1, 2, 3) for n in range(-7, 8)
+          if n and F(n, den).denominator == den]
+    image = {f.apply(param(t)) for t in ts}
+    # the image curve passes through the image of every point of C
+    assert all(G.eval(z, w) == 0 for z, w in image)
+    # projection formula: deg f(C) divides d * deg C
+    assert (f.d * C.degree) % G.degree == 0
+    # C is irreducible, so f(C) is: no curve of lower degree contains the
+    # image points (an irreducible curve of degree e meets a curve of
+    # degree n < e, not containing it, in at most n * e <= 12 points)
+    assert len(image) > 12
+    for n in range(G.degree):
+        mons = _monomials(n)
+        assert _rank([[z**i * w**j for i, j in mons] for z, w in image]) == len(mons)

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, strategies as st
 
 from regdyn.numberfield import NumberField
@@ -115,3 +116,15 @@ def test_compose():
     p = parse_poly("z^2 + w")
     q = p.compose(parse_poly("w"), parse_poly("z"))
     assert q.coeffs == {(0, 2): F(1), (1, 0): F(1)}
+
+
+def test_poly_round_trip_keeps_the_coefficients():
+    z, w = sp.symbols("z w")
+    for text in ("3*z^2*w - 1/2*w + 7", "z - w", "0"):
+        p = parse_poly(text)
+        before = dict(p.coeffs)
+        q = p.to_poly(z, w)
+        assert q.domain == (sp.QQ if "/" in text else sp.ZZ)
+        assert MultiPoly.from_poly(q) == p
+        # to_poly leaves the Fraction coefficients of p as they were
+        assert p.coeffs == before and all(type(c) is F for c in p.coeffs.values())
