@@ -7,6 +7,12 @@ The key estimate is the two-sided comparison ("the standard estimate")
 valid for all points, with an explicit constant C_v >= 1.  Telescoping it
 along the orbit bounds the tail of g_{v,n} = d^{-n} log max{1,|P_n|,|Q_n|}
 by log(C_v) / (d^n (d-1)), which is what certifies every enclosure here.
+
+One kernel computes G_v(z0, z1, z2) for z0 in {0, 1}: it iterates (P, Q)
+on the affine plane, or the top forms (P_d, Q_d) on the line at infinity
+with their own two-sided constant, in interval arithmetic at infinity and
+in p-adic arithmetic at p, doubling the precision until the enclosure is
+certified and narrow enough.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 import sympy as sp
 
 from .exactnum import Place, valuation, abs_at_place_exact
-from .intervals import (RealInterval, iv, frac_to_mpi, ivmax, log_of_fraction,
+from .intervals import (RealInterval, frac_to_mpi, iv_context, ivmax, log_of_fraction,
                         DEFAULT_PREC)
 from .maps import RegularMap
 from .padic import PAdic, PrecisionLoss
@@ -94,6 +100,14 @@ def _is_diagonal_unit_monomial(f: RegularMap, v: Place) -> bool:
             and abs_at_place_exact(f.Q.coefficient(0, d), v) == 1)
 
 
+def _cofactor_bound(f: RegularMap, v: Place) -> Fraction:
+    """c1/|Res|_v, with c1 bounding the cofactors of :func:`_cofactors`:
+    max(|z|,|w|)^d <= (c1/|Res|_v) max(|P_d|,|Q_d|) at v."""
+    A1, B1, A2, B2 = _cofactors(f)
+    c1 = max(_size(A1, v) + _size(B1, v), _size(A2, v) + _size(B2, v))
+    return c1 / abs_at_place_exact(f.res, v)
+
+
 def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
     """(C_v, good_reduction) with C_v >= 1 certified for all points."""
     if v.is_finite:
@@ -105,18 +119,24 @@ def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
             return Fraction(1), True
     if _is_diagonal_unit_monomial(f, v):
         return Fraction(1), True
-    A1, B1, A2, B2 = _cofactors(f)
-    absR = abs_at_place_exact(f.res, v)
-    c1 = max(_size(A1, v) + _size(B1, v), _size(A2, v) + _size(B2, v))
+    k = _cofactor_bound(f, v)
     EP = f.P - f.top_P
     EQ = f.Q - f.top_Q
     e = max(_size(EP, v), _size(EQ, v))
     # lower bound: for m = max(|z|,|w|) >= m0 the cofactor identity gives
-    # max(|P|,|Q|) >= (|R|/(2 c1)) m^d; below m0 use max(1,...) >= 1
-    m0 = max(Fraction(1), 2 * c1 * e / absR)
-    C_low = max(Fraction(1), 2 * c1 / absR, m0 ** f.d)
+    # max(|P|,|Q|) >= m^d / (2 k); below m0 use max(1,...) >= 1
+    m0 = max(Fraction(1), 2 * k * e)
+    C_low = max(Fraction(1), 2 * k, m0 ** f.d)
     C_up = max(Fraction(1), _size(f.P, v), _size(f.Q, v))
     return max(C_low, C_up), False
+
+
+def _line_constant(ctx: GreenContext) -> Fraction:
+    """Two-sided constant for max(|P_d|,|Q_d|) vs max(|z|,|w|)^d."""
+    f, v = ctx.f, ctx.place
+    if ctx.good_reduction:
+        return Fraction(1)
+    return max(Fraction(1), _cofactor_bound(f, v), _size(f.top_P, v), _size(f.top_Q, v))
 
 
 def bad_places(f: RegularMap) -> set:
@@ -141,13 +161,24 @@ def _tail_iterations(C: Fraction, d: int, tol: Fraction) -> int:
     return n
 
 
-def _interval_with_tail(val: RealInterval, C: Fraction, d: int, n: int) -> RealInterval:
+def _widen_by_tail(val: RealInterval, C: Fraction, d: int, n: int) -> RealInterval:
+    """val widened on both sides by the telescoped tail log(C)/(d^n (d-1))."""
     if C == 1:
-        out = val
-    else:
-        tail = log_of_fraction(C).upper / (d**n * (d - 1))
-        out = RealInterval(val.lower - tail, val.upper + tail)
-    return out.clamp_nonnegative()
+        return val
+    tail = log_of_fraction(C).upper / (d**n * (d - 1))
+    return RealInterval(val.lower - tail, val.upper + tail)
+
+
+def _log_to_width(q: Fraction, m: int, width: Fraction) -> RealInterval:
+    """Enclosure of m * log(q), of width <= width."""
+    if m == 0 or q == 1:
+        return RealInterval.exact(0)
+    prec = DEFAULT_PREC
+    while True:
+        enc = log_of_fraction(q, prec).scale(m)
+        if enc.width <= width:
+            return enc
+        prec *= 2
 
 
 def green_value(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
@@ -156,84 +187,12 @@ def green_value(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
     if tol <= 0:
         raise ValueError("tol must be positive")
     z, w = Fraction(pt[0]), Fraction(pt[1])
-    v, f = ctx.place, ctx.f
+    v = ctx.place
     if v.is_finite and ctx.good_reduction:
-        m = _neg_min_valuation(z, w, v.prime)
-        return _log_p_multiple(v.prime, m, tol)
-    n = _tail_iterations(ctx.C, f.d, tol / 2)
-    if v.is_finite:
-        return _green_finite(ctx, z, w, n, tol)
-    return _green_arch(ctx, z, w, n, tol)
-
-
-def _neg_min_valuation(z: Fraction, w: Fraction, p: int) -> int:
-    vals = [valuation(c, p) for c in (z, w) if c != 0]
-    if not vals:
-        return 0
-    return max(0, -min(vals))
-
-
-def _log_p_multiple(p: int, m: int, tol: Fraction) -> RealInterval:
-    if m == 0:
-        return RealInterval.exact(0)
-    prec = DEFAULT_PREC
-    while True:
-        enc = log_of_fraction(Fraction(p), prec).scale(m)
-        if enc.width <= tol:
-            return enc
-        prec *= 2
-
-
-def _iv_poly(poly: MultiPoly) -> MultiPoly:
-    # enclose each rational coefficient at the current iv working precision
-    return MultiPoly({e: frac_to_mpi(c) for e, c in poly.coeffs.items()})
-
-
-def _green_arch(ctx: GreenContext, z, w, n: int, tol) -> RealInterval:
-    f, d = ctx.f, ctx.f.d
-    prec = DEFAULT_PREC
-    for _ in range(6):
-        old = iv.prec
-        try:
-            iv.prec = prec
-            Pt, Qt = _iv_poly(f.P), _iv_poly(f.Q)
-            zz, ww = frac_to_mpi(z), frac_to_mpi(w)
-            for _ in range(n):
-                zz, ww = Pt.eval(zz, ww), Qt.eval(zz, ww)
-            m = ivmax(iv.mpf(1), ivmax(abs(zz), abs(ww)))
-            gn = iv.log(m) / iv.mpf(d) ** n
-            val = RealInterval.from_mpi(gn)
-        finally:
-            iv.prec = old
-        out = _interval_with_tail(val, ctx.C, d, n)
-        if out.width <= tol:
-            return out
-        prec *= 2
-    raise RuntimeError("green_value: precision escalation exhausted")
-
-
-def _green_finite(ctx: GreenContext, z, w, n: int, tol) -> RealInterval:
-    f, d, p = ctx.f, ctx.f.d, ctx.place.prime
-    rel = 64
-    for _ in range(6):
-        try:
-            zz = PAdic.from_rational(z, p, rel)
-            ww = PAdic.from_rational(w, p, rel)
-            for _ in range(n):
-                zz, ww = f.P.eval(zz, ww), f.Q.eval(zz, ww)
-            vals = []
-            for c in (zz, ww):
-                if c.is_exact_zero:
-                    continue
-                lo = c.valuation_lower()
-                if lo < 0:
-                    vals.append(c.valuation())  # needs exactness only when < 0
-            m = max([0] + [-x for x in vals])
-            base = _log_p_multiple(p, m, tol / 2).scale(Fraction(1, d**n))
-            return _interval_with_tail(base, ctx.C, d, n)
-        except PrecisionLoss:
-            rel *= 2
-    raise RuntimeError("green_value: p-adic precision escalation exhausted")
+        # C_p = 1, so g_p = log max(1, |z|_p, |w|_p) with no iteration
+        m = -min([0] + [valuation(c, v.prime) for c in (z, w) if c != 0])
+        return _log_to_width(Fraction(v.prime), m, tol)
+    return _orbit_green(ctx, 1, z, w, tol)
 
 
 def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
@@ -243,79 +202,90 @@ def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
     z0, z1, z2 = (Fraction(c) for c in pt)
     if z0 == z1 == z2 == 0:
         raise ValueError("zero vector has no homogeneous Green value")
-    if z0 != 0:
-        g = green_value(ctx, (z1 / z0, z2 / z0), tol / 2)
-        ab = abs_at_place_exact(z0, ctx.place)
-        if ab == 1:
-            return g
-        prec = DEFAULT_PREC
-        while True:
-            l = log_of_fraction(ab, prec)
-            if l.width <= tol / 2:
-                break
-            prec *= 2
-        return RealInterval(g.lower + l.lower, g.upper + l.upper)
-    return _green_line_infinity(ctx, z1, z2, tol)
+    if z0 == 0:
+        return _orbit_green(ctx, 0, z1, z2, tol)
+    g = green_value(ctx, (z1 / z0, z2 / z0), tol / 2)
+    return g + _log_to_width(abs_at_place_exact(z0, ctx.place), 1, tol / 2)
 
 
-def _line_constant(ctx: GreenContext) -> Fraction:
-    """Two-sided constant for max(|P_d|,|Q_d|) vs max(|z|,|w|)^d."""
-    f, v = ctx.f, ctx.place
-    if v.is_finite and ctx.good_reduction:
-        return Fraction(1)
-    if _is_diagonal_unit_monomial(f, v):
-        return Fraction(1)
-    A1, B1, A2, B2 = _cofactors(f)
-    absR = abs_at_place_exact(f.res, v)
-    c1 = max(_size(A1, v) + _size(B1, v), _size(A2, v) + _size(B2, v))
-    up = max(_size(f.top_P, v), _size(f.top_Q, v))
-    return max(Fraction(1), c1 / absR, up)
-
-
-def _green_line_infinity(ctx: GreenContext, z1, z2, tol) -> RealInterval:
-    f, v, d = ctx.f, ctx.place, ctx.f.d
-    C = _line_constant(ctx)
-    n = _tail_iterations(C, d, tol / 2) if C != 1 else 0
-    if v.is_finite:
-        p = v.prime
-        rel = 64
-        for _ in range(6):
-            try:
-                a = PAdic.from_rational(z1, p, rel)
-                b = PAdic.from_rational(z2, p, rel)
-                for _ in range(n):
-                    a, b = f.top_P.eval(a, b), f.top_Q.eval(a, b)
-                vals = [c.valuation() for c in (a, b) if not c.is_exact_zero]
-                m = -min(vals)  # log max(|a|,|b|) = -min(val) * log p
-                base = _log_p_multiple(p, 1, tol / (2 * max(1, abs(m)))) \
-                    .scale(Fraction(m, d**n))
-                out = _grow_by_tail_line(base, C, d, n)
-                return out
-            except PrecisionLoss:
-                rel *= 2
-        raise RuntimeError("green_homog: p-adic precision exhausted")
-    prec = DEFAULT_PREC
-    for _ in range(6):
-        old = iv.prec
+def _min_valuation(coords, floor) -> int:
+    """min(floor, v(a), v(b)) over the p-adic coordinates, floor None meaning
+    +infinity.  Only a coordinate attaining the minimum needs its exact
+    valuation: an inexact zero whose lower bound is at least the minimum
+    of the exact ones cannot lower it."""
+    vals = [] if floor is None else [floor]
+    bounds = []
+    for c in coords:
+        if c.is_exact_zero:
+            continue
         try:
-            iv.prec = prec
-            At, Bt = _iv_poly(f.top_P), _iv_poly(f.top_Q)
-            a, b = frac_to_mpi(z1), frac_to_mpi(z2)
-            for _ in range(n):
-                a, b = At.eval(a, b), Bt.eval(a, b)
-            m = ivmax(abs(a), abs(b))
-            val = RealInterval.from_mpi(iv.log(m) / iv.mpf(d) ** n)
-        finally:
-            iv.prec = old
-        out = _grow_by_tail_line(val, C, d, n)
-        if out.width <= tol:
+            vals.append(c.valuation())
+        except PrecisionLoss:
+            bounds.append(c.valuation_lower())
+    vmin = min(vals, default=None)
+    if any(vmin is None or lo < vmin for lo in bounds):
+        raise PrecisionLoss("the minimal valuation is not determined")
+    return vmin
+
+
+def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
+                 tol: Fraction) -> RealInterval:
+    """G_v(z0, z1, z2) for z0 in {0, 1}, of width <= tol.
+
+    Iterates (P, Q) when z0 = 1 and the top forms (P_d, Q_d) when z0 = 0,
+    n times from (z1, z2) in the arithmetic of v, takes
+    log max(z0, |a_n|_v, |b_n|_v) / d^n and widens it by the tail of that
+    case's constant.  An attempt is repeated at twice the precision (interval
+    bits at infinity, p-adic digits at p) when it loses precision, or at
+    infinity when its enclosure is too wide."""
+    f, v, d = ctx.f, ctx.place, ctx.f.d
+    P, Q, C = (f.P, f.Q, ctx.C) if z0 else (f.top_P, f.top_Q, _line_constant(ctx))
+    n = _tail_iterations(C, d, tol / 2)
+    prec = 64 if v.is_finite else DEFAULT_PREC
+    for _ in range(6):
+        try:
+            if v.is_finite:
+                val = _padic_log_max(P, Q, z0, z1, z2, n, d, v.prime, prec, tol / 2)
+            else:
+                val = _arch_log_max(P, Q, z0, z1, z2, n, d, prec)
+        except PrecisionLoss:
+            prec *= 2
+            continue
+        out = _widen_by_tail(val, C, d, n)
+        if z0:
+            out = out.clamp_nonnegative()  # G_v(1, z, w) >= log 1
+        if v.is_finite or out.width <= tol:
             return out
         prec *= 2
-    raise RuntimeError("green_homog: precision escalation exhausted")
+    raise RuntimeError(f"green: precision escalation exhausted at {v!r}")
 
 
-def _grow_by_tail_line(val: RealInterval, C: Fraction, d: int, n: int) -> RealInterval:
-    if C == 1:
-        return val
-    tail = log_of_fraction(C).upper / (d**n * (d - 1))
-    return RealInterval(val.lower - tail, val.upper + tail)
+def _coefficients_in(poly: MultiPoly, convert) -> MultiPoly:
+    return MultiPoly({e: convert(c) for e, c in poly.coeffs.items()})
+
+
+def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
+    """log max(z0, |a_n|, |b_n|) / d^n in interval arithmetic at prec bits."""
+    ctx = iv_context(prec)
+    Pt, Qt = (_coefficients_in(g, lambda c: frac_to_mpi(c, ctx)) for g in (P, Q))
+    a, b = frac_to_mpi(z1, ctx), frac_to_mpi(z2, ctx)
+    for _ in range(n):
+        a, b = Pt.eval(a, b), Qt.eval(a, b)
+    m = ivmax(abs(a), abs(b))
+    if z0:
+        m = ivmax(ctx.mpf(1), m)
+    elif m.a <= 0:
+        raise PrecisionLoss("the enclosure of max(|a_n|, |b_n|) reaches 0")
+    return RealInterval.from_mpi(ctx.log(m) / ctx.mpf(d) ** n)
+
+
+def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, rel: int,
+                   width: Fraction) -> RealInterval:
+    """log max(z0, |a_n|_p, |b_n|_p) / d^n by p-adic iteration with rel
+    digits, the logarithm to width <= width."""
+    Pp, Qp = (_coefficients_in(g, lambda c: PAdic.from_rational(c, p, rel)) for g in (P, Q))
+    a, b = PAdic.from_rational(z1, p, rel), PAdic.from_rational(z2, p, rel)
+    for _ in range(n):
+        a, b = Pp.eval(a, b), Qp.eval(a, b)
+    m = -_min_valuation((a, b), 0 if z0 else None)
+    return _log_to_width(Fraction(p), m, width).scale(Fraction(1, d**n))

@@ -17,7 +17,8 @@ import sympy as sp
 import mpmath
 
 from .exactnum import Place, valuation, AlgebraicNumber
-from .green import GreenContext, bad_places, green_value, _tail_iterations
+from .green import (GreenContext, bad_places, green_value, _tail_iterations,
+                    _widen_by_tail)
 from .intervals import RealInterval, log_of_fraction, _mpf_tuple_to_fraction
 from .maps import RegularMap, BitSizeCap
 from .polyalg import MultiPoly
@@ -161,42 +162,26 @@ def canonical_height_algebraic(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> Hei
     alg, rat, alg_first = (a, b.as_rational(), True) if not a.is_rational() \
         else (b, a.as_rational(), False)
     N = alg.degree
-    certified = True
 
-    # finite support
-    primes = set(bad_places(f)) | set(sp.factorint(rat.denominator)) \
-        | _algebraic_nonintegral_primes(alg)
+    # finite support: at each prime the Newton polygon valuations of the
+    # conjugates give s = sum of max(0, -min(v(conj), v(rat)))
+    bad = bad_places(f)
+    primes = bad | set(sp.factorint(rat.denominator)) | _algebraic_nonintegral_primes(alg)
     total = RealInterval.exact(0)
     support = []
-    bad = set(bad_places(f))
     for p in sorted(primes):
+        caps = [] if rat == 0 else [Fraction(valuation(rat, p))]
+        s = sum(mult * max(Fraction(0), -min(slope, *caps))
+                for slope, mult in newton_polygon_slopes(alg.minpoly_coeffs(), p))
+        if s == 0 and p not in bad:
+            continue
         v = Place.finite(p)
-        if p not in bad:
-            # good reduction: sum of log max(1, |conj|_p, |rat|_p) via the
-            # Newton polygon valuations of the conjugates
-            vb = valuation(rat, p) if rat != 0 else None
-            s = Fraction(0)
-            for slope, mult in newton_polygon_slopes(alg.minpoly_coeffs(), p):
-                m = -min(slope, *( [Fraction(vb)] if vb is not None else [] ))
-                s += mult * max(Fraction(0), m)
-            if s != 0:
-                contrib = log_of_fraction(Fraction(p)).scale(Fraction(s, N))
-                total = total + contrib
-                support.append(v)
-        else:
-            # bad place: fall back to the uniform comparison bound
-            certified = False
-            ctx = GreenContext(f, v)
-            halfw = log_of_fraction(ctx.C).upper / (f.d - 1)
-            vb = valuation(rat, p) if rat != 0 else None
-            s = Fraction(0)
-            for slope, mult in newton_polygon_slopes(alg.minpoly_coeffs(), p):
-                m = -min(slope, *( [Fraction(vb)] if vb is not None else [] ))
-                s += mult * max(Fraction(0), m)
-            center = log_of_fraction(Fraction(p)).scale(Fraction(s, N))
-            enc = RealInterval(center.lower - halfw, center.upper + halfw)
-            total = total + enc
-            support.append(v)
+        enc = log_of_fraction(Fraction(p)).scale(Fraction(s, N))
+        if p in bad:
+            # bad place: widen by the uniform comparison bound
+            enc = _widen_by_tail(enc, GreenContext(f, v).C, f.d, 0)
+        total = total + enc
+        support.append(v)
 
     # Archimedean terms per conjugate embedding
     arch = _arch_green_algebraic(f, alg, rat, alg_first, tol)
@@ -228,10 +213,9 @@ def _arch_green_algebraic(f: RegularMap, alg, rat, alg_first, tol) -> RealInterv
             m = max(mpmath.mpf(1), abs(zz), abs(ww))
             terms.append(mpmath.log(m) / mpmath.mpf(f.d) ** n)
         mean = sum(terms) / N
-    tail = log_of_fraction(ctx.C).upper / (f.d**n * (f.d - 1)) if ctx.C != 1 else 0
     margin = Fraction(1, 10**40)
     mid = _mpf_tuple_to_fraction(mpmath.mpf(mean)._mpf_) if mean != 0 else Fraction(0)
-    return RealInterval(mid - tail - margin, mid + tail + margin)
+    return _widen_by_tail(RealInterval(mid - margin, mid + margin), ctx.C, f.d, n)
 
 
 # ---------------------------------------------------------------------------

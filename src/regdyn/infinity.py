@@ -17,6 +17,7 @@ import sympy as sp
 
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity)
+from .green import GreenContext, bad_places, green_homog
 from .heights import PreperiodicityVerdict
 from .maps import RegularMap
 from .polyalg import MultiPoly
@@ -187,34 +188,6 @@ def _is_fixed(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> bool:
 # orbits on the line at infinity
 
 
-def _one_var_canonical_height_positive(f: RegularMap, z1: Fraction, z2: Fraction) -> bool:
-    """True iff the point [z1:z2] has positive canonical height for f_inf.
-
-    Uses the coprime-integer-pair model: write the point as coprime
-    integers and iterate the binary forms with gcd removal; the logarithm
-    of max(|a|,|b|) then tracks d^n times the height, which is positive
-    iff it exceeds the comparison constant after enough steps."""
-    import math
-    a = z1.numerator * z2.denominator
-    b = z2.numerator * z1.denominator
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    # height h_n = log max(|a_n|, |b_n|)/d^n converges; h > 0 iff escape
-    d = f.d
-    logmax = []
-    for n in range(12):
-        na = f.top_P.eval(Fraction(a), Fraction(b))
-        nb = f.top_Q.eval(Fraction(a), Fraction(b))
-        den = na.denominator * nb.denominator // math.gcd(na.denominator, nb.denominator)
-        ia, ib = int(na * den), int(nb * den)
-        g = math.gcd(ia, ib)
-        a, b = ia // g, ib // g
-        logmax.append(math.log(max(abs(a), abs(b))) / d ** (n + 1))
-        if max(abs(a), abs(b)).bit_length() > 4000:
-            break
-    return logmax and logmax[-1] > 1e-3
-
-
 def infinity_orbit_preperiodicity(f: RegularMap, point, orbit_cap: int = 64,
                                   degree_cap: int = 64) -> PreperiodicityVerdict:
     """Exact orbit of a point of the line at infinity under [P_d : Q_d]
@@ -266,8 +239,13 @@ def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
             break
         seen[cur] = n
         orbit.append(cur)
-    if _one_var_canonical_height_positive(f, Fraction(z1), Fraction(z2)):
-        return PreperiodicityVerdict.not_preperiodic(Fraction(1, 10**6))
+    # the canonical height of [a : b] sums G_v(0, a, b) over all places; for
+    # coprime integers it is log max(|a|_p, |b|_p) = 0 at every good prime
+    a, b = orbit[0]
+    places = [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
+    h = sum(green_homog(GreenContext(f, v), (0, a, b), Fraction(1, 10**9)) for v in places)
+    if h.lower > 0:
+        return PreperiodicityVerdict.not_preperiodic(h.lower)
     return PreperiodicityVerdict.unknown()
 
 

@@ -4,9 +4,11 @@ Two layers:
 
 * :class:`RealInterval` -- dyadic-rational endpoints, the type every
   certified numeric answer is reported in.
-* a thin bridge to ``mpmath.iv`` used internally when transcendental
-  functions (log, exp) or huge dynamic ranges are involved.  mpmath
-  interval endpoints are dyadic floats with arbitrary-precision
+* a thin bridge to mpmath interval contexts, used internally when
+  transcendental functions (log, exp) or huge dynamic ranges are
+  involved.  Each precision has its own context, built once and never
+  mutated, so no computation depends on a global working precision.
+  mpmath interval endpoints are dyadic floats with arbitrary-precision
   exponents, so the conversion back to :class:`RealInterval` is exact.
 """
 
@@ -14,12 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-import mpmath
-
-iv = mpmath.iv
+from mpmath.ctx_iv import MPIntervalContext
 
 DEFAULT_PREC = 120
+
+
+@cache
+def iv_context(prec: int) -> MPIntervalContext:
+    """The mpmath interval context working at ``prec`` bits."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -114,26 +123,22 @@ def _coerce(x) -> RealInterval:
     return RealInterval.exact(x)
 
 
-def frac_to_mpi(q: Fraction):
-    """Enclosure of a rational in the current iv working precision."""
+def frac_to_mpi(q: Fraction, ctx: MPIntervalContext):
+    """Enclosure of a rational in the interval context ``ctx``."""
     q = Fraction(q)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
 
 def ivmax(a, b):
     """Interval max: [max lows, max highs] (mpmath's builtin max is not this)."""
     lo = a.a if a.a >= b.a else b.a
     hi = a.b if a.b >= b.b else b.b
-    return iv.mpf([lo.a, hi.b])
+    return a.ctx.mpf([lo.a, hi.b])
 
 
 def log_of_fraction(q: Fraction, prec: int = DEFAULT_PREC) -> RealInterval:
     """Certified enclosure of log(q) for q > 0."""
     if q <= 0:
         raise ValueError("log of nonpositive rational")
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return RealInterval.from_mpi(iv.log(frac_to_mpi(q)))
-    finally:
-        iv.prec = old
+    ctx = iv_context(prec)
+    return RealInterval.from_mpi(ctx.log(frac_to_mpi(q, ctx)))

@@ -152,7 +152,9 @@ class PAdic:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = PAdic(self.p, 0, 1, self.rel if self.unit else 64)
+        # an exact 1 seeds the product, so x**0 caps no precision even when x
+        # is an inexact zero
+        result = 1
         base = self
         while n:
             if n & 1:

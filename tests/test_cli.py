@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -46,6 +47,51 @@ def test_green_finite_place(capsys):
     assert code == 0
     g = doc["result"]["green"]
     assert abs(g["lo"] - math.log(2)) < 1e-9
+
+
+# P(-1, 1/3) = 0 exactly: the 2-adic orbit then holds an inexact zero, which
+# must not cap the precision of later iterates
+CANCELLING_MAP = "2*z^2 + 1/2*z - 3/2, z*w + w^2 - 1"
+
+
+def test_green_bad_prime_after_exact_cancellation(capsys):
+    code, doc = _run(capsys, "green", "--map", CANCELLING_MAP, "--point=-1,1/3",
+                     "--place", "2", "--tol", "1e-30")
+    assert code == 0
+    g = doc["result"]["green"]
+    assert F(g["hi_exact"]) - F(g["lo_exact"]) <= F(1, 10**30)
+
+
+def test_height_bad_prime_after_exact_cancellation(capsys):
+    code, doc = _run(capsys, "height", "--map", CANCELLING_MAP, "--point=-1/6,0",
+                     "--tol", "1e-30")
+    assert code == 0
+    assert doc["result"]["preperiodicity"]["kind"] == "NotPreperiodic"
+
+
+def test_green_line_infinity_needs_only_the_minimal_valuation(capsys):
+    # P_d(2, 4) = 0 exactly and Q_d(2, 4) = -2^6; then (0, b) -> (0, -b^3), so
+    # G_2(0, 2, 4) = -6 log 2 / 3 = -2 log 2
+    code, doc = _run(capsys, "green", "--map",
+                     "2*z^3 - z^2*w - 2*z^2 + 2*z*w - w^2 + 1/3*z + 1, -w^3 - 2",
+                     "--homog=0,2,4", "--place", "2", "--tol", "1e-15")
+    assert code == 0
+    g = doc["result"]["green"]
+    assert g["lo"] <= -2 * math.log(2) <= g["hi"]
+    assert F(g["hi_exact"]) - F(g["lo_exact"]) <= F(1, 10**15)
+
+
+def test_green_line_infinity_escalates_past_a_zero_enclosure(capsys):
+    # at 120 bits the 64 iterates of [-5 : 1] lose every significant bit and
+    # the enclosure of max(|a_n|, |b_n|) reaches 0; 240 bits suffice
+    code, doc = _run(capsys, "green", "--map",
+                     "3*z^3 - 1/2*z^2*w - 2*z*w^2 + 2*w^3 + 3*z^2 - 3/2*z*w + 2/3*w^2"
+                     " + z + w + 1, -2*z^3 + 1/2*z^2*w - 2/3*z*w^2 - 2*w^3 - z^2"
+                     " + 2*w^2 - 2*z - w", "--homog=0,-5,1", "--place", "inf",
+                     "--tol", "1e-30")
+    assert code == 0
+    g = doc["result"]["green"]
+    assert F(g["hi_exact"]) - F(g["lo_exact"]) <= F(1, 10**30)
 
 
 def test_height_preperiodic(capsys):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import assume, given, settings, strategies as st
+
 from regdyn.exactnum import Place
 from regdyn.green import (GreenContext, bad_places, green_homog, green_value,
                           nullstellensatz_constant)
+from regdyn.heights import canonical_height
 from regdyn.intervals import log_of_fraction
-from regdyn.maps import make_regular_map
+from regdyn.maps import NotRegular, make_regular_map
+from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
 
@@ -95,3 +99,47 @@ def test_green_homog_line_infinity():
     g = green_homog(ctx, (F(0), F(2), F(2)), TOL)
     ml2 = _log(2).scale(-1)
     assert g.lower <= ml2.upper and ml2.lower <= g.upper
+
+
+# -- properties on random regular maps ---------------------------------------
+
+PROP_TOL = F(1, 10**6)
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def regular_maps(draw):
+    d = draw(st.integers(2, 3))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    P, Q = (MultiPoly({e: draw(small_q) for e in monomials}) for _ in range(2))
+    assume(P.degree == Q.degree == d)
+    try:
+        f = make_regular_map(P, Q)
+    except NotRegular:
+        assume(False)
+    bad = bad_places(f)
+    assume(bad)
+    good = next(p for p in (2, 3, 5, 7, 11, 13) if p not in bad)
+    return f, [Place.archimedean(), Place.finite(min(bad)), Place.finite(good)]
+
+
+def _overlap(a, b):
+    return a.lower <= b.upper and b.lower <= a.upper
+
+
+@settings(max_examples=20, deadline=None)
+@given(regular_maps(), st.tuples(small_q, small_q),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda t: t != (0, 0)))
+def test_green_functional_equation_and_height_sign(case, pt, line_pt):
+    # G_v(f(x)) = d G_v(x) for affine points and for points [0 : a : b] of
+    # the line at infinity, at infinity, a bad prime and a good prime
+    f, places = case
+    a, b = (F(c) for c in line_pt)
+    image = (F(0), f.top_P.eval(a, b), f.top_Q.eval(a, b))
+    for v in places:
+        ctx = GreenContext(f, v)
+        assert _overlap(green_value(ctx, f.apply(pt), PROP_TOL),
+                        green_value(ctx, pt, PROP_TOL).scale(f.d))
+        assert _overlap(green_homog(ctx, image, PROP_TOL),
+                        green_homog(ctx, (F(0), a, b), PROP_TOL).scale(f.d))
+    assert canonical_height(f, pt, PROP_TOL).value.lower >= 0

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from regdyn.exactnum import AlgebraicNumber
+from regdyn.exactnum import AlgebraicNumber, Place
+from regdyn.green import GreenContext, bad_places, green_homog
+from regdyn.intervals import log_of_fraction
 from regdyn.infinity import (ExpandingPlace, RootOfUnity, Superattracting,
                              classify_multiplier, fixed_points_infinity,
                              infinity_orbit_preperiodicity, multiplier,
@@ -75,6 +77,28 @@ def test_orbit_preperiodicity_rational():
     assert v.kind == "Preperiodic" and v.preperiod == 1
     v = infinity_orbit_preperiodicity(f, (F(2), F(3)))
     assert v.kind == "NotPreperiodic"
+
+
+def test_orbit_verdict_reports_the_certified_height():
+    # [2 : 3] under t -> t^2 has canonical height log 3, and (z^2, w^2) has no
+    # bad place: height_lower is the lower end of G_inf(0, 2, 3)
+    f = make_regular_map("z^2", "w^2")
+    v = infinity_orbit_preperiodicity(f, (F(2), F(3)))
+    g = green_homog(GreenContext(f, Place.archimedean()), (F(0), F(2), F(3)), F(1, 10**9))
+    assert v.kind == "NotPreperiodic" and v.height_lower == g.lower
+    log3 = log_of_fraction(F(3))
+    assert log3.upper - F(1, 10**9) <= v.height_lower <= log3.upper
+
+
+def test_orbit_verdict_sums_the_bad_places():
+    # the top forms (2z^2 + zw, 2w^2) have resultant 16, so the height of
+    # [1 : 3] sums G_v(0, 1, 3) over inf and 2
+    f = make_regular_map("2*z^2 + z*w + w", "2*w^2 - z")
+    v = infinity_orbit_preperiodicity(f, (F(1), F(3)))
+    places = [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
+    h = sum(green_homog(GreenContext(f, pl), (F(0), F(1), F(3)), F(1, 10**9))
+            for pl in places)
+    assert v.kind == "NotPreperiodic" and v.height_lower == h.lower
 
 
 def test_orbit_preperiodicity_algebraic():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from regdyn.padic import PAdic, PrecisionLoss
+from regdyn.polyalg import parse_poly
 
 
 def test_from_rational():
@@ -48,3 +49,12 @@ def test_valuation_recursion_oracle():
         vals.append(z.valuation())
         z = z * z * inv3
     assert vals == [1, 1, 1, 1]
+
+
+def test_zeroth_power_caps_no_precision():
+    # x**0 is an exact 1 even for an inexact zero x, so a term without z keeps
+    # the precision of its other factors when z has lost all its digits
+    one = PAdic.from_rational(F(1), 3, 200)
+    zero = one - one
+    assert zero ** 0 == 1
+    assert parse_poly("w + 1").eval(zero, one).rel == 200
