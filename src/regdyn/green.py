@@ -186,13 +186,7 @@ def green_value(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    z, w = Fraction(pt[0]), Fraction(pt[1])
-    v = ctx.place
-    if v.is_finite and ctx.good_reduction:
-        # C_p = 1, so g_p = log max(1, |z|_p, |w|_p) with no iteration
-        m = -min([0] + [valuation(c, v.prime) for c in (z, w) if c != 0])
-        return _log_to_width(Fraction(v.prime), m, tol)
-    return _orbit_green(ctx, 1, z, w, tol)
+    return _orbit_green(ctx, 1, Fraction(pt[0]), Fraction(pt[1]), tol)
 
 
 def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
