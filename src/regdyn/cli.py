@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .exactnum import AlgebraicNumber, Place
 from .intervals import RealInterval
@@ -86,8 +87,11 @@ def _parse_place(text: str) -> Place:
 def _json(value):
     """Recursively render domain objects into JSON-serializable data."""
     if isinstance(value, Fraction):
-        return {"exact": f"{value.numerator}/{value.denominator}",
-                "approx": float(value)}
+        try:
+            approx = float(value)
+        except OverflowError:  # outside the float range
+            approx = None
+        return {"exact": f"{value.numerator}/{value.denominator}", "approx": approx}
     if isinstance(value, AlgebraicNumber):
         if value.is_rational():
             return _json(value.as_rational())
@@ -163,7 +167,7 @@ def _cmd_height(args):
     pt = _parse_point(args.point)
     tol = _parse_tol(args.tol) if args.tol else _default_tol()
     h = canonical_height(f, pt, tol)
-    verdict = is_preperiodic(f, pt, tol=tol)
+    verdict = is_preperiodic(f, pt, tol=tol, height=h)
     result = {"canonical_height": _json(h.value),
               "support": [_json(v) for v in h.support],
               "certified": h.certified,
@@ -272,6 +276,7 @@ def _cmd_dmm(args):
     return result, {}, caps, 3 if unresolved else 0
 
 
+@cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="regdyn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

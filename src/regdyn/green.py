@@ -18,15 +18,17 @@ certified and narrow enough.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import sympy as sp
+from mpmath.libmp import mpi_add, mpi_mul, mpi_pow_int
 
 from .exactnum import Place, valuation, abs_at_place_exact
 from .intervals import (RealInterval, frac_to_mpi, iv_context, ivmax, log_of_fraction,
                         DEFAULT_PREC)
-from .maps import RegularMap
-from .padic import PAdic, PrecisionLoss
-from .polyalg import MultiPoly
+from .maps import RegularMap, _solve_rational, _sylvester_rows
+from .padic import PrecisionLoss, _add, _from_rational, _mul, _pow
+from .polyalg import MultiPoly, _eval_terms
 
 
 class GreenContext:
@@ -53,32 +55,14 @@ def _cofactors(f: RegularMap):
         return cached
     d = f.d
     n = 2 * d
-    # columns: coefficients of A (deg d-1) then B; rows: coeff of z^(2d-1-k) w^k
-    rows = []
-    for k in range(n):
-        row = []
-        for s in range(d):  # A = sum_s a_s z^(d-1-s) w^s
-            # z^(d-1-s) w^s * P_d contributes its coeff of z^(d-(k-s)) w^(k-s)
-            t = k - s
-            row.append(f.top_P.coefficient(d - t, t) if 0 <= t <= d else Fraction(0))
-        for s in range(d):
-            t = k - s
-            row.append(f.top_Q.coefficient(d - t, t) if 0 <= t <= d else Fraction(0))
-        rows.append([sp.Rational(c) for c in row])
-    M = sp.Matrix(rows)
-    out = []
-    for target in (0, n - 1):
-        rhs = sp.zeros(n, 1)
-        rhs[target] = sp.Rational(f.res)
-        sol = M.solve(rhs)
-        A = MultiPoly({(d - 1 - s, s): Fraction(int(sp.Rational(sol[s]).p),
-                                                int(sp.Rational(sol[s]).q))
-                       for s in range(d)})
-        B = MultiPoly({(d - 1 - s, s): Fraction(int(sp.Rational(sol[d + s]).p),
-                                                int(sp.Rational(sol[d + s]).q))
-                       for s in range(d)})
-        out.extend([A, B])
-    f._cofactors = tuple(out)
+    # the coefficients of A (z^(d-1-s) w^s, s < d) then B solve S^T x = rhs,
+    # S the Sylvester matrix, row k the coefficient of z^(2d-1-k) w^k
+    S = _sylvester_rows(f.top_P, f.top_Q, d)
+    rhs = [[f.res if k == target else Fraction(0) for k in range(n)]
+           for target in (0, n - 1)]
+    _, xs = _solve_rational(list(zip(*S)), rhs)
+    f._cofactors = tuple(MultiPoly({(d - 1 - s, s): x[k + s] for s in range(d)})
+                         for x in xs for k in (0, d))
     return f._cofactors
 
 
@@ -203,19 +187,17 @@ def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
 
 
 def _min_valuation(coords, floor) -> int:
-    """min(floor, v(a), v(b)) over the p-adic coordinates, floor None meaning
+    """min(floor, v(a), v(b)) over the p-adic triples, floor None meaning
     +infinity.  Only a coordinate attaining the minimum needs its exact
     valuation: an inexact zero whose lower bound is at least the minimum
     of the exact ones cannot lower it."""
     vals = [] if floor is None else [floor]
     bounds = []
-    for c in coords:
-        if c.is_exact_zero:
-            continue
-        try:
-            vals.append(c.valuation())
-        except PrecisionLoss:
-            bounds.append(c.valuation_lower())
+    for v, unit, _rel in coords:
+        if unit:
+            vals.append(v)
+        elif v is not None:  # an inexact zero
+            bounds.append(v)
     vmin = min(vals, default=None)
     if any(vmin is None or lo < vmin for lo in bounds):
         raise PrecisionLoss("the minimal valuation is not determined")
@@ -254,18 +236,29 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     raise RuntimeError(f"green: precision escalation exhausted at {v!r}")
 
 
-def _coefficients_in(poly: MultiPoly, convert) -> MultiPoly:
-    return MultiPoly({e: convert(c) for e, c in poly.coeffs.items()})
+def _orbit(P, Q, z1, z2, n: int, p, prec: int) -> tuple:
+    """(P, Q) iterated n times from (z1, z2): on p-adic triples with prec digits
+    at a prime p, else on libmpi endpoint pairs rounded outward at prec bits."""
+    if p:
+        convert = partial(_from_rational, p, rel=prec)
+        ops = (partial(_add, p), partial(_mul, p), partial(_pow, p))
+    else:
+        ctx = iv_context(prec)
+        convert = lambda c: frac_to_mpi(c, ctx)._mpi_
+        ops = (lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
+               lambda s, k: mpi_pow_int(s, k, prec))
+    Pt, Qt = ([(e, convert(c)) for e, c in g.coeffs.items()] for g in (P, Q))
+    a, b = convert(z1), convert(z2)
+    for _ in range(n):
+        a, b = _eval_terms(Pt, a, b, *ops), _eval_terms(Qt, a, b, *ops)
+    return a, b
 
 
 def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
-    """log max(z0, |a_n|, |b_n|) / d^n in interval arithmetic at prec bits."""
+    """log max(z0, |a_n|, |b_n|) / d^n by interval iteration at prec bits."""
     ctx = iv_context(prec)
-    Pt, Qt = (_coefficients_in(g, lambda c: frac_to_mpi(c, ctx)) for g in (P, Q))
-    a, b = frac_to_mpi(z1, ctx), frac_to_mpi(z2, ctx)
-    for _ in range(n):
-        a, b = Pt.eval(a, b), Qt.eval(a, b)
-    m = ivmax(abs(a), abs(b))
+    a, b = _orbit(P, Q, z1, z2, n, None, prec)
+    m = ivmax(abs(ctx.make_mpf(a)), abs(ctx.make_mpf(b)))
     if z0:
         m = ivmax(ctx.mpf(1), m)
     elif m.a <= 0:
@@ -277,9 +270,6 @@ def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, rel: int,
                    width: Fraction) -> RealInterval:
     """log max(z0, |a_n|_p, |b_n|_p) / d^n by p-adic iteration with rel
     digits, the logarithm to width <= width."""
-    Pp, Qp = (_coefficients_in(g, lambda c: PAdic.from_rational(c, p, rel)) for g in (P, Q))
-    a, b = PAdic.from_rational(z1, p, rel), PAdic.from_rational(z2, p, rel)
-    for _ in range(n):
-        a, b = Pp.eval(a, b), Qp.eval(a, b)
+    a, b = _orbit(P, Q, z1, z2, n, p, rel)
     m = -_min_valuation((a, b), 0 if z0 else None)
     return _log_to_width(Fraction(p), m, width).scale(Fraction(1, d**n))

@@ -81,9 +81,10 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
     return HeightResult(total, support, certified=True)
 
 
-def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64,
-                   tol=Fraction(1, 10**9)) -> PreperiodicityVerdict:
-    """Exact cycle detection, else a height-based NotPreperiodic certificate."""
+def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64, tol=Fraction(1, 10**9),
+                   height: Optional[HeightResult] = None) -> PreperiodicityVerdict:
+    """Exact cycle detection, else a height-based NotPreperiodic certificate;
+    ``height`` is ``canonical_height(f, pt, tol)`` if the caller has it."""
     tol = Fraction(tol)
     z, w = Fraction(pt[0]), Fraction(pt[1])
     seen = {(z, w): 0}
@@ -105,7 +106,7 @@ def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64,
             orbit.append((z, w))
     except BitSizeCap:
         pass
-    h = canonical_height(f, pt, tol)
+    h = height if height is not None else canonical_height(f, pt, tol)
     if h.value.lower > tol:
         return PreperiodicityVerdict.not_preperiodic(h.value.lower)
     return PreperiodicityVerdict.unknown()

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy as sp
-
 from .polyalg import MultiPoly, HomogPoly3, homogenize, parse_poly
 
 
@@ -27,21 +25,42 @@ class BitSizeCap(RuntimeError):
     pass
 
 
-def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:
-    """Resultant of two binary forms of formal degree d (Sylvester determinant).
-
-    The coefficient vectors are padded to length d+1, so vanishing leading
-    coefficients (a zero at [1:0]) are handled uniformly."""
-    pc = [sp.Rational(p.coefficient(d - k, k)) for k in range(d + 1)]
-    qc = [sp.Rational(q.coefficient(d - k, k)) for k in range(d + 1)]
-    n = 2 * d
+def _sylvester_rows(p: MultiPoly, q: MultiPoly, d: int) -> list:
+    """Sylvester matrix of two binary forms of formal degree d: rows
+    z^(d-1-s) w^s * p, then * q, column j the coefficient of z^(2d-1-j) w^j.
+    Padding to formal degree d handles a zero at [1:0] uniformly."""
     rows = []
-    for s in range(d):
-        rows.append([pc[j - s] if 0 <= j - s <= d else 0 for j in range(n)])
-    for s in range(d):
-        rows.append([qc[j - s] if 0 <= j - s <= d else 0 for j in range(n)])
-    det = sp.Rational(sp.Matrix(rows).det(method="bareiss"))
-    return Fraction(int(det.p), int(det.q))
+    for form in (p, q):
+        c = [form.coefficient(d - k, k) for k in range(d + 1)]
+        rows += [[c[j - s] if 0 <= j - s <= d else Fraction(0) for j in range(2 * d)]
+                 for s in range(d)]
+    return rows
+
+
+def _solve_rational(rows: list, rhs: list = ()) -> tuple:
+    """(det, xs) for a square matrix over Q by Gauss-Jordan elimination: its
+    determinant and, for each column b of rhs, the solution x of rows · x = b
+    (xs is None when det = 0)."""
+    n = len(rows)
+    m = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != k:
+            m[k], m[piv], det = m[piv], m[k], -det
+        det *= m[k][k]
+        m[k] = [a / m[k][k] for a in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return det, [[row[c] for row in m] for c in range(n, n + len(rhs))]
+
+
+def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:
+    """Resultant of two binary forms of formal degree d (Sylvester determinant)."""
+    return _solve_rational(_sylvester_rows(p, q, d))[0]
 
 
 class RegularMap:

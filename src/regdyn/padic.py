@@ -9,6 +9,9 @@ Cancellation in additions can exhaust the known digits; the element then
 degrades to an "inexact zero" carrying only a valuation lower bound, and
 asking for its exact valuation raises :class:`PrecisionLoss` so callers
 can restart at higher precision.
+
+The arithmetic is functions on ``(v, unit, rel)`` triples, the prime first;
+:class:`PAdic` wraps a triple with its prime, and hot loops call them directly.
 """
 
 from __future__ import annotations
@@ -28,11 +31,85 @@ def _intval(n: int, p: int) -> int:
     return v
 
 
-class PAdic:
-    """value = p^v * unit with unit known mod p^rel.
+# value = p^v * unit with unit known mod p^rel.  unit == 0 encodes zeros:
+# v is None for the exact zero, otherwise v is a certified lower bound on
+# the valuation.
+_ZERO = (None, 0, 0)
 
-    unit == 0 encodes zeros: v is None for the exact zero, otherwise v is
-    a certified lower bound on the valuation."""
+
+def _from_rational(p: int, q, rel: int) -> tuple:
+    q = Fraction(q)
+    if q == 0:
+        return _ZERO
+    num, den = q.numerator, q.denominator
+    vn, vd = _intval(abs(num), p), _intval(den, p)
+    num, den = num // p**vn, den // p**vd
+    mod = p**rel
+    return (vn - vd, num * pow(den, -1, mod) % mod, rel)
+
+
+def _add(p: int, a: tuple, b: tuple) -> tuple:
+    va, ua, ra = a
+    vb, ub, rb = b
+    if va is None:
+        return b
+    if vb is None:
+        return a
+    if not ua or not ub:
+        if not ua and not ub:
+            return (min(va, vb), 0, 0)
+        (vr, ur, rr), vz = (a, vb) if ua else (b, va)
+        if vr >= vz:
+            return (vz, 0, 0)
+        k = min(rr, vz - vr)
+        return (vr, ur % p**k, k)
+    # absolute precision of each operand, then of the sum
+    vmin = min(va, vb)
+    absprec = min(va + ra, vb + rb)
+    k = absprec - vmin
+    mod = p**k
+    # shifts can be astronomically large when valuations diverge along
+    # an escaping orbit; anything shifted past the precision window is 0
+    ta = ua * pow(p, va - vmin, mod) if va - vmin < k else 0
+    tb = ub * pow(p, vb - vmin, mod) if vb - vmin < k else 0
+    s = (ta + tb) % mod
+    if s == 0:
+        return (absprec, 0, 0)
+    t = _intval(s, p)
+    return (vmin + t, s // p**t, k - t)
+
+
+def _neg(p: int, a: tuple) -> tuple:
+    v, unit, rel = a
+    if unit == 0:
+        return a
+    return (v, -unit % p**rel, rel)
+
+
+def _mul(p: int, a: tuple, b: tuple) -> tuple:
+    va, ua, ra = a
+    vb, ub, rb = b
+    if va is None or vb is None:
+        return _ZERO
+    if not ua or not ub:
+        return (va + vb, 0, 0)
+    rel = min(ra, rb)
+    return (va + vb, ua * ub % p**rel, rel)
+
+
+def _pow(p: int, a: tuple, n: int) -> tuple:
+    """a**n for n >= 1, by repeated squaring."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else _mul(p, result, a)
+        n >>= 1
+        a = _mul(p, a, a) if n else a
+    return result
+
+
+class PAdic:
+    """A triple of this module together with its prime."""
 
     __slots__ = ("p", "v", "unit", "rel")
 
@@ -44,24 +121,15 @@ class PAdic:
 
     @staticmethod
     def exact_zero(p: int) -> "PAdic":
-        return PAdic(p, None, 0, 0)
-
-    @staticmethod
-    def inexact_zero(p: int, bound: int) -> "PAdic":
-        return PAdic(p, bound, 0, 0)
+        return PAdic(p, *_ZERO)
 
     @staticmethod
     def from_rational(q, p: int, rel: int) -> "PAdic":
-        q = Fraction(q)
-        if q == 0:
-            return PAdic.exact_zero(p)
-        num, den = q.numerator, q.denominator
-        vn, vd = _intval(abs(num), p), _intval(den, p)
-        num //= p**vn
-        den //= p**vd
-        mod = p**rel
-        unit = num * pow(den, -1, mod) % mod
-        return PAdic(p, vn - vd, unit, rel)
+        return PAdic(p, *_from_rational(p, q, rel))
+
+    @property
+    def _triple(self) -> tuple:
+        return (self.v, self.unit, self.rel)
 
     @property
     def is_exact_zero(self) -> bool:
@@ -76,92 +144,45 @@ class PAdic:
             return self.v
         raise PrecisionLoss("valuation known only up to a lower bound")
 
-    def _coerce(self, other):
+    def _binary(self, op, other):
+        """op on the triples of self and other, other coerced to this prime."""
         if isinstance(other, PAdic):
             if other.p != self.p:
                 raise ValueError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PAdic.from_rational(other, self.p, max(self.rel, 1))
-        return NotImplemented
+            o = other._triple
+        elif isinstance(other, (int, Fraction)):
+            o = _from_rational(self.p, other, max(self.rel, 1))
+        else:
+            return NotImplemented
+        return PAdic(self.p, *op(self.p, self._triple, o))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self, o
-        if a.is_exact_zero:
-            return b
-        if b.is_exact_zero:
-            return a
-        # absolute precision of each operand, then of the sum
-        abs_a = a.v + (a.rel if a.unit else 0)
-        abs_b = b.v + (b.rel if b.unit else 0)
-        if a.unit == 0 or b.unit == 0:
-            if a.unit == 0 and b.unit == 0:
-                return PAdic.inexact_zero(self.p, min(a.v, b.v))
-            reg, z = (a, b) if a.unit else (b, a)
-            if reg.v >= z.v:
-                return PAdic.inexact_zero(self.p, z.v)
-            return PAdic(self.p, reg.v, reg.unit % self.p ** (min(reg.rel, z.v - reg.v)),
-                         min(reg.rel, z.v - reg.v))
-        vmin = min(a.v, b.v)
-        absprec = min(abs_a, abs_b)
-        k = absprec - vmin
-        mod = self.p ** k
-        # shifts can be astronomically large when valuations diverge along
-        # an escaping orbit; anything shifted past the precision window is 0
-        ta = a.unit * pow(self.p, a.v - vmin, mod) if a.v - vmin < k else 0
-        tb = b.unit * pow(self.p, b.v - vmin, mod) if b.v - vmin < k else 0
-        s = (ta + tb) % mod
-        if s == 0:
-            return PAdic.inexact_zero(self.p, absprec)
-        t = _intval(s, self.p)
-        return PAdic(self.p, vmin + t, s // self.p**t, absprec - vmin - t)
+        return self._binary(_add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.unit == 0:
-            return self
-        return PAdic(self.p, self.v, (-self.unit) % self.p**self.rel, self.rel)
+        return PAdic(self.p, *_neg(self.p, self._triple))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._binary(lambda p, a, b: _add(p, a, _neg(p, b)), other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a, b = self, o
-        if a.is_exact_zero or b.is_exact_zero:
-            return PAdic.exact_zero(self.p)
-        if a.unit == 0 or b.unit == 0:
-            return PAdic.inexact_zero(self.p, a.v + b.v)
-        rel = min(a.rel, b.rel)
-        return PAdic(self.p, a.v + b.v, a.unit * b.unit % self.p**rel, rel)
+        return self._binary(_mul, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        # an exact 1 seeds the product, so x**0 caps no precision even when x
-        # is an inexact zero
-        result = 1
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # x**0 is an exact 1, which caps no precision even when x is an
+        # inexact zero
+        if n == 0:
+            return 1
+        return PAdic(self.p, *_pow(self.p, self._triple, n))
 
     def __repr__(self):
         if self.is_exact_zero:

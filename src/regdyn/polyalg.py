@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import sympy as sp
@@ -17,6 +18,27 @@ def _coerce_coeff(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
     return c  # generic ring element (e.g. a number-field element)
+
+
+def _eval_terms(terms, z, w, add, mul, pow):
+    """The sum of c * z**i * w**j over the ((i, j), c) terms, in their order,
+    in the ring whose operations are add, mul and pow; the int 0 for no terms.
+
+    The sum starts from the first term and zero exponents are skipped, so no
+    int 0 or 1 is mixed into the ring; each power is computed once."""
+    zp, wp = {}, {}
+    total = None
+    for (i, j), t in terms:
+        if i:
+            if i not in zp:
+                zp[i] = pow(z, i)
+            t = mul(t, zp[i])
+        if j:
+            if j not in wp:
+                wp[j] = pow(w, j)
+            t = mul(t, wp[j])
+        total = t if total is None else add(total, t)
+    return 0 if total is None else total
 
 
 class MultiPoly:
@@ -144,30 +166,13 @@ class MultiPoly:
     # -- evaluation / substitution ------------------------------------
 
     def eval(self, z, w):
-        """Evaluate at a point of any commutative ring: the sum of the terms
-        c * z**i * w**j in coefficient order, each power computed once."""
-        total = 0
-        zp, wp = {}, {}
-        for (i, j), c in self.coeffs.items():
-            if i not in zp:
-                zp[i] = z**i
-            if j not in wp:
-                wp[j] = w**j
-            total = total + c * zp[i] * wp[j]
-        return total
+        """Evaluate at a point of any commutative ring (see :func:`_eval_terms`)."""
+        return _eval_terms(self.coeffs.items(), z, w, operator.add, operator.mul,
+                           operator.pow)
 
     def compose(self, u: "MultiPoly", v: "MultiPoly") -> "MultiPoly":
         """Substitute polynomials for the two variables."""
-        result = MultiPoly.zero()
-        upows = {0: MultiPoly.constant(1)}
-        vpows = {0: MultiPoly.constant(1)}
-        for (i, j), c in self.coeffs.items():
-            if i not in upows:
-                upows[i] = u**i
-            if j not in vpows:
-                vpows[j] = v**j
-            result = result + MultiPoly.constant(c) * upows[i] * vpows[j]
-        return result
+        return MultiPoly.zero() + self.eval(u, v)  # a MultiPoly even if constant
 
     # -- homogeneous pieces -------------------------------------------
 
@@ -233,10 +238,9 @@ class HomogPoly3:
         self.coeffs = cs
 
     def eval(self, z0, z1, z2):
-        total = 0
-        for (a, b, c), coeff in self.coeffs.items():
-            total = total + coeff * z0**a * z1**b * z2**c
-        return total
+        terms = (((b, c), coeff * z0**a if a else coeff)
+                 for (a, b, c), coeff in self.coeffs.items())
+        return _eval_terms(terms, z1, z2, operator.add, operator.mul, operator.pow)
 
     def dehomogenize(self) -> MultiPoly:
         """Set the first coordinate to 1."""

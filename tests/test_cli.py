@@ -115,6 +115,18 @@ def test_orbit(capsys):
     assert last[0]["exact"] == "256/1"
 
 
+def test_orbit_past_the_float_range(capsys):
+    # the coordinates of the last points exceed 1e308: exact stays exact,
+    # approx becomes null
+    code, doc = _run(capsys, "orbit", "--map", "z^2+w, w^2-z", "--point", "2,3",
+                     "-n", "12")
+    assert code == 0
+    assert doc["result"]["length"] == 13
+    last = doc["result"]["orbit"][-1]
+    assert last[0]["approx"] is None
+    assert F(last[0]["exact"]) > 10**308
+
+
 def test_stable_manifold_saddle(capsys):
     code, doc = _run(capsys, "stable-manifold", "--map", "z^2, w^2",
                      "--point", "1", "--order", "12")

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import Place
-from regdyn.green import (GreenContext, bad_places, green_homog, green_value,
+from regdyn.green import (GreenContext, _orbit, bad_places, green_homog, green_value,
                           nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import log_of_fraction
 from regdyn.maps import NotRegular, make_regular_map
+from regdyn.padic import PAdic, PrecisionLoss
 from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
@@ -143,3 +145,60 @@ def test_green_functional_equation_and_height_sign(case, pt, line_pt):
         assert _overlap(green_homog(ctx, image, PROP_TOL),
                         green_homog(ctx, (F(0), a, b), PROP_TOL).scale(f.d))
     assert canonical_height(f, pt, PROP_TOL).value.lower >= 0
+
+
+# -- the orbit kernel against exact rational iteration -------------------------
+
+
+def _exact_orbit(f, pt, n):
+    z, w = pt
+    for _ in range(n):
+        z, w = [sum(c * z**i * w**j for (i, j), c in g.coeffs.items()) for g in (f.P, f.Q)]
+    return z, w
+
+
+def _p_split(x, p):
+    """(v, u) with x = p^v * u and u a p-adic unit, for a nonzero rational x."""
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([2, 3, 5]),
+       st.integers(1, 12), st.integers(0, 3))
+def test_padic_orbit_has_the_exact_valuations(case, pt, p, rel, n):
+    # each coordinate is the exact valuation with the unit known mod p^rel',
+    # rel' <= rel, or a zero (exact or not) whose valuation raises
+    # PrecisionLoss; an inexact zero's bound lies below the exact valuation
+    f, _ = case
+    for (v, unit, r), x in zip(_orbit(f.P, f.Q, pt[0], pt[1], n, p, rel),
+                               _exact_orbit(f, pt, n)):
+        if unit:
+            vx, u = _p_split(x, p)
+            assert v == vx and 1 <= r <= rel
+            assert unit == u.numerator * pow(u.denominator, -1, p**r) % p**r
+            continue
+        with pytest.raises(PrecisionLoss):
+            PAdic(p, v, unit, r).valuation()
+        assert v is not None or x == 0  # only an exact 0 is the exact zero
+        if x != 0:
+            assert v <= _p_split(x, p)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([8, 24, 53, 120]),
+       st.integers(0, 3))
+def test_interval_orbit_encloses_the_exact_values(case, pt, prec, n):
+    f, _ = case
+
+    def endpoint(t):  # an mpf (sign, mantissa, exponent, bitcount) tuple
+        sign, man, exp, _ = t
+        return (-1) ** sign * man * F(2) ** exp
+
+    for (lo, hi), x in zip(_orbit(f.P, f.Q, pt[0], pt[1], n, None, prec),
+                           _exact_orbit(f, pt, n)):
+        assert endpoint(lo) <= x <= endpoint(hi)

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 import sympy as sp
@@ -54,10 +56,10 @@ def test_eval_hom(a, b):
 
 
 def naive_eval(p, z, w):
-    total = 0
-    for (i, j), c in p.coeffs.items():
-        total = total + c * z**i * w**j
-    return total
+    # c * z**i * w**j without the zeroth powers, summed from the first term
+    terms = [reduce(operator.mul, [c] + [z**i] * (i > 0) + [w**j] * (j > 0))
+             for (i, j), c in p.coeffs.items()]
+    return reduce(operator.add, terms) if terms else 0
 
 
 _K = NumberField([1, -1, 0, 1, -1, 1, 0, -1, 1])  # the 15th cyclotomic polynomial
