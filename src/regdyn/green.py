@@ -17,8 +17,8 @@ certified and narrow enough.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import partial
 
 import sympy as sp
 from mpmath.libmp import mpi_add, mpi_mul, mpi_pow_int
@@ -27,7 +27,7 @@ from .exactnum import Place, valuation, abs_at_place_exact
 from .intervals import (RealInterval, frac_to_mpi, iv_context, ivmax, log_of_fraction,
                         DEFAULT_PREC)
 from .maps import RegularMap, _solve_rational, _sylvester_rows
-from .padic import PrecisionLoss, _add, _from_rational, _mul, _pow
+from .padic import PAdic, PrecisionLoss
 from .polyalg import MultiPoly, _eval_terms
 
 
@@ -187,17 +187,12 @@ def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
 
 
 def _min_valuation(coords, floor) -> int:
-    """min(floor, v(a), v(b)) over the p-adic triples, floor None meaning
+    """min(floor, v(a), v(b)) over the p-adic coordinates, floor None meaning
     +infinity.  Only a coordinate attaining the minimum needs its exact
     valuation: an inexact zero whose lower bound is at least the minimum
     of the exact ones cannot lower it."""
-    vals = [] if floor is None else [floor]
-    bounds = []
-    for v, unit, _rel in coords:
-        if unit:
-            vals.append(v)
-        elif v is not None:  # an inexact zero
-            bounds.append(v)
+    vals = [x.v for x in coords if x.unit] + ([] if floor is None else [floor])
+    bounds = [x.v for x in coords if not x.unit and x.v is not None]  # inexact zeros
     vmin = min(vals, default=None)
     if any(vmin is None or lo < vmin for lo in bounds):
         raise PrecisionLoss("the minimal valuation is not determined")
@@ -236,28 +231,35 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     raise RuntimeError(f"green: precision escalation exhausted at {v!r}")
 
 
-def _orbit(P, Q, z1, z2, n: int, p, prec: int) -> tuple:
-    """(P, Q) iterated n times from (z1, z2): on p-adic triples with prec digits
-    at a prime p, else on libmpi endpoint pairs rounded outward at prec bits."""
-    if p:
-        convert = partial(_from_rational, p, rel=prec)
-        ops = (partial(_add, p), partial(_mul, p), partial(_pow, p))
-    else:
-        ctx = iv_context(prec)
-        convert = lambda c: frac_to_mpi(c, ctx)._mpi_
-        ops = (lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
-               lambda s, k: mpi_pow_int(s, k, prec))
+def _iterate(P, Q, z1, z2, n: int, convert, add, mul, pow) -> tuple:
+    """(P, Q) iterated n times from (z1, z2) in the ring whose operations are
+    add, mul and pow, the point and coefficients converted into it once."""
     Pt, Qt = ([(e, convert(c)) for e, c in g.coeffs.items()] for g in (P, Q))
     a, b = convert(z1), convert(z2)
     for _ in range(n):
-        a, b = _eval_terms(Pt, a, b, *ops), _eval_terms(Qt, a, b, *ops)
+        a, b = _eval_terms(Pt, a, b, add, mul, pow), _eval_terms(Qt, a, b, add, mul, pow)
     return a, b
+
+
+def _interval_orbit(ctx, P, Q, z1, z2, n: int) -> tuple:
+    """The orbit of (z1, z2) on libmpi endpoint pairs, rounded outward at
+    ctx.prec bits; the prec is passed explicitly since 0 would mean exact."""
+    prec = ctx.prec
+    return _iterate(P, Q, z1, z2, n, lambda c: frac_to_mpi(c, ctx)._mpi_,
+                    lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
+                    lambda s, k: mpi_pow_int(s, k, prec))
+
+
+def _padic_orbit(P, Q, z1, z2, n: int, p: int, rel: int) -> tuple:
+    """The orbit of (z1, z2) in :class:`PAdic` elements with rel digits."""
+    return _iterate(P, Q, z1, z2, n, lambda c: PAdic.from_rational(c, p, rel),
+                    operator.add, operator.mul, operator.pow)
 
 
 def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
     """log max(z0, |a_n|, |b_n|) / d^n by interval iteration at prec bits."""
     ctx = iv_context(prec)
-    a, b = _orbit(P, Q, z1, z2, n, None, prec)
+    a, b = _interval_orbit(ctx, P, Q, z1, z2, n)
     m = ivmax(abs(ctx.make_mpf(a)), abs(ctx.make_mpf(b)))
     if z0:
         m = ivmax(ctx.mpf(1), m)
@@ -270,6 +272,6 @@ def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, rel: int,
                    width: Fraction) -> RealInterval:
     """log max(z0, |a_n|_p, |b_n|_p) / d^n by p-adic iteration with rel
     digits, the logarithm to width <= width."""
-    a, b = _orbit(P, Q, z1, z2, n, p, rel)
+    a, b = _padic_orbit(P, Q, z1, z2, n, p, rel)
     m = -_min_valuation((a, b), 0 if z0 else None)
     return _log_to_width(Fraction(p), m, width).scale(Fraction(1, d**n))

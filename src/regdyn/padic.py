@@ -11,7 +11,7 @@ asking for its exact valuation raises :class:`PrecisionLoss` so callers
 can restart at higher precision.
 
 The arithmetic is functions on ``(v, unit, rel)`` triples, the prime first;
-:class:`PAdic` wraps a triple with its prime, and hot loops call them directly.
+:class:`PAdic` wraps a triple with its prime and its operators call them.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class PAdic:
         return PAdic(p, *_from_rational(p, q, rel))
 
     @property
-    def _triple(self) -> tuple:
-        return (self.v, self.unit, self.rel)
-
-    @property
     def is_exact_zero(self) -> bool:
         return self.unit == 0 and self.v is None
 
@@ -149,12 +145,12 @@ class PAdic:
         if isinstance(other, PAdic):
             if other.p != self.p:
                 raise ValueError("mixed primes")
-            o = other._triple
+            o = (other.v, other.unit, other.rel)
         elif isinstance(other, (int, Fraction)):
             o = _from_rational(self.p, other, max(self.rel, 1))
         else:
             return NotImplemented
-        return PAdic(self.p, *op(self.p, self._triple, o))
+        return PAdic(self.p, *op(self.p, (self.v, self.unit, self.rel), o))
 
     def __add__(self, other):
         return self._binary(_add, other)
@@ -162,7 +158,7 @@ class PAdic:
     __radd__ = __add__
 
     def __neg__(self):
-        return PAdic(self.p, *_neg(self.p, self._triple))
+        return PAdic(self.p, *_neg(self.p, (self.v, self.unit, self.rel)))
 
     def __sub__(self, other):
         return self._binary(lambda p, a, b: _add(p, a, _neg(p, b)), other)
@@ -182,7 +178,7 @@ class PAdic:
         # inexact zero
         if n == 0:
             return 1
-        return PAdic(self.p, *_pow(self.p, self._triple, n))
+        return PAdic(self.p, *_pow(self.p, (self.v, self.unit, self.rel), n))
 
     def __repr__(self):
         if self.is_exact_zero:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import Place
-from regdyn.green import (GreenContext, _orbit, bad_places, green_homog, green_value,
-                          nullstellensatz_constant)
+from regdyn.green import (GreenContext, _interval_orbit, _padic_orbit, bad_places,
+                          green_homog, green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
-from regdyn.intervals import log_of_fraction
+from regdyn.intervals import iv_context, log_of_fraction
 from regdyn.maps import NotRegular, make_regular_map
-from regdyn.padic import PAdic, PrecisionLoss
+from regdyn.padic import PrecisionLoss
 from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
@@ -175,18 +175,19 @@ def test_padic_orbit_has_the_exact_valuations(case, pt, p, rel, n):
     # rel' <= rel, or a zero (exact or not) whose valuation raises
     # PrecisionLoss; an inexact zero's bound lies below the exact valuation
     f, _ = case
-    for (v, unit, r), x in zip(_orbit(f.P, f.Q, pt[0], pt[1], n, p, rel),
-                               _exact_orbit(f, pt, n)):
+    for y, x in zip(_padic_orbit(f.P, f.Q, pt[0], pt[1], n, p, rel),
+                    _exact_orbit(f, pt, n)):
+        v, unit, r = y.v, y.unit, y.rel
         if unit:
             vx, u = _p_split(x, p)
-            assert v == vx and 1 <= r <= rel
+            assert y.valuation() == vx and 1 <= r <= rel
             assert unit == u.numerator * pow(u.denominator, -1, p**r) % p**r
             continue
         with pytest.raises(PrecisionLoss):
-            PAdic(p, v, unit, r).valuation()
+            y.valuation()
         assert v is not None or x == 0  # only an exact 0 is the exact zero
         if x != 0:
-            assert v <= _p_split(x, p)[0]
+            assert y.valuation_lower() <= _p_split(x, p)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,6 +200,6 @@ def test_interval_orbit_encloses_the_exact_values(case, pt, prec, n):
         sign, man, exp, _ = t
         return (-1) ** sign * man * F(2) ** exp
 
-    for (lo, hi), x in zip(_orbit(f.P, f.Q, pt[0], pt[1], n, None, prec),
+    for (lo, hi), x in zip(_interval_orbit(iv_context(prec), f.P, f.Q, pt[0], pt[1], n),
                            _exact_orbit(f, pt, n)):
         assert endpoint(lo) <= x <= endpoint(hi)

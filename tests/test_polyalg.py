@@ -1,10 +1,8 @@
-import operator
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 import sympy as sp
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from regdyn.numberfield import NumberField
 from regdyn.padic import PAdic
@@ -56,10 +54,10 @@ def test_eval_hom(a, b):
 
 
 def naive_eval(p, z, w):
-    # c * z**i * w**j without the zeroth powers, summed from the first term
-    terms = [reduce(operator.mul, [c] + [z**i] * (i > 0) + [w**j] * (j > 0))
-             for (i, j), c in p.coeffs.items()]
-    return reduce(operator.add, terms) if terms else 0
+    total = 0
+    for (i, j), c in p.coeffs.items():
+        total = total + c * z**i * w**j
+    return total
 
 
 _K = NumberField([1, -1, 0, 1, -1, 1, 0, -1, 1])  # the 15th cyclotomic polynomial
@@ -84,8 +82,17 @@ def _same(a, b):
 def test_eval_is_the_naive_term_sum(p):
     # the same terms in the same order: equal exactly, PAdic precision and
     # complex rounding included
+    assume(any(i or j for i, j in p.coeffs))
     for z, w in EVAL_POINTS:
         assert _same(p.eval(z, w), naive_eval(p, z, w))
+
+
+@given(coeffs)
+def test_a_constant_evaluates_to_its_coefficient(c):
+    # no int 0 or 1 is mixed into the point's ring, so a constant stays a
+    # Fraction at every point (the zero polynomial gives the int 0)
+    for z, w in EVAL_POINTS:
+        assert _same(MultiPoly.constant(c).eval(z, w), c if c else 0)
 
 
 def test_resultant_oracles():
