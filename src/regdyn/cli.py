@@ -21,13 +21,18 @@ from .curves import (PlaneCurve, curve_preperiodicity, dmm_report,
                      find_preperiodic_points, points_at_infinity, pushforward)
 from .green import GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height, is_preperiodic
-from .infinity import fixed_points_infinity, infinity_orbit_preperiodicity
+from .infinity import (Superattracting, fixed_points_infinity,
+                       infinity_orbit_preperiodicity)
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        reduce_form, saddle_normal_form, super_stable_series)
-from .maps import NotRegular, make_regular_map
+from .maps import BitSizeCap, NotRegular, make_regular_map
 from .polyalg import PolyParseError
 
 SCHEMA_VERSION = 1
+
+# `orbit` stops before a coordinate passes this many bits: Python renders an
+# int of at most 4,300 decimal digits (about 14,284 bits) as a string
+ORBIT_MAX_BITS = 14_000
 
 
 class InputError(ValueError):
@@ -182,22 +187,25 @@ def _cmd_orbit(args):
     rows = [pt]
     try:
         for _ in range(args.n):
-            pt = f.apply(pt)
+            pt = f.iterate(1, pt, max_bits=ORBIT_MAX_BITS)
             rows.append(pt)
         capped = False
-    except Exception:
+    except BitSizeCap:
         capped = True
     result = {"orbit": [[_json(c) for c in row] for row in rows],
               "length": len(rows)}
-    return result, {}, {"n": args.n, "bit_capped": capped}, 0
+    caps = {"n": args.n, "bit_capped": capped, "max_bits": ORBIT_MAX_BITS}
+    return result, {}, caps, 0
 
 
 def _cmd_stable_manifold(args):
     f = _parse_map(args.map)
     N = args.order
+    # only rational points are classified: classifying an irrational one
+    # costs sympy minimal polynomials and root isolation
     pts = [p for p in fixed_points_infinity(f)
-           if type(p.classification).__name__ != "Superattracting"
-           and p.coordinate.is_rational()]
+           if p.coordinate.is_rational()
+           and not isinstance(p.classification, Superattracting)]
     if args.point:
         t = Fraction(args.point)
         pts = [p for p in pts if p.coordinate.as_rational() == t]

@@ -28,7 +28,6 @@ class Place:
     """An absolute value on Q: the Archimedean one or a p-adic one."""
 
     prime: Optional[int] = None  # None means Archimedean
-    local_degree: int = 1
 
     def __post_init__(self):
         if self.prime is not None and not sp.isprime(self.prime):

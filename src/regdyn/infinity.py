@@ -10,8 +10,9 @@ exhaustive and exclusive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import sympy as sp
 
@@ -44,12 +45,20 @@ class ExpandingPlace:
 @dataclass
 class InfinityFixedPoint:
     """A fixed point of f_inf given by (coordinate, chart):
-    chart 0 means [1 : t], chart 1 means [t : 1]."""
+    chart 0 means [1 : t], chart 1 means [t : 1].  The multiplier and its
+    classification are computed from the map f on first access."""
     coordinate: AlgebraicNumber
     chart: int
     multiplicity: int
-    multiplier: AlgebraicNumber
-    classification: object
+    f: RegularMap = field(repr=False, compare=False)
+
+    @cached_property
+    def multiplier(self) -> AlgebraicNumber:
+        return _nf_multiplier(self.f, self.coordinate, self.chart)
+
+    @cached_property
+    def classification(self):
+        return classify_multiplier(self.multiplier)
 
     def projective(self) -> str:
         t = self.coordinate
@@ -58,14 +67,32 @@ class InfinityFixedPoint:
 
 
 def classify_multiplier(lam: AlgebraicNumber):
-    if lam.is_zero() or (lam.is_rational() and lam.as_rational() == 0):
-        return Superattracting()
+    if lam.is_rational():
+        return _classify_rational(lam.as_rational())
     rou, n = is_root_of_unity(lam)
     if rou:
         return RootOfUnity(n)
     witness = find_expanding_place(lam)
     # Kronecker: a nonzero algebraic integer-or-not that is not a root of
     # unity always has an expanding place
+    return ExpandingPlace(witness.place, witness)
+
+
+def _classify_rational(q: Fraction):
+    """The trichotomy for a rational multiplier, exactly on Q: the roots of
+    unity in Q are +-1, and any other nonzero q has |q| > 1 or a prime in its
+    denominator (the leading coefficient of its minimal polynomial)."""
+    if q == 0:
+        return Superattracting()
+    if abs(q) == 1:
+        return RootOfUnity(1 if q == 1 else 2)
+    if abs(q) > 1:
+        witness = ExpandingPlaceWitness(Place.archimedean(), 0, note="|conjugate 0| > 1")
+    else:
+        p = min(sp.factorint(q.denominator))
+        witness = ExpandingPlaceWitness(
+            Place.finite(int(p)), None,
+            note=f"minimal polynomial not monic: {p} divides leading coefficient")
     return ExpandingPlace(witness.place, witness)
 
 
@@ -89,11 +116,7 @@ def _nf_multiplier(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> Algebra
         num = [f.top_Q.coefficient(f.d - k, k) for k in range(f.d + 1)]
         den = [f.top_P.coefficient(f.d - k, k) for k in range(f.d + 1)]
     # num/den as univariate polys in t (ascending)
-    K = alpha.number_field()
-    a = K.generator() if alpha.degree > 1 else K(alpha.as_rational())
-    if alpha.degree == 1:
-        K = None
-        a = alpha.as_rational()
+    a = alpha.as_rational() if alpha.is_rational() else alpha.number_field().generator()
 
     def ev(cs, t):
         total = 0
@@ -107,8 +130,8 @@ def _nf_multiplier(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> Algebra
     N, D = ev(num, a), ev(den, a)
     Np, Dp = ev(dcs(num), a), ev(dcs(den), a)
     lam = (Np * D - N * Dp) / (D * D)  # (N/D)'
-    if K is None:
-        return AlgebraicNumber.from_rational(Fraction(lam))
+    if alpha.is_rational():
+        return AlgebraicNumber.from_rational(lam)
     return _algebraic_from_nf(lam, alpha)
 
 
@@ -123,8 +146,8 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def fixed_points_infinity(f: RegularMap) -> list:
-    """All fixed points of f_inf with multiplicities (summing to d+1),
-    multipliers, and classifications."""
+    """All fixed points of f_inf with multiplicities (summing to d+1); each
+    point computes its multiplier and classification when first read."""
     form = _fixed_form(f)
     d = f.d
     out = []
@@ -138,16 +161,11 @@ def fixed_points_infinity(f: RegularMap) -> list:
     for fac, mult in sp.factor_list(poly_t)[1]:
         fac = sp.Poly(fac, _x)
         for idx in range(fac.degree()):
-            alpha = AlgebraicNumber(fac, idx)
-            lam = _nf_multiplier(f, alpha, chart=0)
-            out.append(InfinityFixedPoint(alpha, 0, mult, lam,
-                                          classify_multiplier(lam)))
+            out.append(InfinityFixedPoint(AlgebraicNumber(fac, idx), 0, mult, f))
     if drop > 0:
         # remaining multiplicity sits at [0:1] (t = infinity in this chart)
-        alpha = AlgebraicNumber.from_rational(0)  # chart 1 coordinate z/w = 0
-        lam = _nf_multiplier(f, alpha, chart=1)
-        out.append(InfinityFixedPoint(alpha, 1, drop, lam,
-                                      classify_multiplier(lam)))
+        # chart 1 coordinate z/w = 0
+        out.append(InfinityFixedPoint(AlgebraicNumber.from_rational(0), 1, drop, f))
     assert sum(p.multiplicity for p in out) == d + 1
     return out
 

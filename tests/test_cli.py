@@ -127,6 +127,42 @@ def test_orbit_past_the_float_range(capsys):
     assert F(last[0]["exact"]) > 10**308
 
 
+def test_orbit_stops_at_the_bit_cap(capsys):
+    # 2^(2^n) has 2^n bits: without a cap the 40th iterate never ends, and
+    # rows past 4,300 decimal digits cannot be rendered as strings
+    code, doc = _run(capsys, "orbit", "--map", "z^2,w^2", "--point", "2,3", "-n", "40")
+    assert code == 0
+    caps = doc["caps"]
+    assert caps["bit_capped"] is True and caps["n"] == 40
+    rows = [tuple(F(c["exact"]) for c in row) for row in doc["result"]["orbit"]]
+    assert len(rows) == doc["result"]["length"] <= 40
+    assert rows[0] == (2, 3)
+    for (z, w), (z1, w1) in zip(rows, rows[1:]):
+        assert (z1, w1) == (z * z, w * w)
+    assert all(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               <= caps["max_bits"] for row in rows for c in row)
+    # the next iterate would pass the cap
+    z, w = rows[-1]
+    assert (w * w).numerator.bit_length() > caps["max_bits"]
+
+
+def test_stable_manifold_classifies_no_irrational_point(capsys, monkeypatch):
+    # [1 : 0] has multiplier 2; the other fixed points at infinity solve
+    # t^2 - t - 1 = 0, so they are irrational and never needed
+    import regdyn.infinity as infinity
+    calls = []
+    original = infinity._algebraic_from_nf
+    monkeypatch.setattr(infinity, "_algebraic_from_nf",
+                        lambda *a: calls.append(a) or original(*a))
+    code, doc = _run(capsys, "stable-manifold", "--map",
+                     "z^2 + w^2 + w + 1, 2*z*w + w^2 + z", "--point", "0", "--order", "6")
+    assert code == 0
+    (entry,) = doc["result"]["manifolds"]
+    assert entry["lambda"]["exact"] == "2/1"
+    assert entry["normal_form"]["kind"] == "saddle"
+    assert calls == []
+
+
 def test_stable_manifold_saddle(capsys):
     code, doc = _run(capsys, "stable-manifold", "--map", "z^2, w^2",
                      "--point", "1", "--order", "12")

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regdyn.exactnum import AlgebraicNumber, Place
+from regdyn.exactnum import AlgebraicNumber, Place, find_expanding_place
 from regdyn.green import GreenContext, bad_places, green_homog
 from regdyn.intervals import log_of_fraction
 from regdyn.infinity import (ExpandingPlace, RootOfUnity, Superattracting,
@@ -30,6 +31,48 @@ def test_classify_trichotomy_oracles():
     assert classify_multiplier(zeta3) == RootOfUnity(3)
     sqrt2 = AlgebraicNumber([-2, 0, 1], 1)
     assert isinstance(classify_multiplier(sqrt2), ExpandingPlace)
+
+
+def _abs_greater_than_one(q, v):
+    """|q|_v > 1, by hand: |q| at infinity, p^(-ord_p q) at p."""
+    if not v.is_finite:
+        return abs(q) > 1
+    p, num, den = v.prime, abs(q.numerator), q.denominator
+    order = 0
+    while num % p == 0:
+        num, order = num // p, order + 1
+    while den % p == 0:
+        den, order = den // p, order - 1
+    return order < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([F(1), F(-1), 1 + F(1, 10**18), 1 - F(1, 10**18)]),
+                 st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
+                 st.integers(min_value=1, max_value=10**30).map(lambda k: 1 + F(1, k))))
+def test_rational_classification_matches_the_absolute_values(q):
+    if q == 0:
+        assert classify_multiplier(_rat(q)) == Superattracting()
+        return
+    c = classify_multiplier(_rat(q))
+    if abs(q) == 1:
+        assert c == RootOfUnity(1 if q == 1 else 2)
+        return
+    assert isinstance(c, ExpandingPlace) and c.witness.place == c.place
+    assert _abs_greater_than_one(q, c.place)
+    if abs(abs(q) - 1) > F(1, 10**12):
+        # away from 1 the root boxes of the algebraic path decide it too
+        w = find_expanding_place(_rat(q))
+        assert c == ExpandingPlace(w.place, w)
+
+
+def test_rational_multiplier_just_above_one_is_expanding_at_infinity():
+    # a root box of radius 1e-17 cannot separate |q| from 1 here, so the
+    # algebraic path falls back to the prime of the denominator
+    q = 1 + F(1, 10**18)
+    c = classify_multiplier(_rat(q))
+    assert c.place == Place.archimedean() and c.witness.embedding_index == 0
+    assert find_expanding_place(_rat(q)).place == Place.finite(2)
 
 
 def test_squaring_fixed_points():
