@@ -51,28 +51,25 @@ def _abs_greater_than_one(q, v):
                  st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
                  st.integers(min_value=1, max_value=10**30).map(lambda k: 1 + F(1, k))))
 def test_rational_classification_matches_the_absolute_values(q):
-    if q == 0:
-        assert classify_multiplier(_rat(q)) == Superattracting()
-        return
     c = classify_multiplier(_rat(q))
-    if abs(q) == 1:
+    if q == 0:
+        assert c == Superattracting()
+    elif abs(q) == 1:
         assert c == RootOfUnity(1 if q == 1 else 2)
-        return
-    assert isinstance(c, ExpandingPlace) and c.witness.place == c.place
-    assert _abs_greater_than_one(q, c.place)
-    if abs(abs(q) - 1) > F(1, 10**12):
-        # away from 1 the root boxes of the algebraic path decide it too
-        w = find_expanding_place(_rat(q))
-        assert c == ExpandingPlace(w.place, w)
+    else:
+        assert isinstance(c, ExpandingPlace) and c.witness.place == c.place
+        assert _abs_greater_than_one(q, c.place)
+        if abs(abs(q) - 1) > F(1, 10**12):
+            # away from 1 the root boxes of the algebraic path decide it too
+            w = find_expanding_place(_rat(q))
+            assert c == ExpandingPlace(w.place, w)
 
 
 def test_rational_multiplier_just_above_one_is_expanding_at_infinity():
-    # a root box of radius 1e-17 cannot separate |q| from 1 here, so the
-    # algebraic path falls back to the prime of the denominator
-    q = 1 + F(1, 10**18)
-    c = classify_multiplier(_rat(q))
+    # a root box of radius 1e-17 cannot separate |q| from 1 here: the
+    # algebraic path falls back to the prime 2 of the denominator
+    c = classify_multiplier(_rat(1 + F(1, 10**18)))
     assert c.place == Place.archimedean() and c.witness.embedding_index == 0
-    assert find_expanding_place(_rat(q)).place == Place.finite(2)
 
 
 def test_squaring_fixed_points():
