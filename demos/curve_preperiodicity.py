@@ -27,9 +27,8 @@ def main():
     # Where does a curve meet the line at infinity?
     print("\n-- points at infinity --")
     for eq in ("w - z", "w - z^2", "z - 1"):
-        div = points_at_infinity(PlaneCurve(eq))
         pts = ", ".join(f"{p.projective()} (mult {p.multiplicity})"
-                        for p in div.points)
+                        for p in points_at_infinity(PlaneCurve(eq)))
         print(f"{{{eq}}}: {pts}")
 
     # Preperiodic points on the diagonal: the rational ones and the

@@ -4,9 +4,8 @@ heights with preperiodicity certificates, the dynamics on the line at
 infinity, local normal forms at its fixed points, and curve-level orbit
 analysis."""
 
-from .exactnum import (AlgebraicNumber, ComplexInterval, Place,
-                       abs_at_place, abs_at_place_exact, conjugates,
-                       find_expanding_place, is_root_of_unity,
+from .exactnum import (AlgebraicNumber, ComplexInterval, Place, abs_at_place_exact,
+                       conjugates, find_expanding_place, is_root_of_unity,
                        product_formula_check, valuation)
 from .intervals import RealInterval, log_of_fraction
 from .polyalg import (HomogPoly3, MultiPoly, PolyParseError, homogenize,
@@ -17,21 +16,19 @@ from .padic import PAdic, PrecisionLoss
 from .green import GreenContext, bad_places, green_homog, green_value, \
     nullstellensatz_constant
 from .heights import (HeightResult, PreperiodicityVerdict, canonical_height,
-                      canonical_height_algebraic, essential_min_estimate,
-                      height_support, is_preperiodic, newton_polygon_slopes)
+                      height_support, is_preperiodic)
 from .infinity import (ExpandingPlace, InfinityFixedPoint, RootOfUnity,
                        Superattracting, classify_multiplier,
                        fixed_points_infinity, infinity_orbit_preperiodicity,
-                       multiplier, periodic_points_infinity)
+                       multiplier)
 from .localdyn import (ContractionError, GermShapeError, LocalGerm,
                        NormalFormResult, ResonanceError, SectorMap,
                        VerticalGraphSample, bottcher_series, graph_pullback,
                        koenigs_series, localize_at_infinity,
                        parabolic_normal_form, remove_mu, reduce_form,
                        rescaling_check, saddle_normal_form, super_stable_series)
-from .curves import (CurveOrbitStatus, DmmReport, InfinityDivisor,
-                     InfinityPoint, PlaneCurve, curve_preperiodicity,
-                     dmm_report, find_preperiodic_points, points_at_infinity,
-                     pushforward)
+from .curves import (CurveOrbitStatus, DmmReport, InfinityPoint, PlaneCurve,
+                     curve_preperiodicity, dmm_report, find_preperiodic_points,
+                     points_at_infinity, pushforward)
 
 __version__ = "0.1.0"

@@ -17,12 +17,11 @@ from functools import cache
 
 from .exactnum import AlgebraicNumber, Place
 from .intervals import RealInterval
-from .curves import (PlaneCurve, curve_preperiodicity, dmm_report,
-                     find_preperiodic_points, points_at_infinity, pushforward)
+from .curves import (PlaneCurve, curve_preperiodicity, dmm_report, points_at_infinity,
+                     pushforward)
 from .green import GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height, is_preperiodic
-from .infinity import (Superattracting, fixed_points_infinity,
-                       infinity_orbit_preperiodicity)
+from .infinity import Superattracting, fixed_points_infinity
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        reduce_form, saddle_normal_form, super_stable_series)
 from .maps import BitSizeCap, NotRegular, make_regular_map
@@ -242,13 +241,12 @@ def _cmd_curve(args):
         C = PlaneCurve(args.curve)
     except (PolyParseError, ValueError) as exc:
         raise InputError(f"bad curve: {exc}") from exc
-    div = points_at_infinity(C)
     status = curve_preperiodicity(f, C, args.max_iters, args.max_degree)
     # the orbit holds the first image unless it closed at once (or --max-iters 0)
     img = status.orbit[1] if len(status.orbit) > 1 else (
         C if status.kind == "Fixed" else pushforward(f, C))
     result = {"curve": C.poly.to_string(),
-              "points_at_infinity": [_point_json(p) for p in div.points],
+              "points_at_infinity": [_point_json(p) for p in points_at_infinity(C)],
               "pushforward": img.poly.to_string(),
               "orbit_status": _json(status)}
     caps = {"max_iters": args.max_iters, "max_degree": args.max_degree}

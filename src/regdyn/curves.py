@@ -37,12 +37,14 @@ class PlaneCurve:
             poly = parse_poly(poly)
         if isinstance(poly, PlaneCurve):
             poly = poly.poly
-        p = poly if isinstance(poly, sp.Poly) else poly.to_poly(_z, _w)
+        p = sp.Poly.new(poly.rep, _z, _w) if isinstance(poly, sp.Poly) \
+            else poly.to_poly(_z, _w)
         if p.total_degree() < 1:
             raise ValueError("curve polynomial must be nonconstant")
-        # squarefree part: the product of the irreducible factors
-        self.poly = MultiPoly.from_poly(_primitive(sp.prod(
-            [b for b, _m in sp.factor_list(p)[1]])))
+        # the irreducible factors as Polys in (z, w), primitive over ZZ;
+        # pushforward eliminates each, and their product is the squarefree part
+        self.components = [_primitive(b) for b, _m in sp.factor_list(p)[1]]
+        self.poly = MultiPoly.from_poly(sp.prod(self.components))
 
     @property
     def degree(self) -> int:
@@ -78,12 +80,7 @@ class InfinityPoint:
         return None
 
 
-@dataclass
-class InfinityDivisor:
-    points: list
-
-
-def points_at_infinity(C: PlaneCurve) -> InfinityDivisor:
+def points_at_infinity(C: PlaneCurve) -> list:
     """Roots of the top homogeneous form of R, with multiplicities
     (the intersection numbers of the closure with the line at infinity)."""
     top = homogeneous_top(C.poly)
@@ -99,7 +96,7 @@ def points_at_infinity(C: PlaneCurve) -> InfinityDivisor:
         for idx in range(fac.degree()):
             pts.append(InfinityPoint(AlgebraicNumber(fac, idx), 0, mult))
     assert sum(p.multiplicity for p in pts) == D
-    return InfinityDivisor(pts)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +117,7 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     two components can coincide, so deg f(C) need not divide d * deg C."""
     P, Q = f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)
     kept = []
-    for Ri, _m in sp.factor_list(C.poly.to_poly(_z, _w))[1]:
+    for Ri in C.components:
         image = _component_image(Ri, P, Q)
         if (f.d * Ri.total_degree()) % sum(G.total_degree() for G in image):
             raise EliminationError("image degree does not divide d * deg C "
@@ -154,36 +151,31 @@ def _split_eliminant(E):
 
 def _component_image(Ri, P, Q) -> list:
     """The irreducible G(Z, W), as primitive Polys, whose curves make up the
-    image of {Ri = 0} under (P, Q): factors of the eliminants under the
-    first shear Z -> Z + s*W that does not degenerate, each sheared back
-    and kept iff Ri | G(P, Q)."""
+    image of {Ri = 0} under (P, Q): the factors of the eliminants kept iff
+    Ri | G(P, Q).
+
+    No eliminant vanishes: Z - P and W - Q involve Z and W, Ri does not,
+    and the mixed factors of E1 involve Z but not W, those of E2 the
+    reverse."""
     outer, inner = (_w, _z) if Ri.degree(_w) > 0 else (_z, _w)
     # the eliminated variable is the first generator of each resultant
     Ri, P, Q = (p.reorder(outer, inner) for p in (Ri, P, Q))
     Zp, Wp = (sp.Poly(v, outer, inner, _Z, _W) for v in (_Z, _W))
-    for shear in (0, 1, 2, 3, 5):
-        E1 = sp.resultant(Ri, Zp - (P + Q.mul_ground(shear)))
-        E2 = sp.resultant(Ri, Wp - Q)
-        if E1.is_zero or E2.is_zero:
-            continue
-        m1, free1 = _split_eliminant(E1)
-        m2, free2 = _split_eliminant(E2)
-        candidates = free1 + free2
-        if m1 and m2:
-            elim = sp.resultant(sp.prod(m1), sp.prod(m2))
-            if elim.is_zero:
-                continue  # shared inner factor; retry sheared
-            candidates += [G for G, _m in sp.factor_list(elim)[1] if G.total_degree() >= 1]
-        unshear = sp.Poly(_Z + shear * _W, _Z, _W)
-        out = {}
-        for G in candidates:
-            G0 = _primitive(G.compose(unshear))
-            # exact component test Ri | G0(P, Q), over ZZ when P, Q are (no QQ copy)
-            if G0 not in out and _substitute(G0, P, Q).rem(Ri, auto=False).is_zero:
-                out[G0] = None
-        if out:
-            return list(out)
-    raise EliminationError("elimination degenerated for every shear tried")
+    m1, free1 = _split_eliminant(sp.resultant(Ri, Zp - P))
+    m2, free2 = _split_eliminant(sp.resultant(Ri, Wp - Q))
+    candidates = free1 + free2
+    if m1 and m2:
+        elim = sp.resultant(sp.prod(m1), sp.prod(m2))
+        candidates += [G for G, _m in sp.factor_list(elim)[1] if G.total_degree() >= 1]
+    out = {}
+    for G in candidates:
+        G0 = _primitive(G)
+        # exact component test Ri | G0(P, Q), over ZZ when P, Q are (no QQ copy)
+        if G0 not in out and _substitute(G0, P, Q).rem(Ri, auto=False).is_zero:
+            out[G0] = None
+    if not out:
+        raise EliminationError("no factor of the eliminants passed the component test")
+    return list(out)
 
 
 def _substitute(G, P, Q):
@@ -411,7 +403,7 @@ def dmm_report(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
     C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
     notes = []
     inf_reports = []
-    for pt in points_at_infinity(C).points:
+    for pt in points_at_infinity(C):
         proj = pt.projective()
         target = proj if proj is not None else (pt.coordinate, pt.chart)
         verdict = infinity_orbit_preperiodicity(f, target)

@@ -20,8 +20,6 @@ from .numberfield import NumberField
 
 _x = sp.Symbol("x")
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class Place:
@@ -66,18 +64,14 @@ def valuation(x: Fraction, p: int) -> int:
     return v
 
 
-def abs_at_place(x, v: Place) -> RealInterval:
-    """|x|_v as an exact rational enclosure (|p|_p = 1/p normalization)."""
+def abs_at_place_exact(x, v: Place) -> Fraction:
+    """|x|_v exactly (|p|_p = 1/p normalization)."""
     x = Fraction(x)
     if x == 0:
-        return RealInterval.exact(0)
+        return Fraction(0)
     if v.is_finite:
-        return RealInterval.exact(Fraction(v.prime) ** (-valuation(x, v.prime)))
-    return RealInterval.exact(abs(x))
-
-
-def abs_at_place_exact(x, v: Place) -> Fraction:
-    return abs_at_place(x, v).lower
+        return Fraction(v.prime) ** (-valuation(x, v.prime))
+    return abs(x)
 
 
 @dataclass(frozen=True)
@@ -115,18 +109,8 @@ class ComplexInterval:
     re: RealInterval
     im: RealInterval
 
-    @property
-    def width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
-
-    def contains(self, z: complex) -> bool:
-        return self.re.contains(Fraction(z.real)) and self.im.contains(Fraction(z.imag))
-
     def disjoint(self, other: "ComplexInterval") -> bool:
         return not (self.re.overlaps(other.re) and self.im.overlaps(other.im))
-
-    def center(self) -> complex:
-        return complex(self.re.midpoint()) + 1j * complex(self.im.midpoint())
 
     def abs_lower(self) -> Fraction:
         def lo(i):
@@ -172,21 +156,6 @@ class AlgebraicNumber:
         q = Fraction(q)
         return AlgebraicNumber([-q.numerator, q.denominator])
 
-    @staticmethod
-    def from_expr(expr) -> "AlgebraicNumber":
-        """Algebraic number from an exact sympy expression."""
-        mp = sp.minimal_polynomial(expr, _x)
-        poly = sp.Poly(mp, _x)
-        roots = poly.all_roots()
-        for prec in (30, 60, 120):
-            target = sp.N(expr, prec)
-            dists = [abs(sp.N(r, prec) - target) for r in roots]
-            best = min(range(len(roots)), key=lambda i: dists[i])
-            others = [d for i, d in enumerate(dists) if i != best]
-            if not others or dists[best] < min(others) / 4:
-                return AlgebraicNumber(poly, best)
-        raise ValueError("could not certify embedding index")
-
     # -- basic data ---------------------------------------------------
 
     @property
@@ -209,12 +178,6 @@ class AlgebraicNumber:
 
     def root(self) -> sp.Expr:
         return self.minpoly.all_roots()[self.embedding_index]
-
-    def isolating_box(self, precision=Fraction(1, 10**6)) -> ComplexInterval:
-        return self.conjugate_boxes(precision)[self.embedding_index]
-
-    def conjugate_boxes(self, precision=Fraction(1, 10**6)) -> list:
-        return conjugates(self, precision)
 
     def approx(self, digits: int = 30) -> complex:
         return complex(sp.N(self.root(), digits))

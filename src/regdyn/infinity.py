@@ -23,7 +23,7 @@ from .heights import PreperiodicityVerdict
 from .maps import RegularMap
 from .polyalg import MultiPoly
 
-_x = sp.Symbol("x")
+_x, _t = sp.symbols("x t")
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,23 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     embedding matching alpha's."""
     if elem.is_rational():
         return AlgebraicNumber.from_rational(elem.as_rational())
+    # Res_t(m(t), den*x - num(t)) is, up to a constant, the characteristic
+    # polynomial of multiplication by elem: a power of its minimal polynomial
+    m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, _t, _x)
+    g = sp.Poly.from_dict({(0, 1): elem.den, **{(k, 0): -n for k, n in enumerate(elem.num)}},
+                          _t, _x)
+    (minpoly, _m), = sp.factor_list(m.resultant(g))[1]
+    roots = minpoly.all_roots()
     root = alpha.root()
     expr = sum(sp.Rational(n, elem.den) * root**k for k, n in enumerate(elem.num))
-    return AlgebraicNumber.from_expr(expr)
+    for prec in (30, 60, 120):
+        target = sp.N(expr, prec)
+        dists = [abs(sp.N(r, prec) - target) for r in roots]
+        best = min(range(len(roots)), key=lambda i: dists[i])
+        others = [d for i, d in enumerate(dists) if i != best]
+        if not others or dists[best] < min(others) / 4:
+            return AlgebraicNumber(minpoly, best)
+    raise ValueError("could not certify embedding index")
 
 
 def fixed_points_infinity(f: RegularMap) -> list:
@@ -299,16 +313,3 @@ def _normalize_nf_pair(pair):
     if not z2.is_zero():
         return (z1 / z2, z2 / z2)
     return (z1 / z1, z2 / z1)
-
-
-def periodic_points_infinity(f: RegularMap, period: int, degree_cap: int = 4) -> list:
-    """Fixed points of the n-fold composition of the binary forms."""
-    if period > degree_cap:
-        raise ValueError(f"period {period} exceeds cap {degree_cap}")
-    A, B = f.top_P, f.top_Q
-    for _ in range(period - 1):
-        A, B = A.compose(f.top_P, f.top_Q), B.compose(f.top_P, f.top_Q)
-    gmap = RegularMap(A, B, f.d ** period, A, B, Fraction(1))
-    # reuse the fixed-point machinery on the composed forms (the resultant
-    # slot is unused by _fixed_form/_nf_multiplier)
-    return fixed_points_infinity(gmap)

@@ -64,9 +64,6 @@ class RealInterval:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
     def contains(self, x) -> bool:
         q = Fraction(x)
         return self.lower <= q <= self.upper

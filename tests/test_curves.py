@@ -9,6 +9,7 @@ from regdyn import curves
 from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve,
                            curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
+from regdyn.infinity import ExpandingPlace
 from regdyn.maps import make_regular_map
 from regdyn.polyalg import MultiPoly
 
@@ -30,20 +31,20 @@ def test_contains():
 
 def test_points_at_infinity_oracles():
     # a line meets the line at infinity at one point
-    div = points_at_infinity(PlaneCurve("w - z"))
-    assert sum(p.multiplicity for p in div.points) == 1
-    pt = div.points[0]
+    pts = points_at_infinity(PlaneCurve("w - z"))
+    assert sum(p.multiplicity for p in pts) == 1
+    pt = pts[0]
     assert pt.chart == 0 and pt.coordinate.as_rational() == 1
 
     # w = z^2 has degree 2: the unique branch at infinity is [0:1]
-    div = points_at_infinity(PlaneCurve("w - z^2"))
-    assert sum(p.multiplicity for p in div.points) == 2
-    charts = {p.chart for p in div.points}
+    pts = points_at_infinity(PlaneCurve("w - z^2"))
+    assert sum(p.multiplicity for p in pts) == 2
+    charts = {p.chart for p in pts}
     assert charts == {1}
 
     # vertical line z = 1 hits [0:1]
-    div = points_at_infinity(PlaneCurve("z - 1"))
-    assert len(div.points) == 1 and div.points[0].chart == 1
+    pts = points_at_infinity(PlaneCurve("z - 1"))
+    assert len(pts) == 1 and pts[0].chart == 1
 
 
 def test_pushforward_fixed_curves():
@@ -157,6 +158,40 @@ def test_dmm_report_non_preperiodic_line():
                      height_bound=2, max_order=4)
     assert rep.hypothesis_witnessed  # [1:1] at infinity is fixed, multiplier 2
     assert not rep.conclusion_witnessed
+
+
+def test_dmm_report_classifies_a_two_cycle_at_infinity(monkeypatch):
+    # w = 1 meets infinity at [1:0], t = 0 in the chart [1:t], which lies on
+    # the 2-cycle {0, 1} of g(t) = (1 - t^2)/(1 + 3t); by hand the cycle's
+    # multiplier is g'(0) g'(1) = (-3)(-1/2) = 3/2
+    lams = []
+    original = curves.classify_multiplier
+    monkeypatch.setattr(curves, "classify_multiplier",
+                        lambda lam: lams.append(lam) or original(lam))
+    f = make_regular_map("z^2 + 3*z*w", "z^2 - w^2")
+    rep = dmm_report(f, PlaneCurve("w - 1"), max_iters=2, max_degree=4,
+                     height_bound=1, max_order=2)
+    (r,) = rep.infinity_points
+    assert r.point.chart == 0 and r.point.coordinate.as_rational() == 0
+    v = r.orbit_verdict
+    assert (v.kind, v.preperiod, v.period) == ("Preperiodic", 0, 2)
+    assert [lam.as_rational() for lam in lams] == [F(3, 2)]
+    assert isinstance(r.terminal_classification, ExpandingPlace)
+    assert not r.terminal_classification.place.is_finite
+    assert rep.hypothesis_witnessed
+
+
+def test_curve_orbit_factors_each_curve_once(monkeypatch):
+    # each pushforward factors its two eliminants, the second eliminant and
+    # the image; the components of the curve it starts from are reused
+    calls = []
+    original = sp.factor_list
+    monkeypatch.setattr(sp, "factor_list",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    f = make_regular_map("z^2", "w^2")
+    st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=3)
+    assert [C.degree for C in st.orbit] == [1, 2, 4, 8]
+    assert len(calls) == 1 + 3 * 4
 
 
 # -- canonical form ----------------------------------------------------------

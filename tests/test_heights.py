@@ -2,12 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from regdyn.exactnum import AlgebraicNumber, Place
-from regdyn.heights import (canonical_height, canonical_height_algebraic,
-                            essential_min_estimate, height_support,
-                            is_preperiodic, newton_polygon_slopes)
+from regdyn.heights import canonical_height, height_support, is_preperiodic
 from regdyn.maps import make_regular_map
 
 TOL = F(1, 10**9)
@@ -83,41 +78,3 @@ def test_not_preperiodic_small_denominators():
     f = make_regular_map("z^2", "w^2")
     v = is_preperiodic(f, (F(1, 2), F(1, 3)))
     assert v.kind == "NotPreperiodic"
-
-
-def test_newton_polygon_oracles():
-    # x^2 - 2 at p=2: both roots have valuation 1/2
-    assert newton_polygon_slopes([-2, 0, 1], 2) == [(F(1, 2), 2)]
-    # (x+1)(x+2) = x^2 + 3x + 2 at p=2: valuations 0 and 1
-    slopes = newton_polygon_slopes([2, 3, 1], 2)
-    assert sorted(slopes) == [(F(0), 1), (F(1), 1)]
-
-
-def test_algebraic_height_sqrt2():
-    f = make_regular_map("z^2", "w^2")
-    a = AlgebraicNumber([-2, 0, 1], 1)  # sqrt 2
-    h = canonical_height_algebraic(f, (a, F(1)))
-    # h(sqrt 2) = (1/2) log 2
-    assert abs(float(h.value.lower) - 0.5 * math.log(2)) < 1e-8
-
-
-def test_algebraic_height_root_of_unity_zero():
-    f = make_regular_map("z^2", "w^2")
-    zeta3 = AlgebraicNumber([1, 1, 1], 0)
-    h = canonical_height_algebraic(f, (zeta3, F(1)))
-    assert float(h.value.upper) < 1e-20
-
-
-def test_algebraic_height_both_irrational_rejected():
-    f = make_regular_map("z^2", "w^2")
-    a = AlgebraicNumber([-2, 0, 1], 1)
-    with pytest.raises(NotImplementedError):
-        canonical_height_algebraic(f, (a, a))
-
-
-def test_essential_min_diagonal_zero():
-    # {w - z} under squaring contains infinitely many preperiodic points
-    f = make_regular_map("z^2", "w^2")
-    from regdyn.curves import PlaneCurve
-    est = essential_min_estimate(f, PlaneCurve("w - z"), num_samples=10)
-    assert est <= 1e-6

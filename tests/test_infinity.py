@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-import pytest
+import mpmath
 from hypothesis import given, settings, strategies as st
 
 from regdyn.exactnum import AlgebraicNumber, Place, find_expanding_place
@@ -8,8 +8,7 @@ from regdyn.green import GreenContext, bad_places, green_homog
 from regdyn.intervals import log_of_fraction
 from regdyn.infinity import (ExpandingPlace, RootOfUnity, Superattracting,
                              classify_multiplier, fixed_points_infinity,
-                             infinity_orbit_preperiodicity, multiplier,
-                             periodic_points_infinity)
+                             infinity_orbit_preperiodicity)
 from regdyn.maps import make_regular_map
 
 
@@ -109,6 +108,24 @@ def test_multiplier_matches_derivative():
     assert by[(0, F(0))].classification == RootOfUnity(1)
 
 
+def test_irrational_multiplier_is_a_root_of_its_minimal_polynomial():
+    # (z^3 + w^3, z*w^2 - w^3) acts at infinity as g(t) = (t^2 - t^3)/(1 + t^3)
+    # on t = w/z; besides t = 0 its fixed points are the roots of
+    # t^3 + t^2 - t + 1, where the multiplier g'(t) is irrational
+    f = make_regular_map("z^3 + w^3", "z*w^2 - w^3")
+    pts = [p for p in fixed_points_infinity(f) if not p.coordinate.is_rational()]
+    betas = [((2 * t - 3 * t**2) * (1 + t**3) - (t**2 - t**3) * 3 * t**2) / (1 + t**3) ** 2
+             for t in mpmath.polyroots([1, 1, -1, 1])]
+    matched = set()
+    for p in pts:
+        lam = p.multiplier
+        i = min(range(3), key=lambda i: abs(betas[i] - lam.approx()))
+        assert abs(betas[i] - lam.approx()) < 1e-9
+        assert abs(sum(c * betas[i]**k for k, c in enumerate(lam.minpoly_coeffs()))) < 1e-9
+        matched.add(i)
+    assert len(pts) == 3 and matched == {0, 1, 2}
+
+
 def test_orbit_preperiodicity_rational():
     f = make_regular_map("z^2", "w^2")
     v = infinity_orbit_preperiodicity(f, (F(1), F(1)))
@@ -149,22 +166,3 @@ def test_orbit_preperiodicity_algebraic():
     sqrt2 = AlgebraicNumber([-2, 0, 1], 1)
     v = infinity_orbit_preperiodicity(f, (sqrt2, 0))
     assert v.kind in {"NotPreperiodic", "Unknown"}
-
-
-def test_periodic_points_period_two():
-    # fixed points of t -> t^4: t^4 = t gives 0 and the cube roots of unity,
-    # plus [0:1]
-    f = make_regular_map("z^2", "w^2")
-    pts = periodic_points_infinity(f, 2)
-    assert sum(p.multiplicity for p in pts) == f.d ** 2 + 1
-    by = {(p.chart, p.coordinate.as_rational()): p for p in pts
-          if p.coordinate.is_rational()}
-    # multiplier of t -> t^4 at t = 1 is 4
-    assert by[(0, F(1))].multiplier.as_rational() == 4
-    assert isinstance(by[(0, F(0))].classification, Superattracting)
-
-
-def test_periodic_points_cap():
-    f = make_regular_map("z^2", "w^2")
-    with pytest.raises(ValueError):
-        periodic_points_infinity(f, 9, degree_cap=4)
