@@ -200,20 +200,30 @@ def _cmd_orbit(args):
 def _cmd_stable_manifold(args):
     f = _parse_map(args.map)
     N = args.order
+    if N < f.d:  # the germ's second component y^d (1 + h) needs order >= d
+        raise InputError(f"order must be at least the map degree {f.d}, got {N}")
+    if args.point:
+        try:
+            t = Fraction(args.point)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad point: {exc}") from exc
     # only rational points are classified: classifying an irrational one
     # costs sympy minimal polynomials and root isolation
     pts = [p for p in fixed_points_infinity(f)
            if p.coordinate.is_rational()
            and not isinstance(p.classification, Superattracting)]
     if args.point:
-        t = Fraction(args.point)
         pts = [p for p in pts if p.coordinate.as_rational() == t]
     if not pts:
         raise InputError("no matching non-superattracting rational fixed point "
                          "at infinity")
     reports = []
     for p in pts:
-        germ = localize_at_infinity(f, p, N)
+        try:
+            germ = localize_at_infinity(f, p, N)
+        except ValueError as exc:  # e.g. the y^d coefficient has no rational root
+            raise InputError(f"cannot localize at the fixed point "
+                             f"{p.coordinate.as_rational()}: {exc}") from exc
         phi = super_stable_series(germ)
         entry = {"point": _point_json(p),
                  "lambda": _json(germ.lam),

@@ -41,10 +41,23 @@ class PlaneCurve:
             else poly.to_poly(_z, _w)
         if p.total_degree() < 1:
             raise ValueError("curve polynomial must be nonconstant")
+        self._set([_primitive(b) for b, _m in sp.factor_list(p)[1]])
+
+    def _set(self, components):
         # the irreducible factors as Polys in (z, w), primitive over ZZ;
         # pushforward eliminates each, and their product is the squarefree part
-        self.components = [_primitive(b) for b, _m in sp.factor_list(p)[1]]
-        self.poly = MultiPoly.from_poly(sp.prod(self.components))
+        self.components = components
+        self.poly = MultiPoly.from_poly(sp.prod(components))
+
+    @staticmethod
+    def _of_components(components) -> "PlaneCurve":
+        """The curve whose irreducible factors are `components`: distinct
+        primitive ZZ Polys with a positive lex-leading coefficient, in two
+        generators read as (z, w).  No factoring: the result is the curve
+        PlaneCurve(product of components) would give."""
+        C = object.__new__(PlaneCurve)
+        C._set([sp.Poly.new(G.rep, _z, _w) for G in components])
+        return C
 
     @property
     def degree(self) -> int:
@@ -114,16 +127,18 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     exact extraneous-factor removal: a factor G of the eliminant is kept
     iff the component's polynomial divides G(P, Q).  By the projection
     formula deg f(C_i) divides d * deg C_i for each component C_i; images of
-    two components can coincide, so deg f(C) need not divide d * deg C."""
+    two components can coincide, so deg f(C) need not divide d * deg C.
+    The kept factors are irreducible and primitive, so the image is built
+    from them, each taken once, without factoring again."""
     P, Q = f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)
-    kept = []
+    kept = {}
     for Ri in C.components:
         image = _component_image(Ri, P, Q)
         if (f.d * Ri.total_degree()) % sum(G.total_degree() for G in image):
             raise EliminationError("image degree does not divide d * deg C "
                                    "(elimination bug)")
-        kept.extend(image)
-    return PlaneCurve(sp.prod(kept))
+        kept.update(dict.fromkeys(image))
+    return PlaneCurve._of_components(kept)
 
 
 def _primitive(p: sp.Poly) -> sp.Poly:

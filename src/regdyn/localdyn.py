@@ -50,28 +50,6 @@ def _y2(n):
     return TruncSeries2.variable(1, n)
 
 
-def _shift(s: TruncSeries2, di: int, dj: int) -> TruncSeries2:
-    """Multiply by the monomial x^di y^dj (exponents may not go negative)."""
-    out = {}
-    for (i, j), c in s.coeffs.items():
-        if i + di < 0 or j + dj < 0:
-            raise ValueError("negative exponent in shift")
-        if i + di + j + dj <= s.order:
-            out[(i + di, j + dj)] = c
-    return TruncSeries2(out, s.order)
-
-
-def _univ_in(ts: TruncSeries, arg: TruncSeries2) -> TruncSeries2:
-    """ts(arg) for a bivariate argument vanishing at the origin."""
-    if arg[(0, 0)] != 0:
-        raise ValueError("argument must vanish at the origin")
-    n = arg.order
-    result = TruncSeries2.constant(ts.coeffs[min(ts.order, n)], n)
-    for k in range(min(ts.order, n) - 1, -1, -1):
-        result = result * arg + ts.coeffs[k]
-    return result
-
-
 class LocalGerm:
     """Truncated germ (first, second) of the shape described above."""
 
@@ -104,7 +82,7 @@ class LocalGerm:
 
     def h_part(self) -> TruncSeries2:
         """h with second = y^d*(1 + h)."""
-        return _shift_div(self.second, self.d)
+        return self.second.shift(0, -self.d) - 1
 
     def x_row(self, i: int) -> TruncSeries:
         return self.first.coefficient_in_x(i)
@@ -149,7 +127,7 @@ class Shear(Conjugacy):
     """Phi = (x + phi(y), y)."""
 
     def __init__(self, phi: TruncSeries):
-        if phi.coeffs[0] != 0:
+        if phi[0] != 0:
             raise ValueError("shear must fix the origin")
         self.phi = phi
 
@@ -158,7 +136,7 @@ class Shear(Conjugacy):
 
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
-        g1 = f1 - _univ_in(self.phi, f2)
+        g1 = f1 - self.phi.compose(f2)
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
@@ -166,7 +144,7 @@ class UnitScale(Conjugacy):
     """Phi = (x*(1 + phi(y)), y) with phi(0) = 0."""
 
     def __init__(self, phi: TruncSeries):
-        if phi.coeffs[0] != 0:
+        if phi[0] != 0:
             raise ValueError("unit scale needs phi(0) = 0")
         self.phi = phi
 
@@ -175,7 +153,7 @@ class UnitScale(Conjugacy):
 
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
-        g1 = f1 * (_univ_in(self.phi, f2) + 1).reciprocal()
+        g1 = f1 * (self.phi.compose(f2) + 1).reciprocal()
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
@@ -193,7 +171,7 @@ class HigherScale(Conjugacy):
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
         # solve G1*(1 + phi(G2)*G1^n) = F1 by fixed-point iteration
-        phi2 = _univ_in(self.phi, f2)
+        phi2 = self.phi.compose(f2)
         g1 = f1
         for _ in range(germ.N + 2):
             nxt = f1 * (phi2 * g1**self.n + 1).reciprocal()
@@ -215,7 +193,7 @@ class YCoord(Conjugacy):
 
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
-        g2 = _univ_in(self.beta, f2)
+        g2 = self.beta.compose(f2)
         return LocalGerm(f1, g2, germ.d, germ.chart)
 
 
@@ -231,7 +209,7 @@ class XCoord(Conjugacy):
 
     def conjugate(self, germ):
         f1, f2 = self._push(germ)
-        g1 = _univ_in(self.psi, f1)
+        g1 = self.psi.compose(f1)
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
 
@@ -283,7 +261,7 @@ def _chain(germ: LocalGerm, steps) -> NormalFormResult:
 
 def _is_reduced(germ: LocalGerm) -> bool:
     """True when the first component vanishes on {x = 0}."""
-    return not any(i == 0 for i, _ in germ.first.coeffs)
+    return germ.first.divisible_by(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +317,7 @@ def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
     Nm2 = TruncSeries2(dict(Nm.coeffs), N)
     Dinv = D2.reciprocal()
     first = (Nm2 - D2 * b) * Dinv
-    second = _shift(Dinv, 0, d)
+    second = Dinv.shift(0, d)
     if first[(0, 0)] != 0:
         raise ValueError("point is not fixed by the map at infinity")
     if first[(1, 0)] == 0:
@@ -388,7 +366,7 @@ def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries
     for _ in range(N + 1):
         phi2 = phi.to_series2(N)
         h_phi = h.compose(phi2, yid).restrict_y_axis()
-        inner = TruncSeries([0] * germ.d + list((h_phi + 1).coeffs), N)
+        inner = (h_phi + 1).shift(germ.d)
         g_phi = g.compose(phi2, yid).restrict_y_axis()
         nxt = (phi.compose(inner) - g_phi) * inv_lam
         if nxt == phi:
@@ -397,7 +375,7 @@ def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries
     # exact functional equation check at truncation order
     phi2 = phi.to_series2(N)
     h_phi = h.compose(phi2, yid).restrict_y_axis()
-    inner = TruncSeries([0] * germ.d + list((h_phi + 1).coeffs), N)
+    inner = (h_phi + 1).shift(germ.d)
     lhs = phi * lam + g.compose(phi2, yid).restrict_y_axis()
     assert lhs == phi.compose(inner)
     return phi
@@ -422,16 +400,16 @@ def bottcher_series(u: TruncSeries, d: Optional[int] = None) -> TruncSeries:
     if val is None or val < 2:
         raise ValueError("input must vanish to order >= 2")
     d = val if d is None else d
-    if u.coeffs[d] != 1:
+    if u[d] != 1:
         raise ValueError("unit cofactor must have constant term 1")
-    H = log_unit(TruncSeries([1] + u.coeffs[d + 1:], u.order))
+    H = log_unit(u.shift(-d))
     L = TruncSeries.zero(u.order)
     for _ in range(u.order + 1):
         nxt = (H + L.compose(u)) * Fraction(1, d)
         if nxt == L:
             break
         L = nxt
-    beta = TruncSeries([0] + exp_series(L).coeffs, u.order)
+    beta = exp_series(L).shift(1)
     assert beta.compose(u) == beta**d
     return beta
 
@@ -440,9 +418,9 @@ def koenigs_series(s: TruncSeries, N: Optional[int] = None) -> TruncSeries:
     """psi with psi(s(y)) = lam*psi(y), psi = y + O(y^2); lam = s'(0)."""
     N = s.order if N is None else N
     s = s.truncate(N)
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise ValueError("input must fix 0")
-    lam = s.coeffs[1]
+    lam = s[1]
     if lam == 0:
         raise ValueError("multiplier must be nonzero")
     psi = TruncSeries.identity(N)
@@ -510,7 +488,7 @@ def saddle_normal_form(germ: LocalGerm) -> NormalFormResult:
     lamx = _x2(out.N) * out.lam
     if not (out.first - lamx).divisible_by(2, 1):
         raise GermShapeError("saddle form: first component residual not in x^2*y")
-    if not (out.second - _shift(TruncSeries2.constant(1, out.N), 0, out.d)) \
+    if not (out.second - TruncSeries2.constant(1, out.N).shift(0, out.d)) \
             .divisible_by(1, out.d):
         raise GermShapeError("saddle form: second component residual not in x*y^d")
     return res
@@ -579,7 +557,7 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
         want = TruncSeries([1] if n in (0, k) else [0], work.N)
         if row != want:
             raise GermShapeError(f"parabolic form: row x^{n+1} not normalized")
-    if not (work.second - _shift(TruncSeries2.constant(1, work.N), 0, work.d)) \
+    if not (work.second - TruncSeries2.constant(1, work.N).shift(0, work.d)) \
             .divisible_by(1, work.d):
         raise GermShapeError("parabolic form: second component residual not x*y^d")
     return k, res
@@ -635,7 +613,7 @@ class SectorMap:
         """Sector expression of a germ in parabolic normal form."""
         d = germ.d
         R = 1.0 / (k * r**k)
-        htilde = _shift_div(germ.second, d)  # second = y^d*(1 + x*ht) -> x*ht
+        htilde = germ.h_part()  # second = y^d*(1 + x*ht) -> x*ht
 
         def a(z, y):
             x = (k * z) ** (-1.0 / k)
@@ -658,12 +636,6 @@ class SectorMap:
                         abs(a(z, y + eps) - a(z, y)) / eps,
                         abs(b(z, y + eps) - b(z, y)) / eps)
         return SectorMap(a, b, k, d, R, r, 1.2 * M)
-
-
-def _shift_div(second: TruncSeries2, d: int) -> TruncSeries2:
-    """second/y^d - 1 (equals x*ht for a normal-form germ)."""
-    return TruncSeries2({(i, j - d): c for (i, j), c in second.coeffs.items()},
-                        second.order) - 1
 
 
 @dataclass

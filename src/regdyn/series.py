@@ -1,13 +1,19 @@
 """Exact truncated power series in one and two variables.
 
-Coefficients are rationals: Fractions, with ints converted on the way in.
-All operations truncate to a fixed order N, i.e. compute mod y^(N+1) resp.
-mod total degree N+1; truncation order is part of the value and mixed-order
-arithmetic truncates to the smaller order.
+Coefficients are rationals.  All operations truncate to a fixed order N,
+i.e. compute mod y^(N+1) resp. mod total degree N+1; truncation order is
+part of the value and mixed-order arithmetic truncates to the smaller order.
 
-Products run on integer numerators over one common denominator per
-operand: a plain int convolution, then one Fraction (one gcd) per output
-coefficient instead of one Fraction multiply and add per pair of terms.
+A series is stored as integer numerators `num` over one positive common
+denominator `den`, in lowest terms: gcd(den, *num) == 1, and the zero
+series has den 1.  `num` is a list of order + 1 ints for TruncSeries and a
+dict {(i, j): nonzero int} for TruncSeries2.  The form is canonical, so
+`==` compares it directly.  A product is an integer convolution of the
+numerators followed by one gcd; sums and scalar operations rescale
+numerators.  Series are immutable: each builds the list of nonzero terms
+its products walk once, on first use, and shares it with every product.
+`coeffs` is a read-only Fraction view (a list, resp. a dict), also built
+once on first use.
 """
 
 from __future__ import annotations
@@ -15,52 +21,79 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+
+def _rat(c):
+    """(numerator, positive denominator) of a rational scalar."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
-def _cf(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
+def _over_den(cs):
+    """Rationals cs as integer numerators over their least common denominator."""
+    pairs = [_rat(c) for c in cs]
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
-def _numerators(cs):
-    """Integer numerators of the Fractions cs over their least common
-    denominator, and that denominator."""
-    den = math.lcm(*[c.denominator for c in cs])
-    return [c.numerator * (den // c.denominator) for c in cs], den
+def _conv(a: list, tb: list, n: int) -> list:
+    """Integer numerators of a * b mod y^(n+1): a has n + 1 entries, tb
+    lists the nonzero (k, b_k) of b by increasing k."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in tb:
+                if i + j > n:
+                    break
+                out[i + j] += ai * bj
+    return out
 
 
-def _terms(s: "TruncSeries"):
-    """Nonzero terms (k, numerator) of s over its common denominator, and that denominator."""
-    ns, den = _numerators(s.coeffs)
-    return [(k, c) for k, c in enumerate(ns) if c], den
+def _sum(na: list, da: int, nb: list, db: int, sign: int = 1):
+    """na/da + sign * nb/db over lcm(da, db), not reduced."""
+    den = da if da == db else math.lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    return [x * fa + y * fb for x, y in zip(na, nb)], den
 
 
-def _terms2(s: "TruncSeries2", n: int):
-    """Nonzero terms of s as (total degree, flat index i*(n+1)+j,
-    numerator), sorted by degree, over their common denominator."""
-    ns, den = _numerators(list(s.coeffs.values()))
-    w = n + 1
-    return sorted((i + j, i * w + j, c) for (i, j), c in zip(s.coeffs, ns)), den
+def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
+    """Dict form of _sum: zero terms are dropped."""
+    den = da if da == db else math.lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    out = dict(na) if fa == 1 else {e: c * fa for e, c in na.items()}
+    for e, c in nb.items():
+        s = out.get(e, 0) + c * fb
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out, den
 
 
 class TruncSeries:
-    """Univariate series a_0 + a_1 y + ... + a_N y^N (exact, mod y^{N+1})."""
+    """Univariate series a_0 + a_1 y + ... + a_N y^N (exact, mod y^{N+1}),
+    a_k = num[k] / den."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("num", "den", "order", "_view", "_nz")
 
     def __init__(self, coeffs, order: int):
-        cs = [_cf(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = cs
-        self.order = order
+        num, den = _over_den(coeffs[: order + 1])
+        self._set(num + [0] * (order + 1 - len(num)), den, order)
+
+    def _set(self, num: list, den: int, order: int):
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        self.num, self.den, self.order = num, den, order
+        self._view = self._nz = None
 
     @staticmethod
-    def _of(coeffs: list, order: int) -> "TruncSeries":
-        """Wrap len(coeffs) == order + 1 Fractions without re-checking them."""
+    def _make(num: list, den: int, order: int) -> "TruncSeries":
+        """num / den for a list of order + 1 ints that no one else changes
+        and den > 0, put in lowest terms."""
         s = object.__new__(TruncSeries)
-        s.coeffs, s.order = coeffs, order
+        s._set(num, den, order)
         return s
 
     @staticmethod
@@ -79,16 +112,29 @@ class TruncSeries:
     def monomial(c, k: int, order: int) -> "TruncSeries":
         return TruncSeries([0] * k + [c], order)
 
+    @property
+    def coeffs(self) -> list:
+        """The coefficients a_0..a_N as Fractions (a view: do not modify)."""
+        if self._view is None:
+            self._view = [Fraction(c, self.den) for c in self.num]
+        return self._view
+
+    def _nonzero(self) -> list:
+        """The nonzero (k, num[k]) by increasing k."""
+        if self._nz is None:
+            self._nz = [(k, c) for k, c in enumerate(self.num) if c]
+        return self._nz
+
     def __getitem__(self, k: int):
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k <= self.order else Fraction(0)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def valuation(self):
         """Order of vanishing; None for the zero truncation."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, c in enumerate(self.num):
+            if c:
                 return k
         return None
 
@@ -97,51 +143,56 @@ class TruncSeries:
             return self
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries._of(self.coeffs[: order + 1], order)
+        return TruncSeries._make(self.num[: order + 1], self.den, order)
+
+    def shift(self, k: int) -> "TruncSeries":
+        """self * y^k at the same order; k < 0 divides by y^(-k), which
+        needs the coefficients of y^0..y^(-k-1) to vanish."""
+        n = self.order
+        if k >= 0:
+            return TruncSeries._make(([0] * k + self.num)[: n + 1], self.den, n)
+        if any(self.num[:-k]):
+            raise ValueError(f"series not divisible by y^{-k}")
+        return TruncSeries._make((self.num[-k:] + [0] * -k)[: n + 1], self.den, n)
 
     def _common(self, other):
         n = min(self.order, other.order)
         return self.truncate(n), other.truncate(n)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
-            cs = list(self.coeffs)
-            if cs:  # order -1, the derivative of an order-0 series, has none
-                cs[0] += other
-            return TruncSeries._of(cs, self.order)
+            if not self.num:  # order -1, the derivative of an order-0 series
+                return self
+            p, q = _rat(other)
+            return self._plus(TruncSeries._make([p] + [0] * self.order, q, self.order), sign)
         a, b = self._common(other)
-        return TruncSeries._of([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
+        return TruncSeries._make(*_sum(a.num, a.den, b.num, b.den, sign), a.order)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._of([-c for c in self.coeffs], self.order)
+        return TruncSeries._make([-c for c in self.num], self.den, self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            return TruncSeries([c * other for c in self.coeffs], self.order)
+            p, q = _rat(other)
+            return TruncSeries._make([c * p for c in self.num], self.den * q, self.order)
         a, b = self._common(other)
-        return a._times(*_terms(b))
+        return a._times(b)
 
-    def _times(self, tb, db) -> "TruncSeries":
-        """self * b for b of the same order given as _terms(b)."""
+    def _times(self, b: "TruncSeries") -> "TruncSeries":
+        """self * b for b of the same order."""
         n = self.order
-        na, da = _numerators(self.coeffs)
-        out = [0] * (n + 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in tb:
-                    if i + j > n:
-                        break
-                    out[i + j] += ai * bj
-        den = da * db
-        return TruncSeries._of([Fraction(v, den) if v else _ZERO for v in out], n)
+        return TruncSeries._make(_conv(self.num, b._nonzero(), n), self.den * b.den, n)
 
     __rmul__ = __mul__
 
@@ -159,35 +210,50 @@ class TruncSeries:
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         return NotImplemented
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner); inner must have zero constant term."""
+    def compose(self, inner):
+        """self(inner); inner, a TruncSeries or TruncSeries2, must vanish at 0."""
+        if isinstance(inner, TruncSeries2):
+            n = min(self.order, inner.order)
+            return self.to_series2(n, var=0).compose(inner, TruncSeries2.variable(1, n))
         if inner[0] != 0:
             raise ValueError("inner series must vanish at 0")
         n = min(self.order, inner.order)
-        a = self
-        result = TruncSeries([a.coeffs[n]], n)
-        tb = _terms(inner.truncate(n))
-        for k in range(n - 1, -1, -1):  # Horner
-            result = result._times(*tb) + a.coeffs[k]
-        return result
+        inner = inner.truncate(n)
+        a, tb, di = self.num, inner._nonzero(), inner.den
+        # Horner on the numerators of self; self.den divides out at the end
+        r, dr = [a[n]] + [0] * n, 1
+        for k in range(n - 1, -1, -1):
+            r = _conv(r, tb, n)
+            dr *= di
+            r[0] += a[k] * dr
+            g = math.gcd(dr, *r)
+            if g != 1:
+                r = [c // g for c in r]
+                dr //= g
+        return TruncSeries._make(r, dr * self.den, n)
 
     def reciprocal(self) -> "TruncSeries":
         """1/self; constant term must be invertible."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        a, n = self.num, self.order
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        inv0 = 1 / c0
-        out = [inv0] + [_ZERO] * self.order
-        for k in range(1, self.order + 1):
-            s = 0
-            for j in range(1, k + 1):
-                if self.coeffs[j] != 0:
-                    s = s + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * s
-        return TruncSeries(out, self.order)
+        # 1/A = sum_k c_k y^k / a0^(k+1) with c_0 = 1 and
+        # c_k = -sum_{j=1..k} a_j c_{k-j} a0^(j-1); then 1/self = den/A
+        pw = [1]
+        for _ in range(n):
+            pw.append(pw[-1] * a0)
+        c = [1] + [0] * n
+        for k in range(1, n + 1):
+            c[k] = -sum(a[j] * c[k - j] * pw[j - 1] for j in range(1, k + 1) if a[j])
+        sign = -1 if a0 < 0 and n % 2 == 0 else 1  # makes the denominator positive
+        den = sign * pw[n] * a0
+        return TruncSeries._make([sign * self.den * c[k] * pw[n - k] for k in range(n + 1)],
+                                 den, n)
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries):
@@ -195,14 +261,14 @@ class TruncSeries:
         return self * (Fraction(1) / Fraction(other))
 
     def derivative(self) -> "TruncSeries":
-        return TruncSeries([k * self.coeffs[k] for k in range(1, self.order + 1)],
-                           self.order - 1)
+        return TruncSeries._make([k * self.num[k] for k in range(1, self.order + 1)],
+                                 self.den, self.order - 1)
 
     def reversion(self) -> "TruncSeries":
         """Compositional inverse; needs a_0 = 0 and a_1 invertible."""
-        if self.coeffs[0] != 0:
+        if self.num[0] != 0:
             raise ValueError("reversion needs zero constant term")
-        a1 = self.coeffs[1]
+        a1 = self[1]
         if a1 == 0:
             raise ValueError("reversion needs invertible linear term")
         inv1 = 1 / a1
@@ -216,18 +282,6 @@ class TruncSeries:
             g = g - err * inv1
         return g
 
-    def nth_root_of_unit(self, n: int) -> "TruncSeries":
-        """The unique n-th root with the same constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("root extraction needs constant term 1")
-        r = TruncSeries.one(self.order)
-        for _ in range(self.order + 2):  # Newton: r <- r - (r^n - s)/(n r^{n-1})
-            err = r**n - self
-            if err.is_zero():
-                return r
-            r = r - err * (r ** (n - 1) * n).reciprocal()
-        raise RuntimeError("root iteration failed to stabilize")
-
     def eval(self, x):
         total = 0
         for c in reversed(self.coeffs):
@@ -235,11 +289,9 @@ class TruncSeries:
         return total
 
     def to_series2(self, order: int, var: int = 1) -> "TruncSeries2":
-        out = {}
-        for k, c in enumerate(self.coeffs[: order + 1]):
-            if c != 0:
-                out[(0, k) if var == 1 else (k, 0)] = c
-        return TruncSeries2(out, order)
+        num = {((0, k) if var == 1 else (k, 0)): c
+               for k, c in enumerate(self.num[: order + 1]) if c}
+        return TruncSeries2._make(num, self.den, order)
 
     def __repr__(self):
         from .polyalg import MultiPoly
@@ -250,50 +302,62 @@ class TruncSeries:
 
 def log_unit(s: TruncSeries) -> TruncSeries:
     """log of a series with constant term 1, via (log s)' = s'/s."""
-    if s.coeffs[0] != 1:
+    if s[0] != 1:
         raise ValueError("log needs constant term 1")
-    d = (s.derivative() * s.truncate(s.order - 1).reciprocal()) \
-        if s.order >= 1 else TruncSeries.zero(0)
-    out = [Fraction(0)] * (s.order + 1)
-    for k in range(1, s.order + 1):
-        out[k] = d[k - 1] / k
-    return TruncSeries(out, s.order)
+    n = s.order
+    if n < 1:
+        return TruncSeries.zero(n)
+    d = s.derivative() * s.truncate(n - 1).reciprocal()
+    # integrate: the y^k coefficient is d_{k-1}/k, over den * lcm(1..n)
+    m = math.lcm(*range(1, n + 1))
+    return TruncSeries._make([0] + [d.num[k - 1] * (m // k) for k in range(1, n + 1)],
+                             d.den * m, n)
 
 
 def exp_series(a: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term (coefficient recursion e' = a'e)."""
-    if a.coeffs[0] != 0:
+    if a.num[0] != 0:
         raise ValueError("exp needs zero constant term")
-    out = [Fraction(1)] + [_ZERO] * a.order
-    for k in range(1, a.order + 1):
-        s = _ZERO
-        for m in range(1, k + 1):
-            if a.coeffs[m] != 0:
-                s = s + m * a.coeffs[m] * out[k - m]
-        out[k] = s / k
-    return TruncSeries(out, a.order)
+    A, D, n = a.num, a.den, a.order
+    # e_k = E_k / (k! D^k) with E_0 = 1 and
+    # E_k = sum_{m=1..k} m A_m D^(m-1) E_{k-m} (k-1)!/(k-m)!
+    fact, pw = [1], [1]
+    for k in range(1, n + 1):
+        fact.append(fact[-1] * k)
+        pw.append(pw[-1] * D)
+    E = [1] + [0] * n
+    for k in range(1, n + 1):
+        E[k] = sum(m * A[m] * pw[m - 1] * E[k - m] * (fact[k - 1] // fact[k - m])
+                   for m in range(1, k + 1) if A[m])
+    return TruncSeries._make([E[k] * (fact[n] // fact[k]) * pw[n - k] for k in range(n + 1)],
+                             fact[n] * pw[n], n)
 
 
 class TruncSeries2:
-    """Bivariate series mod total degree N+1, sparse {(i, j): coeff}."""
+    """Bivariate series mod total degree N+1: the coefficient of x^i y^j is
+    num[(i, j)] / den, and num holds the nonzero numerators only."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("num", "den", "order", "_view", "_nz")
 
     def __init__(self, coeffs: dict, order: int):
-        cs = {}
-        for (i, j), c in coeffs.items():
-            if i + j <= order:
-                c = _cf(c)
-                if c != 0:
-                    cs[(i, j)] = c
-        self.coeffs = cs
-        self.order = order
+        keep = [((i, j), c) for (i, j), c in coeffs.items() if i + j <= order]
+        num, den = _over_den([c for _, c in keep])
+        self._set({e: c for (e, _), c in zip(keep, num) if c}, den, order)
+
+    def _set(self, num: dict, den: int, order: int):
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        self.num, self.den, self.order = num, den, order
+        self._view = self._nz = None
 
     @staticmethod
-    def _of(coeffs: dict, order: int) -> "TruncSeries2":
-        """Wrap nonzero Fractions of total degree <= order without re-checking."""
+    def _make(num: dict, den: int, order: int) -> "TruncSeries2":
+        """num / den for a dict of nonzero ints of total degree <= order
+        that no one else changes and den > 0, put in lowest terms."""
         s = object.__new__(TruncSeries2)
-        s.coeffs, s.order = coeffs, order
+        s._set(num, den, order)
         return s
 
     @staticmethod
@@ -308,74 +372,101 @@ class TruncSeries2:
     def variable(which: int, order: int) -> "TruncSeries2":
         return TruncSeries2({(1, 0) if which == 0 else (0, 1): 1}, order)
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients {(i, j): Fraction} (a view: do not modify)."""
+        if self._view is None:
+            self._view = {e: Fraction(c, self.den) for e, c in self.num.items()}
+        return self._view
+
+    def _nonzero(self) -> list:
+        """The terms as (i + j, flat index i*(order+1) + j, numerator), by degree."""
+        if self._nz is None:
+            w = self.order + 1
+            self._nz = sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
+        return self._nz
+
     def __getitem__(self, ij):
-        return self.coeffs.get(tuple(ij), Fraction(0))
+        return Fraction(self.num.get(tuple(ij), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def valuation(self):
-        if not self.coeffs:
+        if not self.num:
             return None
-        return min(i + j for i, j in self.coeffs)
+        return min(i + j for i, j in self.num)
 
     def truncate(self, order: int) -> "TruncSeries2":
         if order == self.order:
             return self
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries2(self.coeffs, order)
+        return TruncSeries2._make({(i, j): c for (i, j), c in self.num.items()
+                                   if i + j <= order}, self.den, order)
+
+    def shift(self, di: int, dj: int) -> "TruncSeries2":
+        """self * x^di y^dj at the same order; a negative exponent divides,
+        which needs every monomial to be divisible."""
+        n = self.order
+        out = {}
+        for (i, j), c in self.num.items():
+            if i + di < 0 or j + dj < 0:
+                raise ValueError("negative exponent in shift")
+            if i + di + j + dj <= n:
+                out[(i + di, j + dj)] = c
+        return TruncSeries2._make(out, self.den, n)
 
     def _common(self, other):
+        n = min(self.order, other.order)
+        return self.truncate(n), other.truncate(n)
+
+    def _plus(self, other, sign: int) -> "TruncSeries2":
         if isinstance(other, TruncSeries2):
-            n = min(self.order, other.order)
-            return self.truncate(n), other.truncate(n)
-        return self, TruncSeries2({(0, 0): other}, self.order)
+            a, b = self._common(other)
+            return TruncSeries2._make(*_sum2(a.num, a.den, b.num, b.den, sign), a.order)
+        p, q = _rat(other)
+        if not p:
+            return self
+        return TruncSeries2._make(*_sum2(self.num, self.den, {(0, 0): p}, q, sign),
+                                  self.order)
 
     def __add__(self, other):
-        a, b = self._common(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return TruncSeries2._of(out, a.order)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries2._of({e: -c for e, c in self.coeffs.items()}, self.order)
+        return TruncSeries2._make({e: -c for e, c in self.num.items()}, self.den, self.order)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return a + (-b)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries2):
-            return TruncSeries2({e: c * other for e, c in self.coeffs.items()}, self.order)
+            p, q = _rat(other)
+            num = {e: c * p for e, c in self.num.items()} if p else {}
+            return TruncSeries2._make(num, self.den * q, self.order)
         a, b = self._common(other)
-        return a._times(*_terms2(b, a.order))
+        return a._times(b)
 
-    def _times(self, tb, db) -> "TruncSeries2":
-        """self * b for b of the same order given as _terms2(b, order)."""
+    def _times(self, b: "TruncSeries2") -> "TruncSeries2":
+        """self * b for b of the same order."""
         n = self.order
         w = n + 1  # x^i y^j sits at flat index i*w + j; sums never carry
-        ta, da = _terms2(self, n)
+        tb = b._nonzero()
         out = [0] * (w * w)
-        for d1, k1, c1 in ta:
+        for d1, k1, c1 in self._nonzero():
             room = n - d1
             for d2, k2, c2 in tb:
                 if d2 > room:
                     break
                 out[k1 + k2] += c1 * c2
-        den = da * db
-        return TruncSeries2._of({divmod(k, w): Fraction(v, den)
-                                 for k, v in enumerate(out) if v}, n)
+        return TruncSeries2._make({divmod(k, w): v for k, v in enumerate(out) if v},
+                                  self.den * b.den, n)
 
     __rmul__ = __mul__
 
@@ -393,16 +484,16 @@ class TruncSeries2:
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries2):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         return NotImplemented
 
     def reciprocal(self) -> "TruncSeries2":
         """1/self; constant term must be invertible (Newton doubling)."""
-        c0 = self.coeffs.get((0, 0), Fraction(0))
+        c0 = self.num.get((0, 0), 0)
         if c0 == 0:
             raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        inv0 = 1 / c0
-        r = TruncSeries2.constant(inv0, self.order)
+        r = TruncSeries2.constant(Fraction(self.den, c0), self.order)
         known = 1
         while known <= self.order:
             r = r * (2 - self * r)
@@ -419,77 +510,73 @@ class TruncSeries2:
 
         Fast paths when u is the identity in x, v is the identity in y, or
         v involves only y — the shapes every conjugacy here produces."""
-        if u[(0, 0)] != 0 or v[(0, 0)] != 0:
+        if (0, 0) in u.num or (0, 0) in v.num:
             raise ValueError("inner series must vanish at the origin")
         n = min(self.order, u.order, v.order)
-        u, v = u.truncate(n), v.truncate(n)
-        u_is_x = u.coeffs == {(1, 0): _cf(1)}
-        v_is_y = v.coeffs == {(0, 1): _cf(1)}
+        s, u, v = self.truncate(n), u.truncate(n), v.truncate(n)
+        u_is_x = u.den == 1 and u.num == {(1, 0): 1}
+        v_is_y = v.den == 1 and v.num == {(0, 1): 1}
         if u_is_x and v_is_y:
-            return self.truncate(n)
-        v_pure_y = all(i == 0 for i, _ in v.coeffs)
+            return s
+        v_pure_y = all(i == 0 for i, _ in v.num)
         by_i = {}
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in s.num.items():
             by_i.setdefault(i, {})[j] = c
         imax = max(by_i) if by_i else 0
-        # the inner series in the form the Horner steps below take, made once
-        vu = TruncSeries([v[(0, j)] for j in range(n + 1)], n) \
-            if v_pure_y and not v_is_y else None
-        tv = None if v_pure_y else _terms2(v, n)
+        # the rows of the numerators of s, each evaluated at v; s.den divides
+        # out at the end
+        vu = v.restrict_y_axis() if v_pure_y and not v_is_y else None
         rows = []
         for i in range(imax + 1):
             row = by_i.get(i, {})
             if v_is_y:
-                qi = TruncSeries2({(0, j): c for j, c in row.items()}, n)
+                qi = TruncSeries2._make({(0, j): c for j, c in row.items()}, 1, n)
             elif v_pure_y:
-                cs = [Fraction(0)] * (n + 1)
+                cs = [0] * (n + 1)
                 for j, c in row.items():
                     cs[j] = c
-                qi = TruncSeries(cs, n).compose(vu).to_series2(n)
+                qi = TruncSeries._make(cs, 1, n).compose(vu).to_series2(n)
             else:
                 qi = TruncSeries2.zero(n)
                 if row:
-                    jmax = max(row)
-                    for j in range(jmax, 0, -1):
-                        qi = (qi + row.get(j, 0))._times(*tv)
+                    for j in range(max(row), 0, -1):
+                        qi = (qi + row.get(j, 0))._times(v)
                     qi = qi + row.get(0, 0)
             rows.append(qi)
         if u_is_x:
-            out = {}
+            num, den = {}, 1
             for i, qi in enumerate(rows):
-                for (a, b), c in qi.coeffs.items():
-                    if a + i + b <= n:
-                        e = (a + i, b)
-                        out[e] = out.get(e, 0) + c
-            return TruncSeries2(out, n)
-        result = rows[imax]
-        tu = _terms2(u, n)
-        for i in range(imax - 1, -1, -1):
-            result = result._times(*tu) + rows[i]
-        return result
+                num, den = _sum2(num, den, {(a + i, b): c for (a, b), c in qi.num.items()
+                                            if a + i + b <= n}, qi.den)
+        else:
+            result = rows[imax]
+            for i in range(imax - 1, -1, -1):
+                result = result._times(u) + rows[i]
+            num, den = result.num, result.den
+        return TruncSeries2._make(num, den * s.den, n)
 
     def coefficient_in_x(self, i: int) -> TruncSeries:
         """The series p_i(y) in self = sum_i x^i p_i(y)."""
-        out = [Fraction(0)] * (self.order + 1)
-        for (a, j), c in self.coeffs.items():
+        out = [0] * (self.order + 1)
+        for (a, j), c in self.num.items():
             if a == i:
                 out[j] = c
-        return TruncSeries(out, self.order)
+        return TruncSeries._make(out, self.den, self.order)
 
     def restrict_y_axis(self) -> TruncSeries:
         """self(0, y) as a univariate series."""
         return self.coefficient_in_x(0)
 
     def restrict_x_axis(self) -> TruncSeries:
-        out = [Fraction(0)] * (self.order + 1)
-        for (i, j), c in self.coeffs.items():
+        out = [0] * (self.order + 1)
+        for (i, j), c in self.num.items():
             if j == 0:
                 out[i] = c
-        return TruncSeries(out, self.order)
+        return TruncSeries._make(out, self.den, self.order)
 
     def divisible_by(self, i: int, j: int) -> bool:
         """True when every monomial is a multiple of x^i y^j."""
-        return all(a >= i and b >= j for a, b in self.coeffs)
+        return all(a >= i and b >= j for a, b in self.num)
 
     def eval(self, x, y):
         total = 0
@@ -499,5 +586,5 @@ class TruncSeries2:
 
     def __repr__(self):
         from .polyalg import MultiPoly
-        body = MultiPoly(dict(self.coeffs)).to_string(("x", "y")) if self.coeffs else "0"
+        body = MultiPoly(dict(self.coeffs)).to_string(("x", "y")) if self.num else "0"
         return f"TruncSeries2({body} + O(deg {self.order + 1}))"

@@ -171,6 +171,26 @@ def test_stable_manifold_saddle(capsys):
     assert nf["kind"] == "saddle" and nf["verified"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--map", "2*z^2+w, w^2", "--order", "0"],
+    ["--map", "2*z^2+w, w^2", "--order", "1"],
+    ["--map", "2*z^2+w, w^2", "--order", "-3"],
+    ["--map", "2*z^2+w, w^2", "--point", "abc"],
+    ["--map", "2*z^2+w, w^2", "--point", "1/0"],
+    # the y^2 coefficient of the germ at [1 : 1] is 2, which has no rational square root
+    ["--map", "2*z^3+w, z*w^2+w^3+1"],
+], ids=["order-0", "order-1", "negative-order", "point-abc", "point-1/0", "irrational-scale"])
+def test_stable_manifold_bad_input_exits_2_with_one_json_error(capsys, argv):
+    code, doc = _run(capsys, "stable-manifold", *argv)
+    assert code == 2
+    assert "error" in doc and "result" not in doc
+
+
+def test_stable_manifold_at_the_map_degree(capsys):
+    code, doc = _run(capsys, "stable-manifold", "--map", "2*z^2+w, w^2", "--order", "2")
+    assert code == 0 and doc["caps"] == {"order": 2}
+
+
 def test_curve_fixed(capsys):
     code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", "w - z")
     assert code == 0

@@ -191,7 +191,16 @@ def test_curve_orbit_factors_each_curve_once(monkeypatch):
     f = make_regular_map("z^2", "w^2")
     st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=3)
     assert [C.degree for C in st.orbit] == [1, 2, 4, 8]
-    assert len(calls) == 1 + 3 * 4
+    # each pushforward factors its two eliminants and the second eliminant;
+    # the image is built from the factors kept, with no factoring
+    assert len(calls) == 1 + 3 * 3
+
+
+def test_pushforward_takes_a_shared_image_once():
+    # w = z and w = -z both go onto w = z under (z^2, w^2)
+    f = make_regular_map("z^2", "w^2")
+    img = pushforward(f, PlaneCurve("(w - z)*(w + z)"))
+    assert img == PlaneCurve("w - z") and len(img.components) == 1
 
 
 # -- canonical form ----------------------------------------------------------
@@ -335,3 +344,25 @@ def test_pushforward_against_image_points(case):
     for n in range(G.degree):
         mons = _monomials(n)
         assert _rank([[z**i * w**j for i, j in mons] for z, w in image]) == len(mons)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), distinct_lines())
+def test_pushforward_builds_the_curve_factoring_would(data, lines):
+    spec = data.draw(st.sampled_from([None, "z^2, w^2", "z^2, w^2 + z"]))
+    f = _generic_map(data.draw) if spec is None else make_regular_map(*spec.split(","))
+    R = lines[0]
+    for L in lines[1:]:
+        R = R * L
+    if spec and data.draw(st.booleans()):
+        # both maps are even in w: a line and its mirror w -> -w share an image
+        R = R * MultiPoly({e: -c if e == (0, 1) else c for e, c in lines[0].coeffs.items()})
+    C = PlaneCurve(R)
+    img = pushforward(f, C)
+    # the factoring path: the product of every component's image, factored
+    z, w = sp.symbols("z w")
+    P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
+    kept = [G for Ri in C.components for G in curves._component_image(Ri, P, Q)]
+    ref = PlaneCurve(sp.prod(kept))
+    assert img.key() == ref.key() and img.poly.coeffs == ref.poly.coeffs
+    assert set(img.components) == set(ref.components)

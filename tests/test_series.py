@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regdyn.series import TruncSeries, TruncSeries2, exp_series, log_unit
 
@@ -44,11 +45,6 @@ def test_log_of_product():
     a = TruncSeries([1, 2, 1], 10)
     b = TruncSeries([1, 0, 3], 10)
     assert log_unit(a * b) == log_unit(a) + log_unit(b)
-
-
-def test_nth_root():
-    s = (TruncSeries([1, 1], 10)) ** 3
-    assert s.nth_root_of_unit(3) == TruncSeries([1, 1], 10)
 
 
 def test_bivariate_reciprocal():
@@ -110,25 +106,34 @@ def test_derivative_of_product(a):
 
 
 # -- the integer-numerator product kernels against per-term Fraction products
+# of coefficient lists a[k] resp. dicts {(i, j): c}
+
+def _fmul(a, b, n):
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _fmul2(a, b, n):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + j1 + i2 + j2 <= n:
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
 
 def _naive_mul(a, b):
     n = min(a.order, b.order)
-    out = [F(0)] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        for j, bj in enumerate(b.coeffs[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out, n
+    return _fmul(a.coeffs, b.coeffs, n), n
 
 
 def _naive_mul2(a, b):
     n = min(a.order, b.order)
-    out = {}
-    for (i1, j1), c1 in a.coeffs.items():
-        for (i2, j2), c2 in b.coeffs.items():
-            if i1 + j1 + i2 + j2 <= n:
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, F(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}, n
+    return _fmul2(a.coeffs, b.coeffs, n), n
 
 
 wide = st.one_of(st.just(F(0)),
@@ -173,3 +178,178 @@ def test_scalar_add_touches_the_constant_term_only():
     assert 1 - s == TruncSeries([0, -2], 3)
     d = TruncSeries([5], 0).derivative()  # order -1: no terms to add to
     assert d.order == -1 and (d + 1).coeffs == []
+
+
+# -- the numerator form against plain-Fraction oracles, computed term by term
+
+def _fcompose(a, b, n):
+    out, power = [F(0)] * (n + 1), [F(1)] + [F(0)] * n
+    for ak in a[: n + 1]:
+        out = [x + ak * p for x, p in zip(out, power)]
+        power = _fmul(power, b, n)
+    return out
+
+
+def _fcompose2(s, u, v, n):
+    upow, vpow = [{(0, 0): F(1)}], [{(0, 0): F(1)}]
+    for _ in range(n):
+        upow.append(_fmul2(upow[-1], u, n))
+        vpow.append(_fmul2(vpow[-1], v, n))
+    out = {}
+    for (i, j), c in s.items():
+        if i + j <= n:
+            for e, t in _fmul2(upow[i], vpow[j], n).items():
+                out[e] = out.get(e, F(0)) + c * t
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _canonical(s):
+    """The stored form is integer numerators over a positive denominator,
+    in lowest terms, and coeffs is its Fraction view."""
+    nums = s.num if isinstance(s, TruncSeries) else list(s.num.values())
+    view = s.coeffs if isinstance(s, TruncSeries) else list(s.coeffs.values())
+    assert all(type(c) is int for c in nums) and type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *nums) == 1
+    assert all(type(c) is F for c in view) and view == [F(c, s.den) for c in nums]
+    if isinstance(s, TruncSeries2):
+        assert all(s.num.values())
+    return s
+
+
+def _same(s, t):
+    assert s == t and (s.order, s.den, s.num) == (t.order, t.den, t.num)
+
+
+def _lower(s):
+    """s with its constant term removed, so that it vanishes at the origin."""
+    return s - s[(0, 0) if isinstance(s, TruncSeries2) else 0]
+
+
+@given(series1(), series1(), wide)
+def test_univariate_ring_operations_match_fraction_oracle(a, b, c):
+    n = min(a.order, b.order)
+    fa, fb = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    cases = [
+        (a + b, [x + y for x, y in zip(fa, fb)]),
+        (a - b, [x - y for x, y in zip(fa, fb)]),
+        (-a, [-x for x in a.coeffs]),
+        (a * c, [x * c for x in a.coeffs]),
+        (c * a, [c * x for x in a.coeffs]),
+        (a + c, [a.coeffs[0] + c] + a.coeffs[1:]),
+        (c - a, [c - a.coeffs[0]] + [-x for x in a.coeffs[1:]]),
+        (a.truncate(n), fa),
+    ]
+    for got, want in cases:
+        assert _canonical(got).coeffs == want
+
+
+@given(series1(), series1(), wide)
+def test_univariate_routes_to_one_value_store_one_form(a, b, c):
+    n = min(a.order, b.order)
+    _same(a - a, TruncSeries.zero(a.order))  # cancels to zero: den 1
+    _same(a + (-a), TruncSeries.zero(a.order))
+    _same(a * 0, TruncSeries.zero(a.order))
+    _same((a + b) - b, a.truncate(n))
+    _same(b + a, a + b)
+    _same(TruncSeries(list(a.coeffs), a.order), a)
+    if c != 0:
+        _same((a * c) * (1 / c), a)
+        _same(a / c, a * (1 / c))
+
+
+@given(series1(), series1())
+def test_univariate_compose_reciprocal_reversion_match_fraction_oracle(a, b):
+    inner = _lower(b)
+    n = min(a.order, inner.order)
+    assert _canonical(a.compose(inner)).coeffs == _fcompose(a.coeffs, inner.coeffs, n)
+    if a[0] != 0:
+        r = _canonical(a.reciprocal())
+        want = [1 / a[0]] + [F(0)] * a.order
+        for k in range(1, a.order + 1):
+            want[k] = -sum(a[j] * want[k - j] for j in range(1, k + 1)) / a[0]
+        assert r.coeffs == want
+        _same(a * r, TruncSeries.one(a.order))
+    s = _lower(a)
+    if s.order >= 1 and s[1] != 0:
+        g = _canonical(s.reversion())
+        want = [F(0), 1 / s[1]] + [F(0)] * (s.order - 1)
+        for k in range(2, s.order + 1):  # s(g + t y^k) = s(g) + s_1 t y^k + ...
+            want[k] = -_fcompose(s.coeffs, want, s.order)[k] / s[1]
+        assert g.coeffs == want
+        _same(s.compose(g), TruncSeries.identity(s.order))
+
+
+@given(series1())
+def test_exp_and_log_match_fraction_oracle(a):
+    s = _lower(a)
+    want = [F(1)] + [F(0)] * s.order  # k e_k = sum_m m s_m e_(k-m)
+    for k in range(1, s.order + 1):
+        want[k] = sum(m * s[m] * want[k - m] for m in range(1, k + 1)) / k
+    e = _canonical(exp_series(s))
+    assert e.coeffs == want
+    _same(_canonical(log_unit(e)), s)
+
+
+@given(series2(), series2(), wide)
+def test_bivariate_ring_operations_match_fraction_oracle(a, b, c):
+    n = min(a.order, b.order)
+    fa = {e: x for e, x in a.coeffs.items() if sum(e) <= n}
+    fb = {e: x for e, x in b.coeffs.items() if sum(e) <= n}
+
+    def plus(p, q, sign=1):
+        out = dict(p)
+        for e, x in q.items():
+            out[e] = out.get(e, F(0)) + sign * x
+        return {e: x for e, x in out.items() if x != 0}
+
+    cases = [
+        (a + b, plus(fa, fb)),
+        (a - b, plus(fa, fb, -1)),
+        (-a, {e: -x for e, x in a.coeffs.items()}),
+        (a * c, {e: x * c for e, x in a.coeffs.items() if x * c != 0}),
+        (c * a, {e: c * x for e, x in a.coeffs.items() if c * x != 0}),
+        (a + c, plus(a.coeffs, {(0, 0): c})),
+        (c - a, plus({(0, 0): c}, a.coeffs, -1)),
+        (a.truncate(n), fa),
+    ]
+    for got, want in cases:
+        assert _canonical(got).coeffs == want
+
+
+@given(series2(), series2(), wide)
+def test_bivariate_routes_to_one_value_store_one_form(a, b, c):
+    n = min(a.order, b.order)
+    _same(a - a, TruncSeries2.zero(a.order))
+    _same(a + (-a), TruncSeries2.zero(a.order))
+    _same(a * 0, TruncSeries2.zero(a.order))
+    _same((a + b) - b, a.truncate(n))
+    _same(b + a, a + b)
+    _same(TruncSeries2(dict(a.coeffs), a.order), a)
+    if c != 0:
+        _same((a * c) * (1 / c), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series2(), series2(), series2(), st.sampled_from(["general", "x", "y", "pure-y"]))
+def test_bivariate_compose_and_reciprocal_match_fraction_oracle(s, u, v, shape):
+    n = min(s.order, u.order, v.order)
+    u, v = _lower(u), _lower(v)
+    if shape in ("x", "y"):  # the identity fast paths
+        u = X(u.order) if shape == "x" else u
+        v = Y(v.order) if shape == "y" else v
+    elif shape == "pure-y":
+        v = v.restrict_y_axis().to_series2(v.order)
+    got = _canonical(s.compose(u, v))
+    assert got.order == n and got.coeffs == _fcompose2(s.coeffs, u.coeffs, v.coeffs, n)
+    if s[(0, 0)] != 0:
+        r = _canonical(s.reciprocal())
+        want, c0 = {}, s[(0, 0)]
+        for d in range(s.order + 1):  # r_e = -(1/s_00) sum_{f != 0} s_f r_(e - f)
+            for i in range(d + 1):
+                e = (i, d - i)
+                t = F(int(e == (0, 0))) - sum(
+                    x * want.get((i - a, d - i - b), F(0))
+                    for (a, b), x in s.coeffs.items() if (a, b) != (0, 0))
+                want[e] = t / c0
+        assert r.coeffs == {e: x for e, x in want.items() if x != 0}
+        _same(s * r, TruncSeries2.constant(1, s.order))
