@@ -8,8 +8,7 @@ from .exactnum import (AlgebraicNumber, ComplexInterval, Place, abs_at_place_exa
                        conjugates, find_expanding_place, is_root_of_unity,
                        product_formula_check, valuation)
 from .intervals import RealInterval, log_of_fraction
-from .polyalg import (HomogPoly3, MultiPoly, PolyParseError, homogenize,
-                      homogeneous_top, parse_poly, resultant)
+from .polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 from .series import TruncSeries, TruncSeries2, exp_series, log_unit
 from .maps import BitSizeCap, DegreeTooLow, NotRegular, RegularMap, make_regular_map
 from .padic import PAdic, PrecisionLoss
@@ -17,17 +16,17 @@ from .green import GreenContext, bad_places, green_homog, green_value, \
     nullstellensatz_constant
 from .heights import (HeightResult, PreperiodicityVerdict, canonical_height,
                       height_support, is_preperiodic)
-from .infinity import (ExpandingPlace, InfinityFixedPoint, RootOfUnity,
-                       Superattracting, classify_multiplier,
+from .infinity import (ExpandingPlace, InfinityFixedPoint, InfinityPoint, RootOfUnity,
+                       Superattracting, classify_multiplier, compose_forms,
                        fixed_points_infinity, infinity_orbit_preperiodicity,
-                       multiplier)
+                       multiplier, projective_roots)
 from .localdyn import (ContractionError, GermShapeError, LocalGerm,
                        NormalFormResult, ResonanceError, SectorMap,
                        VerticalGraphSample, bottcher_series, graph_pullback,
                        koenigs_series, localize_at_infinity,
                        parabolic_normal_form, remove_mu, reduce_form,
                        rescaling_check, saddle_normal_form, super_stable_series)
-from .curves import (CurveOrbitStatus, DmmReport, InfinityPoint, PlaneCurve,
+from .curves import (CurveOrbitStatus, DmmReport, PlaneCurve,
                      curve_preperiodicity, dmm_report, find_preperiodic_points,
                      points_at_infinity, pushforward)
 

@@ -32,6 +32,9 @@ SCHEMA_VERSION = 1
 # `orbit` stops before a coordinate passes this many bits: Python renders an
 # int of at most 4,300 decimal digits (about 14,284 bits) as a string
 ORBIT_MAX_BITS = 14_000
+# `stable-manifold` refuses a larger --order: the cost grows about as the
+# order to the 5th power (19.8 s at order 48, over 60 s at order 96)
+STABLE_MANIFOLD_MAX_ORDER = 64
 
 
 class InputError(ValueError):
@@ -202,6 +205,9 @@ def _cmd_stable_manifold(args):
     N = args.order
     if N < f.d:  # the germ's second component y^d (1 + h) needs order >= d
         raise InputError(f"order must be at least the map degree {f.d}, got {N}")
+    if N > STABLE_MANIFOLD_MAX_ORDER:
+        raise InputError(f"order must be at most STABLE_MANIFOLD_MAX_ORDER = "
+                         f"{STABLE_MANIFOLD_MAX_ORDER}, got {N}")
     if args.point:
         try:
             t = Fraction(args.point)
@@ -324,7 +330,8 @@ def _build_parser():
     s = add("stable-manifold", _cmd_stable_manifold,
             help="localization, stable-manifold series, normal form")
     s.add_argument("--point", help="chart-0 coordinate of the fixed point")
-    s.add_argument("--order", type=int, default=16, help="truncation order")
+    s.add_argument("--order", type=int, default=16,
+                   help=f"truncation order, at most {STABLE_MANIFOLD_MAX_ORDER}")
 
     c = add("curve", _cmd_curve,
             help="points at infinity, pushforward, curve orbit")

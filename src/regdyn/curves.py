@@ -16,10 +16,10 @@ from typing import Optional
 
 import sympy as sp
 
-from .exactnum import AlgebraicNumber
 from .heights import PreperiodicityVerdict, is_preperiodic
-from .infinity import (RegularMap, Superattracting, classify_multiplier,
-                       infinity_orbit_preperiodicity, multiplier)
+from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
+                       infinity_orbit_preperiodicity, multiplier, projective_roots)
+from .maps import RegularMap
 from .numberfield import NumberField
 from .polyalg import MultiPoly, homogeneous_top, parse_poly
 
@@ -79,37 +79,10 @@ class PlaneCurve:
         return f"PlaneCurve({self.poly.to_string()})"
 
 
-@dataclass
-class InfinityPoint:
-    """A point of the line at infinity: [1 : t] in chart 0, [t : 1] in chart 1."""
-    coordinate: AlgebraicNumber
-    chart: int
-    multiplicity: int
-
-    def projective(self):
-        if self.coordinate.is_rational():
-            t = self.coordinate.as_rational()
-            return (Fraction(1), t) if self.chart == 0 else (t, Fraction(1))
-        return None
-
-
 def points_at_infinity(C: PlaneCurve) -> list:
     """Roots of the top homogeneous form of R, with multiplicities
     (the intersection numbers of the closure with the line at infinity)."""
-    top = homogeneous_top(C.poly)
-    D = C.degree
-    # chart 0 coordinate t = w/z
-    poly_t = sp.Poly.from_dict({(j,): sp.Rational(c.numerator, c.denominator)
-                                for (i, j), c in top.coeffs.items()}, _t)
-    pts = []
-    drop = D - poly_t.degree()
-    if drop > 0:  # the root [0 : 1]
-        pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, drop))
-    for fac, mult in sp.factor_list(poly_t)[1]:
-        for idx in range(fac.degree()):
-            pts.append(InfinityPoint(AlgebraicNumber(fac, idx), 0, mult))
-    assert sum(p.multiplicity for p in pts) == D
-    return pts
+    return projective_roots(homogeneous_top(C.poly), C.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +362,13 @@ def _terminal_classification(f: RegularMap, pt: InfinityPoint,
     """Multiplier classification of the terminal cycle, when reachable."""
     if verdict.kind != "Preperiodic":
         return None, "orbit not resolved"
-    period = verdict.period
-    if period == 1 and verdict.preperiod == 0:
-        lam = multiplier(f, pt.projective() if pt.projective() is not None
-                         else (pt.coordinate, pt.chart))
-        return classify_multiplier(lam), ""
+    if (verdict.preperiod, verdict.period) == (0, 1):
+        return classify_multiplier(multiplier((f.top_P, f.top_Q), pt)), ""
     cyc = verdict.orbit[verdict.preperiod] if verdict.preperiod < len(verdict.orbit) \
         else None
     if cyc is None or not isinstance(cyc[0], (int, Fraction)):
         return None, "terminal cycle not rational; classification skipped"
-    A, B = f.top_P, f.top_Q
-    for _ in range(period - 1):
-        A, B = A.compose(f.top_P, f.top_Q), B.compose(f.top_P, f.top_Q)
-    gmap = RegularMap(A, B, f.d ** period, A, B, Fraction(1))
-    lam = multiplier(gmap, (Fraction(cyc[0]), Fraction(cyc[1])))
+    lam = multiplier(compose_forms(f, verdict.period), InfinityPoint.from_pair(*cyc))
     return classify_multiplier(lam), ""
 
 
@@ -419,9 +385,7 @@ def dmm_report(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
     notes = []
     inf_reports = []
     for pt in points_at_infinity(C):
-        proj = pt.projective()
-        target = proj if proj is not None else (pt.coordinate, pt.chart)
-        verdict = infinity_orbit_preperiodicity(f, target)
+        verdict = infinity_orbit_preperiodicity(f, pt)
         cls, note = _terminal_classification(f, pt, verdict)
         inf_reports.append(InfinityPointReport(pt, verdict, cls, note))
         if note:

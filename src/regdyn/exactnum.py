@@ -137,9 +137,11 @@ class AlgebraicNumber:
     primitive integer polynomial."""
 
     def __init__(self, minpoly, embedding_index: int = 0):
-        poly = sp.Poly([sp.Integer(c) for c in reversed(list(minpoly))], _x) \
-            if not isinstance(minpoly, sp.Poly) else minpoly
-        poly = poly.primitive()[1]
+        # a univariate Poly goes into the generator x, whatever its own, and
+        # over ZZ, whatever its domain, so that equal numbers compare equal
+        poly = sp.Poly.new(minpoly.rep, _x) if isinstance(minpoly, sp.Poly) \
+            else sp.Poly([sp.Integer(c) for c in reversed(list(minpoly))], _x)
+        poly = poly.clear_denoms(convert=True)[1].primitive()[1]
         if poly.LC() < 0:
             poly = -poly
         if not poly.is_irreducible:

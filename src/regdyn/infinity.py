@@ -1,11 +1,15 @@
 """Dynamics of the induced map on the line at infinity.
 
 A regular map restricts to f_inf = [P_d : Q_d] on the invariant line at
-infinity.  Fixed points are the projective roots of z2*P_d - z1*Q_d; each
-carries a multiplier whose arithmetic nature drives the trichotomy:
-superattracting (multiplier 0), root of unity, or a place where the
-multiplier has absolute value > 1 (Kronecker's theorem makes these
-exhaustive and exclusive).
+infinity.  A point of that line is an InfinityPoint; `projective_roots`
+finds the roots of a binary form as such points, both the fixed points
+(the roots of z2*P_d - z1*Q_d) and the points where a curve meets the
+line (the roots of its top form).  Each fixed point carries a multiplier
+whose arithmetic nature drives the trichotomy: superattracting
+(multiplier 0), root of unity, or a place where the multiplier has
+absolute value > 1 (Kronecker's theorem makes these exhaustive and
+exclusive).  Multipliers are computed from the binary forms (A, B) of a
+map of the line; `compose_forms` gives those of an iterate, for cycles.
 """
 
 from __future__ import annotations
@@ -43,27 +47,42 @@ class ExpandingPlace:
 
 
 @dataclass
-class InfinityFixedPoint:
-    """A fixed point of f_inf given by (coordinate, chart):
-    chart 0 means [1 : t], chart 1 means [t : 1].  The multiplier and its
-    classification are computed from the map f on first access."""
+class InfinityPoint:
+    """A point of the line at infinity, [1 : t] in chart 0 and [t : 1] in
+    chart 1, t the coordinate, with its multiplicity as a root of the
+    binary form it was found from."""
     coordinate: AlgebraicNumber
     chart: int
     multiplicity: int
+
+    @staticmethod
+    def from_pair(z1, z2) -> "InfinityPoint":
+        """[z1 : z2] for rationals z1, z2 not both 0, of multiplicity 1."""
+        z1, z2 = Fraction(z1), Fraction(z2)
+        if z1 == z2 == 0:
+            raise ValueError("not a projective point")
+        if z1 == 0:
+            return InfinityPoint(AlgebraicNumber.from_rational(0), 1, 1)
+        return InfinityPoint(AlgebraicNumber.from_rational(z2 / z1), 0, 1)
+
+    def projective(self):
+        """(z1, z2) as Fractions when the coordinate is rational, else None."""
+        return _chart_pair(self) if self.coordinate.is_rational() else None
+
+
+@dataclass
+class InfinityFixedPoint(InfinityPoint):
+    """A fixed point of f_inf; its multiplier and classification are
+    computed from the map f on first access."""
     f: RegularMap = field(repr=False, compare=False)
 
     @cached_property
     def multiplier(self) -> AlgebraicNumber:
-        return _nf_multiplier(self.f, self.coordinate, self.chart)
+        return _multiplier((self.f.top_P, self.f.top_Q), self)
 
     @cached_property
     def classification(self):
         return classify_multiplier(self.multiplier)
-
-    def projective(self) -> str:
-        t = self.coordinate
-        s = str(t.as_rational()) if t.is_rational() else repr(t)
-        return f"[1 : {s}]" if self.chart == 0 else f"[{s} : 1]"
 
 
 def classify_multiplier(lam: AlgebraicNumber):
@@ -104,35 +123,48 @@ def _fixed_form(f: RegularMap) -> MultiPoly:
     return w * f.top_P - z * f.top_Q
 
 
-def _nf_multiplier(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> AlgebraicNumber:
-    """Multiplier of f_inf at the fixed point with chart coordinate alpha.
+def compose_forms(f: RegularMap, n: int) -> tuple:
+    """(A, B), the top forms of f^n, n >= 1: the map [A : B] is f_inf
+    composed with itself n times."""
+    A, B = f.top_P, f.top_Q
+    for _ in range(n - 1):
+        A, B = A.compose(f.top_P, f.top_Q), B.compose(f.top_P, f.top_Q)
+    return A, B
 
-    chart 1: t = z/w, map t -> P_d(t,1)/Q_d(t,1); chart 0: t = w/z,
-    map t -> Q_d(1,t)/P_d(1,t).  Derivative evaluated exactly in Q(alpha)."""
-    if chart == 1:
-        num = [f.top_P.coefficient(f.d - k, k) for k in range(f.d + 1)][::-1]
-        den = [f.top_Q.coefficient(f.d - k, k) for k in range(f.d + 1)][::-1]
+
+def _chart_pair(point: InfinityPoint) -> tuple:
+    """(1, a) in chart 0, (a, 1) in chart 1: a is the coordinate, as a
+    Fraction or as the generator of its number field."""
+    t = point.coordinate
+    if t.is_rational():
+        a, one = t.as_rational(), Fraction(1)
     else:
-        num = [f.top_Q.coefficient(f.d - k, k) for k in range(f.d + 1)]
-        den = [f.top_P.coefficient(f.d - k, k) for k in range(f.d + 1)]
-    # num/den as univariate polys in t (ascending)
-    a = alpha.as_rational() if alpha.is_rational() else alpha.number_field().generator()
+        K = t.number_field()
+        a, one = K.generator(), K(1)
+    return (one, a) if point.chart == 0 else (a, one)
 
-    def ev(cs, t):
-        total = 0
-        for c in reversed(cs):
-            total = total * t + c
-        return total
 
-    def dcs(cs):
-        return [k * cs[k] for k in range(1, len(cs))]
+def _diff(F: MultiPoly, var: int) -> MultiPoly:
+    """dF/dz (var 0) or dF/dw (var 1)."""
+    return MultiPoly({(i - 1 + var, j - var): c * (j if var else i)
+                      for (i, j), c in F.coeffs.items() if (j if var else i)})
 
-    N, D = ev(num, a), ev(den, a)
-    Np, Dp = ev(dcs(num), a), ev(dcs(den), a)
-    lam = (Np * D - N * Dp) / (D * D)  # (N/D)'
-    if alpha.is_rational():
+
+def _multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
+    """Multiplier of [A : B] at a fixed point, exactly in Q(coordinate).
+
+    chart 1: t = z/w, map t -> A(t,1)/B(t,1); chart 0: t = w/z,
+    map t -> B(1,t)/A(1,t).  So the derivative of numerator and denominator
+    in t is their partial derivative in z (chart 1) or w (chart 0)."""
+    A, B = forms
+    N, D = (B, A) if point.chart == 0 else (A, B)
+    var = 1 - point.chart
+    pair = _chart_pair(point)
+    n, d = N.eval(*pair), D.eval(*pair)
+    lam = (_diff(N, var).eval(*pair) * d - n * _diff(D, var).eval(*pair)) / (d * d)
+    if point.coordinate.is_rational():
         return AlgebraicNumber.from_rational(lam)
-    return _algebraic_from_nf(lam, alpha)
+    return _algebraic_from_nf(lam, point.coordinate)
 
 
 def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
@@ -159,85 +191,52 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     raise ValueError("could not certify embedding index")
 
 
+def projective_roots(form: MultiPoly, degree: int) -> list:
+    """The roots [z1 : z2] of a binary form of formal degree `degree`, as
+    InfinityPoints; the multiplicities sum to `degree`, and [0 : 1] comes
+    last.
+
+    The roots with z1 != 0 are those of form(1, t), in chart 0; the drop
+    of its degree against `degree` is the multiplicity of [0 : 1]."""
+    poly = sp.Poly.from_dict({(j,): sp.Rational(c.numerator, c.denominator)
+                              for (i, j), c in form.coeffs.items()}, _x)
+    pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
+           for fac, mult in sp.factor_list(poly)[1] for idx in range(fac.degree())]
+    if degree > poly.degree():
+        pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, degree - poly.degree()))
+    return pts
+
+
 def fixed_points_infinity(f: RegularMap) -> list:
     """All fixed points of f_inf with multiplicities (summing to d+1); each
     point computes its multiplier and classification when first read."""
-    form = _fixed_form(f)
-    d = f.d
-    out = []
-    # dehomogenize in chart [1 : t], t = z2/z1: the degree drop of form(1, t)
-    # against d+1 is exactly the multiplicity of the root at [0 : 1]
-    poly_t = sum(sp.Rational(c.numerator, c.denominator) * _x**j
-                 for (i, j), c in form.coeffs.items())
-    poly_t = sp.Poly(poly_t, _x)
-    drop = d + 1 - poly_t.degree()
-    # roots with t = w/z finite: chart 0 coordinates
-    for fac, mult in sp.factor_list(poly_t)[1]:
-        fac = sp.Poly(fac, _x)
-        for idx in range(fac.degree()):
-            out.append(InfinityFixedPoint(AlgebraicNumber(fac, idx), 0, mult, f))
-    if drop > 0:
-        # remaining multiplicity sits at [0:1] (t = infinity in this chart)
-        # chart 1 coordinate z/w = 0
-        out.append(InfinityFixedPoint(AlgebraicNumber.from_rational(0), 1, drop, f))
-    assert sum(p.multiplicity for p in out) == d + 1
-    return out
+    return [InfinityFixedPoint(p.coordinate, p.chart, p.multiplicity, f)
+            for p in projective_roots(_fixed_form(f), f.d + 1)]
 
 
-def multiplier(f: RegularMap, point) -> AlgebraicNumber:
-    """Multiplier at a projective point (pair [z1 : z2] of rationals or an
-    (AlgebraicNumber, chart) pair); the point must be fixed by f_inf."""
-    if isinstance(point, InfinityFixedPoint):
-        return point.multiplier
-    if isinstance(point, tuple) and isinstance(point[0], AlgebraicNumber):
-        alpha, chart = point
-    else:
-        z1, z2 = Fraction(point[0]), Fraction(point[1])
-        if z1 == z2 == 0:
-            raise ValueError("not a projective point")
-        if z1 != 0:
-            alpha, chart = AlgebraicNumber.from_rational(z2 / z1), 0
-        else:
-            alpha, chart = AlgebraicNumber.from_rational(0), 1
-    if not _is_fixed(f, alpha, chart):
+def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
+    """Multiplier of [A : B], forms = (A, B) binary forms of one degree, at
+    a point of the line at infinity it fixes (ValueError if it does not)."""
+    A, B = forms
+    z1, z2 = _chart_pair(point)
+    if z2 * A.eval(z1, z2) != z1 * B.eval(z1, z2):
         raise ValueError("point is not fixed by the map at infinity")
-    return _nf_multiplier(f, alpha, chart)
-
-
-def _is_fixed(f: RegularMap, alpha: AlgebraicNumber, chart: int) -> bool:
-    form = _fixed_form(f)
-    if alpha.degree == 1:
-        t = alpha.as_rational()
-        val = form.eval(Fraction(1), t) if chart == 0 else form.eval(t, Fraction(1))
-        return val == 0
-    K = alpha.number_field()
-    a = K.generator()
-    val = form.eval(K(1), a) if chart == 0 else form.eval(a, K(1))
-    return val.is_zero()
+    return _multiplier(forms, point)
 
 
 # ---------------------------------------------------------------------------
 # orbits on the line at infinity
 
 
-def infinity_orbit_preperiodicity(f: RegularMap, point, orbit_cap: int = 64,
+def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint, orbit_cap: int = 64,
                                   degree_cap: int = 64) -> PreperiodicityVerdict:
     """Exact orbit of a point of the line at infinity under [P_d : Q_d]
     with cycle detection inside the field of definition."""
-    if isinstance(point, InfinityFixedPoint):
-        return PreperiodicityVerdict.preperiodic(0, 1, [point])
-    if isinstance(point, tuple) and len(point) == 2 \
-            and isinstance(point[0], AlgebraicNumber):
-        alpha, chart = point
-        if alpha.degree > degree_cap:
-            return PreperiodicityVerdict.unknown()
-        if alpha.degree == 1:
-            q = alpha.as_rational()
-            z1, z2 = (Fraction(1), q) if chart == 0 else (q, Fraction(1))
-            return _rational_infinity_orbit(f, z1, z2, orbit_cap)
-        return _nf_infinity_orbit(f, alpha, chart, orbit_cap)
-    z1, z2 = Fraction(point[0]), Fraction(point[1])
-    return _rational_infinity_orbit(f, z1, z2, orbit_cap)
+    if point.coordinate.degree > degree_cap:
+        return PreperiodicityVerdict.unknown()
+    if point.coordinate.is_rational():
+        return _rational_infinity_orbit(f, *point.projective(), orbit_cap)
+    return _nf_infinity_orbit(f, point, orbit_cap)
 
 
 def _normalize_rational_pair(z1: Fraction, z2: Fraction):
@@ -281,11 +280,8 @@ def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
     return PreperiodicityVerdict.unknown()
 
 
-def _nf_infinity_orbit(f: RegularMap, alpha: AlgebraicNumber, chart, orbit_cap):
-    K = alpha.number_field()
-    a0 = K.generator()
-    cur = (K(1), a0) if chart == 0 else (a0, K(1))
-    cur = _normalize_nf_pair(cur)
+def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint, orbit_cap):
+    cur = _normalize_nf_pair(_chart_pair(point))
     seen = {cur: 0}
     orbit = [cur]
     for n in range(1, orbit_cap + 1):

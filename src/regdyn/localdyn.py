@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -98,14 +98,19 @@ class LocalGerm:
 class Conjugacy:
     """An invertible coordinate change Phi fixing the origin.
 
-    conjugate(germ) returns Phi^{-1} o germ o Phi; forward_pair gives the
-    components (u, v) of Phi; verify checks Phi o G = f o Phi exactly."""
+    conjugate(f) returns (G, f o Phi) with G = Phi^{-1} o f o Phi, which
+    _solve finds from the components of f o Phi; forward_pair gives the
+    components (u, v) of Phi."""
 
     def forward_pair(self, n: int):
         raise NotImplementedError
 
-    def conjugate(self, germ: LocalGerm) -> LocalGerm:
+    def _solve(self, germ: LocalGerm, f1: TruncSeries2, f2: TruncSeries2) -> LocalGerm:
         raise NotImplementedError
+
+    def conjugate(self, germ: LocalGerm) -> tuple:
+        pushed = self._push(germ)
+        return self._solve(germ, *pushed), pushed
 
     def _push(self, germ: LocalGerm):
         """(f o Phi) components."""
@@ -116,11 +121,6 @@ class Conjugacy:
         """(Phi o G) components for a candidate conjugated germ G."""
         u, v = self.forward_pair(g1.order)
         return u.compose(g1, g2), v.compose(g1, g2)
-
-    def verify(self, source: LocalGerm, target: LocalGerm) -> bool:
-        lhs = self.apply_to(target.first, target.second)
-        rhs = self._push(source)
-        return lhs[0] == rhs[0] and lhs[1] == rhs[1]
 
 
 class Shear(Conjugacy):
@@ -134,8 +134,7 @@ class Shear(Conjugacy):
     def forward_pair(self, n):
         return _x2(n) + self.phi.to_series2(n), _y2(n)
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         g1 = f1 - self.phi.compose(f2)
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
@@ -151,8 +150,7 @@ class UnitScale(Conjugacy):
     def forward_pair(self, n):
         return _x2(n) * (self.phi.to_series2(n) + 1), _y2(n)
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         g1 = f1 * (self.phi.compose(f2) + 1).reciprocal()
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
@@ -168,8 +166,7 @@ class HigherScale(Conjugacy):
         x = _x2(order)
         return x * (self.phi.to_series2(order) * x**self.n + 1), _y2(order)
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         # solve G1*(1 + phi(G2)*G1^n) = F1 by fixed-point iteration
         phi2 = self.phi.compose(f2)
         g1 = f1
@@ -191,8 +188,7 @@ class YCoord(Conjugacy):
     def forward_pair(self, n):
         return _x2(n), self.binv.to_series2(n)
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         g2 = self.beta.compose(f2)
         return LocalGerm(f1, g2, germ.d, germ.chart)
 
@@ -207,8 +203,7 @@ class XCoord(Conjugacy):
     def forward_pair(self, n):
         return self.pinv.to_series2(n, var=0), _y2(n)
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         g1 = self.psi.compose(f1)
         return LocalGerm(g1, f2, germ.d, germ.chart)
 
@@ -225,8 +220,7 @@ class Scale(Conjugacy):
     def forward_pair(self, n):
         return _x2(n) * self.a, _y2(n) * self.b
 
-    def conjugate(self, germ):
-        f1, f2 = self._push(germ)
+    def _solve(self, germ, f1, f2):
         return LocalGerm(f1 * (1 / self.a), f2 * (1 / self.b), germ.d, germ.chart)
 
 
@@ -235,20 +229,23 @@ class NormalFormResult:
     germ: LocalGerm
     conjugacies: list  # elementary steps, applied left to right
     intermediates: list  # germs between the steps (source first)
+    pushes: list = field(default_factory=list)  # f o Phi of each step
 
     def verify(self) -> bool:
-        for step, src, tgt in zip(self.conjugacies, self.intermediates,
-                                  self.intermediates[1:]):
-            if not step.verify(src, tgt):
-                return False
-        return True
+        """Phi o G = f o Phi exactly at every step, against the f o Phi
+        each step was solved from."""
+        return all(step.apply_to(tgt.first, tgt.second) == pushed
+                   for step, tgt, pushed in zip(self.conjugacies, self.intermediates[1:],
+                                                self.pushes))
 
-    def _record(self, step: Conjugacy, image: Optional[LocalGerm] = None) -> LocalGerm:
-        """Append step and the germ it conjugates self.germ to (image, when
-        the caller has already computed it)."""
-        self.germ = step.conjugate(self.germ) if image is None else image
+    def _record(self, step: Conjugacy, conjugated: Optional[tuple] = None) -> LocalGerm:
+        """Append step and the germ it conjugates self.germ to, with the
+        f o Phi it was solved from (conjugated, when the caller has already
+        computed step.conjugate(self.germ))."""
+        self.germ, pushed = conjugated or step.conjugate(self.germ)
         self.conjugacies.append(step)
         self.intermediates.append(self.germ)
+        self.pushes.append(pushed)
         return self.germ
 
 
@@ -529,16 +526,17 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
         if cj == 0:
             continue
         # the x^{j+1} coefficient is affine in e for S = x + e*x^{j-k+1}
-        def conjugate_by(e):
-            st = XCoord(TruncSeries.identity(work.N)
-                        + TruncSeries.monomial(e, j - k + 1, work.N))
-            return st, st.conjugate(work)
-        gamma = conjugate_by(Fraction(1))[1].first[(j + 1, 0)] - cj
+        def axis_step(e):
+            return XCoord(TruncSeries.identity(work.N)
+                          + TruncSeries.monomial(e, j - k + 1, work.N))
+        trial, _pushed = axis_step(Fraction(1)).conjugate(work)
+        gamma = trial.first[(j + 1, 0)] - cj
         if gamma == 0:
             raise GermShapeError("degenerate axis normalization")
-        st, image = conjugate_by(-cj / gamma)
-        assert image.first[(j + 1, 0)] == 0
-        work = res._record(st, image)
+        st = axis_step(-cj / gamma)
+        conjugated = st.conjugate(work)
+        assert conjugated[0].first[(j + 1, 0)] == 0
+        work = res._record(st, conjugated)
     ck = work.first[(k + 1, 0)]
     if ck != 1:
         work = res._record(Scale(_nth_root_fraction(1 / ck, k), 1))

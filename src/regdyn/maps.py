@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyalg import MultiPoly, HomogPoly3, homogenize, parse_poly
+from .polyalg import MultiPoly, parse_poly
 
 
 class NotRegular(ValueError):
@@ -78,11 +78,6 @@ class RegularMap:
     @property
     def degree(self) -> int:
         return self.d
-
-    def lift(self) -> tuple:
-        """Homogeneous lift F = (z0^d, P~, Q~) of degree d."""
-        z0d = HomogPoly3({(self.d, 0, 0): 1}, self.d)
-        return (z0d, homogenize(self.P, self.d), homogenize(self.Q, self.d))
 
     def apply(self, pt):
         z, w = pt

@@ -120,10 +120,6 @@ class PAdic:
         self.rel = rel
 
     @staticmethod
-    def exact_zero(p: int) -> "PAdic":
-        return PAdic(p, *_ZERO)
-
-    @staticmethod
     def from_rational(q, p: int, rel: int) -> "PAdic":
         return PAdic(p, *_from_rational(p, q, rel))
 

@@ -1,4 +1,4 @@
-"""Exact bivariate polynomials over Q, parsing, homogenization, resultants."""
+"""Exact bivariate polynomials over Q: arithmetic, evaluation, parsing."""
 
 from __future__ import annotations
 
@@ -223,71 +223,11 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()})"
 
 
-class HomogPoly3:
-    """Sparse homogeneous polynomial in three variables, fixed degree."""
-
-    def __init__(self, coeffs: dict, degree: int):
-        self.degree = degree
-        cs = {}
-        for e, c in coeffs.items():
-            if sum(e) != degree:
-                raise ValueError(f"exponent {e} does not sum to {degree}")
-            c = _coerce_coeff(c)
-            if c != 0:
-                cs[tuple(int(k) for k in e)] = c
-        self.coeffs = cs
-
-    def eval(self, z0, z1, z2):
-        terms = (((b, c), coeff * z0**a if a else coeff)
-                 for (a, b, c), coeff in self.coeffs.items())
-        return _eval_terms(terms, z1, z2, operator.add, operator.mul, operator.pow)
-
-    def dehomogenize(self) -> MultiPoly:
-        """Set the first coordinate to 1."""
-        out = {}
-        for (a, b, c), coeff in self.coeffs.items():
-            out[(b, c)] = out.get((b, c), 0) + coeff
-        return MultiPoly(out)
-
-    def __eq__(self, other):
-        return (isinstance(other, HomogPoly3) and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"HomogPoly3(deg={self.degree}, {self.coeffs})"
-
-
-def homogenize(P: MultiPoly, degree: int) -> HomogPoly3:
-    """z0^degree * P(z1/z0, z2/z0)."""
-    if P.degree > degree:
-        raise ValueError("polynomial degree exceeds homogenization degree")
-    out = {}
-    for (i, j), c in P.coeffs.items():
-        out[(degree - i - j, i, j)] = c
-    return HomogPoly3(out, degree)
-
-
 def homogeneous_top(P: MultiPoly) -> MultiPoly:
     """Sum of the terms of maximal total degree."""
     if P.is_zero():
         raise ValueError("zero polynomial has no top form")
     return P.homogeneous_part(P.degree)
-
-
-_Z, _W = sp.symbols("z w")
-
-
-def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> MultiPoly:
-    """Resultant with respect to one variable (0 = first, 1 = second).
-
-    Vanishes iff f and g share a factor involving that variable."""
-    if f.degree_in(eliminate) <= 0 and g.degree_in(eliminate) <= 0:
-        raise ValueError("both inputs constant in the eliminated variable")
-    x, y = (_Z, _W) if eliminate == 0 else (_W, _Z)
-    res = sp.resultant(*(p.to_poly(_Z, _W).reorder(x, y) for p in (f, g)))
-    # a Poly in y alone: put x back, with exponent 0
-    return MultiPoly.from_poly(sp.Poly.from_dict(
-        {(0,) + e: c for e, c in res.rep.terms()}, x, y, domain=res.domain).reorder(_Z, _W))
 
 
 # ---------------------------------------------------------------------------

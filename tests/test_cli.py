@@ -186,6 +186,16 @@ def test_stable_manifold_bad_input_exits_2_with_one_json_error(capsys, argv):
     assert "error" in doc and "result" not in doc
 
 
+def test_stable_manifold_refuses_an_order_above_the_cap_at_once(capsys, monkeypatch):
+    # the cost grows about as the order to the 5th power: nothing is computed
+    import regdyn.cli as cli
+    monkeypatch.setattr(cli, "fixed_points_infinity", lambda f: pytest.fail("computed"))
+    code, doc = _run(capsys, "stable-manifold", "--map", "2*z^2+w, w^2", "--order", "65")
+    assert code == 2 and "result" not in doc
+    assert "STABLE_MANIFOLD_MAX_ORDER = 64" in doc["error"]
+    assert cli.STABLE_MANIFOLD_MAX_ORDER == 64
+
+
 def test_stable_manifold_at_the_map_degree(capsys):
     code, doc = _run(capsys, "stable-manifold", "--map", "2*z^2+w, w^2", "--order", "2")
     assert code == 0 and doc["caps"] == {"order": 2}

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, strategies as st
 
 from regdyn.exactnum import (AlgebraicNumber, Place, abs_at_place_exact,
@@ -92,3 +93,15 @@ def test_roots_of_unity_recognized(n):
     a = AlgebraicNumber(poly, 0)
     flag, order = is_root_of_unity(a)
     assert flag and order == n
+
+
+def test_a_minimal_polynomial_in_another_generator_is_put_in_x():
+    t = sp.Symbol("t")
+    assert AlgebraicNumber(sp.Poly(t - 1, t)) == AlgebraicNumber.from_rational(1)
+    assert AlgebraicNumber(sp.Poly(t, t)).is_zero()
+    sqrt2 = AlgebraicNumber(sp.Poly(t**2 - 2, t), 1)
+    assert sqrt2 == AlgebraicNumber([-2, 0, 1], 1)
+    assert str(sqrt2.minpoly.as_expr()) == "x**2 - 2"
+    # and over ZZ: a QQ Poly of the same number gives the same number
+    assert AlgebraicNumber(sp.Poly(t / 2 - 1, t)) == AlgebraicNumber.from_rational(2)
+    assert AlgebraicNumber(sp.Poly(t, t, domain="QQ")).is_zero()

@@ -1,15 +1,20 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from regdyn import infinity
+from regdyn.curves import PlaneCurve, points_at_infinity
 from regdyn.exactnum import AlgebraicNumber, Place, find_expanding_place
 from regdyn.green import GreenContext, bad_places, green_homog
 from regdyn.intervals import log_of_fraction
-from regdyn.infinity import (ExpandingPlace, RootOfUnity, Superattracting,
-                             classify_multiplier, fixed_points_infinity,
-                             infinity_orbit_preperiodicity)
-from regdyn.maps import make_regular_map
+from regdyn.infinity import (ExpandingPlace, InfinityPoint, RootOfUnity, Superattracting,
+                             classify_multiplier, compose_forms, fixed_points_infinity,
+                             infinity_orbit_preperiodicity, multiplier, projective_roots)
+from regdyn.maps import NotRegular, make_regular_map
+from regdyn.polyalg import MultiPoly, homogeneous_top
 
 
 def _rat(q):
@@ -96,6 +101,19 @@ def test_quadratic_fixed_point_field():
     assert degs[0] == 1  # t = 0
 
 
+def test_fixed_point_coordinates_of_a_map_with_rational_coefficients():
+    # the fixed form has a coefficient 1/2; [1 : 0] must still have the
+    # coordinate 0, not a minimal polynomial x over QQ that is not "zero"
+    f = make_regular_map("1/2*z^2 + w^2", "w^2")
+    pts = fixed_points_infinity(f)
+    assert sum(p.multiplicity for p in pts) == 3
+    (zero,) = [p for p in pts if p.coordinate.is_rational()]
+    assert zero.chart == 0 and zero.coordinate.is_zero()
+    assert zero.coordinate == _rat(0) and zero.classification == Superattracting()
+    assert sorted(p.coordinate.minpoly_coeffs() for p in pts if p is not zero) == \
+        [(1, -2, 2)] * 2
+
+
 def test_multiplier_matches_derivative():
     # t -> t^2 + lower order: (z^2, w^2 + z*w) has infinity action
     # t -> (t^2 + t)/1, derivative 2t + 1, so 3 at the fixed point t = 1?
@@ -128,11 +146,11 @@ def test_irrational_multiplier_is_a_root_of_its_minimal_polynomial():
 
 def test_orbit_preperiodicity_rational():
     f = make_regular_map("z^2", "w^2")
-    v = infinity_orbit_preperiodicity(f, (F(1), F(1)))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, 1))
     assert v.kind == "Preperiodic"
-    v = infinity_orbit_preperiodicity(f, (F(1), F(-1)))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, -1))
     assert v.kind == "Preperiodic" and v.preperiod == 1
-    v = infinity_orbit_preperiodicity(f, (F(2), F(3)))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(2, 3))
     assert v.kind == "NotPreperiodic"
 
 
@@ -140,7 +158,7 @@ def test_orbit_verdict_reports_the_certified_height():
     # [2 : 3] under t -> t^2 has canonical height log 3, and (z^2, w^2) has no
     # bad place: height_lower is the lower end of G_inf(0, 2, 3)
     f = make_regular_map("z^2", "w^2")
-    v = infinity_orbit_preperiodicity(f, (F(2), F(3)))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(2, 3))
     g = green_homog(GreenContext(f, Place.archimedean()), (F(0), F(2), F(3)), F(1, 10**9))
     assert v.kind == "NotPreperiodic" and v.height_lower == g.lower
     log3 = log_of_fraction(F(3))
@@ -151,7 +169,7 @@ def test_orbit_verdict_sums_the_bad_places():
     # the top forms (2z^2 + zw, 2w^2) have resultant 16, so the height of
     # [1 : 3] sums G_v(0, 1, 3) over inf and 2
     f = make_regular_map("2*z^2 + z*w + w", "2*w^2 - z")
-    v = infinity_orbit_preperiodicity(f, (F(1), F(3)))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, 3))
     places = [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
     h = sum(green_homog(GreenContext(f, pl), (F(0), F(1), F(3)), F(1, 10**9))
             for pl in places)
@@ -161,8 +179,96 @@ def test_orbit_verdict_sums_the_bad_places():
 def test_orbit_preperiodicity_algebraic():
     f = make_regular_map("z^2", "w^2")
     zeta3 = AlgebraicNumber([1, 1, 1], 0)
-    v = infinity_orbit_preperiodicity(f, (zeta3, 0))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint(zeta3, 0, 1))
     assert v.kind == "Preperiodic"
     sqrt2 = AlgebraicNumber([-2, 0, 1], 1)
-    v = infinity_orbit_preperiodicity(f, (sqrt2, 0))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint(sqrt2, 0, 1))
     assert v.kind in {"NotPreperiodic", "Unknown"}
+
+
+def _assert_roots(form, degree, pts):
+    """Multiplicities sum to degree; each point is an exact root of the
+    form, in the number field of its coordinate, or is [0 : 1] when the
+    degree of form(1, t) drops below degree."""
+    assert sum(p.multiplicity for p in pts) == degree
+    top_t = max(j for (_i, j) in form.coeffs)
+    for p in pts:
+        if p.chart == 1:
+            assert p.coordinate.is_zero() and p.multiplicity == degree - top_t
+            assert p is pts[-1]
+            continue
+        K = p.coordinate.number_field()
+        a = K.generator()
+        value = K(0)
+        for (_i, j), c in form.coeffs.items():
+            value = value + a ** j * c
+        assert value.is_zero()
+    assert any(p.chart == 1 for p in pts) == (top_t < degree)
+
+
+small = st.integers(min_value=-4, max_value=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(small, min_size=n + 1, max_size=n + 1))))
+def test_projective_roots_of_random_binary_forms(case):
+    degree, cs = case
+    form = MultiPoly({(degree - j, j): c for j, c in enumerate(cs)})
+    assume(not form.is_zero())
+    _assert_roots(form, degree, projective_roots(form, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from([(i, j) for i in range(4) for j in range(4 - i)]),
+                       small, min_size=1, max_size=6))
+def test_points_at_infinity_of_random_curves(coeffs):
+    R = MultiPoly(coeffs)
+    assume(R.degree >= 1)
+    C = PlaneCurve(R)
+    _assert_roots(homogeneous_top(C.poly), C.degree, points_at_infinity(C))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(small, min_size=6, max_size=6))
+def test_every_fixed_point_passes_the_fixedness_check(cs):
+    z, w = MultiPoly.variable(0), MultiPoly.variable(1)
+    P = z * z * cs[0] + z * w * cs[1] + w * w * cs[2] + w
+    Q = z * z * cs[3] + z * w * cs[4] + w * w * cs[5] - z
+    try:
+        f = make_regular_map(P, Q)
+    except (NotRegular, ValueError):
+        assume(False)
+    forms = (f.top_P, f.top_Q)
+    pts = fixed_points_infinity(f)
+    _assert_roots(w * f.top_P - z * f.top_Q, f.d + 1, pts)
+    # the check alone: an irrational multiplier costs sympy root isolation
+    with mock.patch.object(infinity, "_multiplier", lambda forms, point: point):
+        assert all(multiplier(forms, p) is p for p in pts)
+    for p in pts:
+        if p.coordinate.is_rational():
+            assert multiplier(forms, p) == p.multiplier
+
+
+def test_multiplier_refuses_a_point_that_is_not_fixed():
+    f = make_regular_map("z^2", "w^2")
+    with pytest.raises(ValueError):
+        multiplier((f.top_P, f.top_Q), InfinityPoint.from_pair(1, 2))
+
+
+def test_two_cycle_multiplier_from_the_composed_forms():
+    # f_inf in t = w/z is g(t) = (1 - t^2)/(1 + 3t), with the 2-cycle
+    # 0 -> 1 -> 0 and g'(0) g'(1) = (-3)(-1/2) = 3/2
+    f = make_regular_map("z^2 + 3*z*w", "z^2 - w^2")
+    A, B = compose_forms(f, 2)
+    # oracle: the top forms of (P(P, Q), Q(P, Q))
+    assert A == f.P.compose(f.P, f.Q).homogeneous_part(4)
+    assert B == f.Q.compose(f.P, f.Q).homogeneous_part(4)
+    assert compose_forms(f, 1) == (f.top_P, f.top_Q)
+    for pair in ((1, 0), (1, 1)):
+        lam = multiplier((A, B), InfinityPoint.from_pair(*pair))
+        assert lam.as_rational() == F(3, 2)
+        with pytest.raises(ValueError):
+            multiplier((f.top_P, f.top_Q), InfinityPoint.from_pair(*pair))
+    v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, 0))
+    assert (v.kind, v.preperiod, v.period) == ("Preperiodic", 0, 2)

@@ -188,6 +188,33 @@ def test_parabolic_chain_conjugates_each_step_once(monkeypatch, name):
     assert res.verify()
 
 
+@pytest.mark.parametrize("name", sorted(PARABOLIC_GERMS) + ["saddle"])
+def test_verify_reuses_the_composition_of_each_step(monkeypatch, name):
+    # f o Phi is computed once per step, by conjugate, and verify checks
+    # Phi o G against the one kept; a trial axis conjugation computes its own
+    calls = []
+    original = Conjugacy._push
+    monkeypatch.setattr(Conjugacy, "_push",
+                        lambda self, germ: calls.append(self) or original(self, germ))
+    if name == "saddle":
+        n = 12
+        res = saddle_normal_form(LocalGerm(X(n) * 2 * (Y(n) + 1), Y(n) ** 2 * (X(n) + 1), 2))
+    else:
+        _k, res = parabolic_normal_form(PARABOLIC_GERMS[name](10))
+    assert res.verify()
+    axis_steps = sum(isinstance(s, XCoord) for s in res.conjugacies) if name != "saddle" else 0
+    assert len(calls) == len(res.conjugacies) + axis_steps
+    assert len(res.pushes) == len(res.conjugacies)
+
+
+def test_verify_rejects_a_wrong_step():
+    n = 12
+    res = saddle_normal_form(LocalGerm(X(n) * 2 * (Y(n) + 1), Y(n) ** 2 * (X(n) + 1), 2))
+    f1, f2 = res.pushes[-1]
+    res.pushes[-1] = (f1 + X(n) ** 3, f2)
+    assert not res.verify()
+
+
 def test_shear_shifts_the_super_stable_graph():
     # parabolic_normal_form reuses the graph across remove_mu's shear
     # x -> x + c*y: the sheared germ's graph must be phi - c*y

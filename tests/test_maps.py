@@ -50,12 +50,3 @@ def test_iterate_bit_cap():
     f = make_regular_map("z^2", "w^2")
     with pytest.raises(BitSizeCap):
         f.iterate(40, (F(2), F(1)), max_bits=1000)
-
-
-def test_lift_consistency():
-    f = make_regular_map("z^2 + w", "w^2 - 1")
-    F0, F1, F2 = f.lift()
-    z, w = F(2, 3), F(-1, 5)
-    # affine chart: [1 : z : w] -> [F0 : F1 : F2] = [1 : P : Q] after scaling
-    v0, v1, v2 = F0.eval(1, z, w), F1.eval(1, z, w), F2.eval(1, z, w)
-    assert (v1 / v0, v2 / v0) == f.apply((z, w))

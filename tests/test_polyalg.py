@@ -6,8 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from regdyn.numberfield import NumberField
 from regdyn.padic import PAdic
-from regdyn.polyalg import (MultiPoly, PolyParseError, homogeneous_top,
-                            homogenize, parse_poly, resultant)
+from regdyn.polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 
 
 def test_parse_basic():
@@ -93,27 +92,6 @@ def test_a_constant_evaluates_to_its_coefficient(c):
     # Fraction at every point (the zero polynomial gives the int 0)
     for z, w in EVAL_POINTS:
         assert _same(MultiPoly.constant(c).eval(z, w), c if c else 0)
-
-
-def test_resultant_oracles():
-    # Res_w(w - z^2, w - z) = z^2 - z
-    r = resultant(parse_poly("w - z^2"), parse_poly("w - z"), 1)
-    assert r.coeffs == {(2, 0): F(1), (1, 0): F(-1)}
-    # Res_w(w^2 + 1, w + 1) = 2
-    r = resultant(parse_poly("w^2 + 1"), parse_poly("w + 1"), 1)
-    assert r.coeffs == {(0, 0): F(2)}
-
-
-def test_resultant_shared_root_vanishes():
-    r = resultant(parse_poly("(w - z)*(w + 1)"), parse_poly("(w - z)*(w - 2)"), 1)
-    assert r.is_zero()
-
-
-def test_homogenize_dehomogenize():
-    p = parse_poly("z^2 + w - 1")
-    h = homogenize(p, 2)
-    assert h.eval(1, F(3), F(4)) == p.eval(F(3), F(4))
-    assert h.dehomogenize().coeffs == p.coeffs
 
 
 def test_homogeneous_top():
