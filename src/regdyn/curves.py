@@ -93,12 +93,22 @@ class EliminationError(RuntimeError):
     pass
 
 
+# The image of a component {Ri = 0} comes from the linear kernel when
+# d * deg Ri is at most this, and from resultants above it.  Measured on
+# images of full degree under monomial maps, where resultants are cheapest,
+# the kernel is faster up to 9, mixed at 10 and slower from 12 on; under
+# generic maps it is faster at every degree (CHANGES.md).
+KERNEL_MAX_DEGREE = 9
+
+
 def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     """The squarefree defining polynomial of the Zariski closure of f(C).
 
-    Two-stage resultant elimination per irreducible component, followed by
-    exact extraneous-factor removal: a factor G of the eliminant is kept
-    iff the component's polynomial divides G(P, Q).  By the projection
+    Each irreducible component C_i is taken to its image curve on its own:
+    by a linear kernel when d * deg C_i is small (`_kernel_image`), else by
+    two-stage resultant elimination (`_resultant_image`).  Either way an
+    image G is kept only if the component's polynomial divides G(P, Q),
+    checked exactly.  By the projection
     formula deg f(C_i) divides d * deg C_i for each component C_i; images of
     two components can coincide, so deg f(C) need not divide d * deg C.
     The kept factors are irreducible and primitive, so the image is built
@@ -139,8 +149,27 @@ def _split_eliminant(E):
 
 def _component_image(Ri, P, Q) -> list:
     """The irreducible G(Z, W), as primitive Polys, whose curves make up the
-    image of {Ri = 0} under (P, Q): the factors of the eliminants kept iff
-    Ri | G(P, Q).
+    image of {Ri = 0} under (P, Q), each certified by the exact test
+    Ri | G(P, Q).  The image comes from the linear kernel when d * deg Ri,
+    which its degree divides, is at most KERNEL_MAX_DEGREE, and from
+    resultants otherwise."""
+    d = max(P.total_degree(), Q.total_degree())
+    if d * Ri.total_degree() > KERNEL_MAX_DEGREE:
+        return _resultant_image(Ri, P, Q)
+    G = _kernel_image(Ri, P, Q)
+    if not _vanishes_on(G, Ri, P, Q):
+        raise EliminationError("the kernel's image fails the component test")
+    return [G]
+
+
+def _vanishes_on(G, Ri, P, Q) -> bool:
+    """Ri | G(P, Q), over ZZ when P, Q are (no QQ copy)."""
+    return _substitute(G, P, Q).rem(Ri, auto=False).is_zero
+
+
+def _resultant_image(Ri, P, Q) -> list:
+    """_component_image by elimination: the factors of the eliminants kept
+    iff Ri | G(P, Q).
 
     No eliminant vanishes: Z - P and W - Q involve Z and W, Ri does not,
     and the mixed factors of E1 involve Z but not W, those of E2 the
@@ -158,12 +187,137 @@ def _component_image(Ri, P, Q) -> list:
     out = {}
     for G in candidates:
         G0 = _primitive(G)
-        # exact component test Ri | G0(P, Q), over ZZ when P, Q are (no QQ copy)
-        if G0 not in out and _substitute(G0, P, Q).rem(Ri, auto=False).is_zero:
+        if G0 not in out and _vanishes_on(G0, Ri, P, Q):
             out[G0] = None
     if not out:
         raise EliminationError("no factor of the eliminants passed the component test")
     return list(out)
+
+
+def _kernel_image(Ri, P, Q):
+    """The image of the irreducible curve {Ri = 0} under the regular map
+    (P, Q), as a primitive Poly G(Z, W), by linear algebra.
+
+    {Ri} is a Groebner basis of (Ri), so the normal form of G(P, Q) modulo
+    Ri is unique and linear in G, and G(P, Q) is divisible by Ri iff the
+    normal forms of the P^a Q^b weighted by G's coefficients sum to zero.
+    A regular map is finite, so the image is an irreducible curve {G = 0}
+    of some degree D <= d * deg Ri, and the G of degree at most D with
+    Ri | G(P, Q) are the constant multiples of it.  So taking the columns
+    NF(P^a Q^b) by increasing a + b, the first one that depends on those
+    before it has degree D, and the dependency is the image polynomial."""
+    R = _int_terms(Ri)[0]
+    lead = max(R, key=_grlex)
+    if R[lead] < 0:  # -Ri generates the same ideal; a leading 1 scales nothing
+        R = {m: -c for m, c in R.items()}
+    reducer = (lead, R.pop(lead), list(R.items()))
+    factors = [(list(t.items()), den) for t, den in (_int_terms(P), _int_terms(Q))]
+    cap = max(P.total_degree(), Q.total_degree()) * Ri.total_degree()
+    nf, columns, basis = {}, [], []  # nf[(a, b)] = (h, den): NF(P^a Q^b) = h / den
+    for n in range(cap + 1):
+        for a in range(n, -1, -1):
+            b = n - a
+            if n == 0:
+                h, den = {(0, 0): 1}, 1  # Ri is nonconstant, so 1 is reduced
+            else:  # NF(P^a Q^b) = NF(P * NF(P^(a-1) Q^b)), or Q for a = 0
+                h0, den0 = nf[(a - 1, b) if a else (0, b - 1)]
+                terms, fden = factors[0 if a else 1]
+                h, s = _normal_form(_times(h0, terms), *reducer)
+                den = den0 * fden * s
+                g = math.gcd(den, *h.values())
+                if g != 1:
+                    h, den = {m: c // g for m, c in h.items()}, den // g
+            nf[(a, b)] = h, den
+            columns.append((a, b))
+            relation = _eliminate(basis, h, {len(columns) - 1: 1})
+            if relation is not None:  # sum of y_k h_k = 0 over the columns k
+                coeffs = {columns[k]: y * nf[columns[k]][1] for k, y in relation.items()}
+                return _primitive(sp.Poly.from_dict(coeffs, _Z, _W, domain=sp.ZZ))
+    raise EliminationError("no relation of degree at most d * deg Ri")
+
+
+def _int_terms(p) -> tuple:
+    """({(i, j): int}, den) with p = terms / den, for a Poly in two generators."""
+    den, p = p.clear_denoms(convert=True)
+    return {m: int(c) for m, c in p.rep.to_dict().items()}, int(den)
+
+
+def _grlex(m):
+    return m[0] + m[1], m[0]
+
+
+def _times(h: dict, terms: list) -> dict:
+    """h times the polynomial with these ((i, j), c) terms."""
+    out = {}
+    for (i, j), c in h.items():
+        for (k, l), e in terms:
+            m = (i + k, j + l)
+            out[m] = out.get(m, 0) + c * e
+    return out
+
+
+def _normal_form(h: dict, lead, lc: int, tail: list) -> tuple:
+    """(h', s) with h' = s * (h reduced modulo R), for R = lc * z^a w^b +
+    tail, where z^a w^b is R's grlex-leading monomial; h is a dict of ints,
+    consumed.  The terms z^i w^j with i >= a and j >= b are cancelled from
+    the grlex-largest down, each step scaling h by lc / gcd(c, lc) so that
+    it stays integral; a step only adds terms grlex-smaller than the one it
+    cancels.  Zero terms are dropped."""
+    a, b = lead
+    s = 1
+    top = max((i + j for i, j in h), default=-1)
+    for k in range(top, a + b - 1, -1):
+        for i in range(k - b, a - 1, -1):
+            c = h.pop((i, k - i), 0)
+            if not c:
+                continue
+            g = math.gcd(c, lc)
+            u, c = lc // g, c // g
+            if u != 1:
+                s *= u
+                for m in h:
+                    h[m] *= u
+            di, dj = i - a, k - i - b
+            for (p, q), r in tail:
+                m = (p + di, q + dj)
+                h[m] = h.get(m, 0) - c * r
+    return {m: c for m, c in h.items() if c}, s
+
+
+def _eliminate(basis: list, vec: dict, combo: dict):
+    """Reduce the column vec, whose combination of the original columns is
+    combo, against the echelon basis [(pivot, vector, combination)].  A
+    column that reduces to zero returns its combination, a relation among
+    the columns; otherwise it joins the basis, divided by its content, and
+    None is returned.  Fraction-free: each step is an integer combination
+    s * vec - t * v that clears vec's entry at v's pivot."""
+    for p, v, vc in basis:
+        c = vec.get(p)
+        if c:
+            e = v[p]
+            g = math.gcd(c, e)
+            s, t = e // g, c // g
+            vec, combo = _combine(vec, s, v, t), _combine(combo, s, vc, t)
+    if not vec:
+        return combo
+    g = math.gcd(*vec.values(), *combo.values())
+    if g != 1:
+        vec = {m: c // g for m, c in vec.items()}
+        combo = {k: c // g for k, c in combo.items()}
+    basis.append((max(vec, key=_grlex), vec, combo))
+    return None
+
+
+def _combine(x: dict, s: int, y: dict, t: int) -> dict:
+    """s * x - t * y, zero terms dropped."""
+    out = {m: s * c for m, c in x.items()} if s != 1 else dict(x)
+    for m, c in y.items():
+        v = out.get(m, 0) - t * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
 
 
 def _substitute(G, P, Q):

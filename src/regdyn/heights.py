@@ -24,7 +24,6 @@ from .maps import RegularMap, BitSizeCap
 class HeightResult:
     value: RealInterval
     support: list
-    certified: bool
 
 
 @dataclass
@@ -72,7 +71,7 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
         if g.upper > 0:
             support.append(v)
         total = total + g
-    return HeightResult(total, support, certified=True)
+    return HeightResult(total, support)
 
 
 def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64, tol=Fraction(1, 10**9),

@@ -182,18 +182,21 @@ def test_dmm_report_classifies_a_two_cycle_at_infinity(monkeypatch):
 
 
 def test_curve_orbit_factors_each_curve_once(monkeypatch):
-    # each pushforward factors its two eliminants, the second eliminant and
-    # the image; the components of the curve it starts from are reused
+    # the start curve is factored once, when it is made; the components of
+    # each curve are reused by the next pushforward
     calls = []
     original = sp.factor_list
     monkeypatch.setattr(sp, "factor_list",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     f = make_regular_map("z^2", "w^2")
-    st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=3)
-    assert [C.degree for C in st.orbit] == [1, 2, 4, 8]
-    # each pushforward factors its two eliminants and the second eliminant;
-    # the image is built from the factors kept, with no factoring
-    assert len(calls) == 1 + 3 * 3
+    st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=4)
+    assert [C.degree for C in st.orbit] == [1, 2, 4, 8, 16]
+    # the steps from degrees 1, 2 and 4 (d * deg <= KERNEL_MAX_DEGREE) take
+    # the kernel, which factors nothing; the step from degree 8 factors its
+    # two eliminants and the second eliminant, and builds the image from the
+    # factors kept, with no factoring
+    assert 2 * 4 <= curves.KERNEL_MAX_DEGREE < 2 * 8
+    assert len(calls) == 1 + 3
 
 
 def test_pushforward_takes_a_shared_image_once():
@@ -366,3 +369,58 @@ def test_pushforward_builds_the_curve_factoring_would(data, lines):
     ref = PlaneCurve(sp.prod(kept))
     assert img.key() == ref.key() and img.poly.coeffs == ref.poly.coeffs
     assert set(img.components) == set(ref.components)
+
+
+def test_degree_eight_image_of_a_line():
+    # three steps of w = 2z - 1 under a generic map: the last image has
+    # degree 8 = d * deg, and comes from the kernel
+    f = make_regular_map("z^2 + w", "w^2 - z")
+    C = PlaneCurve("w - 2*z + 1")
+    for _ in range(3):
+        C = pushforward(f, C)
+    G = C.poly
+    assert G.degree == 8
+    image = [f.iterate(3, (F(t), F(2 * t - 1))) for t in range(-32, 33)]
+    assert len(set(image)) == 65
+    assert all(G.eval(z, w) == 0 for z, w in image)
+    # the image curve f^3(L) is irreducible of degree at most 8 and passes
+    # through the points.  No curve of degree 7 passes through the 36 of
+    # smallest height (a curve of degree n < 7 through them, times
+    # z^(7 - n), would be one), so f^3(L) has degree 8; G meets it in
+    # 65 > 8 * 8 points, so by Bezout G contains it, and with the same
+    # degree G is f^3(L)
+    mons = _monomials(7)
+    small = image[32 - 18:32 + 18]
+    assert _rank([[z**i * w**j for i, j in mons] for z, w in small]) == len(mons)
+
+
+@st.composite
+def small_degree_case(draw):
+    """A map from the `_generic_map` family or (+-z^d, +-w^d) for d = 2, 3,
+    and a line or a conic with small integer coefficients."""
+    if draw(st.booleans()):
+        f = _generic_map(draw)
+    else:
+        d = draw(st.sampled_from([2, 3]))
+        s1, s2 = draw(st.sampled_from(["", "-"])), draw(st.sampled_from(["", "-"]))
+        f = make_regular_map(f"{s1}z^{d}", f"{s2}w^{d}")
+    c = st.integers(-3, 3)
+    exps = [(1, 0), (0, 1), (0, 0)]
+    if draw(st.booleans()):
+        exps = [(2, 0), (1, 1), (0, 2)] + exps
+    coeffs = {e: draw(c) for e in exps}
+    top = max(i + j for i, j in exps)
+    if not any(coeffs[e] for e in exps if sum(e) == top):
+        coeffs[exps[0]] = 1
+    return f, PlaneCurve(MultiPoly(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_degree_case())
+def test_kernel_image_matches_the_resultant_image(case):
+    f, C = case
+    z, w = sp.symbols("z w")
+    P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
+    for Ri in C.components:
+        assert f.d * Ri.total_degree() <= curves.KERNEL_MAX_DEGREE
+        assert curves._component_image(Ri, P, Q) == curves._resultant_image(Ri, P, Q)
