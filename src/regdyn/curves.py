@@ -96,8 +96,11 @@ class EliminationError(RuntimeError):
 # The image of a component {Ri = 0} comes from the linear kernel when
 # d * deg Ri is at most this, and from resultants above it.  Measured on
 # images of full degree under monomial maps, where resultants are cheapest,
-# the kernel is faster up to 9, mixed at 10 and slower from 12 on; under
-# generic maps it is faster at every degree (CHANGES.md).
+# the kernel is faster up to 9, mixed at 10 and slower from 12 on.  Under
+# generic maps the kernel is faster at every degree measured (0.04 s against
+# 16 s at 10, 0.3 s against more than 60 s at 16), so above 9 those take the
+# slower path.  No benchmark workload reaches above 9: the choice there rests
+# on these hand-picked cases, not on measured traffic (ROADMAP O5(b)).
 KERNEL_MAX_DEGREE = 9
 
 
@@ -116,8 +119,9 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     P, Q = f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)
     kept = {}
     for Ri in C.components:
-        image = _component_image(Ri, P, Q)
-        if (f.d * Ri.total_degree()) % sum(G.total_degree() for G in image):
+        cap = f.d * Ri.total_degree()
+        image = _component_image(Ri, P, Q, cap)
+        if cap % sum(G.total_degree() for G in image):
             raise EliminationError("image degree does not divide d * deg C "
                                    "(elimination bug)")
         kept.update(dict.fromkeys(image))
@@ -147,16 +151,15 @@ def _split_eliminant(E):
     return mixed, free
 
 
-def _component_image(Ri, P, Q) -> list:
+def _component_image(Ri, P, Q, cap: int) -> list:
     """The irreducible G(Z, W), as primitive Polys, whose curves make up the
     image of {Ri = 0} under (P, Q), each certified by the exact test
-    Ri | G(P, Q).  The image comes from the linear kernel when d * deg Ri,
-    which its degree divides, is at most KERNEL_MAX_DEGREE, and from
-    resultants otherwise."""
-    d = max(P.total_degree(), Q.total_degree())
-    if d * Ri.total_degree() > KERNEL_MAX_DEGREE:
+    Ri | G(P, Q).  The image comes from the linear kernel when cap =
+    d * deg Ri, which its degree divides, is at most KERNEL_MAX_DEGREE, and
+    from resultants otherwise."""
+    if cap > KERNEL_MAX_DEGREE:
         return _resultant_image(Ri, P, Q)
-    G = _kernel_image(Ri, P, Q)
+    G = _kernel_image(Ri, P, Q, cap)
     if not _vanishes_on(G, Ri, P, Q):
         raise EliminationError("the kernel's image fails the component test")
     return [G]
@@ -194,15 +197,16 @@ def _resultant_image(Ri, P, Q) -> list:
     return list(out)
 
 
-def _kernel_image(Ri, P, Q):
+def _kernel_image(Ri, P, Q, cap: int):
     """The image of the irreducible curve {Ri = 0} under the regular map
-    (P, Q), as a primitive Poly G(Z, W), by linear algebra.
+    (P, Q) of degree d, as a primitive Poly G(Z, W), by linear algebra;
+    cap = d * deg Ri.
 
     {Ri} is a Groebner basis of (Ri), so the normal form of G(P, Q) modulo
     Ri is unique and linear in G, and G(P, Q) is divisible by Ri iff the
     normal forms of the P^a Q^b weighted by G's coefficients sum to zero.
     A regular map is finite, so the image is an irreducible curve {G = 0}
-    of some degree D <= d * deg Ri, and the G of degree at most D with
+    of some degree D <= cap, and the G of degree at most D with
     Ri | G(P, Q) are the constant multiples of it.  So taking the columns
     NF(P^a Q^b) by increasing a + b, the first one that depends on those
     before it has degree D, and the dependency is the image polynomial."""
@@ -212,7 +216,6 @@ def _kernel_image(Ri, P, Q):
         R = {m: -c for m, c in R.items()}
     reducer = (lead, R.pop(lead), list(R.items()))
     factors = [(list(t.items()), den) for t, den in (_int_terms(P), _int_terms(Q))]
-    cap = max(P.total_degree(), Q.total_degree()) * Ri.total_degree()
     nf, columns, basis = {}, [], []  # nf[(a, b)] = (h, den): NF(P^a Q^b) = h / den
     for n in range(cap + 1):
         for a in range(n, -1, -1):

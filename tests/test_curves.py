@@ -89,7 +89,7 @@ def test_pushforward_rejects_an_image_degree_not_dividing_d_deg_c(monkeypatch):
     f = make_regular_map("z^3", "w^3")
     Z, W = sp.symbols("Z W")
     monkeypatch.setattr(curves, "_component_image",
-                        lambda Ri, P, Q: [sp.Poly(W - Z**2, Z, W)])
+                        lambda Ri, P, Q, cap: [sp.Poly(W - Z**2, Z, W)])
     with pytest.raises(EliminationError):
         pushforward(f, PlaneCurve("w - z"))
 
@@ -365,7 +365,8 @@ def test_pushforward_builds_the_curve_factoring_would(data, lines):
     # the factoring path: the product of every component's image, factored
     z, w = sp.symbols("z w")
     P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
-    kept = [G for Ri in C.components for G in curves._component_image(Ri, P, Q)]
+    kept = [G for Ri in C.components
+            for G in curves._component_image(Ri, P, Q, f.d * Ri.total_degree())]
     ref = PlaneCurve(sp.prod(kept))
     assert img.key() == ref.key() and img.poly.coeffs == ref.poly.coeffs
     assert set(img.components) == set(ref.components)
@@ -397,30 +398,52 @@ def test_degree_eight_image_of_a_line():
 @st.composite
 def small_degree_case(draw):
     """A map from the `_generic_map` family or (+-z^d, +-w^d) for d = 2, 3,
-    and a line or a conic with small integer coefficients."""
-    if draw(st.booleans()):
-        f = _generic_map(draw)
-    else:
+    and a curve with small integer coefficients: a line or a conic, and under
+    the monomial maps also a cubic, or for d = 2 a quartic, so that d * deg
+    takes every value up to KERNEL_MAX_DEGREE = 9 that a product can."""
+    monomial = draw(st.booleans())
+    if monomial:
         d = draw(st.sampled_from([2, 3]))
         s1, s2 = draw(st.sampled_from(["", "-"])), draw(st.sampled_from(["", "-"]))
         f = make_regular_map(f"{s1}z^{d}", f"{s2}w^{d}")
-    c = st.integers(-3, 3)
-    exps = [(1, 0), (0, 1), (0, 0)]
-    if draw(st.booleans()):
-        exps = [(2, 0), (1, 1), (0, 2)] + exps
-    coeffs = {e: draw(c) for e in exps}
-    top = max(i + j for i, j in exps)
+    else:
+        f = _generic_map(draw)
+    # the resultant reference takes 0.5 s on a generic cubic and seconds on a
+    # generic quartic; the generic degree-8 image has its own test
+    top = draw(st.sampled_from([1, 2] if not monomial else [1, 2, 3, 4] if f.d == 2
+                               else [1, 2, 3]))
+    exps = _monomials(top)
+    coeffs = {e: draw(st.integers(-3, 3)) for e in exps}
     if not any(coeffs[e] for e in exps if sum(e) == top):
-        coeffs[exps[0]] = 1
+        coeffs[(top, 0)] = 1
     return f, PlaneCurve(MultiPoly(coeffs))
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_degree_case())
-def test_kernel_image_matches_the_resultant_image(case):
-    f, C = case
+def _kernel_matches_resultants(f, C):
     z, w = sp.symbols("z w")
     P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
     for Ri in C.components:
-        assert f.d * Ri.total_degree() <= curves.KERNEL_MAX_DEGREE
-        assert curves._component_image(Ri, P, Q) == curves._resultant_image(Ri, P, Q)
+        cap = f.d * Ri.total_degree()
+        assert cap <= curves.KERNEL_MAX_DEGREE
+        assert curves._component_image(Ri, P, Q, cap) == curves._resultant_image(Ri, P, Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_degree_case())
+def test_kernel_image_matches_the_resultant_image(case):
+    _kernel_matches_resultants(*case)
+
+
+@pytest.mark.parametrize("spec, curve, degree", [
+    # images of full degree 8 and 9 that the regbench curves workload
+    # reaches under monomial maps
+    ("-z^2, w^2", "w^4 + 4*w^3*z - 4*w^3 + 6*w^2*z^2 + 124*w^2*z + 6*w^2 + 4*w*z^3"
+     " - 124*w*z^2 + 124*w*z - 4*w + z^4 + 4*z^3 + 6*z^2 + 4*z + 1", 8),
+    ("z^3, w^3", "-w^3 + 3*w^2*z - 3*w^2 - 3*w*z^2 - 21*w*z - 3*w + z^3 - 3*z^2 + 3*z - 1",
+     9),
+])
+def test_kernel_image_matches_the_resultant_image_at_degrees_eight_and_nine(spec, curve,
+                                                                            degree):
+    f, C = make_regular_map(*spec.split(",")), PlaneCurve(curve)
+    assert pushforward(f, C).degree == degree == f.d * C.degree
+    _kernel_matches_resultants(f, C)
