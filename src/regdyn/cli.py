@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -35,18 +34,12 @@ ORBIT_MAX_BITS = 14_000
 # `stable-manifold` refuses a larger --order: the cost grows about as the
 # order to the 5th power (19.8 s at order 48, over 60 s at order 96)
 STABLE_MANIFOLD_MAX_ORDER = 64
+# the enclosure width of `green` and `height` when --tol is not given
+DEFAULT_TOL = Fraction(1, 10**9)
 
 
 class InputError(ValueError):
     pass
-
-
-def _default_tol() -> Fraction:
-    raw = os.environ.get("REGDYN_TOL", "1e-9")
-    try:
-        return _parse_tol(raw)
-    except InputError:
-        return Fraction(1, 10**9)
 
 
 def _parse_tol(text: str) -> Fraction:
@@ -152,7 +145,7 @@ def _cmd_green(args):
         raise InputError("green needs --point or --homog")
     f = _parse_map(args.map)
     v = _parse_place(args.place)
-    tol = _parse_tol(args.tol) if args.tol else _default_tol()
+    tol = _parse_tol(args.tol) if args.tol else DEFAULT_TOL
     ctx = GreenContext(f, v)
     if args.homog:
         pt = _parse_point(args.homog, 3)
@@ -172,7 +165,7 @@ def _cmd_green(args):
 def _cmd_height(args):
     f = _parse_map(args.map)
     pt = _parse_point(args.point)
-    tol = _parse_tol(args.tol) if args.tol else _default_tol()
+    tol = _parse_tol(args.tol) if args.tol else DEFAULT_TOL
     h = canonical_height(f, pt, tol)
     verdict = is_preperiodic(f, pt, tol=tol, height=h)
     result = {"canonical_height": _json(h.value),
@@ -317,7 +310,7 @@ def _build_parser():
     g.add_argument("--point", help='affine point "z,w"')
     g.add_argument("--homog", help='homogeneous point "z0,z1,z2"')
     g.add_argument("--place", default="inf", help="'inf' or a prime")
-    g.add_argument("--tol", help="enclosure width target")
+    g.add_argument("--tol", help="enclosure width target (default 1e-9)")
 
     h = add("height", _cmd_height, help="canonical height and preperiodicity")
     h.add_argument("--point", required=True)

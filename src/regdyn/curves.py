@@ -16,7 +16,7 @@ from typing import Optional
 
 import sympy as sp
 
-from .heights import PreperiodicityVerdict, is_preperiodic
+from .heights import PreperiodicityVerdict, _affine_too_big, _exact_orbit
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import RegularMap
@@ -351,25 +351,20 @@ def curve_preperiodicity(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
                          max_degree: int = 64) -> CurveOrbitStatus:
     """Iterate pushforward with exact canonical-form cycle detection."""
     C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
-    orbit = [C]
-    seen = {C.key(): 0}
-    for n in range(1, max_iters + 1):
-        nxt = pushforward(f, orbit[-1])
-        if nxt.key() in seen:
-            k = seen[nxt.key()]
-            period = n - k
-            kind = "Fixed" if (k, period) == (0, 1) \
-                else ("Periodic" if k == 0 else "PreperiodicTo")
-            return CurveOrbitStatus(kind, k, period, orbit)
-        if nxt.degree > max_degree:
-            orbit.append(nxt)
-            return CurveOrbitStatus("NotDetectedPreperiodic", orbit=orbit,
-                                    caps={"max_degree": max_degree,
-                                          "reached_degree": nxt.degree})
-        seen[nxt.key()] = n
-        orbit.append(nxt)
-    return CurveOrbitStatus("NotDetectedPreperiodic", orbit=orbit,
-                            caps={"max_iters": max_iters})
+    orbit, k = _exact_orbit(lambda D: pushforward(f, D), C, max_iters,
+                            lambda D: D.degree > max_degree)
+    if k is not None:
+        period = len(orbit) - k
+        kind = "Fixed" if (k, period) == (0, 1) \
+            else ("Periodic" if k == 0 else "PreperiodicTo")
+        return CurveOrbitStatus(kind, k, period, orbit)
+    # the start is never tested against max_degree, so with max_iters = 0 the
+    # orbit is [C] and stopped at max_iters whatever the degree of C
+    if len(orbit) > 1 and orbit[-1].degree > max_degree:
+        caps = {"max_degree": max_degree, "reached_degree": orbit[-1].degree}
+    else:
+        caps = {"max_iters": max_iters}
+    return CurveOrbitStatus("NotDetectedPreperiodic", orbit=orbit, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +413,15 @@ def _cyclotomic_orbit(f: RegularMap, a1, n1, a2, n2, orbit_cap: int):
     """Exact orbit of (zeta^e1, zeta^e2) in Q(zeta_L); None if no cycle found."""
     L = n1 * n2 // math.gcd(n1, n2)
     K = _cyclotomic_field(L)
-    cur = (K([0] * (a1 * L // n1) + [1]), K([0] * (a2 * L // n2) + [1]))
-    seen = {cur: 0}
-    orbit = [cur]
-    for n in range(1, orbit_cap + 1):
-        cur = (f.P.eval(cur[0], cur[1]), f.Q.eval(cur[0], cur[1]))
-        if cur in seen:
-            k = seen[cur]
-            return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
+
+    def too_big(pt):
         # the cap is per coefficient in lowest terms; max|num| + den bounds it
-        if max(max(map(abs, e.num)) + e.den for e in cur) > 10**60 and max(
-                abs(c.numerator) + c.denominator for e in cur for c in e.coeffs) > 10**60:
-            return None
-        seen[cur] = n
-        orbit.append(cur)
-    return None
+        return max(max(map(abs, e.num)) + e.den for e in pt) > 10**60 and max(
+            abs(c.numerator) + c.denominator for e in pt for c in e.coeffs) > 10**60
+
+    start = (K([0] * (a1 * L // n1) + [1]), K([0] * (a2 * L // n2) + [1]))
+    orbit, k = _exact_orbit(f.apply, start, orbit_cap, too_big)
+    return None if k is None else PreperiodicityVerdict.preperiodic(orbit, k)
 
 
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
@@ -459,9 +448,9 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             if (a, b) in seen:
                 continue
             seen.add((a, b))
-            verdict = is_preperiodic(f, (a, b), orbit_cap=orbit_cap)
-            if verdict.kind == "Preperiodic":
-                found.append(FoundPoint((a, b), verdict))
+            orbit, k = _exact_orbit(f.apply, (a, b), orbit_cap, _affine_too_big)
+            if k is not None:
+                found.append(FoundPoint((a, b), PreperiodicityVerdict.preperiodic(orbit, k)))
     # roots-of-unity probes (numeric prefilter, exact confirmation)
     rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
             for a, n in _roots_of_unity(max_order)]

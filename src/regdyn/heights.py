@@ -17,7 +17,7 @@ import sympy as sp
 from .exactnum import Place
 from .green import GreenContext, bad_places, green_value
 from .intervals import RealInterval
-from .maps import RegularMap, BitSizeCap
+from .maps import RegularMap
 
 
 @dataclass
@@ -35,9 +35,10 @@ class PreperiodicityVerdict:
     height_lower: Optional[Fraction] = None
 
     @staticmethod
-    def preperiodic(k: int, l: int, orbit) -> "PreperiodicityVerdict":
-        return PreperiodicityVerdict("Preperiodic", preperiod=k, period=l,
-                                     orbit=list(orbit))
+    def preperiodic(orbit: list, k: int) -> "PreperiodicityVerdict":
+        """From an exact orbit whose next point repeats orbit[k]."""
+        return PreperiodicityVerdict("Preperiodic", preperiod=k, period=len(orbit) - k,
+                                     orbit=orbit)
 
     @staticmethod
     def not_preperiodic(lower: Fraction) -> "PreperiodicityVerdict":
@@ -74,31 +75,40 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
     return HeightResult(total, support)
 
 
+def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
+    """The exact orbit of `start` under `step`, for cycle detection: (orbit,
+    k) with step(orbit[-1]) == orbit[k], the first point that repeats; or
+    (orbit, None), the orbit ending after `max_steps` steps or at the first
+    point after `start` with too_big(point) true, which it includes."""
+    seen = {start: 0}
+    orbit = [start]
+    for n in range(1, max_steps + 1):
+        nxt = step(orbit[-1])
+        if nxt in seen:
+            return orbit, seen[nxt]
+        orbit.append(nxt)
+        if too_big(nxt):
+            break
+        seen[nxt] = n
+    return orbit, None
+
+
+def _affine_too_big(pt) -> bool:
+    # coordinates of a preperiodic point stay bounded with bounded
+    # denominators; bail out early on blowup in either direction
+    return max(map(abs, pt)) > 10**40 or max(
+        c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
+
+
 def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64, tol=Fraction(1, 10**9),
                    height: Optional[HeightResult] = None) -> PreperiodicityVerdict:
     """Exact cycle detection, else a height-based NotPreperiodic certificate;
     ``height`` is ``canonical_height(f, pt, tol)`` if the caller has it."""
     tol = Fraction(tol)
-    z, w = Fraction(pt[0]), Fraction(pt[1])
-    seen = {(z, w): 0}
-    orbit = [(z, w)]
-    try:
-        for n in range(1, orbit_cap + 1):
-            z, w = f.apply((z, w))
-            if (z, w) in seen:
-                k = seen[(z, w)]
-                return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
-            # coordinates of a preperiodic point stay bounded with bounded
-            # denominators; bail out early on blowup in either direction
-            if max(abs(z), abs(w)) > 10**40:
-                break
-            if max(c.numerator.bit_length() + c.denominator.bit_length()
-                   for c in (z, w)) > 4096:
-                break
-            seen[(z, w)] = n
-            orbit.append((z, w))
-    except BitSizeCap:
-        pass
+    pt = (Fraction(pt[0]), Fraction(pt[1]))
+    orbit, k = _exact_orbit(f.apply, pt, orbit_cap, _affine_too_big)
+    if k is not None:
+        return PreperiodicityVerdict.preperiodic(orbit, k)
     h = height if height is not None else canonical_height(f, pt, tol)
     if h.value.lower > tol:
         return PreperiodicityVerdict.not_preperiodic(h.value.lower)

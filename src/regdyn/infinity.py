@@ -23,7 +23,7 @@ import sympy as sp
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity)
 from .green import GreenContext, bad_places, green_homog
-from .heights import PreperiodicityVerdict
+from .heights import PreperiodicityVerdict, _exact_orbit
 from .maps import RegularMap
 from .polyalg import MultiPoly
 
@@ -255,21 +255,14 @@ def _normalize_rational_pair(z1: Fraction, z2: Fraction):
 
 
 def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
-    cur = _normalize_rational_pair(z1, z2)
-    seen = {cur: 0}
-    orbit = [cur]
-    for n in range(1, orbit_cap + 1):
-        a, b = cur
-        na = f.top_P.eval(Fraction(a), Fraction(b))
-        nb = f.top_Q.eval(Fraction(a), Fraction(b))
-        cur = _normalize_rational_pair(na, nb)
-        if cur in seen:
-            k = seen[cur]
-            return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
-        if max(abs(cur[0]), abs(cur[1])) > 10**60:
-            break
-        seen[cur] = n
-        orbit.append(cur)
+    def step(pair):
+        a, b = Fraction(pair[0]), Fraction(pair[1])
+        return _normalize_rational_pair(f.top_P.eval(a, b), f.top_Q.eval(a, b))
+
+    orbit, k = _exact_orbit(step, _normalize_rational_pair(z1, z2), orbit_cap,
+                            lambda pair: max(map(abs, pair)) > 10**60)
+    if k is not None:
+        return PreperiodicityVerdict.preperiodic(orbit, k)
     # the canonical height of [a : b] sums G_v(0, a, b) over all places; for
     # coprime integers it is log max(|a|_p, |b|_p) = 0 at every good prime
     a, b = orbit[0]
@@ -281,26 +274,21 @@ def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
 
 
 def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint, orbit_cap):
-    cur = _normalize_nf_pair(_chart_pair(point))
-    seen = {cur: 0}
-    orbit = [cur]
-    for n in range(1, orbit_cap + 1):
-        z1, z2 = cur
-        nz1 = f.top_P.eval(z1, z2)
-        nz2 = f.top_Q.eval(z1, z2)
+    def step(pair):
+        nz1, nz2 = f.top_P.eval(*pair), f.top_Q.eval(*pair)
         if nz1.is_zero() and nz2.is_zero():
             raise RuntimeError("regular map sent a projective point to 0")
-        cur = _normalize_nf_pair((nz1, nz2))
-        if cur in seen:
-            k = seen[cur]
-            return PreperiodicityVerdict.preperiodic(k, n - k, orbit)
+        return _normalize_nf_pair((nz1, nz2))
+
+    def too_big(pair):
         # the cap is per coefficient in lowest terms; max|num| and den bound it
-        if max(max(map(abs, z.num)).bit_length() + z.den.bit_length() for z in cur) > 4096 \
-                and max(c.numerator.bit_length() + c.denominator.bit_length()
-                        for z in cur for c in z.coeffs) > 4096:
-            break
-        seen[cur] = n
-        orbit.append(cur)
+        return max(max(map(abs, z.num)).bit_length() + z.den.bit_length() for z in pair) > 4096 \
+            and max(c.numerator.bit_length() + c.denominator.bit_length()
+                    for z in pair for c in z.coeffs) > 4096
+
+    orbit, k = _exact_orbit(step, _normalize_nf_pair(_chart_pair(point)), orbit_cap, too_big)
+    if k is not None:
+        return PreperiodicityVerdict.preperiodic(orbit, k)
     return PreperiodicityVerdict.unknown()
 
 

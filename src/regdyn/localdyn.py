@@ -53,8 +53,7 @@ def _y2(n):
 class LocalGerm:
     """Truncated germ (first, second) of the shape described above."""
 
-    def __init__(self, first: TruncSeries2, second: TruncSeries2, d: int,
-                 chart: Optional[dict] = None):
+    def __init__(self, first: TruncSeries2, second: TruncSeries2, d: int):
         N = min(first.order, second.order)
         first, second = first.truncate(N), second.truncate(N)
         if first[(0, 0)] != 0 or second[(0, 0)] != 0:
@@ -70,7 +69,6 @@ class LocalGerm:
         self.second = second
         self.d = d
         self.N = N
-        self.chart = chart
 
     @property
     def lam(self):
@@ -136,7 +134,7 @@ class Shear(Conjugacy):
 
     def _solve(self, germ, f1, f2):
         g1 = f1 - self.phi.compose(f2)
-        return LocalGerm(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d)
 
 
 class UnitScale(Conjugacy):
@@ -152,7 +150,7 @@ class UnitScale(Conjugacy):
 
     def _solve(self, germ, f1, f2):
         g1 = f1 * (self.phi.compose(f2) + 1).reciprocal()
-        return LocalGerm(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d)
 
 
 class HigherScale(Conjugacy):
@@ -175,7 +173,7 @@ class HigherScale(Conjugacy):
             if nxt == g1:
                 break
             g1 = nxt
-        return LocalGerm(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d)
 
 
 class YCoord(Conjugacy):
@@ -190,7 +188,7 @@ class YCoord(Conjugacy):
 
     def _solve(self, germ, f1, f2):
         g2 = self.beta.compose(f2)
-        return LocalGerm(f1, g2, germ.d, germ.chart)
+        return LocalGerm(f1, g2, germ.d)
 
 
 class XCoord(Conjugacy):
@@ -205,7 +203,7 @@ class XCoord(Conjugacy):
 
     def _solve(self, germ, f1, f2):
         g1 = self.psi.compose(f1)
-        return LocalGerm(g1, f2, germ.d, germ.chart)
+        return LocalGerm(g1, f2, germ.d)
 
 
 class Scale(Conjugacy):
@@ -221,7 +219,7 @@ class Scale(Conjugacy):
         return _x2(n) * self.a, _y2(n) * self.b
 
     def _solve(self, germ, f1, f2):
-        return LocalGerm(f1 * (1 / self.a), f2 * (1 / self.b), germ.d, germ.chart)
+        return LocalGerm(f1 * (1 / self.a), f2 * (1 / self.b), germ.d)
 
 
 @dataclass
@@ -325,7 +323,7 @@ def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
         x2, sy = _x2(N), _y2(N) * s
         first = first.compose(x2, sy)
         second = second.compose(x2, sy) * (1 / s)
-    return LocalGerm(first, second, d, chart={"chart": chart, "center": b, "scale": s})
+    return LocalGerm(first, second, d)
 
 
 # ---------------------------------------------------------------------------

@@ -208,15 +208,14 @@ class NFElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
+        result, base = None, self  # None stands for one, which no product needs
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return self.field.one() if result is None else result
 
     def is_zero(self) -> bool:
         return not any(self.num)

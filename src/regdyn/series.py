@@ -282,12 +282,6 @@ class TruncSeries:
             g = g - err * inv1
         return g
 
-    def eval(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
     def to_series2(self, order: int, var: int = 1) -> "TruncSeries2":
         num = {((0, k) if var == 1 else (k, 0)): c
                for k, c in enumerate(self.num[: order + 1]) if c}
@@ -577,12 +571,6 @@ class TruncSeries2:
     def divisible_by(self, i: int, j: int) -> bool:
         """True when every monomial is a multiple of x^i y^j."""
         return all(a >= i and b >= j for a, b in self.num)
-
-    def eval(self, x, y):
-        total = 0
-        for (i, j), c in sorted(self.coeffs.items()):
-            total = total + c * x**i * y**j
-        return total
 
     def __repr__(self):
         from .polyalg import MultiPoly

@@ -214,6 +214,17 @@ def test_curve_undetected_exit_code(capsys):
     assert doc["result"]["orbit_status"]["kind"] == "NotDetectedPreperiodic"
 
 
+def test_curve_with_no_iterations_reports_the_iteration_cap_above_the_degree_cap(capsys):
+    # the start curve is never held to --max-degree: with no steps the orbit
+    # stopped at --max-iters, though the curve alone is above --max-degree
+    code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", "w - z^2 - 1",
+                     "--max-iters", "0", "--max-degree", "1")
+    assert code == 3
+    status = doc["result"]["orbit_status"]
+    assert status["kind"] == "NotDetectedPreperiodic"
+    assert status["caps"] == {"max_iters": 0}
+
+
 def test_dmm(capsys):
     code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
                      "--height-bound", "2", "--max-order", "8")

@@ -136,6 +136,21 @@ def test_find_preperiodic_points_off_diagonal_line():
     assert (F(-1), F(0)) in coords
 
 
+def test_find_preperiodic_points_computes_no_height(monkeypatch):
+    # only exact cycles count, so the rational search needs no canonical height
+    f = make_regular_map("z^2", "w^2")
+    C = PlaneCurve("w - z")
+    expected = find_preperiodic_points(f, C, height_bound=2, max_order=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_height called")
+
+    monkeypatch.setattr("regdyn.heights.canonical_height", refuse)
+    pts = find_preperiodic_points(f, C, height_bound=2, max_order=4)
+    assert [(p.point, p.verdict) for p in pts] == [(p.point, p.verdict) for p in expected]
+    assert (F(1, 2), F(1, 2)) not in {p.point for p in pts}
+
+
 def test_dmm_report_diagonal():
     f = make_regular_map("z^2", "w^2")
     rep = dmm_report(f, PlaneCurve("w - z"), height_bound=2, max_order=8)

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction as F
 
-from regdyn.heights import canonical_height, height_support, is_preperiodic
+from hypothesis import given, settings, strategies as st
+
+from regdyn.heights import _exact_orbit, canonical_height, height_support, is_preperiodic
 from regdyn.maps import make_regular_map
 
 TOL = F(1, 10**9)
@@ -77,3 +79,50 @@ def test_not_preperiodic_small_denominators():
     f = make_regular_map("z^2", "w^2")
     v = is_preperiodic(f, (F(1, 2), F(1, 3)))
     assert v.kind == "NotPreperiodic"
+
+
+def _rho(step, start, m):
+    """(iterates x_0..x_m, r, mu): x_r is the first iterate equal to an
+    earlier one, x_mu; a self-map of range(m) repeats within m steps."""
+    xs = [start]
+    for _ in range(m):
+        xs.append(step(xs[-1]))
+    r = next(n for n in range(1, m + 1) if xs[n] in xs[:n])
+    return xs, r, xs.index(xs[r])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, m - 1), min_size=m, max_size=m), st.integers(0, m - 1),
+    st.integers(0, 15), st.sets(st.integers(0, m - 1)))))
+def test_exact_orbit_against_the_whole_rho(case):
+    table, start, max_steps, big = case
+    step = table.__getitem__
+    orbit, k = _exact_orbit(step, start, max_steps, big.__contains__)
+    xs, r, mu = _rho(step, start, len(table))
+    # the first iterate after the start that is too big, among the new ones
+    t = next((n for n in range(1, r) if xs[n] in big), None)
+    if t is not None and t <= max_steps:
+        assert (orbit, k) == (xs[:t + 1], None)
+    elif r <= max_steps:
+        assert (orbit, k) == (xs[:r], mu)
+        period = len(orbit) - k
+        assert step(orbit[-1]) == orbit[k]
+        x = orbit[k]
+        for _ in range(period - 1):
+            x = step(x)
+            assert x != orbit[k]
+    else:
+        assert (orbit, k) == (xs[:max_steps + 1], None)
+
+
+def test_exact_orbit_stops_at_max_steps_and_at_a_point_too_big():
+    step = {0: 1, 1: 2, 2: 0}.__getitem__
+    never = lambda x: False
+    # the 3-cycle closes on the third step
+    assert _exact_orbit(step, 0, 3, never) == ([0, 1, 2], 0)
+    assert _exact_orbit(step, 0, 2, never) == ([0, 1, 2], None)
+    assert _exact_orbit(step, 0, 0, never) == ([0], None)
+    # a too-big point ends the orbit and is kept; the start is never tested
+    assert _exact_orbit(step, 0, 10, {2}.__contains__) == ([0, 1, 2], None)
+    assert _exact_orbit(step, 0, 10, {0}.__contains__) == ([0, 1, 2], 0)
