@@ -38,7 +38,7 @@ def main():
                                   max_order=12)
     print(f"found {len(pts)} preperiodic points (orders up to 12); sample:")
     for p in pts[:6]:
-        print(f"   {p.point}  preperiod {p.verdict.preperiod}, "
+        print(f"   ({', '.join(map(str, p.point))})  preperiod {p.verdict.preperiod}, "
               f"period {p.verdict.period}")
 
     # The full report: orbit verdicts for the points at infinity, their

@@ -16,8 +16,8 @@ from functools import cache
 
 from .exactnum import AlgebraicNumber, Place
 from .intervals import RealInterval
-from .curves import (PlaneCurve, curve_preperiodicity, dmm_report, points_at_infinity,
-                     pushforward)
+from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
+                     points_at_infinity, pushforward)
 from .green import GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height, is_preperiodic
 from .infinity import Superattracting, fixed_points_infinity
@@ -34,6 +34,11 @@ ORBIT_MAX_BITS = 14_000
 # `stable-manifold` refuses a larger --order: the cost grows about as the
 # order to the 5th power (19.8 s at order 48, over 60 s at order 96)
 STABLE_MANIFOLD_MAX_ORDER = 64
+# `dmm` refuses a larger --max-order: its roots-of-unity prefilter scans every
+# ordered pair of roots of unity, about N^4 / 10 pairs at N (`dmm --map
+# "z^2, w^2" --curve "w - z" --max-iters 2 --max-degree 8 --max-order 64`
+# takes 2.5 s on a 2-core Xeon under Python 3.11)
+DMM_MAX_ORDER = 64
 # the enclosure width of `green` and `height` when --tol is not given
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -101,6 +106,8 @@ def _json(value):
                 "approx": [z.real, z.imag]}
     if isinstance(value, Place):
         return value.prime if value.is_finite else "inf"
+    if isinstance(value, Zeta):  # before the dataclasses: it prints as sympy's exp
+        return str(value)
     if isinstance(value, RealInterval):
         return {"lo": float(value.lower), "hi": float(value.upper),
                 "lo_exact": f"{value.lower.numerator}/{value.lower.denominator}",
@@ -264,6 +271,9 @@ def _cmd_curve(args):
 
 
 def _cmd_dmm(args):
+    if args.max_order > DMM_MAX_ORDER:
+        raise InputError(f"max-order must be at most DMM_MAX_ORDER = {DMM_MAX_ORDER}, "
+                         f"got {args.max_order}")
     f = _parse_map(args.map)
     try:
         C = PlaneCurve(args.curve)
@@ -337,7 +347,8 @@ def _build_parser():
     d.add_argument("--max-iters", type=int, default=8)
     d.add_argument("--max-degree", type=int, default=64)
     d.add_argument("--height-bound", type=int, default=3)
-    d.add_argument("--max-order", type=int, default=24)
+    d.add_argument("--max-order", type=int, default=24,
+                   help=f"largest order of the roots of unity tried, at most {DMM_MAX_ORDER}")
     return p
 
 

@@ -8,6 +8,7 @@ polynomials and orbit cycles in curve space are detected exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -371,6 +372,30 @@ def curve_preperiodicity(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
 # preperiodic point search
 
 
+@dataclass(frozen=True)
+class Zeta:
+    """The root of unity exp(2*pi*i*t), t a Fraction taken mod 1."""
+    t: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", self.t % 1)
+
+    def __complex__(self):
+        return cmath.exp(2j * math.pi * float(self.t))
+
+    def __str__(self):
+        """What sympy prints for exp(2*pi*I*t): 1, -1, I, -I, or exp(c*I*pi)
+        with c = 2t taken into (-1, 1]."""
+        p, q = self.t.numerator, self.t.denominator
+        c = 2 * p - 2 * q if 2 * p > q else 2 * p  # 2t in (-1, 1] is c / q
+        g = math.gcd(c, q)
+        c, q = c // g, q // g
+        if q <= 2:
+            return {(0, 1): "1", (1, 1): "-1", (1, 2): "I", (-1, 2): "-I"}[c, q]
+        sign, factor = "-" if c < 0 else "", f"{abs(c)}*" if abs(c) != 1 else ""
+        return f"exp({sign}{factor}I*pi/{q})"
+
+
 @dataclass
 class FoundPoint:
     point: tuple
@@ -409,26 +434,50 @@ def _on_curve_cyclotomic(R: MultiPoly, a1, n1, a2, n2) -> bool:
     return _cyclotomic_field(L)(cs).is_zero()
 
 
-def _cyclotomic_orbit(f: RegularMap, a1, n1, a2, n2, orbit_cap: int):
-    """Exact orbit of (zeta^e1, zeta^e2) in Q(zeta_L); None if no cycle found."""
-    L = n1 * n2 // math.gcd(n1, n2)
-    K = _cyclotomic_field(L)
+def _unit_monomial(f: RegularMap):
+    """((a1, b1, h1), (a2, b2, h2)) when f = (s1 z^a1 w^b1, s2 z^a2 w^b2) with
+    s_i = +-1, h_i = 0 for s_i = 1 and 1/2 for s_i = -1; else None.  Such an
+    f sends (Zeta(t1), Zeta(t2)) to (Zeta(a1 t1 + b1 t2 + h1), Zeta(a2 t1 +
+    b2 t2 + h2))."""
+    exps = []
+    for F in (f.P, f.Q):
+        if len(F.coeffs) != 1:
+            return None
+        ((i, j), c), = F.coeffs.items()
+        if c not in (1, -1):
+            return None
+        exps.append((i, j, Fraction(0) if c == 1 else Fraction(1, 2)))
+    return tuple(exps)
 
-    def too_big(pt):
-        # the cap is per coefficient in lowest terms; max|num| + den bounds it
-        return max(max(map(abs, e.num)) + e.den for e in pt) > 10**60 and max(
-            abs(c.numerator) + c.denominator for e in pt for c in e.coeffs) > 10**60
 
-    start = (K([0] * (a1 * L // n1) + [1]), K([0] * (a2 * L // n2) + [1]))
-    orbit, k = _exact_orbit(f.apply, start, orbit_cap, too_big)
-    return None if k is None else PreperiodicityVerdict.preperiodic(orbit, k)
+def _unit_monomial_orbit(exps, start: tuple, orbit_cap: int):
+    """The verdict of the exact orbit of a pair of Zetas under the unit
+    monomial map with these exponents (`_unit_monomial`); None if no cycle
+    closes within orbit_cap steps.  The orbit runs on the exponents of
+    zeta_N, N = lcm(orders, 2), so a half-shift is N / 2; they stay in
+    0..N-1, so no size cap is needed."""
+    N = math.lcm(start[0].t.denominator, start[1].t.denominator, 2)
+    (a1, b1, h1), (a2, b2, h2) = ((a, b, int(h * N)) for a, b, h in exps)
+
+    def step(e):
+        return (a1 * e[0] + b1 * e[1] + h1) % N, (a2 * e[0] + b2 * e[1] + h2) % N
+
+    orbit, k = _exact_orbit(step, tuple(int(z.t * N) for z in start), orbit_cap,
+                            lambda e: False)
+    if k is None:
+        return None
+    return PreperiodicityVerdict.preperiodic(
+        [(Zeta(Fraction(e1, N)), Zeta(Fraction(e2, N))) for e1, e2 in orbit], k)
 
 
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                             max_order: int = 24, orbit_cap: int = 64) -> list:
     """Preperiodic points found on C: rational points from vertical-line
-    slices at bounded-height rationals, plus roots-of-unity pairs on C
-    (membership and orbits checked exactly in cyclotomic fields)."""
+    slices at bounded-height rationals, plus, when f is a unit monomial map
+    (`_unit_monomial`), the pairs of roots of unity of order at most
+    max_order on C, as Zetas.  Membership is checked exactly in a cyclotomic
+    field and orbits exactly on the exponents.  Other maps get no
+    roots-of-unity probe."""
     C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
     R = C.poly
     found = []
@@ -451,6 +500,9 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             orbit, k = _exact_orbit(f.apply, (a, b), orbit_cap, _affine_too_big)
             if k is not None:
                 found.append(FoundPoint((a, b), PreperiodicityVerdict.preperiodic(orbit, k)))
+    exps = _unit_monomial(f)
+    if exps is None:
+        return found
     # roots-of-unity probes (numeric prefilter, exact confirmation)
     rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
             for a, n in _roots_of_unity(max_order)]
@@ -461,22 +513,17 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
         for (i, j), c in R.coeffs.items():
             row[dw - j] += complex(c) * z1**i
         for a2, n2, z2 in rous:
+            if n1 <= 2 and n2 <= 2:
+                continue  # (+-1, +-1) already covered by the rational search
             val = 0j
             for c in row:
                 val = val * z2 + c
-            if abs(val) > 1e-8:
+            if abs(val) > 1e-8 or not _on_curve_cyclotomic(R, a1, n1, a2, n2):
                 continue
-            if not _on_curve_cyclotomic(R, a1, n1, a2, n2):
-                continue
-            tag = ("rou", a1, n1, a2, n2)
-            if tag in seen or (n1 <= 2 and n2 <= 2):
-                continue  # (+-1, +-1) already covered by the rational search
-            seen.add(tag)
-            verdict = _cyclotomic_orbit(f, a1, n1, a2, n2, orbit_cap)
+            start = (Zeta(Fraction(a1, n1)), Zeta(Fraction(a2, n2)))
+            verdict = _unit_monomial_orbit(exps, start, orbit_cap)
             if verdict is not None:
-                pt = (sp.exp(2 * sp.pi * sp.I * sp.Rational(a1, n1)),
-                      sp.exp(2 * sp.pi * sp.I * sp.Rational(a2, n2)))
-                found.append(FoundPoint(pt, verdict))
+                found.append(FoundPoint(start, verdict))
     return found
 
 

@@ -234,6 +234,29 @@ def test_dmm(capsys):
     assert r["consistency"] is True
 
 
+def test_dmm_prints_roots_of_unity_as_sympy_exponentials(capsys):
+    code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
+                     "--height-bound", "1", "--max-order", "3")
+    assert code == 0
+    (fp,) = [p for p in doc["result"]["preperiodic_points_found"]
+             if p["point"] == ["exp(2*I*pi/3)", "exp(2*I*pi/3)"]]
+    v = fp["verdict"]
+    assert (v["preperiod"], v["period"]) == (0, 2)
+    assert v["orbit"] == [["exp(2*I*pi/3)", "exp(2*I*pi/3)"],
+                          ["exp(-2*I*pi/3)", "exp(-2*I*pi/3)"]]
+
+
+def test_dmm_refuses_a_max_order_above_the_cap_at_once(capsys, monkeypatch):
+    # the roots-of-unity prefilter grows about as the order to the 4th power
+    import regdyn.cli as cli
+    monkeypatch.setattr(cli, "dmm_report", lambda *a: pytest.fail("computed"))
+    code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
+                     "--max-order", "65")
+    assert code == 2 and "result" not in doc
+    assert "DMM_MAX_ORDER = 64" in doc["error"]
+    assert cli.DMM_MAX_ORDER == 64
+
+
 def test_bad_point_input(capsys):
     code = run(["height", "--map", "z^2, w^2", "--point", "bogus"])
     assert code == 2

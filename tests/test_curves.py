@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regdyn import curves
-from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve,
+from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve, Zeta,
                            curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
 from regdyn.infinity import ExpandingPlace
 from regdyn.maps import make_regular_map
+from regdyn.numberfield import NumberField
 from regdyn.polyalg import MultiPoly
 
 
@@ -149,6 +150,99 @@ def test_find_preperiodic_points_computes_no_height(monkeypatch):
     pts = find_preperiodic_points(f, C, height_bound=2, max_order=4)
     assert [(p.point, p.verdict) for p in pts] == [(p.point, p.verdict) for p in expected]
     assert (F(1, 2), F(1, 2)) not in {p.point for p in pts}
+
+
+def test_zeta_prints_as_sympy_prints_the_exponential():
+    # every root of unity of order at most 60, 1,102 of them
+    for n in range(1, 61):
+        for a in range(n):
+            if math.gcd(a, n) == 1:
+                expr = sp.exp(2 * sp.pi * sp.I * sp.Rational(a, n))
+                z = Zeta(F(a, n))
+                assert str(z) == str(expr), (a, n)
+                assert abs(complex(z) - complex(expr)) < 1e-12
+                assert z == Zeta(F(a + 3 * n, n)) == Zeta(F(a - n, n))
+
+
+@pytest.mark.parametrize("P, Q, exps", [
+    ("z^2", "w^2", ((2, 0, F(0)), (0, 2, F(0)))),
+    ("w^3", "-z^3", ((0, 3, F(0)), (3, 0, F(1, 2)))),
+    ("-z^2", "-w^2", ((2, 0, F(1, 2)), (0, 2, F(1, 2)))),
+    ("2*z^2", "w^2", None),
+    ("z^2 + w", "w^2 - z", None),
+    ("z^2", "w^2 + 1", None),
+])
+def test_unit_monomial_detector(P, Q, exps):
+    assert curves._unit_monomial(make_regular_map(P, Q)) == exps
+
+
+def _cyclotomic_replay(f, start, L, orbit_cap):
+    """(orbit, k) of start under f.apply in Q(zeta_L), iterated step by step:
+    k the index the orbit returns to within orbit_cap steps, else None."""
+    orbit, seen, pt = [], {}, start
+    while pt not in seen and len(orbit) <= orbit_cap:
+        seen[pt] = len(orbit)
+        orbit.append(pt)
+        pt = f.apply(pt)
+    return orbit, seen[pt] if pt in seen and len(orbit) <= orbit_cap else None
+
+
+@st.composite
+def unit_monomial_points(draw):
+    """A diagonal (+-z^d, +-w^d) or swapped (+-w^d, +-z^d) map with d = 2, 3
+    and a pair of roots of unity of order at most 24."""
+    d = draw(st.sampled_from([2, 3]))
+    s1, s2 = (draw(st.sampled_from(["", "-"])) for _ in range(2))
+    P, Q = ("w", "z") if draw(st.booleans()) else ("z", "w")
+    n1, n2 = (draw(st.integers(1, 24)) for _ in range(2))
+    a1, a2 = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))
+    return make_regular_map(f"{s1}{P}^{d}", f"{s2}{Q}^{d}"), F(a1, n1), F(a2, n2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_monomial_points())
+# periods 3 and 11 of the squared map: the pair needs more than 64 steps
+@example((make_regular_map("w^2", "z^2"), F(1, 7), F(1, 23)))
+def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
+    # the oracle iterates the map's polynomials on number-field elements
+    f, t1, t2 = case
+    L = math.lcm(t1.denominator, t2.denominator, 2)  # -1 = zeta_L^(L/2)
+    K = NumberField(sp.Poly(sp.cyclotomic_poly(L, sp.Symbol("x"))).all_coeffs()[::-1])
+
+    def power(t):  # zeta_L^(t L)
+        return K([0] * int(t * L) + [1])
+
+    replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, 64)
+    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f),
+                                          (Zeta(t1), Zeta(t2)), 64)
+    if k is None:
+        assert verdict is None
+        return
+    assert (verdict.preperiod, verdict.period) == (k, len(replay) - k)
+    assert [tuple(power(z.t) for z in pt) for pt in verdict.orbit] == replay
+
+
+@pytest.mark.parametrize("P, Q", [("z^2 + w", "w^2 - z"), ("2*z^2", "w^2")])
+def test_find_preperiodic_points_probes_no_roots_of_unity_off_unit_monomials(
+        monkeypatch, P, Q):
+    monkeypatch.setattr(curves, "_on_curve_cyclotomic",
+                        lambda *args: pytest.fail("roots-of-unity probe ran"))
+    f = make_regular_map(P, Q)
+    for curve in ("w - z", "z^2 + w^2 - 2"):
+        pts = find_preperiodic_points(f, PlaneCurve(curve), height_bound=2, max_order=8)
+        assert all(isinstance(c, F) for p in pts for c in p.point)
+        assert all(isinstance(c, F) for p in pts for pt in p.verdict.orbit for c in pt)
+
+
+def test_find_preperiodic_points_on_a_swapped_map():
+    # (w^2, -z^2) sends (zeta, zeta) to (zeta^2, -zeta^2)
+    f = make_regular_map("w^2", "-z^2")
+    pts = find_preperiodic_points(f, PlaneCurve("w - z"), height_bound=1, max_order=4)
+    by_point = {p.point: p.verdict for p in pts}
+    v = by_point[(Zeta(F(1, 4)), Zeta(F(1, 4)))]
+    assert (v.preperiod, v.period) == (2, 1)
+    assert v.orbit == [(Zeta(F(1, 4)), Zeta(F(1, 4))), (Zeta(F(1, 2)), Zeta(F(0))),
+                       (Zeta(F(0)), Zeta(F(1, 2)))]
 
 
 def test_dmm_report_diagonal():
