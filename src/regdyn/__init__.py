@@ -24,7 +24,7 @@ from .localdyn import (ContractionError, GermShapeError, LocalGerm,
                        NormalFormResult, ResonanceError, SectorMap,
                        VerticalGraphSample, bottcher_series, graph_pullback,
                        koenigs_series, localize_at_infinity,
-                       parabolic_normal_form, remove_mu, reduce_form,
+                       parabolic_normal_form, reduce_form,
                        rescaling_check, saddle_normal_form, super_stable_series)
 from .curves import (CurveOrbitStatus, DmmReport, PlaneCurve,
                      curve_preperiodicity, dmm_report, find_preperiodic_points,

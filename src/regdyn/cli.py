@@ -22,7 +22,7 @@ from .green import GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height, is_preperiodic
 from .infinity import Superattracting, fixed_points_infinity
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
-                       reduce_form, saddle_normal_form, super_stable_series)
+                       saddle_normal_form, super_stable_series)
 from .maps import BitSizeCap, NotRegular, make_regular_map
 from .polyalg import PolyParseError
 
@@ -237,14 +237,13 @@ def _cmd_stable_manifold(args):
         try:
             if germ.lam == 1:
                 k, res = parabolic_normal_form(germ, phi)
-                entry["normal_form"] = {"kind": "parabolic", "k": k,
-                                        "steps": len(res.conjugacies),
-                                        "verified": res.verify()}
+                nf = {"kind": "parabolic", "k": k}
             else:
-                res = saddle_normal_form(reduce_form(germ, phi).germ)
-                entry["normal_form"] = {"kind": "saddle",
-                                        "steps": len(res.conjugacies),
-                                        "verified": res.verify()}
+                res = saddle_normal_form(germ, phi)
+                nf = {"kind": "saddle"}
+            # both chains start at the localized germ, so verify covers every step
+            entry["normal_form"] = {**nf, "steps": len(res.conjugacies),
+                                    "verified": res.verify()}
         except (GermShapeError, ValueError) as exc:
             entry["normal_form"] = {"kind": "unavailable", "reason": str(exc)}
         reports.append(entry)

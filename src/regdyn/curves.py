@@ -17,7 +17,7 @@ from typing import Optional
 
 import sympy as sp
 
-from .heights import PreperiodicityVerdict, _affine_too_big, _exact_orbit
+from .heights import ORBIT_CAP, PreperiodicityVerdict, _affine_too_big, _exact_orbit
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import RegularMap
@@ -421,7 +421,7 @@ def _roots_of_unity(max_order: int):
 @lru_cache(maxsize=1024)
 def _cyclotomic_field(L: int) -> NumberField:
     """Q(zeta_L), modulus the L-th cyclotomic polynomial."""
-    return NumberField(sp.Poly(sp.cyclotomic_poly(L, _t), _t).all_coeffs()[::-1])
+    return NumberField(sp.cyclotomic_poly(L, _t, polys=True).all_coeffs()[::-1])
 
 
 def _on_curve_cyclotomic(R: MultiPoly, a1, n1, a2, n2) -> bool:
@@ -450,10 +450,10 @@ def _unit_monomial(f: RegularMap):
     return tuple(exps)
 
 
-def _unit_monomial_orbit(exps, start: tuple, orbit_cap: int):
+def _unit_monomial_orbit(exps, start: tuple):
     """The verdict of the exact orbit of a pair of Zetas under the unit
     monomial map with these exponents (`_unit_monomial`); None if no cycle
-    closes within orbit_cap steps.  The orbit runs on the exponents of
+    closes within ORBIT_CAP steps.  The orbit runs on the exponents of
     zeta_N, N = lcm(orders, 2), so a half-shift is N / 2; they stay in
     0..N-1, so no size cap is needed."""
     N = math.lcm(start[0].t.denominator, start[1].t.denominator, 2)
@@ -462,7 +462,7 @@ def _unit_monomial_orbit(exps, start: tuple, orbit_cap: int):
     def step(e):
         return (a1 * e[0] + b1 * e[1] + h1) % N, (a2 * e[0] + b2 * e[1] + h2) % N
 
-    orbit, k = _exact_orbit(step, tuple(int(z.t * N) for z in start), orbit_cap,
+    orbit, k = _exact_orbit(step, tuple(int(z.t * N) for z in start), ORBIT_CAP,
                             lambda e: False)
     if k is None:
         return None
@@ -471,7 +471,7 @@ def _unit_monomial_orbit(exps, start: tuple, orbit_cap: int):
 
 
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
-                            max_order: int = 24, orbit_cap: int = 64) -> list:
+                            max_order: int = 24) -> list:
     """Preperiodic points found on C: rational points from vertical-line
     slices at bounded-height rationals, plus, when f is a unit monomial map
     (`_unit_monomial`), the pairs of roots of unity of order at most
@@ -497,7 +497,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             if (a, b) in seen:
                 continue
             seen.add((a, b))
-            orbit, k = _exact_orbit(f.apply, (a, b), orbit_cap, _affine_too_big)
+            orbit, k = _exact_orbit(f.apply, (a, b), ORBIT_CAP, _affine_too_big)
             if k is not None:
                 found.append(FoundPoint((a, b), PreperiodicityVerdict.preperiodic(orbit, k)))
     exps = _unit_monomial(f)
@@ -521,7 +521,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             if abs(val) > 1e-8 or not _on_curve_cyclotomic(R, a1, n1, a2, n2):
                 continue
             start = (Zeta(Fraction(a1, n1)), Zeta(Fraction(a2, n2)))
-            verdict = _unit_monomial_orbit(exps, start, orbit_cap)
+            verdict = _unit_monomial_orbit(exps, start)
             if verdict is not None:
                 found.append(FoundPoint(start, verdict))
     return found

@@ -181,8 +181,8 @@ class AlgebraicNumber:
     def root(self) -> sp.Expr:
         return self.minpoly.all_roots()[self.embedding_index]
 
-    def approx(self, digits: int = 30) -> complex:
-        return complex(sp.N(self.root(), digits))
+    def approx(self) -> complex:
+        return complex(sp.N(self.root(), 30))
 
     def is_zero(self) -> bool:
         return self.minpoly == sp.Poly(_x, _x)
@@ -237,7 +237,7 @@ def is_root_of_unity(a: AlgebraicNumber):
     for n in range(1, 2 * deg * deg + 2):
         if totient(n) != deg:
             continue
-        cyc = sp.Poly(sp.polys.specialpolys.cyclotomic_poly(n, _x), _x)
+        cyc = sp.cyclotomic_poly(n, _x, polys=True)
         if cyc == a.minpoly:
             return True, n
     return False, None

@@ -75,6 +75,11 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
     return HeightResult(total, support)
 
 
+# the step cap of every exact orbit of a point: affine, on the line at
+# infinity, and on a curve
+ORBIT_CAP = 64
+
+
 def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
     """The exact orbit of `start` under `step`, for cycle detection: (orbit,
     k) with step(orbit[-1]) == orbit[k], the first point that repeats; or
@@ -100,13 +105,13 @@ def _affine_too_big(pt) -> bool:
         c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
 
 
-def is_preperiodic(f: RegularMap, pt, orbit_cap: int = 64, tol=Fraction(1, 10**9),
+def is_preperiodic(f: RegularMap, pt, tol=Fraction(1, 10**9),
                    height: Optional[HeightResult] = None) -> PreperiodicityVerdict:
     """Exact cycle detection, else a height-based NotPreperiodic certificate;
     ``height`` is ``canonical_height(f, pt, tol)`` if the caller has it."""
     tol = Fraction(tol)
     pt = (Fraction(pt[0]), Fraction(pt[1]))
-    orbit, k = _exact_orbit(f.apply, pt, orbit_cap, _affine_too_big)
+    orbit, k = _exact_orbit(f.apply, pt, ORBIT_CAP, _affine_too_big)
     if k is not None:
         return PreperiodicityVerdict.preperiodic(orbit, k)
     h = height if height is not None else canonical_height(f, pt, tol)

@@ -23,11 +23,13 @@ import sympy as sp
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity)
 from .green import GreenContext, bad_places, green_homog
-from .heights import PreperiodicityVerdict, _exact_orbit
+from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit
 from .maps import RegularMap
 from .polyalg import MultiPoly
 
 _x, _t = sp.symbols("x t")
+# points at infinity of higher degree get no exact orbit: Unknown
+DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -228,15 +230,14 @@ def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
 # orbits on the line at infinity
 
 
-def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint, orbit_cap: int = 64,
-                                  degree_cap: int = 64) -> PreperiodicityVerdict:
+def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint) -> PreperiodicityVerdict:
     """Exact orbit of a point of the line at infinity under [P_d : Q_d]
     with cycle detection inside the field of definition."""
-    if point.coordinate.degree > degree_cap:
+    if point.coordinate.degree > DEGREE_CAP:
         return PreperiodicityVerdict.unknown()
     if point.coordinate.is_rational():
-        return _rational_infinity_orbit(f, *point.projective(), orbit_cap)
-    return _nf_infinity_orbit(f, point, orbit_cap)
+        return _rational_infinity_orbit(f, *point.projective())
+    return _nf_infinity_orbit(f, point)
 
 
 def _normalize_rational_pair(z1: Fraction, z2: Fraction):
@@ -254,12 +255,12 @@ def _normalize_rational_pair(z1: Fraction, z2: Fraction):
     return (a, b)
 
 
-def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
+def _rational_infinity_orbit(f: RegularMap, z1, z2):
     def step(pair):
         a, b = Fraction(pair[0]), Fraction(pair[1])
         return _normalize_rational_pair(f.top_P.eval(a, b), f.top_Q.eval(a, b))
 
-    orbit, k = _exact_orbit(step, _normalize_rational_pair(z1, z2), orbit_cap,
+    orbit, k = _exact_orbit(step, _normalize_rational_pair(z1, z2), ORBIT_CAP,
                             lambda pair: max(map(abs, pair)) > 10**60)
     if k is not None:
         return PreperiodicityVerdict.preperiodic(orbit, k)
@@ -273,7 +274,7 @@ def _rational_infinity_orbit(f: RegularMap, z1, z2, orbit_cap):
     return PreperiodicityVerdict.unknown()
 
 
-def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint, orbit_cap):
+def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint):
     def step(pair):
         nz1, nz2 = f.top_P.eval(*pair), f.top_Q.eval(*pair)
         if nz1.is_zero() and nz2.is_zero():
@@ -286,7 +287,7 @@ def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint, orbit_cap):
             and max(c.numerator.bit_length() + c.denominator.bit_length()
                     for z in pair for c in z.coeffs) > 4096
 
-    orbit, k = _exact_orbit(step, _normalize_nf_pair(_chart_pair(point)), orbit_cap, too_big)
+    orbit, k = _exact_orbit(step, _normalize_nf_pair(_chart_pair(point)), ORBIT_CAP, too_big)
     if k is not None:
         return PreperiodicityVerdict.preperiodic(orbit, k)
     return PreperiodicityVerdict.unknown()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 from sympy import integer_nthroot
 
 from .maps import RegularMap
-from .polyalg import MultiPoly
+from .polyalg import MultiPoly, _eval_terms
 from .series import TruncSeries, TruncSeries2, log_unit, exp_series
 
 
@@ -236,27 +237,14 @@ class NormalFormResult:
                    for step, tgt, pushed in zip(self.conjugacies, self.intermediates[1:],
                                                 self.pushes))
 
-    def _record(self, step: Conjugacy, conjugated: Optional[tuple] = None) -> LocalGerm:
+    def _record(self, step: Conjugacy) -> LocalGerm:
         """Append step and the germ it conjugates self.germ to, with the
-        f o Phi it was solved from (conjugated, when the caller has already
-        computed step.conjugate(self.germ))."""
-        self.germ, pushed = conjugated or step.conjugate(self.germ)
+        f o Phi it was solved from."""
+        self.germ, pushed = step.conjugate(self.germ)
         self.conjugacies.append(step)
         self.intermediates.append(self.germ)
         self.pushes.append(pushed)
         return self.germ
-
-
-def _chain(germ: LocalGerm, steps) -> NormalFormResult:
-    res = NormalFormResult(germ, [], [germ])
-    for s in steps:
-        res._record(s)
-    return res
-
-
-def _is_reduced(germ: LocalGerm) -> bool:
-    """True when the first component vanishes on {x = 0}."""
-    return germ.first.divisible_by(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +318,6 @@ def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
 # normal-form steps
 
 
-def remove_mu(germ: LocalGerm) -> NormalFormResult:
-    """Kill the mu*y term by the shear x -> x - (mu/lam) y."""
-    if germ.mu == 0:
-        return NormalFormResult(germ, [], [germ])
-    c = -germ.mu / germ.lam
-    phi = TruncSeries([0, c], germ.N)
-    res = _chain(germ, [Shear(phi)])
-    assert res.germ.mu == 0
-    return res
-
-
 def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries:
     """The graph x = phi(y) of the local super-stable manifold.
 
@@ -358,30 +335,33 @@ def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries
     yid = _y2(N)
     inv_lam = 1 / lam
     phi = TruncSeries.zero(N)
-    for _ in range(N + 1):
+    # each pass fixes one more coefficient, so pass N + 2 at the latest
+    # leaves phi unchanged; nxt == phi is the functional equation itself,
+    # exactly at the truncation order
+    for _ in range(N + 2):
         phi2 = phi.to_series2(N)
         h_phi = h.compose(phi2, yid).restrict_y_axis()
         inner = (h_phi + 1).shift(germ.d)
         g_phi = g.compose(phi2, yid).restrict_y_axis()
         nxt = (phi.compose(inner) - g_phi) * inv_lam
         if nxt == phi:
-            break
+            return phi
         phi = nxt
-    # exact functional equation check at truncation order
-    phi2 = phi.to_series2(N)
-    h_phi = h.compose(phi2, yid).restrict_y_axis()
-    inner = (h_phi + 1).shift(germ.d)
-    lhs = phi * lam + g.compose(phi2, yid).restrict_y_axis()
-    assert lhs == phi.compose(inner)
-    return phi
+    raise ArithmeticError("super-stable series did not converge")
 
 
-def reduce_form(germ: LocalGerm, phi: TruncSeries) -> NormalFormResult:
-    """Move the super-stable graph to {x = 0}: conjugate by (x + phi(y), y).
+def reduce_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> NormalFormResult:
+    """Move the super-stable graph x = phi(y) to {x = 0}: the chain of both
+    normal forms starts here, with the one shear (x + phi(y), y), none when
+    phi = 0.  phi, when given, is super_stable_series(germ).
 
     Output first component is divisible by x (reduced form)."""
-    res = _chain(germ, [Shear(phi)])
-    if not _is_reduced(res.germ):
+    if phi is None:
+        phi = super_stable_series(germ)
+    res = NormalFormResult(germ, [], [germ])
+    if not phi.is_zero():
+        res._record(Shear(phi))
+    if not res.germ.first.divisible_by(1, 0):
         raise GermShapeError("reduction failed: first component not divisible by x")
     return res
 
@@ -458,18 +438,17 @@ def _geometric_sum_phi(gn: TruncSeries, d: int) -> TruncSeries:
     return -total
 
 
-def saddle_normal_form(germ: LocalGerm) -> NormalFormResult:
-    """Reduce a reduced-form germ (lam not a root of unity) to
+def saddle_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> NormalFormResult:
+    """Conjugate a germ (lam not a root of unity) to
 
         (lam*x*(1 + x*y*gt(x,y)),  y^d*(1 + x*ht(x,y)))
 
-    via Böttcher on {x=0}, Koenigs on {y=0}, and the infinite-product
-    multiplicative correction."""
-    if not _is_reduced(germ):
-        raise GermShapeError("saddle_normal_form needs a reduced-form germ")
-    res = NormalFormResult(germ, [], [germ])
+    via reduce_form, Böttcher on {x=0}, Koenigs on {y=0}, and the
+    infinite-product multiplicative correction.  phi, when given, is
+    super_stable_series(germ)."""
+    res = reduce_form(germ, phi)
     # 1. Böttcher: straighten y -> y^d on the invariant axis {x = 0}
-    u0 = germ.second.restrict_y_axis()
+    u0 = res.germ.second.restrict_y_axis()
     g1 = res._record(YCoord(bottcher_series(u0, germ.d)))
     assert g1.second.restrict_y_axis() == TruncSeries.monomial(1, germ.d, germ.N)
     # 2. Koenigs: linearize x -> lam*x*(1+...) on {y = 0}
@@ -498,16 +477,9 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
     the truncation order.  phi, when given, is super_stable_series(germ)."""
     if germ.lam != 1:
         raise GermShapeError("parabolic normal form needs lam = 1")
-    res = remove_mu(germ)
-    # super-stable manifold to {x = 0}, then Böttcher on the vertical axis;
-    # after the shear x -> x + c*y of remove_mu the graph is phi - c*y
-    if phi is None:
-        phi = super_stable_series(germ)
-    if res.conjugacies:
-        phi = phi - res.conjugacies[0].phi
-    work = res._record(Shear(phi)) if not phi.is_zero() else res.germ
-    if not _is_reduced(work):
-        raise GermShapeError("reduction failed: first component not divisible by x")
+    # super-stable manifold to {x = 0}, then Böttcher on the vertical axis
+    res = reduce_form(germ, phi)
+    work = res.germ
     u0 = work.second.restrict_y_axis()
     if u0 != TruncSeries.monomial(1, work.d, work.N):
         work = res._record(YCoord(bottcher_series(u0, work.d)))
@@ -531,10 +503,8 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
         gamma = trial.first[(j + 1, 0)] - cj
         if gamma == 0:
             raise GermShapeError("degenerate axis normalization")
-        st = axis_step(-cj / gamma)
-        conjugated = st.conjugate(work)
-        assert conjugated[0].first[(j + 1, 0)] == 0
-        work = res._record(st, conjugated)
+        work = res._record(axis_step(-cj / gamma))
+        assert work.first[(j + 1, 0)] == 0
     ck = work.first[(k + 1, 0)]
     if ck != 1:
         work = res._record(Scale(_nth_root_fraction(1 / ck, k), 1))
@@ -564,10 +534,8 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
 
 
 def _eval_c(s: TruncSeries2, x: complex, y: complex) -> complex:
-    total = 0j
-    for (i, j), c in s.coeffs.items():
-        total += float(c) * x**i * y**j
-    return total
+    return _eval_terms(((e, float(c)) for e, c in s.coeffs.items()), x, y,
+                       operator.add, operator.mul, operator.pow)
 
 
 def rescaling_check(germ: LocalGerm, n: int, r: float, grid: int = 8) -> float:

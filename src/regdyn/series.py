@@ -70,7 +70,61 @@ def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
     return out, den
 
 
-class TruncSeries:
+class _Series:
+    """The operators TruncSeries and TruncSeries2 share.  A subclass gives
+    `_set` (store num / den in lowest terms), `_plus`, `__neg__`,
+    `__mul__`, `reciprocal` and `truncate`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, num, den: int, order: int):
+        """num / den for numerators that no one else changes (the subclass's
+        form) and den > 0, put in lowest terms."""
+        s = object.__new__(cls)
+        s._set(num, den, order)
+        return s
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("use reciprocal for negative powers")
+        result = self * 0 + 1  # the series 1, of the same type and order
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
+        return NotImplemented
+
+    def _common(self, other):
+        n = min(self.order, other.order)
+        return self.truncate(n), other.truncate(n)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, type(self)):
+            return self * other.reciprocal()
+        return self * (Fraction(1) / Fraction(other))
+
+
+class TruncSeries(_Series):
     """Univariate series a_0 + a_1 y + ... + a_N y^N (exact, mod y^{N+1}),
     a_k = num[k] / den."""
 
@@ -87,14 +141,6 @@ class TruncSeries:
             den //= g
         self.num, self.den, self.order = num, den, order
         self._view = self._nz = None
-
-    @staticmethod
-    def _make(num: list, den: int, order: int) -> "TruncSeries":
-        """num / den for a list of order + 1 ints that no one else changes
-        and den > 0, put in lowest terms."""
-        s = object.__new__(TruncSeries)
-        s._set(num, den, order)
-        return s
 
     @staticmethod
     def zero(order: int) -> "TruncSeries":
@@ -155,10 +201,6 @@ class TruncSeries:
             raise ValueError(f"series not divisible by y^{-k}")
         return TruncSeries._make((self.num[-k:] + [0] * -k)[: n + 1], self.den, n)
 
-    def _common(self, other):
-        n = min(self.order, other.order)
-        return self.truncate(n), other.truncate(n)
-
     def _plus(self, other, sign: int) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             if not self.num:  # order -1, the derivative of an order-0 series
@@ -168,19 +210,8 @@ class TruncSeries:
         a, b = self._common(other)
         return TruncSeries._make(*_sum(a.num, a.den, b.num, b.den, sign), a.order)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncSeries._make([-c for c in self.num], self.den, self.order)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -195,24 +226,6 @@ class TruncSeries:
         return TruncSeries._make(_conv(self.num, b._nonzero(), n), self.den * b.den, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use reciprocal for negative powers")
-        result = TruncSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return (self.order == other.order and self.den == other.den
-                    and self.num == other.num)
-        return NotImplemented
 
     def compose(self, inner):
         """self(inner); inner, a TruncSeries or TruncSeries2, must vanish at 0."""
@@ -254,11 +267,6 @@ class TruncSeries:
         den = sign * pw[n] * a0
         return TruncSeries._make([sign * self.den * c[k] * pw[n - k] for k in range(n + 1)],
                                  den, n)
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncSeries):
-            return self * other.reciprocal()
-        return self * (Fraction(1) / Fraction(other))
 
     def derivative(self) -> "TruncSeries":
         return TruncSeries._make([k * self.num[k] for k in range(1, self.order + 1)],
@@ -327,7 +335,7 @@ def exp_series(a: TruncSeries) -> TruncSeries:
                              fact[n] * pw[n], n)
 
 
-class TruncSeries2:
+class TruncSeries2(_Series):
     """Bivariate series mod total degree N+1: the coefficient of x^i y^j is
     num[(i, j)] / den, and num holds the nonzero numerators only."""
 
@@ -345,14 +353,6 @@ class TruncSeries2:
             den //= g
         self.num, self.den, self.order = num, den, order
         self._view = self._nz = None
-
-    @staticmethod
-    def _make(num: dict, den: int, order: int) -> "TruncSeries2":
-        """num / den for a dict of nonzero ints of total degree <= order
-        that no one else changes and den > 0, put in lowest terms."""
-        s = object.__new__(TruncSeries2)
-        s._set(num, den, order)
-        return s
 
     @staticmethod
     def zero(order: int) -> "TruncSeries2":
@@ -411,10 +411,6 @@ class TruncSeries2:
                 out[(i + di, j + dj)] = c
         return TruncSeries2._make(out, self.den, n)
 
-    def _common(self, other):
-        n = min(self.order, other.order)
-        return self.truncate(n), other.truncate(n)
-
     def _plus(self, other, sign: int) -> "TruncSeries2":
         if isinstance(other, TruncSeries2):
             a, b = self._common(other)
@@ -425,19 +421,8 @@ class TruncSeries2:
         return TruncSeries2._make(*_sum2(self.num, self.den, {(0, 0): p}, q, sign),
                                   self.order)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncSeries2._make({e: -c for e, c in self.num.items()}, self.den, self.order)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries2):
@@ -464,24 +449,6 @@ class TruncSeries2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use reciprocal for negative powers")
-        result = TruncSeries2.constant(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries2):
-            return (self.order == other.order and self.den == other.den
-                    and self.num == other.num)
-        return NotImplemented
-
     def reciprocal(self) -> "TruncSeries2":
         """1/self; constant term must be invertible (Newton doubling)."""
         c0 = self.num.get((0, 0), 0)
@@ -493,11 +460,6 @@ class TruncSeries2:
             r = r * (2 - self * r)
             known *= 2
         return r
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncSeries2):
-            return self * other.reciprocal()
-        return self * (Fraction(1) / Fraction(other))
 
     def compose(self, u: "TruncSeries2", v: "TruncSeries2") -> "TruncSeries2":
         """self(u, v); both inner series must vanish at the origin.

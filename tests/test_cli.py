@@ -171,6 +171,15 @@ def test_stable_manifold_saddle(capsys):
     assert nf["kind"] == "saddle" and nf["verified"] is True
 
 
+def test_stable_manifold_parabolic_with_mu(capsys):
+    # mu != 0 at [1 : 0]: one shear to the super-stable graph starts the chain
+    code, doc = _run(capsys, "stable-manifold", "--map", "z^2 + w^2 - w + 1, z*w - w^2 - z",
+                     "--point", "0", "--order", "12")
+    assert code == 0
+    nf = doc["result"]["manifolds"][0]["normal_form"]
+    assert nf == {"kind": "parabolic", "k": 1, "steps": 5, "verified": True}
+
+
 @pytest.mark.parametrize("argv", [
     ["--map", "2*z^2+w, w^2", "--order", "0"],
     ["--map", "2*z^2+w, w^2", "--order", "1"],

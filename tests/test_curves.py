@@ -9,6 +9,7 @@ from regdyn import curves
 from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve, Zeta,
                            curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
+from regdyn.heights import ORBIT_CAP
 from regdyn.infinity import ExpandingPlace
 from regdyn.maps import make_regular_map
 from regdyn.numberfield import NumberField
@@ -212,9 +213,8 @@ def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
     def power(t):  # zeta_L^(t L)
         return K([0] * int(t * L) + [1])
 
-    replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, 64)
-    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f),
-                                          (Zeta(t1), Zeta(t2)), 64)
+    replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, ORBIT_CAP)
+    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f), (Zeta(t1), Zeta(t2)))
     if k is None:
         assert verdict is None
         return

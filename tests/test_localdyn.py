@@ -2,13 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError,
-                             LocalGerm, ResonanceError, SectorMap,
+                             LocalGerm, ResonanceError, SectorMap, Shear,
                              VerticalGraphSample, XCoord, _nth_root_fraction,
                              bottcher_series, graph_pullback, koenigs_series,
                              localize_at_infinity, parabolic_normal_form,
-                             remove_mu, rescaling_check, saddle_normal_form,
+                             rescaling_check, saddle_normal_form,
                              super_stable_series)
 from regdyn.maps import make_regular_map
 from regdyn.series import TruncSeries, TruncSeries2
@@ -50,14 +51,6 @@ def test_localize_fixed_point_required():
     f = make_regular_map("z^2", "w^2")
     with pytest.raises(ValueError):
         localize_at_infinity(f, (F(2), F(1)))
-
-
-def test_remove_mu():
-    n = 10
-    g = LocalGerm(X(n) * 2 + Y(n), Y(n) ** 2, 2)
-    res = remove_mu(g)
-    assert res.germ.mu == 0
-    assert res.verify()
 
 
 def test_super_stable_closed_form():
@@ -169,7 +162,7 @@ PARABOLIC_GERMS = {
     # k = 2 with an x^4 term: one axis-normalisation step
     "k=2": lambda n: LocalGerm(X(n) + X(n) ** 3 + X(n) ** 4 * 2 + X(n) * Y(n),
                                Y(n) ** 2 * (X(n) + 1), 2),
-    # mu != 0: remove_mu's shear comes first
+    # mu != 0: the shear to the super-stable graph has a linear term
     "mu": lambda n: LocalGerm(X(n) + Y(n) * 3 + X(n) ** 2 + X(n) * Y(n),
                               Y(n) ** 2 * (X(n) * 2 + 1), 2),
 }
@@ -215,15 +208,48 @@ def test_verify_rejects_a_wrong_step():
     assert not res.verify()
 
 
-def test_shear_shifts_the_super_stable_graph():
-    # parabolic_normal_form reuses the graph across remove_mu's shear
-    # x -> x + c*y: the sheared germ's graph must be phi - c*y
-    g = PARABOLIC_GERMS["mu"](10)
-    sheared = remove_mu(g)
-    assert len(sheared.conjugacies) == 1
-    shifted = super_stable_series(g) - sheared.conjugacies[0].phi
-    assert shifted == super_stable_series(sheared.germ)
-    assert not shifted.is_zero()
+def test_verify_covers_the_saddle_shear():
+    # an unreduced saddle germ: the chain starts with the shear to the graph
+    n = 10
+    g = LocalGerm(X(n) * 2 + Y(n) * 3 + X(n) ** 2 + Y(n) ** 2, Y(n) ** 2 * (X(n) + 1), 2)
+    phi = super_stable_series(g)
+    res = saddle_normal_form(g, phi)
+    assert isinstance(res.conjugacies[0], Shear) and res.conjugacies[0].phi == phi
+    assert res.intermediates[0] is g
+    assert res.verify()
+    f1, f2 = res.pushes[0]
+    res.pushes[0] = (f1 + X(n) * Y(n) ** 2, f2)
+    assert not res.verify()
+
+
+@st.composite
+def _random_germs(draw, n=8):
+    """f = (lam x + mu y + g, y^2 (1 + h)), g of order >= 2 and h(0, 0) = 0,
+    with small random coefficients."""
+    lam = draw(st.sampled_from([F(1), F(2), F(-2), F(1, 2), F(3)]))
+    mu = draw(st.sampled_from([F(-3), F(-1), F(1, 2), F(1), F(2)]))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    g = {(i, j): draw(small) for i in range(n + 1) for j in range(n + 1 - i)
+         if 2 <= i + j <= 3 and draw(st.booleans())}
+    h = {(i, j): draw(small) for i in range(n + 1) for j in range(n + 1 - i)
+         if 1 <= i + j <= 2 and draw(st.booleans())}
+    first = X(n) * lam + Y(n) * mu + TruncSeries2(g, n)
+    return LocalGerm(first, Y(n) ** 2 * (TruncSeries2(h, n) + 1), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_germs())
+def test_one_shear_to_the_graph_is_the_two_shears_it_replaces(g):
+    # Shear(phi) gives the germ Shear(c*y) then Shear(phi - c*y) gave,
+    # with c = -mu/lam, the linear coefficient of phi
+    phi = super_stable_series(g)
+    lin = TruncSeries([0, -g.mu / g.lam], g.N)
+    assert phi[1] == lin[1]
+    one, _ = Shear(phi).conjugate(g)
+    first, _ = Shear(lin).conjugate(g)
+    two, _ = Shear(phi - lin).conjugate(first)
+    assert (one.first, one.second) == (two.first, two.second)
+    assert one.first.divisible_by(1, 0)
 
 
 def test_rescaling_deviation_decays():
