@@ -5,8 +5,7 @@ infinity, local normal forms at its fixed points, and curve-level orbit
 analysis."""
 
 from .exactnum import (AlgebraicNumber, ComplexInterval, Place, abs_at_place_exact,
-                       conjugates, find_expanding_place, is_root_of_unity,
-                       product_formula_check, valuation)
+                       conjugates, find_expanding_place, is_root_of_unity, valuation)
 from .intervals import RealInterval, log_of_fraction
 from .polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 from .series import TruncSeries, TruncSeries2, exp_series, log_unit

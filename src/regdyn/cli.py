@@ -2,7 +2,8 @@
 
 Every subcommand prints a single JSON document with the keys
 schema_version, command, input, result, witnesses, caps, timing.
-Exit codes: 0 success, 2 input error, 3 cap-limited Unknown-only result.
+Exit codes: 0 success, 2 input error (missing, unknown or malformed
+arguments too), 3 cap-limited Unknown-only result.
 """
 
 from __future__ import annotations
@@ -75,6 +76,17 @@ def _parse_point(text: str, n: int = 2):
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational: {exc}") from exc
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value (an iteration, degree or order cap)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return n
 
 
 def _parse_place(text: str) -> Place:
@@ -300,9 +312,17 @@ def _cmd_dmm(args):
     return result, {}, caps, 3 if unresolved else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (missing, unknown or malformed arguments) raise InputError,
+    so `run` reports them in its one JSON document; --help still exits 0."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @cache
 def _build_parser():
-    p = argparse.ArgumentParser(prog="regdyn", description=__doc__)
+    p = _Parser(prog="regdyn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kw):
@@ -327,7 +347,7 @@ def _build_parser():
 
     o = add("orbit", _cmd_orbit, help="exact orbit table")
     o.add_argument("--point", required=True)
-    o.add_argument("-n", type=int, default=10)
+    o.add_argument("-n", type=_count, default=10)
 
     s = add("stable-manifold", _cmd_stable_manifold,
             help="localization, stable-manifold series, normal form")
@@ -338,35 +358,42 @@ def _build_parser():
     c = add("curve", _cmd_curve,
             help="points at infinity, pushforward, curve orbit")
     c.add_argument("--curve", required=True)
-    c.add_argument("--max-iters", type=int, default=8)
-    c.add_argument("--max-degree", type=int, default=64)
+    c.add_argument("--max-iters", type=_count, default=8)
+    c.add_argument("--max-degree", type=_count, default=64)
 
     d = add("dmm", _cmd_dmm, help="full dynamical Manin-Mumford report")
     d.add_argument("--curve", required=True)
-    d.add_argument("--max-iters", type=int, default=8)
-    d.add_argument("--max-degree", type=int, default=64)
-    d.add_argument("--height-bound", type=int, default=3)
-    d.add_argument("--max-order", type=int, default=24,
+    d.add_argument("--max-iters", type=_count, default=8)
+    d.add_argument("--max-degree", type=_count, default=64)
+    d.add_argument("--height-bound", type=_count, default=3)
+    d.add_argument("--max-order", type=_count, default=24,
                    help=f"largest order of the roots of unity tried, at most {DMM_MAX_ORDER}")
     return p
 
 
+def _error(doc: dict, exc: Exception, t0: float) -> int:
+    doc.update(error=str(exc), timing={"seconds": time.monotonic() - t0})
+    print(json.dumps(doc, indent=2))
+    return 2
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
     t0 = time.monotonic()
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code == 0 else 2
+    except InputError as exc:
+        return _error({"schema_version": SCHEMA_VERSION, "command": None,
+                       "input": {"argv": argv}}, exc, t0)
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
            "input": {k: v for k, v in vars(args).items()
                      if k not in ("handler", "command") and v is not None}}
     try:
         result, witnesses, caps, code = args.handler(args)
     except (InputError, NotRegular, PolyParseError) as exc:
-        doc.update(error=str(exc), timing={"seconds": time.monotonic() - t0})
-        print(json.dumps(doc, indent=2))
-        return 2
+        return _error(doc, exc, t0)
     doc.update(result=result, witnesses=witnesses, caps=caps,
                timing={"seconds": time.monotonic() - t0})
     print(json.dumps(doc, indent=2))

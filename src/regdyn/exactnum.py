@@ -75,36 +75,6 @@ def abs_at_place_exact(x, v: Place) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ProductFormulaWitness:
-    support: dict  # Place -> Fraction, the places where |x|_v != 1
-    product: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.product == 1
-
-
-def product_formula_check(x) -> ProductFormulaWitness:
-    """Finite support of |x|_v and the exact product over it."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("product formula needs a nonzero rational")
-    support = {}
-    a = abs(x)
-    if a != 1:
-        support[Place.archimedean()] = a
-    primes = set(sp.factorint(abs(x.numerator))) | set(sp.factorint(x.denominator))
-    for p in sorted(primes):
-        ap = Fraction(p) ** (-valuation(x, p))
-        if ap != 1:
-            support[Place.finite(p)] = ap
-    prod = Fraction(1)
-    for val in support.values():
-        prod *= val
-    return ProductFormulaWitness(support, prod)
-
-
-@dataclass(frozen=True)
 class ComplexInterval:
     re: RealInterval
     im: RealInterval

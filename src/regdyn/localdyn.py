@@ -28,7 +28,7 @@ from sympy import integer_nthroot
 
 from .maps import RegularMap
 from .polyalg import MultiPoly, _eval_terms
-from .series import TruncSeries, TruncSeries2, log_unit, exp_series
+from .series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
 
 
 class GermShapeError(ValueError):
@@ -138,24 +138,8 @@ class Shear(Conjugacy):
         return LocalGerm(g1, f2, germ.d)
 
 
-class UnitScale(Conjugacy):
-    """Phi = (x*(1 + phi(y)), y) with phi(0) = 0."""
-
-    def __init__(self, phi: TruncSeries):
-        if phi[0] != 0:
-            raise ValueError("unit scale needs phi(0) = 0")
-        self.phi = phi
-
-    def forward_pair(self, n):
-        return _x2(n) * (self.phi.to_series2(n) + 1), _y2(n)
-
-    def _solve(self, germ, f1, f2):
-        g1 = f1 * (self.phi.compose(f2) + 1).reciprocal()
-        return LocalGerm(g1, f2, germ.d)
-
-
 class HigherScale(Conjugacy):
-    """Phi = (x*(1 + phi(y)*x^n), y); identity modulo x^{n+1}."""
+    """Phi = (x*(1 + phi(y)*x^n), y); for n >= 1 the identity modulo x^{n+1}."""
 
     def __init__(self, phi: TruncSeries, n: int):
         self.phi = phi
@@ -166,14 +150,13 @@ class HigherScale(Conjugacy):
         return x * (self.phi.to_series2(order) * x**self.n + 1), _y2(order)
 
     def _solve(self, germ, f1, f2):
-        # solve G1*(1 + phi(G2)*G1^n) = F1 by fixed-point iteration
+        # G1 = F1 / (1 + phi(G2)*G1^n): one pass for n = 0, where the right
+        # side does not involve G1, else fixed-point iteration
         phi2 = self.phi.compose(f2)
-        g1 = f1
-        for _ in range(germ.N + 2):
-            nxt = f1 * (phi2 * g1**self.n + 1).reciprocal()
-            if nxt == g1:
-                break
-            g1 = nxt
+
+        def step(g1):
+            return f1 * (phi2 * g1**self.n + 1).reciprocal()
+        g1 = step(f1) if self.n == 0 else _fixed_point(step, f1, germ.N)
         return LocalGerm(g1, f2, germ.d)
 
 
@@ -205,22 +188,6 @@ class XCoord(Conjugacy):
     def _solve(self, germ, f1, f2):
         g1 = self.psi.compose(f1)
         return LocalGerm(g1, f2, germ.d)
-
-
-class Scale(Conjugacy):
-    """Phi = (ax, by), a, b invertible."""
-
-    def __init__(self, a, b):
-        if a == 0 or b == 0:
-            raise ValueError("degenerate scaling")
-        self.a = Fraction(a) if isinstance(a, int) else a
-        self.b = Fraction(b) if isinstance(b, int) else b
-
-    def forward_pair(self, n):
-        return _x2(n) * self.a, _y2(n) * self.b
-
-    def _solve(self, germ, f1, f2):
-        return LocalGerm(f1 * (1 / self.a), f2 * (1 / self.b), germ.d)
 
 
 @dataclass
@@ -318,36 +285,23 @@ def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
 # normal-form steps
 
 
-def super_stable_series(germ: LocalGerm, N: Optional[int] = None) -> TruncSeries:
+def super_stable_series(germ: LocalGerm) -> TruncSeries:
     """The graph x = phi(y) of the local super-stable manifold.
 
-    phi is the unique solution of
-        lam*phi(y) + g(phi(y), y) = phi(y^d * (1 + h(phi(y), y)))
-    with phi(0) = 0; solved by the order-gaining fixed-point iteration
-    (each pass determines one more coefficient, any lam != 0).  A mu*y
-    term is absorbed into g."""
-    N = germ.N if N is None else N
-    if N > germ.N:
-        raise ValueError("cannot exceed the germ's truncation order")
-    lam = germ.lam
-    g = (germ.first - _x2(germ.N) * lam).truncate(N)
-    h = germ.h_part().truncate(N)
+    phi is the unique solution of f1(phi(y), y) = phi(f2(phi(y), y)) with
+    phi(0) = 0, the fixed point of phi <- phi - (f1(phi, y) - phi(f2(phi, y)))/lam:
+    f1 = lam*x + (terms of x-degree 0 or >= 2 or with y) and f2 = O(y^d), so
+    each pass fixes one more coefficient, for any lam != 0.  The fixed point
+    is the functional equation itself, exactly at the truncation order."""
+    N, inv_lam = germ.N, 1 / germ.lam
     yid = _y2(N)
-    inv_lam = 1 / lam
-    phi = TruncSeries.zero(N)
-    # each pass fixes one more coefficient, so pass N + 2 at the latest
-    # leaves phi unchanged; nxt == phi is the functional equation itself,
-    # exactly at the truncation order
-    for _ in range(N + 2):
+
+    def step(phi):
         phi2 = phi.to_series2(N)
-        h_phi = h.compose(phi2, yid).restrict_y_axis()
-        inner = (h_phi + 1).shift(germ.d)
-        g_phi = g.compose(phi2, yid).restrict_y_axis()
-        nxt = (phi.compose(inner) - g_phi) * inv_lam
-        if nxt == phi:
-            return phi
-        phi = nxt
-    raise ArithmeticError("super-stable series did not converge")
+        f1 = germ.first.compose(phi2, yid).restrict_y_axis()
+        f2 = germ.second.compose(phi2, yid).restrict_y_axis()
+        return phi - (f1 - phi.compose(f2)) * inv_lam
+    return _fixed_point(step, TruncSeries.zero(N), N)
 
 
 def reduce_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> NormalFormResult:
@@ -366,33 +320,27 @@ def reduce_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> NormalFor
     return res
 
 
-def bottcher_series(u: TruncSeries, d: Optional[int] = None) -> TruncSeries:
+def bottcher_series(u: TruncSeries) -> TruncSeries:
     """beta with beta(u(y)) = beta(y)^d, beta(y) = y + O(y^2).
 
-    u must be y^d*(1 + h0(y)).  Writing beta = y*exp(L), the equation
-    becomes L(u) - d*L = -log(1 + h0), solved order by order."""
-    val = u.valuation()
-    if val is None or val < 2:
+    u must be y^d*(1 + h0(y)) with d >= 2.  Writing beta = y*exp(L), the
+    equation becomes L(u) - d*L = -log(1 + h0), solved order by order."""
+    d = u.valuation()
+    if d is None or d < 2:
         raise ValueError("input must vanish to order >= 2")
-    d = val if d is None else d
     if u[d] != 1:
         raise ValueError("unit cofactor must have constant term 1")
     H = log_unit(u.shift(-d))
-    L = TruncSeries.zero(u.order)
-    for _ in range(u.order + 1):
-        nxt = (H + L.compose(u)) * Fraction(1, d)
-        if nxt == L:
-            break
-        L = nxt
+    L = _fixed_point(lambda L: (H + L.compose(u)) * Fraction(1, d),
+                     TruncSeries.zero(u.order), u.order)
     beta = exp_series(L).shift(1)
     assert beta.compose(u) == beta**d
     return beta
 
 
-def koenigs_series(s: TruncSeries, N: Optional[int] = None) -> TruncSeries:
+def koenigs_series(s: TruncSeries) -> TruncSeries:
     """psi with psi(s(y)) = lam*psi(y), psi = y + O(y^2); lam = s'(0)."""
-    N = s.order if N is None else N
-    s = s.truncate(N)
+    N = s.order
     if s[0] != 0:
         raise ValueError("input must fix 0")
     lam = s[1]
@@ -449,7 +397,7 @@ def saddle_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> No
     res = reduce_form(germ, phi)
     # 1. Böttcher: straighten y -> y^d on the invariant axis {x = 0}
     u0 = res.germ.second.restrict_y_axis()
-    g1 = res._record(YCoord(bottcher_series(u0, germ.d)))
+    g1 = res._record(YCoord(bottcher_series(u0)))
     assert g1.second.restrict_y_axis() == TruncSeries.monomial(1, germ.d, germ.N)
     # 2. Koenigs: linearize x -> lam*x*(1+...) on {y = 0}
     g2 = res._record(XCoord(koenigs_series(g1.first.restrict_x_axis())))
@@ -457,7 +405,7 @@ def saddle_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> No
     # 3. multiplicative correction on the x-linear row
     grow = g2.x_row(1) * (1 / g2.lam) - 1
     if not grow.is_zero():
-        res._record(UnitScale(_inf_product_phi(grow, g2.d)))
+        res._record(HigherScale(_inf_product_phi(grow, g2.d), 0))
     out = res.germ
     lamx = _x2(out.N) * out.lam
     if not (out.first - lamx).divisible_by(2, 1):
@@ -482,7 +430,7 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
     work = res.germ
     u0 = work.second.restrict_y_axis()
     if u0 != TruncSeries.monomial(1, work.d, work.N):
-        work = res._record(YCoord(bottcher_series(u0, work.d)))
+        work = res._record(YCoord(bottcher_series(u0)))
     # read off k from the restriction to {y = 0}
     rx = work.first.restrict_x_axis()
     tail = rx - TruncSeries.identity(work.N)
@@ -490,33 +438,27 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
     if val is None:
         raise GermShapeError("restriction to {y=0} is the identity at this order")
     k = val - 1
-    # 1-D normalization on the axis: f(x,0) = x + x^{k+1} + O(x^{2k+1})
+    # 1-D normalization on the axis: f(x,0) = x + x^{k+1} + O(x^{2k+1}).
+    # x_new = x + e*x^m, m = j - k + 1, adds e*c_{k+1}*(j - 2k) to the
+    # x^{j+1} coefficient and changes no lower one
+    ck = work.first[(k + 1, 0)]
     for j in range(k + 1, 2 * k):
         cj = work.first[(j + 1, 0)]
-        if cj == 0:
-            continue
-        # the x^{j+1} coefficient is affine in e for S = x + e*x^{j-k+1}
-        def axis_step(e):
-            return XCoord(TruncSeries.identity(work.N)
-                          + TruncSeries.monomial(e, j - k + 1, work.N))
-        trial, _pushed = axis_step(Fraction(1)).conjugate(work)
-        gamma = trial.first[(j + 1, 0)] - cj
-        if gamma == 0:
-            raise GermShapeError("degenerate axis normalization")
-        work = res._record(axis_step(-cj / gamma))
-        assert work.first[(j + 1, 0)] == 0
-    ck = work.first[(k + 1, 0)]
-    if ck != 1:
-        work = res._record(Scale(_nth_root_fraction(1 / ck, k), 1))
+        if cj != 0:
+            e = cj / (ck * (2 * k - j))
+            work = res._record(XCoord(TruncSeries.identity(work.N)
+                                      + TruncSeries.monomial(e, j - k + 1, work.N)))
+            assert work.first[(j + 1, 0)] == 0
+    if ck != 1:  # x_new = x/a with a^k = 1/c_{k+1}
+        a = _nth_root_fraction(1 / ck, k)
+        work = res._record(XCoord(TruncSeries.monomial(1 / a, 1, work.N)))
         assert work.first[(k + 1, 0)] == 1
     # kill the y-dependence of the rows x^{n+1}, n = 0..2k-1
-    g0 = work.x_row(1) - 1
-    if not g0.is_zero():
-        work = res._record(UnitScale(_inf_product_phi(g0, work.d)))
-    for n in range(1, 2 * k):
-        gn = work.x_row(n + 1) - (1 if n == k else 0)
+    for n in range(2 * k):
+        gn = work.x_row(n + 1) - (1 if n in (0, k) else 0)
         if not gn.is_zero():
-            work = res._record(HigherScale(_geometric_sum_phi(gn, work.d), n))
+            phi = _inf_product_phi(gn, work.d) if n == 0 else _geometric_sum_phi(gn, work.d)
+            work = res._record(HigherScale(phi, n))
     # posts
     for n in range(0, 2 * k):
         row = work.x_row(n + 1)

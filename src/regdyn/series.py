@@ -70,6 +70,19 @@ def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
     return out, den
 
 
+def _fixed_point(step, start, N: int):
+    """The fixed point of step, iterated from start.  Each pass of an
+    order-gaining step fixes one more coefficient of a series of order N,
+    so pass N + 2 at the latest changes nothing; ArithmeticError if it does."""
+    x = start
+    for _ in range(N + 2):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        x = nxt
+    raise ArithmeticError("fixed-point iteration did not settle")
+
+
 class _Series:
     """The operators TruncSeries and TruncSeries2 share.  A subclass gives
     `_set` (store num / den in lowest terms), `_plus`, `__neg__`,
@@ -280,15 +293,11 @@ class TruncSeries(_Series):
         if a1 == 0:
             raise ValueError("reversion needs invertible linear term")
         inv1 = 1 / a1
+        ident = TruncSeries.identity(self.order)
         # g correct mod y^{m+1} stays correct and gains one order per pass:
         # self(g + delta) = self(g) + a1*delta + (higher valuation)
-        g = TruncSeries([0, inv1], self.order)
-        for _ in range(self.order):
-            err = self.compose(g) - TruncSeries.identity(self.order)
-            if err.is_zero():
-                break
-            g = g - err * inv1
-        return g
+        return _fixed_point(lambda g: g - (self.compose(g) - ident) * inv1,
+                            TruncSeries([0, inv1], self.order), self.order)
 
     def to_series2(self, order: int, var: int = 1) -> "TruncSeries2":
         num = {((0, k) if var == 1 else (k, 0)): c

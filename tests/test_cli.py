@@ -180,6 +180,15 @@ def test_stable_manifold_parabolic_with_mu(capsys):
     assert nf == {"kind": "parabolic", "k": 1, "steps": 5, "verified": True}
 
 
+def test_stable_manifold_parabolic_with_an_axis_step(capsys):
+    # k = 2 at [1 : 0], with one closed-form axis step in the chain
+    code, doc = _run(capsys, "stable-manifold", "--map", "z^4 + w, z^3*w + z*w^3 + w^4 + z",
+                     "--point", "0", "--order", "12")
+    assert code == 0
+    nf = doc["result"]["manifolds"][0]["normal_form"]
+    assert nf == {"kind": "parabolic", "k": 2, "steps": 7, "verified": True}
+
+
 @pytest.mark.parametrize("argv", [
     ["--map", "2*z^2+w, w^2", "--order", "0"],
     ["--map", "2*z^2+w, w^2", "--order", "1"],
@@ -282,11 +291,43 @@ def test_json_is_single_document(capsys):
     ["green", "--map", "z^2, w^2"],
     ["height", "--map", "z^2, w^2", "--point", "1,2", "--tol", "0"],
     ["height", "--map", "z^2, w^2", "--point", "1,2", "--tol=-1/2"],
-], ids=["non-prime-place", "no-point", "zero-tol", "negative-tol"])
+    # usage errors that argparse finds
+    ["classify"],
+    [],
+    ["collapse", "--map", "z^2, w^2"],
+    ["classify", "--map", "z^2, w^2", "--point", "1,2"],
+    ["orbit", "--map", "z^2, w^2", "--point", "1,2", "-n", "ten"],
+    ["stable-manifold", "--map", "z^2, w^2", "--order", "1.5"],
+    # negative counts
+    ["orbit", "--map", "z^2, w^2", "--point", "1,2", "-n", "-1"],
+    ["curve", "--map", "z^2, w^2", "--curve", "w-z-1", "--max-iters", "-2"],
+    ["curve", "--map", "z^2, w^2", "--curve", "w-z-1", "--max-degree", "-1"],
+    ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--max-iters", "-1"],
+    ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--max-degree", "-1"],
+    ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--height-bound", "-1"],
+    ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--max-order", "-1"],
+], ids=["non-prime-place", "no-point", "zero-tol", "negative-tol",
+        "no-map", "no-command", "unknown-command", "unknown-option", "non-integer-count",
+        "non-integer-order", "orbit-negative-n", "curve-negative-max-iters",
+        "curve-negative-max-degree", "dmm-negative-max-iters", "dmm-negative-max-degree",
+        "dmm-negative-height-bound", "dmm-negative-max-order"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, argv):
     code, doc = _run(capsys, *argv)
     assert code == 2
     assert "error" in doc and "result" not in doc
+
+
+def test_usage_error_names_the_subcommand_and_the_argument(capsys):
+    code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", "w-z-1",
+                     "--max-iters", "-1")
+    assert code == 2 and doc["command"] is None
+    assert doc["error"] == ("regdyn curve: argument --max-iters: must be a "
+                            "non-negative integer, got '-1'")
+
+
+def test_help_still_exits_0_with_usage_text(capsys):
+    assert run(["classify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: regdyn classify")
 
 
 def _count_pushforwards(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from regdyn.exactnum import (AlgebraicNumber, Place, abs_at_place_exact,
                              conjugates, find_expanding_place, is_root_of_unity,
-                             product_formula_check, valuation)
+                             valuation)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -32,8 +32,14 @@ def test_abs_at_place_exact():
 
 
 @given(rationals.filter(lambda q: q != 0))
-def test_product_formula(q):
-    assert product_formula_check(q).holds
+def test_product_formula_over_infinity_and_the_primes_of_num_den(q):
+    # |q|_v = 1 at every other prime, so the product over these places is 1
+    places = [Place.archimedean()] + [Place.finite(p) for p in
+                                      sp.factorint(abs(q.numerator) * q.denominator)]
+    prod = F(1)
+    for v in places:
+        prod *= abs_at_place_exact(q, v)
+    assert prod == 1
 
 
 def test_algebraic_rational_roundtrip():

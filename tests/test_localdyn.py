@@ -173,10 +173,8 @@ def test_parabolic_chain_conjugates_each_step_once(monkeypatch, name):
     g = PARABOLIC_GERMS[name](10)
     calls = _count_conjugations(monkeypatch)
     k, res = parabolic_normal_form(g)
-    axis_steps = sum(isinstance(s, XCoord) for s in res.conjugacies)
-    # one trial conjugation per axis-normalisation step on top of the chain
-    assert len(calls) == len(res.conjugacies) + axis_steps
-    assert axis_steps == (1 if name == "k=2" else 0)
+    # one conjugation per step: the axis steps take e in closed form
+    assert len(calls) == len(res.conjugacies)
     assert len(res.intermediates) == len(res.conjugacies) + 1
     assert res.verify()
 
@@ -184,7 +182,7 @@ def test_parabolic_chain_conjugates_each_step_once(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(PARABOLIC_GERMS) + ["saddle"])
 def test_verify_reuses_the_composition_of_each_step(monkeypatch, name):
     # f o Phi is computed once per step, by conjugate, and verify checks
-    # Phi o G against the one kept; a trial axis conjugation computes its own
+    # Phi o G against the one kept
     calls = []
     original = Conjugacy._push
     monkeypatch.setattr(Conjugacy, "_push",
@@ -195,8 +193,7 @@ def test_verify_reuses_the_composition_of_each_step(monkeypatch, name):
     else:
         _k, res = parabolic_normal_form(PARABOLIC_GERMS[name](10))
     assert res.verify()
-    axis_steps = sum(isinstance(s, XCoord) for s in res.conjugacies) if name != "saddle" else 0
-    assert len(calls) == len(res.conjugacies) + axis_steps
+    assert len(calls) == len(res.conjugacies)
     assert len(res.pushes) == len(res.conjugacies)
 
 
@@ -250,6 +247,35 @@ def test_one_shear_to_the_graph_is_the_two_shears_it_replaces(g):
     two, _ = Shear(phi - lin).conjugate(first)
     assert (one.first, one.second) == (two.first, two.second)
     assert one.first.divisible_by(1, 0)
+
+
+@st.composite
+def _parabolic_germs(draw, n=10):
+    """(k, f) with f = (x + c x^{k+1} + higher powers of x + terms with y,
+    y^2 (1 + h)), k in 2..4, c != 0, small random coefficients."""
+    k = draw(st.integers(2, 4))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    c = draw(small.filter(bool))
+    g = {(i, 0): draw(small) for i in range(k + 2, n + 1)}
+    g.update({(i, j): draw(small) for i in range(n) for j in range(1, 3)
+              if i + j <= n and draw(st.booleans())})
+    h = {(1, 0): draw(small), (0, 1): draw(small)}
+    first = X(n) + X(n) ** (k + 1) * c + TruncSeries2(g, n)
+    return k, LocalGerm(first, Y(n) ** 2 * (TruncSeries2(h, n) + 1), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_parabolic_germs())
+def test_axis_step_changes_one_coefficient_by_the_closed_form(kg):
+    # an exact conjugation is the oracle: x_new = x + x^m, m = j - k + 1,
+    # adds c_{k+1}*(j - 2k) to the x^{j+1} coefficient and leaves every lower one
+    k, g = kg
+    ck = g.first[(k + 1, 0)]
+    for j in range(k + 1, 2 * k):
+        step = XCoord(TruncSeries.identity(g.N) + TruncSeries.monomial(1, j - k + 1, g.N))
+        trial, _pushed = step.conjugate(g)
+        assert trial.first[(j + 1, 0)] - g.first[(j + 1, 0)] == ck * (j - 2 * k)
+        assert all(trial.first[(i, 0)] == g.first[(i, 0)] for i in range(j + 1))
 
 
 def test_rescaling_deviation_decays():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regdyn.series import TruncSeries, TruncSeries2, exp_series, log_unit
+from regdyn.series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
 
 
 def X(n):
@@ -32,6 +32,17 @@ def test_reversion():
     g = s.reversion()
     assert s.compose(g) == TruncSeries.identity(12)
     assert g.compose(s) == TruncSeries.identity(12)
+
+
+def test_fixed_point_raises_when_a_step_never_settles():
+    # y -> y + y^3 gains no order: every pass changes the series
+    n = 6
+    with pytest.raises(ArithmeticError):
+        _fixed_point(lambda s: s + TruncSeries.monomial(1, 3, n), TruncSeries.zero(n), n)
+    # an order-gaining step settles: phi = y + y^2 phi(y)
+    phi = _fixed_point(lambda s: TruncSeries.monomial(1, 1, n) + s.shift(2),
+                       TruncSeries.zero(n), n)
+    assert phi == TruncSeries([0, 1, 0, 1, 0, 1, 0], n)
 
 
 def test_log_exp_roundtrip():
