@@ -5,11 +5,9 @@ parabolic graph transform.
 Run:  python3 demos/normal_forms.py
 """
 
-from fractions import Fraction as F
-
-from regdyn import (LocalGerm, SectorMap, TruncSeries2, VerticalGraphSample,
-                    graph_pullback, localize_at_infinity, make_regular_map,
-                    parabolic_normal_form, rescaling_check,
+from regdyn import (AlgebraicNumber, LocalGerm, SectorMap, TruncSeries2,
+                    VerticalGraphSample, graph_pullback, localize_at_infinity,
+                    make_regular_map, parabolic_normal_form, rescaling_check,
                     saddle_normal_form, super_stable_series)
 
 
@@ -18,7 +16,7 @@ def main():
     # infinity.  Coordinates: x along the invariant fiber direction, y
     # transverse (y = 0 is the line at infinity).
     f = make_regular_map("z^2", "w^2")
-    germ = localize_at_infinity(f, (F(1), F(1)), N=12)
+    germ = localize_at_infinity(f, (AlgebraicNumber.from_rational(1), 1), N=12)
     print("germ at [1:1]:")
     print("  first  =", germ.first)
     print("  second =", germ.second)

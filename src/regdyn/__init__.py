@@ -15,7 +15,7 @@ from .green import GreenContext, bad_places, green_homog, green_value, \
     nullstellensatz_constant
 from .heights import (HeightResult, PreperiodicityVerdict, canonical_height,
                       height_support, is_preperiodic)
-from .infinity import (ExpandingPlace, InfinityFixedPoint, InfinityPoint, RootOfUnity,
+from .infinity import (ExpandingPlace, InfinityPoint, RootOfUnity,
                        Superattracting, classify_multiplier, compose_forms,
                        fixed_points_infinity, infinity_orbit_preperiodicity,
                        multiplier, projective_roots)

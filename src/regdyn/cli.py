@@ -2,8 +2,8 @@
 
 Every subcommand prints a single JSON document with the keys
 schema_version, command, input, result, witnesses, caps, timing.
-Exit codes: 0 success, 2 input error (missing, unknown or malformed
-arguments too), 3 cap-limited Unknown-only result.
+Exit codes: 0 success, 2 input error (also a bad argument or a --tol past
+the precision cap), 3 cap-limited Unknown-only result.
 """
 
 from __future__ import annotations
@@ -21,17 +21,21 @@ from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
                      points_at_infinity, pushforward)
 from .green import GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height, is_preperiodic
-from .infinity import Superattracting, fixed_points_infinity
+from .infinity import classify_multiplier, fixed_points_infinity, multiplier
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        saddle_normal_form, super_stable_series)
 from .maps import BitSizeCap, NotRegular, make_regular_map
+from .padic import PrecisionLoss
 from .polyalg import PolyParseError
 
 SCHEMA_VERSION = 1
 
-# `orbit` stops before a coordinate passes this many bits: Python renders an
-# int of at most 4,300 decimal digits (about 14,284 bits) as a string
-ORBIT_MAX_BITS = 14_000
+# `orbit` stops before a coordinate passes this many bits, and no input point
+# may pass it: Python renders an int of at most 4,300 digits as a string
+MAX_BITS = 14_000
+# `orbit` refuses a larger -n: time and output grow linearly in n, also on a
+# bounded orbit (-n 100000 from (1, 1) under (z^2, w^2): 2.0 s, 15.8 MB)
+ORBIT_MAX_N = 10_000
 # `stable-manifold` refuses a larger --order: the cost grows about as the
 # order to the 5th power (19.8 s at order 48, over 60 s at order 96)
 STABLE_MANIFOLD_MAX_ORDER = 64
@@ -40,6 +44,10 @@ STABLE_MANIFOLD_MAX_ORDER = 64
 # "z^2, w^2" --curve "w - z" --max-iters 2 --max-degree 8 --max-order 64`
 # takes 2.5 s on a 2-core Xeon under Python 3.11)
 DMM_MAX_ORDER = 64
+# `dmm` refuses a larger --height-bound: its rational probes take time about
+# its square (w - z under (z^2, w^2), the other caps 1, 2 and 1: 1.1 s at 32,
+# 4.1 s at 64, 18.2 s at 128 on a 2-core Xeon under Python 3.11)
+DMM_MAX_HEIGHT_BOUND = 64
 # the enclosure width of `green` and `height` when --tol is not given
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -73,9 +81,12 @@ def _parse_point(text: str, n: int = 2):
     if len(parts) != n:
         raise InputError(f"point must be {n} comma-separated rationals")
     try:
-        return tuple(Fraction(p) for p in parts)
+        pt = tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational: {exc}") from exc
+    if any(max(abs(c.numerator), c.denominator).bit_length() > MAX_BITS for c in pt):
+        raise InputError(f"a coordinate has more than MAX_BITS = {MAX_BITS} bits")
+    return pt
 
 
 def _count(text: str) -> int:
@@ -152,10 +163,10 @@ def _cmd_classify(args):
     result = {"degree": f.d, "bad_places": sorted(bad_places(f)),
               "fixed_points_at_infinity": []}
     for pt in pts:
+        lam = multiplier((f.top_P, f.top_Q), pt)
         result["fixed_points_at_infinity"].append({
-            "point": _point_json(pt),
-            "multiplier": _json(pt.multiplier),
-            "classification": _json(pt.classification)})
+            "point": _point_json(pt), "multiplier": _json(lam),
+            "classification": _json(classify_multiplier(lam))})
     return result, {"multiplicity_sum": sum(p.multiplicity for p in pts)}, {}, 0
 
 
@@ -168,6 +179,8 @@ def _cmd_green(args):
     ctx = GreenContext(f, v)
     if args.homog:
         pt = _parse_point(args.homog, 3)
+        if not any(pt):
+            raise InputError("the homogeneous point must not be 0,0,0")
         g = green_homog(ctx, pt, tol)
         inp = {"homogeneous_point": [_json(c) for c in pt]}
     else:
@@ -196,19 +209,21 @@ def _cmd_height(args):
 
 
 def _cmd_orbit(args):
+    if args.n > ORBIT_MAX_N:
+        raise InputError(f"n must be at most ORBIT_MAX_N = {ORBIT_MAX_N}, got {args.n}")
     f = _parse_map(args.map)
     pt = _parse_point(args.point)
     rows = [pt]
     try:
         for _ in range(args.n):
-            pt = f.iterate(1, pt, max_bits=ORBIT_MAX_BITS)
+            pt = f.iterate(1, pt, max_bits=MAX_BITS)
             rows.append(pt)
         capped = False
     except BitSizeCap:
         capped = True
     result = {"orbit": [[_json(c) for c in row] for row in rows],
               "length": len(rows)}
-    caps = {"n": args.n, "bit_capped": capped, "max_bits": ORBIT_MAX_BITS}
+    caps = {"n": args.n, "bit_capped": capped, "max_bits": MAX_BITS}
     return result, {}, caps, 0
 
 
@@ -220,25 +235,19 @@ def _cmd_stable_manifold(args):
     if N > STABLE_MANIFOLD_MAX_ORDER:
         raise InputError(f"order must be at most STABLE_MANIFOLD_MAX_ORDER = "
                          f"{STABLE_MANIFOLD_MAX_ORDER}, got {N}")
-    if args.point:
-        try:
-            t = Fraction(args.point)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad point: {exc}") from exc
-    # only rational points are classified: classifying an irrational one
+    t = _parse_point(args.point, 1)[0] if args.point else None
+    # only rational points get a multiplier: that of an irrational one
     # costs sympy minimal polynomials and root isolation
-    pts = [p for p in fixed_points_infinity(f)
-           if p.coordinate.is_rational()
-           and not isinstance(p.classification, Superattracting)]
-    if args.point:
-        pts = [p for p in pts if p.coordinate.as_rational() == t]
+    pts = [p for p in fixed_points_infinity(f) if p.coordinate.is_rational()
+           and (t is None or p.coordinate.as_rational() == t)]
+    pts = [p for p in pts if not multiplier((f.top_P, f.top_Q), p).is_zero()]
     if not pts:
         raise InputError("no matching non-superattracting rational fixed point "
                          "at infinity")
     reports = []
     for p in pts:
         try:
-            germ = localize_at_infinity(f, p, N)
+            germ = localize_at_infinity(f, (p.coordinate, p.chart), N)
         except ValueError as exc:  # e.g. the y^d coefficient has no rational root
             raise InputError(f"cannot localize at the fixed point "
                              f"{p.coordinate.as_rational()}: {exc}") from exc
@@ -285,6 +294,9 @@ def _cmd_dmm(args):
     if args.max_order > DMM_MAX_ORDER:
         raise InputError(f"max-order must be at most DMM_MAX_ORDER = {DMM_MAX_ORDER}, "
                          f"got {args.max_order}")
+    if args.height_bound > DMM_MAX_HEIGHT_BOUND:
+        raise InputError(f"height-bound must be at most DMM_MAX_HEIGHT_BOUND = "
+                         f"{DMM_MAX_HEIGHT_BOUND}, got {args.height_bound}")
     f = _parse_map(args.map)
     try:
         C = PlaneCurve(args.curve)
@@ -347,7 +359,7 @@ def _build_parser():
 
     o = add("orbit", _cmd_orbit, help="exact orbit table")
     o.add_argument("--point", required=True)
-    o.add_argument("-n", type=_count, default=10)
+    o.add_argument("-n", type=_count, default=10, help=f"iterations, at most {ORBIT_MAX_N}")
 
     s = add("stable-manifold", _cmd_stable_manifold,
             help="localization, stable-manifold series, normal form")
@@ -392,7 +404,7 @@ def run(argv=None) -> int:
                      if k not in ("handler", "command") and v is not None}}
     try:
         result, witnesses, caps, code = args.handler(args)
-    except (InputError, NotRegular, PolyParseError) as exc:
+    except (InputError, NotRegular, PolyParseError, PrecisionLoss) as exc:
         return _error(doc, exc, t0)
     doc.update(result=result, witnesses=witnesses, caps=caps,
                timing={"seconds": time.monotonic() - t0})

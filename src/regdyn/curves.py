@@ -351,7 +351,6 @@ class CurveOrbitStatus:
 def curve_preperiodicity(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
                          max_degree: int = 64) -> CurveOrbitStatus:
     """Iterate pushforward with exact canonical-form cycle detection."""
-    C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
     orbit, k = _exact_orbit(lambda D: pushforward(f, D), C, max_iters,
                             lambda D: D.degree > max_degree)
     if k is not None:
@@ -478,7 +477,6 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     max_order on C, as Zetas.  Membership is checked exactly in a cyclotomic
     field and orbits exactly on the exponents.  Other maps get no
     roots-of-unity probe."""
-    C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
     R = C.poly
     found = []
     seen = set()
@@ -557,9 +555,8 @@ def _terminal_classification(f: RegularMap, pt: InfinityPoint,
         return None, "orbit not resolved"
     if (verdict.preperiod, verdict.period) == (0, 1):
         return classify_multiplier(multiplier((f.top_P, f.top_Q), pt)), ""
-    cyc = verdict.orbit[verdict.preperiod] if verdict.preperiod < len(verdict.orbit) \
-        else None
-    if cyc is None or not isinstance(cyc[0], (int, Fraction)):
+    cyc = verdict.orbit[verdict.preperiod]
+    if not isinstance(cyc[0], (int, Fraction)):
         return None, "terminal cycle not rational; classification skipped"
     lam = multiplier(compose_forms(f, verdict.period), InfinityPoint.from_pair(*cyc))
     return classify_multiplier(lam), ""
@@ -574,7 +571,6 @@ def dmm_report(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
     orbit status — with witness-carrying flags for the theorem's
     hypothesis (a point at infinity not eventually superattracting) and
     conclusion (the curve is preperiodic)."""
-    C = C if isinstance(C, PlaneCurve) else PlaneCurve(C)
     notes = []
     inf_reports = []
     for pt in points_at_infinity(C):

@@ -208,7 +208,7 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     log max(z0, |a_n|_v, |b_n|_v) / d^n and widens it by the tail of that
     case's constant.  An attempt is repeated at twice the precision (interval
     bits at infinity, p-adic digits at p) when it loses precision, or at
-    infinity when its enclosure is too wide."""
+    infinity when its enclosure is too wide; PrecisionLoss after 6 attempts."""
     f, v, d = ctx.f, ctx.place, ctx.f.d
     P, Q, C = (f.P, f.Q, ctx.C) if z0 else (f.top_P, f.top_Q, _line_constant(ctx))
     n = _tail_iterations(C, d, tol / 2)
@@ -228,7 +228,7 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
         if v.is_finite or out.width <= tol:
             return out
         prec *= 2
-    raise RuntimeError(f"green: precision escalation exhausted at {v!r}")
+    raise PrecisionLoss(f"green: precision escalation exhausted at {v!r}")
 
 
 def _iterate(P, Q, z1, z2, n: int, convert, add, mul, pow) -> tuple:

@@ -4,7 +4,7 @@ A regular map restricts to f_inf = [P_d : Q_d] on the invariant line at
 infinity.  A point of that line is an InfinityPoint; `projective_roots`
 finds the roots of a binary form as such points, both the fixed points
 (the roots of z2*P_d - z1*Q_d) and the points where a curve meets the
-line (the roots of its top form).  Each fixed point carries a multiplier
+line (the roots of its top form).  Each fixed point has a multiplier
 whose arithmetic nature drives the trichotomy: superattracting
 (multiplier 0), root of unity, or a place where the multiplier has
 absolute value > 1 (Kronecker's theorem makes these exhaustive and
@@ -14,9 +14,8 @@ map of the line; `compose_forms` gives those of an iterate, for cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import sympy as sp
 
@@ -70,21 +69,6 @@ class InfinityPoint:
     def projective(self):
         """(z1, z2) as Fractions when the coordinate is rational, else None."""
         return _chart_pair(self) if self.coordinate.is_rational() else None
-
-
-@dataclass
-class InfinityFixedPoint(InfinityPoint):
-    """A fixed point of f_inf; its multiplier and classification are
-    computed from the map f on first access."""
-    f: RegularMap = field(repr=False, compare=False)
-
-    @cached_property
-    def multiplier(self) -> AlgebraicNumber:
-        return _multiplier((self.f.top_P, self.f.top_Q), self)
-
-    @cached_property
-    def classification(self):
-        return classify_multiplier(self.multiplier)
 
 
 def classify_multiplier(lam: AlgebraicNumber):
@@ -152,17 +136,21 @@ def _diff(F: MultiPoly, var: int) -> MultiPoly:
                       for (i, j), c in F.coeffs.items() if (j if var else i)})
 
 
-def _multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
-    """Multiplier of [A : B] at a fixed point, exactly in Q(coordinate).
+def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
+    """Multiplier of [A : B], forms = (A, B) binary forms of one degree, at
+    a point of the line at infinity it fixes (ValueError if it does not),
+    exactly in Q(coordinate).
 
     chart 1: t = z/w, map t -> A(t,1)/B(t,1); chart 0: t = w/z,
     map t -> B(1,t)/A(1,t).  So the derivative of numerator and denominator
     in t is their partial derivative in z (chart 1) or w (chart 0)."""
     A, B = forms
-    N, D = (B, A) if point.chart == 0 else (A, B)
-    var = 1 - point.chart
     pair = _chart_pair(point)
-    n, d = N.eval(*pair), D.eval(*pair)
+    a, b = A.eval(*pair), B.eval(*pair)
+    if pair[1] * a != pair[0] * b:
+        raise ValueError("point is not fixed by the map at infinity")
+    (N, n), (D, d) = ((B, b), (A, a)) if point.chart == 0 else ((A, a), (B, b))
+    var = 1 - point.chart
     lam = (_diff(N, var).eval(*pair) * d - n * _diff(D, var).eval(*pair)) / (d * d)
     if point.coordinate.is_rational():
         return AlgebraicNumber.from_rational(lam)
@@ -210,20 +198,9 @@ def projective_roots(form: MultiPoly, degree: int) -> list:
 
 
 def fixed_points_infinity(f: RegularMap) -> list:
-    """All fixed points of f_inf with multiplicities (summing to d+1); each
-    point computes its multiplier and classification when first read."""
-    return [InfinityFixedPoint(p.coordinate, p.chart, p.multiplicity, f)
-            for p in projective_roots(_fixed_form(f), f.d + 1)]
-
-
-def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
-    """Multiplier of [A : B], forms = (A, B) binary forms of one degree, at
-    a point of the line at infinity it fixes (ValueError if it does not)."""
-    A, B = forms
-    z1, z2 = _chart_pair(point)
-    if z2 * A.eval(z1, z2) != z1 * B.eval(z1, z2):
-        raise ValueError("point is not fixed by the map at infinity")
-    return _multiplier(forms, point)
+    """All fixed points of f_inf, as InfinityPoints with multiplicities
+    (summing to d+1); `multiplier` gives the multiplier of each."""
+    return projective_roots(_fixed_form(f), f.d + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -229,22 +229,17 @@ def _nth_root_fraction(c: Fraction, n: int) -> Fraction:
     return Fraction(-num if c < 0 else num, den)
 
 
-def localize_at_infinity(f: RegularMap, p, N: int = 16) -> LocalGerm:
+def localize_at_infinity(f: RegularMap, point: tuple, N: int = 16) -> LocalGerm:
     """Expand f near a fixed point of the line at infinity.
 
-    Chart: x is the coordinate along the line at infinity centered at p,
-    y the reciprocal of the distinguished affine coordinate, so {y = 0}
-    is the line at infinity.  p is an InfinityFixedPoint (or compatible
-    pair (coordinate, chart)) with rational coordinate and lam != 0."""
-    if hasattr(p, "coordinate"):
-        coord, chart = p.coordinate, p.chart
-    else:
-        coord, chart = p
-    if hasattr(coord, "is_rational"):
-        if not coord.is_rational():
-            raise NotImplementedError("algebraic fixed points not supported here")
-        coord = coord.as_rational()
-    b = Fraction(coord)
+    Chart: x is the coordinate along the line at infinity centered at the
+    point, y the reciprocal of the distinguished affine coordinate, so
+    {y = 0} is the line at infinity.  point = (coordinate, chart), as in an
+    InfinityPoint, with a rational AlgebraicNumber coordinate and lam != 0."""
+    coord, chart = point
+    if not coord.is_rational():
+        raise NotImplementedError("algebraic fixed points not supported here")
+    b = coord.as_rational()
     d = f.d
     x = MultiPoly.variable(0)
     y = MultiPoly.variable(1)

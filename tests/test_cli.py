@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
+from datetime import timedelta
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regdyn.cli import run
 from regdyn.curves import PlaneCurve
@@ -275,6 +279,27 @@ def test_dmm_refuses_a_max_order_above_the_cap_at_once(capsys, monkeypatch):
     assert cli.DMM_MAX_ORDER == 64
 
 
+def test_dmm_refuses_a_height_bound_above_the_cap_at_once(capsys, monkeypatch):
+    # the rational probes take time about the square of the height bound
+    import regdyn.cli as cli
+    monkeypatch.setattr(cli, "dmm_report", lambda *a: pytest.fail("computed"))
+    code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
+                     "--height-bound", "65")
+    assert code == 2 and "result" not in doc
+    assert "DMM_MAX_HEIGHT_BOUND = 64" in doc["error"]
+    assert cli.DMM_MAX_HEIGHT_BOUND == 64
+
+
+def test_orbit_refuses_an_n_above_the_cap_at_once(capsys, monkeypatch):
+    # time and output grow linearly in n, also on a bounded orbit
+    import regdyn.cli as cli
+    monkeypatch.setattr(cli, "make_regular_map", lambda *a: pytest.fail("computed"))
+    code, doc = _run(capsys, "orbit", "--map", "z^2, w^2", "--point", "1,1", "-n", "10001")
+    assert code == 2 and "result" not in doc
+    assert "ORBIT_MAX_N = 10000" in doc["error"]
+    assert cli.ORBIT_MAX_N == 10_000
+
+
 def test_bad_point_input(capsys):
     code = run(["height", "--map", "z^2, w^2", "--point", "bogus"])
     assert code == 2
@@ -306,11 +331,21 @@ def test_json_is_single_document(capsys):
     ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--max-degree", "-1"],
     ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--height-bound", "-1"],
     ["dmm", "--map", "z^2, w^2", "--curve", "w-z", "--max-order", "-1"],
+    # the zero triple is no projective point
+    ["green", "--map", "z^2, w^2", "--homog=0,0,0"],
+    # past the precision cap of the Green kernel
+    ["green", "--map", "z^2, w^2", "--point=2,3", "--tol=1e-5000"],
+    ["height", "--map", "z^2, w^2", "--point=2,3", "--tol=1e-5000"],
+    # a coordinate of more than 4,300 digits cannot be printed
+    ["orbit", "--map", "z^2, w^2", "--point=1e5000,1", "-n", "1"],
+    ["green", "--map", "z^2, w^2", "--homog=1,1e5000,1"],
 ], ids=["non-prime-place", "no-point", "zero-tol", "negative-tol",
         "no-map", "no-command", "unknown-command", "unknown-option", "non-integer-count",
         "non-integer-order", "orbit-negative-n", "curve-negative-max-iters",
         "curve-negative-max-degree", "dmm-negative-max-iters", "dmm-negative-max-degree",
-        "dmm-negative-height-bound", "dmm-negative-max-order"])
+        "dmm-negative-height-bound", "dmm-negative-max-order", "green-zero-homog",
+        "green-tol-past-precision-cap", "height-tol-past-precision-cap", "orbit-oversize-point",
+        "green-oversize-homog"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, argv):
     code, doc = _run(capsys, *argv)
     assert code == 2
@@ -366,3 +401,90 @@ def test_curve_with_no_iterations_still_reports_the_image(capsys, monkeypatch):
     # (t, t + 1) goes to (t^2, (t + 1)^2), so w - z - 1 = 2t and (w - z - 1)^2 = 4z
     assert PlaneCurve(doc["result"]["pushforward"]) == PlaneCurve("(w - z - 1)^2 - 4*z")
     assert doc["witnesses"]["orbit_degrees"] == [1]
+
+
+# -- the CLI contract on drawn input: one JSON document, exit 0, 2 or 3 ------
+
+def _mostly(valid, malformed):
+    """valid, or 1 time in 10 one of the malformed tokens."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else st.sampled_from(malformed))
+
+
+def _sum(terms):
+    return " ".join(f"{'-' if c[0] == '-' else '+'} {c.lstrip('-')}*{m}"
+                    for c, m in terms).lstrip("+ ")
+
+
+_coef = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-2/3"])
+_MONOMIALS = ["1", "z", "w", "z^2", "z*w", "w^2"]
+
+
+@st.composite
+def _map(draw):
+    """Two polynomials led by c z^d and c' w^d, d = 2 or 3, plus a few
+    terms of degree at most d: top terms mixed in can make it not regular."""
+    d = draw(st.sampled_from([2, 3]))
+    monomials = st.sampled_from(_MONOMIALS + (["z^2*w", "z*w^2", "z^3", "w^3"] if d == 3 else []))
+
+    def poly(lead):
+        return _sum([(draw(_coef), lead)] + draw(st.lists(st.tuples(_coef, monomials),
+                                                          max_size=3)))
+    return f"{poly(f'z^{d}')}, {poly(f'w^{d}')}"
+
+
+_maps = _mostly(_map(), ["", "z^2", "z^2, w^2, z", "z^, w^2", "z^2, w**2", "1/0*z^2, w^2",
+                         "z^2, 0", "x^2, w^2", "z*w, z^2 + w", "z, w"])
+_curve = _mostly(st.lists(st.tuples(_coef, st.sampled_from(_MONOMIALS)), min_size=1,
+                          max_size=4).map(_sum),
+                 ["", "0", "1", "w -", "x + 1", "z^2, w"])
+_rational = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "5"])
+
+
+def _point(n):
+    return _mostly(st.lists(_rational, min_size=n, max_size=n).map(",".join),
+                   ["abc", "1/0,1", "1", "1,2,3,4", "", "0,0,0", "1e5000,1", "1,1e5000,1"])
+
+
+def _cap(hi):
+    return _mostly(st.integers(0, hi).map(str), ["-1", "x", "1.5", ""])
+
+
+_place = _mostly(st.sampled_from(["inf", "2", "3", "5"]), ["oo", "arch", "4", "1", "0", "-2", "p"])
+_tol = _mostly(st.sampled_from(["1e-3", "1/1000", "1e-9"]), ["0", "-1", "abc", "1/0"])
+# each subcommand with its options; small caps keep most runs under a second,
+# but `classify` has no cap, and on some maps sympy takes seconds to match the
+# embedding of an irrational multiplier (ROADMAP O9)
+_OPTIONS = {
+    "classify": {},
+    "green": {"--point": _point(2), "--homog": _point(3), "--place": _place, "--tol": _tol},
+    "height": {"--point": _point(2), "--tol": _tol},
+    "orbit": {"--point": _point(2), "-n": _cap(10)},
+    "stable-manifold": {"--point": _mostly(_rational, ["abc", "1/0"]), "--order": _cap(8)},
+    "curve": {"--curve": _curve, "--max-iters": _cap(2), "--max-degree": _cap(4)},
+    "dmm": {"--curve": _curve, "--max-iters": _cap(2), "--max-degree": _cap(4),
+            "--height-bound": _cap(2), "--max-order": _cap(8)},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS) + ["collapse"]))
+    options = {"--map": _maps, **_OPTIONS.get(command, {})}
+    argv = [command] + [f"{flag}={draw(value)}" for flag, value in options.items()
+                        if draw(st.integers(0, 9)) > 0]  # an option is left out 1 in 10
+    if draw(st.integers(0, 9)) == 0:  # a stray token
+        junk = draw(st.sampled_from(["--bogus", "extra", "--map", "-n"]))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=120))
+@given(_argv())
+def test_any_argv_prints_one_json_document_and_exits_0_2_or_3(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    doc = json.loads(out.getvalue())  # raises on a second document or trailing text
+    assert code in (0, 2, 3)
+    assert doc["schema_version"] == 1
+    assert ("error" in doc) == (code == 2) and ("result" in doc) == (code != 2)

@@ -3,6 +3,7 @@ from unittest import mock
 
 import mpmath
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn import infinity
@@ -19,6 +20,24 @@ from regdyn.polyalg import MultiPoly, homogeneous_top
 
 def _rat(q):
     return AlgebraicNumber.from_rational(F(q))
+
+
+def _classification(f, p):
+    return classify_multiplier(multiplier((f.top_P, f.top_Q), p))
+
+
+def _chart_derivative(forms, p):
+    """The multiplier at a rational fixed point by sympy: the derivative of
+    t -> B(1, t)/A(1, t) in chart 0, of t -> A(t, 1)/B(t, 1) in chart 1."""
+    z, w, t = sp.symbols("z w t")
+    A, B = (form.to_poly(z, w).as_expr() for form in forms)
+    if p.chart == 0:
+        g = B.subs({z: 1, w: t}) / A.subs({z: 1, w: t})
+    else:
+        g = A.subs({z: t, w: 1}) / B.subs({z: t, w: 1})
+    c = p.coordinate.as_rational()
+    value = sp.diff(g, t).subs(t, sp.Rational(c.numerator, c.denominator))
+    return F(int(value.p), int(value.q))
 
 
 def test_classify_trichotomy_oracles():
@@ -80,15 +99,16 @@ def test_squaring_fixed_points():
     # action at infinity is t -> t^2: fixed points [1:0], [1:1], [0:1]
     f = make_regular_map("z^2", "w^2")
     pts = fixed_points_infinity(f)
+    assert all(type(p) is InfinityPoint for p in pts)
     assert sum(p.multiplicity for p in pts) == f.d + 1
     coords = sorted((p.chart, p.coordinate.as_rational()) for p in pts)
     assert coords == [(0, F(0)), (0, F(1)), (1, F(0))]
     by_coord = {(p.chart, p.coordinate.as_rational()): p for p in pts}
-    assert isinstance(by_coord[(0, F(0))].classification, Superattracting)
-    assert isinstance(by_coord[(1, F(0))].classification, Superattracting)
+    assert isinstance(_classification(f, by_coord[(0, F(0))]), Superattracting)
+    assert isinstance(_classification(f, by_coord[(1, F(0))]), Superattracting)
     amp = by_coord[(0, F(1))]
-    assert amp.multiplier.as_rational() == 2
-    assert isinstance(amp.classification, ExpandingPlace)
+    assert multiplier((f.top_P, f.top_Q), amp).as_rational() == 2
+    assert isinstance(_classification(f, amp), ExpandingPlace)
 
 
 def test_quadratic_fixed_point_field():
@@ -109,7 +129,7 @@ def test_fixed_point_coordinates_of_a_map_with_rational_coefficients():
     assert sum(p.multiplicity for p in pts) == 3
     (zero,) = [p for p in pts if p.coordinate.is_rational()]
     assert zero.chart == 0 and zero.coordinate.is_zero()
-    assert zero.coordinate == _rat(0) and zero.classification == Superattracting()
+    assert zero.coordinate == _rat(0) and _classification(f, zero) == Superattracting()
     assert sorted(p.coordinate.minpoly_coeffs() for p in pts if p is not zero) == \
         [(1, -2, 2)] * 2
 
@@ -122,8 +142,8 @@ def test_multiplier_matches_derivative():
     pts = fixed_points_infinity(f)
     by = {(p.chart, p.coordinate.as_rational() if p.coordinate.is_rational() else None): p
           for p in pts}
-    assert by[(0, F(0))].multiplier.as_rational() == 1
-    assert by[(0, F(0))].classification == RootOfUnity(1)
+    assert multiplier((f.top_P, f.top_Q), by[(0, F(0))]).as_rational() == 1
+    assert _classification(f, by[(0, F(0))]) == RootOfUnity(1)
 
 
 def test_irrational_multiplier_is_a_root_of_its_minimal_polynomial():
@@ -132,14 +152,19 @@ def test_irrational_multiplier_is_a_root_of_its_minimal_polynomial():
     # t^3 + t^2 - t + 1, where the multiplier g'(t) is irrational
     f = make_regular_map("z^3 + w^3", "z*w^2 - w^3")
     pts = [p for p in fixed_points_infinity(f) if not p.coordinate.is_rational()]
-    betas = [((2 * t - 3 * t**2) * (1 + t**3) - (t**2 - t**3) * 3 * t**2) / (1 + t**3) ** 2
-             for t in mpmath.polyroots([1, 1, -1, 1])]
+
+    def g_prime(t):
+        return ((2 * t - 3 * t**2) * (1 + t**3) - (t**2 - t**3) * 3 * t**2) / (1 + t**3) ** 2
+
+    betas = [g_prime(t) for t in mpmath.polyroots([1, 1, -1, 1])]
     matched = set()
     for p in pts:
-        lam = p.multiplier
+        lam = multiplier((f.top_P, f.top_Q), p)
         i = min(range(3), key=lambda i: abs(betas[i] - lam.approx()))
         assert abs(betas[i] - lam.approx()) < 1e-9
         assert abs(sum(c * betas[i]**k for k, c in enumerate(lam.minpoly_coeffs()))) < 1e-9
+        # the embedding of lam is that of the point's own coordinate
+        assert abs(g_prime(mpmath.mpc(p.coordinate.approx())) - lam.approx()) < 1e-9
         matched.add(i)
     assert len(pts) == 3 and matched == {0, 1, 2}
 
@@ -242,12 +267,13 @@ def test_every_fixed_point_passes_the_fixedness_check(cs):
     forms = (f.top_P, f.top_Q)
     pts = fixed_points_infinity(f)
     _assert_roots(w * f.top_P - z * f.top_Q, f.d + 1, pts)
-    # the check alone: an irrational multiplier costs sympy root isolation
-    with mock.patch.object(infinity, "_multiplier", lambda forms, point: point):
-        assert all(multiplier(forms, p) is p for p in pts)
+    # no embedding search: an irrational multiplier costs sympy root isolation
+    with mock.patch.object(infinity, "_algebraic_from_nf", lambda elem, alpha: alpha):
+        assert all(multiplier(forms, p) is p.coordinate
+                   for p in pts if not p.coordinate.is_rational())
     for p in pts:
         if p.coordinate.is_rational():
-            assert multiplier(forms, p) == p.multiplier
+            assert multiplier(forms, p).as_rational() == _chart_derivative(forms, p)
 
 
 def test_multiplier_refuses_a_point_that_is_not_fixed():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regdyn.exactnum import AlgebraicNumber
 from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError,
                              LocalGerm, ResonanceError, SectorMap, Shear,
                              VerticalGraphSample, XCoord, _nth_root_fraction,
@@ -42,7 +43,7 @@ def test_germ_shape_validation():
 def test_localize_squaring_at_diagonal():
     # [1:1] is fixed at infinity for (z^2, w^2); local form (2x + x^2, y^2)
     f = make_regular_map("z^2", "w^2")
-    g = localize_at_infinity(f, (F(1), F(1)), N=10)
+    g = localize_at_infinity(f, (AlgebraicNumber.from_rational(1), 1), N=10)
     assert g.first == X(10) * 2 + X(10) ** 2
     assert g.second == Y(10) ** 2
 
@@ -50,7 +51,7 @@ def test_localize_squaring_at_diagonal():
 def test_localize_fixed_point_required():
     f = make_regular_map("z^2", "w^2")
     with pytest.raises(ValueError):
-        localize_at_infinity(f, (F(2), F(1)))
+        localize_at_infinity(f, (AlgebraicNumber.from_rational(2), 1))
 
 
 def test_super_stable_closed_form():
