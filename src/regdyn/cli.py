@@ -37,7 +37,8 @@ MAX_BITS = 14_000
 # bounded orbit (-n 100000 from (1, 1) under (z^2, w^2): 2.0 s, 15.8 MB)
 ORBIT_MAX_N = 10_000
 # `stable-manifold` refuses a larger --order: the cost grows about as the
-# order to the 5th power (19.8 s at order 48, over 60 s at order 96)
+# order to the 5th power (`--map "2*z^2+w, w^2" --point 2`: 2.1 s at order
+# 48, 10.6 s at 64, 119 s at 96 on a 2-core Xeon under Python 3.11)
 STABLE_MANIFOLD_MAX_ORDER = 64
 # `dmm` refuses a larger --max-order: its roots-of-unity prefilter scans every
 # ordered pair of roots of unity, about N^4 / 10 pairs at N (`dmm --map

@@ -287,14 +287,14 @@ def super_stable_series(germ: LocalGerm) -> TruncSeries:
     phi(0) = 0, the fixed point of phi <- phi - (f1(phi, y) - phi(f2(phi, y)))/lam:
     f1 = lam*x + (terms of x-degree 0 or >= 2 or with y) and f2 = O(y^d), so
     each pass fixes one more coefficient, for any lam != 0.  The fixed point
-    is the functional equation itself, exactly at the truncation order."""
+    is the functional equation itself, exactly at the truncation order.
+    f(phi(y), y) is sum_i phi^i * row_i(y), in one variable."""
     N, inv_lam = germ.N, 1 / germ.lam
-    yid = _y2(N)
+    rows1, rows2 = ({i: f.coefficient_in_x(i) for i in {i for i, _ in f.num}}
+                    for f in (germ.first, germ.second))
 
     def step(phi):
-        phi2 = phi.to_series2(N)
-        f1 = germ.first.compose(phi2, yid).restrict_y_axis()
-        f2 = germ.second.compose(phi2, yid).restrict_y_axis()
+        f1, f2 = phi._horner(rows1, phi.order), phi._horner(rows2, phi.order)
         return phi - (f1 - phi.compose(f2)) * inv_lam
     return _fixed_point(step, TruncSeries.zero(N), N)
 

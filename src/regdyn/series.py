@@ -14,6 +14,10 @@ numerators.  Series are immutable: each builds the list of nonzero terms
 its products walk once, on first use, and shares it with every product.
 `coeffs` is a read-only Fraction view (a list, resp. a dict), also built
 once on first use.
+
+Composition computes no product for a term the truncation drops, and takes
+baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973) for
+polynomials with scalar coefficients in a bivariate series (`_eval`).
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ def _over_den(cs):
 
 
 def _conv(a: list, tb: list, n: int) -> list:
-    """Integer numerators of a * b mod y^(n+1): a has n + 1 entries, tb
-    lists the nonzero (k, b_k) of b by increasing k."""
+    """Integer numerators of a * b mod y^(n+1): a has at most n + 1 entries,
+    tb lists the nonzero (k, b_k) of b by increasing k."""
     out = [0] * (n + 1)
     for i, ai in enumerate(a):
         if ai:
@@ -70,11 +74,19 @@ def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
     return out, den
 
 
+def _lift(s, order: int):
+    """s as a series of a higher order, its missing terms zero."""
+    num = s.num + [0] * (order - s.order) if isinstance(s, TruncSeries) else s.num
+    return type(s)._make(num, s.den, order)
+
+
 def _fixed_point(step, start, N: int):
-    """The fixed point of step, iterated from start.  Each pass of an
-    order-gaining step fixes one more coefficient of a series of order N,
-    so pass N + 2 at the latest changes nothing; ArithmeticError if it does."""
-    x = start
+    """The fixed point of step at order N, from start.  An order-gaining pass
+    fixes one more coefficient: the pass for coefficient k runs at order k,
+    then passes at order N confirm; ArithmeticError if pass N + 2 changes it."""
+    x = start.truncate(0)
+    for k in range(N + 1):
+        x = step(_lift(x, k))
     for _ in range(N + 2):
         nxt = step(x)
         if nxt == x:
@@ -115,6 +127,20 @@ class _Series:
             return (self.order == other.order and self.den == other.den
                     and self.num == other.num)
         return NotImplemented
+
+    def _horner(self, rows: dict, n: int):
+        """sum_i rows[i] * self^i mod degree n + 1, rows[i] of order >= n; the
+        partial sum that self^i multiplies later is kept to order n - i*val(self)."""
+        val = self.valuation() or n + 1
+        top = max((i for i in rows if i * val <= n), default=None)
+        if top is None:
+            return self * 0
+        acc = rows[top].truncate(n - top * val)
+        for i in range(top - 1, -1, -1):
+            acc = acc._times(self, n - i * val)
+            if i in rows:
+                acc = acc + rows[i]
+        return acc
 
     def _common(self, other):
         n = min(self.order, other.order)
@@ -231,36 +257,36 @@ class TruncSeries(_Series):
             p, q = _rat(other)
             return TruncSeries._make([c * p for c in self.num], self.den * q, self.order)
         a, b = self._common(other)
-        return a._times(b)
+        return a._times(b, a.order)
 
-    def _times(self, b: "TruncSeries") -> "TruncSeries":
-        """self * b for b of the same order."""
-        n = self.order
-        return TruncSeries._make(_conv(self.num, b._nonzero(), n), self.den * b.den, n)
+    def _times(self, b: "TruncSeries", n: int) -> "TruncSeries":
+        """self * b mod y^(n+1), the terms either lacks read as zero."""
+        return TruncSeries._make(_conv(self.num[: n + 1], b._nonzero(), n), self.den * b.den, n)
 
     __rmul__ = __mul__
 
     def compose(self, inner):
-        """self(inner); inner, a TruncSeries or TruncSeries2, must vanish at 0."""
-        if isinstance(inner, TruncSeries2):
-            n = min(self.order, inner.order)
-            return self.to_series2(n, var=0).compose(inner, TruncSeries2.variable(1, n))
-        if inner[0] != 0:
+        """self(inner); inner, a TruncSeries or TruncSeries2, must vanish at 0.
+        The numerators of self are evaluated at inner, by _eval when inner is
+        bivariate; self.den divides out at the end."""
+        val = inner.valuation()
+        if val == 0:
             raise ValueError("inner series must vanish at 0")
-        n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        a, tb, di = self.num, inner._nonzero(), inner.den
-        # Horner on the numerators of self; self.den divides out at the end
-        r, dr = [a[n]] + [0] * n, 1
-        for k in range(n - 1, -1, -1):
-            r = _conv(r, tb, n)
+        n, a = min(self.order, inner.order), self.num
+        if isinstance(inner, TruncSeries2):
+            r = inner._eval([dict(enumerate(a[: n + 1]))], n)[0]
+            return TruncSeries2._make(r.num, r.den * self.den, n)
+        # Horner: the partial sum that inner^k multiplies later is kept to
+        # order n - k*val(inner)
+        val, tb, di = val or n + 1, inner._nonzero(), inner.den
+        r, dr = [a[n // val]], 1
+        for k in range(n // val - 1, -1, -1):
+            r = _conv(r, tb, n - k * val)
             dr *= di
             r[0] += a[k] * dr
             g = math.gcd(dr, *r)
-            if g != 1:
-                r = [c // g for c in r]
-                dr //= g
-        return TruncSeries._make(r, dr * self.den, n)
+            r, dr = [c // g for c in r], dr // g
+        return TruncSeries._make(r + [0] * (n + 1 - len(r)), dr * self.den, n)
 
     def reciprocal(self) -> "TruncSeries":
         """1/self; constant term must be invertible."""
@@ -382,12 +408,11 @@ class TruncSeries2(_Series):
             self._view = {e: Fraction(c, self.den) for e, c in self.num.items()}
         return self._view
 
-    def _nonzero(self) -> list:
-        """The terms as (i + j, flat index i*(order+1) + j, numerator), by degree."""
-        if self._nz is None:
-            w = self.order + 1
-            self._nz = sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
-        return self._nz
+    def _nonzero(self, w: int) -> list:
+        """The terms as (i + j, flat index i*w + j, numerator), by degree."""
+        if self._nz is None or self._nz[0] != w:
+            self._nz = w, sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
+        return self._nz[1]
 
     def __getitem__(self, ij):
         return Fraction(self.num.get(tuple(ij), 0), self.den)
@@ -439,15 +464,14 @@ class TruncSeries2(_Series):
             num = {e: c * p for e, c in self.num.items()} if p else {}
             return TruncSeries2._make(num, self.den * q, self.order)
         a, b = self._common(other)
-        return a._times(b)
+        return a._times(b, a.order)
 
-    def _times(self, b: "TruncSeries2") -> "TruncSeries2":
-        """self * b for b of the same order."""
-        n = self.order
-        w = n + 1  # x^i y^j sits at flat index i*w + j; sums never carry
-        tb = b._nonzero()
+    def _times(self, b: "TruncSeries2", n: int) -> "TruncSeries2":
+        """self * b mod total degree n + 1, the terms either lacks read as zero."""
+        w = max(self.order, b.order, n) + 1  # x^i y^j at flat index i*w + j: no carries
+        tb = b._nonzero(w)
         out = [0] * (w * w)
-        for d1, k1, c1 in self._nonzero():
+        for d1, k1, c1 in self._nonzero(w):
             room = n - d1
             for d2, k2, c2 in tb:
                 if d2 > room:
@@ -456,69 +480,92 @@ class TruncSeries2(_Series):
         return TruncSeries2._make({divmod(k, w): v for k, v in enumerate(out) if v},
                                   self.den * b.den, n)
 
+    def _eval(self, polys: list, n: int) -> list:
+        """[p(self) for p in polys] mod degree n + 1, p a dict {k: int}; self
+        vanishes at 0 and has order >= n.  Each p runs Horner in W = self^m
+        over blocks that combine the shared self^0..self^(m-1); m makes the
+        fewest products, about 2*sqrt(k) for one p of degree k."""
+        val = self.valuation() or n + 1
+        polys = [{k: c for k, c in p.items() if c and k * val <= n} for p in polys]
+        tops = [max(p, default=0) for p in polys]
+        m = min(range(1, max(tops, default=0) + 2), key=lambda m:  # the fewest products
+                max(m - 2, 0) + (m > 1 and max(tops) >= m) + sum(t // m for t in tops))
+        baby = [None, self]  # self^0 enters each block as its constant term
+        while len(baby) < m:
+            baby.append(baby[-1]._times(self, n))
+        big = baby[-1]._times(self, n) if m > 1 and max(tops) >= m else self
+        out = []
+        for p, t in zip(polys, tops):
+            acc = None
+            for b in range(t // m, -1, -1):  # W^b multiplies this partial sum
+                keep, lo = n - b * m * val, b * m
+                terms = [(p[k], baby[k - lo]) for k in range(lo + 1, lo + m) if k in p]
+                if acc is not None:
+                    terms.append((1, acc._times(big, keep)))
+                acc = self._lincomb(p.get(lo, 0), terms, keep)
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def _lincomb(c0: int, terms: list, n: int) -> "TruncSeries2":
+        """c0 + the sum of c * s over (int c, s) in terms, mod total degree n + 1."""
+        den = math.lcm(*[s.den for _, s in terms])
+        out = {(0, 0): c0 * den}
+        for c, s in terms:
+            f = c * (den // s.den)
+            for (i, j), x in s.num.items():
+                if i + j <= n:
+                    out[i, j] = out.get((i, j), 0) + f * x
+        return TruncSeries2._make({e: x for e, x in out.items() if x}, den, n)
+
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncSeries2":
-        """1/self; constant term must be invertible (Newton doubling)."""
+        """1/self; constant term must be invertible (Newton doubling, each
+        pass at the order it makes correct)."""
         c0 = self.num.get((0, 0), 0)
         if c0 == 0:
             raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        r = TruncSeries2.constant(Fraction(self.den, c0), self.order)
-        known = 1
-        while known <= self.order:
+        r = TruncSeries2.constant(Fraction(self.den, c0), 0)
+        while r.order < self.order:  # correct mod degree k gives 2k
+            r = _lift(r, min(2 * r.order + 1, self.order))
             r = r * (2 - self * r)
-            known *= 2
         return r
 
     def compose(self, u: "TruncSeries2", v: "TruncSeries2") -> "TruncSeries2":
         """self(u, v); both inner series must vanish at the origin.
 
-        Fast paths when u is the identity in x, v is the identity in y, or
-        v involves only y — the shapes every conjugacy here produces."""
+        A term c x^i y^j with i*val(u) + j*val(v) > n is skipped.  The rows
+        sum_j c_ij v^j share the powers of v (_eval), or are univariate
+        compositions when v = v(y); then Horner in u (_horner), or a shift
+        when u = x.  If every row is a scalar, self(u) is one _eval."""
         if (0, 0) in u.num or (0, 0) in v.num:
             raise ValueError("inner series must vanish at the origin")
         n = min(self.order, u.order, v.order)
         s, u, v = self.truncate(n), u.truncate(n), v.truncate(n)
         u_is_x = u.den == 1 and u.num == {(1, 0): 1}
         v_is_y = v.den == 1 and v.num == {(0, 1): 1}
-        if u_is_x and v_is_y:
-            return s
-        v_pure_y = all(i == 0 for i, _ in v.num)
-        by_i = {}
+        vu, vv = u.valuation() or n + 1, v.valuation() or n + 1
+        by_i = {}  # the numerators of s by row; s.den divides out at the end
         for (i, j), c in s.num.items():
-            by_i.setdefault(i, {})[j] = c
-        imax = max(by_i) if by_i else 0
-        # the rows of the numerators of s, each evaluated at v; s.den divides
-        # out at the end
-        vu = v.restrict_y_axis() if v_pure_y and not v_is_y else None
-        rows = []
-        for i in range(imax + 1):
-            row = by_i.get(i, {})
-            if v_is_y:
-                qi = TruncSeries2._make({(0, j): c for j, c in row.items()}, 1, n)
-            elif v_pure_y:
-                cs = [0] * (n + 1)
-                for j, c in row.items():
-                    cs[j] = c
-                qi = TruncSeries._make(cs, 1, n).compose(vu).to_series2(n)
-            else:
-                qi = TruncSeries2.zero(n)
-                if row:
-                    for j in range(max(row), 0, -1):
-                        qi = (qi + row.get(j, 0))._times(v)
-                    qi = qi + row.get(0, 0)
-            rows.append(qi)
-        if u_is_x:
-            num, den = {}, 1
-            for i, qi in enumerate(rows):
-                num, den = _sum2(num, den, {(a + i, b): c for (a, b), c in qi.num.items()
-                                            if a + i + b <= n}, qi.den)
+            if i * vu + j * vv <= n:
+                by_i.setdefault(i, {})[j] = c
+        if not u_is_x and all(row.keys() == {0} for row in by_i.values()):
+            result = u._eval([{i: row[0] for i, row in by_i.items()}], n)[0]
         else:
-            result = rows[imax]
-            for i in range(imax - 1, -1, -1):
-                result = result._times(u) + rows[i]
-            num, den = result.num, result.den
-        return TruncSeries2._make(num, den * s.den, n)
+            if v_is_y:
+                rows = [TruncSeries2._make({(0, j): c for j, c in row.items()}, 1, n)
+                        for row in by_i.values()]
+            elif all(i == 0 for i, _ in v.num):  # v = v(y): univariate rows
+                vy = v.restrict_y_axis()
+                rows = [TruncSeries._make([row.get(j, 0) for j in range(n + 1)], 1, n).compose(vy)
+                        .to_series2(n) for row in by_i.values()]
+            else:
+                rows = v._eval(list(by_i.values()), n)
+            rows = dict(zip(by_i, rows))
+            result = (TruncSeries2._lincomb(0, [(1, q.shift(i, 0)) for i, q in rows.items()], n)
+                      if u_is_x else u._horner(rows, n))
+        return TruncSeries2._make(result.num, result.den * s.den, n)
 
     def coefficient_in_x(self, i: int) -> TruncSeries:
         """The series p_i(y) in self = sum_i x^i p_i(y)."""

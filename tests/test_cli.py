@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from regdyn.cli import run
 from regdyn.curves import PlaneCurve
+from regdyn.series import TruncSeries2
 
 
 def _run(capsys, *argv):
@@ -488,3 +489,20 @@ def test_any_argv_prints_one_json_document_and_exits_0_2_or_3(argv):
     assert code in (0, 2, 3)
     assert doc["schema_version"] == 1
     assert ("error" in doc) == (code == 2) and ("result" in doc) == (code != 2)
+
+
+def test_stable_manifold_at_order_32_makes_at_most_400_bivariate_products(capsys, monkeypatch):
+    # a count, not a time, so the bound holds on any machine
+    calls = []
+    original = TruncSeries2._times
+    monkeypatch.setattr(TruncSeries2, "_times",
+                        lambda self, b, n: calls.append(n) or original(self, b, n))
+    code, doc = _run(capsys, "stable-manifold", "--map", "2*z^2+w, w^2", "--point", "2",
+                     "--order", "32")
+    assert code == 0
+    (m,) = doc["result"]["manifolds"]
+    assert m["normal_form"] == {"kind": "saddle", "steps": 4, "verified": True}
+    assert [F(c["exact"]) for c in m["phi_coefficients"]] == [
+        0, 2, 2, 0, 0, -2, 2, 0, 2, -8, 10, -8, 6, 6, -22, 0, 36, 50, -284, 448, -344, 6,
+        36, 1904, -6892, 9438, 3030, -35384, 68674, -67698, 19952, 0, 184296]
+    assert len(calls) <= 400

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regdyn import localdyn, series
 from regdyn.exactnum import AlgebraicNumber
-from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError,
+from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError, HigherScale,
                              LocalGerm, ResonanceError, SectorMap, Shear,
                              VerticalGraphSample, XCoord, _nth_root_fraction,
                              bottcher_series, graph_pullback, koenigs_series,
@@ -248,6 +249,36 @@ def test_one_shear_to_the_graph_is_the_two_shears_it_replaces(g):
     two, _ = Shear(phi - lin).conjugate(first)
     assert (one.first, one.second) == (two.first, two.second)
     assert one.first.divisible_by(1, 0)
+
+
+def _plain_fixed_point(step, start, N):
+    """Every pass at order N, from start: the solver before the order ladder."""
+    x = start
+    for _ in range(N + 2):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        x = nxt
+    raise ArithmeticError("fixed-point iteration did not settle")
+
+
+@settings(max_examples=15, deadline=None)
+@given(_random_germs(), st.integers(1, 2), st.data())
+def test_the_order_ladder_finds_the_fixed_point_of_plain_iteration(g, n, data):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    N = g.N
+    s = TruncSeries([0, data.draw(small.filter(bool))] + data.draw(st.lists(small, max_size=N)), N)
+    u = TruncSeries([0, 0, 1] + data.draw(st.lists(small, max_size=N - 2)), N)
+    phi = TruncSeries(data.draw(st.lists(small, min_size=1, max_size=N + 1)), N)
+
+    def solve():
+        return (s.reversion(), bottcher_series(u), super_stable_series(g),
+                HigherScale(phi, n).conjugate(g)[0].first)
+    laddered = solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_fixed_point", _plain_fixed_point)
+        mp.setattr(localdyn, "_fixed_point", _plain_fixed_point)
+        assert solve() == laddered
 
 
 @st.composite

@@ -364,3 +364,121 @@ def test_bivariate_compose_and_reciprocal_match_fraction_oracle(s, u, v, shape):
                 want[e] = t / c0
         assert r.coeffs == {e: x for e, x in want.items() if x != 0}
         _same(s * r, TruncSeries2.constant(1, s.order))
+
+
+# -- composition computes only the terms the truncation keeps: inner series
+# of valuation 1-3, powers of v shared by every row, polynomials in one
+# variable by baby-step/giant-step, at orders up to 16
+
+nonzero = wide.filter(bool)
+
+
+@st.composite
+def inner1(draw, order):
+    """A univariate series of the given order with valuation 1-3 (when the
+    order reaches it)."""
+    val = draw(st.integers(1, 3))
+    return TruncSeries([0] * val + [draw(nonzero)] + draw(st.lists(wide, max_size=6)), order)
+
+
+@st.composite
+def inner2(draw, order):
+    """A bivariate series of the given order with valuation 1-3 (when the
+    order reaches it)."""
+    val = draw(st.integers(1, 3))
+    k = draw(st.integers(0, val))
+    exps = st.tuples(st.integers(0, order), st.integers(0, order))
+    terms = draw(st.dictionaries(exps, wide, max_size=6))
+    terms = {(i, j): c for (i, j), c in terms.items() if val <= i + j <= order}
+    terms[k, val - k] = draw(nonzero)
+    return TruncSeries2(terms, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 16), st.data())
+def test_univariate_compose_cuts_by_the_inner_valuation(n, data):
+    a = TruncSeries(data.draw(st.lists(wide, max_size=n + 1)), n)
+    b = data.draw(inner1(n))
+    assert _canonical(a.compose(b)).coeffs == _fcompose(a.coeffs, b.coeffs, n)
+    assert a.compose(b) == a.to_series2(n, var=0).compose(b.to_series2(n), Y(n)) \
+        .restrict_y_axis()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.sampled_from(["general", "u=x", "v=y", "v(y)", "in-u", "in-v"]),
+       st.data())
+def test_bivariate_compose_paths_match_fraction_oracle(n, shape, data):
+    # "v(y)": univariate rows; "in-u": every row a scalar, at least 4 rows;
+    # "in-v": one row
+    exps = st.tuples(st.integers(0, n), st.integers(0, n))
+    terms = data.draw(st.dictionaries(exps, wide, max_size=10))
+    if shape == "in-u":
+        terms = {(i, 0): data.draw(nonzero) for i in range(data.draw(st.integers(4, n)) + 1)}
+    elif shape == "in-v":
+        terms = {(0, j): data.draw(nonzero) for j in range(data.draw(st.integers(4, n)) + 1)}
+    s = TruncSeries2({e: c for e, c in terms.items() if sum(e) <= n}, n)
+    u = X(n) if shape == "u=x" else data.draw(inner2(n))
+    v = Y(n) if shape == "v=y" else data.draw(inner2(n))
+    if shape == "v(y)":
+        v = data.draw(inner1(n)).to_series2(n)
+    got = _canonical(s.compose(u, v))
+    assert got.order == n and got.coeffs == _fcompose2(s.coeffs, u.coeffs, v.coeffs, n)
+
+
+@given(series1(), series1(), st.integers(0, 9))
+def test_a_univariate_product_at_any_order_reads_missing_terms_as_zero(a, b, n):
+    got = _canonical(a._times(b, n))
+    assert got.order == n and got.coeffs == _fmul(a.coeffs, b.coeffs, n)
+
+
+@given(series2(), series2(), st.integers(0, 7))
+def test_a_bivariate_product_at_any_order_reads_missing_terms_as_zero(a, b, n):
+    # the flat layout follows the widest operand, so a series meets several
+    got = _canonical(a._times(b, n))
+    assert got.order == n and got.coeffs == _fmul2(a.coeffs, b.coeffs, n)
+    assert (a * a).coeffs == _fmul2(a.coeffs, a.coeffs, a.order)
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    original = TruncSeries2._times
+    monkeypatch.setattr(TruncSeries2, "_times",
+                        lambda self, b, n: calls.append(n) or original(self, b, n))
+    return calls
+
+
+def test_a_polynomial_in_one_variable_takes_baby_steps_and_giant_steps(monkeypatch):
+    n = 16
+    a = TruncSeries([F(k + 1, 3) for k in range(n + 1)], n)
+    u = X(n) + Y(n) * 2 + X(n) * Y(n) * F(1, 5)
+    want = _fcompose2(a.to_series2(n, var=0).coeffs, u.coeffs, {(0, 1): F(1)}, n)
+    calls = _count_products(monkeypatch)
+    assert a.compose(u).coeffs == want
+    assert len(calls) <= 8  # Horner takes 16; 2*sqrt(16) = 8
+    calls.clear()
+    s = a.to_series2(n)  # one row: a polynomial in v
+    assert s.compose(u, u).coeffs == want
+    assert len(calls) <= 8
+
+
+def test_the_rows_share_the_powers_of_v(monkeypatch):
+    n, top = 12, 8
+    s = TruncSeries2({(i, j): F(i + 1, j + 1) for i in range(4) for j in range(top + 1)}, n)
+    v = Y(n) + X(n) ** 2 * 3 + X(n) * Y(n)
+    want = _fcompose2(s.coeffs, {(1, 0): F(1)}, v.coeffs, n)
+    calls = _count_products(monkeypatch)
+    assert s.compose(X(n), v).coeffs == want
+    assert len(calls) == top - 1  # v^2..v^8 once, for all four rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(series2(), st.data())
+def test_a_series_on_a_graph_matches_fraction_oracle(f, data):
+    # super_stable_series evaluates f(phi(y), y) as sum_i phi^i row_i(y)
+    n = f.order
+    phi = data.draw(inner1(n))
+    rows = {i: f.coefficient_in_x(i) for i in {i for i, _ in f.num}}
+    want = _fcompose2(f.coeffs, {(0, k): c for k, c in enumerate(phi.coeffs)},
+                      {(0, 1): F(1)}, n)
+    got = _canonical(phi._horner(rows, n))
+    assert got.order == n and got.coeffs == [want.get((0, k), F(0)) for k in range(n + 1)]
