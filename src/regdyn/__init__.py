@@ -4,13 +4,14 @@ heights with preperiodicity certificates, the dynamics on the line at
 infinity, local normal forms at its fixed points, and curve-level orbit
 analysis."""
 
-from .exactnum import (AlgebraicNumber, ComplexInterval, Place, abs_at_place_exact,
-                       conjugates, find_expanding_place, is_root_of_unity, valuation)
+from .exactnum import (AlgebraicNumber, ComplexInterval, FactoringCap, Place,
+                       abs_at_place_exact, conjugates, find_expanding_place,
+                       is_root_of_unity, valuation)
 from .intervals import RealInterval, log_of_fraction
 from .polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 from .series import TruncSeries, TruncSeries2, exp_series, log_unit
 from .maps import BitSizeCap, DegreeTooLow, NotRegular, RegularMap, make_regular_map
-from .padic import PAdic, PrecisionLoss
+from .padic import PrecisionLoss
 from .green import GreenContext, bad_places, green_homog, green_value, \
     nullstellensatz_constant
 from .heights import (HeightResult, PreperiodicityVerdict, canonical_height,

@@ -2,8 +2,9 @@
 
 Every subcommand prints a single JSON document with the keys
 schema_version, command, input, result, witnesses, caps, timing.
-Exit codes: 0 success, 2 input error (also a bad argument or a --tol past
-the precision cap), 3 cap-limited Unknown-only result.
+Exit codes: 0 success, 2 input error (also a bad argument, a --tol past
+the precision cap or an integer past the factoring cap), 3 cap-limited
+Unknown-only result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .exactnum import AlgebraicNumber, Place
+from .exactnum import AlgebraicNumber, FactoringCap, Place
 from .intervals import RealInterval
 from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
                      points_at_infinity, pushforward)
@@ -405,7 +406,7 @@ def run(argv=None) -> int:
                      if k not in ("handler", "command") and v is not None}}
     try:
         result, witnesses, caps, code = args.handler(args)
-    except (InputError, NotRegular, PolyParseError, PrecisionLoss) as exc:
+    except (InputError, NotRegular, PolyParseError, PrecisionLoss, FactoringCap) as exc:
         return _error(doc, exc, t0)
     doc.update(result=result, witnesses=witnesses, caps=caps,
                timing={"seconds": time.monotonic() - t0})

@@ -10,24 +10,23 @@ by log(C_v) / (d^n (d-1)), which is what certifies every enclosure here.
 
 One kernel computes G_v(z0, z1, z2) for z0 in {0, 1}: it iterates (P, Q)
 on the affine plane, or the top forms (P_d, Q_d) on the line at infinity
-with their own two-sided constant, in interval arithmetic at infinity and
-in p-adic arithmetic at p, doubling the precision until the enclosure is
-certified and narrow enough.
+with their own two-sided constant, in interval arithmetic at infinity and,
+at p, on a primitive integer triple known mod p^k (regdyn.padic), doubling
+the precision until the enclosure is certified and narrow enough.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
-import sympy as sp
+import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 from mpmath.libmp import mpi_add, mpi_mul, mpi_pow_int
 
-from .exactnum import Place, valuation, abs_at_place_exact
+from .exactnum import Place, abs_at_place_exact, prime_factors, valuation
 from .intervals import (RealInterval, frac_to_mpi, iv_context, ivmax, log_of_fraction,
                         DEFAULT_PREC)
 from .maps import RegularMap, _solve_rational, _sylvester_rows
-from .padic import PAdic, PrecisionLoss
+from .padic import PrecisionLoss, escape_exponent
 from .polyalg import MultiPoly, _eval_terms
 
 
@@ -125,11 +124,10 @@ def _line_constant(ctx: GreenContext) -> Fraction:
 
 def bad_places(f: RegularMap) -> set:
     """Finite set of primes outside which C_p = 1 is certified."""
-    primes = set()
+    primes = prime_factors(f.res.numerator)
     for c in list(f.P.coeffs.values()) + list(f.Q.coeffs.values()):
-        primes |= set(sp.factorint(c.denominator))
-    primes |= set(sp.factorint(abs(f.res.numerator)))
-    return {int(p) for p in primes}
+        primes |= prime_factors(c.denominator)
+    return primes
 
 
 def _tail_iterations(C: Fraction, d: int, tol: Fraction) -> int:
@@ -186,19 +184,6 @@ def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
     return g + _log_to_width(abs_at_place_exact(z0, ctx.place), 1, tol / 2)
 
 
-def _min_valuation(coords, floor) -> int:
-    """min(floor, v(a), v(b)) over the p-adic coordinates, floor None meaning
-    +infinity.  Only a coordinate attaining the minimum needs its exact
-    valuation: an inexact zero whose lower bound is at least the minimum
-    of the exact ones cannot lower it."""
-    vals = [x.v for x in coords if x.unit] + ([] if floor is None else [floor])
-    bounds = [x.v for x in coords if not x.unit and x.v is not None]  # inexact zeros
-    vmin = min(vals, default=None)
-    if any(vmin is None or lo < vmin for lo in bounds):
-        raise PrecisionLoss("the minimal valuation is not determined")
-    return vmin
-
-
 def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
                  tol: Fraction) -> RealInterval:
     """G_v(z0, z1, z2) for z0 in {0, 1}, of width <= tol.
@@ -231,29 +216,18 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     raise PrecisionLoss(f"green: precision escalation exhausted at {v!r}")
 
 
-def _iterate(P, Q, z1, z2, n: int, convert, add, mul, pow) -> tuple:
-    """(P, Q) iterated n times from (z1, z2) in the ring whose operations are
-    add, mul and pow, the point and coefficients converted into it once."""
-    Pt, Qt = ([(e, convert(c)) for e, c in g.coeffs.items()] for g in (P, Q))
-    a, b = convert(z1), convert(z2)
-    for _ in range(n):
-        a, b = _eval_terms(Pt, a, b, add, mul, pow), _eval_terms(Qt, a, b, add, mul, pow)
-    return a, b
-
-
 def _interval_orbit(ctx, P, Q, z1, z2, n: int) -> tuple:
-    """The orbit of (z1, z2) on libmpi endpoint pairs, rounded outward at
-    ctx.prec bits; the prec is passed explicitly since 0 would mean exact."""
+    """(P, Q) iterated n times from (z1, z2) on libmpi endpoint pairs, rounded
+    outward at ctx.prec bits; the prec is passed explicitly since 0 would
+    mean exact."""
     prec = ctx.prec
-    return _iterate(P, Q, z1, z2, n, lambda c: frac_to_mpi(c, ctx)._mpi_,
-                    lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
-                    lambda s, k: mpi_pow_int(s, k, prec))
-
-
-def _padic_orbit(P, Q, z1, z2, n: int, p: int, rel: int) -> tuple:
-    """The orbit of (z1, z2) in :class:`PAdic` elements with rel digits."""
-    return _iterate(P, Q, z1, z2, n, lambda c: PAdic.from_rational(c, p, rel),
-                    operator.add, operator.mul, operator.pow)
+    ops = (lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
+           lambda s, k: mpi_pow_int(s, k, prec))
+    Pt, Qt = ([(e, frac_to_mpi(c, ctx)._mpi_) for e, c in g.coeffs.items()] for g in (P, Q))
+    a, b = frac_to_mpi(z1, ctx)._mpi_, frac_to_mpi(z2, ctx)._mpi_
+    for _ in range(n):
+        a, b = _eval_terms(Pt, a, b, *ops), _eval_terms(Qt, a, b, *ops)
+    return a, b
 
 
 def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
@@ -268,10 +242,9 @@ def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
     return RealInterval.from_mpi(ctx.log(m) / ctx.mpf(d) ** n)
 
 
-def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, rel: int,
+def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, digits: int,
                    width: Fraction) -> RealInterval:
-    """log max(z0, |a_n|_p, |b_n|_p) / d^n by p-adic iteration with rel
+    """log max(z0, |a_n|_p, |b_n|_p) / d^n by an orbit on `digits` p-adic
     digits, the logarithm to width <= width."""
-    a, b = _padic_orbit(P, Q, z1, z2, n, p, rel)
-    m = -_min_valuation((a, b), 0 if z0 else None)
+    m = escape_exponent(P, Q, z0, z1, z2, n, p, digits)
     return _log_to_width(Fraction(p), m, width).scale(Fraction(1, d**n))

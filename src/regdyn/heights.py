@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import sympy as sp
+import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 
-from .exactnum import Place
+from .exactnum import Place, prime_factors
 from .green import GreenContext, bad_places, green_value
 from .intervals import RealInterval
 from .maps import RegularMap
@@ -54,8 +54,8 @@ def height_support(f: RegularMap, pt) -> list:
     places = [Place.archimedean()]
     primes = set(bad_places(f))
     for c in pt:
-        primes |= set(sp.factorint(Fraction(c).denominator))
-    places += [Place.finite(int(p)) for p in sorted(primes)]
+        primes |= prime_factors(Fraction(c).denominator)
+    places += [Place.finite(p) for p in sorted(primes)]
     return places
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import sympy as sp
 
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
-                       find_expanding_place, is_root_of_unity)
+                       find_expanding_place, is_root_of_unity, prime_factors)
 from .green import GreenContext, bad_places, green_homog
 from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit
 from .maps import RegularMap
@@ -94,7 +94,7 @@ def _classify_rational(q: Fraction):
     if abs(q) > 1:
         witness = ExpandingPlaceWitness(Place.archimedean(), 0, note="|conjugate 0| > 1")
     else:
-        p = min(sp.factorint(q.denominator))
+        p = min(prime_factors(q.denominator))
         witness = ExpandingPlaceWitness(
             Place.finite(int(p)), None,
             note=f"minimal polynomial not monic: {p} divides leading coefficient")

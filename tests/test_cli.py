@@ -353,6 +353,25 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, argv):
     assert "error" in doc and "result" not in doc
 
 
+RSA_100 = ("15226050279225333605356183781326374297180681149613"
+           "80688657908494580122963258952897654000350692006139")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--map", f"z^2 + {RSA_100}*w^2, z*w"],
+    ["height", "--map", f"z^2 + {RSA_100}*w^2, z*w", "--point=1,2"],
+    ["height", "--map", "z^2 + w, w^2", f"--point=1/{RSA_100},1"],
+    ["dmm", "--map", f"z^2 + {RSA_100}*w^2, z*w", "--curve", "w - z", "--max-iters", "1",
+     "--max-degree", "4", "--height-bound", "1", "--max-order", "2"],
+], ids=["classify-resultant", "height-resultant", "height-denominator", "dmm-resultant"])
+def test_an_unfactorable_integer_exits_2_naming_the_factoring_cap(capsys, argv):
+    # the resultant or the point's denominator is the RSA-100 semiprime, which
+    # sympy does not factor in practice
+    code, doc = _run(capsys, *argv)
+    assert code == 2 and "result" not in doc
+    assert "FACTOR_MAX_BITS = 96" in doc["error"]
+
+
 def test_usage_error_names_the_subcommand_and_the_argument(capsys):
     code, doc = _run(capsys, "curve", "--map", "z^2, w^2", "--curve", "w-z-1",
                      "--max-iters", "-1")

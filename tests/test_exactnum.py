@@ -4,9 +4,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
-from regdyn.exactnum import (AlgebraicNumber, Place, abs_at_place_exact,
+from regdyn.exactnum import (AlgebraicNumber, FactoringCap, Place, abs_at_place_exact,
                              conjugates, find_expanding_place, is_root_of_unity,
-                             valuation)
+                             prime_factors, valuation)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -40,6 +40,29 @@ def test_product_formula_over_infinity_and_the_primes_of_num_den(q):
     for v in places:
         prod *= abs_at_place_exact(q, v)
     assert prod == 1
+
+
+RSA_100 = int("15226050279225333605356183781326374297180681149613"
+              "80688657908494580122963258952897654000350692006139")
+
+
+@given(st.integers(-10**12, 10**12).filter(bool))
+def test_prime_factors_are_those_of_factorint(n):
+    assert prime_factors(n) == set(sp.factorint(abs(n)))
+
+
+def test_prime_factors_splits_leftovers_up_to_the_cap():
+    # primes above the trial limit, a prime leftover, an 82-bit composite one
+    p, q = 1000003, 1000033
+    assert prime_factors(-2**5 * 3 * p * q) == {2, 3, p, q}
+    assert prime_factors(2**89 - 1) == {2**89 - 1}
+    a, b = sp.nextprime(2**40), sp.nextprime(2**41)
+    assert prime_factors(7 * a * b) == {7, a, b}
+
+
+def test_prime_factors_refuses_a_composite_past_the_cap():
+    with pytest.raises(FactoringCap, match="FACTOR_MAX_BITS = 96"):
+        prime_factors(RSA_100)
 
 
 def test_algebraic_rational_roundtrip():

@@ -1,16 +1,14 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import Place
-from regdyn.green import (GreenContext, _interval_orbit, _padic_orbit, bad_places,
-                          green_homog, green_value, nullstellensatz_constant)
+from regdyn.green import (GreenContext, _interval_orbit, bad_places, green_homog,
+                          green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import iv_context, log_of_fraction
 from regdyn.maps import NotRegular, make_regular_map
-from regdyn.padic import PrecisionLoss
 from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
@@ -147,7 +145,7 @@ def test_green_functional_equation_and_height_sign(case, pt, line_pt):
     assert canonical_height(f, pt, PROP_TOL).value.lower >= 0
 
 
-# -- the orbit kernel against exact rational iteration -------------------------
+# -- the interval orbit against exact rational iteration ----------------------
 
 
 def _exact_orbit(f, pt, n):
@@ -155,39 +153,6 @@ def _exact_orbit(f, pt, n):
     for _ in range(n):
         z, w = [sum(c * z**i * w**j for (i, j), c in g.coeffs.items()) for g in (f.P, f.Q)]
     return z, w
-
-
-def _p_split(x, p):
-    """(v, u) with x = p^v * u and u a p-adic unit, for a nonzero rational x."""
-    v = 0
-    while x.numerator % p == 0:
-        x, v = x / p, v + 1
-    while x.denominator % p == 0:
-        x, v = x * p, v - 1
-    return v, x
-
-
-@settings(max_examples=40, deadline=None)
-@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([2, 3, 5]),
-       st.integers(1, 12), st.integers(0, 3))
-def test_padic_orbit_has_the_exact_valuations(case, pt, p, rel, n):
-    # each coordinate is the exact valuation with the unit known mod p^rel',
-    # rel' <= rel, or a zero (exact or not) whose valuation raises
-    # PrecisionLoss; an inexact zero's bound lies below the exact valuation
-    f, _ = case
-    for y, x in zip(_padic_orbit(f.P, f.Q, pt[0], pt[1], n, p, rel),
-                    _exact_orbit(f, pt, n)):
-        v, unit, r = y.v, y.unit, y.rel
-        if unit:
-            vx, u = _p_split(x, p)
-            assert y.valuation() == vx and 1 <= r <= rel
-            assert unit == u.numerator * pow(u.denominator, -1, p**r) % p**r
-            continue
-        with pytest.raises(PrecisionLoss):
-            y.valuation()
-        assert v is not None or x == 0  # only an exact 0 is the exact zero
-        if x != 0:
-            assert y.valuation_lower() <= _p_split(x, p)[0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,60 +1,94 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from regdyn.padic import PAdic, PrecisionLoss
-from regdyn.polyalg import parse_poly
+from regdyn.cli import run
+from regdyn.exactnum import valuation
+from regdyn.maps import NotRegular, make_regular_map
+from regdyn.padic import PrecisionLoss, escape_exponent
+from regdyn.polyalg import MultiPoly, parse_poly
 
-
-def test_from_rational():
-    a = PAdic.from_rational(F(12), 2, 10)
-    assert a.valuation() == 2
-    b = PAdic.from_rational(F(1, 3), 2, 10)
-    assert b.valuation() == 0
-    c = PAdic.from_rational(F(9, 2), 3, 10)
-    assert c.valuation() == 2
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 
-def test_arithmetic_tracks_valuation():
-    p = 5
-    a = PAdic.from_rational(F(5), p, 8)
-    b = PAdic.from_rational(F(1, 5), p, 8)
-    assert (a * b).valuation() == 0
-    assert (a + a).valuation() == 1
-    assert (a ** 3).valuation() == 3
+@st.composite
+def regular_maps(draw):
+    d = draw(st.integers(2, 3))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    P, Q = (MultiPoly({e: draw(small_q) for e in monomials}) for _ in range(2))
+    assume(P.degree == Q.degree == d)
+    try:
+        return make_regular_map(P, Q)
+    except NotRegular:
+        assume(False)
 
 
-def test_cancellation_gives_inexact_zero():
-    p = 3
-    a = PAdic.from_rational(F(1), p, 6)
-    d = a - a
-    with pytest.raises(PrecisionLoss):
-        d.valuation()
-    assert d.valuation_lower() >= 6
+def _exact_exponent(P, Q, z0, z1, z2, n, p):
+    """-min(v(a_n), v(b_n), 0 if z0 else +infinity) by exact rational
+    iteration of (P, Q)."""
+    a, b = z1, z2
+    for _ in range(n):
+        a, b = (sum(c * a**i * b**j for (i, j), c in g.coeffs.items()) for g in (P, Q))
+    return -min([valuation(x, p) for x in (a, b) if x] + ([0] if z0 else []))
 
 
-def test_exact_zero():
-    z = PAdic.from_rational(0, 7, 6)
-    a = PAdic.from_rational(F(7), 7, 6)
-    assert (z * a).is_exact_zero
+@settings(max_examples=60, deadline=None)
+@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([2, 3, 5, 7]),
+       st.integers(0, 4), st.booleans(), st.integers(1, 12))
+def test_escape_exponent_matches_exact_iteration(f, pt, p, n, affine, k):
+    # affine points under (P, Q) and points of the line at infinity under the
+    # top forms, at good and bad primes: 256 digits always suffice here, and
+    # k digits give the exact exponent or PrecisionLoss
+    z0, (P, Q) = (1, (f.P, f.Q)) if affine else (0, (f.top_P, f.top_Q))
+    assume(affine or any(pt))
+    exact = _exact_exponent(P, Q, z0, *pt, n, p)
+    assert escape_exponent(P, Q, z0, *pt, n, p, 256) == exact
+    try:
+        assert escape_exponent(P, Q, z0, *pt, n, p, k) == exact
+    except PrecisionLoss:
+        pass
 
 
 def test_valuation_recursion_oracle():
-    # z -> z^2/3 at p = 3: v(z_{n+1}) = 2 v(z_n) - 1, starting at v = 1
-    p = 3
-    z = PAdic.from_rational(F(3), p, 40)
-    inv3 = PAdic.from_rational(F(1, 3), p, 40)
-    vals = []
-    for _ in range(4):
-        vals.append(z.valuation())
-        z = z * z * inv3
-    assert vals == [1, 1, 1, 1]
+    # z -> z^2/3 at p = 3 from z = 1: v(z_n) = 1 - 2^n, so m_n = 2^n - 1
+    f = make_regular_map("1/3*z^2", "w^2")
+    assert [escape_exponent(f.P, f.Q, 1, F(1), F(1), n, 3, 8) for n in range(7)] == \
+        [2**n - 1 for n in range(7)]
 
 
-def test_zeroth_power_caps_no_precision():
-    # x**0 is an exact 1 even for an inexact zero x, so a term without z keeps
-    # the precision of its other factors when z has lost all its digits
-    one = PAdic.from_rational(F(1), 3, 200)
-    zero = one - one
-    assert zero ** 0 == 1
-    assert parse_poly("w + 1").eval(zero, one).rel == 200
+def test_exact_zero():
+    # a coordinate that stays exactly 0 costs no digits: a_n = 0 for all n
+    # under (z^2, w^2/3) from (0, 1), and v(b_n) = 1 - 2^n
+    f = make_regular_map("z^2", "1/3*w^2")
+    assert escape_exponent(f.P, f.Q, 1, F(0), F(1), 10, 3, 1) == 2**10 - 1
+
+
+def test_cancellation_gives_inexact_zero():
+    # at [0 : 1 : 10] the top forms (z^2 - w^2, 9 z w) take 1 - 100 = -99 and
+    # 90, both of 3-adic valuation 2: two digits cannot tell them from 0
+    P, Q = parse_poly("z^2 - w^2"), parse_poly("9*z*w")
+    with pytest.raises(PrecisionLoss):
+        escape_exponent(P, Q, 0, F(1), F(10), 1, 3, 2)
+    assert escape_exponent(P, Q, 0, F(1), F(10), 1, 3, 3) == -2
+
+
+ESCALATING = ("--map", "2*z^2 - z*w + 2*z + 1/3*w + 1/3, z*w + 2*w^2 - 3",
+              "--point=1,1/2", "--tol", "1e-30")
+
+
+def test_an_escalating_green_value_keeps_its_enclosure(capsys):
+    # G_3 at (1, 1/2) to 1e-30 takes 104 steps, which exhaust 64 digits, so
+    # the kernel restarts at 128; the enclosure is pinned to its exact value
+    f = make_regular_map(*ESCALATING[1].split(","))
+    with pytest.raises(PrecisionLoss):
+        escape_exponent(f.P, f.Q, 1, F(1), F(1, 2), 104, 3, 64)
+    assert run(["green", *ESCALATING, "--place", "3"]) == 0
+    green = json.loads(capsys.readouterr().out)["result"]["green"]
+    assert green["lo_exact"] == (
+        "242634987195339083557316722314324415297631328395077969099273104087665193/"
+        "883423532389192164791648750371459257913741948437809479060803100646309888")
+    assert green["hi_exact"] == (
+        "970539948781356334229266889259902436746576145228634956848842784547088549/"
+        "3533694129556768659166595001485837031654967793751237916243212402585239552")

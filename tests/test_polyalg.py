@@ -5,7 +5,6 @@ import sympy as sp
 from hypothesis import assume, given, strategies as st
 
 from regdyn.numberfield import NumberField
-from regdyn.padic import PAdic
 from regdyn.polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 
 
@@ -63,8 +62,6 @@ _K = NumberField([1, -1, 0, 1, -1, 1, 0, -1, 1])  # the 15th cyclotomic polynomi
 _L = NumberField([2, -1, 0, 3])                  # 3x^3 - x + 2, not monic
 EVAL_POINTS = [
     (F(2, 3), F(-5, 7)),
-    (PAdic.from_rational(F(2, 3), 3, 12), PAdic.from_rational(F(9, 5), 3, 12)),
-    (PAdic.from_rational(F(7), 2, 4), PAdic.from_rational(F(1, 8), 2, 4)),
     (complex(0.3, 0.4), complex(-1.2, 0.5)),
     (_K.generator() ** 4, _K([F(1, 2), 0, -1])),
     (_L([F(1, 3), 2]), _L.generator() ** 2),
@@ -72,15 +69,13 @@ EVAL_POINTS = [
 
 
 def _same(a, b):
-    if isinstance(a, PAdic):
-        return (a.p, a.v, a.unit, a.rel) == (b.p, b.v, b.unit, b.rel)
     return type(a) is type(b) and a == b
 
 
 @given(polys)
 def test_eval_is_the_naive_term_sum(p):
-    # the same terms in the same order: equal exactly, PAdic precision and
-    # complex rounding included
+    # the same terms in the same order: equal exactly, complex rounding
+    # included
     assume(any(i or j for i, j in p.coeffs))
     for z, w in EVAL_POINTS:
         assert _same(p.eval(z, w), naive_eval(p, z, w))
