@@ -167,8 +167,20 @@ def _component_image(Ri, P, Q, cap: int) -> list:
 
 
 def _vanishes_on(G, Ri, P, Q) -> bool:
-    """Ri | G(P, Q), over ZZ when P, Q are (no QQ copy)."""
-    return _substitute(G, P, Q).rem(Ri, auto=False).is_zero
+    """Ri | G(P, Q).  With P = P0 / dp, Q = Q0 / dq over ZZ and a, b the
+    degrees of G in Z and W, dp^a dq^b G(P, Q) = sum g_ij P0^i dp^(a-i)
+    Q0^j dq^(b-j) comes from Horner's rule on integer dicts, and sympy takes
+    only its remainder by the primitive Ri over ZZ (Gauss's lemma)."""
+    (p, dp), (q, dq) = _int_terms(P), _int_terms(Q)
+    rows = G.rep.to_list()  # by descending degree in Z, then in W
+    b = max(map(len, rows)) - 1
+    H = {}
+    for i, row in enumerate(rows):
+        inner = {}
+        for k, c in enumerate(row, b + 1 - len(row)):
+            inner = _combine(_times(inner, q.items()), 1, {(0, 0): c}, -dq ** k)
+        H = _combine(_times(H, p.items()), 1, inner, -dp ** i)
+    return sp.Poly.from_dict(H, *Ri.gens, domain=sp.ZZ).rem(Ri, auto=False).is_zero
 
 
 def _resultant_image(Ri, P, Q) -> list:
@@ -322,17 +334,6 @@ def _combine(x: dict, s: int, y: dict, t: int) -> dict:
         else:
             out.pop(m, None)
     return out
-
-
-def _substitute(G, P, Q):
-    """G(P, Q) for G in (Z, W), by Horner's rule in Z and in W."""
-    val = P.zero
-    for row in G.rep.to_list():
-        inner = P.zero
-        for c in row:
-            inner = (inner * Q).add_ground(c)
-        val = val * P + inner
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ and are refinable to arbitrary precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import sympy as sp
@@ -128,7 +130,6 @@ def _sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
     # floor-isqrt based certified lower bound for sqrt(q)
     if q == 0:
         return Fraction(0)
-    import math
     scale = 1 << bits
     n = q.numerator * q.denominator * scale * scale
     return Fraction(math.isqrt(n), q.denominator * scale)
@@ -136,22 +137,31 @@ def _sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
 
 class AlgebraicNumber:
     """Root number ``embedding_index`` (CRootOf order) of an irreducible
-    primitive integer polynomial."""
+    primitive integer polynomial, kept as the modulus of its number field:
+    ascending integer coefficients, the leading one positive.  Up to degree
+    2 the roots are in closed form (`_boxes`), from degree 3 sympy's CRootOf."""
 
     def __init__(self, minpoly, embedding_index: int = 0):
-        # a univariate Poly goes into the generator x, whatever its own, and
-        # over ZZ, whatever its domain, so that equal numbers compare equal
-        poly = sp.Poly.new(minpoly.rep, _x) if isinstance(minpoly, sp.Poly) \
-            else sp.Poly([sp.Integer(c) for c in reversed(list(minpoly))], _x)
-        poly = poly.clear_denoms(convert=True)[1].primitive()[1]
-        if poly.LC() < 0:
-            poly = -poly
-        if not poly.is_irreducible:
-            raise ValueError("minimal polynomial must be irreducible")
-        self.minpoly = poly
-        if not 0 <= embedding_index < poly.degree():
+        # a univariate Poly (any generator, ZZ or QQ) or ascending coefficients
+        if isinstance(minpoly, sp.Poly):
+            minpoly = reversed(minpoly.all_coeffs())
+        self._field = NumberField(minpoly)
+        self._coeffs = self._field.modulus
+        if not 0 <= embedding_index < self.degree:
             raise ValueError("embedding index out of range")
+        if self.degree == 2:  # irreducible iff the discriminant is not a square
+            c, b, a = self._coeffs
+            D = b * b - 4 * a * c
+            irreducible = D < 0 or math.isqrt(D) ** 2 != D
+        else:
+            irreducible = self.degree == 1 or self.minpoly.is_irreducible
+        if not irreducible:
+            raise ValueError("minimal polynomial must be irreducible")
         self.embedding_index = embedding_index
+
+    @cached_property
+    def minpoly(self) -> sp.Poly:
+        return sp.Poly(self._coeffs[::-1], _x)
 
     # -- constructors -------------------------------------------------
 
@@ -164,38 +174,43 @@ class AlgebraicNumber:
 
     @property
     def degree(self) -> int:
-        return self.minpoly.degree()
+        return len(self._coeffs) - 1
 
     def minpoly_coeffs(self) -> tuple:
         """Coefficients c_0..c_n, ascending."""
-        return tuple(int(c) for c in reversed(self.minpoly.all_coeffs()))
+        return self._coeffs
 
     def is_rational(self) -> bool:
         return self.degree == 1
 
     def as_rational(self) -> Fraction:
-        c0, c1 = self.minpoly_coeffs()
+        c0, c1 = self._coeffs
         return Fraction(-c0, c1)
 
     def number_field(self) -> NumberField:
-        return NumberField(self.minpoly_coeffs())
-
-    def root(self) -> sp.Expr:
-        return self.minpoly.all_roots()[self.embedding_index]
+        return self._field
 
     def approx(self) -> complex:
-        return complex(sp.N(self.root(), 30))
+        """The nearest double to each coordinate: proved up to degree 2, where
+        an irrational end never lies on a rounding boundary; sympy's above."""
+        if self.degree > 2:
+            return complex(sp.N(self.minpoly.all_roots()[self.embedding_index], 30))
+        bits, z = 64, (None,)
+        while None in z:
+            box = _boxes(self._coeffs, bits)[self.embedding_index]
+            z, bits = (_nearest_double(box.re), _nearest_double(box.im)), 2 * bits
+        return complex(*z)
 
     def is_zero(self) -> bool:
-        return self.minpoly == sp.Poly(_x, _x)
+        return self._coeffs == (0, 1)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraicNumber)
-                and self.minpoly == other.minpoly
+                and self._coeffs == other._coeffs
                 and self.embedding_index == other.embedding_index)
 
     def __hash__(self):
-        return hash((self.minpoly, self.embedding_index))
+        return hash((self._coeffs, self.embedding_index))
 
     def __repr__(self):
         if self.is_rational():
@@ -203,12 +218,43 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({self.minpoly.as_expr()}, root #{self.embedding_index})"
 
 
+def _boxes(coeffs: tuple, bits: int) -> list:
+    """Disjoint boxes around the roots of a polynomial of degree <= 2, in
+    index order: exact at degree 1.  A quadratic c + b x + a x^2 has root i
+    (-b + e sqrt(D)) / 2a, D = b^2 - 4ac and e = 2i - 1, which is CRootOf
+    order: real roots ascend, and a complex pair puts the negative imaginary
+    part first.  Its boxes come from isqrt(|D| 4^bits) / 2^bits <= sqrt|D| <
+    that + 2^-bits, so they are 2^-bits / 2a wide."""
+    zero = RealInterval.exact(0)
+    if len(coeffs) == 2:
+        return [ComplexInterval(RealInterval.exact(Fraction(-coeffs[0], coeffs[1])), zero)]
+    c, b, a = coeffs
+    D = b * b - 4 * a * c
+    s = _sqrt_lower(Fraction(abs(D)), bits)  # >= 1, so the boxes are disjoint
+    r = RealInterval(s / (2 * a), (s + Fraction(1, 1 << bits)) / (2 * a))
+    centre = RealInterval.exact(Fraction(-b, 2 * a))
+    return [ComplexInterval(centre + e, zero) if D > 0 else ComplexInterval(centre, e)
+            for e in (-r, r)]
+
+
+def _nearest_double(i: RealInterval):
+    """The double nearest every point of i, or None when its ends round apart."""
+    try:
+        lo, hi = float(i.lower), float(i.upper)
+    except OverflowError:  # past the double range, as mpmath's to_float
+        return math.inf if i.lower > 0 else -math.inf
+    return lo if lo == hi else None
+
+
 def conjugates(a: AlgebraicNumber, precision=Fraction(1, 10**6)) -> list:
     """Pairwise-disjoint complex boxes, one per root of the minimal
-    polynomial, each of width <= precision."""
+    polynomial, each of width <= precision; proved up to degree 2."""
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
+    if a.degree <= 2:  # 2^bits >= 1 / (2a * precision)
+        bits = math.ceil(1 / (2 * a.minpoly_coeffs()[-1] * precision)).bit_length()
+        return _boxes(a.minpoly_coeffs(), max(64, bits))
     roots = a.minpoly.all_roots()
     for digits in (20, 40, 80, 160, 320, 640):
         radius = Fraction(1, 10 ** (digits - 3))

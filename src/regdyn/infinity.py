@@ -162,6 +162,19 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     embedding matching alpha's."""
     if elem.is_rational():
         return AlgebraicNumber.from_rational(elem.as_rational())
+    if alpha.degree == 2:
+        # alpha = (-b + e sqrt(D)) / 2a, so elem = (n0 + n1 alpha) / den =
+        # (S + T sqrt(D)) / E, a root of E^2 x^2 - 2 S E x + S^2 - T^2 D, the
+        # one with + sqrt(D) (index 1) iff T > 0
+        (c, b, a), (n0, n1) = alpha.minpoly_coeffs(), elem.num
+        S, T, E = 2 * a * n0 - b * n1, (2 * alpha.embedding_index - 1) * n1, 2 * a * elem.den
+        return AlgebraicNumber([S * S - T * T * (b * b - 4 * a * c), -2 * S * E, E * E],
+                               int(T > 0))
+    return _embedded_root(elem, alpha)
+
+
+def _embedded_root(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
+    """_algebraic_from_nf at any degree, by a resultant and CRootOf values."""
     # Res_t(m(t), den*x - num(t)) is, up to a constant, the characteristic
     # polynomial of multiplication by elem: a power of its minimal polynomial
     m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, _t, _x)
@@ -169,7 +182,7 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
                           _t, _x)
     (minpoly, _m), = sp.factor_list(m.resultant(g))[1]
     roots = minpoly.all_roots()
-    root = alpha.root()
+    root = alpha.minpoly.all_roots()[alpha.embedding_index]
     expr = sum(sp.Rational(n, elem.den) * root**k for k, n in enumerate(elem.num))
     for prec in (30, 60, 120):
         target = sp.N(expr, prec)

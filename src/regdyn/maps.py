@@ -8,6 +8,7 @@ at infinity, and restricts there to the degree-d map [P_d : Q_d].
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polyalg import MultiPoly, parse_poly
@@ -38,24 +39,33 @@ def _sylvester_rows(p: MultiPoly, q: MultiPoly, d: int) -> list:
 
 
 def _solve_rational(rows: list, rhs: list = ()) -> tuple:
-    """(det, xs) for a square matrix over Q by Gauss-Jordan elimination: its
-    determinant and, for each column b of rhs, the solution x of rows · x = b
-    (xs is None when det = 0)."""
+    """(det, xs) for a square matrix over Q: its determinant and, for each
+    column b of rhs, the solution x of rows · x = b (xs is None when det = 0),
+    by fraction-free (Bareiss) elimination on [rows | rhs], its rows cleared
+    of denominators, then back-substitution over the integer determinant."""
     n = len(rows)
     m = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
-    det = Fraction(1)
+    dens = [math.lcm(*(a.denominator for a in row)) for row in m]
+    m = [[a.numerator * (d // a.denominator) for a in row] for row, d in zip(m, dens)]
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return Fraction(0), None
         if piv != k:
-            m[k], m[piv], det = m[piv], m[k], -det
-        det *= m[k][k]
-        m[k] = [a / m[k][k] for a in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
-    return det, [[row[c] for row in m] for c in range(n, n + len(rhs))]
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        top, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            r, c = m[i], m[i][k]
+            m[i] = [0] * (k + 1) + [(p * r[j] - c * top[j]) // prev for j in range(k + 1, len(r))]
+        prev = p
+    xs = []
+    for col in range(n, n + len(rhs)):
+        y = [0] * n  # y = prev * x, integral by Cramer's rule
+        for i in range(n - 1, -1, -1):
+            y[i] = (prev * m[i][col] - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
+        xs.append([Fraction(v, prev) for v in y])
+    return Fraction(sign * prev, math.prod(dens)), xs
 
 
 def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:

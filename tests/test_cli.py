@@ -30,6 +30,38 @@ def test_classify(capsys):
     assert "Superattracting" in kinds and "ExpandingPlace" in kinds
 
 
+def test_classify_quadratic_points_and_multipliers_at_infinity(capsys):
+    # pinned from the sympy (CRootOf) embedding match: the points at infinity
+    # solve t^2 - t + 2 = 0 and their multipliers 2x^2 - 11x + 16 = 0
+    code, doc = _run(capsys, "classify", "--map",
+                     "2*z^3 - z^2*w - 2*z^2 + 2*z*w - w^2 + 1/3*z + 1, -w^3 - 2")
+    assert code == 0
+    del doc["timing"]
+    zero = {"exact": "0/1", "approx": 0.0}
+
+    def rational(chart):
+        return {"point": {"chart": chart, "coordinate": zero, "multiplicity": 1},
+                "multiplier": zero, "classification": {"type": "Superattracting"}}
+
+    def quadratic(i, sign):
+        place = {"type": "ExpandingPlace", "place": "inf",
+                 "witness": {"type": "ExpandingPlaceWitness", "place": "inf",
+                             "embedding_index": 0, "note": "|conjugate 0| > 1"}}
+        return {"point": {"chart": 0, "multiplicity": 1, "coordinate": {
+                    "minpoly": "x**2 - x + 2", "root_index": i,
+                    "approx": [0.5, sign * 1.3228756555322954]}},
+                "multiplier": {"minpoly": "2*x**2 - 11*x + 16", "root_index": i,
+                               "approx": [2.75, sign * 0.6614378277661477]},
+                "classification": place}
+
+    assert doc == {
+        "schema_version": 1, "command": "classify",
+        "input": {"map": "2*z^3 - z^2*w - 2*z^2 + 2*z*w - w^2 + 1/3*z + 1, -w^3 - 2"},
+        "result": {"degree": 3, "bad_places": [2, 3], "fixed_points_at_infinity": [
+            rational(0), quadratic(0, -1), quadratic(1, 1), rational(1)]},
+        "witnesses": {"multiplicity_sum": 4}, "caps": {}}
+
+
 def test_classify_rejects_non_regular(capsys):
     code = run(["classify", "--map", "z*w, z^2 + w"])
     assert code == 2

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn import curves
 from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve, Zeta,
@@ -556,3 +556,29 @@ def test_kernel_image_matches_the_resultant_image_at_degrees_eight_and_nine(spec
     f, C = make_regular_map(*spec.split(",")), PlaneCurve(curve)
     assert pushforward(f, C).degree == degree == f.d * C.degree
     _kernel_matches_resultants(f, C)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_component_test_agrees_with_substitution_in_sympy(data):
+    # P, Q with denominators and G(Z, W) of degree <= 2; each component of
+    # G(P, Q) passes, and a random line passes iff sympy's remainder is 0
+    z, w, Z, W = sp.symbols("z w Z W")
+    coef = st.fractions(-3, 3, max_denominator=4)
+
+    def poly(x, y, top):
+        terms = {(i, j): data.draw(coef) for i, j in _monomials(top)}
+        return sum(sp.Rational(c.numerator, c.denominator) * x**i * y**j
+                   for (i, j), c in terms.items())
+
+    P, Q = (sp.Poly(poly(z, w, 2), z, w) for _ in range(2))
+    G = sp.Poly(poly(Z, W, 2), Z, W)
+    assume(G.total_degree() >= 1 and not P.is_ground and not Q.is_ground)
+    G = curves._primitive(G)
+    H = sp.Poly(G.as_expr().subs({Z: P.as_expr(), W: Q.as_expr()}, simultaneous=True), z, w)
+    assume(not H.is_zero)
+    line = curves._primitive(sp.Poly(poly(z, w, 1), z, w))
+    assume(line.total_degree() == 1)
+    assert all(curves._vanishes_on(G, curves._primitive(b), P, Q)
+               for b, _m in sp.factor_list(H)[1])
+    assert curves._vanishes_on(G, line, P, Q) == H.rem(line).is_zero

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.exactnum import (AlgebraicNumber, FactoringCap, Place, abs_at_place_exact,
                              conjugates, find_expanding_place, is_root_of_unity,
@@ -134,3 +136,58 @@ def test_a_minimal_polynomial_in_another_generator_is_put_in_x():
     # and over ZZ: a QQ Poly of the same number gives the same number
     assert AlgebraicNumber(sp.Poly(t / 2 - 1, t)) == AlgebraicNumber.from_rational(2)
     assert AlgebraicNumber(sp.Poly(t, t, domain="QQ")).is_zero()
+
+
+# quadratics in closed form, against sympy's CRootOf and mpmath's polyroots
+
+coefficient = st.integers(-10**6, 10**6)
+leading = st.one_of(st.just(1), st.integers(2, 10**6))
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+@st.composite
+def quadratics(draw):
+    """(c, b, a), a > 0, of a quadratic c + b x + a x^2 irreducible over Q;
+    D = b^2 - 4ac takes either sign."""
+    a, b = draw(leading), draw(coefficient)
+    c = draw(coefficient.filter(bool))
+    assume(not _is_square(b * b - 4 * a * c))
+    return c, b, a
+
+
+@settings(max_examples=20, deadline=None)
+@given(quadratics())
+@example((1, 0, 1))  # x^2 + 1: real parts 0
+@example((-2, 0, 1))
+@example((1, 10**6, 1))  # a root near -10^-6 that -b + sqrt(D) cancels
+@example((10**6, 1, 10**6))  # a complex pair with real parts near 0
+def test_quadratic_roots_in_closed_form_are_crootof(cs):
+    p = sp.Poly(list(reversed(cs)), sp.Symbol("x"))
+    with mpmath.workdps(50):
+        exact = [(F(str(z.real)), F(str(z.imag)))
+                 for z in mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=200)]
+    boxes = conjugates(AlgebraicNumber(cs))
+    assert boxes[0].disjoint(boxes[1])
+    for i, box in enumerate(boxes):
+        a = AlgebraicNumber(p, i)
+        root = sp.N(sp.CRootOf(p, i), 30)
+        assert a.approx() == complex(root)
+
+        def inside(re, im, digits):  # up to the error of that many digits
+            tol = F(1, 10**(digits - 5)) * (1 + math.ceil(abs(a.approx())))
+            return (box.re.lower - tol <= re <= box.re.upper + tol
+                    and box.im.lower - tol <= im <= box.im.upper + tol)
+
+        # the box holds CRootOf(p, i), and exactly one of mpmath's roots
+        assert inside(F(str(sp.re(root))), F(str(sp.im(root))), 30)
+        assert sum(inside(*z, 50) for z in exact) == 1
+
+
+def test_approx_past_the_double_range_is_infinite():
+    # the roots +-2^1350.5 of x^2 - 2^2701, as sympy's evalf rounds them;
+    # classify reaches them on (z^2 + w^2, 2^2700*z*w)
+    assert [AlgebraicNumber([-2**2701, 0, 1], i).approx() for i in (0, 1)] == \
+        [complex(-math.inf, 0), complex(math.inf, 0)]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -298,3 +299,22 @@ def test_two_cycle_multiplier_from_the_composed_forms():
             multiplier((f.top_P, f.top_Q), InfinityPoint.from_pair(*pair))
     v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, 0))
     assert (v.kind, v.preperiod, v.period) == ("Preperiodic", 0, 2)
+
+
+@st.composite
+def quadratic_numbers(draw):
+    """A root of a random irreducible quadratic, real or complex."""
+    c, b, a = (draw(st.integers(-30, 30)) for _ in range(3))
+    a = abs(a) + 1
+    D = b * b - 4 * a * c
+    assume(c != 0 and (D < 0 or math.isqrt(D) ** 2 != D))
+    return AlgebraicNumber([c, b, a], draw(st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_numbers(), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
+       st.integers(1, 500))
+def test_quadratic_field_elements_in_closed_form_match_the_resultant_path(alpha, n0, n1, den):
+    # num(t) / den; n1 = 0 gives a rational
+    elem = alpha.number_field()([F(n0, den), F(n1, den)])
+    assert infinity._algebraic_from_nf(elem, alpha) == infinity._embedded_root(elem, alpha)

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from regdyn.maps import (BitSizeCap, DegreeTooLow, NotRegular,
+from regdyn.maps import (BitSizeCap, DegreeTooLow, NotRegular, _solve_rational,
                          binary_form_resultant, make_regular_map)
 from regdyn.polyalg import parse_poly
 
@@ -50,3 +52,40 @@ def test_iterate_bit_cap():
     f = make_regular_map("z^2", "w^2")
     with pytest.raises(BitSizeCap):
         f.iterate(40, (F(2), F(1)), max_bits=1000)
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, rhs): a random square rational matrix up to 7 x 7, sparse, and
+    singular in about one draw of four, with 0-2 right-hand sides."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=12))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 3)) == 0:  # a row a combination of two others
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        s, t = draw(entry), draw(entry)
+        rows[k] = [s * a + t * b for a, b in zip(rows[i], rows[j])] if k not in (i, j) \
+            else [F(0)] * n
+    rhs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2))
+    return rows, rhs
+
+
+def _fraction(x):
+    return F(int(x.p), int(x.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems())
+def test_fraction_free_solve_matches_sympy(system):
+    rows, rhs = system
+    det, xs = _solve_rational(rows, rhs)
+    M = sp.Matrix([[sp.Rational(a.numerator, a.denominator) for a in row] for row in rows])
+    assert type(det) is F and det == _fraction(M.det())
+    if det == 0:
+        assert xs is None
+        return
+    assert len(xs) == len(rhs)
+    for b, x in zip(rhs, xs):
+        want = M.LUsolve(sp.Matrix([sp.Rational(c.numerator, c.denominator) for c in b]))
+        assert x == [_fraction(c) for c in want]
+        assert all(type(c) is F for c in x)

@@ -370,7 +370,10 @@ def test_bivariate_compose_and_reciprocal_match_fraction_oracle(s, u, v, shape):
 # of valuation 1-3, powers of v shared by every row, polynomials in one
 # variable by baby-step/giant-step, at orders up to 16
 
-nonzero = wide.filter(bool)
+# the values of wide without 0, by construction: a sign, a denominator q and a
+# numerator up to 50 * q (wide.filter(bool) rejected about half its draws)
+nonzero = st.integers(1, 60).flatmap(lambda q: st.builds(
+    lambda sign, p: F(sign * p, q), st.sampled_from((1, -1)), st.integers(1, 50 * q)))
 
 
 @st.composite
