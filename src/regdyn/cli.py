@@ -10,6 +10,7 @@ Unknown-only result.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ from .intervals import RealInterval
 from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
                      points_at_infinity, pushforward)
 from .green import GreenContext, bad_places, green_homog, green_value
-from .heights import canonical_height, is_preperiodic
+from .heights import HeightResult, PreperiodicityVerdict, canonical_height, orbit_verdict
 from .infinity import classify_multiplier, fixed_points_infinity, multiplier
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        saddle_normal_form, super_stable_series)
@@ -128,7 +129,8 @@ def _json(value):
         z = complex(value.approx())
         return {"minpoly": str(value.minpoly.as_expr()),
                 "root_index": value.embedding_index,
-                "approx": [z.real, z.imag]}
+                # null outside the float range, as for a Fraction
+                "approx": [z.real, z.imag] if cmath.isfinite(z) else None}
     if isinstance(value, Place):
         return value.prime if value.is_finite else "inf"
     if isinstance(value, Zeta):  # before the dataclasses: it prints as sympy's exp
@@ -200,8 +202,12 @@ def _cmd_height(args):
     f = _parse_map(args.map)
     pt = _parse_point(args.point)
     tol = _parse_tol(args.tol) if args.tol else DEFAULT_TOL
-    h = canonical_height(f, pt, tol)
-    verdict = is_preperiodic(f, pt, tol=tol, height=h)
+    verdict = orbit_verdict(f, pt)
+    if verdict is None:
+        h = canonical_height(f, pt, tol)
+        verdict = PreperiodicityVerdict.from_height(h, tol)
+    else:  # a closed orbit: g_v = 0 at every place, none is visited
+        h = HeightResult(RealInterval.exact(0), [])
     result = {"canonical_height": _json(h.value),
               "support": [_json(v) for v in h.support],
               "certified": True,  # every enclosure is proved; a key of the v1 schema

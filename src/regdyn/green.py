@@ -10,9 +10,11 @@ by log(C_v) / (d^n (d-1)), which is what certifies every enclosure here.
 
 One kernel computes G_v(z0, z1, z2) for z0 in {0, 1}: it iterates (P, Q)
 on the affine plane, or the top forms (P_d, Q_d) on the line at infinity
-with their own two-sided constant, in interval arithmetic at infinity and,
-at p, on a primitive integer triple known mod p^k (regdyn.padic), doubling
-the precision until the enclosure is certified and narrow enough.
+with their own two-sided constant, on an integer triple with error radii
+at infinity (regdyn.intervals.escape_norm) and, at p, on a primitive
+integer triple known mod p^k (regdyn.padic), doubling the precision until
+the enclosure is certified and narrow enough.  An affine point whose
+exact orbit closes is preperiodic and gets G_v = 0 at once.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
-from mpmath.libmp import mpi_add, mpi_mul, mpi_pow_int
 
 from .exactnum import Place, abs_at_place_exact, prime_factors, valuation
-from .intervals import (RealInterval, frac_to_mpi, iv_context, ivmax, log_of_fraction,
-                        DEFAULT_PREC)
-from .maps import RegularMap, _solve_rational, _sylvester_rows
+from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
+from .maps import ORBIT_CAP, RegularMap, _exact_orbit, _solve_rational, _sylvester_rows
 from .padic import PrecisionLoss, escape_exponent
-from .polyalg import MultiPoly, _eval_terms
+from .polyalg import MultiPoly
 
 
 class GreenContext:
@@ -130,11 +130,11 @@ def bad_places(f: RegularMap) -> set:
     return primes
 
 
-def _tail_iterations(C: Fraction, d: int, tol: Fraction) -> int:
-    """Smallest n with log(C)/(d^n (d-1)) <= tol."""
-    if C == 1:
+def _tail_iterations(log_C: Fraction, d: int, tol: Fraction) -> int:
+    """Smallest n with log(C)/(d^n (d-1)) <= tol, log_C an upper bound of log C."""
+    if not log_C:
         return 0
-    target = log_of_fraction(C).upper / (Fraction(tol) * (d - 1))
+    target = log_C / (Fraction(tol) * (d - 1))
     n = 0
     power = 1
     while power < target:
@@ -143,11 +143,11 @@ def _tail_iterations(C: Fraction, d: int, tol: Fraction) -> int:
     return n
 
 
-def _widen_by_tail(val: RealInterval, C: Fraction, d: int, n: int) -> RealInterval:
+def _widen_by_tail(val: RealInterval, log_C: Fraction, d: int, n: int) -> RealInterval:
     """val widened on both sides by the telescoped tail log(C)/(d^n (d-1))."""
-    if C == 1:
+    if not log_C:
         return val
-    tail = log_of_fraction(C).upper / (d**n * (d - 1))
+    tail = log_C / (d**n * (d - 1))
     return RealInterval(val.lower - tail, val.upper + tail)
 
 
@@ -191,23 +191,29 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     Iterates (P, Q) when z0 = 1 and the top forms (P_d, Q_d) when z0 = 0,
     n times from (z1, z2) in the arithmetic of v, takes
     log max(z0, |a_n|_v, |b_n|_v) / d^n and widens it by the tail of that
-    case's constant.  An attempt is repeated at twice the precision (interval
-    bits at infinity, p-adic digits at p) when it loses precision, or at
-    infinity when its enclosure is too wide; PrecisionLoss after 6 attempts."""
+    case's constant.  An attempt is repeated at twice the precision (bits at
+    infinity, p-adic digits at p) when it loses precision, or at infinity
+    when its enclosure is too wide; PrecisionLoss after 6 attempts.  First,
+    an affine point whose exact orbit closes within min(n, ORBIT_CAP) steps,
+    before a coordinate needs more than DEFAULT_PREC bits, is preperiodic:
+    G_v = 0 exactly."""
     f, v, d = ctx.f, ctx.place, ctx.f.d
     P, Q, C = (f.P, f.Q, ctx.C) if z0 else (f.top_P, f.top_Q, _line_constant(ctx))
-    n = _tail_iterations(C, d, tol / 2)
+    log_C = 0 if C == 1 else log_of_fraction(C).upper
+    n = _tail_iterations(log_C, d, tol / 2)
+    if z0 and n and _exact_orbit(f.apply, (z1, z2), min(n, ORBIT_CAP), _past_prec)[1] is not None:
+        return RealInterval.exact(0)
     prec = 64 if v.is_finite else DEFAULT_PREC
     for _ in range(6):
         try:
             if v.is_finite:
                 val = _padic_log_max(P, Q, z0, z1, z2, n, d, v.prime, prec, tol / 2)
             else:
-                val = _arch_log_max(P, Q, z0, z1, z2, n, d, prec)
+                val = _arch_log_norm(P, Q, z0, z1, z2, n, d, prec)
         except PrecisionLoss:
             prec *= 2
             continue
-        out = _widen_by_tail(val, C, d, n)
+        out = _widen_by_tail(val, log_C, d, n)
         if z0:
             out = out.clamp_nonnegative()  # G_v(1, z, w) >= log 1
         if v.is_finite or out.width <= tol:
@@ -216,30 +222,28 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     raise PrecisionLoss(f"green: precision escalation exhausted at {v!r}")
 
 
-def _interval_orbit(ctx, P, Q, z1, z2, n: int) -> tuple:
-    """(P, Q) iterated n times from (z1, z2) on libmpi endpoint pairs, rounded
-    outward at ctx.prec bits; the prec is passed explicitly since 0 would
-    mean exact."""
-    prec = ctx.prec
-    ops = (lambda s, t: mpi_add(s, t, prec), lambda s, t: mpi_mul(s, t, prec),
-           lambda s, k: mpi_pow_int(s, k, prec))
-    Pt, Qt = ([(e, frac_to_mpi(c, ctx)._mpi_) for e, c in g.coeffs.items()] for g in (P, Q))
-    a, b = frac_to_mpi(z1, ctx)._mpi_, frac_to_mpi(z2, ctx)._mpi_
-    for _ in range(n):
-        a, b = _eval_terms(Pt, a, b, *ops), _eval_terms(Qt, a, b, *ops)
-    return a, b
+def _past_prec(pt) -> bool:
+    return max(max(abs(c.numerator), c.denominator) for c in pt).bit_length() > DEFAULT_PREC
 
 
-def _arch_log_max(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
-    """log max(z0, |a_n|, |b_n|) / d^n by interval iteration at prec bits."""
-    ctx = iv_context(prec)
-    a, b = _interval_orbit(ctx, P, Q, z1, z2, n)
-    m = ivmax(abs(ctx.make_mpf(a)), abs(ctx.make_mpf(b)))
-    if z0:
-        m = ivmax(ctx.mpf(1), m)
-    elif m.a <= 0:
+def _arch_log_norm(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
+    """log max(z0, |a_n|, |b_n|) / d^n from the integer orbit of escape_norm,
+    the logarithms enclosed at prec bits: of x 2^m D^-k in one piece while
+    that rational is small (exact at 1), else as log x + m log 2 - k log D."""
+    m, k, D, lo, hi = escape_norm(P, Q, z0, z1, z2, n, prec)
+    if not (lo or z0):
         raise PrecisionLoss("the enclosure of max(|a_n|, |b_n|) reaches 0")
-    return RealInterval.from_mpi(ctx.log(m) / ctx.mpf(d) ** n)
+    if abs(m) + k * D.bit_length() <= 4 * prec:
+        q, shift = Fraction(2) ** m / D**k, 0
+    else:
+        q = 1
+        shift = (log_of_fraction(Fraction(2), prec).scale(m)
+                 - log_of_fraction(Fraction(D), prec).scale(k))
+    lower = (shift + log_of_fraction(q * lo, prec)).lower if lo else 0
+    upper = (shift + log_of_fraction(q * hi, prec)).upper if hi else 0
+    if z0:  # max(1, |a_n|, |b_n|)
+        lower, upper = max(lower, 0), max(upper, 0)
+    return RealInterval(lower, upper).scale(Fraction(1, d**n))
 
 
 def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, digits: int,

@@ -17,7 +17,7 @@ import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 from .exactnum import Place, prime_factors
 from .green import GreenContext, bad_places, green_value
 from .intervals import RealInterval
-from .maps import RegularMap
+from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 
 
 @dataclass
@@ -48,6 +48,13 @@ class PreperiodicityVerdict:
     def unknown() -> "PreperiodicityVerdict":
         return PreperiodicityVerdict("Unknown")
 
+    @staticmethod
+    def from_height(h: HeightResult, tol: Fraction) -> "PreperiodicityVerdict":
+        """NotPreperiodic when the height is certified above tol, else Unknown."""
+        if h.value.lower > tol:
+            return PreperiodicityVerdict.not_preperiodic(h.value.lower)
+        return PreperiodicityVerdict.unknown()
+
 
 def height_support(f: RegularMap, pt) -> list:
     """{∞} ∪ bad_places ∪ {p : some coordinate is non-p-integral}."""
@@ -75,29 +82,6 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
     return HeightResult(total, support)
 
 
-# the step cap of every exact orbit of a point: affine, on the line at
-# infinity, and on a curve
-ORBIT_CAP = 64
-
-
-def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
-    """The exact orbit of `start` under `step`, for cycle detection: (orbit,
-    k) with step(orbit[-1]) == orbit[k], the first point that repeats; or
-    (orbit, None), the orbit ending after `max_steps` steps or at the first
-    point after `start` with too_big(point) true, which it includes."""
-    seen = {start: 0}
-    orbit = [start]
-    for n in range(1, max_steps + 1):
-        nxt = step(orbit[-1])
-        if nxt in seen:
-            return orbit, seen[nxt]
-        orbit.append(nxt)
-        if too_big(nxt):
-            break
-        seen[nxt] = n
-    return orbit, None
-
-
 def _affine_too_big(pt) -> bool:
     # coordinates of a preperiodic point stay bounded with bounded
     # denominators; bail out early on blowup in either direction
@@ -105,16 +89,17 @@ def _affine_too_big(pt) -> bool:
         c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
 
 
-def is_preperiodic(f: RegularMap, pt, tol=Fraction(1, 10**9),
-                   height: Optional[HeightResult] = None) -> PreperiodicityVerdict:
-    """Exact cycle detection, else a height-based NotPreperiodic certificate;
-    ``height`` is ``canonical_height(f, pt, tol)`` if the caller has it."""
-    tol = Fraction(tol)
+def orbit_verdict(f: RegularMap, pt) -> Optional[PreperiodicityVerdict]:
+    """The Preperiodic verdict of an exact orbit that closes within ORBIT_CAP
+    steps, else None; a closed orbit has canonical height exactly 0."""
     pt = (Fraction(pt[0]), Fraction(pt[1]))
     orbit, k = _exact_orbit(f.apply, pt, ORBIT_CAP, _affine_too_big)
-    if k is not None:
-        return PreperiodicityVerdict.preperiodic(orbit, k)
-    h = height if height is not None else canonical_height(f, pt, tol)
-    if h.value.lower > tol:
-        return PreperiodicityVerdict.not_preperiodic(h.value.lower)
-    return PreperiodicityVerdict.unknown()
+    return None if k is None else PreperiodicityVerdict.preperiodic(orbit, k)
+
+
+def is_preperiodic(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> PreperiodicityVerdict:
+    """Exact cycle detection, else a height-based NotPreperiodic certificate."""
+    verdict = orbit_verdict(f, pt)
+    if verdict is None:
+        verdict = PreperiodicityVerdict.from_height(canonical_height(f, pt, tol), Fraction(tol))
+    return verdict

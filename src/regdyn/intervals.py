@@ -1,19 +1,22 @@
 """Certified real enclosures.
 
-Two layers:
+Three layers:
 
 * :class:`RealInterval` -- dyadic-rational endpoints, the type every
   certified numeric answer is reported in.
-* a thin bridge to mpmath interval contexts, used internally when
-  transcendental functions (log, exp) or huge dynamic ranges are
-  involved.  Each precision has its own context, built once and never
+* a thin bridge to mpmath interval contexts, used internally for
+  logarithms.  Each precision has its own context, built once and never
   mutated, so no computation depends on a global working precision.
   mpmath interval endpoints are dyadic floats with arbitrary-precision
   exponents, so the conversion back to :class:`RealInterval` is exact.
+* :func:`escape_norm`, the orbit of a point under the homogeneous lift of a
+  polynomial map on integers with error radii and exact scale exponents,
+  the archimedean twin of :func:`regdyn.padic.escape_exponent`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -126,16 +129,74 @@ def frac_to_mpi(q: Fraction, ctx: MPIntervalContext):
     return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
 
-def ivmax(a, b):
-    """Interval max: [max lows, max highs] (mpmath's builtin max is not this)."""
-    lo = a.a if a.a >= b.a else b.a
-    hi = a.b if a.b >= b.b else b.b
-    return a.ctx.mpf([lo.a, hi.b])
-
-
 def log_of_fraction(q: Fraction, prec: int = DEFAULT_PREC) -> RealInterval:
     """Certified enclosure of log(q) for q > 0."""
     if q <= 0:
         raise ValueError("log of nonpositive rational")
     ctx = iv_context(prec)
     return RealInterval.from_mpi(ctx.log(frac_to_mpi(q, ctx)))
+
+
+def _floor_scaled(q: Fraction, s: int) -> tuple:
+    """(floor(q 2^s), r), r = 0 if that is exact, else 1."""
+    num, den = q.numerator, q.denominator
+    if s >= 0:
+        num <<= s
+    else:
+        den <<= -s
+    y, rem = divmod(num, den)
+    return y, int(rem != 0)
+
+
+def escape_norm(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) -> tuple:
+    """(m, k, D, lo, hi) with 2^m D^-k lo <= max(|a_n|, |b_n|) <= 2^m D^-k hi,
+    where (a_n, b_n) is the n-th iterate of (z1, z2) under (P, Q): for z0 = 1
+    on the affine plane, for z0 = 0 on the line at infinity, P and Q being
+    then the top forms.  D is the lcm of the coefficient denominators.
+
+    The orbit runs on the homogeneous lift F' = D (z0^d, P^h, Q^h), which has
+    integer coefficients.  The true triple x_n = (z0, a_n, b_n) is
+    2^m D^-k y_n, and y_n lies within R of the integer triple Y
+    coordinatewise.  Each step evaluates F' at Y exactly, bounds
+    |F'(y) - F'(Y)| by the absolute-value forms at |Y| + R minus at |Y|,
+    and drops t low bits so that Y and R keep at most `prec` bits; then
+    m <- d m + t and k <- d k + 1.  A point whose coordinates need few bits
+    runs exactly (R = 0) until they outgrow `prec`."""
+    d = max(P.degree, Q.degree)
+    D = math.lcm(*(c.denominator for g in (P, Q) for c in g.coeffs.values()))
+    monos = {(d, 0, 0): 0}
+    forms = [[(0, D)]]
+    for g in (P, Q):
+        form = []
+        for (i, j), c in g.coeffs.items():
+            e = monos.setdefault((d - i - j, i, j), len(monos))
+            form.append((e, c.numerator * (D // c.denominator)))
+        forms.append(form)
+    monos = list(monos)
+    pt = (Fraction(z0), Fraction(z1), Fraction(z2))
+    s = prec - max(c.numerator.bit_length() - c.denominator.bit_length() for c in pt if c)
+    if all(c.denominator & (c.denominator - 1) == 0 for c in pt):  # dyadic: exact
+        s = min(s, max(c.denominator.bit_length() for c in pt) - 1)
+    Y, R = zip(*(_floor_scaled(c, s) for c in pt))
+    m, k = -s, 0
+    for _ in range(n):
+        p0, p1, p2 = ([y**e for e in range(d + 1)] for y in Y)
+        vals = [p0[a] * p1[i] * p2[j] for a, i, j in monos]
+        V = [sum(c * vals[e] for e, c in form) for form in forms]
+        if any(R):
+            u0, u1, u2 = ([(abs(y) + r)**e for e in range(d + 1)] for y, r in zip(Y, R))
+            errs = [u0[a] * u1[i] * u2[j] - abs(x) for (a, i, j), x in zip(monos, vals)]
+            E = [sum(abs(c) * errs[e] for e, c in form) for form in forms]
+        else:
+            E = (0, 0, 0)
+        t = max(0, max(x.bit_length() for x in (*V, *E)) - prec)
+        if t:
+            mask = (1 << t) - 1
+            Y = [v >> t for v in V]
+            R = [((e + mask) >> t) + bool(v & mask) for v, e in zip(V, E)]
+        else:
+            Y, R = V, E
+        m, k = d * m + t, d * k + 1
+    lo = max(max(abs(y) - r, 0) for y, r in zip(Y[1:], R[1:]))
+    hi = max(abs(y) + r for y, r in zip(Y[1:], R[1:]))
+    return m, k, D, lo, hi

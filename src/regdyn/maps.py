@@ -73,6 +73,29 @@ def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:
     return _solve_rational(_sylvester_rows(p, q, d))[0]
 
 
+# the step cap of every exact orbit of a point: affine (the preperiodicity
+# verdict and the Green shortcut), on the line at infinity, and on a curve
+ORBIT_CAP = 64
+
+
+def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
+    """The exact orbit of `start` under `step`, for cycle detection: (orbit,
+    k) with step(orbit[-1]) == orbit[k], the first point that repeats; or
+    (orbit, None), the orbit ending after `max_steps` steps or at the first
+    point after `start` with too_big(point) true, which it includes."""
+    seen = {start: 0}
+    orbit = [start]
+    for n in range(1, max_steps + 1):
+        nxt = step(orbit[-1])
+        if nxt in seen:
+            return orbit, seen[nxt]
+        orbit.append(nxt)
+        if too_big(nxt):
+            break
+        seen[nxt] = n
+    return orbit, None
+
+
 class RegularMap:
     """Certified regular endomorphism; immutable after construction."""
 

@@ -240,14 +240,14 @@ class _Tokenizer:
         self.pos = 0
 
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self):
         self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.text[self.pos] if self.pos < len(self.text) else None
 
     def take(self):
         c = self.peek()
@@ -278,47 +278,74 @@ def parse_poly(text: str, vars=("z", "w")) -> MultiPoly:
     """Parse an exact polynomial in the two declared variables.
 
     Grammar: expr := ['-'] term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' uint)?; base := rational | var | '(' expr ')'."""
+    factor := base ('^' uint)?; base := rational | var | '(' expr ')'.
+
+    Each term is read as one monomial c z^i w^j and summed straight into a
+    coefficient dict; MultiPoly products and powers are used only for
+    parenthesised sub-expressions."""
     tok = _Tokenizer(text)
     result = _parse_expr(tok, vars)
     tok._skip_ws()
     if tok.pos != len(text):
         raise PolyParseError(f"unexpected character {text[tok.pos]!r}", tok.pos)
-    return result
+    return MultiPoly(result)
 
 
-def _parse_expr(tok: _Tokenizer, vars) -> MultiPoly:
+def _parse_expr(tok: _Tokenizer, vars) -> dict:
+    """The coefficient dict of an expr, its values ints or Fractions.  A
+    monomial enters it where it first appears, leaves it when its
+    coefficients cancel and may then re-enter at the end: the order of
+    MultiPoly sums, which MultiPoly.eval follows."""
     sign = 1
     if tok.peek() == "-":
         tok.take()
         sign = -1
     elif tok.peek() == "+":
         tok.take()
-    result = _parse_term(tok, vars) * sign
-    while tok.peek() in ("+", "-"):
-        op = tok.take()
-        t = _parse_term(tok, vars)
-        result = result + t if op == "+" else result - t
-    return result
+    out = {}
+    while True:
+        for e, c in _parse_term(tok, vars):
+            c = out.get(e, 0) + sign * c
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+        if tok.peek() not in ("+", "-"):
+            return out
+        sign = 1 if tok.take() == "+" else -1
 
 
-def _parse_term(tok: _Tokenizer, vars) -> MultiPoly:
-    result = _parse_factor(tok, vars)
-    while tok.peek() == "*":
+def _parse_term(tok: _Tokenizer, vars):
+    """The ((i, j), c) items of a term: one monomial, or a MultiPoly product
+    when the term has parenthesised factors."""
+    c, i, j, rest = 1, 0, 0, None
+    while True:
+        base = _parse_base(tok, vars)
+        if tok.peek() == "^":
+            tok.take()
+            k = tok.take_uint()
+        else:
+            k = 1
+        if isinstance(base, MultiPoly):
+            base = base ** k
+            rest = base if rest is None else rest * base
+        elif isinstance(base, tuple):
+            i, j = i + k * base[0], j + k * base[1]
+        else:
+            c *= base ** k
+        if tok.peek() != "*":
+            break
         tok.take()
-        result = result * _parse_factor(tok, vars)
-    return result
+    if not c:
+        return ()
+    if rest is None:
+        return (((i, j), c),)
+    return (rest * MultiPoly({(i, j): c})).coeffs.items()
 
 
-def _parse_factor(tok: _Tokenizer, vars) -> MultiPoly:
-    base = _parse_base(tok, vars)
-    if tok.peek() == "^":
-        tok.take()
-        return base ** tok.take_uint()
-    return base
-
-
-def _parse_base(tok: _Tokenizer, vars) -> MultiPoly:
+def _parse_base(tok: _Tokenizer, vars):
+    """A rational (an int or a Fraction), a variable (its exponent pair) or
+    a parenthesised expr (MultiPoly)."""
     c = tok.peek()
     if c is None:
         raise PolyParseError("unexpected end of input", tok.pos)
@@ -328,7 +355,7 @@ def _parse_base(tok: _Tokenizer, vars) -> MultiPoly:
         if tok.peek() != ")":
             raise PolyParseError("expected ')'", tok.pos)
         tok.take()
-        return inner
+        return MultiPoly(inner)
     if c.isdigit():
         num = tok.take_uint()
         if tok.peek() == "/":
@@ -336,14 +363,14 @@ def _parse_base(tok: _Tokenizer, vars) -> MultiPoly:
             den = tok.take_uint()
             if den == 0:
                 raise PolyParseError("zero denominator", tok.pos)
-            return MultiPoly.constant(Fraction(num, den))
-        return MultiPoly.constant(num)
+            return Fraction(num, den)
+        return num
     if c.isalpha():
         pos = tok.pos
         name = tok.take_name()
         if name == vars[0]:
-            return MultiPoly.variable(0)
+            return (1, 0)
         if name == vars[1]:
-            return MultiPoly.variable(1)
+            return (0, 1)
         raise PolyParseError(f"unknown variable {name!r}", pos)
     raise PolyParseError(f"unexpected character {c!r}", tok.pos)

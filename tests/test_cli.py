@@ -30,6 +30,19 @@ def test_classify(capsys):
     assert "Superattracting" in kinds and "ExpandingPlace" in kinds
 
 
+def test_classify_past_the_double_range_prints_strict_json(capsys):
+    # the fixed points at infinity are +-2^1350.5: approx is null, as for a
+    # Fraction past the double range, and no Infinity token is printed
+    assert run(["classify", "--map", "z^2 + w^2, 2^2700*z*w"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    coords = [p["point"]["coordinate"] for p in doc["result"]["fixed_points_at_infinity"]]
+    assert sum(c.get("minpoly") is not None and c["approx"] is None for c in coords) == 2
+
+
 def test_classify_quadratic_points_and_multipliers_at_infinity(capsys):
     # pinned from the sympy (CRootOf) embedding match: the points at infinity
     # solve t^2 - t + 2 = 0 and their multipliers 2x^2 - 11x + 16 = 0
@@ -134,6 +147,19 @@ def test_green_line_infinity_escalates_past_a_zero_enclosure(capsys):
 def test_height_preperiodic(capsys):
     code, doc = _run(capsys, "height", "--map", "z^2, w^2", "--point", "1,1")
     assert code == 0
+    assert doc["result"]["preperiodicity"]["kind"] == "Preperiodic"
+
+
+def test_a_closed_orbit_has_green_value_and_height_exactly_zero(capsys):
+    # (0, 0) is fixed by (z^2 + w, w^2 - z): no place is visited, and the
+    # enclosures are [0, 0], not [0, 1e-30]
+    zero = {"lo": 0.0, "hi": 0.0, "lo_exact": "0/1", "hi_exact": "0/1"}
+    m = "z^2+w, w^2-z"
+    code, doc = _run(capsys, "green", "--map", m, "--point=0,0", "--tol", "1e-30")
+    assert code == 0 and doc["result"]["green"] == zero
+    code, doc = _run(capsys, "height", "--map", m, "--point=0,0", "--tol", "1e-30")
+    assert code == 0 and doc["result"]["canonical_height"] == zero
+    assert doc["result"]["support"] == []
     assert doc["result"]["preperiodicity"]["kind"] == "Preperiodic"
 
 

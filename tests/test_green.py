@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from regdyn.exactnum import Place
-from regdyn.green import (GreenContext, _interval_orbit, bad_places, green_homog,
+from regdyn.exactnum import Place, abs_at_place_exact
+from regdyn.green import (GreenContext, _arch_log_norm, bad_places, green_homog,
                           green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
-from regdyn.intervals import iv_context, log_of_fraction
+from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
 from regdyn.maps import NotRegular, make_regular_map
+from regdyn.padic import PrecisionLoss
 from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
@@ -145,26 +148,84 @@ def test_green_functional_equation_and_height_sign(case, pt, line_pt):
     assert canonical_height(f, pt, PROP_TOL).value.lower >= 0
 
 
-# -- the interval orbit against exact rational iteration ----------------------
+# -- the integer orbit at infinity against exact rational iteration ----------
 
 
-def _exact_orbit(f, pt, n):
+def _exact_iterate(P, Q, pt, n):
     z, w = pt
     for _ in range(n):
-        z, w = [sum(c * z**i * w**j for (i, j), c in g.coeffs.items()) for g in (f.P, f.Q)]
+        z, w = P.eval(z, w), Q.eval(z, w)
     return z, w
 
 
 @settings(max_examples=40, deadline=None)
-@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([8, 24, 53, 120]),
-       st.integers(0, 3))
-def test_interval_orbit_encloses_the_exact_values(case, pt, prec, n):
+@given(regular_maps(), st.sampled_from([0, 1]), st.tuples(small_q, small_q),
+       st.sampled_from([8, 24, 53, 120]), st.integers(0, 4))
+def test_escape_norm_encloses_the_exact_values(case, z0, pt, prec, n):
+    # max(|a_n|, |b_n|) lies in 2^m D^-k [lo, hi], exactly, and the
+    # logarithm the kernel returns encloses log max(z0, |a_n|, |b_n|) / d^n
     f, _ = case
+    P, Q = (f.P, f.Q) if z0 else (f.top_P, f.top_Q)
+    assume(z0 or any(pt))
+    a, b = _exact_iterate(P, Q, pt, n)
+    m, k, D, lo, hi = escape_norm(P, Q, z0, pt[0], pt[1], n, prec)
+    scale = F(2) ** m / F(D) ** k
+    assert scale * lo <= max(abs(a), abs(b)) <= scale * hi
+    if not (z0 or lo):  # the enclosure of max(|a_n|, |b_n|) reaches 0
+        with pytest.raises(PrecisionLoss):
+            _arch_log_norm(P, Q, z0, pt[0], pt[1], n, f.d, prec)
+        return
+    g = _arch_log_norm(P, Q, z0, pt[0], pt[1], n, f.d, prec).scale(f.d**n)
+    exact = log_of_fraction(max(z0, abs(a), abs(b)), 400)
+    assert g.lower <= exact.lower and exact.upper <= g.upper
 
-    def endpoint(t):  # an mpf (sign, mantissa, exponent, bitcount) tuple
-        sign, man, exp, _ = t
-        return (-1) ** sign * man * F(2) ** exp
 
-    for (lo, hi), x in zip(_interval_orbit(iv_context(prec), f.P, f.Q, pt[0], pt[1], n),
-                           _exact_orbit(f, pt, n)):
-        assert endpoint(lo) <= x <= endpoint(hi)
+# -- closed orbits: exact zero ------------------------------------------------
+
+
+@st.composite
+def planted_fixed_points(draw):
+    # shifting the constant terms of P and Q leaves the top forms, and so
+    # regularity, unchanged
+    f, _ = draw(regular_maps())
+    x, y = pt = draw(st.tuples(small_q, small_q))
+    P = f.P + (x - f.P.eval(x, y))
+    Q = f.Q + (y - f.Q.eval(x, y))
+    g = make_regular_map(P, Q)
+    bad = bad_places(g)
+    assume(bad)
+    good = next(p for p in (2, 3, 5, 7, 11, 13) if p not in bad)
+    return g, pt, [Place.archimedean(), Place.finite(min(bad)), Place.finite(good)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(planted_fixed_points())
+def test_a_closed_orbit_has_green_values_and_height_exactly_zero(case):
+    f, pt, places = case
+    assert f.apply(pt) == pt
+    zero = RealInterval.exact(0)
+    for v in places:
+        ctx = GreenContext(f, v)
+        assert green_value(ctx, pt, PROP_TOL) == zero
+        assert green_homog(ctx, (F(-1), -pt[0], -pt[1]), PROP_TOL) == zero
+        g = green_homog(ctx, (F(2), 2 * pt[0], 2 * pt[1]), PROP_TOL)
+        assert g.width <= PROP_TOL / 2  # log|2|_v alone
+        assert _overlap(g, _log(abs_at_place_exact(F(2), v)))
+        # the escalating kernel, with the exact orbit cut off, agrees
+        with mock.patch("regdyn.green._exact_orbit", lambda *a: ([], None)):
+            assert green_value(ctx, pt, PROP_TOL).contains(0)
+    h = canonical_height(f, pt, PROP_TOL)
+    assert h.value == zero and h.support == []
+
+
+def test_a_good_prime_denominator_gets_the_closed_form():
+    # res = 1 and integral coefficients: every prime is good, and
+    # g_5(1/5, 2) = log max(1, |1/5|_5, |2|_5) = log 5 with no orbit run
+    f = make_regular_map("z^2 + w", "w^2 - z")
+    ctx = GreenContext(f, Place.finite(5))
+    assert ctx.good_reduction
+    with mock.patch("regdyn.green._exact_orbit", side_effect=AssertionError):
+        g = green_value(ctx, (F(1, 5), F(2)), TOL)
+    assert g.width <= TOL and _overlap(g, _log(5))
+    arch = green_value(GreenContext(f, Place.archimedean()), (F(1, 5), F(2)), TOL)
+    assert arch.lower > 0

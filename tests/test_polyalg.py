@@ -25,6 +25,65 @@ def test_parse_error_position():
         parse_poly("z^")
 
 
+# an expression string with its value built by MultiPoly arithmetic in the
+# order it is written: sums term by term, products factor by factor
+_numbers = st.builds(lambda n, d: (f"{n}/{d}" if d else str(n), F(n, d or 1)),
+                     st.integers(0, 5), st.integers(0, 4))
+_variables = st.sampled_from([("z", MultiPoly.variable(0)), ("w", MultiPoly.variable(1))])
+
+
+def _expressions(depth):
+    base = _variables | _numbers.map(lambda t: (t[0], MultiPoly.constant(t[1])))
+    if depth:
+        base = base | _expressions(depth - 1).map(lambda t: (f"({t[0]})", t[1]))
+    factor = st.tuples(base, st.none() | st.integers(0, 2)).map(
+        lambda t: t[0] if t[1] is None else (f"{t[0][0]}^{t[1]}", t[0][1] ** t[1]))
+
+    def product(fs):
+        value = fs[0][1]
+        for _, g in fs[1:]:
+            value = value * g
+        return "*".join(s for s, _ in fs), value
+
+    def total(t):
+        lead, terms = t
+        text = ("-" if lead else "") + terms[0][1][0]
+        value = terms[0][1][1] * (-1 if lead else 1)
+        for sign, (s, g) in terms[1:]:
+            text += f" {sign} {s}"
+            value = value + g if sign == "+" else value - g
+        return text, value
+
+    term = st.lists(factor, min_size=1, max_size=3).map(product)
+    return st.tuples(st.booleans(), st.lists(st.tuples(st.sampled_from("+-"), term),
+                                             min_size=1, max_size=4)).map(total)
+
+
+@given(_expressions(1))
+def test_parse_matches_multipoly_arithmetic_in_value_and_order(case):
+    # the coefficient dict keeps the insertion order of MultiPoly sums (which
+    # MultiPoly.eval follows), cancelled monomials dropped
+    text, value = case
+    assert list(parse_poly(text).coeffs.items()) == list(value.coeffs.items())
+
+
+def test_a_cancelled_monomial_reenters_at_the_end():
+    assert list(parse_poly("z - z + w + z").coeffs) == [(0, 1), (1, 0)]
+    assert list(parse_poly("z*(w + 1) - z*w + 2*z*w").coeffs) == [(1, 0), (1, 1)]
+
+
+def test_parse_errors_keep_their_message_and_position():
+    for text, message, position in [
+            ("z^2 + + w", "unexpected character '+'", 6), ("z^", "expected integer", 2),
+            ("(z + w", "expected ')'", 6), ("z + 1/0", "zero denominator", 7),
+            ("z * x", "unknown variable 'x'", 4), ("z w", "unexpected character 'w'", 2),
+            ("", "unexpected end of input", 0), ("z*-1", "unexpected character '-'", 2)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+
 def test_roundtrip_printer():
     for s in ["z^2 - w", "z*w + 1", "2/3*z - w^3"]:
         p = parse_poly(s)
