@@ -117,6 +117,13 @@ def _parse_place(text: str) -> Place:
 
 def _json(value):
     """Recursively render domain objects into JSON-serializable data."""
+    if type(value) in (int, float, str, bool, type(None)):  # one exact-type test
+        return value
+    # then a dmm report's roots of unity (dataclasses that print as sympy's exp)
+    if isinstance(value, Zeta):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
     if isinstance(value, Fraction):
         try:
             approx = float(value)
@@ -127,14 +134,12 @@ def _json(value):
         if value.is_rational():
             return _json(value.as_rational())
         z = complex(value.approx())
-        return {"minpoly": str(value.minpoly.as_expr()),
+        return {"minpoly": value.minpoly_text(),
                 "root_index": value.embedding_index,
                 # null outside the float range, as for a Fraction
                 "approx": [z.real, z.imag] if cmath.isfinite(z) else None}
     if isinstance(value, Place):
         return value.prime if value.is_finite else "inf"
-    if isinstance(value, Zeta):  # before the dataclasses: it prints as sympy's exp
-        return str(value)
     if isinstance(value, RealInterval):
         return {"lo": float(value.lower), "hi": float(value.upper),
                 "lo_exact": f"{value.lower.numerator}/{value.lower.denominator}",
@@ -145,10 +150,6 @@ def _json(value):
         return d
     if isinstance(value, dict):
         return {str(k): _json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json(v) for v in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
     return repr(value)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -30,34 +30,36 @@ _t = sp.Symbol("t")
 
 
 class PlaneCurve:
-    """A plane curve {R = 0} in canonical form; R is a string, a MultiPoly,
-    a sympy Poly in two generators (read as z, w) or a PlaneCurve."""
+    """A plane curve {R = 0} in canonical form; R is a string, a MultiPoly
+    or a PlaneCurve."""
 
     def __init__(self, poly):
         if isinstance(poly, str):
             poly = parse_poly(poly)
         if isinstance(poly, PlaneCurve):
             poly = poly.poly
-        p = sp.Poly.new(poly.rep, _z, _w) if isinstance(poly, sp.Poly) \
-            else poly.to_poly(_z, _w)
-        if p.total_degree() < 1:
+        if poly.degree < 1:
             raise ValueError("curve polynomial must be nonconstant")
-        self._set([_primitive(b) for b, _m in sp.factor_list(p)[1]])
+        factors = [poly] if poly.degree == 1 else [  # a line is irreducible
+            MultiPoly.from_poly(b) for b, _m in sp.factor_list(poly.to_poly(_z, _w))[1]]
+        self._set([_canonical(F.coeffs) for F in factors])
 
     def _set(self, components):
-        # the irreducible factors as Polys in (z, w), primitive over ZZ;
-        # pushforward eliminates each, and their product is the squarefree part
+        # the irreducible factors as primitive integer dicts {(i, j): c}, the lex-leading
+        # coefficient positive; pushforward takes each to its image.  Their product, the
+        # squarefree part, lists its terms in descending lex order, as a sympy Poly does
         self.components = components
-        self.poly = MultiPoly.from_poly(sp.prod(components))
+        R = {(0, 0): 1}
+        for G in components:
+            R = _times(R, G)
+        self.poly = MultiPoly({m: R[m] for m in sorted(R, reverse=True)})
 
     @staticmethod
     def _of_components(components) -> "PlaneCurve":
-        """The curve whose irreducible factors are `components`: distinct
-        primitive ZZ Polys with a positive lex-leading coefficient, in two
-        generators read as (z, w).  No factoring: the result is the curve
-        PlaneCurve(product of components) would give."""
+        """The curve whose irreducible factors are `components` (see `_set`),
+        distinct; no factoring: the curve PlaneCurve(their product) would give."""
         C = object.__new__(PlaneCurve)
-        C._set([sp.Poly.new(G.rep, _z, _w) for G in components])
+        C._set(components)
         return C
 
     @property
@@ -117,22 +119,37 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     two components can coincide, so deg f(C) need not divide d * deg C.
     The kept factors are irreducible and primitive, so the image is built
     from them, each taken once, without factoring again."""
-    P, Q = f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)
-    kept = {}
+    kept = []
     for Ri in C.components:
-        cap = f.d * Ri.total_degree()
-        image = _component_image(Ri, P, Q, cap)
-        if cap % sum(G.total_degree() for G in image):
+        cap = f.d * max(map(sum, Ri))
+        image = _component_image(Ri, f, cap)
+        if cap % sum(max(map(sum, G)) for G in image):
             raise EliminationError("image degree does not divide d * deg C "
                                    "(elimination bug)")
-        kept.update(dict.fromkeys(image))
+        kept += [G for G in image if G not in kept]
     return PlaneCurve._of_components(kept)
 
 
-def _primitive(p: sp.Poly) -> sp.Poly:
-    """p over ZZ with content 1 and a positive lex-leading coefficient."""
-    p = p.clear_denoms(convert=True)[1].primitive()[1]
-    return -p if p.LC() < 0 else p
+def _cleared(terms: dict) -> tuple:
+    """({(i, j): int}, den) with terms = that dict / den, den the least
+    common denominator of the int or Fraction values."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _canonical(terms: dict) -> dict:
+    """The primitive integer dict with a positive lex-leading coefficient
+    that is a rational multiple of terms."""
+    R = _cleared(terms)[0]
+    g = math.gcd(*R.values()) * (1 if R[max(R)] > 0 else -1)
+    return {m: c // g for m, c in R.items()}
+
+
+def _map_terms(f: RegularMap) -> tuple:
+    """((P0, dp), (Q0, dq)) with P = P0 / dp, Q = Q0 / dq (`_cleared`); cached on f."""
+    if not hasattr(f, "_map_terms"):
+        f._map_terms = _cleared(f.P.coeffs), _cleared(f.Q.coeffs)
+    return f._map_terms
 
 
 def _split_eliminant(E):
@@ -152,68 +169,91 @@ def _split_eliminant(E):
     return mixed, free
 
 
-def _component_image(Ri, P, Q, cap: int) -> list:
-    """The irreducible G(Z, W), as primitive Polys, whose curves make up the
-    image of {Ri = 0} under (P, Q), each certified by the exact test
-    Ri | G(P, Q).  The image comes from the linear kernel when cap =
+def _component_image(Ri: dict, f: RegularMap, cap: int) -> list:
+    """The irreducible G(Z, W), as primitive integer dicts, whose curves make
+    up the image of {Ri = 0} under f = (P, Q), each certified by the exact
+    test Ri | G(P, Q).  The image comes from the linear kernel when cap =
     d * deg Ri, which its degree divides, is at most KERNEL_MAX_DEGREE, and
     from resultants otherwise."""
     if cap > KERNEL_MAX_DEGREE:
-        return _resultant_image(Ri, P, Q)
-    G = _kernel_image(Ri, P, Q, cap)
-    if not _vanishes_on(G, Ri, P, Q):
+        return _resultant_image(Ri, f)
+    G = _kernel_image(Ri, _map_terms(f), cap)
+    if not _vanishes_on(G, Ri, _map_terms(f)):
         raise EliminationError("the kernel's image fails the component test")
     return [G]
 
 
-def _vanishes_on(G, Ri, P, Q) -> bool:
-    """Ri | G(P, Q).  With P = P0 / dp, Q = Q0 / dq over ZZ and a, b the
-    degrees of G in Z and W, dp^a dq^b G(P, Q) = sum g_ij P0^i dp^(a-i)
-    Q0^j dq^(b-j) comes from Horner's rule on integer dicts, and sympy takes
-    only its remainder by the primitive Ri over ZZ (Gauss's lemma)."""
-    (p, dp), (q, dq) = _int_terms(P), _int_terms(Q)
-    rows = G.rep.to_list()  # by descending degree in Z, then in W
-    b = max(map(len, rows)) - 1
+def _vanishes_on(G: dict, Ri: dict, PQ) -> bool:
+    """Ri | G(P, Q), for PQ = `_map_terms(f)`.  With P = P0 / dp, Q = Q0 / dq
+    and a, b the degrees of G in Z and W, dp^a dq^b G(P, Q) = sum g_ij P0^i
+    dp^(a-i) Q0^j dq^(b-j) comes from Horner's rule on integer dicts, and
+    the primitive Ri divides it iff it divides G(P, Q) (Gauss's lemma)."""
+    (p, dp), (q, dq) = PQ
+    a, b = max(i for i, _ in G), max(j for _, j in G)
     H = {}
-    for i, row in enumerate(rows):
+    for i in range(a, -1, -1):
         inner = {}
-        for k, c in enumerate(row, b + 1 - len(row)):
-            inner = _combine(_times(inner, q.items()), 1, {(0, 0): c}, -dq ** k)
-        H = _combine(_times(H, p.items()), 1, inner, -dp ** i)
-    return sp.Poly.from_dict(H, *Ri.gens, domain=sp.ZZ).rem(Ri, auto=False).is_zero
+        for j in range(b, -1, -1):
+            inner = _combine(_times(inner, q), 1, {(0, 0): G.get((i, j), 0)}, -dq ** (b - j))
+        H = _combine(_times(H, p), 1, inner, -dp ** (a - i))
+    return _divides(Ri, H)
 
 
-def _resultant_image(Ri, P, Q) -> list:
-    """_component_image by elimination: the factors of the eliminants kept
-    iff Ri | G(P, Q).
+def _divides(R: dict, H: dict) -> bool:
+    """R | H in Z[z, w], for R irreducible and primitive of positive degree,
+    by pseudo-division in w over Z[z] (Knuth, TAOCP 4.6.1), or in z over Z
+    when R is free of w.  With n = deg_w R and l its leading coefficient in
+    w, each step takes H to l H - t w^(k-n) R, t w^k the leading term of H
+    in w; R divides the new H iff it divides H, as it does not divide l.  So
+    R | H iff H reaches 0 before its w-degree falls below n.  Written apart
+    from `_normal_form`, so that the test is independent of the kernel."""
+    if not any(j for _, j in R):  # R in Z[z]: swap z and w
+        R, H = ({(j, i): c for (i, j), c in X.items()} for X in (R, H))
+    n = max(j for _, j in R)
+    lead = {(i, 0): c for (i, j), c in R.items() if j == n}
+    tail = {m: c for m, c in R.items() if m[1] < n}
+    H = {m: c for m, c in H.items() if c}
+    while H:
+        k = max(j for _, j in H)
+        if k < n:
+            return False
+        top = {(i, k - n): H.pop((i, j)) for i, j in list(H) if j == k}
+        H = {m: c for m, c in _combine(_times(H, lead), 1, _times(top, tail), 1).items() if c}
+    return True
+
+
+def _resultant_image(Ri: dict, f: RegularMap) -> list:
+    """_component_image by elimination in sympy: the factors of the
+    eliminants kept iff Ri | G(P, Q).
 
     No eliminant vanishes: Z - P and W - Q involve Z and W, Ri does not,
     and the mixed factors of E1 involve Z but not W, those of E2 the
     reverse."""
-    outer, inner = (_w, _z) if Ri.degree(_w) > 0 else (_z, _w)
+    R = sp.Poly.from_dict(dict(Ri), _z, _w, domain=sp.ZZ)  # from_dict converts in place
+    outer, inner = (_w, _z) if R.degree(_w) > 0 else (_z, _w)
     # the eliminated variable is the first generator of each resultant
-    Ri, P, Q = (p.reorder(outer, inner) for p in (Ri, P, Q))
+    R, P, Q = (p.reorder(outer, inner) for p in (R, f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)))
     Zp, Wp = (sp.Poly(v, outer, inner, _Z, _W) for v in (_Z, _W))
-    m1, free1 = _split_eliminant(sp.resultant(Ri, Zp - P))
-    m2, free2 = _split_eliminant(sp.resultant(Ri, Wp - Q))
+    m1, free1 = _split_eliminant(sp.resultant(R, Zp - P))
+    m2, free2 = _split_eliminant(sp.resultant(R, Wp - Q))
     candidates = free1 + free2
     if m1 and m2:
         elim = sp.resultant(sp.prod(m1), sp.prod(m2))
         candidates += [G for G, _m in sp.factor_list(elim)[1] if G.total_degree() >= 1]
-    out = {}
+    out = []
     for G in candidates:
-        G0 = _primitive(G)
-        if G0 not in out and _vanishes_on(G0, Ri, P, Q):
-            out[G0] = None
+        G = _canonical(MultiPoly.from_poly(G).coeffs)
+        if G not in out and _vanishes_on(G, Ri, _map_terms(f)):
+            out.append(G)
     if not out:
         raise EliminationError("no factor of the eliminants passed the component test")
-    return list(out)
+    return out
 
 
-def _kernel_image(Ri, P, Q, cap: int):
+def _kernel_image(Ri: dict, PQ, cap: int) -> dict:
     """The image of the irreducible curve {Ri = 0} under the regular map
-    (P, Q) of degree d, as a primitive Poly G(Z, W), by linear algebra;
-    cap = d * deg Ri.
+    (P, Q) of degree d, PQ = `_map_terms(f)`, as a primitive integer dict
+    G(Z, W), by linear algebra; cap = d * deg Ri.
 
     {Ri} is a Groebner basis of (Ri), so the normal form of G(P, Q) modulo
     Ri is unique and linear in G, and G(P, Q) is divisible by Ri iff the
@@ -223,12 +263,10 @@ def _kernel_image(Ri, P, Q, cap: int):
     Ri | G(P, Q) are the constant multiples of it.  So taking the columns
     NF(P^a Q^b) by increasing a + b, the first one that depends on those
     before it has degree D, and the dependency is the image polynomial."""
-    R = _int_terms(Ri)[0]
-    lead = max(R, key=_grlex)
-    if R[lead] < 0:  # -Ri generates the same ideal; a leading 1 scales nothing
-        R = {m: -c for m, c in R.items()}
+    lead = max(Ri, key=_grlex)
+    sign = -1 if Ri[lead] < 0 else 1  # -Ri generates the same ideal
+    R = {m: sign * c for m, c in Ri.items()}
     reducer = (lead, R.pop(lead), list(R.items()))
-    factors = [(list(t.items()), den) for t, den in (_int_terms(P), _int_terms(Q))]
     nf, columns, basis = {}, [], []  # nf[(a, b)] = (h, den): NF(P^a Q^b) = h / den
     for n in range(cap + 1):
         for a in range(n, -1, -1):
@@ -237,7 +275,7 @@ def _kernel_image(Ri, P, Q, cap: int):
                 h, den = {(0, 0): 1}, 1  # Ri is nonconstant, so 1 is reduced
             else:  # NF(P^a Q^b) = NF(P * NF(P^(a-1) Q^b)), or Q for a = 0
                 h0, den0 = nf[(a - 1, b) if a else (0, b - 1)]
-                terms, fden = factors[0 if a else 1]
+                terms, fden = PQ[0 if a else 1]
                 h, s = _normal_form(_times(h0, terms), *reducer)
                 den = den0 * fden * s
                 g = math.gcd(den, *h.values())
@@ -247,26 +285,20 @@ def _kernel_image(Ri, P, Q, cap: int):
             columns.append((a, b))
             relation = _eliminate(basis, h, {len(columns) - 1: 1})
             if relation is not None:  # sum of y_k h_k = 0 over the columns k
-                coeffs = {columns[k]: y * nf[columns[k]][1] for k, y in relation.items()}
-                return _primitive(sp.Poly.from_dict(coeffs, _Z, _W, domain=sp.ZZ))
+                return _canonical({columns[k]: y * nf[columns[k]][1]
+                                   for k, y in relation.items()})
     raise EliminationError("no relation of degree at most d * deg Ri")
-
-
-def _int_terms(p) -> tuple:
-    """({(i, j): int}, den) with p = terms / den, for a Poly in two generators."""
-    den, p = p.clear_denoms(convert=True)
-    return {m: int(c) for m, c in p.rep.to_dict().items()}, int(den)
 
 
 def _grlex(m):
     return m[0] + m[1], m[0]
 
 
-def _times(h: dict, terms: list) -> dict:
-    """h times the polynomial with these ((i, j), c) terms."""
+def _times(h: dict, g: dict) -> dict:
+    """The product of two polynomials as dicts {(i, j): c}; zeros are kept."""
     out = {}
     for (i, j), c in h.items():
-        for (k, l), e in terms:
+        for (k, l), e in g.items():
             m = (i + k, j + l)
             out[m] = out.get(m, 0) + c * e
     return out
@@ -384,6 +416,10 @@ class Zeta:
         return cmath.exp(2j * math.pi * float(self.t))
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self):
         """What sympy prints for exp(2*pi*I*t): 1, -1, I, -I, or exp(c*I*pi)
         with c = 2t taken into (-1, 1]."""
         p, q = self.t.numerator, self.t.denominator
@@ -466,8 +502,14 @@ def _unit_monomial_orbit(exps, start: tuple):
                             lambda e: False)
     if k is None:
         return None
-    return PreperiodicityVerdict.preperiodic(
-        [(Zeta(Fraction(e1, N)), Zeta(Fraction(e2, N))) for e1, e2 in orbit], k)
+    return PreperiodicityVerdict.preperiodic([(_zeta(e1, N), _zeta(e2, N)) for e1, e2 in orbit],
+                                             k)
+
+
+@lru_cache(maxsize=4096)
+def _zeta(e: int, N: int) -> Zeta:
+    """Zeta(e / N), built once for each (e, N) and shared, with its string."""
+    return Zeta(Fraction(e, N))
 
 
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
@@ -519,7 +561,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                 val = val * z2 + c
             if abs(val) > 1e-8 or not _on_curve_cyclotomic(R, a1, n1, a2, n2):
                 continue
-            start = (Zeta(Fraction(a1, n1)), Zeta(Fraction(a2, n2)))
+            start = (_zeta(a1, n1), _zeta(a2, n2))
             verdict = _unit_monomial_orbit(exps, start)
             if verdict is not None:
                 found.append(FoundPoint(start, verdict))

@@ -212,10 +212,28 @@ class AlgebraicNumber:
     def __hash__(self):
         return hash((self._coeffs, self.embedding_index))
 
+    def minpoly_text(self) -> str:
+        """The minimal polynomial in x as sympy prints it (`_poly_text`)."""
+        return _poly_text(self._coeffs)
+
     def __repr__(self):
         if self.is_rational():
             return f"AlgebraicNumber({self.as_rational()})"
-        return f"AlgebraicNumber({self.minpoly.as_expr()}, root #{self.embedding_index})"
+        return f"AlgebraicNumber({self.minpoly_text()}, root #{self.embedding_index})"
+
+
+def _poly_text(coeffs: tuple) -> str:
+    """str(sp.Poly(coeffs[::-1], x).as_expr()) for ascending integer
+    coefficients, the leading one positive: the nonzero terms by descending
+    degree, as in 2*x**2 - 1 or x**3 - x - 1."""
+    text = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            x = "" if k == 0 else "x" if k == 1 else f"x**{k}"
+            term = f"{abs(c)}*{x}" if abs(c) != 1 and x else x or str(abs(c))
+            text += (" - " if c < 0 else " + ") + term if text else term
+    return text
 
 
 def _boxes(coeffs: tuple, bits: int) -> list:

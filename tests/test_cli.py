@@ -370,6 +370,17 @@ def test_json_is_single_document(capsys):
     json.loads(out)  # would raise on trailing junk
 
 
+def test_json_keeps_plain_scalars_and_renders_the_rest():
+    # bool, None, int, float and str are returned as they are (True stays
+    # True, not 1 or "True"); tuples become lists and a Zeta its text
+    from regdyn.cli import _json
+    from regdyn.curves import Zeta
+    leaves = [True, False, None, 0, 2**70, 2.5, "s"]
+    assert all(_json(v) is v for v in leaves)
+    assert _json((True, [None, (Zeta(F(1, 4)), F(1, 2))])) == \
+        [True, [None, ["I", {"exact": "1/2", "approx": 0.5}]]]
+
+
 @pytest.mark.parametrize("argv", [
     ["green", "--map", "z^2, w^2", "--point", "1,2", "--place", "4"],
     ["green", "--map", "z^2, w^2"],

@@ -89,9 +89,8 @@ def test_pushforward_rejects_an_image_degree_not_dividing_d_deg_c(monkeypatch):
     # under (z^3, w^3) a line's image has degree 1 or 3; a conic passes the
     # bound deg <= d * deg C = 3 but is impossible
     f = make_regular_map("z^3", "w^3")
-    Z, W = sp.symbols("Z W")
     monkeypatch.setattr(curves, "_component_image",
-                        lambda Ri, P, Q, cap: [sp.Poly(W - Z**2, Z, W)])
+                        lambda Ri, f, cap: [{(0, 1): 1, (2, 0): -1}])  # W - Z^2
     with pytest.raises(EliminationError):
         pushforward(f, PlaneCurve("w - z"))
 
@@ -220,6 +219,9 @@ def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
         return
     assert (verdict.preperiod, verdict.period) == (k, len(replay) - k)
     assert [tuple(power(z.t) for z in pt) for pt in verdict.orbit] == replay
+    # each root of unity of the orbit is one shared Zeta
+    zetas = [z for pt in verdict.orbit for z in pt]
+    assert len({id(z) for z in zetas}) == len(set(zetas))
 
 
 @pytest.mark.parametrize("P, Q", [("z^2 + w", "w^2 - z"), ("2*z^2", "w^2")])
@@ -291,8 +293,9 @@ def test_dmm_report_classifies_a_two_cycle_at_infinity(monkeypatch):
 
 
 def test_curve_orbit_factors_each_curve_once(monkeypatch):
-    # the start curve is factored once, when it is made; the components of
-    # each curve are reused by the next pushforward
+    # a start curve of degree >= 2 is factored once, when it is made, and a
+    # line, irreducible, not at all; the components of each curve are reused
+    # by the next pushforward
     calls = []
     original = sp.factor_list
     monkeypatch.setattr(sp, "factor_list",
@@ -305,6 +308,10 @@ def test_curve_orbit_factors_each_curve_once(monkeypatch):
     # two eliminants and the second eliminant, and builds the image from the
     # factors kept, with no factoring
     assert 2 * 4 <= curves.KERNEL_MAX_DEGREE < 2 * 8
+    assert len(calls) == 0 + 3
+    calls.clear()
+    st = curve_preperiodicity(f, PlaneCurve("z*w - z - 1"), max_iters=3)
+    assert [C.degree for C in st.orbit] == [2, 4, 8, 16]
     assert len(calls) == 1 + 3
 
 
@@ -312,7 +319,7 @@ def test_pushforward_takes_a_shared_image_once():
     # w = z and w = -z both go onto w = z under (z^2, w^2)
     f = make_regular_map("z^2", "w^2")
     img = pushforward(f, PlaneCurve("(w - z)*(w + z)"))
-    assert img == PlaneCurve("w - z") and len(img.components) == 1
+    assert img == PlaneCurve("w - z") and img.components == [{(1, 0): 1, (0, 1): -1}]  # z - w
 
 
 # -- canonical form ----------------------------------------------------------
@@ -372,6 +379,96 @@ def test_canonical_form_of_rational_coefficients():
     assert a.poly.coeffs == {(2, 0): 9, (0, 1): -6, (0, 0): -2}
     # reordered products with a squared factor and a sign flip
     assert PlaneCurve("(z - w)^2*(2*z + 1)") == PlaneCurve("-(1 + 2*z)*(w - z)")
+
+
+
+def _sympy_components(R: MultiPoly) -> list:
+    """The components the factoring path gives R: sympy's factors over Q,
+    cleared of denominators and content, the lex-leading coefficient made
+    positive, as dicts."""
+    z, w = sp.symbols("z w")
+    out = []
+    for b, _m in sp.factor_list(R.to_poly(z, w))[1]:
+        b = b.clear_denoms(convert=True)[1].primitive()[1]
+        b = -b if b.LC() < 0 else b
+        out.append({m: int(c) for m, c in b.terms()})
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, small, small, ratio)
+def test_a_line_is_its_own_component_as_factoring_would_give(a, b, c, q):
+    # degree-1 curves skip sympy: scaling by the common denominator and the
+    # content, and the sign, must give the one factor factor_list would
+    assume((a, b) != (0, 0))
+    R = MultiPoly({(1, 0): q * a, (0, 1): q * b, (0, 0): q * c})
+    C = PlaneCurve(R)
+    ref = _sympy_components(R)
+    assert C.components == ref
+    z, w = sp.symbols("z w")
+    expected = MultiPoly.from_poly(sp.Poly.from_dict(ref[0], z, w))
+    assert list(C.poly.coeffs.items()) == list(expected.coeffs.items())
+
+
+@st.composite
+def lines_and_conics(draw):
+    """1-3 primitive integer lines and conics with a positive lex-leading
+    coefficient, a vertical line z - c among them when drawn."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    c = draw(small)
+    out = [{(1, 0): 1, (0, 0): -c} if c else {(1, 0): 1}] if draw(st.booleans()) else []
+    while len(out) < n:
+        top = draw(st.sampled_from([1, 2]))
+        G = {e: draw(small) for e in _monomials(top)}
+        G = {e: c for e, c in G.items() if c}
+        if not any(sum(e) == top for e in G):
+            G[(0, top)] = 1
+        out.append(curves._canonical(G))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines_and_conics())
+def test_the_product_of_the_components_prints_as_sympy_multiplies(components):
+    # the integer product against sympy's, its terms in the same (lex) order
+    z, w = sp.symbols("z w")
+    C = PlaneCurve._of_components(components)
+    ref = MultiPoly.from_poly(sp.prod(sp.Poly.from_dict(G, z, w) for G in components))
+    assert list(C.poly.coeffs.items()) == list(ref.coeffs.items())
+    assert C.poly.to_string() == ref.to_string()
+
+
+@st.composite
+def divisions(draw):
+    """(R, H): R an irreducible primitive integer polynomial of degree 1-3,
+    free of w when drawn, and H a multiple of R or such a multiple plus a
+    small polynomial."""
+    z, w = sp.symbols("z w")
+    free_of_w = draw(st.booleans())
+    top = draw(st.integers(1, 3))
+    coeffs = {e: draw(small) for e in _monomials(top) if not (free_of_w and e[1])}
+    coeffs[(top, 0)] = draw(st.integers(1, 4))
+    factors = [b for b, _m in sp.factor_list(sp.Poly.from_dict(coeffs, z, w))[1]
+               if b.total_degree() >= 1]
+    R = curves._canonical(MultiPoly.from_poly(draw(st.sampled_from(factors))).coeffs)
+    S = {e: draw(st.integers(-9, 9)) for e in _monomials(draw(st.integers(0, 3)))}
+    H = {e: c for e, c in (MultiPoly(R) * MultiPoly(S)).coeffs.items()}
+    if draw(st.booleans()):
+        for e in _monomials(draw(st.integers(0, 2))):
+            H[e] = H.get(e, 0) + draw(small)
+    return R, {e: int(c) for e, c in H.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisions())
+@example(({(1, 0): 1, (0, 0): -2}, {(2, 1): 1, (1, 1): -4, (0, 1): 4}))  # z - 2 | (z-2)^2 w
+@example(({(1, 1): 1, (0, 0): -1}, {(1, 0): 1}))  # z w - 1 does not divide z
+def test_pseudo_division_agrees_with_sympy_rem(case):
+    R, H = case
+    z, w = sp.symbols("z w")
+    Rp = sp.Poly.from_dict(dict(R), z, w, domain=sp.ZZ)
+    expected = not H or sp.Poly.from_dict(dict(H), z, w, domain=sp.ZZ).rem(Rp).is_zero
+    assert curves._divides(R, H) == expected
 
 
 # -- pushforward against an independent oracle ---------------------------------
@@ -473,12 +570,12 @@ def test_pushforward_builds_the_curve_factoring_would(data, lines):
     img = pushforward(f, C)
     # the factoring path: the product of every component's image, factored
     z, w = sp.symbols("z w")
-    P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
-    kept = [G for Ri in C.components
-            for G in curves._component_image(Ri, P, Q, f.d * Ri.total_degree())]
-    ref = PlaneCurve(sp.prod(kept))
+    kept = [sp.Poly.from_dict(G, z, w, domain=sp.ZZ) for Ri in C.components
+            for G in curves._component_image(Ri, f, f.d * max(map(sum, Ri)))]
+    ref = PlaneCurve(MultiPoly.from_poly(sp.prod(kept)))
     assert img.key() == ref.key() and img.poly.coeffs == ref.poly.coeffs
-    assert set(img.components) == set(ref.components)
+    assert ({frozenset(G.items()) for G in img.components}
+            == {frozenset(G.items()) for G in ref.components})
 
 
 def test_degree_eight_image_of_a_line():
@@ -529,12 +626,10 @@ def small_degree_case(draw):
 
 
 def _kernel_matches_resultants(f, C):
-    z, w = sp.symbols("z w")
-    P, Q = f.P.to_poly(z, w), f.Q.to_poly(z, w)
     for Ri in C.components:
-        cap = f.d * Ri.total_degree()
+        cap = f.d * max(map(sum, Ri))
         assert cap <= curves.KERNEL_MAX_DEGREE
-        assert curves._component_image(Ri, P, Q, cap) == curves._resultant_image(Ri, P, Q)
+        assert curves._component_image(Ri, f, cap) == curves._resultant_image(Ri, f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,11 +669,13 @@ def test_component_test_agrees_with_substitution_in_sympy(data):
     P, Q = (sp.Poly(poly(z, w, 2), z, w) for _ in range(2))
     G = sp.Poly(poly(Z, W, 2), Z, W)
     assume(G.total_degree() >= 1 and not P.is_ground and not Q.is_ground)
-    G = curves._primitive(G)
     H = sp.Poly(G.as_expr().subs({Z: P.as_expr(), W: Q.as_expr()}, simultaneous=True), z, w)
     assume(not H.is_zero)
-    line = curves._primitive(sp.Poly(poly(z, w, 1), z, w))
+    line = sp.Poly(poly(z, w, 1), z, w)
     assume(line.total_degree() == 1)
-    assert all(curves._vanishes_on(G, curves._primitive(b), P, Q)
+    # the integer path's inputs: primitive integer dicts, P and Q cleared
+    G, line = (curves._canonical(MultiPoly.from_poly(X).coeffs) for X in (G, line))
+    PQ = [curves._cleared(MultiPoly.from_poly(X).coeffs) for X in (P, Q)]
+    assert all(curves._vanishes_on(G, curves._canonical(MultiPoly.from_poly(b).coeffs), PQ)
                for b, _m in sp.factor_list(H)[1])
-    assert curves._vanishes_on(G, line, P, Q) == H.rem(line).is_zero
+    assert curves._vanishes_on(G, line, PQ) == H.rem(sp.Poly.from_dict(line, z, w)).is_zero

@@ -6,9 +6,9 @@ import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
-from regdyn.exactnum import (AlgebraicNumber, FactoringCap, Place, abs_at_place_exact,
-                             conjugates, find_expanding_place, is_root_of_unity,
-                             prime_factors, valuation)
+from regdyn.exactnum import (AlgebraicNumber, FactoringCap, Place, _poly_text,
+                             abs_at_place_exact, conjugates, find_expanding_place,
+                             is_root_of_unity, prime_factors, valuation)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -191,3 +191,35 @@ def test_approx_past_the_double_range_is_infinite():
     # classify reaches them on (z^2 + w^2, 2^2700*z*w)
     assert [AlgebraicNumber([-2**2701, 0, 1], i).approx() for i in (0, 1)] == \
         [complex(-math.inf, 0), complex(math.inf, 0)]
+
+
+# minimal polynomials printed from the integer coefficients, against sympy
+
+text_coefficient = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2**60, 2**60))
+
+
+@st.composite
+def primitive_polynomials(draw):
+    """Ascending integer coefficients of degree 1-5 with content 1 and a
+    positive leading coefficient: zeros, +-1 and 60-bit values."""
+    n = draw(st.integers(1, 5))
+    cs = [draw(text_coefficient) for _ in range(n)]
+    cs.append(draw(text_coefficient.filter(lambda c: c > 0)))
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive_polynomials())
+@example((-1, 0, 2))
+@example((-1, -1, 0, 1))
+@example((0, 1))
+@example((5, 0, 0, 0, 0, 1))
+def test_minimal_polynomials_print_as_sympy_prints_them(cs):
+    assert _poly_text(cs) == str(sp.Poly(cs[::-1], sp.Symbol("x")).as_expr())
+
+
+def test_an_algebraic_number_prints_its_minimal_polynomial_as_sympy():
+    a = AlgebraicNumber([-1, 0, 2], 1)
+    assert repr(a) == "AlgebraicNumber(2*x**2 - 1, root #1)"
+    assert a.minpoly_text() == str(a.minpoly.as_expr())
