@@ -22,7 +22,7 @@ from .infinity import (InfinityPoint, Superattracting, classify_multiplier, comp
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import RegularMap
 from .numberfield import NumberField
-from .polyalg import MultiPoly, homogeneous_top, parse_poly
+from .polyalg import MultiPoly, _combine, _times, homogeneous_top, parse_poly
 
 _z, _w = sp.symbols("z w")
 _Z, _W = sp.symbols("Z W")
@@ -42,7 +42,7 @@ class PlaneCurve:
             raise ValueError("curve polynomial must be nonconstant")
         factors = [poly] if poly.degree == 1 else [  # a line is irreducible
             MultiPoly.from_poly(b) for b, _m in sp.factor_list(poly.to_poly(_z, _w))[1]]
-        self._set([_canonical(F.coeffs) for F in factors])
+        self._set([_canonical(F.num) for F in factors])
 
     def _set(self, components):
         # the irreducible factors as primitive integer dicts {(i, j): c}, the lex-leading
@@ -52,7 +52,7 @@ class PlaneCurve:
         R = {(0, 0): 1}
         for G in components:
             R = _times(R, G)
-        self.poly = MultiPoly({m: R[m] for m in sorted(R, reverse=True)})
+        self.poly = MultiPoly._make({m: R[m] for m in sorted(R, reverse=True) if R[m]}, 1)
 
     @staticmethod
     def _of_components(components) -> "PlaneCurve":
@@ -70,7 +70,7 @@ class PlaneCurve:
         return tuple(sorted(self.poly.coeffs.items()))
 
     def __eq__(self, other):
-        return isinstance(other, PlaneCurve) and self.poly.coeffs == other.poly.coeffs
+        return isinstance(other, PlaneCurve) and self.poly == other.poly
 
     def __hash__(self):
         return hash(self.key())
@@ -130,26 +130,11 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     return PlaneCurve._of_components(kept)
 
 
-def _cleared(terms: dict) -> tuple:
-    """({(i, j): int}, den) with terms = that dict / den, den the least
-    common denominator of the int or Fraction values."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
-def _canonical(terms: dict) -> dict:
+def _canonical(R: dict) -> dict:
     """The primitive integer dict with a positive lex-leading coefficient
-    that is a rational multiple of terms."""
-    R = _cleared(terms)[0]
+    that is a rational multiple of the integer dict R."""
     g = math.gcd(*R.values()) * (1 if R[max(R)] > 0 else -1)
     return {m: c // g for m, c in R.items()}
-
-
-def _map_terms(f: RegularMap) -> tuple:
-    """((P0, dp), (Q0, dq)) with P = P0 / dp, Q = Q0 / dq (`_cleared`); cached on f."""
-    if not hasattr(f, "_map_terms"):
-        f._map_terms = _cleared(f.P.coeffs), _cleared(f.Q.coeffs)
-    return f._map_terms
 
 
 def _split_eliminant(E):
@@ -177,16 +162,17 @@ def _component_image(Ri: dict, f: RegularMap, cap: int) -> list:
     from resultants otherwise."""
     if cap > KERNEL_MAX_DEGREE:
         return _resultant_image(Ri, f)
-    G = _kernel_image(Ri, _map_terms(f), cap)
-    if not _vanishes_on(G, Ri, _map_terms(f)):
+    PQ = (f.P.num, f.P.den), (f.Q.num, f.Q.den)
+    G = _kernel_image(Ri, PQ, cap)
+    if not _vanishes_on(G, Ri, PQ):
         raise EliminationError("the kernel's image fails the component test")
     return [G]
 
 
 def _vanishes_on(G: dict, Ri: dict, PQ) -> bool:
-    """Ri | G(P, Q), for PQ = `_map_terms(f)`.  With P = P0 / dp, Q = Q0 / dq
-    and a, b the degrees of G in Z and W, dp^a dq^b G(P, Q) = sum g_ij P0^i
-    dp^(a-i) Q0^j dq^(b-j) comes from Horner's rule on integer dicts, and
+    """Ri | G(P, Q), for PQ = ((P0, dp), (Q0, dq)), the num and den of P and
+    of Q.  With a, b the degrees of G in Z and W, dp^a dq^b G(P, Q) = sum g_ij
+    P0^i dp^(a-i) Q0^j dq^(b-j) comes from Horner's rule on integer dicts, and
     the primitive Ri divides it iff it divides G(P, Q) (Gauss's lemma)."""
     (p, dp), (q, dq) = PQ
     a, b = max(i for i, _ in G), max(j for _, j in G)
@@ -224,7 +210,7 @@ def _divides(R: dict, H: dict) -> bool:
 
 def _resultant_image(Ri: dict, f: RegularMap) -> list:
     """_component_image by elimination in sympy: the factors of the
-    eliminants kept iff Ri | G(P, Q).
+    eliminants kept iff Ri | G(P, Q) (`_vanishes_on`).
 
     No eliminant vanishes: Z - P and W - Q involve Z and W, Ri does not,
     and the mixed factors of E1 involve Z but not W, those of E2 the
@@ -236,14 +222,14 @@ def _resultant_image(Ri: dict, f: RegularMap) -> list:
     Zp, Wp = (sp.Poly(v, outer, inner, _Z, _W) for v in (_Z, _W))
     m1, free1 = _split_eliminant(sp.resultant(R, Zp - P))
     m2, free2 = _split_eliminant(sp.resultant(R, Wp - Q))
-    candidates = free1 + free2
+    candidates, PQ = free1 + free2, ((f.P.num, f.P.den), (f.Q.num, f.Q.den))
     if m1 and m2:
         elim = sp.resultant(sp.prod(m1), sp.prod(m2))
         candidates += [G for G, _m in sp.factor_list(elim)[1] if G.total_degree() >= 1]
     out = []
     for G in candidates:
-        G = _canonical(MultiPoly.from_poly(G).coeffs)
-        if G not in out and _vanishes_on(G, Ri, _map_terms(f)):
+        G = _canonical(MultiPoly.from_poly(G).num)
+        if G not in out and _vanishes_on(G, Ri, PQ):
             out.append(G)
     if not out:
         raise EliminationError("no factor of the eliminants passed the component test")
@@ -252,7 +238,7 @@ def _resultant_image(Ri: dict, f: RegularMap) -> list:
 
 def _kernel_image(Ri: dict, PQ, cap: int) -> dict:
     """The image of the irreducible curve {Ri = 0} under the regular map
-    (P, Q) of degree d, PQ = `_map_terms(f)`, as a primitive integer dict
+    (P, Q) of degree d, PQ as in `_vanishes_on`, as a primitive integer dict
     G(Z, W), by linear algebra; cap = d * deg Ri.
 
     {Ri} is a Groebner basis of (Ri), so the normal form of G(P, Q) modulo
@@ -292,16 +278,6 @@ def _kernel_image(Ri: dict, PQ, cap: int) -> dict:
 
 def _grlex(m):
     return m[0] + m[1], m[0]
-
-
-def _times(h: dict, g: dict) -> dict:
-    """The product of two polynomials as dicts {(i, j): c}; zeros are kept."""
-    out = {}
-    for (i, j), c in h.items():
-        for (k, l), e in g.items():
-            m = (i + k, j + l)
-            out[m] = out.get(m, 0) + c * e
-    return out
 
 
 def _normal_form(h: dict, lead, lc: int, tail: list) -> tuple:
@@ -354,18 +330,6 @@ def _eliminate(basis: list, vec: dict, combo: dict):
         combo = {k: c // g for k, c in combo.items()}
     basis.append((max(vec, key=_grlex), vec, combo))
     return None
-
-
-def _combine(x: dict, s: int, y: dict, t: int) -> dict:
-    """s * x - t * y, zero terms dropped."""
-    out = {m: s * c for m, c in x.items()} if s != 1 else dict(x)
-    for m, c in y.items():
-        v = out.get(m, 0) - t * c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +429,7 @@ def _on_curve_cyclotomic(R: MultiPoly, a1, n1, a2, n2) -> bool:
     L = n1 * n2 // math.gcd(n1, n2)
     e1, e2 = a1 * L // n1, a2 * L // n2
     cs = [0] * L
-    for (i, j), c in R.coeffs.items():
+    for (i, j), c in R.num.items():
         cs[(i * e1 + j * e2) % L] += c
     return _cyclotomic_field(L)(cs).is_zero()
 
@@ -551,7 +515,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     for a1, n1, z1 in rous:
         # R(z1, w) = sum of row[dw - j] * w^j, for a Horner step per z2
         row = [0j] * (dw + 1)
-        for (i, j), c in R.coeffs.items():
+        for (i, j), c in R.num.items():
             row[dw - j] += complex(c) * z1**i
         for a2, n2, z2 in rous:
             if n1 <= 2 and n2 <= 2:

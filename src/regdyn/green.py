@@ -65,12 +65,13 @@ def _cofactors(f: RegularMap):
     return f._cofactors
 
 
-def _size(poly: MultiPoly, v: Place) -> Fraction:
-    """Sum of coefficient absolute values (sound bound at every place)."""
-    total = Fraction(0)
-    for c in poly.coeffs.values():
-        total += abs_at_place_exact(c, v)
-    return total
+def _size(poly: MultiPoly, v: Place, below=None) -> Fraction:
+    """Sum of coefficient absolute values (sound bound at every place), of
+    the terms of total degree below `below` when given."""
+    nums = [c for (i, j), c in poly.num.items() if below is None or i + j < below]
+    if not v.is_finite:
+        return Fraction(sum(map(abs, nums)), poly.den)
+    return sum(abs_at_place_exact(c, v) for c in nums) / abs_at_place_exact(poly.den, v)
 
 
 def _is_diagonal_unit_monomial(f: RegularMap, v: Place) -> bool:
@@ -95,17 +96,12 @@ def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
     """(C_v, good_reduction) with C_v >= 1 certified for all points."""
     if v.is_finite:
         p = v.prime
-        coeffs_integral = all(
-            valuation(c, p) >= 0
-            for c in list(f.P.coeffs.values()) + list(f.Q.coeffs.values()))
-        if coeffs_integral and valuation(f.res, p) == 0:
+        if f.P.den % p and f.Q.den % p and valuation(f.res, p) == 0:
             return Fraction(1), True
     if _is_diagonal_unit_monomial(f, v):
         return Fraction(1), True
     k = _cofactor_bound(f, v)
-    EP = f.P - f.top_P
-    EQ = f.Q - f.top_Q
-    e = max(_size(EP, v), _size(EQ, v))
+    e = max(_size(f.P, v, f.d), _size(f.Q, v, f.d))  # the terms below the top forms
     # lower bound: for m = max(|z|,|w|) >= m0 the cofactor identity gives
     # max(|P|,|Q|) >= m^d / (2 k); below m0 use max(1,...) >= 1
     m0 = max(Fraction(1), 2 * k * e)
@@ -151,16 +147,22 @@ def _widen_by_tail(val: RealInterval, log_C: Fraction, d: int, n: int) -> RealIn
     return RealInterval(val.lower - tail, val.upper + tail)
 
 
+# precisions a Green value tries, doubling from the first, before PrecisionLoss
+ATTEMPTS = 6
+
+
 def _log_to_width(q: Fraction, m: int, width: Fraction) -> RealInterval:
-    """Enclosure of m * log(q), of width <= width."""
+    """Enclosure of m * log(q), of width <= width, at DEFAULT_PREC bits
+    doubled at most ATTEMPTS - 1 times; PrecisionLoss past that."""
     if m == 0 or q == 1:
         return RealInterval.exact(0)
     prec = DEFAULT_PREC
-    while True:
+    for _ in range(ATTEMPTS):
         enc = log_of_fraction(q, prec).scale(m)
         if enc.width <= width:
             return enc
         prec *= 2
+    raise PrecisionLoss("green: precision escalation exhausted at a logarithm")
 
 
 def green_value(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
@@ -193,7 +195,9 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     log max(z0, |a_n|_v, |b_n|_v) / d^n and widens it by the tail of that
     case's constant.  An attempt is repeated at twice the precision (bits at
     infinity, p-adic digits at p) when it loses precision, or at infinity
-    when its enclosure is too wide; PrecisionLoss after 6 attempts.  First,
+    when its enclosure is too wide; PrecisionLoss after ATTEMPTS attempts.
+    At p the exponent is exact and only its logarithm needs a width
+    (`_log_to_width`, with its own ladder).  First,
     an affine point whose exact orbit closes within min(n, ORBIT_CAP) steps,
     before a coordinate needs more than DEFAULT_PREC bits, is preperiodic:
     G_v = 0 exactly."""
@@ -204,15 +208,17 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     if z0 and n and _exact_orbit(f.apply, (z1, z2), min(n, ORBIT_CAP), _past_prec)[1] is not None:
         return RealInterval.exact(0)
     prec = 64 if v.is_finite else DEFAULT_PREC
-    for _ in range(6):
+    for _ in range(ATTEMPTS):
         try:
             if v.is_finite:
-                val = _padic_log_max(P, Q, z0, z1, z2, n, d, v.prime, prec, tol / 2)
+                m = escape_exponent(P, Q, z0, z1, z2, n, v.prime, prec)
             else:
                 val = _arch_log_norm(P, Q, z0, z1, z2, n, d, prec)
         except PrecisionLoss:
             prec *= 2
             continue
+        if v.is_finite:  # log max(z0, |a_n|_p, |b_n|_p) / d^n, p^m that max
+            val = _log_to_width(Fraction(v.prime), m, tol / 2).scale(Fraction(1, d**n))
         out = _widen_by_tail(val, log_C, d, n)
         if z0:
             out = out.clamp_nonnegative()  # G_v(1, z, w) >= log 1
@@ -244,11 +250,3 @@ def _arch_log_norm(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
     if z0:  # max(1, |a_n|, |b_n|)
         lower, upper = max(lower, 0), max(upper, 0)
     return RealInterval(lower, upper).scale(Fraction(1, d**n))
-
-
-def _padic_log_max(P, Q, z0, z1, z2, n: int, d: int, p: int, digits: int,
-                   width: Fraction) -> RealInterval:
-    """log max(z0, |a_n|_p, |b_n|_p) / d^n by an orbit on `digits` p-adic
-    digits, the logarithm to width <= width."""
-    m = escape_exponent(P, Q, z0, z1, z2, n, p, digits)
-    return _log_to_width(Fraction(p), m, width).scale(Fraction(1, d**n))

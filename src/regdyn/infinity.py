@@ -201,8 +201,7 @@ def projective_roots(form: MultiPoly, degree: int) -> list:
 
     The roots with z1 != 0 are those of form(1, t), in chart 0; the drop
     of its degree against `degree` is the multiplicity of [0 : 1]."""
-    poly = sp.Poly.from_dict({(j,): sp.Rational(c.numerator, c.denominator)
-                              for (i, j), c in form.coeffs.items()}, _x)
+    poly = sp.Poly.from_dict({(j,): c for (i, j), c in form.num.items()}, _x, domain=sp.ZZ)
     pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
            for fac, mult in sp.factor_list(poly)[1] for idx in range(fac.degree())]
     if degree > poly.degree():

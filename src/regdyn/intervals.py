@@ -152,7 +152,8 @@ def escape_norm(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) ->
     """(m, k, D, lo, hi) with 2^m D^-k lo <= max(|a_n|, |b_n|) <= 2^m D^-k hi,
     where (a_n, b_n) is the n-th iterate of (z1, z2) under (P, Q): for z0 = 1
     on the affine plane, for z0 = 0 on the line at infinity, P and Q being
-    then the top forms.  D is the lcm of the coefficient denominators.
+    then the top forms.  D = lcm(P.den, Q.den), the lcm of the coefficient
+    denominators.
 
     The orbit runs on the homogeneous lift F' = D (z0^d, P^h, Q^h), which has
     integer coefficients.  The true triple x_n = (z0, a_n, b_n) is
@@ -163,15 +164,13 @@ def escape_norm(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) ->
     m <- d m + t and k <- d k + 1.  A point whose coordinates need few bits
     runs exactly (R = 0) until they outgrow `prec`."""
     d = max(P.degree, Q.degree)
-    D = math.lcm(*(c.denominator for g in (P, Q) for c in g.coeffs.values()))
+    D = math.lcm(P.den, Q.den)
     monos = {(d, 0, 0): 0}
     forms = [[(0, D)]]
     for g in (P, Q):
-        form = []
-        for (i, j), c in g.coeffs.items():
-            e = monos.setdefault((d - i - j, i, j), len(monos))
-            form.append((e, c.numerator * (D // c.denominator)))
-        forms.append(form)
+        scale = D // g.den
+        forms.append([(monos.setdefault((d - i - j, i, j), len(monos)), c * scale)
+                      for (i, j), c in g.num.items()])
     monos = list(monos)
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     s = prec - max(c.numerator.bit_length() - c.denominator.bit_length() for c in pt if c)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from sympy import integer_nthroot
 
 from .maps import RegularMap
-from .polyalg import MultiPoly, _eval_terms
+from .polyalg import _eval_terms
 from .series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
 
 
@@ -241,25 +241,17 @@ def localize_at_infinity(f: RegularMap, point: tuple, N: int = 16) -> LocalGerm:
         raise NotImplementedError("algebraic fixed points not supported here")
     b = coord.as_rational()
     d = f.d
-    x = MultiPoly.variable(0)
-    y = MultiPoly.variable(1)
-    xb = x + b
-    D = MultiPoly.zero()
-    Nm = MultiPoly.zero()
     # in chart 0 the distinguished affine coordinate is z (y = 1/z, x = w/z - b);
-    # in chart 1 it is w (y = 1/w, x = z/w - b)
-    den_poly, num_poly = (f.P, f.Q) if chart == 0 else (f.Q, f.P)
-    for (i, j), c in den_poly.coeffs.items():
-        e = j if chart == 0 else i
-        D = D + MultiPoly.constant(c) * xb**e * y**(d - i - j)
-    for (i, j), c in num_poly.coeffs.items():
-        e = j if chart == 0 else i
-        Nm = Nm + MultiPoly.constant(c) * xb**e * y**(d - i - j)
-    c0 = D.coefficient(0, 0)
+    # in chart 1 it is w (y = 1/w, x = z/w - b).  A term c z^i w^j of P or Q
+    # becomes c (x + b)^e y^(d-i-j), e = j in chart 0 and i in chart 1
+    xb, y = _x2(N) + b, _y2(N)
+    D2, Nm2 = (TruncSeries2.zero(N) + _eval_terms(
+        [((j if chart == 0 else i, d - i - j), c) for (i, j), c in g.coeffs.items()],
+        xb, y, operator.add, operator.mul, operator.pow)
+        for g in ((f.P, f.Q) if chart == 0 else (f.Q, f.P)))
+    c0 = D2[(0, 0)]
     if c0 == 0:
         raise ValueError("point is not in the domain of this chart")
-    D2 = TruncSeries2(dict(D.coeffs), N)
-    Nm2 = TruncSeries2(dict(Nm.coeffs), N)
     Dinv = D2.reciprocal()
     first = (Nm2 - D2 * b) * Dinv
     second = Dinv.shift(0, d)

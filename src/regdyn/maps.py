@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyalg import MultiPoly, parse_poly
+from .polyalg import MultiPoly, _over_den, parse_poly
 
 
 class NotRegular(ValueError):
@@ -44,9 +44,8 @@ def _solve_rational(rows: list, rhs: list = ()) -> tuple:
     by fraction-free (Bareiss) elimination on [rows | rhs], its rows cleared
     of denominators, then back-substitution over the integer determinant."""
     n = len(rows)
-    m = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
-    dens = [math.lcm(*(a.denominator for a in row)) for row in m]
-    m = [[a.numerator * (d // a.denominator) for a in row] for row, d in zip(m, dens)]
+    m, dens = zip(*[_over_den(list(row) + [b[i] for b in rhs]) for i, row in enumerate(rows)])
+    m = list(m)
     sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)

@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
+from .polyalg import _over_den
+
 
 def _trim(cs):
     while cs and cs[-1] == 0:
@@ -65,11 +67,9 @@ class NumberField:
     """Q[x]/(m) with m irreducible over Q."""
 
     def __init__(self, modulus: Sequence):
-        m = _trim([Fraction(c) for c in modulus])
-        if len(m) < 2:
+        ints = _trim(_over_den(modulus)[0])
+        if len(ints) < 2:
             raise ValueError("modulus must have positive degree")
-        den = math.lcm(*(c.denominator for c in m))
-        ints = [c.numerator * (den // c.denominator) for c in m]
         g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
         self.modulus = tuple(c // g for c in ints)
         self.degree = len(self.modulus) - 1
@@ -94,9 +94,7 @@ class NumberField:
             return coeffs
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        cs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return self._make([c.numerator * (den // c.denominator) for c in cs], den)
+        return self._make(*_over_den(coeffs))
 
     def generator(self) -> "NFElement":
         return self([0, 1])

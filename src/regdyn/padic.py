@@ -4,15 +4,18 @@ G_p at a point is the escape rate of its orbit under the homogeneous lift
 F = (z0^d, P^h, Q^h) of the map, P^h and Q^h being P and Q made homogeneous
 in (z0, z1, z2).  Only one valuation per step is needed, so the orbit runs
 on a primitive integer triple known modulo p^k: each step evaluates
-F' = p^s F, whose coefficients are p-integral for the least shift s >= 0,
-and divides by p^t, t the least valuation of the three residues.  The
-triple stays primitive and loses t digits, while the exponent stays exact.
+F' = D F, D = lcm(P.den, Q.den), whose coefficients are integers, and
+divides by p^t, t the least valuation of the three residues.  F is
+homogeneous, so the prime-to-p part of D, a p-adic unit, only scales the
+triple, and s = v_p(D) is all the exponent sees.  The triple stays
+primitive and loses t digits, while the exponent stays exact.
 When all three residues vanish the digits are exhausted, and
 :class:`PrecisionLoss` asks the caller to restart with a larger k.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import valuation
@@ -54,11 +57,11 @@ def escape_exponent(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
     point scaled by a number of valuation m_n, and F'(X_n) = p^t X_(n+1)
     gives m_(n+1) = d m_n + s - t."""
     d = max(P.degree, Q.degree)
-    forms = [[((d, 0, 0), Fraction(1))]] + [
-        [((d - i - j, i, j), c) for (i, j), c in g.coeffs.items()] for g in (P, Q)]
-    s = max(0, -min(valuation(c, p) for form in forms for _, c in form))
-    mod = p**k
-    forms = [[(e, _residue(c * p**s, mod)) for e, c in form] for form in forms]
+    D = math.lcm(P.den, Q.den)
+    s, mod = _intval(D, p), p**k
+    forms = [[((d, 0, 0), D % mod)]] + [
+        [((d - i - j, i, j), c * (D // g.den) % mod) for (i, j), c in g.num.items()]
+        for g in (P, Q)]
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     m = -min(valuation(c, p) for c in pt if c)
     X = [_residue(c * Fraction(p)**m, mod) for c in pt]

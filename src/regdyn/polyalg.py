@@ -1,7 +1,9 @@
-"""Exact bivariate polynomials over Q: arithmetic, evaluation, parsing."""
+"""Exact bivariate polynomials over Q: arithmetic, evaluation, parsing; and
+the integer helpers the series, number fields and curves share with it."""
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -14,10 +16,40 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _coerce_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    return c  # generic ring element (e.g. a number-field element)
+def _over_den(cs):
+    """Rationals cs as integer numerators over their least common denominator."""
+    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in cs]
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _times(h: dict, g: dict) -> dict:
+    """The product of two polynomials as dicts {(i, j): c}; zeros are kept."""
+    out = {}
+    for (i, j), c in h.items():
+        for (k, l), e in g.items():
+            m = (i + k, j + l)
+            out[m] = out.get(m, 0) + c * e
+    return out
+
+
+def _combine(x: dict, s: int, y: dict, t: int) -> dict:
+    """s * x - t * y, zero terms dropped."""
+    out = {m: s * c for m, c in x.items()} if s != 1 else dict(x)
+    for m, c in y.items():
+        v = out.get(m, 0) - t * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
+    """na/da + sign * nb/db for numerator dicts, over lcm(da, db), not
+    reduced; zero terms dropped."""
+    den = da if da == db else math.lcm(da, db)
+    return _combine(na, den // da, nb, -sign * (den // db)), den
 
 
 def _eval_terms(terms, z, w, add, mul, pow):
@@ -42,18 +74,40 @@ def _eval_terms(terms, z, w, add, mul, pow):
 
 
 class MultiPoly:
-    """Sparse bivariate polynomial: {(i, j): coefficient}."""
+    """Sparse bivariate polynomial over Q: the coefficient of z^i w^j is
+    num[(i, j)] / den, num holding the nonzero integer numerators over one
+    positive den, in lowest terms (gcd(den, *num) == 1; den 1 for the zero
+    polynomial).  The form is canonical, so `==` compares it directly.
+    Immutable; `coeffs` is a read-only Fraction view, built once on first use."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_view")
 
     def __init__(self, coeffs=None):
-        cs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                c = _coerce_coeff(c)
-                if c != 0:
-                    cs[(int(i), int(j))] = c
-        self.coeffs = cs
+        terms = [(e, c) for e, c in (coeffs or {}).items() if c]
+        num, den = _over_den([c for _, c in terms])
+        self._set({e: n for (e, _), n in zip(terms, num)}, den)
+
+    @classmethod
+    def _make(cls, num: dict, den: int) -> "MultiPoly":
+        """num / den for a dict of nonzero ints that no one else changes and
+        den > 0, put in lowest terms."""
+        P = object.__new__(cls)
+        P._set(num, den)
+        return P
+
+    def _set(self, num: dict, den: int):
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        self.num, self.den, self._view = num, den, None
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients {(i, j): Fraction} (a view: do not modify)."""
+        if self._view is None:
+            self._view = {e: Fraction(c, self.den) for e, c in self.num.items()}
+        return self._view
 
     # -- constructors -------------------------------------------------
 
@@ -72,19 +126,19 @@ class MultiPoly:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
+        if not self.num:
             return -1
-        return max(i + j for i, j in self.coeffs)
+        return max(i + j for i, j in self.num)
 
     def degree_in(self, var: int) -> int:
-        if not self.coeffs:
+        if not self.num:
             return -1
-        return max(e[var] for e in self.coeffs)
+        return max(e[var] for e in self.num)
 
     def coefficient(self, i: int, j: int):
         return self.coeffs.get((i, j), Fraction(0))
@@ -98,29 +152,22 @@ class MultiPoly:
             return MultiPoly.constant(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(out)
+        return MultiPoly._make(*_sum2(self.num, self.den, o.num, o.den, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._make({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -129,16 +176,8 @@ class MultiPoly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in o.coeffs.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(out)
+        return MultiPoly._make({e: c for e, c in _times(self.num, o.num).items() if c},
+                               self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -158,10 +197,10 @@ class MultiPoly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     # -- evaluation / substitution ------------------------------------
 
@@ -177,16 +216,17 @@ class MultiPoly:
     # -- homogeneous pieces -------------------------------------------
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly({e: c for e, c in self.coeffs.items() if e[0] + e[1] == d})
+        return MultiPoly._make({e: c for e, c in self.num.items() if e[0] + e[1] == d},
+                               self.den)
 
     # -- printing / sympy ---------------------------------------------
 
     def to_poly(self, zgen, wgen) -> sp.Poly:
         """A sympy Poly in the generators standing for z and w, over ZZ (QQ
         if a coefficient is not an integer)."""
-        K = sp.ZZ if all(c.denominator == 1 for c in self.coeffs.values()) else sp.QQ
+        K, terms = (sp.ZZ, self.num) if self.den == 1 else (sp.QQ, self.coeffs)
         # a copy: from_dict converts the values of its dict in place
-        return sp.Poly.from_dict(dict(self.coeffs), zgen, wgen, domain=K)
+        return sp.Poly.from_dict(dict(terms), zgen, wgen, domain=K)
 
     @staticmethod
     def from_poly(poly: sp.Poly) -> "MultiPoly":

@@ -25,19 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .polyalg import MultiPoly, _over_den, _sum2
+
 
 def _rat(c):
     """(numerator, positive denominator) of a rational scalar."""
     if not isinstance(c, (int, Fraction)):
         c = Fraction(c)
     return c.numerator, c.denominator
-
-
-def _over_den(cs):
-    """Rationals cs as integer numerators over their least common denominator."""
-    pairs = [_rat(c) for c in cs]
-    den = math.lcm(*[q for _, q in pairs])
-    return [p * (den // q) for p, q in pairs], den
 
 
 def _conv(a: list, tb: list, n: int) -> list:
@@ -58,20 +53,6 @@ def _sum(na: list, da: int, nb: list, db: int, sign: int = 1):
     den = da if da == db else math.lcm(da, db)
     fa, fb = den // da, sign * (den // db)
     return [x * fa + y * fb for x, y in zip(na, nb)], den
-
-
-def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
-    """Dict form of _sum: zero terms are dropped."""
-    den = da if da == db else math.lcm(da, db)
-    fa, fb = den // da, sign * (den // db)
-    out = dict(na) if fa == 1 else {e: c * fa for e, c in na.items()}
-    for e, c in nb.items():
-        s = out.get(e, 0) + c * fb
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out, den
 
 
 def _lift(s, order: int):
@@ -331,9 +312,8 @@ class TruncSeries(_Series):
         return TruncSeries2._make(num, self.den, order)
 
     def __repr__(self):
-        from .polyalg import MultiPoly
-        terms = {(0, k): c for k, c in enumerate(self.coeffs) if c != 0}
-        body = MultiPoly(terms).to_string(("y", "y")) if terms else "0"
+        terms = {(0, k): c for k, c in enumerate(self.num) if c}
+        body = MultiPoly._make(terms, self.den).to_string(("y", "y"))
         return f"TruncSeries({body} + O(y^{self.order + 1}))"
 
 
@@ -591,6 +571,5 @@ class TruncSeries2(_Series):
         return all(a >= i and b >= j for a, b in self.num)
 
     def __repr__(self):
-        from .polyalg import MultiPoly
-        body = MultiPoly(dict(self.coeffs)).to_string(("x", "y")) if self.num else "0"
+        body = MultiPoly._make(dict(self.num), self.den).to_string(("x", "y"))
         return f"TruncSeries2({body} + O(deg {self.order + 1}))"

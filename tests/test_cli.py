@@ -406,6 +406,10 @@ def test_json_keeps_plain_scalars_and_renders_the_rest():
     # past the precision cap of the Green kernel
     ["green", "--map", "z^2, w^2", "--point=2,3", "--tol=1e-5000"],
     ["height", "--map", "z^2, w^2", "--point=2,3", "--tol=1e-5000"],
+    # past the precision cap of the logarithm at a prime or of |z0|
+    ["green", "--map", "z^2, w^2", "--place", "3", "--point=1/3,1", "--tol", "1e-5000"],
+    ["green", "--map", "z^2, w^2", "--homog=3,1,1", "--tol", "1e-5000"],
+    ["height", "--map", "z^2, w^2", "--point=1/3,1", "--tol", "1e-5000"],
     # a coordinate of more than 4,300 digits cannot be printed
     ["orbit", "--map", "z^2, w^2", "--point=1e5000,1", "-n", "1"],
     ["green", "--map", "z^2, w^2", "--homog=1,1e5000,1"],
@@ -414,7 +418,9 @@ def test_json_keeps_plain_scalars_and_renders_the_rest():
         "non-integer-order", "orbit-negative-n", "curve-negative-max-iters",
         "curve-negative-max-degree", "dmm-negative-max-iters", "dmm-negative-max-degree",
         "dmm-negative-height-bound", "dmm-negative-max-order", "green-zero-homog",
-        "green-tol-past-precision-cap", "height-tol-past-precision-cap", "orbit-oversize-point",
+        "green-tol-past-precision-cap", "height-tol-past-precision-cap",
+        "green-tol-past-log-cap-at-prime", "green-tol-past-log-cap-homog",
+        "height-tol-past-log-cap-at-prime", "orbit-oversize-point",
         "green-oversize-homog"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, argv):
     code, doc = _run(capsys, *argv)

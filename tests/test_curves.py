@@ -450,7 +450,7 @@ def divisions(draw):
     coeffs[(top, 0)] = draw(st.integers(1, 4))
     factors = [b for b, _m in sp.factor_list(sp.Poly.from_dict(coeffs, z, w))[1]
                if b.total_degree() >= 1]
-    R = curves._canonical(MultiPoly.from_poly(draw(st.sampled_from(factors))).coeffs)
+    R = curves._canonical(MultiPoly.from_poly(draw(st.sampled_from(factors))).num)
     S = {e: draw(st.integers(-9, 9)) for e in _monomials(draw(st.integers(0, 3)))}
     H = {e: c for e, c in (MultiPoly(R) * MultiPoly(S)).coeffs.items()}
     if draw(st.booleans()):
@@ -674,8 +674,8 @@ def test_component_test_agrees_with_substitution_in_sympy(data):
     line = sp.Poly(poly(z, w, 1), z, w)
     assume(line.total_degree() == 1)
     # the integer path's inputs: primitive integer dicts, P and Q cleared
-    G, line = (curves._canonical(MultiPoly.from_poly(X).coeffs) for X in (G, line))
-    PQ = [curves._cleared(MultiPoly.from_poly(X).coeffs) for X in (P, Q)]
-    assert all(curves._vanishes_on(G, curves._canonical(MultiPoly.from_poly(b).coeffs), PQ)
+    G, line = (curves._canonical(MultiPoly.from_poly(X).num) for X in (G, line))
+    PQ = [(M.num, M.den) for M in (MultiPoly.from_poly(X) for X in (P, Q))]
+    assert all(curves._vanishes_on(G, curves._canonical(MultiPoly.from_poly(b).num), PQ)
                for b, _m in sp.factor_list(H)[1])
     assert curves._vanishes_on(G, line, PQ) == H.rem(sp.Poly.from_dict(line, z, w)).is_zero

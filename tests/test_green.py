@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import Place, abs_at_place_exact
@@ -107,7 +109,7 @@ def test_green_homog_line_infinity():
 # -- properties on random regular maps ---------------------------------------
 
 PROP_TOL = F(1, 10**6)
-small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 9))
 
 
 @st.composite
@@ -122,7 +124,7 @@ def regular_maps(draw):
         assume(False)
     bad = bad_places(f)
     assume(bad)
-    good = next(p for p in (2, 3, 5, 7, 11, 13) if p not in bad)
+    good = next(p for p in map(sp.prime, itertools.count(1)) if p not in bad)
     return f, [Place.archimedean(), Place.finite(min(bad)), Place.finite(good)]
 
 
@@ -194,7 +196,7 @@ def planted_fixed_points(draw):
     g = make_regular_map(P, Q)
     bad = bad_places(g)
     assume(bad)
-    good = next(p for p in (2, 3, 5, 7, 11, 13) if p not in bad)
+    good = next(p for p in map(sp.prime, itertools.count(1)) if p not in bad)
     return g, pt, [Place.archimedean(), Place.finite(min(bad)), Place.finite(good)]
 
 

@@ -10,7 +10,7 @@ from regdyn.maps import NotRegular, make_regular_map
 from regdyn.padic import PrecisionLoss, escape_exponent
 from regdyn.polyalg import MultiPoly, parse_poly
 
-small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 9))
 
 
 @st.composite

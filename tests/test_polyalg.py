@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -169,3 +170,60 @@ def test_poly_round_trip_keeps_the_coefficients():
         assert MultiPoly.from_poly(q) == p
         # to_poly leaves the Fraction coefficients of p as they were
         assert p.coeffs == before and all(type(c) is F for c in p.coeffs.values())
+
+
+# MultiPoly's integer form against a plain Fraction-dict reference: raw
+# term dicts with zeros, small denominators that share primes
+_raw_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.fractions(-3, 3, max_denominator=6), max_size=5)
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: F(c) for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i, j), c in a.items():
+        for (k, l), e in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + c * e
+    return {e: F(c) for e, c in out.items() if c}
+
+
+def _ref_pow(a, n):
+    out = {(0, 0): F(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_compose(a, u, v):
+    out = {}
+    for (i, j), c in a.items():
+        out = _ref_add(out, _ref_mul({(0, 0): c}, _ref_mul(_ref_pow(u, i), _ref_pow(v, j))))
+    return out
+
+
+@given(_raw_terms, _raw_terms, _raw_terms, st.integers(0, 3), st.integers(0, 6))
+def test_integer_form_is_canonical_and_matches_a_fraction_reference(ta, tb, tc, n, k):
+    a, b, c = MultiPoly(ta), MultiPoly(tb), MultiPoly(tc)
+    ra, rb, rc = ({e: F(x) for e, x in t.items() if x} for t in (ta, tb, tc))
+    cases = [(a, ra), (b, rb), (a + b, _ref_add(ra, rb)), (a - b, _ref_add(ra, rb, -1)),
+             (a * b, _ref_mul(ra, rb)), (a ** n, _ref_pow(ra, n)),
+             (a.compose(b, c), _ref_compose(ra, rb, rc)),
+             (a.homogeneous_part(k), {e: x for e, x in ra.items() if sum(e) == k})]
+    for p, ref in cases:
+        # integer numerators over one positive denominator, in lowest terms
+        assert p.den > 0 and math.gcd(p.den, *p.num.values()) == 1
+        assert all(type(x) is int and x for x in p.num.values())
+        assert p.num or p.den == 1
+        assert p.coeffs == ref and all(type(x) is F for x in p.coeffs.values())
+        q = MultiPoly(ref)
+        assert p == q and hash(p) == hash(q)
+    # equal polynomials built by different routes compare and hash alike
+    for p, q in [((a + b) - b, a), (a * b, b * a), (a * (b + c), a * b + a * c),
+                 (a - a, MultiPoly.zero()), (a * F(2, 3) * F(3, 2), a)]:
+        assert p == q and hash(p) == hash(q)
