@@ -10,7 +10,7 @@ from .exactnum import (AlgebraicNumber, ComplexInterval, FactoringCap, Place,
 from .intervals import RealInterval, log_of_fraction
 from .polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
 from .series import TruncSeries, TruncSeries2, exp_series, log_unit
-from .maps import BitSizeCap, DegreeTooLow, NotRegular, RegularMap, make_regular_map
+from .maps import DegreeTooLow, NotRegular, RegularMap, make_regular_map
 from .padic import PrecisionLoss
 from .green import GreenContext, bad_places, green_homog, green_value, \
     nullstellensatz_constant

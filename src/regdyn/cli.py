@@ -26,7 +26,7 @@ from .heights import HeightResult, PreperiodicityVerdict, canonical_height, orbi
 from .infinity import classify_multiplier, fixed_points_infinity, multiplier
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        saddle_normal_form, super_stable_series)
-from .maps import BitSizeCap, NotRegular, make_regular_map
+from .maps import NotRegular, _affine, _triple, make_regular_map
 from .padic import PrecisionLoss
 from .polyalg import PolyParseError
 
@@ -222,14 +222,15 @@ def _cmd_orbit(args):
         raise InputError(f"n must be at most ORBIT_MAX_N = {ORBIT_MAX_N}, got {args.n}")
     f = _parse_map(args.map)
     pt = _parse_point(args.point)
-    rows = [pt]
-    try:
-        for _ in range(args.n):
-            pt = f.iterate(1, pt, max_bits=MAX_BITS)
-            rows.append(pt)
-        capped = False
-    except BitSizeCap:
-        capped = True
+    rows, capped = [pt], False
+    X = _triple((1, *pt))
+    for _ in range(args.n):
+        X = f.lift.step(X)
+        pt = _affine(X)
+        if any(max(abs(c.numerator), c.denominator).bit_length() > MAX_BITS for c in pt):
+            capped = True
+            break
+        rows.append(pt)
     result = {"orbit": [[_json(c) for c in row] for row in rows],
               "length": len(rows)}
     caps = {"n": args.n, "bit_capped": capped, "max_bits": MAX_BITS}

@@ -17,7 +17,7 @@ from typing import Optional
 
 import sympy as sp
 
-from .heights import ORBIT_CAP, PreperiodicityVerdict, _affine_too_big, _exact_orbit
+from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit, orbit_verdict
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import RegularMap
@@ -66,14 +66,11 @@ class PlaneCurve:
     def degree(self) -> int:
         return self.poly.degree
 
-    def key(self):
-        return tuple(sorted(self.poly.coeffs.items()))
-
     def __eq__(self, other):
         return isinstance(other, PlaneCurve) and self.poly == other.poly
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.poly)
 
     def contains(self, pt) -> bool:
         return self.poly.eval(pt[0], pt[1]) == 0
@@ -502,9 +499,9 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             if (a, b) in seen:
                 continue
             seen.add((a, b))
-            orbit, k = _exact_orbit(f.apply, (a, b), ORBIT_CAP, _affine_too_big)
-            if k is not None:
-                found.append(FoundPoint((a, b), PreperiodicityVerdict.preperiodic(orbit, k)))
+            verdict = orbit_verdict(f, (a, b))
+            if verdict is not None:
+                found.append(FoundPoint((a, b), verdict))
     exps = _unit_monomial(f)
     if exps is None:
         return found

@@ -25,7 +25,7 @@ import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 
 from .exactnum import Place, abs_at_place_exact, prime_factors, valuation
 from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
-from .maps import ORBIT_CAP, RegularMap, _exact_orbit, _solve_rational, _sylvester_rows
+from .maps import ORBIT_CAP, RegularMap, _affine, _exact_orbit, _triple
 from .padic import PrecisionLoss, escape_exponent
 from .polyalg import MultiPoly
 
@@ -41,28 +41,6 @@ class GreenContext:
     def __repr__(self):
         return (f"GreenContext({self.f!r}, {self.place!r}, C={self.C}, "
                 f"good={self.good_reduction})")
-
-
-def _cofactors(f: RegularMap):
-    """Binary forms (A1,B1,A2,B2) of degree d-1 with
-
-        A1*P_d + B1*Q_d = Res * z^(2d-1),   A2*P_d + B2*Q_d = Res * w^(2d-1).
-
-    Unique since the Sylvester determinant Res is nonzero; cached on f."""
-    cached = getattr(f, "_cofactors", None)
-    if cached is not None:
-        return cached
-    d = f.d
-    n = 2 * d
-    # the coefficients of A (z^(d-1-s) w^s, s < d) then B solve S^T x = rhs,
-    # S the Sylvester matrix, row k the coefficient of z^(2d-1-k) w^k
-    S = _sylvester_rows(f.top_P, f.top_Q, d)
-    rhs = [[f.res if k == target else Fraction(0) for k in range(n)]
-           for target in (0, n - 1)]
-    _, xs = _solve_rational(list(zip(*S)), rhs)
-    f._cofactors = tuple(MultiPoly({(d - 1 - s, s): x[k + s] for s in range(d)})
-                         for x in xs for k in (0, d))
-    return f._cofactors
 
 
 def _size(poly: MultiPoly, v: Place, below=None) -> Fraction:
@@ -85,9 +63,9 @@ def _is_diagonal_unit_monomial(f: RegularMap, v: Place) -> bool:
 
 
 def _cofactor_bound(f: RegularMap, v: Place) -> Fraction:
-    """c1/|Res|_v, with c1 bounding the cofactors of :func:`_cofactors`:
+    """c1/|Res|_v, with c1 bounding the cofactors of `RegularMap._cofactors`:
     max(|z|,|w|)^d <= (c1/|Res|_v) max(|P_d|,|Q_d|) at v."""
-    A1, B1, A2, B2 = _cofactors(f)
+    A1, B1, A2, B2 = f._cofactors
     c1 = max(_size(A1, v) + _size(B1, v), _size(A2, v) + _size(B2, v))
     return c1 / abs_at_place_exact(f.res, v)
 
@@ -202,18 +180,19 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     before a coordinate needs more than DEFAULT_PREC bits, is preperiodic:
     G_v = 0 exactly."""
     f, v, d = ctx.f, ctx.place, ctx.f.d
-    P, Q, C = (f.P, f.Q, ctx.C) if z0 else (f.top_P, f.top_Q, _line_constant(ctx))
+    lift, C = (f.lift, ctx.C) if z0 else (f.top_lift, _line_constant(ctx))
     log_C = 0 if C == 1 else log_of_fraction(C).upper
     n = _tail_iterations(log_C, d, tol / 2)
-    if z0 and n and _exact_orbit(f.apply, (z1, z2), min(n, ORBIT_CAP), _past_prec)[1] is not None:
+    if z0 and n and _exact_orbit(f.lift.step, _triple((1, z1, z2)), min(n, ORBIT_CAP),
+                                 _past_prec)[1] is not None:
         return RealInterval.exact(0)
     prec = 64 if v.is_finite else DEFAULT_PREC
     for _ in range(ATTEMPTS):
         try:
             if v.is_finite:
-                m = escape_exponent(P, Q, z0, z1, z2, n, v.prime, prec)
+                m = escape_exponent(lift, z0, z1, z2, n, v.prime, prec)
             else:
-                val = _arch_log_norm(P, Q, z0, z1, z2, n, d, prec)
+                val = _arch_log_norm(lift, z0, z1, z2, n, d, prec)
         except PrecisionLoss:
             prec *= 2
             continue
@@ -228,15 +207,17 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     raise PrecisionLoss(f"green: precision escalation exhausted at {v!r}")
 
 
-def _past_prec(pt) -> bool:
-    return max(max(abs(c.numerator), c.denominator) for c in pt).bit_length() > DEFAULT_PREC
+def _past_prec(X) -> bool:
+    """Whether a coordinate of the affine point of X needs more than DEFAULT_PREC bits."""
+    return max(max(abs(c.numerator), c.denominator) for c in _affine(X)).bit_length() \
+        > DEFAULT_PREC
 
 
-def _arch_log_norm(P, Q, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
+def _arch_log_norm(lift, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
     """log max(z0, |a_n|, |b_n|) / d^n from the integer orbit of escape_norm,
     the logarithms enclosed at prec bits: of x 2^m D^-k in one piece while
     that rational is small (exact at 1), else as log x + m log 2 - k log D."""
-    m, k, D, lo, hi = escape_norm(P, Q, z0, z1, z2, n, prec)
+    m, k, D, lo, hi = escape_norm(lift, z0, z1, z2, n, prec)
     if not (lo or z0):
         raise PrecisionLoss("the enclosure of max(|a_n|, |b_n|) reaches 0")
     if abs(m) + k * D.bit_length() <= 4 * prec:

@@ -17,7 +17,7 @@ import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 from .exactnum import Place, prime_factors
 from .green import GreenContext, bad_places, green_value
 from .intervals import RealInterval
-from .maps import ORBIT_CAP, RegularMap, _exact_orbit
+from .maps import ORBIT_CAP, RegularMap, _affine, _exact_orbit, _triple
 
 
 @dataclass
@@ -82,19 +82,20 @@ def canonical_height(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> HeightResult:
     return HeightResult(total, support)
 
 
-def _affine_too_big(pt) -> bool:
+def _affine_too_big(X) -> bool:
     # coordinates of a preperiodic point stay bounded with bounded
     # denominators; bail out early on blowup in either direction
+    pt = _affine(X)
     return max(map(abs, pt)) > 10**40 or max(
         c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
 
 
 def orbit_verdict(f: RegularMap, pt) -> Optional[PreperiodicityVerdict]:
     """The Preperiodic verdict of an exact orbit that closes within ORBIT_CAP
-    steps, else None; a closed orbit has canonical height exactly 0."""
-    pt = (Fraction(pt[0]), Fraction(pt[1]))
-    orbit, k = _exact_orbit(f.apply, pt, ORBIT_CAP, _affine_too_big)
-    return None if k is None else PreperiodicityVerdict.preperiodic(orbit, k)
+    steps, else None; a closed orbit has canonical height exactly 0.  The
+    orbit runs on the primitive integer triples of the map's lift."""
+    orbit, k = _exact_orbit(f.lift.step, _triple((1, *pt)), ORBIT_CAP, _affine_too_big)
+    return None if k is None else PreperiodicityVerdict.preperiodic(list(map(_affine, orbit)), k)
 
 
 def is_preperiodic(f: RegularMap, pt, tol=Fraction(1, 10**9)) -> PreperiodicityVerdict:

@@ -23,7 +23,7 @@ from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity, prime_factors)
 from .green import GreenContext, bad_places, green_homog
 from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit
-from .maps import RegularMap
+from .maps import RegularMap, _triple
 from .polyalg import MultiPoly
 
 _x, _t = sp.symbols("x t")
@@ -229,28 +229,10 @@ def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint) -> Preper
     return _nf_infinity_orbit(f, point)
 
 
-def _normalize_rational_pair(z1: Fraction, z2: Fraction):
-    import math
-    if z1 == 0:
-        return (0, 1)
-    if z2 == 0:
-        return (1, 0)
-    a = z1.numerator * z2.denominator
-    b = z2.numerator * z1.denominator
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
-    return (a, b)
-
-
 def _rational_infinity_orbit(f: RegularMap, z1, z2):
-    def step(pair):
-        a, b = Fraction(pair[0]), Fraction(pair[1])
-        return _normalize_rational_pair(f.top_P.eval(a, b), f.top_Q.eval(a, b))
-
-    orbit, k = _exact_orbit(step, _normalize_rational_pair(z1, z2), ORBIT_CAP,
-                            lambda pair: max(map(abs, pair)) > 10**60)
+    orbit, k = _exact_orbit(f.top_lift.step, _triple((0, z1, z2)), ORBIT_CAP,
+                            lambda X: max(map(abs, X)) > 10**60)
+    orbit = [X[1:] for X in orbit]  # [0 : a : b] as the coprime pair (a, b)
     if k is not None:
         return PreperiodicityVerdict.preperiodic(orbit, k)
     # the canonical height of [a : b] sums G_v(0, a, b) over all places; for

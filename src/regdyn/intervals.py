@@ -16,7 +16,6 @@ Three layers:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -148,30 +147,21 @@ def _floor_scaled(q: Fraction, s: int) -> tuple:
     return y, int(rem != 0)
 
 
-def escape_norm(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) -> tuple:
+def escape_norm(lift, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) -> tuple:
     """(m, k, D, lo, hi) with 2^m D^-k lo <= max(|a_n|, |b_n|) <= 2^m D^-k hi,
-    where (a_n, b_n) is the n-th iterate of (z1, z2) under (P, Q): for z0 = 1
-    on the affine plane, for z0 = 0 on the line at infinity, P and Q being
-    then the top forms.  D = lcm(P.den, Q.den), the lcm of the coefficient
-    denominators.
+    where (a_n, b_n) is the n-th iterate of (z1, z2) under the map whose
+    integer lift F' = D (z0^d, P^h, Q^h) (`regdyn.maps.IntegerLift`) is
+    `lift`: for z0 = 1 on the affine plane, for z0 = 0 on the line at
+    infinity, the lift being then that of the top forms.
 
-    The orbit runs on the homogeneous lift F' = D (z0^d, P^h, Q^h), which has
-    integer coefficients.  The true triple x_n = (z0, a_n, b_n) is
+    The true triple x_n = (z0, a_n, b_n) is
     2^m D^-k y_n, and y_n lies within R of the integer triple Y
     coordinatewise.  Each step evaluates F' at Y exactly, bounds
     |F'(y) - F'(Y)| by the absolute-value forms at |Y| + R minus at |Y|,
     and drops t low bits so that Y and R keep at most `prec` bits; then
     m <- d m + t and k <- d k + 1.  A point whose coordinates need few bits
     runs exactly (R = 0) until they outgrow `prec`."""
-    d = max(P.degree, Q.degree)
-    D = math.lcm(P.den, Q.den)
-    monos = {(d, 0, 0): 0}
-    forms = [[(0, D)]]
-    for g in (P, Q):
-        scale = D // g.den
-        forms.append([(monos.setdefault((d - i - j, i, j), len(monos)), c * scale)
-                      for (i, j), c in g.num.items()])
-    monos = list(monos)
+    d, D, forms = lift.d, lift.D, lift.forms
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     s = prec - max(c.numerator.bit_length() - c.denominator.bit_length() for c in pt if c)
     if all(c.denominator & (c.denominator - 1) == 0 for c in pt):  # dyadic: exact
@@ -179,12 +169,11 @@ def escape_norm(P, Q, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) ->
     Y, R = zip(*(_floor_scaled(c, s) for c in pt))
     m, k = -s, 0
     for _ in range(n):
-        p0, p1, p2 = ([y**e for e in range(d + 1)] for y in Y)
-        vals = [p0[a] * p1[i] * p2[j] for a, i, j in monos]
+        vals = lift._monomials(Y)
         V = [sum(c * vals[e] for e, c in form) for form in forms]
         if any(R):
-            u0, u1, u2 = ([(abs(y) + r)**e for e in range(d + 1)] for y, r in zip(Y, R))
-            errs = [u0[a] * u1[i] * u2[j] - abs(x) for (a, i, j), x in zip(monos, vals)]
+            u = lift._monomials([abs(y) + r for y, r in zip(Y, R)])
+            errs = [x - abs(v) for x, v in zip(u, vals)]
             E = [sum(abs(c) * errs[e] for e, c in form) for form in forms]
         else:
             E = (0, 0, 0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .polyalg import MultiPoly, _over_den, parse_poly
 
@@ -19,10 +20,6 @@ class NotRegular(ValueError):
 
 
 class DegreeTooLow(ValueError):
-    pass
-
-
-class BitSizeCap(RuntimeError):
     pass
 
 
@@ -95,8 +92,65 @@ def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
     return orbit, None
 
 
+class IntegerLift:
+    """The homogeneous lift F' = D·(z0^d, P^h, Q^h) of a pair (P, Q) of
+    degree d, P^h and Q^h being P and Q made homogeneous in (z0, z1, z2) and
+    D = lcm(P.den, Q.den), so that every coefficient is an integer: `monos`
+    lists the exponents (a, i, j) of the monomials z0^a z1^i z2^j, and
+    `forms` each coordinate of F' as pairs (index into monos, coefficient).
+    At z0 = 1 it is (P, Q) scaled, at z0 = 0 the top forms scaled."""
+
+    def __init__(self, P: MultiPoly, Q: MultiPoly):
+        self.d = d = max(P.degree, Q.degree)
+        self.D = D = math.lcm(P.den, Q.den)
+        monos = {(d, 0, 0): 0}
+        self.forms = [[(0, D)]] + [
+            [(monos.setdefault((d - i - j, i, j), len(monos)), c * (D // g.den))
+             for (i, j), c in g.num.items()] for g in (P, Q)]
+        self.monos = list(monos)
+
+    def _monomials(self, X) -> list:
+        """The values of `monos` at a triple X."""
+        p0, p1, p2 = ([x**e for e in range(self.d + 1)] for x in X)
+        return [p0[a] * p1[i] * p2[j] for a, i, j in self.monos]
+
+    def __call__(self, X) -> list:
+        """F'(X), exactly."""
+        vals = self._monomials(X)
+        return [sum(c * vals[e] for e, c in form) for form in self.forms]
+
+    def step(self, X: tuple) -> tuple:
+        """The primitive triple (`_primitive`) on the line through F'(X): the
+        one exact step of every orbit of a rational point."""
+        return _primitive(self(X))
+
+
+def _primitive(V) -> tuple:
+    """The integer triple V divided by its gcd and signed so that its first
+    coordinate is positive or, when that is 0, its last nonzero one: one
+    triple for each point of the projective plane."""
+    g = math.gcd(*V)
+    if next(v for v in (V[0], V[2], V[1]) if v) < 0:
+        g = -g
+    return tuple(v // g for v in V)
+
+
+def _triple(pt) -> tuple:
+    """The primitive integer triple (`_primitive`) of a nonzero rational triple."""
+    pt = [Fraction(c) for c in pt]
+    L = math.lcm(*(c.denominator for c in pt))
+    return _primitive([c.numerator * (L // c.denominator) for c in pt])
+
+
+def _affine(X) -> tuple:
+    """The affine point (x1/x0, x2/x0) of a triple with x0 != 0, as Fractions."""
+    return Fraction(X[1], X[0]), Fraction(X[2], X[0])
+
+
 class RegularMap:
-    """Certified regular endomorphism; immutable after construction."""
+    """Certified regular endomorphism; immutable after construction, its
+    cofactors computed on first use.  `lift` and `top_lift` are the integer
+    lifts (`IntegerLift`) of (P, Q) and of the top forms (P_d, Q_d)."""
 
     def __init__(self, P: MultiPoly, Q: MultiPoly, d: int, top_P: MultiPoly,
                  top_Q: MultiPoly, res: Fraction):
@@ -106,29 +160,35 @@ class RegularMap:
         self.top_P = top_P
         self.top_Q = top_Q
         self.res = res
+        self.lift = IntegerLift(P, Q)
+        self.top_lift = IntegerLift(top_P, top_Q)
 
     @property
     def degree(self) -> int:
         return self.d
 
     def apply(self, pt):
+        """(P, Q) at a point of any ring: the reference the integer lift is tested against."""
         z, w = pt
         return (self.P.eval(z, w), self.Q.eval(z, w))
 
-    def iterate(self, n: int, pt, max_bits: int = 10**6):
-        """Exact n-th image of a point with rational (or number-field)
-        coordinates; raises BitSizeCap if coordinates blow up."""
-        if n < 0:
-            raise ValueError("iterate needs n >= 0")
-        z, w = pt
-        for _ in range(n):
-            z, w = self.P.eval(z, w), self.Q.eval(z, w)
-            if isinstance(z, Fraction) and isinstance(w, Fraction):
-                bits = max(z.numerator.bit_length(), z.denominator.bit_length(),
-                           w.numerator.bit_length(), w.denominator.bit_length())
-                if bits > max_bits:
-                    raise BitSizeCap(f"coordinate size {bits} bits exceeds cap")
-        return (z, w)
+    @cached_property
+    def _cofactors(self) -> tuple:
+        """Binary forms (A1,B1,A2,B2) of degree d-1 with
+
+            A1*P_d + B1*Q_d = Res * z^(2d-1),   A2*P_d + B2*Q_d = Res * w^(2d-1),
+
+        unique since the Sylvester determinant Res is nonzero."""
+        d = self.d
+        n = 2 * d
+        # the coefficients of A (z^(d-1-s) w^s, s < d) then B solve S^T x = rhs,
+        # S the Sylvester matrix, row k the coefficient of z^(2d-1-k) w^k
+        S = _sylvester_rows(self.top_P, self.top_Q, d)
+        rhs = [[self.res if k == target else Fraction(0) for k in range(n)]
+               for target in (0, n - 1)]
+        _, xs = _solve_rational(list(zip(*S)), rhs)
+        return tuple(MultiPoly({(d - 1 - s, s): x[k + s] for s in range(d)})
+                     for x in xs for k in (0, d))
 
     def __repr__(self):
         return f"RegularMap(({self.P.to_string()}, {self.Q.to_string()}), d={self.d})"

@@ -12,7 +12,7 @@ from regdyn.green import (GreenContext, _arch_log_norm, bad_places, green_homog,
                           green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
-from regdyn.maps import NotRegular, make_regular_map
+from regdyn.maps import IntegerLift, NotRegular, make_regular_map
 from regdyn.padic import PrecisionLoss
 from regdyn.polyalg import MultiPoly
 
@@ -170,14 +170,15 @@ def test_escape_norm_encloses_the_exact_values(case, z0, pt, prec, n):
     P, Q = (f.P, f.Q) if z0 else (f.top_P, f.top_Q)
     assume(z0 or any(pt))
     a, b = _exact_iterate(P, Q, pt, n)
-    m, k, D, lo, hi = escape_norm(P, Q, z0, pt[0], pt[1], n, prec)
+    lift = IntegerLift(P, Q)
+    m, k, D, lo, hi = escape_norm(lift, z0, pt[0], pt[1], n, prec)
     scale = F(2) ** m / F(D) ** k
     assert scale * lo <= max(abs(a), abs(b)) <= scale * hi
     if not (z0 or lo):  # the enclosure of max(|a_n|, |b_n|) reaches 0
         with pytest.raises(PrecisionLoss):
-            _arch_log_norm(P, Q, z0, pt[0], pt[1], n, f.d, prec)
+            _arch_log_norm(lift, z0, pt[0], pt[1], n, f.d, prec)
         return
-    g = _arch_log_norm(P, Q, z0, pt[0], pt[1], n, f.d, prec).scale(f.d**n)
+    g = _arch_log_norm(lift, z0, pt[0], pt[1], n, f.d, prec).scale(f.d**n)
     exact = log_of_fraction(max(z0, abs(a), abs(b)), 400)
     assert g.lower <= exact.lower and exact.upper <= g.upper
 

@@ -1,12 +1,20 @@
+import contextlib
+import io
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from regdyn.maps import (BitSizeCap, DegreeTooLow, NotRegular, _solve_rational,
-                         binary_form_resultant, make_regular_map)
-from regdyn.polyalg import parse_poly
+from regdyn.cli import MAX_BITS, run
+from regdyn.green import _past_prec
+from regdyn.heights import PreperiodicityVerdict, _affine_too_big, orbit_verdict
+from regdyn.infinity import InfinityPoint, infinity_orbit_preperiodicity
+from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _exact_orbit,
+                         _solve_rational, _triple, binary_form_resultant, make_regular_map)
+from regdyn.polyalg import MultiPoly, parse_poly
 
 
 def test_regular_accepts():
@@ -42,16 +50,9 @@ def test_binary_form_resultant_oracle():
     assert r == 0
 
 
-def test_apply_and_iterate():
+def test_apply():
     f = make_regular_map("z^2", "w^2")
     assert f.apply((F(2), F(1))) == (F(4), F(1))
-    assert f.iterate(3, (F(2), F(1))) == (F(256), F(1))
-
-
-def test_iterate_bit_cap():
-    f = make_regular_map("z^2", "w^2")
-    with pytest.raises(BitSizeCap):
-        f.iterate(40, (F(2), F(1)), max_bits=1000)
 
 
 @st.composite
@@ -89,3 +90,114 @@ def test_fraction_free_solve_matches_sympy(system):
         want = M.LUsolve(sp.Matrix([sp.Rational(c.numerator, c.denominator) for c in b]))
         assert x == [_fraction(c) for c in want]
         assert all(type(c) is F for c in x)
+
+
+# -- the integer lift and its one step against Fraction arithmetic ------------
+
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 9))
+
+
+@st.composite
+def maps_and_points(draw):
+    """(f, z0, z1, z2): a regular map of degree 2 or 3 whose coefficient
+    denominators, from 1 to 9, share primes, and a rational point, affine
+    (z0 = 1) or [z1 : z2] at infinity (z0 = 0).  About half the draws plant
+    the point as a fixed point, so that its orbit closes: the constant terms
+    move it on the affine plane, a term z^d or w^d of the map at infinity."""
+    d = draw(st.integers(2, 3))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    P, Q = (MultiPoly({e: draw(small_q) for e in monomials}) for _ in range(2))
+    z0 = draw(st.sampled_from([0, 1]))
+    z1, z2 = draw(st.tuples(small_q, small_q))
+    assume(z0 or z1 or z2)
+    if draw(st.booleans()):
+        top_P, top_Q = P.homogeneous_part(d), Q.homogeneous_part(d)
+        if z0:
+            P, Q = P + (z1 - P.eval(z1, z2)), Q + (z2 - Q.eval(z1, z2))
+        elif z1:  # Q_d(z1, z2) becomes z2 P_d(z1, z2) / z1
+            t = (z2 * top_P.eval(z1, z2) - z1 * top_Q.eval(z1, z2)) / z1 ** (d + 1)
+            Q = Q + MultiPoly({(d, 0): t})
+        else:  # P_d(0, 1) becomes 0
+            P = P - MultiPoly({(0, d): P.coefficient(0, d)})
+    assume(P.degree == Q.degree == d)
+    try:
+        return make_regular_map(P, Q), z0, z1, z2
+    except NotRegular:
+        assume(False)
+
+
+def _coprime(a: F, b: F) -> tuple:
+    """[a : b] as coprime integers, the last nonzero one positive."""
+    L = math.lcm(a.denominator, b.denominator)
+    x, y = int(a * L), int(b * L)
+    g = math.gcd(x, y) * (-1 if y < 0 or (y == 0 and x < 0) else 1)
+    return x // g, y // g
+
+
+def _affine_rule(pt):
+    return max(map(abs, pt)) > 10**40 or max(
+        c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
+
+
+def _prec_rule(pt):
+    return max(max(abs(c.numerator), c.denominator) for c in pt).bit_length() > 120
+
+
+def _run_orbit(f, pt, n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["orbit", "--map", f"{f.P.to_string()}, {f.Q.to_string()}",
+                    f"--point={pt[0]},{pt[1]}", "-n", str(n)])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_and_points(), st.tuples(*[st.integers(-5, 5)] * 3))
+def test_integer_orbits_match_a_fraction_replay(case, X):
+    # the lift is D (z0^d, P^h, Q^h) and D (z0^d, P_d, Q_d), D the lcm of
+    # the coefficient denominators
+    f, z0, z1, z2 = case
+    x0, x1, x2 = X
+    for lift, (P, Q) in ((f.lift, (f.P, f.Q)), (f.top_lift, (f.top_P, f.top_Q))):
+        D = math.lcm(*(c.denominator for g in (P, Q) for c in g.coeffs.values()))
+        if x0:
+            want = [F(x0) ** f.d * g.eval(F(x1, x0), F(x2, x0)) for g in (P, Q)]
+        else:
+            want = [f.top_P.eval(x1, x2), f.top_Q.eval(x1, x2)]
+        assert lift(X) == [D * x0 ** f.d] + [D * v for v in want]
+    if z0:
+        # the same points, the same k and the same cut point under each size
+        # rule of an affine orbit as (P, Q) iterated on Fractions
+        for rule, replay_rule in ((_affine_too_big, _affine_rule), (_past_prec, _prec_rule)):
+            orbit, k = _exact_orbit(f.lift.step, _triple((1, z1, z2)), ORBIT_CAP, rule)
+            assert (list(map(_affine, orbit)), k) == \
+                _exact_orbit(f.apply, (z1, z2), ORBIT_CAP, replay_rule)
+        ref, k = _exact_orbit(f.apply, (z1, z2), ORBIT_CAP, _affine_rule)
+        verdict = orbit_verdict(f, (z1, z2))
+        assert verdict == (None if k is None else PreperiodicityVerdict.preperiodic(ref, k))
+        # the orbit command stops before a coordinate passes MAX_BITS
+        rows = [(z1, z2)]
+        for _ in range(16):
+            nxt = f.apply(rows[-1])
+            if any(max(abs(c.numerator), c.denominator).bit_length() > MAX_BITS for c in nxt):
+                break
+            rows.append(nxt)
+        doc = _run_orbit(f, (z1, z2), 16)
+        assert [tuple(F(c["exact"]) for c in row) for row in doc["result"]["orbit"]] == rows
+        assert doc["caps"]["bit_capped"] is (len(rows) < 17)
+    else:
+        # on the line at infinity, as the top forms on coprime pairs
+        def step(pair):
+            return _coprime(f.top_P.eval(*map(F, pair)), f.top_Q.eval(*map(F, pair)))
+
+        def big(pair):
+            return max(map(abs, pair)) > 10**60
+
+        ref, k = _exact_orbit(step, _coprime(z1, z2), ORBIT_CAP, big)
+        orbit, k2 = _exact_orbit(f.top_lift.step, _triple((0, z1, z2)), ORBIT_CAP,
+                                 lambda X: big(X[1:]))
+        assert ([X[1:] for X in orbit], k2) == (ref, k)
+        if k is not None:
+            verdict = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(z1, z2))
+            assert verdict == PreperiodicityVerdict.preperiodic(ref, k)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.cli import run
 from regdyn.exactnum import valuation
-from regdyn.maps import NotRegular, make_regular_map
+from regdyn.maps import IntegerLift, NotRegular, make_regular_map
 from regdyn.padic import PrecisionLoss, escape_exponent
 from regdyn.polyalg import MultiPoly, parse_poly
 
@@ -44,9 +44,10 @@ def test_escape_exponent_matches_exact_iteration(f, pt, p, n, affine, k):
     z0, (P, Q) = (1, (f.P, f.Q)) if affine else (0, (f.top_P, f.top_Q))
     assume(affine or any(pt))
     exact = _exact_exponent(P, Q, z0, *pt, n, p)
-    assert escape_exponent(P, Q, z0, *pt, n, p, 256) == exact
+    lift = IntegerLift(P, Q)
+    assert escape_exponent(lift, z0, *pt, n, p, 256) == exact
     try:
-        assert escape_exponent(P, Q, z0, *pt, n, p, k) == exact
+        assert escape_exponent(lift, z0, *pt, n, p, k) == exact
     except PrecisionLoss:
         pass
 
@@ -54,7 +55,7 @@ def test_escape_exponent_matches_exact_iteration(f, pt, p, n, affine, k):
 def test_valuation_recursion_oracle():
     # z -> z^2/3 at p = 3 from z = 1: v(z_n) = 1 - 2^n, so m_n = 2^n - 1
     f = make_regular_map("1/3*z^2", "w^2")
-    assert [escape_exponent(f.P, f.Q, 1, F(1), F(1), n, 3, 8) for n in range(7)] == \
+    assert [escape_exponent(f.lift, 1, F(1), F(1), n, 3, 8) for n in range(7)] == \
         [2**n - 1 for n in range(7)]
 
 
@@ -62,16 +63,16 @@ def test_exact_zero():
     # a coordinate that stays exactly 0 costs no digits: a_n = 0 for all n
     # under (z^2, w^2/3) from (0, 1), and v(b_n) = 1 - 2^n
     f = make_regular_map("z^2", "1/3*w^2")
-    assert escape_exponent(f.P, f.Q, 1, F(0), F(1), 10, 3, 1) == 2**10 - 1
+    assert escape_exponent(f.lift, 1, F(0), F(1), 10, 3, 1) == 2**10 - 1
 
 
 def test_cancellation_gives_inexact_zero():
     # at [0 : 1 : 10] the top forms (z^2 - w^2, 9 z w) take 1 - 100 = -99 and
     # 90, both of 3-adic valuation 2: two digits cannot tell them from 0
-    P, Q = parse_poly("z^2 - w^2"), parse_poly("9*z*w")
+    lift = IntegerLift(parse_poly("z^2 - w^2"), parse_poly("9*z*w"))
     with pytest.raises(PrecisionLoss):
-        escape_exponent(P, Q, 0, F(1), F(10), 1, 3, 2)
-    assert escape_exponent(P, Q, 0, F(1), F(10), 1, 3, 3) == -2
+        escape_exponent(lift, 0, F(1), F(10), 1, 3, 2)
+    assert escape_exponent(lift, 0, F(1), F(10), 1, 3, 3) == -2
 
 
 ESCALATING = ("--map", "2*z^2 - z*w + 2*z + 1/3*w + 1/3, z*w + 2*w^2 - 3",
@@ -83,7 +84,7 @@ def test_an_escalating_green_value_keeps_its_enclosure(capsys):
     # the kernel restarts at 128; the enclosure is pinned to its exact value
     f = make_regular_map(*ESCALATING[1].split(","))
     with pytest.raises(PrecisionLoss):
-        escape_exponent(f.P, f.Q, 1, F(1), F(1, 2), 104, 3, 64)
+        escape_exponent(f.lift, 1, F(1), F(1, 2), 104, 3, 64)
     assert run(["green", *ESCALATING, "--place", "3"]) == 0
     green = json.loads(capsys.readouterr().out)["result"]["green"]
     assert green["lo_exact"] == (
