@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -22,7 +23,8 @@ from .infinity import (InfinityPoint, Superattracting, classify_multiplier, comp
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import RegularMap
 from .numberfield import NumberField
-from .polyalg import MultiPoly, _combine, _times, homogeneous_top, parse_poly
+from .polyalg import (MultiPoly, _approx_roots, _combine, _low_degree_factors, _times,
+                      homogeneous_top, parse_poly)
 
 _z, _w = sp.symbols("z w")
 _Z, _W = sp.symbols("Z W")
@@ -40,9 +42,9 @@ class PlaneCurve:
             poly = poly.poly
         if poly.degree < 1:
             raise ValueError("curve polynomial must be nonconstant")
-        factors = [poly] if poly.degree == 1 else [  # a line is irreducible
-            MultiPoly.from_poly(b) for b, _m in sp.factor_list(poly.to_poly(_z, _w))[1]]
-        self._set([_canonical(F.num) for F in factors])
+        factors = [poly.num] if _irreducible(poly.num) else [
+            MultiPoly.from_poly(b).num for b, _m in sp.factor_list(poly.to_poly(_z, _w))[1]]
+        self._set([_canonical(F) for F in factors])
 
     def _set(self, components):
         # the irreducible factors as primitive integer dicts {(i, j): c}, the lex-leading
@@ -77,6 +79,28 @@ class PlaneCurve:
 
     def __repr__(self):
         return f"PlaneCurve({self.poly.to_string()})"
+
+
+def _irreducible(R: dict) -> bool:
+    """True when the integer dict R, of degree >= 1, is proved irreducible in
+    Q[z, w] in closed form: a line; a binomial a w^m + b z^n with gcd(m, n) =
+    1, irreducible in Q(z)[w] by Capelli's theorem (-b/a z^n is no p-th power
+    for a prime p | m, nor in -4 Q(z)^4, its order n at z = 0 being prime to
+    m) and primitive over Q[z], so irreducible (Gauss's lemma); a conic
+    whose symmetric 3 x 3 matrix has a nonzero determinant, irreducible
+    even over C.  False says nothing: sympy factors those curves."""
+    degree = max(map(sum, R))
+    if degree == 1:
+        return True
+    if len(R) == 2:
+        (i, m), (n, j) = sorted(R)  # w^m sorts before z^n
+        if i == j == 0 and m and n and math.gcd(m, n) == 1:
+            return True
+    if degree == 2:
+        A, B, C, D, E, F = (R.get(e, 0) for e in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+        # twice the matrix of A z^2 + B z w + C w^2 + D z + E w + F
+        return 2 * A * (4 * C * F - E * E) - B * (2 * B * F - D * E) + D * (B * E - 2 * C * D) != 0
+    return False
 
 
 def points_at_infinity(C: PlaneCurve) -> list:
@@ -421,14 +445,42 @@ def _cyclotomic_field(L: int) -> NumberField:
     return NumberField(sp.cyclotomic_poly(L, _t, polys=True).all_coeffs()[::-1])
 
 
-def _on_curve_cyclotomic(R: MultiPoly, a1, n1, a2, n2) -> bool:
-    """Exact test R(zeta^e1, zeta^e2) = 0 in the lcm cyclotomic field."""
+def _on_curve_cyclotomic(R: dict, a1, n1, a2, n2) -> bool:
+    """Exact test R(zeta^e1, zeta^e2) = 0 in the lcm cyclotomic field, for
+    an integer dict R."""
     L = n1 * n2 // math.gcd(n1, n2)
     e1, e2 = a1 * L // n1, a2 * L // n2
     cs = [0] * L
-    for (i, j), c in R.num.items():
+    for (i, j), c in R.items():
         cs[(i * e1 + j * e2) % L] += c
     return _cyclotomic_field(L)(cs).is_zero()
+
+
+@lru_cache(maxsize=64)
+def _unit_fractions(max_order: int) -> list:
+    """(a / n, n, a) for each root of unity exp(2*pi*i*a/n) of order n <=
+    max_order, sorted; read-only."""
+    return sorted((a / n, n, a) for a, n in _roots_of_unity(max_order))
+
+
+def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
+    """(order n, exponent a) for each root of unity exp(2*pi*i*a/n), n <=
+    max_order, within r of x, and maybe a few more, some twice.  A point of
+    the unit circle at angle phi from x is at least |x| |sin phi| from x,
+    and at least |x| when |phi| >= pi/2; so for r < |x| the window is the
+    arc |phi| <= asin(r / |x|), and for r >= |x| (or r = inf) the whole
+    circle."""
+    table = _unit_fractions(max_order)
+    if r == math.inf:
+        return [(n, a) for _f, n, a in table]
+    m = abs(x)
+    if r < abs(m - 1):
+        return []
+    half = 0.5 if r >= m else math.asin(r / m) / (2 * math.pi)  # in turns
+    t = cmath.phase(x) / (2 * math.pi)  # in [-1/2, 1/2]; the table spans [0, 1)
+    return [(n, a) for s in (0, 1)
+            for _f, n, a in table[bisect_left(table, (t - half + s,)):
+                                  bisect_right(table, (t + half + s, math.inf))]]
 
 
 def _unit_monomial(f: RegularMap):
@@ -473,6 +525,38 @@ def _zeta(e: int, N: int) -> Zeta:
     return Zeta(Fraction(e, N))
 
 
+def _unit_roots_tried(R: MultiPoly, row: list, n1: int, a1: int, tol: float,
+                      max_order: int) -> list:
+    """The (order, exponent) pairs, sorted, of the roots of unity of order at
+    most max_order that the probe tries as z2 with z1 = exp(2*pi*i*a1/n1):
+    all that solve R(z1, w) = 0, and a few more.  row holds the coefficients
+    of R(z1, w) by descending powers of w, each within tol of the exact one."""
+    dw = len(row) - 1
+    k = dw  # the degree of R(z1, w): a coefficient within tol of 0 is tested exactly
+    while k >= 0 and abs(row[dw - k]) <= tol and _on_curve_cyclotomic(
+            {(i, 0): c for (i, j), c in R.num.items() if j == k}, a1, n1, 1, 1):
+        k -= 1
+    poly = row[dw - k:][::-1] if k >= 0 else []
+    mags = list(map(abs, poly))
+    if not poly:
+        roots = [(0j, math.inf)]  # R(z1, w) = 0: a vertical component
+    elif 2 * max(mags) > sum(mags) + (k + 1) * tol:
+        roots = []  # one term outweighs the rest on |w| = 1, so no root lies there
+    else:
+        roots = _approx_roots(poly, tol)
+    # r + tol: tol also covers the rounding of the angles
+    return sorted({e for x, r in roots for e in _roots_of_unity_near(x, r + tol, max_order)})
+
+
+def _rational_roots(cs: list) -> list:
+    """The rational roots of the integer polynomial sum cs[k] w^k, of degree
+    >= 1, one per linear factor, in the order of sympy's factor_list."""
+    factors = _low_degree_factors(cs)
+    if factors is None:
+        factors = [(b.all_coeffs()[::-1], m) for b, m in sp.factor_list(sp.Poly(cs[::-1], _w))[1]]
+    return [Fraction(-int(f[0]), int(f[1])) for f, _m in factors if len(f) == 2]
+
+
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                             max_order: int = 24) -> list:
     """Preperiodic points found on C: rational points from vertical-line
@@ -480,21 +564,31 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     (`_unit_monomial`), the pairs of roots of unity of order at most
     max_order on C, as Zetas.  Membership is checked exactly in a cyclotomic
     field and orbits exactly on the exponents.  Other maps get no
-    roots-of-unity probe."""
+    roots-of-unity probe.
+
+    For each root of unity z1 the probe tries as z2 only the roots of unity
+    near the roots of R(z1, w) (`_approx_roots`, `_roots_of_unity_near`),
+    whose radii cover every exact root; a row R(z1, w) that vanishes in w,
+    a vertical component, tries every z2.  The points of one z1 come in the
+    order of (order, exponent) of z2."""
     R = C.poly
     found = []
     seen = set()
+    dz, dw = R.degree_in(0), R.degree_in(1)
     # rational probes along vertical lines z = a
     for a in _bounded_rationals(height_bound):
-        line = R.compose(MultiPoly.constant(a), MultiPoly.variable(1)).to_poly(_z, _w)
-        if line.is_zero:
+        p, q = a.numerator, a.denominator
+        line = [0] * (dw + 1)  # q^dz R(a, w), ascending in w
+        for (i, j), c in R.num.items():
+            line[j] += c * p ** i * q ** (dz - i)
+        while line and not line[-1]:
+            line.pop()
+        if not line:
             roots = list(_bounded_rationals(height_bound))  # whole line on C
-        elif line.total_degree() < 1:
+        elif len(line) == 1:
             continue
-        else:  # the rational roots, one per linear factor
-            roots = [Fraction(int(q.p), int(q.q))
-                     for fac, _m in sp.factor_list(line.ltrim(1))[1] if fac.degree() == 1
-                     for q in [-fac.nth(0) / fac.nth(1)]]
+        else:
+            roots = _rational_roots(line)
         for b in roots:
             if (a, b) in seen:
                 continue
@@ -506,21 +600,29 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     if exps is None:
         return found
     # roots-of-unity probes (numeric prefilter, exact confirmation)
-    rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
-            for a, n in _roots_of_unity(max_order)]
-    dw = R.degree_in(1)
-    for a1, n1, z1 in rous:
+    unit = {(n, a): complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n))
+            for a, n in _roots_of_unity(max_order)}
+    # bounds the rounding of each computed row coefficient and of Horner's
+    # rule on the row, up to degrees in the thousands
+    tol = 2.0 ** -40 * sum(map(abs, R.num.values()))
+    tried = {}  # (order, exponent) of the z2 tried, per z1
+    for (n1, a1), z1 in unit.items():
         # R(z1, w) = sum of row[dw - j] * w^j, for a Horner step per z2
         row = [0j] * (dw + 1)
         for (i, j), c in R.num.items():
             row[dw - j] += complex(c) * z1**i
-        for a2, n2, z2 in rous:
+        mirror = tried.get((n1, -a1 % n1))
+        # R(z1, w) = conj R(conj z1, conj w), R being real
+        tries = _unit_roots_tried(R, row, n1, a1, tol, max_order) if mirror is None \
+            else sorted((n, -a % n) for n, a in mirror)
+        tried[n1, a1] = tries
+        for n2, a2 in tries:
             if n1 <= 2 and n2 <= 2:
                 continue  # (+-1, +-1) already covered by the rational search
             val = 0j
             for c in row:
-                val = val * z2 + c
-            if abs(val) > 1e-8 or not _on_curve_cyclotomic(R, a1, n1, a2, n2):
+                val = val * unit[n2, a2] + c
+            if abs(val) > 1e-8 or not _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
             start = (_zeta(a1, n1), _zeta(a2, n2))
             verdict = _unit_monomial_orbit(exps, start)

@@ -24,7 +24,7 @@ from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
 from .green import GreenContext, bad_places, green_homog
 from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit
 from .maps import RegularMap, _triple
-from .polyalg import MultiPoly
+from .polyalg import MultiPoly, _low_degree_factors
 
 _x, _t = sp.symbols("x t")
 # points at infinity of higher degree get no exact orbit: Unknown
@@ -200,12 +200,20 @@ def projective_roots(form: MultiPoly, degree: int) -> list:
     last.
 
     The roots with z1 != 0 are those of form(1, t), in chart 0; the drop
-    of its degree against `degree` is the multiplicity of [0 : 1]."""
-    poly = sp.Poly.from_dict({(j,): c for (i, j), c in form.num.items()}, _x, domain=sp.ZZ)
+    of its degree against `degree` is the multiplicity of [0 : 1].  Its
+    factors come in sympy's factor_list order, in closed form when they
+    have degree <= 2 (`_low_degree_factors`), from sympy otherwise."""
+    cs = [0] * (max(j for _i, j in form.num) + 1)  # form(1, t), ascending
+    for (_i, j), c in form.num.items():
+        cs[j] = c
+    factors = _low_degree_factors(cs)
+    if factors is None:
+        factors = [(fac.all_coeffs()[::-1], mult)
+                   for fac, mult in sp.factor_list(sp.Poly(cs[::-1], _x))[1]]
     pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
-           for fac, mult in sp.factor_list(poly)[1] for idx in range(fac.degree())]
-    if degree > poly.degree():
-        pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, degree - poly.degree()))
+           for fac, mult in factors for idx in range(len(fac) - 1)]
+    if degree > len(cs) - 1:
+        pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, degree - len(cs) + 1))
     return pts
 
 

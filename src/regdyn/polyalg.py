@@ -52,6 +52,103 @@ def _sum2(na: dict, da: int, nb: dict, db: int, sign: int = 1):
     return _combine(na, den // da, nb, -sign * (den // db)), den
 
 
+def _approx_roots(cs, tol: float = 0.0) -> list:
+    """[(x, r)] for the n roots of p = sum cs[k] t^k, of degree n (cs[-1] !=
+    0, ints or complex numbers): approximations x_i by the Weierstrass
+    (Durand-Kerner) iteration, and radii r_i such that every root of every
+    polynomial whose coefficients lie within tol of p's lies within r_i of
+    some x_i.  For distinct x_i, p(t) = c_n prod (t - x_j) (1 + sum W_i /
+    (t - x_i)) with W_i = p(x_i) / (c_n prod_{j != i} (x_i - x_j)), so at a
+    root some |t - x_i| <= n |W_i| (Braess and Hadeler 1973); tol also has
+    to cover the rounding of p(x_i).  A radius that is not finite is inf.
+    Near a k-fold root the x_i settle about eps^(1/k) apart, and their radii
+    grow to match."""
+    n, lead = len(cs) - 1, cs[-1]
+    a = [c / lead for c in reversed(cs)]  # monic, descending
+    x = [complex(0.4, 0.9) ** k for k in range(n)]
+    for step in range(101):
+        p, d = [], []  # p(x_i) / c_n and prod_{j != i} (x_i - x_j)
+        for i, t in enumerate(x):
+            v, e = 0j, 1
+            for c in a:
+                v = v * t + c
+            for j, u in enumerate(x):
+                if j != i:
+                    e *= t - u
+            p.append(v)
+            d.append(e)
+        if step == 100 or all(abs(v) <= 2.0 ** -40 * abs(e) * (1 + abs(t))
+                              for v, e, t in zip(p, d, x)):
+            break
+        x = [t - v / e if e else t for t, v, e in zip(x, p, d)]
+    out = []
+    for t, v, e in zip(x, p, d):
+        powers = 0.0  # sum of |x_i|^k for k <= n, inf past the double range
+        for _ in range(n + 1):
+            powers = powers * abs(t) + 1
+        below = (abs(lead) - tol) * abs(e)
+        r = n * (abs(lead * v) + tol * powers) / below if below > 0 else math.inf
+        out.append((t, r if r < math.inf else math.inf))
+    return out
+
+
+def _divide_linear(h: list, r: Fraction):
+    """h / (q t - p) for r = p / q and ascending integer coefficients h, when
+    the division is exact; None otherwise."""
+    p, q = r.numerator, r.denominator
+    g, carry = [0] * (len(h) - 1), 0
+    for k in range(len(h) - 1, 0, -1):  # h_k = q g_(k-1) - p g_k
+        carry, rest = divmod(h[k] + p * carry, q)
+        if rest:
+            return None
+        g[k - 1] = carry
+    return g if h[0] + p * carry == 0 else None
+
+
+def _low_degree_factors(cs):
+    """sp.factor_list(...)[1] for the integer polynomial sum cs[k] x^k
+    (cs[-1] != 0) when each of its irreducible factors is linear but at most
+    one quadratic; None otherwise.  Each factor is a tuple of ascending
+    coefficients, primitive with a positive leading one, with its
+    multiplicity, in sympy's order: by degree, multiplicity, then
+    descending coefficients.  No coefficient is factored.  A rational root
+    is an approximate root (`_approx_roots`) taken to the nearest fraction
+    whose denominator is at most the leading coefficient, confirmed by exact
+    division; a quadratic is irreducible iff its discriminant is not a
+    square."""
+    j = next(k for k, c in enumerate(cs) if c)
+    factors = [((0, 1), j)] if j else []  # x^j
+    g = math.gcd(*cs[j:])
+    h = [c // g for c in cs[j:]]
+    if len(h) > 3:
+        try:
+            approx = _approx_roots(h)
+        except OverflowError:  # a coefficient ratio past the double range
+            return None
+        for x, _r in approx:
+            if not math.isfinite(x.real):
+                continue
+            r, m = Fraction(x.real).limit_denominator(abs(h[-1])), 0
+            while (quotient := _divide_linear(h, r)) is not None:
+                h, m = quotient, m + 1
+            if m:
+                factors.append(((-r.numerator, r.denominator), m))
+    if len(h) > 3:
+        return None
+    if len(h) == 3:
+        c, b, a = h
+        D = b * b - 4 * a * c
+        s = math.isqrt(D) if D >= 0 else -1
+        if s * s != D:
+            factors.append((tuple(h) if a > 0 else (-c, -b, -a), 1))
+        else:  # rational roots (-b -+ s) / 2a, one double root when s = 0
+            roots = {Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)}
+            factors += [((-r.numerator, r.denominator), 3 - len(roots)) for r in roots]
+    elif len(h) == 2:
+        factors.append((tuple(h) if h[1] > 0 else (-h[0], -h[1]), 1))
+    return sorted(factors, key=lambda f: (len(f[0]), f[1], f[0][::-1]))
+
+
 def _eval_terms(terms, z, w, add, mul, pow):
     """The sum of c * z**i * w**j over the ((i, j), c) terms, in their order,
     in the ring whose operations are add, mul and pow; the int 0 for no terms.

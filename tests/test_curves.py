@@ -13,7 +13,7 @@ from regdyn.heights import ORBIT_CAP
 from regdyn.infinity import ExpandingPlace
 from regdyn.maps import make_regular_map
 from regdyn.numberfield import NumberField
-from regdyn.polyalg import MultiPoly
+from regdyn.polyalg import MultiPoly, parse_poly
 
 
 def test_plane_curve_canonical_form():
@@ -247,6 +247,81 @@ def test_find_preperiodic_points_on_a_swapped_map():
                        (Zeta(F(0)), Zeta(F(1, 2)))]
 
 
+def _pair_scan(f, C, max_order):
+    """The roots-of-unity points of find_preperiodic_points found by testing
+    every ordered pair of roots of unity of order at most max_order: the
+    reference for the probe, which tries only those near the roots of each
+    row R(z1, w)."""
+    R, exps = C.poly, curves._unit_monomial(f)
+    rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
+            for a, n in curves._roots_of_unity(max_order)]
+    dw = R.degree_in(1)
+    found = []
+    for a1, n1, z1 in rous:
+        row = [0j] * (dw + 1)
+        for (i, j), c in R.num.items():
+            row[dw - j] += complex(c) * z1**i
+        for a2, n2, z2 in rous:
+            if n1 <= 2 and n2 <= 2:
+                continue
+            val = 0j
+            for c in row:
+                val = val * z2 + c
+            if abs(val) > 1e-8 or not curves._on_curve_cyclotomic(R.num, a1, n1, a2, n2):
+                continue
+            start = (Zeta(F(a1, n1)), Zeta(F(a2, n2)))
+            verdict = curves._unit_monomial_orbit(exps, start)
+            if verdict is not None:
+                found.append((start, verdict))
+    return found
+
+
+_Z_FACTORS = ["z^2 + z + 1", "z + 1", "z^2 + 1", "z^2 - z + 1", "z^4 + 1"]
+
+
+@st.composite
+def unit_monomial_cases(draw):
+    """A unit monomial map (signs +-1, degree 2 or 3, maybe swapped) and a
+    line, a binomial (coprime exponents or not), a conic, a product with a
+    factor free of w (whose rows vanish at its roots) or a curve whose rows
+    have a double or triple root at roots of unity."""
+    d = draw(st.sampled_from([2, 3]))
+    s1, s2 = (draw(st.sampled_from(["", "-"])) for _ in range(2))
+    P, Q = (f"{s1}w^{d}", f"{s2}z^{d}") if draw(st.booleans()) else (f"{s1}z^{d}", f"{s2}w^{d}")
+    c = st.sampled_from([-2, -1, 1, 2])
+    kind = draw(st.sampled_from(["line", "binomial", "conic", "vertical", "multiple"]))
+    if kind == "line":
+        curve = f"{draw(c)}*z + {draw(c)}*w + {draw(st.integers(-1, 1))}"
+    elif kind == "binomial":
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        curve = f"w^{m} + {draw(c)}*z^{n}"
+    elif kind == "conic":
+        a, b, e, g, h, k = (draw(st.integers(-2, 2)) for _ in range(6))
+        curve = f"{a}*z^2 + {b}*z*w + {e}*w^2 + {g}*z + {h}*w + {k} + w^2"
+    elif kind == "vertical":
+        zf, k = draw(st.sampled_from(_Z_FACTORS)), draw(st.integers(1, 2))
+        curve = f"({zf})*(w - {draw(c)}*z^{k})"
+    else:
+        e = draw(st.integers(2, 3))
+        curve = f"(w - z^{draw(st.integers(1, 2))})^{e} - ({draw(st.sampled_from(_Z_FACTORS))})"
+    return make_regular_map(P, Q), curve, draw(st.sampled_from([4, 6, 8, 12]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_monomial_cases())
+@example((make_regular_map("z^2", "w^2"), "(z^2 + z + 1)*(w - z)", 12))
+@example((make_regular_map("w^2", "-z^2"), "(w - z)^2 - (z^2 + z + 1)", 12))
+def test_roots_of_unity_probe_matches_the_pair_scan(case):
+    # same points, same verdicts, same order as testing every pair
+    f, curve, max_order = case
+    try:
+        C = PlaneCurve(curve)
+    except ValueError:  # a constant
+        assume(False)
+    got = [(p.point, p.verdict) for p in find_preperiodic_points(f, C, 0, max_order)]
+    assert got == _pair_scan(f, C, max_order)
+
+
 def test_dmm_report_diagonal():
     f = make_regular_map("z^2", "w^2")
     rep = dmm_report(f, PlaneCurve("w - z"), height_bound=2, max_order=8)
@@ -293,9 +368,10 @@ def test_dmm_report_classifies_a_two_cycle_at_infinity(monkeypatch):
 
 
 def test_curve_orbit_factors_each_curve_once(monkeypatch):
-    # a start curve of degree >= 2 is factored once, when it is made, and a
-    # line, irreducible, not at all; the components of each curve are reused
-    # by the next pushforward
+    # a start curve that needs sympy is factored once, when it is made, and
+    # one proved irreducible in closed form (a line, a conic of nonzero
+    # determinant) not at all; the components of each curve are reused by
+    # the next pushforward
     calls = []
     original = sp.factor_list
     monkeypatch.setattr(sp, "factor_list",
@@ -312,7 +388,12 @@ def test_curve_orbit_factors_each_curve_once(monkeypatch):
     calls.clear()
     st = curve_preperiodicity(f, PlaneCurve("z*w - z - 1"), max_iters=3)
     assert [C.degree for C in st.orbit] == [2, 4, 8, 16]
-    assert len(calls) == 1 + 3
+    assert len(calls) == 0 + 3
+    calls.clear()
+    # a cubic goes to sympy once; its images, cubics again, come from the kernel
+    st = curve_preperiodicity(f, PlaneCurve("w^2 - z^3 - z"), max_iters=2)
+    assert [C.degree for C in st.orbit] == [3, 3, 3]
+    assert len(calls) == 1 + 0
 
 
 def test_pushforward_takes_a_shared_image_once():
@@ -409,6 +490,48 @@ def test_a_line_is_its_own_component_as_factoring_would_give(a, b, c, q):
     z, w = sp.symbols("z w")
     expected = MultiPoly.from_poly(sp.Poly.from_dict(ref[0], z, w))
     assert list(C.poly.coeffs.items()) == list(expected.coeffs.items())
+
+
+@st.composite
+def closed_form_irreducibles(draw):
+    """A conic with a nonzero determinant or a binomial a w^m + b z^n with
+    gcd(m, n) = 1, rational coefficients."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        assume(math.gcd(m, n) == 1)
+        return MultiPoly({(0, m): draw(ratio), (n, 0): draw(ratio)})
+    R = MultiPoly({e: draw(small) for e in _monomials(2)})
+    A, B, C, D, E, G = (R.coeffs.get(e, 0)
+                        for e in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    assume(R.degree == 2 and sp.Matrix([[2 * A, B, D], [B, 2 * C, E], [D, E, 2 * G]]).det() != 0)
+    return R * draw(ratio)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_irreducibles())
+def test_closed_form_irreducibles_skip_sympy_and_match_it(R):
+    # the one factor factor_list finds, with multiplicity 1, without asking it
+    z, w = sp.symbols("z w")
+    (_b, m), = sp.factor_list(R.to_poly(z, w))[1]
+    assert m == 1 and curves._irreducible(R.num)
+    assert PlaneCurve(R).components == _sympy_components(R)
+
+
+@pytest.mark.parametrize("curve, count", [("z^2 - w^2", 2), ("z^2 - 2*w^2", 1),
+                                          ("(w - 2*z + 1)^2", 1), ("w^2 - 4*z^2", 2),
+                                          ("w^4 - z^2", 2), ("z^2 - 1", 2)])
+def test_curves_without_a_closed_form_go_to_sympy(monkeypatch, curve, count):
+    # degenerate conics and binomials with a common exponent factor may
+    # split: sympy decides
+    R = parse_poly(curve)
+    assert not curves._irreducible(R.num)
+    calls = []
+    original = sp.factor_list
+    monkeypatch.setattr(sp, "factor_list",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    C = PlaneCurve(R)
+    assert len(calls) == 1 and len(C.components) == count
+    assert C.components == _sympy_components(R)
 
 
 @st.composite

@@ -232,6 +232,17 @@ def _assert_roots(form, degree, pts):
     assert any(p.chart == 1 for p in pts) == (top_t < degree)
 
 
+def _sympy_projective_roots(form, degree):
+    """projective_roots with every factor from sympy: the reference."""
+    poly = sp.Poly.from_dict({(j,): c for (i, j), c in form.num.items()}, sp.Symbol("x"),
+                             domain=sp.ZZ)
+    pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
+           for fac, mult in sp.factor_list(poly)[1] for idx in range(fac.degree())]
+    if degree > poly.degree():
+        pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, degree - poly.degree()))
+    return pts
+
+
 small = st.integers(min_value=-4, max_value=4)
 
 
@@ -242,7 +253,31 @@ def test_projective_roots_of_random_binary_forms(case):
     degree, cs = case
     form = MultiPoly({(degree - j, j): c for j, c in enumerate(cs)})
     assume(not form.is_zero())
-    _assert_roots(form, degree, projective_roots(form, degree))
+    pts = projective_roots(form, degree)
+    _assert_roots(form, degree, pts)
+    assert pts == _sympy_projective_roots(form, degree)
+
+
+_factor = st.one_of(st.tuples(st.integers(1, 4), st.integers(-5, 5)),
+                    st.tuples(st.integers(1, 3), st.integers(-4, 4), st.integers(-4, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2), st.sampled_from([1, -2, 3]))
+def test_projective_roots_of_products_match_sympy(factors, zeros, drop, content):
+    # form(1, t) = content * t^zeros * prod f(t)^m, of formal degree `drop`
+    # above its own: the closed form meets every factor shape, the point [0 : 1]
+    # and repeated roots, and must give sympy's points in sympy's order
+    t = sp.Symbol("t")
+    p = sp.Poly(content * t ** zeros, t)
+    for f, m in factors:
+        p *= sp.Poly(list(f), t) ** m
+    degree = p.degree() + drop
+    form = MultiPoly({(degree - j, j): int(c) for (j,), c in p.terms()})
+    pts = projective_roots(form, degree)
+    _assert_roots(form, degree, pts)
+    assert pts == _sympy_projective_roots(form, degree)
 
 
 @settings(max_examples=40, deadline=None)

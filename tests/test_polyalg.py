@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.numberfield import NumberField
-from regdyn.polyalg import MultiPoly, PolyParseError, homogeneous_top, parse_poly
+from regdyn.polyalg import (MultiPoly, PolyParseError, _low_degree_factors, homogeneous_top,
+                            parse_poly)
 
 
 def test_parse_basic():
@@ -227,3 +228,51 @@ def test_integer_form_is_canonical_and_matches_a_fraction_reference(ta, tb, tc, 
     for p, q in [((a + b) - b, a), (a * b, b * a), (a * (b + c), a * b + a * c),
                  (a - a, MultiPoly.zero()), (a * F(2, 3) * F(3, 2), a)]:
         assert p == q and hash(p) == hash(q)
+
+
+# -- factors of univariate integer polynomials --------------------------------
+
+_x = sp.Symbol("x")
+
+
+def _sympy_factors(cs):
+    """sp.factor_list's factors of sum cs[k] x^k as (ascending tuple, multiplicity)."""
+    return [(tuple(int(c) for c in reversed(b.all_coeffs())), m)
+            for b, m in sp.factor_list(sp.Poly(cs[::-1], _x))[1]]
+
+
+_linear = st.tuples(st.integers(1, 6), st.integers(-8, 8))  # (a, b): a x + b
+_quadratic = st.tuples(st.integers(1, 4), st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3)), max_size=4),
+       st.integers(0, 3), st.sampled_from([1, -1, 2, -6, 15]), st.booleans())
+def test_low_degree_factors_match_sympy(factors, zeros, content, cubic):
+    # products of linear and quadratic factors with multiplicities, a root 0
+    # of multiplicity `zeros`, a content and a sign; an irreducible cubic or
+    # quartic, or two irreducible quadratics, leave the closed form
+    p = sp.Poly(content * _x ** zeros, _x)
+    for f, m in factors:
+        p *= sp.Poly(list(f), _x) ** m
+    if cubic:
+        p *= sp.Poly(_x ** 3 - 2 if zeros % 2 else _x ** 4 + _x + 1, _x)
+    cs = [int(c) for c in reversed(p.all_coeffs())]
+    got, want = _low_degree_factors(cs), _sympy_factors(cs)
+    quadratics = sum(len(f) == 3 for f, _m in want)
+    if got is not None:
+        assert got == want
+        assert all(len(f) <= 3 for f, _m in want) and quadratics <= 1
+    if any(len(f) > 3 for f, _m in want) or quadratics > 1 or cubic:
+        assert got is None
+
+
+@pytest.mark.parametrize("cs, closed", [
+    ([5], True), ([0, 0, 3], True), ([-4, 0, 1], True), ([1, 0, 1], True),
+    ([6, -11, 6, -1], True), ([0, 2, -3, 1], True), ([-1, 0, 0, 0, 1], True),
+    ([4, -4, 1], True), ([-2, 0, 0, 1], False), ([2**70, 0, 0, 1], False),
+    # a coefficient ratio past the double range: sympy factors it
+    ([1, 2**1100, 0, 1], False), ([-(2**1100), 1, 0, 1], False)])
+def test_low_degree_factors_of_fixed_cases(cs, closed):
+    got = _low_degree_factors(cs)
+    assert got == (_sympy_factors(cs) if closed else None)
