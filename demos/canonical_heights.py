@@ -21,8 +21,10 @@ def main():
             print(f"g_{v}({pt[0]},{pt[1]}) in [{float(g.lower):.9f}, "
                   f"{float(g.upper):.9f}]")
 
-    # The canonical height is the sum of the local Green values over the
-    # finitely many places that can contribute.
+    # The canonical height is the sum of the local Green values of the
+    # point's primitive integer triple over infinity and the bad places:
+    # at every other prime they are 0, so (1/2, 1/3), whose triple is
+    # (6, 3, 2), gets all of log 6 at infinity.
     print("\n-- canonical heights --")
     for pt in [(F(2), F(3)), (F(1, 2), F(1, 3)), (F(-1), F(1))]:
         h = canonical_height(f, pt, F(1, 10**9))

@@ -21,8 +21,8 @@ from .exactnum import AlgebraicNumber, FactoringCap, Place
 from .intervals import RealInterval
 from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
                      points_at_infinity, pushforward)
-from .green import GreenContext, bad_places, green_homog, green_value
-from .heights import HeightResult, PreperiodicityVerdict, canonical_height, orbit_verdict
+from .green import DEFAULT_TOL, GreenContext, bad_places, green_homog, green_value
+from .heights import canonical_height
 from .infinity import classify_multiplier, fixed_points_infinity, multiplier
 from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
                        saddle_normal_form, super_stable_series)
@@ -53,8 +53,6 @@ DMM_MAX_ORDER = 64
 # its square (w - z under (z^2, w^2), the other caps 1, 2 and 1: 1.1 s at 32,
 # 4.1 s at 64, 18.2 s at 128 on a 2-core Xeon under Python 3.11)
 DMM_MAX_HEIGHT_BOUND = 64
-# the enclosure width of `green` and `height` when --tol is not given
-DEFAULT_TOL = Fraction(1, 10**9)
 
 
 class InputError(ValueError):
@@ -205,18 +203,13 @@ def _cmd_height(args):
     f = _parse_map(args.map)
     pt = _parse_point(args.point)
     tol = _parse_tol(args.tol) if args.tol else DEFAULT_TOL
-    verdict = orbit_verdict(f, pt)
-    if verdict is None:
-        h = canonical_height(f, pt, tol)
-        verdict = PreperiodicityVerdict.from_height(h, tol)
-    else:  # a closed orbit: g_v = 0 at every place, none is visited
-        h = HeightResult(RealInterval.exact(0), [])
+    h = canonical_height(f, pt, tol)
     result = {"canonical_height": _json(h.value),
               "support": [_json(v) for v in h.support],
               "certified": True,  # every enclosure is proved; a key of the v1 schema
-              "preperiodicity": _json(verdict)}
-    code = 3 if verdict.kind == "Unknown" else 0
-    return result, {"verdict_witness": _json(verdict)}, {"tol": float(tol)}, code
+              "preperiodicity": _json(h.verdict)}
+    code = 3 if h.verdict.kind == "Unknown" else 0
+    return result, {"verdict_witness": _json(h.verdict)}, {"tol": float(tol)}, code
 
 
 def _cmd_orbit(args):

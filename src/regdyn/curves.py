@@ -18,10 +18,10 @@ from typing import Optional
 
 import sympy as sp
 
-from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit, orbit_verdict
+from .heights import PreperiodicityVerdict, orbit_verdict
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
-from .maps import RegularMap
+from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .numberfield import NumberField
 from .polyalg import (MultiPoly, _approx_roots, _combine, _low_degree_factors, _times,
                       homogeneous_top, parse_poly)

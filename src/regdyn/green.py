@@ -13,8 +13,9 @@ on the affine plane, or the top forms (P_d, Q_d) on the line at infinity
 with their own two-sided constant, on an integer triple with error radii
 at infinity (regdyn.intervals.escape_norm) and, at p, on a primitive
 integer triple known mod p^k (regdyn.padic), doubling the precision until
-the enclosure is certified and narrow enough.  An affine point whose
-exact orbit closes is preperiodic and gets G_v = 0 at once.
+the enclosure is certified and narrow enough; any other z0 adds log|z0|_v.
+`green_value` alone first runs the exact orbit of its affine point: when
+the orbit closes the point is preperiodic and g_v = 0 exactly.
 """
 
 from __future__ import annotations
@@ -25,9 +26,20 @@ import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 
 from .exactnum import Place, abs_at_place_exact, prime_factors, valuation
 from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
-from .maps import ORBIT_CAP, RegularMap, _affine, _exact_orbit, _triple
+from .maps import ORBIT_CAP, RegularMap, _affine_too_big, _exact_orbit, _triple
 from .padic import PrecisionLoss, escape_exponent
 from .polyalg import MultiPoly
+
+
+# the enclosure width of a Green value and of a height when none is given
+DEFAULT_TOL = Fraction(1, 10**9)
+
+
+def _positive(tol) -> Fraction:
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return tol
 
 
 class GreenContext:
@@ -143,18 +155,23 @@ def _log_to_width(q: Fraction, m: int, width: Fraction) -> RealInterval:
     raise PrecisionLoss("green: precision escalation exhausted at a logarithm")
 
 
-def green_value(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
-    """Certified enclosure of g_v at a rational point, width <= tol."""
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _orbit_green(ctx, 1, Fraction(pt[0]), Fraction(pt[1]), tol)
+def green_value(ctx: GreenContext, pt, tol=DEFAULT_TOL) -> RealInterval:
+    """Certified enclosure of g_v at a rational point, width <= tol.  Where
+    C_v > 1 the point's exact orbit runs first, under the size rule and the
+    step cap of the preperiodicity verdict: when it closes the point is
+    preperiodic and g_v = 0 exactly."""
+    tol = _positive(tol)
+    z, w = Fraction(pt[0]), Fraction(pt[1])
+    if ctx.C > 1 and _exact_orbit(ctx.f.lift.step, _triple((1, z, w)), ORBIT_CAP,
+                                  _affine_too_big)[1] is not None:
+        return RealInterval.exact(0)
+    return _orbit_green(ctx, 1, z, w, tol)
 
 
-def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
-    """G_v on a nonzero triple: g_v of the affine part plus log|z0|_v,
-    extended to z0 = 0 by the escape rate of the top binary forms."""
-    tol = Fraction(tol)
+def green_homog(ctx: GreenContext, pt, tol=DEFAULT_TOL) -> RealInterval:
+    """G_v on a nonzero triple: g_v of the affine part (`green_value`) plus
+    log|z0|_v, extended to z0 = 0 by the escape rate of the top binary forms."""
+    tol = _positive(tol)
     z0, z1, z2 = (Fraction(c) for c in pt)
     if z0 == z1 == z2 == 0:
         raise ValueError("zero vector has no homogeneous Green value")
@@ -164,9 +181,10 @@ def green_homog(ctx: GreenContext, pt, tol=Fraction(1, 10**9)) -> RealInterval:
     return g + _log_to_width(abs_at_place_exact(z0, ctx.place), 1, tol / 2)
 
 
-def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
-                 tol: Fraction) -> RealInterval:
-    """G_v(z0, z1, z2) for z0 in {0, 1}, of width <= tol.
+def _orbit_green(ctx: GreenContext, z0, z1, z2, tol: Fraction) -> RealInterval:
+    """G_v(z0, z1, z2) at a nonzero rational triple, of width <= tol, with
+    no closed-orbit test.  A z0 other than 0 and 1 splits the width between
+    G_v(1, z1/z0, z2/z0) and log|z0|_v.
 
     Iterates (P, Q) when z0 = 1 and the top forms (P_d, Q_d) when z0 = 0,
     n times from (z1, z2) in the arithmetic of v, takes
@@ -175,17 +193,16 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
     infinity, p-adic digits at p) when it loses precision, or at infinity
     when its enclosure is too wide; PrecisionLoss after ATTEMPTS attempts.
     At p the exponent is exact and only its logarithm needs a width
-    (`_log_to_width`, with its own ladder).  First,
-    an affine point whose exact orbit closes within min(n, ORBIT_CAP) steps,
-    before a coordinate needs more than DEFAULT_PREC bits, is preperiodic:
-    G_v = 0 exactly."""
+    (`_log_to_width`, with its own ladder).  Both cases run on the map's
+    one integer lift, which is D (0, P_d, Q_d) at z0 = 0."""
     f, v, d = ctx.f, ctx.place, ctx.f.d
-    lift, C = (f.lift, ctx.C) if z0 else (f.top_lift, _line_constant(ctx))
+    if z0 not in (0, 1):
+        z1, z2 = Fraction(z1) / z0, Fraction(z2) / z0
+        return (_orbit_green(ctx, 1, z1, z2, tol / 2)
+                + _log_to_width(abs_at_place_exact(z0, v), 1, tol / 2))
+    lift, C = f.lift, (ctx.C if z0 else _line_constant(ctx))
     log_C = 0 if C == 1 else log_of_fraction(C).upper
     n = _tail_iterations(log_C, d, tol / 2)
-    if z0 and n and _exact_orbit(f.lift.step, _triple((1, z1, z2)), min(n, ORBIT_CAP),
-                                 _past_prec)[1] is not None:
-        return RealInterval.exact(0)
     prec = 64 if v.is_finite else DEFAULT_PREC
     for _ in range(ATTEMPTS):
         try:
@@ -205,12 +222,6 @@ def _orbit_green(ctx: GreenContext, z0: int, z1: Fraction, z2: Fraction,
             return out
         prec *= 2
     raise PrecisionLoss(f"green: precision escalation exhausted at {v!r}")
-
-
-def _past_prec(X) -> bool:
-    """Whether a coordinate of the affine point of X needs more than DEFAULT_PREC bits."""
-    return max(max(abs(c.numerator), c.denominator) for c in _affine(X)).bit_length() \
-        > DEFAULT_PREC
 
 
 def _arch_log_norm(lift, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:

@@ -21,9 +21,8 @@ import sympy as sp
 
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity, prime_factors)
-from .green import GreenContext, bad_places, green_homog
-from .heights import ORBIT_CAP, PreperiodicityVerdict, _exact_orbit
-from .maps import RegularMap, _triple
+from .heights import PreperiodicityVerdict, canonical_height
+from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .polyalg import MultiPoly, _low_degree_factors
 
 _x, _t = sp.symbols("x t")
@@ -229,28 +228,14 @@ def fixed_points_infinity(f: RegularMap) -> list:
 
 def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint) -> PreperiodicityVerdict:
     """Exact orbit of a point of the line at infinity under [P_d : Q_d]
-    with cycle detection inside the field of definition."""
+    with cycle detection inside the field of definition; a rational point
+    [0 : a : b] gets the verdict of its canonical height, its orbit the
+    coprime pairs (a, b)."""
     if point.coordinate.degree > DEGREE_CAP:
         return PreperiodicityVerdict.unknown()
     if point.coordinate.is_rational():
-        return _rational_infinity_orbit(f, *point.projective())
+        return canonical_height(f, (0, *point.projective())).verdict
     return _nf_infinity_orbit(f, point)
-
-
-def _rational_infinity_orbit(f: RegularMap, z1, z2):
-    orbit, k = _exact_orbit(f.top_lift.step, _triple((0, z1, z2)), ORBIT_CAP,
-                            lambda X: max(map(abs, X)) > 10**60)
-    orbit = [X[1:] for X in orbit]  # [0 : a : b] as the coprime pair (a, b)
-    if k is not None:
-        return PreperiodicityVerdict.preperiodic(orbit, k)
-    # the canonical height of [a : b] sums G_v(0, a, b) over all places; for
-    # coprime integers it is log max(|a|_p, |b|_p) = 0 at every good prime
-    a, b = orbit[0]
-    places = [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
-    h = sum(green_homog(GreenContext(f, v), (0, a, b), Fraction(1, 10**9)) for v in places)
-    if h.lower > 0:
-        return PreperiodicityVerdict.not_preperiodic(h.lower)
-    return PreperiodicityVerdict.unknown()
 
 
 def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint):

@@ -85,24 +85,6 @@ class RealInterval:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        prods = [a * b for a in (self.lower, self.upper)
-                 for b in (other.lower, other.upper)]
-        return RealInterval(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.lower <= 0 <= other.upper:
-            raise ZeroDivisionError("division by interval containing 0")
-        recs = [Fraction(1) / e for e in (other.lower, other.upper)]
-        return self * RealInterval(min(recs), max(recs))
-
     def scale(self, q) -> "RealInterval":
         q = Fraction(q)
         if q >= 0:

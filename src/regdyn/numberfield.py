@@ -200,9 +200,6 @@ class NFElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self.field(other) / self
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)

@@ -105,6 +105,17 @@ def _divide_linear(h: list, r: Fraction):
     return g if h[0] + p * carry == 0 else None
 
 
+def _clusters(approx) -> list:
+    """(mean, k) for each cluster of k >= 2 approximate roots, a cluster
+    joining the (x, r) whose discs overlap, transitively.  The approximations
+    of a k-fold root lie about eps^(1/k) apart, but their mean is close to it."""
+    clusters = []
+    for x, r in approx:
+        near = [c for c in clusters if any(abs(x - y) <= r + s for y, s in c)]
+        clusters = [c for c in clusters if c not in near] + [[(x, r)] + sum(near, [])]
+    return [(sum(y for y, _s in c) / len(c), len(c)) for c in clusters if len(c) > 1]
+
+
 def _low_degree_factors(cs):
     """sp.factor_list(...)[1] for the integer polynomial sum cs[k] x^k
     (cs[-1] != 0) when each of its irreducible factors is linear but at most
@@ -112,29 +123,33 @@ def _low_degree_factors(cs):
     coefficients, primitive with a positive leading one, with its
     multiplicity, in sympy's order: by degree, multiplicity, then
     descending coefficients.  No coefficient is factored.  A rational root
-    is an approximate root (`_approx_roots`) taken to the nearest fraction
-    whose denominator is at most the leading coefficient, confirmed by exact
-    division; a quadratic is irreducible iff its discriminant is not a
-    square."""
+    is an approximate root (`_approx_roots`), or the mean of a cluster of k
+    of them (`_clusters`), taken to the nearest fraction whose denominator
+    is at most the k-th root of the leading coefficient (a k-fold root p/q
+    has q^k dividing it), confirmed by exact division; the quotient is
+    approximated again while that finds a root and leaves a degree above 2.
+    A quadratic is irreducible iff its discriminant is not a square."""
     j = next(k for k, c in enumerate(cs) if c)
     factors = [((0, 1), j)] if j else []  # x^j
     g = math.gcd(*cs[j:])
     h = [c // g for c in cs[j:]]
-    if len(h) > 3:
+    while len(h) > 3:
         try:
             approx = _approx_roots(h)
         except OverflowError:  # a coefficient ratio past the double range
             return None
-        for x, _r in approx:
+        degree = len(h)
+        for x, k in [(x, 1) for x, _r in approx] + _clusters(approx):
             if not math.isfinite(x.real):
                 continue
-            r, m = Fraction(x.real).limit_denominator(abs(h[-1])), 0
+            q = sp.integer_nthroot(abs(h[-1]), k)[0]
+            r, m = Fraction(x.real).limit_denominator(q), 0
             while (quotient := _divide_linear(h, r)) is not None:
                 h, m = quotient, m + 1
             if m:
                 factors.append(((-r.numerator, r.denominator), m))
-    if len(h) > 3:
-        return None
+        if len(h) == degree:
+            return None
     if len(h) == 3:
         c, b, a = h
         D = b * b - 4 * a * c

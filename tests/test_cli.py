@@ -2,14 +2,20 @@ import contextlib
 import io
 import json
 import math
+import sys
 from datetime import timedelta
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regdyn import exactnum
 from regdyn.cli import run
 from regdyn.curves import PlaneCurve
+from regdyn.exactnum import Place
+from regdyn.green import GreenContext, green_value
+from regdyn.intervals import RealInterval, log_of_fraction
+from regdyn.maps import make_regular_map
 from regdyn.series import TruncSeries2
 
 
@@ -435,16 +441,42 @@ RSA_100 = ("15226050279225333605356183781326374297180681149613"
 @pytest.mark.parametrize("argv", [
     ["classify", "--map", f"z^2 + {RSA_100}*w^2, z*w"],
     ["height", "--map", f"z^2 + {RSA_100}*w^2, z*w", "--point=1,2"],
-    ["height", "--map", "z^2 + w, w^2", f"--point=1/{RSA_100},1"],
     ["dmm", "--map", f"z^2 + {RSA_100}*w^2, z*w", "--curve", "w - z", "--max-iters", "1",
      "--max-degree", "4", "--height-bound", "1", "--max-order", "2"],
-], ids=["classify-resultant", "height-resultant", "height-denominator", "dmm-resultant"])
+], ids=["classify-resultant", "height-resultant", "dmm-resultant"])
 def test_an_unfactorable_integer_exits_2_naming_the_factoring_cap(capsys, argv):
-    # the resultant or the point's denominator is the RSA-100 semiprime, which
-    # sympy does not factor in practice
+    # the resultant is the RSA-100 semiprime, which sympy does not factor in
+    # practice
     code, doc = _run(capsys, *argv)
     assert code == 2 and "result" not in doc
     assert "FACTOR_MAX_BITS = 96" in doc["error"]
+
+
+def test_a_height_never_factors_the_point(capsys, monkeypatch):
+    # the point (1/N, 1), N the RSA-100 semiprime, has the primitive triple
+    # (N, 1, N), whose G_p is 0 at every good prime: no denominator is
+    # factored.  Its height is g_inf(1/N, 1) + log N, log N being the sum of
+    # g_p(1/N, 1) = log p over the primes p of N
+    N = int(RSA_100)
+
+    def refuse_the_point(n):
+        assert n % N, "the point's denominator was factored"
+        return real(n)
+
+    real = exactnum.prime_factors
+    for module in [m for name, m in sys.modules.items() if name.startswith("regdyn")]:
+        if getattr(module, "prime_factors", None) is real:
+            monkeypatch.setattr(module, "prime_factors", refuse_the_point)
+    code, doc = _run(capsys, "height", "--map", "z^2+w, w^2-z", f"--point=1/{N},1")
+    assert code == 0 and doc["result"]["preperiodicity"]["kind"] == "NotPreperiodic"
+    h = doc["result"]["canonical_height"]
+    got = RealInterval(F(h["lo_exact"]), F(h["hi_exact"]))
+    f = make_regular_map("z^2+w", "w^2-z")
+    g_inf = green_value(GreenContext(f, Place.archimedean()), (F(1, N), F(1)))
+    want = g_inf + log_of_fraction(F(N))
+    assert got.width <= F(1, 10**9)
+    assert got.lower <= want.upper and want.lower <= got.upper
+    assert got.lower > log_of_fraction(F(N)).upper
 
 
 def test_usage_error_names_the_subcommand_and_the_argument(capsys):

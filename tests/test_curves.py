@@ -9,7 +9,7 @@ from regdyn import curves
 from regdyn.curves import (CurveOrbitStatus, EliminationError, PlaneCurve, Zeta,
                            curve_preperiodicity, dmm_report, find_preperiodic_points,
                            points_at_infinity, pushforward)
-from regdyn.heights import ORBIT_CAP
+from regdyn.maps import ORBIT_CAP
 from regdyn.infinity import ExpandingPlace
 from regdyn.maps import make_regular_map
 from regdyn.numberfield import NumberField

@@ -2,10 +2,16 @@ import math
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
-from regdyn.heights import _exact_orbit, canonical_height, height_support, is_preperiodic
-from regdyn.maps import make_regular_map
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
+
+from regdyn.exactnum import Place
+from regdyn.green import GreenContext, bad_places, green_homog, green_value
+from regdyn.heights import canonical_height, height_support, is_preperiodic
+from regdyn.maps import NotRegular, _exact_orbit, make_regular_map
+from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
 
@@ -15,10 +21,14 @@ def _weil(q: F) -> float:
 
 
 def test_support_finite():
+    # 3 is the bad place of the map; 2, the prime of the point's denominator,
+    # is good, and G_2 of the primitive triple (2, 1, 10) is 0
     f = make_regular_map("z^2", "1/3*w^2")
-    sup = height_support(f, (F(1, 2), F(5)))
+    sup = height_support(f)
     primes = {v.prime for v in sup if v.is_finite}
-    assert primes == {2, 3}
+    assert primes == {3}
+    h = canonical_height(f, (F(1, 2), F(5)), TOL)
+    assert {v.prime for v in h.support if v.is_finite} == {3}
 
 
 def _weil_pair(z: F, w: F) -> float:
@@ -79,6 +89,89 @@ def test_not_preperiodic_small_denominators():
     f = make_regular_map("z^2", "w^2")
     v = is_preperiodic(f, (F(1, 2), F(1, 3)))
     assert v.kind == "NotPreperiodic"
+
+
+PROP_TOL = F(1, 10**6)
+small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 9))
+
+
+@st.composite
+def maps_and_points(draw):
+    """(f, pt): a regular map of degree 2 or 3 whose coefficients have
+    denominators up to 9, and an affine point with denominators up to 9 or a
+    triple (0, a, b) on the line at infinity."""
+    d = draw(st.integers(2, 3))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    P, Q = (MultiPoly({e: draw(small_q) for e in monomials}) for _ in range(2))
+    assume(P.degree == Q.degree == d)
+    try:
+        f = make_regular_map(P, Q)
+    except NotRegular:
+        assume(False)
+    if draw(st.booleans()):
+        return f, draw(st.tuples(small_q, small_q))
+    a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    return f, (0, a, b)
+
+
+def _sum_of_greens(f, pt, tol):
+    """The canonical height by the formula of each point kind before one
+    height served both: for an affine point, g_v summed over inf, the bad
+    places and the primes of its denominators, each to tol / #places; for
+    (0, a, b), G_v(0, a/g, b/g), g = gcd(a, b), summed over inf and the bad
+    places, each to tol."""
+    primes = set(bad_places(f))
+    if len(pt) == 2:
+        primes |= {p for c in pt for p in sp.primefactors(c.denominator)}
+    places = [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
+    if len(pt) == 2:
+        return sum(green_value(GreenContext(f, v), pt, tol / len(places)) for v in places)
+    _, a, b = pt
+    g = math.gcd(a, b)
+    return sum(green_homog(GreenContext(f, v), (0, a // g, b // g), tol) for v in places)
+
+
+def _overlap(a, b):
+    return a.lower <= b.upper and b.lower <= a.upper
+
+
+@settings(max_examples=25, deadline=None)
+@given(maps_and_points())
+def test_height_of_the_primitive_triple_matches_the_sum_over_denominators(case):
+    # the sum of G_v of the primitive triple over inf and the bad places is
+    # the canonical height that the formulas of each point kind computed,
+    # and it satisfies h(f(P)) = d h(P)
+    f, pt = case
+    h = canonical_height(f, pt, PROP_TOL)
+    assert h.value.width <= PROP_TOL
+    assert _overlap(h.value, _sum_of_greens(f, pt, PROP_TOL))
+    if len(pt) == 2:
+        image = f.apply(pt)
+    else:
+        image = (0, f.top_P.eval(*pt[1:]), f.top_Q.eval(*pt[1:]))
+    assert _overlap(canonical_height(f, image, PROP_TOL).value, h.value.scale(f.d))
+    if h.verdict.kind == "Preperiodic":
+        assert h.value.lower == h.value.upper == 0 and h.support == []
+    else:
+        assert (h.verdict.kind == "NotPreperiodic") is (h.value.lower > PROP_TOL)
+
+
+def test_a_height_runs_one_exact_orbit():
+    # the orbit of (1/2, 3) does not close, and at the bad place 2 and at
+    # inf C_v > 1, where green_value would run the orbit again
+    f = make_regular_map("2*z^2 + z*w + w", "2*w^2 - z")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _exact_orbit(*args)
+
+    with mock.patch("regdyn.heights._exact_orbit", counted), \
+            mock.patch("regdyn.green._exact_orbit", counted):
+        h = canonical_height(f, (F(1, 2), F(3)), TOL)
+    assert h.verdict.kind == "NotPreperiodic"
+    assert [v.prime if v.is_finite else "inf" for v in h.support] == ["inf", 2]
+    assert len(calls) == 1
 
 
 def _rho(step, start, m):

@@ -193,11 +193,11 @@ def test_orbit_verdict_reports_the_certified_height():
 
 def test_orbit_verdict_sums_the_bad_places():
     # the top forms (2z^2 + zw, 2w^2) have resultant 16, so the height of
-    # [1 : 3] sums G_v(0, 1, 3) over inf and 2
+    # [1 : 3] sums G_v(0, 1, 3) over inf and 2, each to tol / #places
     f = make_regular_map("2*z^2 + z*w + w", "2*w^2 - z")
     v = infinity_orbit_preperiodicity(f, InfinityPoint.from_pair(1, 3))
     places = [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
-    h = sum(green_homog(GreenContext(f, pl), (F(0), F(1), F(3)), F(1, 10**9))
+    h = sum(green_homog(GreenContext(f, pl), (F(0), F(1), F(3)), F(1, 10**9) / len(places))
             for pl in places)
     assert v.kind == "NotPreperiodic" and v.height_lower == h.lower
 

@@ -9,11 +9,10 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.cli import MAX_BITS, run
-from regdyn.green import _past_prec
-from regdyn.heights import PreperiodicityVerdict, _affine_too_big, orbit_verdict
+from regdyn.heights import PreperiodicityVerdict, orbit_verdict
 from regdyn.infinity import InfinityPoint, infinity_orbit_preperiodicity
-from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _exact_orbit,
-                         _solve_rational, _triple, binary_form_resultant, make_regular_map)
+from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _affine_too_big,
+                         _exact_orbit, _solve_rational, _triple, binary_form_resultant, make_regular_map)
 from regdyn.polyalg import MultiPoly, parse_poly
 
 
@@ -139,10 +138,6 @@ def _affine_rule(pt):
         c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
 
 
-def _prec_rule(pt):
-    return max(max(abs(c.numerator), c.denominator) for c in pt).bit_length() > 120
-
-
 def _run_orbit(f, pt, n):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -155,25 +150,22 @@ def _run_orbit(f, pt, n):
 @settings(max_examples=60, deadline=None)
 @given(maps_and_points(), st.tuples(*[st.integers(-5, 5)] * 3))
 def test_integer_orbits_match_a_fraction_replay(case, X):
-    # the lift is D (z0^d, P^h, Q^h) and D (z0^d, P_d, Q_d), D the lcm of
-    # the coefficient denominators
+    # the lift is D (z0^d, P^h, Q^h), D the lcm of the coefficient
+    # denominators, so D (0, P_d, Q_d) at z0 = 0
     f, z0, z1, z2 = case
     x0, x1, x2 = X
-    for lift, (P, Q) in ((f.lift, (f.P, f.Q)), (f.top_lift, (f.top_P, f.top_Q))):
-        D = math.lcm(*(c.denominator for g in (P, Q) for c in g.coeffs.values()))
-        if x0:
-            want = [F(x0) ** f.d * g.eval(F(x1, x0), F(x2, x0)) for g in (P, Q)]
-        else:
-            want = [f.top_P.eval(x1, x2), f.top_Q.eval(x1, x2)]
-        assert lift(X) == [D * x0 ** f.d] + [D * v for v in want]
+    D = math.lcm(*(c.denominator for g in (f.P, f.Q) for c in g.coeffs.values()))
+    if x0:
+        want = [F(x0) ** f.d * g.eval(F(x1, x0), F(x2, x0)) for g in (f.P, f.Q)]
+    else:
+        want = [f.top_P.eval(x1, x2), f.top_Q.eval(x1, x2)]
+    assert f.lift(X) == [D * x0 ** f.d] + [D * v for v in want]
     if z0:
-        # the same points, the same k and the same cut point under each size
-        # rule of an affine orbit as (P, Q) iterated on Fractions
-        for rule, replay_rule in ((_affine_too_big, _affine_rule), (_past_prec, _prec_rule)):
-            orbit, k = _exact_orbit(f.lift.step, _triple((1, z1, z2)), ORBIT_CAP, rule)
-            assert (list(map(_affine, orbit)), k) == \
-                _exact_orbit(f.apply, (z1, z2), ORBIT_CAP, replay_rule)
+        # the same points, the same k and the same cut point as (P, Q)
+        # iterated on Fractions under the size rule of an affine orbit
         ref, k = _exact_orbit(f.apply, (z1, z2), ORBIT_CAP, _affine_rule)
+        orbit, k2 = _exact_orbit(f.lift.step, _triple((1, z1, z2)), ORBIT_CAP, _affine_too_big)
+        assert (list(map(_affine, orbit)), k2) == (ref, k)
         verdict = orbit_verdict(f, (z1, z2))
         assert verdict == (None if k is None else PreperiodicityVerdict.preperiodic(ref, k))
         # the orbit command stops before a coordinate passes MAX_BITS
@@ -195,7 +187,7 @@ def test_integer_orbits_match_a_fraction_replay(case, X):
             return max(map(abs, pair)) > 10**60
 
         ref, k = _exact_orbit(step, _coprime(z1, z2), ORBIT_CAP, big)
-        orbit, k2 = _exact_orbit(f.top_lift.step, _triple((0, z1, z2)), ORBIT_CAP,
+        orbit, k2 = _exact_orbit(f.lift.step, _triple((0, z1, z2)), ORBIT_CAP,
                                  lambda X: big(X[1:]))
         assert ([X[1:] for X in orbit], k2) == (ref, k)
         if k is not None:

@@ -272,7 +272,10 @@ def test_low_degree_factors_match_sympy(factors, zeros, content, cubic):
     ([6, -11, 6, -1], True), ([0, 2, -3, 1], True), ([-1, 0, 0, 0, 1], True),
     ([4, -4, 1], True), ([-2, 0, 0, 1], False), ([2**70, 0, 0, 1], False),
     # a coefficient ratio past the double range: sympy factors it
-    ([1, 2**1100, 0, 1], False), ([-(2**1100), 1, 0, 1], False)])
+    ([1, 2**1100, 0, 1], False), ([-(2**1100), 1, 0, 1], False),
+    # (x + 1)(x + 5)^2 (4x + 5)^5: the five approximations of -5/4 lie
+    # farther apart than the fractions of denominator <= 1024, their mean not
+    ([78125, 421875, 971875, 1240625, 952500, 445600, 122240, 17664, 1024], True)])
 def test_low_degree_factors_of_fixed_cases(cs, closed):
     got = _low_degree_factors(cs)
     assert got == (_sympy_factors(cs) if closed else None)
