@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -388,9 +389,19 @@ def _build_parser():
     return p
 
 
+def _print(doc: dict):
+    """Print the one JSON document.  When the reader has closed stdout (as
+    `| head` does) stdout goes to devnull instead, so that neither this
+    print nor the flush at exit ends in a traceback, and the exit code stands."""
+    try:
+        print(json.dumps(doc, indent=2), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _error(doc: dict, exc: Exception, t0: float) -> int:
     doc.update(error=str(exc), timing={"seconds": time.monotonic() - t0})
-    print(json.dumps(doc, indent=2))
+    _print(doc)
     return 2
 
 
@@ -413,7 +424,7 @@ def run(argv=None) -> int:
         return _error(doc, exc, t0)
     doc.update(result=result, witnesses=witnesses, caps=caps,
                timing={"seconds": time.monotonic() - t0})
-    print(json.dumps(doc, indent=2))
+    _print(doc)
     return code
 
 

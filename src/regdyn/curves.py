@@ -594,7 +594,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                 continue
             seen.add((a, b))
             verdict = orbit_verdict(f, (a, b))
-            if verdict is not None:
+            if verdict.kind == "Preperiodic":
                 found.append(FoundPoint((a, b), verdict))
     exps = _unit_monomial(f)
     if exps is None:

@@ -81,21 +81,21 @@ def prime_factors(n: int) -> set:
     return primes
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0 is +infinity")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
 def abs_at_place_exact(x, v: Place) -> Fraction:

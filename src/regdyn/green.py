@@ -14,19 +14,24 @@ with their own two-sided constant, on an integer triple with error radii
 at infinity (regdyn.intervals.escape_norm) and, at p, on a primitive
 integer triple known mod p^k (regdyn.padic), doubling the precision until
 the enclosure is certified and narrow enough; any other z0 adds log|z0|_v.
-`green_value` alone first runs the exact orbit of its affine point: when
-the orbit closes the point is preperiodic and g_v = 0 exactly.
+
+Λ = Π C_v over {∞} and the bad places gives |ĥ - h| <= log Λ / (d - 1)
+(Call-Silverman, Compositio Math. 89, 1993), so the exact orbit of a
+rational point either closes or leaves the height box (`_box_orbit`).
+`green_value` alone first runs that orbit: when it closes, g_v = 0 exactly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 
-from .exactnum import Place, abs_at_place_exact, prime_factors, valuation
+from .exactnum import (FactoringCap, Place, _int_valuation, abs_at_place_exact, prime_factors,
+                       valuation)
 from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
-from .maps import ORBIT_CAP, RegularMap, _affine_too_big, _exact_orbit, _triple
+from .maps import ORBIT_CAP, RegularMap, _exact_orbit, _triple
 from .padic import PrecisionLoss, escape_exponent
 from .polyalg import MultiPoly
 
@@ -43,12 +48,15 @@ def _positive(tol) -> Fraction:
 
 
 class GreenContext:
-    """A regular map together with a place and its certified constant."""
+    """A regular map together with a place and its certified constant,
+    computed once per map and place and kept on the map."""
 
     def __init__(self, f: RegularMap, v: Place):
         self.f = f
         self.place = v
-        self.C, self.good_reduction = nullstellensatz_constant(f, v)
+        if v not in f._constants:
+            f._constants[v] = nullstellensatz_constant(f, v)
+        self.C, self.good_reduction = f._constants[v]
 
     def __repr__(self):
         return (f"GreenContext({self.f!r}, {self.place!r}, C={self.C}, "
@@ -57,11 +65,16 @@ class GreenContext:
 
 def _size(poly: MultiPoly, v: Place, below=None) -> Fraction:
     """Sum of coefficient absolute values (sound bound at every place), of
-    the terms of total degree below `below` when given."""
+    the terms of total degree below `below` when given.  At p it is
+    p^v_p(den) Σ p^-v_p(c) over the integer numerators c, summed over the
+    common denominator p^m, m the largest v_p(c)."""
     nums = [c for (i, j), c in poly.num.items() if below is None or i + j < below]
     if not v.is_finite:
         return Fraction(sum(map(abs, nums)), poly.den)
-    return sum(abs_at_place_exact(c, v) for c in nums) / abs_at_place_exact(poly.den, v)
+    p = v.prime
+    vals = [_int_valuation(c, p) for c in nums]
+    m = max(vals, default=0)
+    return Fraction(p ** _int_valuation(poly.den, p) * sum(p ** (m - e) for e in vals), p ** m)
 
 
 def _is_diagonal_unit_monomial(f: RegularMap, v: Place) -> bool:
@@ -83,7 +96,20 @@ def _cofactor_bound(f: RegularMap, v: Place) -> Fraction:
 
 
 def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
-    """(C_v, good_reduction) with C_v >= 1 certified for all points."""
+    """(C_v, good_reduction): C_v^-1 m^d <= N <= C_v m^d at every (z, w)
+    over Q_v, m = max(1, |z|_v, |w|_v), N = max(1, |P|_v, |Q|_v).
+
+    Good reduction (P, Q p-integral, |Res|_p = 1) gives N = m^d: the lift of
+    a primitive p-integral triple is p-integral, and 0 mod p only if x0 = 0
+    and P_d, Q_d share a zero mod p.  So does (c1 z^d, c2 w^d), |c_i|_v = 1.
+    Otherwise, with mu = max(|z|_v, |w|_v): upper, |c z^i w^j|_v <= |c|_v m^d
+    gives N <= max(1, _size(P), _size(Q)) m^d = C_up m^d.  Lower, the
+    cofactor identities A P_d + B Q_d = Res z^(2d-1) (and w) give
+    max(|P_d|_v, |Q_d|_v) >= mu^d / k, k = `_cofactor_bound`, and the terms
+    below degree d are at most e max(1, mu)^(d-1), e = max(_size(P, d),
+    _size(Q, d)): for mu >= m0 = max(1, 2ke), N >= mu^d/k - e mu^(d-1) >=
+    m^d / 2k, and for mu < m0, N >= 1 >= m^d / m0^d.  So C_v = max(C_up,
+    C_low), C_low = max(1, 2k, m0^d)."""
     if v.is_finite:
         p = v.prime
         if f.P.den % p and f.Q.den % p and valuation(f.res, p) == 0:
@@ -101,7 +127,11 @@ def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
 
 
 def _line_constant(ctx: GreenContext) -> Fraction:
-    """Two-sided constant for max(|P_d|,|Q_d|) vs max(|z|,|w|)^d."""
+    """C with C^-1 mu^d <= max(|P_d(a, b)|_v, |Q_d(a, b)|_v) <= C mu^d at
+    every (a, b) over Q_v, mu = max(|a|_v, |b|_v), by the proof of
+    `nullstellensatz_constant` on the top forms alone: 1 at good reduction,
+    else the term bound _size(P_d) and the cofactor bound k.  C <= C_v, as
+    C_low >= 2k and _size(P) >= _size(P_d)."""
     f, v = ctx.f, ctx.place
     if ctx.good_reduction:
         return Fraction(1)
@@ -114,6 +144,60 @@ def bad_places(f: RegularMap) -> set:
     for c in list(f.P.coeffs.values()) + list(f.Q.coeffs.values()):
         primes |= prime_factors(c.denominator)
     return primes
+
+
+def height_box(f: RegularMap) -> tuple:
+    """(places, Λ), found once per map: {∞} ∪ bad_places(f), the places
+    where G_v of a primitive triple can be nonzero, and the height box
+    Λ = Π C_v over them, so that |ĥ - h| <= log Λ / (d - 1) at every point
+    of P^2 (C_v = 1 elsewhere).  FactoringCap when the bad places cannot be
+    found."""
+    if f._height is None:
+        places = (Place.archimedean(),) + tuple(Place.finite(p) for p in sorted(bad_places(f)))
+        f._height = places, math.prod((GreenContext(f, v).C for v in places), start=Fraction(1))
+    return f._height
+
+
+def height_support(f: RegularMap) -> list:
+    """{∞} ∪ bad_places: the places where G_v of a primitive triple can be
+    nonzero."""
+    return list(height_box(f)[0])
+
+
+def _box_orbit(f: RegularMap, X: tuple, ctx: GreenContext = None) -> tuple:
+    """(orbit, k) of `_exact_orbit` for the primitive triple X under the
+    map's lift, ORBIT_CAP steps, cut at the first X_n, X included, past the
+    height box: M = max|X_n,i|^(d-1) > Λ (`height_box`), which a
+    preperiodic orbit, of ĥ = 0 and h(X_n) = log max|X_n,i|, never leaves
+    (on the line at infinity too: `_line_constant` <= C_v).  Λ is found
+    only for M past a lower bound: C_v, else max(1, _size(P), _size(Q)) at ∞.
+    With a context at v (X affine) the orbit is also cut past v's box,
+    max(1, |y1/y0|_v, |y2/y0|_v)^(d-1) > C_v, where g_v > 0 (M y0^-(d-1) at
+    ∞, p^((d-1) v_p(y0)) at p), and where Λ would be needed but the bad
+    places cannot be found (FactoringCap)."""
+    d = f.d
+    if ctx is None:
+        inf = Place.archimedean()
+        low, p = max(Fraction(1), _size(f.P, inf), _size(f.Q, inf)), None
+    else:
+        low, p = ctx.C, ctx.place.prime
+
+    def out(Y):
+        M = max(map(abs, Y)) ** (d - 1)
+        if ctx is not None and (p ** ((d - 1) * _int_valuation(Y[0], p)) > low if p
+                                else M > low * Y[0] ** (d - 1)):
+            return True  # past v's box
+        if M <= low:  # inside the height box, as Λ >= low
+            return False
+        try:
+            return M > height_box(f)[1]
+        except FactoringCap:
+            if ctx is None:
+                raise
+            return True
+    if out(X):
+        return [X], None
+    return _exact_orbit(f.lift.step, X, ORBIT_CAP, out)
 
 
 def _tail_iterations(log_C: Fraction, d: int, tol: Fraction) -> int:
@@ -157,13 +241,12 @@ def _log_to_width(q: Fraction, m: int, width: Fraction) -> RealInterval:
 
 def green_value(ctx: GreenContext, pt, tol=DEFAULT_TOL) -> RealInterval:
     """Certified enclosure of g_v at a rational point, width <= tol.  Where
-    C_v > 1 the point's exact orbit runs first, under the size rule and the
-    step cap of the preperiodicity verdict: when it closes the point is
-    preperiodic and g_v = 0 exactly."""
+    C_v > 1 the point's exact orbit runs first, cut at the height box and at
+    v's own box (`_box_orbit`): when it closes the point is preperiodic and
+    g_v = 0 exactly."""
     tol = _positive(tol)
     z, w = Fraction(pt[0]), Fraction(pt[1])
-    if ctx.C > 1 and _exact_orbit(ctx.f.lift.step, _triple((1, z, w)), ORBIT_CAP,
-                                  _affine_too_big)[1] is not None:
+    if ctx.C > 1 and _box_orbit(ctx.f, _triple((1, z, w)), ctx)[1] is not None:
         return RealInterval.exact(0)
     return _orbit_green(ctx, 1, z, w, tol)
 

@@ -15,10 +15,10 @@ from typing import Optional
 
 import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
 
-from .exactnum import Place
-from .green import DEFAULT_TOL, GreenContext, _orbit_green, _positive, bad_places
+from .green import (DEFAULT_TOL, GreenContext, _box_orbit, _orbit_green, _positive, height_box,
+                    height_support)
 from .intervals import RealInterval
-from .maps import ORBIT_CAP, RegularMap, _affine, _affine_too_big, _exact_orbit, _triple
+from .maps import RegularMap, _affine, _triple
 
 
 @dataclass
@@ -51,30 +51,29 @@ class HeightResult:
     verdict: PreperiodicityVerdict
 
 
-def height_support(f: RegularMap) -> list:
-    """{∞} ∪ bad_places: the places where G_v of a primitive triple can be
-    nonzero."""
-    return [Place.archimedean()] + [Place.finite(p) for p in sorted(bad_places(f))]
+def orbit_verdict(f: RegularMap, pt) -> PreperiodicityVerdict:
+    """The verdict of an affine pair (z, w) or a nonzero triple (z0, z1, z2)
+    from the exact orbit X_0, X_1, ... of its primitive triple under the
+    map's lift, cut at the height box Λ (`_box_orbit`); no height is computed.
 
-
-def _too_big(X) -> bool:
-    """The size rule of the exact orbit of a rational point: `_affine_too_big`
-    off the line at infinity, a coordinate past 10^60 on it."""
-    return _affine_too_big(X) if X[0] else max(map(abs, X)) > 10**60
-
-
-def orbit_verdict(f: RegularMap, pt) -> Optional[PreperiodicityVerdict]:
-    """The Preperiodic verdict of an affine pair (z, w) or a nonzero triple
-    (z0, z1, z2) when the exact orbit of its primitive triple under the
-    map's lift closes within ORBIT_CAP steps, else None; no height is
-    computed.  The orbit lists affine pairs, or the pairs (a, b) of the
-    triples (0, a, b) on the line at infinity."""
+    Preperiodic when the orbit closes within ORBIT_CAP steps; its orbit
+    lists affine pairs, or the pairs (a, b) of the triples (0, a, b) on the
+    line at infinity.  NotPreperiodic when some X_n has
+    M = max|X_n,i|^(d-1) > Λ: then ĥ(X_n) >= log max|X_n,i| - log Λ/(d-1)
+    = log(M/Λ)/(d-1) >= (1 - Λ/M)/(d-1), as log q >= 1 - 1/q, and
+    ĥ(X_0) = ĥ(X_n)/d^n gives the exact height_lower (1 - Λ/M)/((d-1) d^n).
+    Unknown when ORBIT_CAP steps stay inside the box and do not close."""
     X = _triple((1, *pt) if len(pt) == 2 else pt)
-    orbit, k = _exact_orbit(f.lift.step, X, ORBIT_CAP, _too_big)
-    if k is None:
-        return None
-    return PreperiodicityVerdict.preperiodic(
-        [_affine(Y) if Y[0] else Y[1:] for Y in orbit], k)
+    orbit, k = _box_orbit(f, X)
+    if k is not None:
+        return PreperiodicityVerdict.preperiodic(
+            [_affine(Y) if Y[0] else Y[1:] for Y in orbit], k)
+    d, box = f.d, height_box(f)[1]
+    M = max(map(abs, orbit[-1])) ** (d - 1)
+    if M <= box:
+        return PreperiodicityVerdict.unknown()
+    return PreperiodicityVerdict.not_preperiodic(
+        (1 - box / M) / ((d - 1) * d ** (len(orbit) - 1)))
 
 
 def canonical_height(f: RegularMap, pt, tol=DEFAULT_TOL) -> HeightResult:
@@ -82,16 +81,16 @@ def canonical_height(f: RegularMap, pt, tol=DEFAULT_TOL) -> HeightResult:
     rational point of P^2, an affine pair (z, w) or a nonzero triple such as
     (0, a, b) on the line at infinity, with its verdict.
 
-    The exact orbit of the point's primitive triple X runs once
-    (`orbit_verdict`).  When it closes the height is exactly 0, no place is
-    visited and the verdict is Preperiodic.  Otherwise the height sums
-    G_v(X) over `height_support(f)`, tol split evenly between the places,
-    and the verdict is NotPreperiodic when the sum is certified above tol,
-    else Unknown."""
+    The exact orbit of the point's primitive triple X runs once and gives
+    the verdict (`orbit_verdict`).  When it closes the height is exactly 0
+    and no place is visited.  Otherwise the height sums G_v(X) over
+    `height_support(f)`, tol split evenly between the places, and a
+    NotPreperiodic verdict takes the lower end of that sum as its
+    height_lower when it is positive."""
     tol = _positive(tol)
     X = _triple((1, *pt) if len(pt) == 2 else pt)
     verdict = orbit_verdict(f, X)
-    if verdict is not None:
+    if verdict.kind == "Preperiodic":
         return HeightResult(RealInterval.exact(0), [], verdict)
     places = height_support(f)
     per = tol / len(places)
@@ -102,8 +101,8 @@ def canonical_height(f: RegularMap, pt, tol=DEFAULT_TOL) -> HeightResult:
         if g.lower or g.upper:
             support.append(v)
         total = total + g
-    verdict = (PreperiodicityVerdict.not_preperiodic(total.lower) if total.lower > tol
-               else PreperiodicityVerdict.unknown())
+    if verdict.kind == "NotPreperiodic" and total.lower > 0:
+        verdict = PreperiodicityVerdict.not_preperiodic(total.lower)
     return HeightResult(total, support, verdict)
 
 

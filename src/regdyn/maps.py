@@ -70,7 +70,8 @@ def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:
 
 
 # the step cap of every exact orbit of a point: of a rational point of P^2
-# (the preperiodicity verdict and the Green shortcut) and on a curve
+# (the preperiodicity verdict and the Green shortcut, both also cut at the
+# height box of regdyn.green) and on a curve
 ORBIT_CAP = 64
 
 
@@ -147,19 +148,11 @@ def _affine(X) -> tuple:
     return Fraction(X[1], X[0]), Fraction(X[2], X[0])
 
 
-def _affine_too_big(X) -> bool:
-    # coordinates of a preperiodic point stay bounded with bounded
-    # denominators; bail out early on blowup in either direction
-    pt = _affine(X)
-    return max(map(abs, pt)) > 10**40 or max(
-        c.numerator.bit_length() + c.denominator.bit_length() for c in pt) > 4096
-
-
 class RegularMap:
     """Certified regular endomorphism; immutable after construction, its
-    cofactors computed on first use.  `lift` is the integer lift
-    (`IntegerLift`) of (P, Q); at z0 = 0 it is D (0, P_d, Q_d), the lift of
-    the top forms."""
+    cofactors and Green constants computed on first use.  `lift` is the
+    integer lift (`IntegerLift`) of (P, Q); at z0 = 0 it is D (0, P_d, Q_d),
+    the lift of the top forms."""
 
     def __init__(self, P: MultiPoly, Q: MultiPoly, d: int, top_P: MultiPoly,
                  top_Q: MultiPoly, res: Fraction):
@@ -170,6 +163,10 @@ class RegularMap:
         self.top_Q = top_Q
         self.res = res
         self.lift = IntegerLift(P, Q)
+        # regdyn.green's constants, found on first use: (C_v, good
+        # reduction) by place, and the height support with Λ (`height_box`)
+        self._constants = {}
+        self._height = None
 
     @property
     def degree(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import valuation
+from .exactnum import _int_valuation, valuation
 
 
 class PrecisionLoss(ArithmeticError):
@@ -26,14 +26,6 @@ class PrecisionLoss(ArithmeticError):
 def _residue(q: Fraction, mod: int) -> int:
     """A p-integral rational modulo mod = p^k."""
     return q.numerator * pow(q.denominator, -1, mod) % mod
-
-
-def _intval(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
@@ -48,13 +40,13 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
     X_n, the primitive triple on the line through (z0, a_n, b_n), is that
     point scaled by a number of valuation m_n, and F'(X_n) = p^t X_(n+1)
     gives m_(n+1) = d m_n + s - t."""
-    d, s, mod = lift.d, _intval(lift.D, p), p**k
+    d, s, mod = lift.d, _int_valuation(lift.D, p), p**k
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     m = -min(valuation(c, p) for c in pt if c)
     X = [_residue(c * Fraction(p)**m, mod) for c in pt]
     for _ in range(n):
         Y = [y % mod for y in lift(X)]
-        t = min((_intval(y, p) for y in Y if y), default=None)
+        t = min((_int_valuation(y, p) for y in Y if y), default=None)
         if t is None:
             raise PrecisionLoss(f"the orbit has exhausted its {p}-adic digits")
         if t:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from datetime import timedelta
 from fractions import Fraction as F
@@ -9,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import regdyn
 from regdyn import exactnum
 from regdyn.cli import run
 from regdyn.curves import PlaneCurve
@@ -477,6 +480,25 @@ def test_a_height_never_factors_the_point(capsys, monkeypatch):
     assert got.width <= F(1, 10**9)
     assert got.lower <= want.upper and want.lower <= got.upper
     assert got.lower > log_of_fraction(F(N)).upper
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dmm", "--map", "z^2, w^2", "--curve", "w - z", "--max-iters", "1", "--max-degree", "4",
+      "--height-bound", "2", "--max-order", "24"], 0),
+    (["dmm", "--map", "z^2, w^2", "--curve", "w - z", "--max-order", "65"], 2),
+], ids=["answer", "error"])
+def test_a_closed_stdout_ends_quietly_with_the_exit_code(argv, code):
+    # a reader that closes the pipe before the document is printed, as
+    # `regdyn dmm ... | head -1` may: no traceback, and the run's exit code
+    src = os.path.dirname(os.path.dirname(regdyn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", "from regdyn.cli import main; main()", *argv],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (code, b"")
 
 
 def test_usage_error_names_the_subcommand_and_the_argument(capsys):

@@ -7,8 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from regdyn.exactnum import Place, abs_at_place_exact
-from regdyn.green import (GreenContext, _arch_log_norm, bad_places, green_homog,
+from regdyn.exactnum import FactoringCap, Place, abs_at_place_exact
+from regdyn.green import (GreenContext, _arch_log_norm, _line_constant, bad_places, green_homog,
                           green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
@@ -150,6 +150,59 @@ def test_green_functional_equation_and_height_sign(case, pt, line_pt):
     assert canonical_height(f, pt, PROP_TOL).value.lower >= 0
 
 
+# -- the two-sided estimate behind every tail and the height box -------------
+
+# coefficients that are often 0, so that sparse and diagonal maps come up too
+sparse_q = st.one_of(st.just(F(0)), small_q)
+# a coordinate, large or small at infinity and at 2 and 3 when scaled
+wide_q = st.builds(lambda q, s: q * s,
+                   st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 50)),
+                   st.sampled_from([1, 2**20, 3**13, 10**15, F(1, 2**20), F(1, 3**13),
+                                    F(1, 10**15)]))
+
+
+@st.composite
+def maps_and_places(draw):
+    """A regular map of degree 2 or 3 with coefficients over small
+    denominators, and its places: infinity, every bad prime, a good prime."""
+    d = draw(st.integers(2, 3))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    P, Q = (MultiPoly({e: draw(sparse_q) for e in monomials}) for _ in range(2))
+    assume(P.degree == Q.degree == d)
+    try:
+        f = make_regular_map(P, Q)
+    except NotRegular:
+        assume(False)
+    bad = bad_places(f)
+    good = next(p for p in map(sp.prime, itertools.count(1)) if p not in bad)
+    return f, [Place.archimedean()] + [Place.finite(p) for p in sorted(bad | {good})]
+
+
+def _norm(X, v):
+    return max(abs_at_place_exact(x, v) for x in X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_and_places(), st.tuples(wide_q, wide_q), st.tuples(wide_q, wide_q).filter(any))
+def test_the_constants_are_two_sided(case, pt, line_pt):
+    # C_v^-1 <= |F(X)|_v / |X|_v^d <= C_v in exact rationals, for X = (1, z, w)
+    # with C_v = nullstellensatz_constant and for X = (0, a, b) with
+    # `_line_constant`, which is at most C_v
+    f, places = case
+    z, w = pt
+    a, b = line_pt
+    for v in places:
+        ctx = GreenContext(f, v)
+        C, line_C = ctx.C, _line_constant(ctx)
+        assert 1 <= line_C <= C
+        if ctx.good_reduction:
+            assert C == 1
+        r = _norm((1, f.P.eval(z, w), f.Q.eval(z, w)), v) / _norm((1, z, w), v) ** f.d
+        assert 1 / C <= r <= C
+        r = _norm((f.top_P.eval(a, b), f.top_Q.eval(a, b)), v) / _norm((a, b), v) ** f.d
+        assert 1 / line_C <= r <= line_C
+
+
 # -- the integer orbit at infinity against exact rational iteration ----------
 
 
@@ -215,7 +268,7 @@ def test_a_closed_orbit_has_green_values_and_height_exactly_zero(case):
         assert g.width <= PROP_TOL / 2  # log|2|_v alone
         assert _overlap(g, _log(abs_at_place_exact(F(2), v)))
         # the escalating kernel, with the exact orbit cut off, agrees
-        with mock.patch("regdyn.green._exact_orbit", lambda *a: ([], None)):
+        with mock.patch("regdyn.green._box_orbit", lambda *a: ([], None)):
             assert green_value(ctx, pt, PROP_TOL).contains(0)
     h = canonical_height(f, pt, PROP_TOL)
     assert h.value == zero and h.support == []
@@ -227,8 +280,25 @@ def test_a_good_prime_denominator_gets_the_closed_form():
     f = make_regular_map("z^2 + w", "w^2 - z")
     ctx = GreenContext(f, Place.finite(5))
     assert ctx.good_reduction
-    with mock.patch("regdyn.green._exact_orbit", side_effect=AssertionError):
+    with mock.patch("regdyn.green._box_orbit", side_effect=AssertionError):
         g = green_value(ctx, (F(1, 5), F(2)), TOL)
     assert g.width <= TOL and _overlap(g, _log(5))
     arch = green_value(GreenContext(f, Place.archimedean()), (F(1, 5), F(2)), TOL)
     assert arch.lower > 0
+
+
+def test_green_value_needs_the_bad_places_only_past_its_own_box():
+    # the resultant of (z^2 + N w^2, z w) is the RSA-100 semiprime N, so the
+    # height box is out of reach: (0, 0) is fixed, and (1, 2) leaves the box
+    # of infinity at once, both without it; the orbit of (1/2, 0) stays in
+    # that box while its triples outgrow C_inf, and the kernel alone answers
+    N = int("15226050279225333605356183781326374297180681149613"
+            "80688657908494580122963258952897654000350692006139")
+    f = make_regular_map(f"z^2 + {N}*w^2", "z*w")
+    ctx = GreenContext(f, Place.archimedean())
+    assert green_value(ctx, (F(0), F(0)), TOL) == RealInterval.exact(0)
+    assert green_value(ctx, (F(1), F(2)), TOL).lower > 100
+    g = green_value(ctx, (F(1, 2), F(0)), TOL)
+    assert g.lower == 0 and g.upper <= TOL
+    with pytest.raises(FactoringCap):
+        canonical_height(f, (F(1, 2), F(0)), TOL)

@@ -8,9 +8,10 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import Place
-from regdyn.green import GreenContext, bad_places, green_homog, green_value
-from regdyn.heights import canonical_height, height_support, is_preperiodic
-from regdyn.maps import NotRegular, _exact_orbit, make_regular_map
+from regdyn.green import (GreenContext, _box_orbit, _orbit_green, bad_places, green_homog,
+                          green_value, nullstellensatz_constant)
+from regdyn.heights import canonical_height, height_support, is_preperiodic, orbit_verdict
+from regdyn.maps import NotRegular, _exact_orbit, _triple, make_regular_map
 from regdyn.polyalg import MultiPoly
 
 TOL = F(1, 10**9)
@@ -164,14 +165,66 @@ def test_a_height_runs_one_exact_orbit():
 
     def counted(*args):
         calls.append(args)
-        return _exact_orbit(*args)
+        return _box_orbit(*args)
 
-    with mock.patch("regdyn.heights._exact_orbit", counted), \
-            mock.patch("regdyn.green._exact_orbit", counted):
+    with mock.patch("regdyn.heights._box_orbit", counted), \
+            mock.patch("regdyn.green._box_orbit", counted):
         h = canonical_height(f, (F(1, 2), F(3)), TOL)
     assert h.verdict.kind == "NotPreperiodic"
     assert [v.prime if v.is_finite else "inf" for v in h.support] == ["inf", 2]
     assert len(calls) == 1
+
+
+def test_the_box_verdict_is_exact():
+    # (z^2, w^2) has no bad place and C_inf = 1, so Λ = 1: (2, 3) is past the
+    # box at once, with height_lower 1 - 1/3 <= log 3 = h(2, 3)
+    f = make_regular_map("z^2", "w^2")
+    assert orbit_verdict(f, (F(2), F(3))).height_lower == F(2, 3)
+    # (2z^2 + zw + w, 2w^2 - z), whose bad place is 2: the triple (2, 1, 6)
+    # of (1/2, 3) starts inside the box, and the first point of its Fraction
+    # orbit whose primitive triple is past it gives n and M
+    f = make_regular_map("2*z^2 + z*w + w", "2*w^2 - z")
+    box = math.prod(nullstellensatz_constant(f, v)[0]
+                    for v in [Place.archimedean(), Place.finite(2)])
+    pt, n = (F(1, 2), F(3)), 0
+    while (M := max(map(abs, _triple((1, *pt))))) <= box:
+        pt, n = f.apply(pt), n + 1
+    assert n > 0
+    v = orbit_verdict(f, (F(1, 2), F(3)))
+    assert v.kind == "NotPreperiodic" and v.height_lower == (1 - box / M) / 2**n
+    assert v.height_lower <= canonical_height(f, (F(1, 2), F(3)), TOL).value.upper
+
+
+@st.composite
+def maps_and_planted_points(draw):
+    """(f, pt) of `maps_and_points`, the affine point made a fixed point of
+    f half of the time by shifting the constant terms of P and Q."""
+    f, pt = draw(maps_and_points())
+    if len(pt) == 2 and draw(st.booleans()):
+        f = make_regular_map(f.P + (pt[0] - f.P.eval(*pt)), f.Q + (pt[1] - f.Q.eval(*pt)))
+    return f, pt
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps_and_planted_points())
+def test_the_box_verdict_agrees_with_the_green_sum(case):
+    # the verdict of the orbit and the height box against the sum of the
+    # Green kernel over inf and the bad places, which runs no exact orbit:
+    # a sum above 0 is NotPreperiodic, a Preperiodic point has a sum that
+    # holds 0, and a NotPreperiodic height_lower lies below the sum's upper end
+    f, pt = case
+    v = orbit_verdict(f, pt)
+    X = _triple((1, *pt) if len(pt) == 2 else pt)
+    places = height_support(f)
+    g = sum(_orbit_green(GreenContext(f, pl), *X, PROP_TOL / len(places)) for pl in places)
+    if g.lower > 0:
+        assert v.kind == "NotPreperiodic"
+    if v.kind == "Preperiodic":
+        assert g.lower <= 0 <= g.upper
+    elif v.kind == "NotPreperiodic":
+        assert 0 < v.height_lower <= g.upper
+    if len(pt) == 2 and f.apply(pt) == pt:
+        assert (v.preperiod, v.period) == (0, 1)
 
 
 def _rho(step, start, m):

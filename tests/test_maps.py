@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from regdyn.cli import MAX_BITS, run
 from regdyn.heights import PreperiodicityVerdict, orbit_verdict
 from regdyn.infinity import InfinityPoint, infinity_orbit_preperiodicity
-from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _affine_too_big,
-                         _exact_orbit, _solve_rational, _triple, binary_form_resultant, make_regular_map)
+from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _exact_orbit,
+                         _solve_rational, _triple, binary_form_resultant, make_regular_map)
 from regdyn.polyalg import MultiPoly, parse_poly
 
 
@@ -164,10 +164,14 @@ def test_integer_orbits_match_a_fraction_replay(case, X):
         # the same points, the same k and the same cut point as (P, Q)
         # iterated on Fractions under the size rule of an affine orbit
         ref, k = _exact_orbit(f.apply, (z1, z2), ORBIT_CAP, _affine_rule)
-        orbit, k2 = _exact_orbit(f.lift.step, _triple((1, z1, z2)), ORBIT_CAP, _affine_too_big)
+        orbit, k2 = _exact_orbit(f.lift.step, _triple((1, z1, z2)), ORBIT_CAP,
+                                 lambda X: _affine_rule(_affine(X)))
         assert (list(map(_affine, orbit)), k2) == (ref, k)
         verdict = orbit_verdict(f, (z1, z2))
-        assert verdict == (None if k is None else PreperiodicityVerdict.preperiodic(ref, k))
+        if k is None:
+            assert verdict.kind != "Preperiodic"
+        else:
+            assert verdict == PreperiodicityVerdict.preperiodic(ref, k)
         # the orbit command stops before a coordinate passes MAX_BITS
         rows = [(z1, z2)]
         for _ in range(16):
