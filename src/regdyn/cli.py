@@ -18,15 +18,12 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .exactnum import AlgebraicNumber, FactoringCap, Place
+# curves and localdyn are imported by the subcommands that run them
+from .exactnum import AlgebraicNumber, FactoringCap, Place, Zeta
 from .intervals import RealInterval
-from .curves import (PlaneCurve, Zeta, curve_preperiodicity, dmm_report,
-                     points_at_infinity, pushforward)
 from .green import DEFAULT_TOL, GreenContext, bad_places, green_homog, green_value
 from .heights import canonical_height
 from .infinity import classify_multiplier, fixed_points_infinity, multiplier
-from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
-                       saddle_normal_form, super_stable_series)
 from .maps import NotRegular, _affine, _triple, make_regular_map
 from .padic import PrecisionLoss
 from .polyalg import PolyParseError
@@ -234,6 +231,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_stable_manifold(args):
+    from .localdyn import (GermShapeError, localize_at_infinity, parabolic_normal_form,
+                           saddle_normal_form, super_stable_series)
     f = _parse_map(args.map)
     N = args.order
     if N < f.d:  # the germ's second component y^d (1 + h) needs order >= d
@@ -278,6 +277,7 @@ def _cmd_stable_manifold(args):
 
 
 def _cmd_curve(args):
+    from .curves import PlaneCurve, curve_preperiodicity, points_at_infinity, pushforward
     f = _parse_map(args.map)
     try:
         C = PlaneCurve(args.curve)
@@ -303,6 +303,7 @@ def _cmd_dmm(args):
     if args.height_bound > DMM_MAX_HEIGHT_BOUND:
         raise InputError(f"height-bound must be at most DMM_MAX_HEIGHT_BOUND = "
                          f"{DMM_MAX_HEIGHT_BOUND}, got {args.height_bound}")
+    from .curves import PlaneCurve, dmm_report
     f = _parse_map(args.map)
     try:
         C = PlaneCurve(args.curve)

@@ -12,12 +12,11 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-import sympy as sp
-
+from .exactnum import Zeta, sp  # Zeta is re-exported; regbench's tracer swaps sp
 from .heights import PreperiodicityVerdict, orbit_verdict
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
@@ -25,10 +24,6 @@ from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .numberfield import NumberField
 from .polyalg import (MultiPoly, _approx_roots, _combine, _low_degree_factors, _times,
                       homogeneous_top, parse_poly)
-
-_z, _w = sp.symbols("z w")
-_Z, _W = sp.symbols("Z W")
-_t = sp.Symbol("t")
 
 
 class PlaneCurve:
@@ -43,7 +38,8 @@ class PlaneCurve:
         if poly.degree < 1:
             raise ValueError("curve polynomial must be nonconstant")
         factors = [poly.num] if _irreducible(poly.num) else [
-            MultiPoly.from_poly(b).num for b, _m in sp.factor_list(poly.to_poly(_z, _w))[1]]
+            MultiPoly.from_poly(b).num
+            for b, _m in sp.factor_list(poly.to_poly(*sp.symbols("z w")))[1]]
         self._set([_canonical(F) for F in factors])
 
     def _set(self, components):
@@ -236,11 +232,12 @@ def _resultant_image(Ri: dict, f: RegularMap) -> list:
     No eliminant vanishes: Z - P and W - Q involve Z and W, Ri does not,
     and the mixed factors of E1 involve Z but not W, those of E2 the
     reverse."""
-    R = sp.Poly.from_dict(dict(Ri), _z, _w, domain=sp.ZZ)  # from_dict converts in place
-    outer, inner = (_w, _z) if R.degree(_w) > 0 else (_z, _w)
+    z, w, Z, W = sp.symbols("z w Z W")
+    R = sp.Poly.from_dict(dict(Ri), z, w, domain=sp.ZZ)  # from_dict converts in place
+    outer, inner = (w, z) if R.degree(w) > 0 else (z, w)
     # the eliminated variable is the first generator of each resultant
-    R, P, Q = (p.reorder(outer, inner) for p in (R, f.P.to_poly(_z, _w), f.Q.to_poly(_z, _w)))
-    Zp, Wp = (sp.Poly(v, outer, inner, _Z, _W) for v in (_Z, _W))
+    R, P, Q = (p.reorder(outer, inner) for p in (R, f.P.to_poly(z, w), f.Q.to_poly(z, w)))
+    Zp, Wp = (sp.Poly(v, outer, inner, Z, W) for v in (Z, W))
     m1, free1 = _split_eliminant(sp.resultant(R, Zp - P))
     m2, free2 = _split_eliminant(sp.resultant(R, Wp - Q))
     candidates, PQ = free1 + free2, ((f.P.num, f.P.den), (f.Q.num, f.Q.den))
@@ -389,34 +386,6 @@ def curve_preperiodicity(f: RegularMap, C: PlaneCurve, max_iters: int = 8,
 # preperiodic point search
 
 
-@dataclass(frozen=True)
-class Zeta:
-    """The root of unity exp(2*pi*i*t), t a Fraction taken mod 1."""
-    t: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", self.t % 1)
-
-    def __complex__(self):
-        return cmath.exp(2j * math.pi * float(self.t))
-
-    def __str__(self):
-        return self._text
-
-    @cached_property
-    def _text(self):
-        """What sympy prints for exp(2*pi*I*t): 1, -1, I, -I, or exp(c*I*pi)
-        with c = 2t taken into (-1, 1]."""
-        p, q = self.t.numerator, self.t.denominator
-        c = 2 * p - 2 * q if 2 * p > q else 2 * p  # 2t in (-1, 1] is c / q
-        g = math.gcd(c, q)
-        c, q = c // g, q // g
-        if q <= 2:
-            return {(0, 1): "1", (1, 1): "-1", (1, 2): "I", (-1, 2): "-I"}[c, q]
-        sign, factor = "-" if c < 0 else "", f"{abs(c)}*" if abs(c) != 1 else ""
-        return f"exp({sign}{factor}I*pi/{q})"
-
-
 @dataclass
 class FoundPoint:
     point: tuple
@@ -442,7 +411,7 @@ def _roots_of_unity(max_order: int):
 @lru_cache(maxsize=1024)
 def _cyclotomic_field(L: int) -> NumberField:
     """Q(zeta_L), modulus the L-th cyclotomic polynomial."""
-    return NumberField(sp.cyclotomic_poly(L, _t, polys=True).all_coeffs()[::-1])
+    return NumberField(sp.cyclotomic_poly(L, polys=True).all_coeffs()[::-1])
 
 
 def _on_curve_cyclotomic(R: dict, a1, n1, a2, n2) -> bool:
@@ -553,7 +522,8 @@ def _rational_roots(cs: list) -> list:
     >= 1, one per linear factor, in the order of sympy's factor_list."""
     factors = _low_degree_factors(cs)
     if factors is None:
-        factors = [(b.all_coeffs()[::-1], m) for b, m in sp.factor_list(sp.Poly(cs[::-1], _w))[1]]
+        factors = [(b.all_coeffs()[::-1], m)
+                   for b, m in sp.factor_list(sp.Poly(cs[::-1], sp.Symbol("w")))[1]]
     return [Fraction(-int(f[0]), int(f[1])) for f, _m in factors if len(f) == 2]
 
 

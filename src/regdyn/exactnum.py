@@ -4,23 +4,69 @@ The base field is fixed to the rationals.  Algebraic numbers are
 represented by an irreducible primitive integer minimal polynomial
 together with an embedding index (sympy's ``CRootOf`` root ordering)
 and are refinable to arbitrary precision.
+
+This module is regdyn's one boundary to sympy: `sp` imports it on first
+use, and every other module reaches sympy through `sp`.  Primality and
+trial division run on integers; only what they cannot decide goes there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
-
-import sympy as sp
-from sympy.functions.combinatorial.numbers import totient
 
 from .intervals import RealInterval
 from .numberfield import NumberField
 
-_x = sp.Symbol("x")
+
+class _Sympy:
+    """sympy, imported on first attribute access.  Each access looks the
+    attribute up anew, so a patched sympy function is seen."""
+
+    def __getattr__(self, name):
+        import sympy
+        return getattr(sympy, name)
+
+
+sp = _Sympy()
+
+
+# the first 13 primes: Miller-Rabin to these bases proves primality below
+# PSI_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime: trial division by the bases, then
+    Miller-Rabin to every base below PSI_13, a proof; sympy's isprime (the
+    BPSW test) from PSI_13 on."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= PSI_13:
+        return sp.isprime(n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -30,7 +76,7 @@ class Place:
     prime: Optional[int] = None  # None means Archimedean
 
     def __post_init__(self):
-        if self.prime is not None and not sp.isprime(self.prime):
+        if self.prime is not None and not isprime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 
     @property
@@ -50,10 +96,9 @@ class Place:
 
 
 # prime_factors splits a leftover cofactor, one without prime factors up to
-# FACTOR_TRIAL_LIMIT that sympy's isprime does not accept, only up to
-# FACTOR_MAX_BITS bits: sympy splits 64-96-bit semiprimes in 0.2-1.1 s on a
-# 2-core Xeon under Python 3.11, and does not end in practice on the 330-bit
-# RSA-100 modulus
+# FACTOR_TRIAL_LIMIT that is not prime, only up to FACTOR_MAX_BITS bits:
+# sympy splits 64-96-bit semiprimes in 0.2-1.1 s on a 2-core Xeon under
+# Python 3.11, and does not end in practice on the 330-bit RSA-100 modulus
 FACTOR_TRIAL_LIMIT = 10**4
 FACTOR_MAX_BITS = 96
 
@@ -62,11 +107,39 @@ class FactoringCap(ArithmeticError):
     pass
 
 
+@cache
+def _trial_primes() -> tuple:
+    """The primes up to FACTOR_TRIAL_LIMIT, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (FACTOR_TRIAL_LIMIT - 1)
+    for p in range(2, math.isqrt(FACTOR_TRIAL_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    return tuple(p for p, prime in enumerate(sieve) if prime)
+
+
 def prime_factors(n: int) -> set:
     """The primes dividing the nonzero integer n: trial division up to
-    FACTOR_TRIAL_LIMIT, a leftover that sympy's isprime accepts (a proof
-    below 2^64, the BPSW test above), and full factoring of a composite
-    leftover of at most FACTOR_MAX_BITS bits; FactoringCap above."""
+    FACTOR_TRIAL_LIMIT, and a leftover that `isprime` accepts (a proof
+    below PSI_13, the BPSW test above).  A composite leftover goes to
+    sympy, which splits it when it has at most FACTOR_MAX_BITS bits;
+    FactoringCap above."""
+    primes, m = set(), abs(n)
+    for p in _trial_primes():
+        if p * p > m:
+            break
+        if m % p == 0:
+            primes.add(p)
+            while m % p == 0:
+                m //= p
+    if m == 1:
+        return primes
+    if isprime(m):
+        return primes | {m}
+    return _sympy_prime_factors(n)
+
+
+def _sympy_prime_factors(n: int) -> set:
+    """prime_factors by sympy's factorint alone."""
     primes = set()
     for q in sp.factorint(abs(n), limit=FACTOR_TRIAL_LIMIT):
         if sp.isprime(q):
@@ -142,8 +215,8 @@ class AlgebraicNumber:
     2 the roots are in closed form (`_boxes`), from degree 3 sympy's CRootOf."""
 
     def __init__(self, minpoly, embedding_index: int = 0):
-        # a univariate Poly (any generator, ZZ or QQ) or ascending coefficients
-        if isinstance(minpoly, sp.Poly):
+        # a univariate sympy Poly (any generator, ZZ or QQ) or ascending coefficients
+        if hasattr(minpoly, "all_coeffs"):
             minpoly = reversed(minpoly.all_coeffs())
         self._field = NumberField(minpoly)
         self._coeffs = self._field.modulus
@@ -160,8 +233,9 @@ class AlgebraicNumber:
         self.embedding_index = embedding_index
 
     @cached_property
-    def minpoly(self) -> sp.Poly:
-        return sp.Poly(self._coeffs[::-1], _x)
+    def minpoly(self):
+        """The minimal polynomial as a sympy Poly in x."""
+        return sp.Poly(self._coeffs[::-1], sp.Symbol("x"))
 
     # -- constructors -------------------------------------------------
 
@@ -301,12 +375,49 @@ def is_root_of_unity(a: AlgebraicNumber):
     deg = a.degree
     # phi(n) >= sqrt(n/2), so phi(n) = deg forces n <= 2*deg^2 + 1
     for n in range(1, 2 * deg * deg + 2):
-        if totient(n) != deg:
-            continue
-        cyc = sp.cyclotomic_poly(n, _x, polys=True)
-        if cyc == a.minpoly:
+        if _totient(n) == deg and sp.cyclotomic_poly(n, sp.Symbol("x"), polys=True) == a.minpoly:
             return True, n
     return False, None
+
+
+def _totient(n: int) -> int:
+    """Euler's phi of n >= 1, by trial division."""
+    phi, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return phi - phi // m if m > 1 else phi
+
+
+@dataclass(frozen=True)
+class Zeta:
+    """The root of unity exp(2*pi*i*t), t a Fraction taken mod 1."""
+    t: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", self.t % 1)
+
+    def __complex__(self):
+        return cmath.exp(2j * math.pi * float(self.t))
+
+    def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self):
+        """What sympy prints for exp(2*pi*I*t): 1, -1, I, -I, or exp(c*I*pi)
+        with c = 2t taken into (-1, 1]."""
+        p, q = self.t.numerator, self.t.denominator
+        c = 2 * p - 2 * q if 2 * p > q else 2 * p  # 2t in (-1, 1] is c / q
+        g = math.gcd(c, q)
+        c, q = c // g, q // g
+        if q <= 2:
+            return {(0, 1): "1", (1, 1): "-1", (1, 2): "I", (-1, 2): "-I"}[c, q]
+        sign, factor = "-" if c < 0 else "", f"{abs(c)}*" if abs(c) != 1 else ""
+        return f"exp({sign}{factor}I*pi/{q})"
 
 
 @dataclass(frozen=True)

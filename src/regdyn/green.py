@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
-
 from .exactnum import (FactoringCap, Place, _int_valuation, abs_at_place_exact, prime_factors,
                        valuation)
+from .exactnum import sp  # noqa: F401  regbench's tracer swaps this module's sp
 from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit, _triple
 from .padic import PrecisionLoss, escape_exponent

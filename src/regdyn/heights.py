@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import sympy as sp  # noqa: F401  regbench's tracer swaps this module's sp
-
+from .exactnum import sp  # noqa: F401  regbench's tracer swaps this module's sp
 from .green import (DEFAULT_TOL, GreenContext, _box_orbit, _orbit_green, _positive, height_box,
                     height_support)
 from .intervals import RealInterval

@@ -17,15 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
-                       find_expanding_place, is_root_of_unity, prime_factors)
+                       find_expanding_place, is_root_of_unity, prime_factors, sp)
 from .heights import PreperiodicityVerdict, canonical_height
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .polyalg import MultiPoly, _low_degree_factors
 
-_x, _t = sp.symbols("x t")
 # points at infinity of higher degree get no exact orbit: Unknown
 DEGREE_CAP = 64
 
@@ -176,9 +173,10 @@ def _embedded_root(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     """_algebraic_from_nf at any degree, by a resultant and CRootOf values."""
     # Res_t(m(t), den*x - num(t)) is, up to a constant, the characteristic
     # polynomial of multiplication by elem: a power of its minimal polynomial
-    m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, _t, _x)
+    t, x = sp.symbols("t x")
+    m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, t, x)
     g = sp.Poly.from_dict({(0, 1): elem.den, **{(k, 0): -n for k, n in enumerate(elem.num)}},
-                          _t, _x)
+                          t, x)
     (minpoly, _m), = sp.factor_list(m.resultant(g))[1]
     roots = minpoly.all_roots()
     root = alpha.minpoly.all_roots()[alpha.embedding_index]
@@ -208,7 +206,7 @@ def projective_roots(form: MultiPoly, degree: int) -> list:
     factors = _low_degree_factors(cs)
     if factors is None:
         factors = [(fac.all_coeffs()[::-1], mult)
-                   for fac, mult in sp.factor_list(sp.Poly(cs[::-1], _x))[1]]
+                   for fac, mult in sp.factor_list(sp.Poly(cs[::-1], sp.Symbol("x")))[1]]
     pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
            for fac, mult in factors for idx in range(len(fac) - 1)]
     if degree > len(cs) - 1:

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from sympy import integer_nthroot
-
 from .maps import RegularMap
-from .polyalg import _eval_terms
+from .polyalg import _eval_terms, _integer_nthroot
 from .series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
 
 
@@ -222,8 +220,8 @@ def _nth_root_fraction(c: Fraction, n: int) -> Fraction:
     """Exact rational n-th root, or raise."""
     if c < 0 and n % 2 == 0:
         raise ValueError("no real root")
-    num, num_exact = integer_nthroot(abs(c.numerator), n)
-    den, den_exact = integer_nthroot(c.denominator, n)
+    num, num_exact = _integer_nthroot(abs(c.numerator), n)
+    den, den_exact = _integer_nthroot(c.denominator, n)
     if not (num_exact and den_exact):
         raise ValueError(f"{c} has no rational {n}-th root")
     return Fraction(-num if c < 0 else num, den)

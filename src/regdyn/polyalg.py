@@ -7,8 +7,6 @@ import math
 import operator
 from fractions import Fraction
 
-import sympy as sp
-
 
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -116,6 +114,18 @@ def _clusters(approx) -> list:
     return [(sum(y for y, _s in c) / len(c), len(c)) for c in clusters if len(c) > 1]
 
 
+def _integer_nthroot(y: int, n: int) -> tuple:
+    """(the integer part of y^(1/n), whether it is exact) for integers y >= 0
+    and n >= 1, by Newton's method from 2^ceil(bits(y) / n) >= y^(1/n): the
+    iterates fall strictly until they reach the integer part."""
+    if y < 2 or n == 1:
+        return y, True
+    x = 1 << -(-y.bit_length() // n)
+    while (z := ((n - 1) * x + y // x ** (n - 1)) // n) < x:
+        x = z
+    return x, x ** n == y
+
+
 def _low_degree_factors(cs):
     """sp.factor_list(...)[1] for the integer polynomial sum cs[k] x^k
     (cs[-1] != 0) when each of its irreducible factors is linear but at most
@@ -142,7 +152,7 @@ def _low_degree_factors(cs):
         for x, k in [(x, 1) for x, _r in approx] + _clusters(approx):
             if not math.isfinite(x.real):
                 continue
-            q = sp.integer_nthroot(abs(h[-1]), k)[0]
+            q = _integer_nthroot(abs(h[-1]), k)[0]
             r, m = Fraction(x.real).limit_denominator(q), 0
             while (quotient := _divide_linear(h, r)) is not None:
                 h, m = quotient, m + 1
@@ -333,15 +343,16 @@ class MultiPoly:
 
     # -- printing / sympy ---------------------------------------------
 
-    def to_poly(self, zgen, wgen) -> sp.Poly:
+    def to_poly(self, zgen, wgen):
         """A sympy Poly in the generators standing for z and w, over ZZ (QQ
         if a coefficient is not an integer)."""
+        from .exactnum import sp  # here, as exactnum imports this module
         K, terms = (sp.ZZ, self.num) if self.den == 1 else (sp.QQ, self.coeffs)
         # a copy: from_dict converts the values of its dict in place
         return sp.Poly.from_dict(dict(terms), zgen, wgen, domain=K)
 
     @staticmethod
-    def from_poly(poly: sp.Poly) -> "MultiPoly":
+    def from_poly(poly) -> "MultiPoly":
         """A sympy Poly over ZZ or QQ in two generators, read as z and w; the
         terms keep the Poly's (lex) order."""
         K = poly.domain

@@ -339,7 +339,7 @@ def test_dmm_prints_roots_of_unity_as_sympy_exponentials(capsys):
 def test_dmm_refuses_a_max_order_above_the_cap_at_once(capsys, monkeypatch):
     # the roots-of-unity prefilter grows about as the order to the 4th power
     import regdyn.cli as cli
-    monkeypatch.setattr(cli, "dmm_report", lambda *a: pytest.fail("computed"))
+    monkeypatch.setattr("regdyn.curves.dmm_report", lambda *a: pytest.fail("computed"))
     code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
                      "--max-order", "65")
     assert code == 2 and "result" not in doc
@@ -350,7 +350,7 @@ def test_dmm_refuses_a_max_order_above_the_cap_at_once(capsys, monkeypatch):
 def test_dmm_refuses_a_height_bound_above_the_cap_at_once(capsys, monkeypatch):
     # the rational probes take time about the square of the height bound
     import regdyn.cli as cli
-    monkeypatch.setattr(cli, "dmm_report", lambda *a: pytest.fail("computed"))
+    monkeypatch.setattr("regdyn.curves.dmm_report", lambda *a: pytest.fail("computed"))
     code, doc = _run(capsys, "dmm", "--map", "z^2, w^2", "--curve", "w - z",
                      "--height-bound", "65")
     assert code == 2 and "result" not in doc

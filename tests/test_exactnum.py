@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -6,9 +7,11 @@ import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
-from regdyn.exactnum import (AlgebraicNumber, FactoringCap, Place, _poly_text,
-                             abs_at_place_exact, conjugates, find_expanding_place,
-                             is_root_of_unity, prime_factors, valuation)
+from regdyn.exactnum import (FACTOR_MAX_BITS, FACTOR_TRIAL_LIMIT, PSI_13, AlgebraicNumber,
+                             FactoringCap, Place, _poly_text, _totient, abs_at_place_exact,
+                             conjugates, find_expanding_place, is_root_of_unity, isprime,
+                             prime_factors, valuation)
+from regdyn.polyalg import _integer_nthroot
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -65,6 +68,101 @@ def test_prime_factors_splits_leftovers_up_to_the_cap():
 def test_prime_factors_refuses_a_composite_past_the_cap():
     with pytest.raises(FactoringCap, match="FACTOR_MAX_BITS = 96"):
         prime_factors(RSA_100)
+
+
+# -- integer number theory, sympy the oracle ----------------------------------
+
+PSI_12 = 318665857834031151167461
+P61 = 1152921504606847009  # prime, 61 bits
+
+
+def test_isprime_at_the_strong_pseudoprimes_to_the_first_primes():
+    # psi_13 and psi_12 are the least strong pseudoprimes to the first 13 and
+    # 12 prime bases, 3825123056546413051 one to the first 9 (Sorenson and
+    # Webster); the prime after psi_13 goes to sympy's BPSW test
+    assert PSI_13 == 3317044064679887385961981
+    for n in (PSI_13, PSI_12, 3825123056546413051):
+        assert not isprime(n) and not sp.isprime(n)
+    assert isprime(3317044064679887385962123) and sp.nextprime(PSI_13) == 3317044064679887385962123
+
+
+def test_isprime_agrees_with_sympy_on_carmichael_numbers_and_prime_powers():
+    # (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when its three
+    # factors are prime
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    for start in (1, 2 * 10**6, 2 * 10**7):  # below 2^64, above it, above PSI_13
+        ks = (k for k in itertools.count(start)
+              if all(sp.isprime(m * k + 1) for m in (6, 12, 18)))
+        carmichael += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                       for k in itertools.islice(ks, 10)]
+    assert min(carmichael[-10:]) > PSI_13 > min(carmichael[-20:]) > 2**64
+    powers = [p ** e for p in (2, 3, 41, 43, 10007, 2**31 - 1, P61) for e in range(1, 5)]
+    for n in carmichael + powers:
+        assert isprime(n) == sp.isprime(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-5, 2000), st.integers(2, 2**64), st.integers(2**64, PSI_13),
+                 st.integers(PSI_13 - 10**4, PSI_13 + 10**4)))
+def test_isprime_agrees_with_sympy(n):
+    assert isprime(n) == sp.isprime(n)
+
+
+def _sympy_prime_factors(n: int) -> set:
+    """prime_factors as sympy alone computes it: trial division up to the
+    limit, then the leftovers split up to FACTOR_MAX_BITS."""
+    primes = set()
+    for q in sp.factorint(abs(n), limit=FACTOR_TRIAL_LIMIT):
+        if sp.isprime(q):
+            primes.add(int(q))
+        elif q.bit_length() <= FACTOR_MAX_BITS:
+            primes |= {int(r) for r in sp.factorint(q)}
+        else:
+            raise FactoringCap
+    return primes
+
+
+def _cold(fn, n):
+    """fn(n) from an empty sympy factor cache: sympy 1.13 on keeps the
+    factors factorint finds, so a second call can split what a first
+    one could not."""
+    getattr(sp, "factor_cache", {}).clear()
+    try:
+        return fn(n)
+    except FactoringCap:
+        return FactoringCap
+
+
+def test_prime_factors_send_composite_leftovers_to_sympy():
+    # a square of a 61-bit prime and a 117-bit product with a 100-bit prime:
+    # trial division leaves a composite past FACTOR_MAX_BITS, which sympy
+    # still splits (a perfect power; a factor just past the trial limit)
+    q = 10**30 + 57
+    for n in (P61 ** 2, -100003 * q, 2**3 * 7 * P61 ** 2):
+        assert _cold(prime_factors, n) == _cold(_sympy_prime_factors, n)
+    assert prime_factors(P61 ** 2) == {P61} and prime_factors(100003 * q) == {100003, q}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 10**4), st.integers(2, 10**12),
+                          st.sampled_from([P61, 10**30 + 57, 3317044064679887385962123])),
+                min_size=1, max_size=4))
+def test_prime_factors_of_products_agree_with_sympy(factors):
+    n = math.prod(factors)
+    assert _cold(prime_factors, n) == _cold(_sympy_prime_factors, n)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**300), st.integers(1, 70))
+@example(3**200 - 1, 70)
+def test_integer_nthroot_agrees_with_sympy(y, n):
+    assert _integer_nthroot(y, n) == sp.integer_nthroot(y, n)
+    assert _integer_nthroot(y ** n, n) == (y, True)
+
+
+def test_totient_agrees_with_sympy():
+    from sympy.functions.combinatorial.numbers import totient
+    assert [_totient(n) for n in range(1, 3000)] == [totient(n) for n in range(1, 3000)]
 
 
 def test_algebraic_rational_roundtrip():

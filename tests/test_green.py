@@ -8,8 +8,8 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.exactnum import FactoringCap, Place, abs_at_place_exact
-from regdyn.green import (GreenContext, _arch_log_norm, _line_constant, bad_places, green_homog,
-                          green_value, nullstellensatz_constant)
+from regdyn.green import (GreenContext, _arch_log_norm, _cofactor_bound, _line_constant, _size,
+                          bad_places, green_homog, green_value, nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
 from regdyn.maps import IntegerLift, NotRegular, make_regular_map
@@ -201,6 +201,58 @@ def test_the_constants_are_two_sided(case, pt, line_pt):
         assert 1 / C <= r <= C
         r = _norm((f.top_P.eval(a, b), f.top_Q.eval(a, b)), v) / _norm((a, b), v) ** f.d
         assert 1 / line_C <= r <= line_C
+
+
+def _near(m0, v, data):
+    """A scale s with |s|_v within a factor of about 2 (at infinity) or p
+    (at p) of m0 >= 1."""
+    if not v.is_finite:
+        return m0 * data.draw(st.sampled_from([F(1, 2), F(9, 10), F(1), F(11, 10), F(2)]))
+    j = 0  # p^j <= m0 < p^(j+1)
+    while v.prime ** (j + 1) <= m0:
+        j += 1
+    return F(v.prime) ** -(j + data.draw(st.integers(-1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_and_places(), st.data())
+def test_the_constants_are_two_sided_near_m0(case, data):
+    # the lower side of C_v binds near max(|z|_v, |w|_v) = m0 = max(1, 2ke),
+    # where the cofactor identity takes over from N >= 1: points of that
+    # size at each place: z the scale times a unit at p, or times 1/2 to 2
+    # at infinity, and w at most that
+    f, places = case
+    for v in places:
+        ctx = GreenContext(f, v)
+        e = max(_size(f.P, v, f.d), _size(f.Q, v, f.d))
+        m0 = F(1) if ctx.good_reduction else max(F(1), 2 * _cofactor_bound(f, v) * e)
+        for _ in range(8):
+            s = _near(m0, v, data)
+            if v.is_finite:
+                p = v.prime
+                unit = st.builds(lambda a, b, c: F(a * p + b, c * p + 1), st.integers(0, 9),
+                                 st.integers(1, p - 1), st.integers(0, 3))
+                z = s * data.draw(unit) * data.draw(st.sampled_from([1, -1]))
+                w = s * data.draw(unit) * data.draw(st.sampled_from([0, 1, -1, p]))
+            else:
+                z = s * data.draw(st.builds(F, st.integers(4, 16), st.just(8)))  # |z|/s in [1/2, 2]
+                w = s * data.draw(st.builds(F, st.integers(-16, 16), st.just(8)))
+            r = _norm((1, f.P.eval(z, w), f.Q.eval(z, w)), v) / _norm((1, z, w), v) ** f.d
+            assert 1 / ctx.C <= r <= ctx.C
+
+
+@pytest.mark.parametrize("P, Q, pt", [
+    ("w^2 + w", "z^2", (F(0), F(-3, 2))),  # |P|, |Q| <= 1 at m = 3/2, near m0 = 2
+    ("-1/2*z^2 + 1/2", "w^2", (F(2**20), F(0))),  # |P| / m^2 just below 1/k = 1/2
+])
+def test_the_lower_constant_binds_below_a_weaker_one(P, Q, pt):
+    # r = N / m^d lies below 1/2, the reciprocal of max(1, k, m0^(d-1)) at
+    # infinity (k = 1, 2 and m0 = 2 here), but not below 1/C_inf = 1/4
+    f, v = make_regular_map(P, Q), Place.archimedean()
+    C, _good = nullstellensatz_constant(f, v)
+    z, w = pt
+    r = _norm((1, f.P.eval(z, w), f.Q.eval(z, w)), v) / _norm((1, z, w), v) ** f.d
+    assert C == 4 and 1 / C <= r < F(1, 2)
 
 
 # -- the integer orbit at infinity against exact rational iteration ----------
