@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 import time
@@ -117,11 +118,18 @@ def _json(value):
     """Recursively render domain objects into JSON-serializable data."""
     if type(value) in (int, float, str, bool, type(None)):  # one exact-type test
         return value
-    # then a dmm report's roots of unity (dataclasses that print as sympy's exp)
-    if isinstance(value, Zeta):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
+    node = _json_node(value)
+    return {k: _json(v) for k, v in node.items()} if isinstance(node, dict) else node
+
+
+def _json_node(value):
+    """One level of `_json` for a value that is no JSON scalar, list or
+    tuple: a dict whose values may still be domain objects, or a scalar."""
+    # first a dmm report's roots of unity (dataclasses that print as sympy's exp)
+    if isinstance(value, Zeta):
+        return str(value)
     if isinstance(value, Fraction):
         try:
             approx = float(value)
@@ -130,7 +138,7 @@ def _json(value):
         return {"exact": f"{value.numerator}/{value.denominator}", "approx": approx}
     if isinstance(value, AlgebraicNumber):
         if value.is_rational():
-            return _json(value.as_rational())
+            return _json_node(value.as_rational())
         z = complex(value.approx())
         return {"minpoly": value.minpoly_text(),
                 "root_index": value.embedding_index,
@@ -144,10 +152,10 @@ def _json(value):
                 "hi_exact": f"{value.upper.numerator}/{value.upper.denominator}"}
     if hasattr(value, "__dataclass_fields__"):
         d = {"type": type(value).__name__}
-        d.update({k: _json(getattr(value, k)) for k in value.__dataclass_fields__})
+        d.update({k: getattr(value, k) for k in value.__dataclass_fields__})
         return d
     if isinstance(value, dict):
-        return {str(k): _json(v) for k, v in value.items()}
+        return {str(k): v for k, v in value.items()}
     return repr(value)
 
 
@@ -315,13 +323,14 @@ def _cmd_dmm(args):
         "hypothesis_witnessed": rep.hypothesis_witnessed,
         "conclusion_witnessed": rep.conclusion_witnessed,
         "consistency": rep.consistency,
-        "curve_status": _json(rep.curve_status),
+        # the report's objects are rendered as they are printed (`_print`)
+        "curve_status": rep.curve_status,
         "infinity_points": [{
             "point": _point_json(r.point),
-            "orbit": _json(r.orbit_verdict),
-            "terminal_classification": _json(r.terminal_classification),
+            "orbit": r.orbit_verdict,
+            "terminal_classification": r.terminal_classification,
             "note": r.note} for r in rep.infinity_points],
-        "preperiodic_points_found": [_json(p) for p in rep.preperiodic_points],
+        "preperiodic_points_found": rep.preperiodic_points,
         "notes": rep.notes,
     }
     caps = {"max_iters": args.max_iters, "max_degree": args.max_degree,
@@ -390,12 +399,77 @@ def _build_parser():
     return p
 
 
+_ASCII = json.encoder.encode_basestring_ascii  # json's C string encoder
+_FLOATS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    return "NaN" if x != x else _FLOATS.get(x) or float.__repr__(x)
+
+
+# the text of each exact scalar type, and of a root of unity, by type
+_SCALARS = {str: _ASCII, int: int.__repr__, float: _float_text, type(None): lambda _: "null",
+            bool: lambda b: "true" if b else "false", Zeta: lambda z: _ASCII(str(z))}
+
+
+def _encode(value, out: list, indent: str):
+    """Append to out the text json.dumps(_json(value), indent=2) prints
+    for value at this indent, in one pass: domain objects are rendered on
+    the way, where the standard library's indented encoder runs in Python
+    through a generator per container."""
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, (list, tuple)):
+        if value:
+            _encode_items(((None, v) for v in value), "[]", out, indent)
+        else:
+            out.append("[]")
+    elif isinstance(value, dict):
+        if value:
+            _encode_items(((_ASCII(str(k)) + ": ", v) for k, v in value.items()), "{}", out,
+                          indent)
+        else:
+            out.append("{}")
+    elif isinstance(value, str):  # subclasses, as json.dumps takes them
+        out.append(_ASCII(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    else:  # a domain object, rendered as `_json` renders it
+        _encode(_json_node(value), out, indent)
+
+
+def _encode_items(items, brackets: str, out: list, indent: str):
+    """The items of a nonempty list or dict, each (key text or None, value),
+    one a line inside the brackets."""
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for key, v in items:
+        if key is not None:
+            sep += key
+        text = _SCALARS.get(type(v))
+        if text is None:
+            out.append(sep)
+            _encode(v, out, inner)
+        else:  # a scalar, in the same append as its separator
+            out.append(sep + text(v))
+        sep = ",\n" + inner
+    out.append("\n" + indent + brackets[1])
+
+
 def _print(doc: dict):
-    """Print the one JSON document.  When the reader has closed stdout (as
-    `| head` does) stdout goes to devnull instead, so that neither this
-    print nor the flush at exit ends in a traceback, and the exit code stands."""
+    """Print the one JSON document, as print(json.dumps(_json(doc),
+    indent=2)) would.  When the reader has closed stdout (as `| head`
+    does) stdout goes to devnull instead, so that neither this print nor
+    the flush at exit ends in a traceback, and the exit code stands."""
+    out = []
+    _encode(doc, out, "")
+    out.append("\n")
     try:
-        print(json.dumps(doc, indent=2), flush=True)
+        sys.stdout.write("".join(out))
+        sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 

@@ -16,14 +16,15 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import Zeta, sp  # Zeta is re-exported; regbench's tracer swaps sp
+# Zeta is re-exported; regbench's tracer swaps sp
+from .exactnum import Zeta, cyclotomic_coeffs, sp
 from .heights import PreperiodicityVerdict, orbit_verdict
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .numberfield import NumberField
-from .polyalg import (MultiPoly, _approx_roots, _combine, _low_degree_factors, _times,
-                      homogeneous_top, parse_poly)
+from .polyalg import (MultiPoly, _approx_roots, _combine, _integer_nthroot, _low_degree_factors,
+                      _times, homogeneous_top, parse_poly)
 
 
 class PlaneCurve:
@@ -113,14 +114,16 @@ class EliminationError(RuntimeError):
     pass
 
 
-# The image of a component {Ri = 0} comes from the linear kernel when
-# d * deg Ri is at most this, and from resultants above it.  Measured on
-# images of full degree under monomial maps, where resultants are cheapest,
-# the kernel is faster up to 9, mixed at 10 and slower from 12 on.  Under
-# generic maps the kernel is faster at every degree measured (0.04 s against
-# 16 s at 10, 0.3 s against more than 60 s at 16), so above 9 those take the
-# slower path.  No benchmark workload reaches above 9: the choice there rests
-# on these hand-picked cases, not on measured traffic (ROADMAP O5(b)).
+# Under a map that is not monomial, the image of a component {Ri = 0} comes
+# from the linear kernel when d * deg Ri is at most this, and from resultants
+# above it (monomial maps take the norm at every degree).  Near a monomial
+# map the kernel loses: the image of w - z - 1 under (z^2, w^2 + 1) took
+# 1.58 s by the kernel against 0.54 s by resultants at d * deg = 16, and more
+# than 90 s against 3.0 s at 32 (2-core x86-64, Python 3.11).  Under generic
+# maps the kernel is faster at every degree measured (0.04 s against 16 s at
+# 10, 0.3 s against more than 60 s at 16).  No benchmark workload takes a map
+# that is not monomial above 9: the choice there rests on these hand-picked
+# cases, not on measured traffic (ROADMAP O5(b)).
 KERNEL_MAX_DEGREE = 9
 
 
@@ -128,10 +131,11 @@ def pushforward(f: RegularMap, C: PlaneCurve) -> PlaneCurve:
     """The squarefree defining polynomial of the Zariski closure of f(C).
 
     Each irreducible component C_i is taken to its image curve on its own:
-    by a linear kernel when d * deg C_i is small (`_kernel_image`), else by
-    two-stage resultant elimination (`_resultant_image`).  Either way an
-    image G is kept only if the component's polynomial divides G(P, Q),
-    checked exactly.  By the projection
+    under a monomial map by the norm (`_norm_image`), else by a linear
+    kernel when d * deg C_i is small (`_kernel_image`), else by two-stage
+    resultant elimination (`_resultant_image`).  Either way an image G is
+    kept only if the component's polynomial divides G(P, Q), checked
+    exactly.  By the projection
     formula deg f(C_i) divides d * deg C_i for each component C_i; images of
     two components can coincide, so deg f(C) need not divide d * deg C.
     The kept factors are irreducible and primitive, so the image is built
@@ -174,16 +178,173 @@ def _split_eliminant(E):
 def _component_image(Ri: dict, f: RegularMap, cap: int) -> list:
     """The irreducible G(Z, W), as primitive integer dicts, whose curves make
     up the image of {Ri = 0} under f = (P, Q), each certified by the exact
-    test Ri | G(P, Q).  The image comes from the linear kernel when cap =
-    d * deg Ri, which its degree divides, is at most KERNEL_MAX_DEGREE, and
-    from resultants otherwise."""
-    if cap > KERNEL_MAX_DEGREE:
+    test Ri | G(P, Q).  Under a monomial map the image comes from the norm;
+    else from the linear kernel when cap = d * deg Ri, which its degree
+    divides, is at most KERNEL_MAX_DEGREE, and from resultants otherwise."""
+    monomial = _monomial_map(f)
+    if monomial is None and cap > KERNEL_MAX_DEGREE:
         return _resultant_image(Ri, f)
     PQ = (f.P.num, f.P.den), (f.Q.num, f.Q.den)
-    G = _kernel_image(Ri, PQ, cap)
+    G = _kernel_image(Ri, PQ, cap) if monomial is None else _norm_image(Ri, *monomial)
     if not _vanishes_on(G, Ri, PQ):
-        raise EliminationError("the kernel's image fails the component test")
+        raise EliminationError("the image fails the component test")
     return [G]
+
+
+def _monomial_map(f: RegularMap):
+    """(d, (nx, qx), (ny, qy), swapped) when P and Q are monomials, else
+    None.  Such a regular map is (c1 z^d, c2 w^d) or, swapped, (c1 w^d, c2
+    z^d): a monomial z^i w^j with i, j > 0 shares the zeros z = 0 and w = 0
+    of the other top form.  In X = z^d, Y = w^d it is (X, Y) -> (nx/qx X,
+    ny/qy Y), read as (Z, W), or as (W, Z) when swapped."""
+    if len(f.P.num) != 1 or len(f.Q.num) != 1:
+        return None
+    ((i, _j), p), = f.P.num.items()
+    (q,) = f.Q.num.values()
+    cp, cq = (p, f.P.den), (q, f.Q.den)
+    return (f.d, cq, cp, True) if i == 0 else (f.d, cp, cq, False)
+
+
+def _swap(R: dict) -> dict:
+    return {(j, i): c for (i, j), c in R.items()}
+
+
+def _norm_image(Ri: dict, d: int, cx: tuple, cy: tuple, swapped: bool) -> dict:
+    """The image of the irreducible curve C = {Ri = 0} under the monomial
+    map that `_monomial_map` describes, as a primitive integer dict, by the
+    norm of the Kummer cover g = (z^d, w^d), whose group mu_d^2 acts by
+    sigma(z, w) = (s z, t w).
+
+    The norm N(z^d, w^d) = prod over sigma of Ri o sigma is invariant under
+    the group, so a polynomial in X = z^d, Y = w^d (`_norm_z`, once in each
+    variable), and it vanishes exactly on g(C), since g^-1(g(C)) is the
+    union of the sigma(C).  g(C) is irreducible, so N = c G~^m with G~ its
+    primitive equation and m = d deg Ri / deg g(C).  Off the axes g is
+    unramified, so G~(z^d, w^d) is squarefree: each distinct Ri o sigma
+    enters N with the same multiplicity, a multiple of the e = #{sigma : Ri
+    o sigma is a multiple of Ri} (`_stabilizer_order`).  m = e when C is
+    absolutely irreducible; when C splits over C into components that the
+    group permutes (z^2 - z w + w^2 + z + w + 1, two lines over Q(zeta_3),
+    under (z^3, w^3)) translates share a component and m > e.  So m is the
+    largest multiple of e dividing d deg Ri for which N / c has an integer
+    m-th root (`_root`, checked by raising it back): a root for a larger m
+    would be a proper root of the irreducible G~.  A larger m is first
+    tried on N(X, 2) = +-G~(X, 2)^m, a cheap necessary test.
+
+    A binomial Ri = u + v takes a closed form: sigma multiplies v / u by a
+    character of some order r, which takes each value of mu_r on d^2 / r of
+    the sigma, so N is a constant times (u^r - (-v)^r)^(d^2 / r), and G~ is
+    that binomial over its monomial factor: a binomial is no proper power.
+    An axis z = 0 (w = 0) goes to X = 0 (Y = 0).  The image is G~(Z / cx,
+    W / cy), Z and W exchanged for a swapped map."""
+    if len(Ri) == 1:
+        G = dict.fromkeys(Ri, 1)
+    elif len(Ri) == 2:
+        ((i, j), u), ((k, l), v) = Ri.items()
+        r = math.lcm(d // math.gcd(d, k - i), d // math.gcd(d, l - j))
+        a, b = (i - k) * r, (j - l) * r  # multiples of d
+        G = {(max(a, 0) // d, max(b, 0) // d): u ** r,
+             (max(-a, 0) // d, max(-b, 0) // d): -(-v) ** r}
+    else:
+        N = _canonical(_swap(_norm_z(_swap(_norm_z(Ri, d)), d)))
+        cap, e = d * max(map(sum, Ri)), _stabilizer_order(Ri, d)
+        line = {}
+        for (i, j), c in N.items():
+            line[i, 0] = line.get((i, 0), 0) + c * 2 ** j
+        line = {m: c for m, c in line.items() if c}
+        for m in range(cap - cap % e, 0, -e):
+            if cap % m or (m > e and line and _root(line, m) is None):
+                continue
+            G = _root(N, m) if m > 1 else N
+            if G is not None:
+                break
+        else:
+            raise EliminationError("the norm is no power of an integer polynomial")
+    (nx, qx), (ny, qy) = cx, cy
+    a, b = max(i for i, _ in G), max(j for _, j in G)
+    G = {(i, j): c * qx ** i * nx ** (a - i) * qy ** j * ny ** (b - j)
+         for (i, j), c in G.items()}
+    return _canonical(_swap(G) if swapped else G)
+
+
+def _norm_z(R: dict, d: int) -> dict:
+    """The product of R(s z, w) over the d-th roots of unity s, as a dict in
+    (X, w), X = z^d: the norm of R from Q(z, w) to Q(z^d, w), taken for one
+    prime p | d at a time (the norms for p and d / p compose to that for d).
+    With R = sum A_r(X, w) t^r, t = z, split by the exponent of z mod p, the
+    norm is the determinant of multiplication by R on the basis t^k of
+    Z[X, w][t]/(t^p - X): column k holds A_r in row (r + k) mod p, times X
+    when r + k >= p.  The Leibniz sum runs column by column over the sets of
+    rows used, so a p x p determinant costs about p 2^p products."""
+    p = next(p for p in range(2, d + 1) if d % p == 0)
+    A = [{} for _ in range(p)]
+    for (i, j), c in R.items():
+        A[i % p][i // p, j] = c
+    AX = [{(i + 1, j): c for (i, j), c in a.items()} for a in A]
+    partial = {0: {(0, 0): 1}}  # the signed sums of products, by set of rows used
+    for k in range(p):
+        nxt = {}
+        for used, D in partial.items():
+            for row in range(p):
+                entry = (AX if row < k else A)[(row - k) % p]
+                if used >> row & 1 or not entry:
+                    continue
+                # the rows used above this one are the new inversions
+                sign = -1 if bin(used >> row).count("1") % 2 else 1
+                key = used | 1 << row
+                nxt[key] = _combine(nxt.get(key, {}), 1, _times(D, entry), -sign)
+        partial = nxt
+    N = partial.get((1 << p) - 1, {})
+    return N if p == d else _norm_z(N, d // p)
+
+
+def _stabilizer_order(R: dict, d: int) -> int:
+    """The number of (s, t) = (zeta^a, zeta^b) in mu_d^2 with R(s z, t w) a
+    multiple of R: those with a i + b j constant mod d on the support."""
+    (i0, j0), *rest = R
+    return sum(all((a * (i - i0) + b * (j - j0)) % d == 0 for i, j in rest)
+               for a in range(d) for b in range(d))
+
+
+def _root(H: dict, m: int):
+    """The integer dict G with G^m = H, for m >= 2, checked by raising it
+    back; None when there is none.  Under the Kronecker map z -> x, w ->
+    x^B, B past the z-degree of G, it is the univariate root g of h = H(x,
+    x^B), from its lowest term up by the recurrence of g h' = m g' h:
+    m k h_0 g_k = sum over j = 1..k of (j - m (k - j)) g_(k-j) h_j, each an
+    exact integer division."""
+    top = max(i for i, _ in H)
+    if top % m:
+        return None
+    B = top // m + 1
+    h = {}
+    for (i, j), c in H.items():  # terms of H may meet, those of G do not
+        h[i + B * j] = h.get(i + B * j, 0) + c
+    h = {k: c for k, c in h.items() if c}
+    if not h:  # H(x, x^B) = 0: no root has z-degree below B
+        return None
+    s = min(h)
+    h0 = h.pop(s)
+    g0, exact = _integer_nthroot(abs(h0), m)
+    if s % m or not exact or (h0 < 0 and m % 2 == 0):
+        return None
+    terms = sorted((k - s, c) for k, c in h.items())
+    g = [g0 if h0 > 0 else -g0]
+    for k in range(1, (max(h, default=s) - s) // m + 1):
+        t = 0
+        for j, c in terms:
+            if j > k:
+                break
+            t += (j - m * (k - j)) * g[k - j] * c
+        q, r = divmod(t, m * k * h0)
+        if r:
+            return None
+        g.append(q)
+    G = {divmod(k + s // m, B)[::-1]: c for k, c in enumerate(g) if c}
+    P = G
+    for _ in range(m - 1):
+        P = _times(P, G)
+    return G if {e: c for e, c in P.items() if c} == H else None
 
 
 def _vanishes_on(G: dict, Ri: dict, PQ) -> bool:
@@ -211,7 +372,7 @@ def _divides(R: dict, H: dict) -> bool:
     R | H iff H reaches 0 before its w-degree falls below n.  Written apart
     from `_normal_form`, so that the test is independent of the kernel."""
     if not any(j for _, j in R):  # R in Z[z]: swap z and w
-        R, H = ({(j, i): c for (i, j), c in X.items()} for X in (R, H))
+        R, H = _swap(R), _swap(H)
     n = max(j for _, j in R)
     lead = {(i, 0): c for (i, j), c in R.items() if j == n}
     tail = {m: c for m, c in R.items() if m[1] < n}
@@ -411,7 +572,7 @@ def _roots_of_unity(max_order: int):
 @lru_cache(maxsize=1024)
 def _cyclotomic_field(L: int) -> NumberField:
     """Q(zeta_L), modulus the L-th cyclotomic polynomial."""
-    return NumberField(sp.cyclotomic_poly(L, polys=True).all_coeffs()[::-1])
+    return NumberField(cyclotomic_coeffs(L))
 
 
 def _on_curve_cyclotomic(R: dict, a1, n1, a2, n2) -> bool:
@@ -454,33 +615,35 @@ def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
 
 def _unit_monomial(f: RegularMap):
     """((a1, b1, h1), (a2, b2, h2)) when f = (s1 z^a1 w^b1, s2 z^a2 w^b2) with
-    s_i = +-1, h_i = 0 for s_i = 1 and 1/2 for s_i = -1; else None.  Such an
-    f sends (Zeta(t1), Zeta(t2)) to (Zeta(a1 t1 + b1 t2 + h1), Zeta(a2 t1 +
-    b2 t2 + h2))."""
+    s_i = +-1, h_i = 0 for s_i = 1 and 1 (a half turn) for s_i = -1; else
+    None.  Such an f sends (Zeta(t1), Zeta(t2)) to (Zeta(a1 t1 + b1 t2 +
+    h1 / 2), Zeta(a2 t1 + b2 t2 + h2 / 2))."""
     exps = []
     for F in (f.P, f.Q):
-        if len(F.coeffs) != 1:
+        if len(F.num) != 1 or F.den != 1:
             return None
-        ((i, j), c), = F.coeffs.items()
+        ((i, j), c), = F.num.items()
         if c not in (1, -1):
             return None
-        exps.append((i, j, Fraction(0) if c == 1 else Fraction(1, 2)))
+        exps.append((i, j, 0 if c == 1 else 1))
     return tuple(exps)
 
 
 def _unit_monomial_orbit(exps, start: tuple):
-    """The verdict of the exact orbit of a pair of Zetas under the unit
-    monomial map with these exponents (`_unit_monomial`); None if no cycle
-    closes within ORBIT_CAP steps.  The orbit runs on the exponents of
-    zeta_N, N = lcm(orders, 2), so a half-shift is N / 2; they stay in
+    """The verdict of the exact orbit of the pair of roots of unity
+    exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under the unit monomial
+    map with these exponents (`_unit_monomial`); None if no cycle closes
+    within ORBIT_CAP steps.  The orbit runs on the integer exponents of
+    zeta_N, N = lcm(n1, n2, 2), so a half turn is N / 2; they stay in
     0..N-1, so no size cap is needed."""
-    N = math.lcm(start[0].t.denominator, start[1].t.denominator, 2)
-    (a1, b1, h1), (a2, b2, h2) = ((a, b, int(h * N)) for a, b, h in exps)
+    (e1, n1), (e2, n2) = start
+    N = math.lcm(n1, n2, 2)
+    (a1, b1, h1), (a2, b2, h2) = ((a, b, h * N // 2) for a, b, h in exps)
 
     def step(e):
         return (a1 * e[0] + b1 * e[1] + h1) % N, (a2 * e[0] + b2 * e[1] + h2) % N
 
-    orbit, k = _exact_orbit(step, tuple(int(z.t * N) for z in start), ORBIT_CAP,
+    orbit, k = _exact_orbit(step, (e1 * N // n1 % N, e2 * N // n2 % N), ORBIT_CAP,
                             lambda e: False)
     if k is None:
         return None
@@ -594,10 +757,9 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                 val = val * unit[n2, a2] + c
             if abs(val) > 1e-8 or not _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
-            start = (_zeta(a1, n1), _zeta(a2, n2))
-            verdict = _unit_monomial_orbit(exps, start)
+            verdict = _unit_monomial_orbit(exps, ((a1, n1), (a2, n2)))
             if verdict is not None:
-                found.append(FoundPoint(start, verdict))
+                found.append(FoundPoint((_zeta(a1, n1), _zeta(a2, n2)), verdict))
     return found
 
 

@@ -375,21 +375,58 @@ def is_root_of_unity(a: AlgebraicNumber):
     deg = a.degree
     # phi(n) >= sqrt(n/2), so phi(n) = deg forces n <= 2*deg^2 + 1
     for n in range(1, 2 * deg * deg + 2):
-        if _totient(n) == deg and sp.cyclotomic_poly(n, sp.Symbol("x"), polys=True) == a.minpoly:
+        if _totient(n) == deg and cyclotomic_coeffs(n) == a.minpoly_coeffs():
             return True, n
     return False, None
 
 
-def _totient(n: int) -> int:
-    """Euler's phi of n >= 1, by trial division."""
-    phi, m, p = n, n, 2
+@cache
+def cyclotomic_coeffs(n: int) -> tuple:
+    """The n-th cyclotomic polynomial, n >= 1, as ascending integer
+    coefficients: the Moebius inversion Phi_n = prod over d | n of (x^d -
+    1)^mu(n/d) of x^n - 1 = prod over d | n of Phi_d.  The factors of mu = 1
+    are multiplied in, then those of mu = -1 divide the product exactly,
+    each by q_k = a_(k+d) + q_(k+d), read off A = Q (x^d - 1) from the top.
+    A step costs the degree, so Phi_4032 takes milliseconds, where dividing
+    x^n - 1 by every Phi_d, d | n, would cost about n^2."""
+    primes = _prime_divisors(n)
+    up, down = [], []  # the d = n / s, s squarefree, with mu(s) = 1 and -1
+    for mask in range(1 << len(primes)):
+        s = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
+        (down if bin(mask).count("1") % 2 else up).append(n // s)
+    a = [1]
+    for d in up:
+        b = [0] * (len(a) + d)
+        for k, c in enumerate(a):
+            b[k] -= c
+            b[k + d] += c
+        a = b
+    for d in down:
+        q = [0] * (len(a) - d)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = a[k + d] + (q[k + d] if k + d < len(q) else 0)
+        a = q
+    return tuple(a)
+
+
+def _prime_divisors(n: int) -> list:
+    """The primes dividing n >= 1, ascending, by trial division."""
+    primes, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:
-            phi -= phi // p
+            primes.append(p)
             while m % p == 0:
                 m //= p
         p += 1
-    return phi - phi // m if m > 1 else phi
+    return primes + [m] if m > 1 else primes
+
+
+def _totient(n: int) -> int:
+    """Euler's phi of n >= 1."""
+    phi = n
+    for p in _prime_divisors(n):
+        phi -= phi // p
+    return phi
 
 
 @dataclass(frozen=True)

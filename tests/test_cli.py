@@ -390,6 +390,46 @@ def test_json_keeps_plain_scalars_and_renders_the_rest():
         [True, [None, ["I", {"exact": "1/2", "approx": 0.5}]]]
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300, 5e-324]) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_the_writer_prints_what_json_dumps_prints(value):
+    # nested and empty containers, tuples, non-ASCII and control characters,
+    # -0.0, NaN and the infinities, big ints, booleans, None
+    from regdyn.cli import _encode
+    out = []
+    _encode(value, out, "")
+    assert "".join(out) == json.dumps(value, indent=2)
+
+
+def test_the_writer_renders_domain_objects_as_json_does():
+    from regdyn.cli import _encode, _json
+    from regdyn.curves import Zeta, CurveOrbitStatus
+    value = [Zeta(F(1, 3)), F(-7, 2), F(10**400), Place(5), Place(None),
+             RealInterval(F(1, 3), F(1, 2)), CurveOrbitStatus("Fixed", 0, 1, [], {1: 2}),
+             {"nested": (Zeta(F(1, 2)), object)}]
+    out = []
+    _encode(value, out, "")
+    assert "".join(out) == json.dumps(_json(value), indent=2)
+
+
+def test_a_dmm_document_is_printed_as_json_dumps_prints_it(capsys):
+    # hundreds of roots-of-unity points with their orbits, and the timing float
+    code = run(["dmm", "--map", "-z^2, -w^2", "--curve", "w - z", "--max-iters", "4",
+                "--max-degree", "8", "--height-bound", "1", "--max-order", "16"])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert code == 0 and len(doc["result"]["preperiodic_points_found"]) > 50
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["green", "--map", "z^2, w^2", "--point", "1,2", "--place", "4"],
     ["green", "--map", "z^2, w^2"],

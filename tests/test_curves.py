@@ -165,9 +165,9 @@ def test_zeta_prints_as_sympy_prints_the_exponential():
 
 
 @pytest.mark.parametrize("P, Q, exps", [
-    ("z^2", "w^2", ((2, 0, F(0)), (0, 2, F(0)))),
-    ("w^3", "-z^3", ((0, 3, F(0)), (3, 0, F(1, 2)))),
-    ("-z^2", "-w^2", ((2, 0, F(1, 2)), (0, 2, F(1, 2)))),
+    ("z^2", "w^2", ((2, 0, 0), (0, 2, 0))),
+    ("w^3", "-z^3", ((0, 3, 0), (3, 0, 1))),
+    ("-z^2", "-w^2", ((2, 0, 1), (0, 2, 1))),
     ("2*z^2", "w^2", None),
     ("z^2 + w", "w^2 - z", None),
     ("z^2", "w^2 + 1", None),
@@ -213,7 +213,9 @@ def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
         return K([0] * int(t * L) + [1])
 
     replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, ORBIT_CAP)
-    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f), (Zeta(t1), Zeta(t2)))
+    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f),
+                                          ((t1.numerator, t1.denominator),
+                                           (t2.numerator, t2.denominator)))
     if k is None:
         assert verdict is None
         return
@@ -269,10 +271,9 @@ def _pair_scan(f, C, max_order):
                 val = val * z2 + c
             if abs(val) > 1e-8 or not curves._on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
-            start = (Zeta(F(a1, n1)), Zeta(F(a2, n2)))
-            verdict = curves._unit_monomial_orbit(exps, start)
+            verdict = curves._unit_monomial_orbit(exps, ((a1, n1), (a2, n2)))
             if verdict is not None:
-                found.append((start, verdict))
+                found.append(((Zeta(F(a1, n1)), Zeta(F(a2, n2))), verdict))
     return found
 
 
@@ -379,21 +380,25 @@ def test_curve_orbit_factors_each_curve_once(monkeypatch):
     f = make_regular_map("z^2", "w^2")
     st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=4)
     assert [C.degree for C in st.orbit] == [1, 2, 4, 8, 16]
-    # the steps from degrees 1, 2 and 4 (d * deg <= KERNEL_MAX_DEGREE) take
-    # the kernel, which factors nothing; the step from degree 8 factors its
-    # two eliminants and the second eliminant, and builds the image from the
-    # factors kept, with no factoring
+    # under a monomial map every step takes the norm, which factors nothing,
+    # also from degree 8, where d * deg passes KERNEL_MAX_DEGREE (resultants
+    # there factored two eliminants and the second eliminant)
     assert 2 * 4 <= curves.KERNEL_MAX_DEGREE < 2 * 8
-    assert len(calls) == 0 + 3
-    calls.clear()
+    assert len(calls) == 0
     st = curve_preperiodicity(f, PlaneCurve("z*w - z - 1"), max_iters=3)
     assert [C.degree for C in st.orbit] == [2, 4, 8, 16]
-    assert len(calls) == 0 + 3
-    calls.clear()
-    # a cubic goes to sympy once; its images, cubics again, come from the kernel
+    assert len(calls) == 0
+    # a cubic goes to sympy once; its images, cubics again, come from the norm
     st = curve_preperiodicity(f, PlaneCurve("w^2 - z^3 - z"), max_iters=2)
     assert [C.degree for C in st.orbit] == [3, 3, 3]
-    assert len(calls) == 1 + 0
+    assert len(calls) == 1
+    calls.clear()
+    # off monomial maps the step past KERNEL_MAX_DEGREE still factors the
+    # eliminants: two, and the second eliminant
+    g = make_regular_map("z^2", "w^2 + 1")
+    st = curve_preperiodicity(g, PlaneCurve("w - z - 1"), max_iters=4)
+    assert [C.degree for C in st.orbit] == [1, 2, 4, 8, 16]
+    assert len(calls) == 3
 
 
 def test_pushforward_takes_a_shared_image_once():
@@ -760,6 +765,79 @@ def _kernel_matches_resultants(f, C):
 @given(small_degree_case())
 def test_kernel_image_matches_the_resultant_image(case):
     _kernel_matches_resultants(*case)
+
+
+_HALVES = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
+
+
+@st.composite
+def monomial_norm_case(draw):
+    """A monomial map (c1 z^d, c2 w^d) or, swapped, (c1 w^d, c2 z^d) with
+    d = 2, 3 and c1, c2 in {+-1, +-2, +-1/2}, and a curve: a line, a conic, a
+    binomial, for d = 2 a quartic, a curve with a nontrivial stabilizer or
+    an axis."""
+    d = draw(st.sampled_from([2, 3]))
+    x, y = ("w", "z") if draw(st.booleans()) else ("z", "w")
+    c1, c2 = draw(_HALVES), draw(_HALVES)
+    f = make_regular_map(MultiPoly({(d, 0) if x == "z" else (0, d): c1}),
+                         MultiPoly({(0, d) if y == "w" else (d, 0): c2}))
+    kind = draw(st.sampled_from(["line", "conic", "binomial", "stabilized", "axis"]
+                                + ["quartic"] * (d == 2)))
+    coef = st.one_of(st.just(F(0)), _HALVES)
+    if kind == "binomial":
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return f, PlaneCurve(MultiPoly({(0, m): F(1), (n, 0): draw(_HALVES)}))
+    if kind in ("stabilized", "axis"):
+        curves_ = (["w - z", "z^2 + w^2 - 2", "z^3 + w^3 - 2", "w + 2*z", "z*w - 1",
+                    "w^2 - z^3", "z^2 - z*w + w^2 + z + w + 1"] if kind == "stabilized"
+                   else ["z", "w"])
+        return f, PlaneCurve(draw(st.sampled_from(curves_)))
+    top = {"line": 1, "conic": 2, "quartic": 4}[kind]
+    coeffs = {e: draw(coef) for e in _monomials(top)}
+    if not any(coeffs[e] for e in _monomials(top) if sum(e) == top):
+        coeffs[(0, top)] = F(1)
+    return f, PlaneCurve(MultiPoly(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_norm_case())
+# z^2 - zw + w^2 + z + w + 1 is two lines over Q(zeta_3), which translates
+# under (z^3, w^3) share: its norm is c G~^2 though its stabilizer is trivial
+@example((make_regular_map("z^3", "w^3"), PlaneCurve("z^2 - z*w + w^2 + z + w + 1")))
+@example((make_regular_map("-1/2*w^2", "2*z^2"), PlaneCurve("z^2 + w^2 - 2")))
+@example((make_regular_map("w^3", "z^3"), PlaneCurve("z")))
+def test_norm_image_matches_the_kernel_image(case):
+    f, C = case
+    PQ = (f.P.num, f.P.den), (f.Q.num, f.Q.den)
+    for Ri in C.components:
+        G = curves._norm_image(Ri, *curves._monomial_map(f))
+        assert G == curves._kernel_image(Ri, PQ, f.d * max(map(sum, Ri)))
+
+
+def test_monomial_maps_take_neither_the_kernel_nor_resultants(monkeypatch):
+    for name in ("_kernel_image", "_resultant_image"):
+        monkeypatch.setattr(curves, name, lambda *a: pytest.fail(f"{name} ran"))
+    f = make_regular_map("z^2", "w^2")
+    st = curve_preperiodicity(f, PlaneCurve("w - z - 1"), max_iters=4)
+    assert [C.degree for C in st.orbit] == [1, 2, 4, 8, 16]
+    g = make_regular_map("1/2*w^3", "-z^3")
+    for curve, degrees in [("w^2 - 2*z", [2, 2, 2]), ("w - z", [1, 1, 1]),
+                           ("z^2 + w^2 - 2", [2, 6, 18])]:
+        st = curve_preperiodicity(g, PlaneCurve(curve), max_iters=2)
+        assert [C.degree for C in st.orbit] == degrees, curve
+
+
+def test_the_root_of_a_norm_raises_back_to_it():
+    # the square and the cube of a conic, and a line, which is no square
+    G = {(2, 0): 1, (1, 1): -3, (0, 2): 2, (0, 1): 1, (0, 0): -5}
+    for m in (2, 3):
+        H = G
+        for _ in range(m - 1):
+            H = curves._times(H, G)
+        H = {e: c for e, c in H.items() if c}
+        assert curves._root(H, m) in (G, {e: -c for e, c in G.items()})  # -G for m = 2
+        assert curves._root(H, 2 * m) is None
+    assert curves._root({(1, 0): 1, (0, 1): 1, (0, 0): 1}, 2) is None
 
 
 @pytest.mark.parametrize("spec, curve, degree", [

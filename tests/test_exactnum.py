@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.exactnum import (FACTOR_MAX_BITS, FACTOR_TRIAL_LIMIT, PSI_13, AlgebraicNumber,
                              FactoringCap, Place, _poly_text, _totient, abs_at_place_exact,
-                             conjugates, find_expanding_place, is_root_of_unity, isprime,
-                             prime_factors, valuation)
+                             conjugates, cyclotomic_coeffs, find_expanding_place,
+                             is_root_of_unity, isprime, prime_factors, valuation)
 from regdyn.polyalg import _integer_nthroot
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -186,6 +186,24 @@ def test_conjugate_boxes_disjoint():
     boxes = conjugates(a)
     assert len(boxes) == 2
     assert boxes[0].disjoint(boxes[1])
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    x = sp.Symbol("x")
+    for n in range(1, 201):
+        want = tuple(int(c) for c in sp.Poly(sp.cyclotomic_poly(n, x), x).all_coeffs()[::-1])
+        assert cyclotomic_coeffs(n) == want, n
+    # an order reached by dmm at --max-order 64: lcm(64, 63) = 4032
+    assert cyclotomic_coeffs(4032) == tuple(
+        int(c) for c in sp.Poly(sp.cyclotomic_poly(4032, x), x).all_coeffs()[::-1])
+
+
+def test_root_of_unity_detection_needs_no_sympy(monkeypatch):
+    monkeypatch.setattr(sp, "cyclotomic_poly", lambda *a, **k: pytest.fail("sympy ran"))
+    for n in (1, 2, 5, 12, 30, 97):
+        minpoly = cyclotomic_coeffs(n)
+        assert is_root_of_unity(AlgebraicNumber(minpoly, 0)) == (True, n)
+    assert is_root_of_unity(AlgebraicNumber([1, -1, 1, 1], 0)) == (False, None)
 
 
 def test_root_of_unity_detection():

@@ -58,6 +58,14 @@ def test_a_curve_loads_curves_and_no_localdyn():
     assert "regdyn.curves" in loaded and "regdyn.localdyn" not in loaded
 
 
+def test_a_monomial_dmm_on_a_line_loads_no_sympy():
+    # the norm gives its curve orbit, and the cyclotomic fields of its roots
+    # of unity come from integers
+    loaded = _loaded_after("dmm", "--map", "-z^2, -w^2", "--curve", "-z + w", "--max-iters",
+                           "4", "--max-degree", "8", "--height-bound", "1", "--max-order", "16")
+    assert loaded == {"regdyn.curves"}
+
+
 # every name the package exported when it imported each submodule at once
 EXPORTS = {
     "exactnum": ["AlgebraicNumber", "ComplexInterval", "FactoringCap", "Place",
