@@ -264,11 +264,10 @@ def _cmd_stable_manifold(args):
         except ValueError as exc:  # e.g. the y^d coefficient has no rational root
             raise InputError(f"cannot localize at the fixed point "
                              f"{p.coordinate.as_rational()}: {exc}") from exc
-        phi = super_stable_series(germ)
-        entry = {"point": _point_json(p),
-                 "lambda": _json(germ.lam),
-                 "phi_coefficients": [_json(c) for c in phi.coeffs]}
+        entry = {"point": _point_json(p), "lambda": _json(germ.lam)}
         try:
+            phi = super_stable_series(germ)
+            entry["phi_coefficients"] = [_json(c) for c in phi.coeffs]
             if germ.lam == 1:
                 k, res = parabolic_normal_form(germ, phi)
                 nf = {"kind": "parabolic", "k": k}

@@ -139,7 +139,11 @@ def prime_factors(n: int) -> set:
 
 
 def _sympy_prime_factors(n: int) -> set:
-    """prime_factors by sympy's factorint alone."""
+    """prime_factors by sympy's factorint alone, from an empty factor cache.
+    factorint keeps the prime factors it finds in a process-wide cache, and
+    a call that reads them splits leftovers that a first call leaves whole:
+    emptied, the cap is a function of n alone."""
+    sp.factor_cache.cache_clear()
     primes = set()
     for q in sp.factorint(abs(n), limit=FACTOR_TRIAL_LIMIT):
         if sp.isprime(q):

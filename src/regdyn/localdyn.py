@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .maps import RegularMap
 from .polyalg import _eval_terms, _integer_nthroot
-from .series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
+from .series import TruncSeries, TruncSeries2, _fixed_point, _triangular, exp_series, log_unit
 
 
 class GermShapeError(ValueError):
@@ -39,6 +39,14 @@ class ResonanceError(ValueError):
 
 class ContractionError(RuntimeError):
     pass
+
+
+def _settle(step, start, N: int):
+    """_fixed_point, a step that does not settle reported as a GermShapeError."""
+    try:
+        return _fixed_point(step, start, N)
+    except ArithmeticError as exc:
+        raise GermShapeError(str(exc)) from exc
 
 
 def _x2(n):
@@ -154,7 +162,7 @@ class HigherScale(Conjugacy):
 
         def step(g1):
             return f1 * (phi2 * g1**self.n + 1).reciprocal()
-        g1 = step(f1) if self.n == 0 else _fixed_point(step, f1, germ.N)
+        g1 = step(f1) if self.n == 0 else _settle(step, f1, germ.N)
         return LocalGerm(g1, f2, germ.d)
 
 
@@ -242,17 +250,19 @@ def localize_at_infinity(f: RegularMap, point: tuple, N: int = 16) -> LocalGerm:
     # in chart 0 the distinguished affine coordinate is z (y = 1/z, x = w/z - b);
     # in chart 1 it is w (y = 1/w, x = z/w - b).  A term c z^i w^j of P or Q
     # becomes c (x + b)^e y^(d-i-j), e = j in chart 0 and i in chart 1
-    xb, y = _x2(N) + b, _y2(N)
-    D2, Nm2 = (TruncSeries2.zero(N) + _eval_terms(
-        [((j if chart == 0 else i, d - i - j), c) for (i, j), c in g.coeffs.items()],
-        xb, y, operator.add, operator.mul, operator.pow)
-        for g in ((f.P, f.Q) if chart == 0 else (f.Q, f.P)))
+    def chart_poly(g):  # by the binomial theorem
+        out = {}
+        for (i, j), c in g.coeffs.items():
+            e = j if chart == 0 else i
+            for t in range(e + 1):
+                out[t, d - i - j] = out.get((t, d - i - j), 0) + c * math.comb(e, t) * b**(e - t)
+        return TruncSeries2(out, N)
+    D2, Nm2 = (chart_poly(g) for g in ((f.P, f.Q) if chart == 0 else (f.Q, f.P)))
     c0 = D2[(0, 0)]
     if c0 == 0:
         raise ValueError("point is not in the domain of this chart")
-    Dinv = D2.reciprocal()
-    first = (Nm2 - D2 * b) * Dinv
-    second = Dinv.shift(0, d)
+    first = (Nm2 - D2 * b).quotient(D2)
+    second = TruncSeries2.constant(1, N).shift(0, d).quotient(D2)
     if first[(0, 0)] != 0:
         raise ValueError("point is not fixed by the map at infinity")
     if first[(1, 0)] == 0:
@@ -286,7 +296,7 @@ def super_stable_series(germ: LocalGerm) -> TruncSeries:
     def step(phi):
         f1, f2 = phi._horner(rows1, phi.order), phi._horner(rows2, phi.order)
         return phi - (f1 - phi.compose(f2)) * inv_lam
-    return _fixed_point(step, TruncSeries.zero(N), N)
+    return _settle(step, TruncSeries.zero(N), N)
 
 
 def reduce_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> NormalFormResult:
@@ -315,11 +325,14 @@ def bottcher_series(u: TruncSeries) -> TruncSeries:
         raise ValueError("input must vanish to order >= 2")
     if u[d] != 1:
         raise ValueError("unit cofactor must have constant term 1")
+    n, D = u.order, u.den
     H = log_unit(u.shift(-d))
-    L = _fixed_point(lambda L: (H + L.compose(u)) * Fraction(1, d),
-                     TruncSeries.zero(u.order), u.order)
+    # d L_j = H_j + sum_{k <= j/d} L_k [y^j] u^k; with L_k = x_k D^k the
+    # u^k come off the power table of u, as integers
+    L = _triangular(u._powers(n // d), D, 1, n, lambda j: -H[j], lambda j: -d * D**j)
     beta = exp_series(L).shift(1)
-    assert beta.compose(u) == beta**d
+    if beta.compose(u) != beta**d:
+        raise GermShapeError("Böttcher series fails beta(u) = beta^d at this order")
     return beta
 
 
@@ -331,17 +344,20 @@ def koenigs_series(s: TruncSeries) -> TruncSeries:
     lam = s[1]
     if lam == 0:
         raise ValueError("multiplier must be nonzero")
-    psi = TruncSeries.identity(N)
-    for j in range(2, N + 1):
-        r = psi.compose(s) - psi * lam
-        c = r[j]
-        if c == 0:
-            continue
-        denom = lam**j - lam
-        if denom == 0:
+    # psi_j (lam^j - lam) = -sum_{k<j} psi_k [y^j] s^k, psi_1 = 1; with
+    # psi_k = x_k D^k the s^k come off the power table of s, as integers
+    D = s.den
+    pw = s._powers(N)
+
+    def diag(j):
+        if lam**j == lam:
             raise ResonanceError(f"resonance lam^{j} = lam")
-        psi = psi - TruncSeries.monomial(c / denom, j, N)
-    assert psi.compose(s) == psi * lam
+        return pw[j][j] - lam * D**j
+
+    psi = TruncSeries.identity(N) + _triangular(pw, D, 2, N, lambda j: Fraction(-pw[1][j], D),
+                                                diag)
+    if psi.compose(s) != psi * lam:
+        raise GermShapeError("Koenigs series fails psi(s) = lam*psi at this order")
     return psi
 
 
@@ -383,10 +399,12 @@ def saddle_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> No
     # 1. Böttcher: straighten y -> y^d on the invariant axis {x = 0}
     u0 = res.germ.second.restrict_y_axis()
     g1 = res._record(YCoord(bottcher_series(u0)))
-    assert g1.second.restrict_y_axis() == TruncSeries.monomial(1, germ.d, germ.N)
+    if g1.second.restrict_y_axis() != TruncSeries.monomial(1, germ.d, germ.N):
+        raise GermShapeError("saddle form: {x = 0} not straightened to y -> y^d")
     # 2. Koenigs: linearize x -> lam*x*(1+...) on {y = 0}
     g2 = res._record(XCoord(koenigs_series(g1.first.restrict_x_axis())))
-    assert g2.first.restrict_x_axis() == TruncSeries([0, g2.lam], g2.N)
+    if g2.first.restrict_x_axis() != TruncSeries([0, g2.lam], g2.N):
+        raise GermShapeError("saddle form: {y = 0} not linearized to x -> lam*x")
     # 3. multiplicative correction on the x-linear row
     grow = g2.x_row(1) * (1 / g2.lam) - 1
     if not grow.is_zero():
@@ -433,11 +451,13 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
             e = cj / (ck * (2 * k - j))
             work = res._record(XCoord(TruncSeries.identity(work.N)
                                       + TruncSeries.monomial(e, j - k + 1, work.N)))
-            assert work.first[(j + 1, 0)] == 0
+            if work.first[(j + 1, 0)] != 0:
+                raise GermShapeError(f"parabolic form: x^{j + 1} coefficient not removed")
     if ck != 1:  # x_new = x/a with a^k = 1/c_{k+1}
         a = _nth_root_fraction(1 / ck, k)
         work = res._record(XCoord(TruncSeries.monomial(1 / a, 1, work.N)))
-        assert work.first[(k + 1, 0)] == 1
+        if work.first[(k + 1, 0)] != 1:
+            raise GermShapeError(f"parabolic form: x^{k + 1} coefficient not scaled to 1")
     # kill the y-dependence of the rows x^{n+1}, n = 0..2k-1
     for n in range(2 * k):
         gn = work.x_row(n + 1) - (1 if n in (0, k) else 0)

@@ -15,13 +15,22 @@ its products walk once, on first use, and shares it with every product.
 `coeffs` is a read-only Fraction view (a list, resp. a dict), also built
 once on first use.
 
-Composition computes no product for a term the truncation drops, and takes
-baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973) for
-polynomials with scalar coefficients in a bivariate series (`_eval`).
+A univariate series also keeps its power table (`_powers`): the integer
+numerators of s^0..s^k over den^k, built once and read by every use.
+Composition computes no product for a term the truncation drops.  A
+bivariate composition whose inner series is one univariate series,
+(x, v(y)), (u(x), y) or (x*b(y), y), reads its terms off that table, which
+both components of a germ share; other polynomials with scalar
+coefficients in a bivariate series take baby-step/giant-step (Paterson &
+Stockmeyer, SIAM J. Comput. 2, 1973; `_eval`).  Reversion solves the
+triangular system sum_k g_k [y^j] f^k = [j = 1] over the table of f
+(`_triangular`, Knuth, TAOCP Vol. 2, 4.7); `_fixed_point` iterates the
+equations that are not triangular in the coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -46,6 +55,56 @@ def _conv(a: list, tb: list, n: int) -> list:
                     break
                 out[i + j] += ai * bj
     return out
+
+
+def _conv2(ta: list, tb: list, n: int, w: int) -> list:
+    """The flat integer numerators of a * b mod total degree n + 1, x^i y^j
+    at index i*w + j (w > n); ta and tb list the terms (degree, flat index,
+    numerator) of a and b by degree."""
+    out = [0] * (w * w)
+    for d1, k1, c1 in ta:
+        room = n - d1
+        if room < 0:
+            break
+        for d2, k2, c2 in tb:
+            if d2 > room:
+                break
+            out[k1 + k2] += c1 * c2
+    return out
+
+
+@functools.lru_cache(maxsize=65)
+def _cells(w: int) -> list:
+    """(flat index i*w + j, (i, j), i + j) for every i + j < w, by degree:
+    reads a flat array of width w back into terms."""
+    return [(i * w + d - i, (i, d - i), d) for d in range(w) for i in range(d + 1)]
+
+
+def _unflatten(out: list, w: int) -> dict:
+    """The nonzero terms {(i, j): c} of a flat array of width w."""
+    return {e: out[k] for k, e, _ in _cells(w) if out[k]}
+
+
+def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncSeries":
+    """sum_k x_k den^k y^k mod y^(n+1) for the x_first..x_n (x_k = 0 below
+    first) with
+        diag(j) * x_j = rhs(j) - sum_{first <= k < j} x_k * table[k][j],
+    int table entries (the rows past the table read as zero), rational
+    rhs(j) and diag(j); diag is called only when the right side is nonzero,
+    else x_j is 0.  The x_k are kept over one common denominator Q."""
+    X, Q = [0] * (n + 1), 1
+    for j in range(first, n + 1):
+        p, q = _rat(rhs(j))
+        r = p * Q - q * sum(X[k] * table[k][j] for k in range(first, min(j, len(table))))
+        if not r:
+            continue
+        a, b = _rat(diag(j))
+        x = Fraction(r * b, q * Q * a)
+        if Q % x.denominator:
+            f = x.denominator // math.gcd(Q, x.denominator)
+            X, Q = [c * f for c in X], Q * f
+        X[j] = x.numerator * (Q // x.denominator)
+    return TruncSeries._make([x * den**k for k, x in enumerate(X)], Q, n)
 
 
 def _sum(na: list, da: int, nb: list, db: int, sign: int = 1):
@@ -109,20 +168,6 @@ class _Series:
                     and self.num == other.num)
         return NotImplemented
 
-    def _horner(self, rows: dict, n: int):
-        """sum_i rows[i] * self^i mod degree n + 1, rows[i] of order >= n; the
-        partial sum that self^i multiplies later is kept to order n - i*val(self)."""
-        val = self.valuation() or n + 1
-        top = max((i for i in rows if i * val <= n), default=None)
-        if top is None:
-            return self * 0
-        acc = rows[top].truncate(n - top * val)
-        for i in range(top - 1, -1, -1):
-            acc = acc._times(self, n - i * val)
-            if i in rows:
-                acc = acc + rows[i]
-        return acc
-
     def _common(self, other):
         n = min(self.order, other.order)
         return self.truncate(n), other.truncate(n)
@@ -148,7 +193,7 @@ class TruncSeries(_Series):
     """Univariate series a_0 + a_1 y + ... + a_N y^N (exact, mod y^{N+1}),
     a_k = num[k] / den."""
 
-    __slots__ = ("num", "den", "order", "_view", "_nz")
+    __slots__ = ("num", "den", "order", "_view", "_nz", "_pw")
 
     def __init__(self, coeffs, order: int):
         num, den = _over_den(coeffs[: order + 1])
@@ -160,7 +205,7 @@ class TruncSeries(_Series):
             num = [c // g for c in num]
             den //= g
         self.num, self.den, self.order = num, den, order
-        self._view = self._nz = None
+        self._view = self._nz = self._pw = None
 
     @staticmethod
     def zero(order: int) -> "TruncSeries":
@@ -190,6 +235,17 @@ class TruncSeries(_Series):
         if self._nz is None:
             self._nz = [(k, c) for k, c in enumerate(self.num) if c]
         return self._nz
+
+    def _powers(self, k: int) -> list:
+        """The power table up to k: entry i lists the integer numerators of
+        num^i mod y^(order+1), so self^i = entry / den^i.  Kept on self and
+        extended on demand."""
+        if self._pw is None:
+            self._pw = [[1] + [0] * self.order]
+        pw = self._pw
+        while len(pw) <= k:
+            pw.append(_conv(pw[-1], self._nonzero(), self.order))
+        return pw
 
     def __getitem__(self, k: int):
         return Fraction(self.num[k], self.den) if 0 <= k <= self.order else Fraction(0)
@@ -244,6 +300,25 @@ class TruncSeries(_Series):
         """self * b mod y^(n+1), the terms either lacks read as zero."""
         return TruncSeries._make(_conv(self.num[: n + 1], b._nonzero(), n), self.den * b.den, n)
 
+    def _horner(self, rows: dict, n: int) -> "TruncSeries":
+        """sum_i rows[i] * self^i mod y^(n+1), rows[i] of order >= n, on
+        integer numerators over one denominator: the partial sum that self^i
+        multiplies later is kept to order n - i*val(self)."""
+        val = self.valuation() or n + 1
+        top = max((i for i in rows if i * val <= n), default=None)
+        if top is None:
+            return TruncSeries.zero(n)
+        den = math.lcm(*(rows[i].den for i in rows if i <= top))
+        acc = [c * (den // rows[top].den) for c in rows[top].num[: n - top * val + 1]]
+        scale, tb = 1, self._nonzero()
+        for i in range(top - 1, -1, -1):
+            m = n - i * val
+            acc, scale = _conv(acc, tb, m), scale * self.den
+            if i in rows:
+                f = den // rows[i].den * scale
+                acc = [a + c * f for a, c in zip(acc, rows[i].num)]
+        return TruncSeries._make(acc + [0] * (n + 1 - len(acc)), den * scale, n)
+
     __rmul__ = __mul__
 
     def compose(self, inner):
@@ -293,18 +368,18 @@ class TruncSeries(_Series):
                                  self.den, self.order - 1)
 
     def reversion(self) -> "TruncSeries":
-        """Compositional inverse; needs a_0 = 0 and a_1 invertible."""
+        """Compositional inverse; needs a_0 = 0 and a_1 invertible.
+
+        g(self) = y reads sum_{k<=j} g_k [y^j] self^k = [j = 1], triangular
+        since self^k = (a_1 y)^k + O(y^(k+1)): with g_k = x_k den^k its
+        coefficients come off the power table of self."""
+        n = self.order
         if self.num[0] != 0:
             raise ValueError("reversion needs zero constant term")
-        a1 = self[1]
-        if a1 == 0:
+        if n < 1 or self.num[1] == 0:
             raise ValueError("reversion needs invertible linear term")
-        inv1 = 1 / a1
-        ident = TruncSeries.identity(self.order)
-        # g correct mod y^{m+1} stays correct and gains one order per pass:
-        # self(g + delta) = self(g) + a1*delta + (higher valuation)
-        return _fixed_point(lambda g: g - (self.compose(g) - ident) * inv1,
-                            TruncSeries([0, inv1], self.order), self.order)
+        pw = self._powers(n)
+        return _triangular(pw, self.den, 1, n, lambda j: int(j == 1), lambda j: pw[j][j])
 
     def to_series2(self, order: int, var: int = 1) -> "TruncSeries2":
         num = {((0, k) if var == 1 else (k, 0)): c
@@ -354,7 +429,7 @@ class TruncSeries2(_Series):
     """Bivariate series mod total degree N+1: the coefficient of x^i y^j is
     num[(i, j)] / den, and num holds the nonzero numerators only."""
 
-    __slots__ = ("num", "den", "order", "_view", "_nz")
+    __slots__ = ("num", "den", "order", "_view", "_nz", "_uni")
 
     def __init__(self, coeffs: dict, order: int):
         keep = [((i, j), c) for (i, j), c in coeffs.items() if i + j <= order]
@@ -367,7 +442,8 @@ class TruncSeries2(_Series):
             num = {e: c // g for e, c in num.items()}
             den //= g
         self.num, self.den, self.order = num, den, order
-        self._view = self._nz = None
+        self._view = self._uni = None
+        self._nz = {}
 
     @staticmethod
     def zero(order: int) -> "TruncSeries2":
@@ -389,10 +465,28 @@ class TruncSeries2(_Series):
         return self._view
 
     def _nonzero(self, w: int) -> list:
-        """The terms as (i + j, flat index i*w + j, numerator), by degree."""
-        if self._nz is None or self._nz[0] != w:
-            self._nz = w, sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
-        return self._nz[1]
+        """The terms as (i + j, flat index i*w + j, numerator), by degree;
+        kept per width."""
+        nz = self._nz.get(w)
+        if nz is None:
+            nz = self._nz[w] = sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
+        return nz
+
+    def _one_variable(self) -> tuple:
+        """(var, t) when self is one univariate series t: var 1 for t(y),
+        0 for t(x), 2 for x*t(y); else (None, None).  t, and with it its power
+        table, is kept on self."""
+        if self._uni is None:
+            rows = {i for i, _ in self.num}
+            if rows <= {0}:
+                self._uni = 1, self.coefficient_in_x(0)
+            elif all(j == 0 for _, j in self.num):
+                self._uni = 0, self.restrict_x_axis()
+            elif rows == {1}:
+                self._uni = 2, self.coefficient_in_x(1)
+            else:
+                self._uni = None, None
+        return self._uni
 
     def __getitem__(self, ij):
         return Fraction(self.num.get(tuple(ij), 0), self.den)
@@ -448,17 +542,48 @@ class TruncSeries2(_Series):
 
     def _times(self, b: "TruncSeries2", n: int) -> "TruncSeries2":
         """self * b mod total degree n + 1, the terms either lacks read as zero."""
-        w = max(self.order, b.order, n) + 1  # x^i y^j at flat index i*w + j: no carries
-        tb = b._nonzero(w)
-        out = [0] * (w * w)
-        for d1, k1, c1 in self._nonzero(w):
-            room = n - d1
-            for d2, k2, c2 in tb:
-                if d2 > room:
-                    break
-                out[k1 + k2] += c1 * c2
-        return TruncSeries2._make({divmod(k, w): v for k, v in enumerate(out) if v},
-                                  self.den * b.den, n)
+        w = n + 1  # x^i y^j at flat index i*w + j: no carries below degree w
+        out = _conv2(self._nonzero(w), b._nonzero(w), n, w)
+        return TruncSeries2._make(_unflatten(out, w), self.den * b.den, n)
+
+    def _horner(self, rows: dict, n: int) -> "TruncSeries2":
+        """sum_i rows[i] * self^i mod degree n + 1, rows[i] of order >= n, on
+        integer numerators over one denominator: the partial sum that self^i
+        multiplies later is kept to order n - i*val(self)."""
+        val = self.valuation() or n + 1
+        top = max((i for i in rows if i * val <= n), default=None)
+        if top is None:
+            return TruncSeries2.zero(n)
+        w, den = n + 1, math.lcm(*(rows[i].den for i in rows if i <= top))
+        acc, scale, tb = [0] * (w * w), 1, self._nonzero(w)
+        for i in range(top, -1, -1):
+            m = n - i * val
+            if i < top:
+                terms = [(d, k, acc[k]) for k, _, d in _cells(w) if acc[k]]
+                acc, scale = _conv2(terms, tb, m, w), scale * self.den
+            if i in rows:
+                f = den // rows[i].den * scale
+                for (a, b), c in rows[i].num.items():
+                    if a + b <= m:
+                        acc[a * w + b] += c * f
+        return TruncSeries2._make(_unflatten(acc, w), den * scale, n)
+
+    def _sum_powers(self, t: TruncSeries, var: int, terms: list, n: int) -> "TruncSeries2":
+        """The sum of c * x^a * y^b * t^p over the (a, b, p, c) in terms, over
+        self.den (c are numerators of self), mod total degree n + 1, with t a
+        series in x (var 0) or y (var 1): every t^p comes off its power table."""
+        top = max((p for _, _, p, _ in terms), default=0)
+        pw, w = t._powers(top), n + 1
+        dpow = [1]
+        for _ in range(top):
+            dpow.append(dpow[-1] * t.den)
+        step, out = (w if var == 0 else 1), [0] * (w * w)
+        for a, b, p, c in terms:
+            f, at = c * dpow[top - p], a * w + b
+            for k, x in enumerate(pw[p][: n + 1 - a - b]):
+                if x:
+                    out[at + k * step] += f * x
+        return TruncSeries2._make(_unflatten(out, w), self.den * dpow[top], n)
 
     def _eval(self, polys: list, n: int) -> list:
         """[p(self) for p in polys] mod degree n + 1, p a dict {k: int}; self
@@ -515,10 +640,12 @@ class TruncSeries2(_Series):
     def compose(self, u: "TruncSeries2", v: "TruncSeries2") -> "TruncSeries2":
         """self(u, v); both inner series must vanish at the origin.
 
-        A term c x^i y^j with i*val(u) + j*val(v) > n is skipped.  The rows
-        sum_j c_ij v^j share the powers of v (_eval), or are univariate
-        compositions when v = v(y); then Horner in u (_horner), or a shift
-        when u = x.  If every row is a scalar, self(u) is one _eval."""
+        A term c x^i y^j with i*val(u) + j*val(v) > n is skipped.  The
+        substitutions (x, v(y)), (u(x), y) and (x*b(y), y) read every term
+        off the power table of the one univariate series they hold
+        (_sum_powers).  Otherwise, if every row is a scalar, self(u) is one
+        _eval; else the rows sum_j c_ij v^j share the powers of v (_eval),
+        and are summed by Horner in u (_horner), or shifted when u = x."""
         if (0, 0) in u.num or (0, 0) in v.num:
             raise ValueError("inner series must vanish at the origin")
         n = min(self.order, u.order, v.order)
@@ -526,26 +653,50 @@ class TruncSeries2(_Series):
         u_is_x = u.den == 1 and u.num == {(1, 0): 1}
         v_is_y = v.den == 1 and v.num == {(0, 1): 1}
         vu, vv = u.valuation() or n + 1, v.valuation() or n + 1
+        kept = [(i, j, c) for (i, j), c in s.num.items() if i * vu + j * vv <= n]
+        var, t = v._one_variable() if u_is_x else u._one_variable() if v_is_y else (None, None)
+        if u_is_x and var == 1:
+            return s._sum_powers(t, 1, [(i, 0, j, c) for i, j, c in kept], n)
+        if v_is_y and var == 0:
+            return s._sum_powers(t, 0, [(0, j, i, c) for i, j, c in kept], n)
+        if v_is_y and var == 2:
+            return s._sum_powers(t, 1, [(i, j, i, c) for i, j, c in kept], n)
         by_i = {}  # the numerators of s by row; s.den divides out at the end
-        for (i, j), c in s.num.items():
-            if i * vu + j * vv <= n:
-                by_i.setdefault(i, {})[j] = c
+        for i, j, c in kept:
+            by_i.setdefault(i, {})[j] = c
         if not u_is_x and all(row.keys() == {0} for row in by_i.values()):
             result = u._eval([{i: row[0] for i, row in by_i.items()}], n)[0]
         else:
             if v_is_y:
                 rows = [TruncSeries2._make({(0, j): c for j, c in row.items()}, 1, n)
                         for row in by_i.values()]
-            elif all(i == 0 for i, _ in v.num):  # v = v(y): univariate rows
-                vy = v.restrict_y_axis()
-                rows = [TruncSeries._make([row.get(j, 0) for j in range(n + 1)], 1, n).compose(vy)
-                        .to_series2(n) for row in by_i.values()]
             else:
                 rows = v._eval(list(by_i.values()), n)
             rows = dict(zip(by_i, rows))
             result = (TruncSeries2._lincomb(0, [(1, q.shift(i, 0)) for i, q in rows.items()], n)
                       if u_is_x else u._horner(rows, n))
         return TruncSeries2._make(result.num, result.den * s.den, n)
+
+    def quotient(self, d: "TruncSeries2") -> "TruncSeries2":
+        """self / d by the coefficient recurrence
+            d_00 q_e = self_e - sum_{f != 0} d_f q_(e-f),
+        degree by degree: one pass over the terms of d per coefficient, for
+        a d with few terms (a dense d takes reciprocal's Newton doubling)."""
+        a, b = self._common(d)
+        n, c0 = a.order, b.num.get((0, 0), 0)
+        if c0 == 0:
+            raise ZeroDivisionError("division by a series vanishing at 0")
+        # a.num / b.num has denominators c0^(deg + 1): times c0^(n + 1), ints
+        rest = [(i, j, c) for (i, j), c in b.num.items() if (i, j) != (0, 0)]
+        top, q = c0 ** (n + 1), {}
+        for _, (i, j), _ in _cells(n + 1):
+            x = a.num.get((i, j), 0) * top - sum(c * q.get((i - p, j - r), 0)
+                                                 for p, r, c in rest if p <= i and r <= j)
+            if x:
+                q[i, j] = x // c0
+        sign = -1 if top < 0 else 1
+        return TruncSeries2._make({e: sign * b.den * x for e, x in q.items()},
+                                  sign * top * a.den, n)
 
     def coefficient_in_x(self, i: int) -> TruncSeries:
         """The series p_i(y) in self = sum_i x^i p_i(y)."""

@@ -243,6 +243,28 @@ def test_stable_manifold_saddle(capsys):
     assert nf["kind"] == "saddle" and nf["verified"] is True
 
 
+@pytest.mark.parametrize("wrong", ["bottcher", "koenigs"])
+def test_stable_manifold_reports_a_failed_identity_as_unavailable(capsys, monkeypatch, wrong):
+    # a solver that returns a wrong series trips the check of its identity
+    # (Böttcher) or of the axis it straightens (Koenigs, in the saddle form)
+    from regdyn import localdyn
+    from regdyn.series import TruncSeries
+    if wrong == "bottcher":
+        solve = localdyn._triangular
+        monkeypatch.setattr(localdyn, "_triangular", lambda *args: solve(*args)
+                            + TruncSeries.monomial(1, 2, args[3]))
+    else:
+        koenigs = localdyn.koenigs_series
+        monkeypatch.setattr(localdyn, "koenigs_series", lambda s: koenigs(s)
+                            + TruncSeries.monomial(1, 2, s.order))
+    code, doc = _run(capsys, "stable-manifold", "--map", "2*z^2+w, w^2",
+                     "--point", "2", "--order", "8")
+    assert code == 0
+    nf = doc["result"]["manifolds"][0]["normal_form"]
+    assert nf["kind"] == "unavailable"
+    assert ("Böttcher" if wrong == "bottcher" else "{y = 0}") in nf["reason"]
+
+
 def test_stable_manifold_parabolic_with_mu(capsys):
     # mu != 0 at [1 : 0]: one shear to the super-stable graph starts the chain
     code, doc = _run(capsys, "stable-manifold", "--map", "z^2 + w^2 - w + 1, z*w - w^2 - z",

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -68,6 +71,27 @@ def test_prime_factors_splits_leftovers_up_to_the_cap():
 def test_prime_factors_refuses_a_composite_past_the_cap():
     with pytest.raises(FactoringCap, match="FACTOR_MAX_BITS = 96"):
         prime_factors(RSA_100)
+
+
+def _prime_factors_outcome(n: int):
+    try:
+        return sorted(prime_factors(n))
+    except FactoringCap:
+        return "FactoringCap"
+
+
+def test_prime_factors_has_one_outcome_whatever_ran_before():
+    # 1097^2 4861^3 1039387 921287058044736080177111: sympy's factor cache
+    # once let a second call split the 100-bit leftover that a first left whole
+    n = 132361710044291337222013586548893099426425886353
+    script = ("import sys; from regdyn.exactnum import prime_factors, FactoringCap\n"
+              "try: print(sorted(prime_factors(int(sys.argv[1]))))\n"
+              "except FactoringCap: print('FactoringCap')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run([sys.executable, "-c", script, str(n)], env=env,
+                           capture_output=True, text=True, check=True).stdout.strip()
+    first, second = _prime_factors_outcome(n), _prime_factors_outcome(n)
+    assert str(first) == str(second) == fresh
 
 
 # -- integer number theory, sympy the oracle ----------------------------------

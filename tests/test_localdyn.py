@@ -8,13 +8,13 @@ from regdyn import localdyn, series
 from regdyn.exactnum import AlgebraicNumber
 from regdyn.localdyn import (Conjugacy, ContractionError, GermShapeError, HigherScale,
                              LocalGerm, ResonanceError, SectorMap, Shear,
-                             VerticalGraphSample, XCoord, _nth_root_fraction,
+                             VerticalGraphSample, XCoord, YCoord, _nth_root_fraction,
                              bottcher_series, graph_pullback, koenigs_series,
                              localize_at_infinity, parabolic_normal_form,
                              rescaling_check, saddle_normal_form,
                              super_stable_series)
 from regdyn.maps import make_regular_map
-from regdyn.series import TruncSeries, TruncSeries2
+from regdyn.series import TruncSeries, TruncSeries2, exp_series, log_unit
 
 
 def X(n):
@@ -84,6 +84,79 @@ def test_koenigs_definitional_and_resonance():
     assert psi.compose(s) == psi * 2
     with pytest.raises(ResonanceError):
         koenigs_series(TruncSeries([0, 1, 1], n))
+
+
+def _koenigs_by_composition(s):
+    """koenigs_series as it was: psi o s composed once per coefficient."""
+    N, lam = s.order, s[1]
+    psi = TruncSeries.identity(N)
+    for j in range(2, N + 1):
+        c = (psi.compose(s) - psi * lam)[j]
+        if c == 0:
+            continue
+        if lam**j == lam:
+            raise ResonanceError(f"resonance lam^{j} = lam")
+        psi = psi - TruncSeries.monomial(c / (lam**j - lam), j, N)
+    return psi
+
+
+def _bottcher_by_fixed_point(u):
+    """bottcher_series as it was: L = (H + L(u))/d by fixed-point passes."""
+    d = u.valuation()
+    H = log_unit(u.shift(-d))
+    L = series._fixed_point(lambda L: (H + L.compose(u)) * F(1, d),
+                            TruncSeries.zero(u.order), u.order)
+    return exp_series(L).shift(1)
+
+
+def _outcome(solve, s):
+    try:
+        return solve(s)
+    except ResonanceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F(2), F(-2), F(1, 2), F(-3, 2), F(-1), F(1)]), st.integers(1, 14),
+       st.data())
+def test_the_koenigs_recurrence_matches_composition_per_coefficient(lam, n, data):
+    # lam = -1 and lam = 1 are resonant: both raise at the same j, or both
+    # pass when the resonant coefficients vanish
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    s = TruncSeries([0, lam] + data.draw(st.lists(small, max_size=n - 1)), n)
+    assert _outcome(koenigs_series, s) == _outcome(_koenigs_by_composition, s)
+
+
+def test_a_resonant_koenigs_series_names_the_first_resonant_coefficient():
+    s = TruncSeries([0, -1, 1], 8)  # lam = -1: lam^3 = lam
+    assert _outcome(koenigs_series, s) == _outcome(_koenigs_by_composition, s) \
+        == "resonance lam^3 = lam"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_the_bottcher_recurrence_matches_the_fixed_point(d, data):
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    n = data.draw(st.integers(d, 14))
+    u = TruncSeries([0] * d + [1] + data.draw(st.lists(small, max_size=n - d)), n)
+    assert bottcher_series(u) == _bottcher_by_fixed_point(u)
+
+
+@pytest.mark.parametrize("kind", ["YCoord", "XCoord", "HigherScale"])
+def test_a_push_reads_both_components_off_one_power_table(monkeypatch, kind):
+    # (x, beta^-1(y)), (psi^-1(x), y) and (x*(1 + phi(y)), y)
+    n = 10
+    g = LocalGerm(X(n) * 2 * (Y(n) + 1) + X(n) ** 2, Y(n) ** 2 * (X(n) + Y(n) + 1), 2)
+    t = TruncSeries([0, 1, F(1, 2), 3], n)
+    step = {"YCoord": lambda: YCoord(t), "XCoord": lambda: XCoord(t),
+            "HigherScale": lambda: HigherScale(t, 0)}[kind]()
+    reads = []
+    powers = TruncSeries._powers
+    monkeypatch.setattr(TruncSeries, "_powers", lambda self, k: reads.append(
+        (self, self._pw is None)) or powers(self, k))
+    step._push(g)
+    assert len(reads) == 2 and reads[0][0] is reads[1][0]
+    assert [fresh for _, fresh in reads] == [True, False]
 
 
 def test_saddle_normal_form():

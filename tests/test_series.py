@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regdyn.series import TruncSeries, TruncSeries2, _fixed_point, exp_series, log_unit
 
@@ -407,12 +407,13 @@ def test_univariate_compose_cuts_by_the_inner_valuation(n, data):
         .restrict_y_axis()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(4, 16), st.sampled_from(["general", "u=x", "v=y", "v(y)", "in-u", "in-v"]),
-       st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 16), st.sampled_from(["general", "u=x", "v=y", "v(y)", "in-u", "in-v",
+                                            "x,v(y)", "u(x),y", "x*b(y),y"]), st.data())
 def test_bivariate_compose_paths_match_fraction_oracle(n, shape, data):
-    # "v(y)": univariate rows; "in-u": every row a scalar, at least 4 rows;
-    # "in-v": one row
+    # "v(y)": v in y alone under a general u; "in-u": every row a scalar, at
+    # least 4 rows; "in-v": one row; the last three read the power table of
+    # their one univariate series, which the spy sees
     exps = st.tuples(st.integers(0, n), st.integers(0, n))
     terms = data.draw(st.dictionaries(exps, wide, max_size=10))
     if shape == "in-u":
@@ -420,12 +421,58 @@ def test_bivariate_compose_paths_match_fraction_oracle(n, shape, data):
     elif shape == "in-v":
         terms = {(0, j): data.draw(nonzero) for j in range(data.draw(st.integers(4, n)) + 1)}
     s = TruncSeries2({e: c for e, c in terms.items() if sum(e) <= n}, n)
-    u = X(n) if shape == "u=x" else data.draw(inner2(n))
-    v = Y(n) if shape == "v=y" else data.draw(inner2(n))
-    if shape == "v(y)":
+    u = X(n) if shape in ("u=x", "x,v(y)") else data.draw(inner2(n))
+    v = Y(n) if shape in ("v=y", "u(x),y", "x*b(y),y") else data.draw(inner2(n))
+    table = None  # (var, series) whose power table the composition must read
+    if shape in ("v(y)", "x,v(y)"):
         v = data.draw(inner1(n)).to_series2(n)
-    got = _canonical(s.compose(u, v))
+        table = (1, v.restrict_y_axis()) if shape == "x,v(y)" else None
+    elif shape == "u(x),y":
+        u = data.draw(inner1(n)).to_series2(n, var=0)
+        table = (0, u.restrict_x_axis())
+    elif shape == "x*b(y),y":
+        # b(y) not a constant, else x*b(y) is a u(x)
+        b = TruncSeries([data.draw(nonzero), data.draw(nonzero)]
+                        + data.draw(st.lists(wide, max_size=5)), n)
+        u = b.to_series2(n).shift(1, 0)
+        table = (1, TruncSeries(b.coeffs[:n], n))  # x*y^j, j < n, within the order
+    if shape == "u(x),y":
+        assume(u != X(n))  # u = x takes the (x, v(y)) substitution
+    calls = []
+    read = TruncSeries2._sum_powers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncSeries2, "_sum_powers", lambda self, t, var, terms, m:
+                   calls.append((var, t)) or read(self, t, var, terms, m))
+        got = _canonical(s.compose(u, v))
     assert got.order == n and got.coeffs == _fcompose2(s.coeffs, u.coeffs, v.coeffs, n)
+    if table is not None:
+        assert calls == [table]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.data())
+def test_reversion_inverts_both_ways(n, data):
+    f = TruncSeries([0, data.draw(nonzero)] + data.draw(st.lists(wide, max_size=n)), n)
+    g = _canonical(f.reversion())
+    y = [F(0), F(1)] + [F(0)] * (n - 1)
+    assert _fcompose(f.coeffs, g.coeffs, n) == y
+    assert _fcompose(g.coeffs, f.coeffs, n) == y
+
+
+@st.composite
+def sparse2(draw):
+    """A bivariate series with a nonzero constant term and at most 5 other
+    terms, of degree at most 3."""
+    order = draw(st.integers(0, 7))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, wide, max_size=5))
+    terms[0, 0] = draw(nonzero)
+    return TruncSeries2({e: c for e, c in terms.items() if sum(e) <= order}, order)
+
+
+@given(series2(), sparse2())
+def test_the_sparse_quotient_is_the_product_with_the_reciprocal(a, d):
+    _same(_canonical(a.quotient(d)), a * d.reciprocal())
 
 
 @given(series1(), series1(), st.integers(0, 9))
