@@ -78,6 +78,14 @@ def _parse_map(text: str):
         raise InputError(f"bad map: {exc}") from exc
 
 
+def _parse_curve(text: str):
+    from .curves import PlaneCurve
+    try:
+        return PlaneCurve(text)
+    except (PolyParseError, ValueError) as exc:
+        raise InputError(f"bad curve: {exc}") from exc
+
+
 def _parse_point(text: str, n: int = 2):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
@@ -284,12 +292,9 @@ def _cmd_stable_manifold(args):
 
 
 def _cmd_curve(args):
-    from .curves import PlaneCurve, curve_preperiodicity, points_at_infinity, pushforward
+    from .curves import curve_preperiodicity, points_at_infinity, pushforward
     f = _parse_map(args.map)
-    try:
-        C = PlaneCurve(args.curve)
-    except (PolyParseError, ValueError) as exc:
-        raise InputError(f"bad curve: {exc}") from exc
+    C = _parse_curve(args.curve)
     status = curve_preperiodicity(f, C, args.max_iters, args.max_degree)
     # the orbit holds the first image unless it closed at once (or --max-iters 0)
     img = status.orbit[1] if len(status.orbit) > 1 else (
@@ -310,12 +315,9 @@ def _cmd_dmm(args):
     if args.height_bound > DMM_MAX_HEIGHT_BOUND:
         raise InputError(f"height-bound must be at most DMM_MAX_HEIGHT_BOUND = "
                          f"{DMM_MAX_HEIGHT_BOUND}, got {args.height_bound}")
-    from .curves import PlaneCurve, dmm_report
+    from .curves import dmm_report
     f = _parse_map(args.map)
-    try:
-        C = PlaneCurve(args.curve)
-    except (PolyParseError, ValueError) as exc:
-        raise InputError(f"bad curve: {exc}") from exc
+    C = _parse_curve(args.curve)
     rep = dmm_report(f, C, args.max_iters, args.max_degree,
                      args.height_bound, args.max_order)
     result = {

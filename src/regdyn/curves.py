@@ -23,8 +23,8 @@ from .infinity import (InfinityPoint, Superattracting, classify_multiplier, comp
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .numberfield import NumberField
-from .polyalg import (MultiPoly, _approx_roots, _combine, _integer_nthroot, _low_degree_factors,
-                      _times, homogeneous_top, parse_poly)
+from .polyalg import (MultiPoly, _approx_roots, _combine, _factor_list, _integer_nthroot, _times,
+                      homogeneous_top, parse_poly)
 
 
 class PlaneCurve:
@@ -181,38 +181,25 @@ def _component_image(Ri: dict, f: RegularMap, cap: int) -> list:
     test Ri | G(P, Q).  Under a monomial map the image comes from the norm;
     else from the linear kernel when cap = d * deg Ri, which its degree
     divides, is at most KERNEL_MAX_DEGREE, and from resultants otherwise."""
-    monomial = _monomial_map(f)
+    monomial = f._monomial
     if monomial is None and cap > KERNEL_MAX_DEGREE:
         return _resultant_image(Ri, f)
     PQ = (f.P.num, f.P.den), (f.Q.num, f.Q.den)
-    G = _kernel_image(Ri, PQ, cap) if monomial is None else _norm_image(Ri, *monomial)
+    G = _kernel_image(Ri, PQ, cap) if monomial is None else _norm_image(Ri, f.d, *monomial)
     if not _vanishes_on(G, Ri, PQ):
         raise EliminationError("the image fails the component test")
     return [G]
-
-
-def _monomial_map(f: RegularMap):
-    """(d, (nx, qx), (ny, qy), swapped) when P and Q are monomials, else
-    None.  Such a regular map is (c1 z^d, c2 w^d) or, swapped, (c1 w^d, c2
-    z^d): a monomial z^i w^j with i, j > 0 shares the zeros z = 0 and w = 0
-    of the other top form.  In X = z^d, Y = w^d it is (X, Y) -> (nx/qx X,
-    ny/qy Y), read as (Z, W), or as (W, Z) when swapped."""
-    if len(f.P.num) != 1 or len(f.Q.num) != 1:
-        return None
-    ((i, _j), p), = f.P.num.items()
-    (q,) = f.Q.num.values()
-    cp, cq = (p, f.P.den), (q, f.Q.den)
-    return (f.d, cq, cp, True) if i == 0 else (f.d, cp, cq, False)
 
 
 def _swap(R: dict) -> dict:
     return {(j, i): c for (i, j), c in R.items()}
 
 
-def _norm_image(Ri: dict, d: int, cx: tuple, cy: tuple, swapped: bool) -> dict:
+def _norm_image(Ri: dict, d: int, c1: Fraction, c2: Fraction, swapped: bool) -> dict:
     """The image of the irreducible curve C = {Ri = 0} under the monomial
-    map that `_monomial_map` describes, as a primitive integer dict, by the
-    norm of the Kummer cover g = (z^d, w^d), whose group mu_d^2 acts by
+    map (c1 z^d, c2 w^d), or (c1 w^d, c2 z^d) when swapped
+    (`RegularMap._monomial`), as a primitive integer dict, by the norm of
+    the Kummer cover g = (z^d, w^d), whose group mu_d^2 acts by
     sigma(z, w) = (s z, t w).
 
     The norm N(z^d, w^d) = prod over sigma of Ri o sigma is invariant under
@@ -235,8 +222,10 @@ def _norm_image(Ri: dict, d: int, cx: tuple, cy: tuple, swapped: bool) -> dict:
     character of some order r, which takes each value of mu_r on d^2 / r of
     the sigma, so N is a constant times (u^r - (-v)^r)^(d^2 / r), and G~ is
     that binomial over its monomial factor: a binomial is no proper power.
-    An axis z = 0 (w = 0) goes to X = 0 (Y = 0).  The image is G~(Z / cx,
-    W / cy), Z and W exchanged for a swapped map."""
+    An axis z = 0 (w = 0) goes to X = 0 (Y = 0).  In X = z^d, Y = w^d the
+    map is (X, Y) -> (cx X, cy Y), read as (Z, W), or as (W, Z) when
+    swapped, so the image is G~(Z / cx, W / cy), Z and W exchanged for a
+    swapped map."""
     if len(Ri) == 1:
         G = dict.fromkeys(Ri, 1)
     elif len(Ri) == 2:
@@ -260,7 +249,8 @@ def _norm_image(Ri: dict, d: int, cx: tuple, cy: tuple, swapped: bool) -> dict:
                 break
         else:
             raise EliminationError("the norm is no power of an integer polynomial")
-    (nx, qx), (ny, qy) = cx, cy
+    cx, cy = (c2, c1) if swapped else (c1, c2)
+    (nx, qx), (ny, qy) = (cx.numerator, cx.denominator), (cy.numerator, cy.denominator)
     a, b = max(i for i, _ in G), max(j for _, j in G)
     G = {(i, j): c * qx ** i * nx ** (a - i) * qy ** j * ny ** (b - j)
          for (i, j), c in G.items()}
@@ -613,32 +603,18 @@ def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
                                   bisect_right(table, (t + half + s, math.inf))]]
 
 
-def _unit_monomial(f: RegularMap):
-    """((a1, b1, h1), (a2, b2, h2)) when f = (s1 z^a1 w^b1, s2 z^a2 w^b2) with
-    s_i = +-1, h_i = 0 for s_i = 1 and 1 (a half turn) for s_i = -1; else
-    None.  Such an f sends (Zeta(t1), Zeta(t2)) to (Zeta(a1 t1 + b1 t2 +
-    h1 / 2), Zeta(a2 t1 + b2 t2 + h2 / 2))."""
-    exps = []
-    for F in (f.P, f.Q):
-        if len(F.num) != 1 or F.den != 1:
-            return None
-        ((i, j), c), = F.num.items()
-        if c not in (1, -1):
-            return None
-        exps.append((i, j, 0 if c == 1 else 1))
-    return tuple(exps)
-
-
-def _unit_monomial_orbit(exps, start: tuple):
+def _unit_monomial_orbit(f: RegularMap, start: tuple):
     """The verdict of the exact orbit of the pair of roots of unity
-    exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under the unit monomial
-    map with these exponents (`_unit_monomial`); None if no cycle closes
-    within ORBIT_CAP steps.  The orbit runs on the integer exponents of
-    zeta_N, N = lcm(n1, n2, 2), so a half turn is N / 2; they stay in
-    0..N-1, so no size cap is needed."""
+    exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under f = (s1 z^d, s2
+    w^d) or, swapped, (s1 w^d, s2 z^d), s_i = +-1 (`RegularMap._monomial`);
+    None if no cycle closes within ORBIT_CAP steps.  The orbit runs on the
+    integer exponents of zeta_N, N = lcm(n1, n2, 2), so s_i = -1 is a half
+    turn N / 2; they stay in 0..N-1, so no size cap is needed."""
     (e1, n1), (e2, n2) = start
-    N = math.lcm(n1, n2, 2)
-    (a1, b1, h1), (a2, b2, h2) = ((a, b, h * N // 2) for a, b, h in exps)
+    N, d = math.lcm(n1, n2, 2), f.d
+    s1, s2, swapped = f._monomial
+    (a1, b1), (a2, b2) = ((0, d), (d, 0)) if swapped else ((d, 0), (0, d))
+    h1, h2 = (N // 2 if s.numerator < 0 else 0 for s in (s1, s2))
 
     def step(e):
         return (a1 * e[0] + b1 * e[1] + h1) % N, (a2 * e[0] + b2 * e[1] + h2) % N
@@ -683,21 +659,17 @@ def _unit_roots_tried(R: MultiPoly, row: list, n1: int, a1: int, tol: float,
 def _rational_roots(cs: list) -> list:
     """The rational roots of the integer polynomial sum cs[k] w^k, of degree
     >= 1, one per linear factor, in the order of sympy's factor_list."""
-    factors = _low_degree_factors(cs)
-    if factors is None:
-        factors = [(b.all_coeffs()[::-1], m)
-                   for b, m in sp.factor_list(sp.Poly(cs[::-1], sp.Symbol("w")))[1]]
-    return [Fraction(-int(f[0]), int(f[1])) for f, _m in factors if len(f) == 2]
+    return [Fraction(-f[0], f[1]) for f, _m in _factor_list(cs) if len(f) == 2]
 
 
 def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                             max_order: int = 24) -> list:
     """Preperiodic points found on C: rational points from vertical-line
     slices at bounded-height rationals, plus, when f is a unit monomial map
-    (`_unit_monomial`), the pairs of roots of unity of order at most
-    max_order on C, as Zetas.  Membership is checked exactly in a cyclotomic
-    field and orbits exactly on the exponents.  Other maps get no
-    roots-of-unity probe.
+    (`RegularMap._monomial` with coefficients +-1), the pairs of roots of
+    unity of order at most max_order on C, as Zetas.  Membership is checked
+    exactly in a cyclotomic field and orbits exactly on the exponents.
+    Other maps get no roots-of-unity probe.
 
     For each root of unity z1 the probe tries as z2 only the roots of unity
     near the roots of R(z1, w) (`_approx_roots`, `_roots_of_unity_near`),
@@ -729,8 +701,8 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             verdict = orbit_verdict(f, (a, b))
             if verdict.kind == "Preperiodic":
                 found.append(FoundPoint((a, b), verdict))
-    exps = _unit_monomial(f)
-    if exps is None:
+    mono = f._monomial
+    if mono is None or abs(mono[0]) != 1 or abs(mono[1]) != 1:
         return found
     # roots-of-unity probes (numeric prefilter, exact confirmation)
     unit = {(n, a): complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n))
@@ -757,7 +729,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                 val = val * unit[n2, a2] + c
             if abs(val) > 1e-8 or not _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
-            verdict = _unit_monomial_orbit(exps, ((a1, n1), (a2, n2)))
+            verdict = _unit_monomial_orbit(f, ((a1, n1), (a2, n2)))
             if verdict is not None:
                 found.append(FoundPoint((_zeta(a1, n1), _zeta(a2, n2)), verdict))
     return found

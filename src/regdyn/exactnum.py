@@ -393,7 +393,7 @@ def cyclotomic_coeffs(n: int) -> tuple:
     each by q_k = a_(k+d) + q_(k+d), read off A = Q (x^d - 1) from the top.
     A step costs the degree, so Phi_4032 takes milliseconds, where dividing
     x^n - 1 by every Phi_d, d | n, would cost about n^2."""
-    primes = _prime_divisors(n)
+    primes = sorted(prime_factors(n))
     up, down = [], []  # the d = n / s, s squarefree, with mu(s) = 1 and -1
     for mask in range(1 << len(primes)):
         s = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
@@ -413,22 +413,10 @@ def cyclotomic_coeffs(n: int) -> tuple:
     return tuple(a)
 
 
-def _prime_divisors(n: int) -> list:
-    """The primes dividing n >= 1, ascending, by trial division."""
-    primes, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return primes + [m] if m > 1 else primes
-
-
 def _totient(n: int) -> int:
     """Euler's phi of n >= 1."""
     phi = n
-    for p in _prime_divisors(n):
+    for p in sorted(prime_factors(n)):
         phi -= phi // p
     return phi
 

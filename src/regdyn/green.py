@@ -76,16 +76,6 @@ def _size(poly: MultiPoly, v: Place, below=None) -> Fraction:
     return Fraction(p ** _int_valuation(poly.den, p) * sum(p ** (m - e) for e in vals), p ** m)
 
 
-def _is_diagonal_unit_monomial(f: RegularMap, v: Place) -> bool:
-    # P = c1*z^d, Q = c2*w^d with |c1|_v = |c2|_v = 1: the standard
-    # estimate holds with C_v = 1 by the max-norm identity
-    d = f.d
-    if set(f.P.coeffs) != {(d, 0)} or set(f.Q.coeffs) != {(0, d)}:
-        return False
-    return (abs_at_place_exact(f.P.coefficient(d, 0), v) == 1
-            and abs_at_place_exact(f.Q.coefficient(0, d), v) == 1)
-
-
 def _cofactor_bound(f: RegularMap, v: Place) -> Fraction:
     """c1/|Res|_v, with c1 bounding the cofactors of `RegularMap._cofactors`:
     max(|z|,|w|)^d <= (c1/|Res|_v) max(|P_d|,|Q_d|) at v."""
@@ -113,8 +103,9 @@ def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
         p = v.prime
         if f.P.den % p and f.Q.den % p and valuation(f.res, p) == 0:
             return Fraction(1), True
-    if _is_diagonal_unit_monomial(f, v):
-        return Fraction(1), True
+    mono = f._monomial
+    if mono and not mono[2] and all(abs_at_place_exact(c, v) == 1 for c in mono[:2]):
+        return Fraction(1), True  # (c1 z^d, c2 w^d), |c_i|_v = 1: the max-norm identity
     k = _cofactor_bound(f, v)
     e = max(_size(f.P, v, f.d), _size(f.Q, v, f.d))  # the terms below the top forms
     # lower bound: for m = max(|z|,|w|) >= m0 the cofactor identity gives

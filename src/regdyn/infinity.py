@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
-                       find_expanding_place, is_root_of_unity, prime_factors, sp)
+                       find_expanding_place, is_root_of_unity, sp)
 from .heights import PreperiodicityVerdict, canonical_height
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
-from .polyalg import MultiPoly, _low_degree_factors
+from .polyalg import MultiPoly, _factor_list
 
 # points at infinity of higher degree get no exact orbit: Unknown
 DEGREE_CAP = 64
@@ -68,32 +68,14 @@ class InfinityPoint:
 
 
 def classify_multiplier(lam: AlgebraicNumber):
-    if lam.is_rational():
-        return _classify_rational(lam.as_rational())
+    if lam.is_zero():
+        return Superattracting()
     rou, n = is_root_of_unity(lam)
     if rou:
         return RootOfUnity(n)
     witness = find_expanding_place(lam)
     # Kronecker: a nonzero algebraic integer-or-not that is not a root of
     # unity always has an expanding place
-    return ExpandingPlace(witness.place, witness)
-
-
-def _classify_rational(q: Fraction):
-    """The trichotomy for a rational multiplier, exactly on Q: the roots of
-    unity in Q are +-1, and any other nonzero q has |q| > 1 or a prime in its
-    denominator (the leading coefficient of its minimal polynomial)."""
-    if q == 0:
-        return Superattracting()
-    if abs(q) == 1:
-        return RootOfUnity(1 if q == 1 else 2)
-    if abs(q) > 1:
-        witness = ExpandingPlaceWitness(Place.archimedean(), 0, note="|conjugate 0| > 1")
-    else:
-        p = min(prime_factors(q.denominator))
-        witness = ExpandingPlaceWitness(
-            Place.finite(int(p)), None,
-            note=f"minimal polynomial not monic: {p} divides leading coefficient")
     return ExpandingPlace(witness.place, witness)
 
 
@@ -177,7 +159,8 @@ def _embedded_root(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
     m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, t, x)
     g = sp.Poly.from_dict({(0, 1): elem.den, **{(k, 0): -n for k, n in enumerate(elem.num)}},
                           t, x)
-    (minpoly, _m), = sp.factor_list(m.resultant(g))[1]
+    (fac, _m), = _factor_list([int(c) for c in m.resultant(g).all_coeffs()[::-1]])
+    minpoly = sp.Poly(fac[::-1], x)
     roots = minpoly.all_roots()
     root = alpha.minpoly.all_roots()[alpha.embedding_index]
     expr = sum(sp.Rational(n, elem.den) * root**k for k, n in enumerate(elem.num))
@@ -198,17 +181,12 @@ def projective_roots(form: MultiPoly, degree: int) -> list:
 
     The roots with z1 != 0 are those of form(1, t), in chart 0; the drop
     of its degree against `degree` is the multiplicity of [0 : 1].  Its
-    factors come in sympy's factor_list order, in closed form when they
-    have degree <= 2 (`_low_degree_factors`), from sympy otherwise."""
+    factors come in sympy's factor_list order (`_factor_list`)."""
     cs = [0] * (max(j for _i, j in form.num) + 1)  # form(1, t), ascending
     for (_i, j), c in form.num.items():
         cs[j] = c
-    factors = _low_degree_factors(cs)
-    if factors is None:
-        factors = [(fac.all_coeffs()[::-1], mult)
-                   for fac, mult in sp.factor_list(sp.Poly(cs[::-1], sp.Symbol("x")))[1]]
     pts = [InfinityPoint(AlgebraicNumber(fac, idx), 0, mult)
-           for fac, mult in factors for idx in range(len(fac) - 1)]
+           for fac, mult in _factor_list(cs) for idx in range(len(fac) - 1)]
     if degree > len(cs) - 1:
         pts.append(InfinityPoint(AlgebraicNumber.from_rational(0), 1, degree - len(cs) + 1))
     return pts

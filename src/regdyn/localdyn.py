@@ -261,8 +261,9 @@ def localize_at_infinity(f: RegularMap, point: tuple, N: int = 16) -> LocalGerm:
     c0 = D2[(0, 0)]
     if c0 == 0:
         raise ValueError("point is not in the domain of this chart")
-    first = (Nm2 - D2 * b).quotient(D2)
-    second = TruncSeries2.constant(1, N).shift(0, d).quotient(D2)
+    inv = D2.reciprocal()
+    first = (Nm2 - D2 * b) * inv
+    second = inv.shift(0, d)
     if first[(0, 0)] != 0:
         raise ValueError("point is not fixed by the map at infinity")
     if first[(1, 0)] == 0:
@@ -397,9 +398,9 @@ def saddle_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) -> No
     super_stable_series(germ)."""
     res = reduce_form(germ, phi)
     # 1. Böttcher: straighten y -> y^d on the invariant axis {x = 0}
-    u0 = res.germ.second.restrict_y_axis()
+    u0 = res.germ.second.coefficient_in_x(0)
     g1 = res._record(YCoord(bottcher_series(u0)))
-    if g1.second.restrict_y_axis() != TruncSeries.monomial(1, germ.d, germ.N):
+    if g1.second.coefficient_in_x(0) != TruncSeries.monomial(1, germ.d, germ.N):
         raise GermShapeError("saddle form: {x = 0} not straightened to y -> y^d")
     # 2. Koenigs: linearize x -> lam*x*(1+...) on {y = 0}
     g2 = res._record(XCoord(koenigs_series(g1.first.restrict_x_axis())))
@@ -431,7 +432,7 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
     # super-stable manifold to {x = 0}, then Böttcher on the vertical axis
     res = reduce_form(germ, phi)
     work = res.germ
-    u0 = work.second.restrict_y_axis()
+    u0 = work.second.coefficient_in_x(0)
     if u0 != TruncSeries.monomial(1, work.d, work.N):
         work = res._record(YCoord(bottcher_series(u0)))
     # read off k from the restriction to {y = 0}

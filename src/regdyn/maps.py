@@ -178,6 +178,20 @@ class RegularMap:
         return (self.P.eval(z, w), self.Q.eval(z, w))
 
     @cached_property
+    def _monomial(self):
+        """(c1, c2, swapped) when P and Q are monomials, else None: then f is
+        (c1 z^d, c2 w^d), or (c1 w^d, c2 z^d) when swapped, c1 and c2
+        Fractions.  A regular monomial map has no other shape: P and Q are
+        their own top forms, a monomial z^i w^j with i, j > 0 vanishes at
+        both [1 : 0] and [0 : 1], one of which is a zero of the other form
+        (of degree d >= 2), and z^d and z^d (or w^d and w^d) share a zero."""
+        if len(self.P.num) != 1 or len(self.Q.num) != 1:
+            return None
+        ((i, _j), c1), = self.P.coeffs.items()
+        (c2,) = self.Q.coeffs.values()
+        return c1, c2, i == 0
+
+    @cached_property
     def _cofactors(self) -> tuple:
         """Binary forms (A1,B1,A2,B2) of degree d-1 with
 

@@ -174,6 +174,19 @@ def _low_degree_factors(cs):
     return sorted(factors, key=lambda f: (len(f[0]), f[1], f[0][::-1]))
 
 
+def _factor_list(cs) -> list:
+    """The irreducible factors of the integer polynomial sum cs[k] x^k
+    (cs[-1] != 0) as sp.factor_list(...)[1] gives them, each a tuple of
+    ascending integer coefficients with its multiplicity, in sympy's order:
+    in closed form when `_low_degree_factors` finds them, else from sympy."""
+    factors = _low_degree_factors(cs)
+    if factors is None:
+        from .exactnum import sp  # numberfield, which exactnum imports, imports polyalg
+        factors = [(tuple(map(int, b.all_coeffs()[::-1])), m)
+                   for b, m in sp.factor_list(sp.Poly(cs[::-1], sp.Symbol("x")))[1]]
+    return factors
+
+
 def _eval_terms(terms, z, w, add, mul, pow):
     """The sum of c * z**i * w**j over the ((i, j), c) terms, in their order,
     in the ring whose operations are add, mul and pow; the int 0 for no terms.

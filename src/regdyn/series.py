@@ -677,27 +677,6 @@ class TruncSeries2(_Series):
                       if u_is_x else u._horner(rows, n))
         return TruncSeries2._make(result.num, result.den * s.den, n)
 
-    def quotient(self, d: "TruncSeries2") -> "TruncSeries2":
-        """self / d by the coefficient recurrence
-            d_00 q_e = self_e - sum_{f != 0} d_f q_(e-f),
-        degree by degree: one pass over the terms of d per coefficient, for
-        a d with few terms (a dense d takes reciprocal's Newton doubling)."""
-        a, b = self._common(d)
-        n, c0 = a.order, b.num.get((0, 0), 0)
-        if c0 == 0:
-            raise ZeroDivisionError("division by a series vanishing at 0")
-        # a.num / b.num has denominators c0^(deg + 1): times c0^(n + 1), ints
-        rest = [(i, j, c) for (i, j), c in b.num.items() if (i, j) != (0, 0)]
-        top, q = c0 ** (n + 1), {}
-        for _, (i, j), _ in _cells(n + 1):
-            x = a.num.get((i, j), 0) * top - sum(c * q.get((i - p, j - r), 0)
-                                                 for p, r, c in rest if p <= i and r <= j)
-            if x:
-                q[i, j] = x // c0
-        sign = -1 if top < 0 else 1
-        return TruncSeries2._make({e: sign * b.den * x for e, x in q.items()},
-                                  sign * top * a.den, n)
-
     def coefficient_in_x(self, i: int) -> TruncSeries:
         """The series p_i(y) in self = sum_i x^i p_i(y)."""
         out = [0] * (self.order + 1)
@@ -705,10 +684,6 @@ class TruncSeries2(_Series):
             if a == i:
                 out[j] = c
         return TruncSeries._make(out, self.den, self.order)
-
-    def restrict_y_axis(self) -> TruncSeries:
-        """self(0, y) as a univariate series."""
-        return self.coefficient_in_x(0)
 
     def restrict_x_axis(self) -> TruncSeries:
         out = [0] * (self.order + 1)

@@ -164,6 +164,49 @@ def test_zeta_prints_as_sympy_prints_the_exponential():
                 assert z == Zeta(F(a + 3 * n, n)) == Zeta(F(a - n, n))
 
 
+@st.composite
+def monomial_detector_maps(draw):
+    """A regular map of degree 2 or 3 of one of five kinds: diagonal (c1 z^d,
+    c2 w^d); swapped (c1 w^d, c2 z^d); unit or non-unit, either shape with
+    c1, c2 = +-1 or with |c1| != 1; non-monomial, one of whose components
+    has a second term."""
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["diagonal", "swapped", "unit", "non-unit", "non-monomial"]))
+    coef = st.fractions(-9, 9, max_denominator=5).filter(bool)
+    if kind == "unit":
+        c1, c2 = (draw(st.sampled_from([F(1), F(-1)])) for _ in range(2))
+    elif kind == "non-unit":
+        c1, c2 = draw(coef.filter(lambda c: abs(c) != 1)), draw(coef)
+    else:
+        c1, c2 = draw(coef), draw(coef)
+    swapped = kind == "swapped" or (kind in ("unit", "non-unit") and draw(st.booleans()))
+    P, Q = ("w", "z") if swapped else ("z", "w")
+    P, Q = f"({c1})*{P}^{d}", f"({c2})*{Q}^{d}"
+    if kind == "non-monomial":
+        extra = f" + ({draw(coef)})*{draw(st.sampled_from(['z', 'w', '1', 'z*w']))}"
+        P, Q = (P + extra, Q) if draw(st.booleans()) else (P, Q + extra)
+    return make_regular_map(P, Q)
+
+
+def _detector_matches_apply(f, z, w):
+    # (c1, c2, swapped) must reproduce f at (z, w); None only off monomial maps
+    mono = f._monomial
+    if mono is None:
+        assert len(f.P.num) > 1 or len(f.Q.num) > 1
+        return
+    assert len(f.P.num) == len(f.Q.num) == 1
+    c1, c2, swapped = mono
+    x, y = (w, z) if swapped else (z, w)
+    assert f.apply((z, w)) == (c1 * x**f.d, c2 * y**f.d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_detector_maps(), st.fractions(-5, 5, max_denominator=7),
+       st.fractions(-5, 5, max_denominator=7))
+def test_monomial_detector_matches_apply(f, z, w):
+    _detector_matches_apply(f, z, w)
+
+
 @pytest.mark.parametrize("P, Q, exps", [
     ("z^2", "w^2", ((2, 0, 0), (0, 2, 0))),
     ("w^3", "-z^3", ((0, 3, 0), (3, 0, 1))),
@@ -173,7 +216,14 @@ def test_zeta_prints_as_sympy_prints_the_exponential():
     ("z^2", "w^2 + 1", None),
 ])
 def test_unit_monomial_detector(P, Q, exps):
-    assert curves._unit_monomial(make_regular_map(P, Q)) == exps
+    # the fixed cases of the detector; exps, when not None, gives each
+    # component as (a, b, h), (-1)^h z^a w^b, a unit monomial
+    f, z, w = make_regular_map(P, Q), F(2), F(3)
+    _detector_matches_apply(f, z, w)
+    mono = f._monomial
+    assert (mono is not None and abs(mono[0]) == abs(mono[1]) == 1) == (exps is not None)
+    if exps is not None:
+        assert f.apply((z, w)) == tuple((-1) ** h * z**a * w**b for a, b, h in exps)
 
 
 def _cyclotomic_replay(f, start, L, orbit_cap):
@@ -213,9 +263,8 @@ def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
         return K([0] * int(t * L) + [1])
 
     replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, ORBIT_CAP)
-    verdict = curves._unit_monomial_orbit(curves._unit_monomial(f),
-                                          ((t1.numerator, t1.denominator),
-                                           (t2.numerator, t2.denominator)))
+    verdict = curves._unit_monomial_orbit(f, ((t1.numerator, t1.denominator),
+                                              (t2.numerator, t2.denominator)))
     if k is None:
         assert verdict is None
         return
@@ -254,7 +303,7 @@ def _pair_scan(f, C, max_order):
     every ordered pair of roots of unity of order at most max_order: the
     reference for the probe, which tries only those near the roots of each
     row R(z1, w)."""
-    R, exps = C.poly, curves._unit_monomial(f)
+    R = C.poly
     rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
             for a, n in curves._roots_of_unity(max_order)]
     dw = R.degree_in(1)
@@ -271,7 +320,7 @@ def _pair_scan(f, C, max_order):
                 val = val * z2 + c
             if abs(val) > 1e-8 or not curves._on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
-            verdict = curves._unit_monomial_orbit(exps, ((a1, n1), (a2, n2)))
+            verdict = curves._unit_monomial_orbit(f, ((a1, n1), (a2, n2)))
             if verdict is not None:
                 found.append(((Zeta(F(a1, n1)), Zeta(F(a2, n2))), verdict))
     return found
@@ -810,7 +859,7 @@ def test_norm_image_matches_the_kernel_image(case):
     f, C = case
     PQ = (f.P.num, f.P.den), (f.Q.num, f.Q.den)
     for Ri in C.components:
-        G = curves._norm_image(Ri, *curves._monomial_map(f))
+        G = curves._norm_image(Ri, f.d, *f._monomial)
         assert G == curves._kernel_image(Ri, PQ, f.d * max(map(sum, Ri)))
 
 

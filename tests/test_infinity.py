@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from regdyn import infinity
 from regdyn.curves import PlaneCurve, points_at_infinity
-from regdyn.exactnum import AlgebraicNumber, Place, find_expanding_place
+from regdyn.exactnum import AlgebraicNumber, Place
 from regdyn.green import GreenContext, bad_places, green_homog
 from regdyn.intervals import log_of_fraction
 from regdyn.infinity import (ExpandingPlace, InfinityPoint, RootOfUnity, Superattracting,
@@ -70,28 +70,50 @@ def _abs_greater_than_one(q, v):
     return order < 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(st.sampled_from([F(1), F(-1), 1 + F(1, 10**18), 1 - F(1, 10**18)]),
+def _trichotomy_by_definition(q):
+    """(kind, order or place, embedding index) of a rational multiplier q,
+    from the definition: the roots of unity in Q are +-1, |q| > 1 expands at
+    infinity (conjugate 0), and any other q != 0 at the least prime of its
+    denominator, whose p-adic absolute value it exceeds 1 at."""
+    if q == 0:
+        return "superattracting", None, None
+    if abs(q) == 1:
+        return "root of unity", 1 if q == 1 else 2, None
+    if abs(q) > 1:
+        return "expanding", Place.archimedean(), 0
+    p = next(p for p in range(2, q.denominator + 1) if q.denominator % p == 0)
+    return "expanding", Place.finite(p), None
+
+
+# +-1 +- 10^-18 and +-1 +- 2^-150
+_NEAR_ONE = [s * (1 + e * F(1, k)) for s in (1, -1) for e in (1, -1) for k in (10**18, 2**150)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([F(0), F(1), F(-1), F(1, 2**150)] + _NEAR_ONE),
                  st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
-                 st.integers(min_value=1, max_value=10**30).map(lambda k: 1 + F(1, k))))
+                 st.integers(min_value=1, max_value=10**30).map(lambda k: 1 + F(1, k)),
+                 # +-1 +- 1/k with k whose least prime the oracle finds by trial division
+                 st.one_of(st.integers(1, 10**6), st.integers(0, 200).map(lambda a: 2**a),
+                           st.integers(0, 120).map(lambda a: 3**a)).flatmap(
+                     lambda k: st.sampled_from([s * (1 + e * F(1, k))
+                                                for s in (1, -1) for e in (1, -1)]))))
 def test_rational_classification_matches_the_absolute_values(q):
     c = classify_multiplier(_rat(q))
-    if q == 0:
+    kind, what, index = _trichotomy_by_definition(q)
+    if kind == "superattracting":
         assert c == Superattracting()
-    elif abs(q) == 1:
-        assert c == RootOfUnity(1 if q == 1 else 2)
+    elif kind == "root of unity":
+        assert c == RootOfUnity(what)
     else:
-        assert isinstance(c, ExpandingPlace) and c.witness.place == c.place
+        assert isinstance(c, ExpandingPlace) and c.place == c.witness.place == what
+        assert c.witness.embedding_index == index
         assert _abs_greater_than_one(q, c.place)
-        if abs(abs(q) - 1) > F(1, 10**12):
-            # away from 1 the root boxes of the algebraic path decide it too
-            w = find_expanding_place(_rat(q))
-            assert c == ExpandingPlace(w.place, w)
 
 
 def test_rational_multiplier_just_above_one_is_expanding_at_infinity():
-    # a root box of radius 1e-17 cannot separate |q| from 1 here: the
-    # algebraic path falls back to the prime 2 of the denominator
+    # the box of a rational is the point itself and the square root of its
+    # square is exact, so |q| > 1 is read before the prime 2 of the denominator
     c = classify_multiplier(_rat(1 + F(1, 10**18)))
     assert c.place == Place.archimedean() and c.witness.embedding_index == 0
 
