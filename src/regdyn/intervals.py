@@ -11,7 +11,9 @@ Three layers:
   exponents, so the conversion back to :class:`RealInterval` is exact.
 * :func:`escape_norm`, the orbit of a point under the homogeneous lift of a
   polynomial map on integers with error radii and exact scale exponents,
-  the archimedean twin of :func:`regdyn.padic.escape_exponent`.
+  evaluated by the lift's compiled function, the error forms being
+  F(|c|, |Y| + R) - F(|c|, |Y|); the archimedean twin of
+  :func:`regdyn.padic.escape_exponent`.
 """
 
 from __future__ import annotations
@@ -138,25 +140,26 @@ def escape_norm(lift, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) ->
 
     The true triple x_n = (z0, a_n, b_n) is
     2^m D^-k y_n, and y_n lies within R of the integer triple Y
-    coordinatewise.  Each step evaluates F' at Y exactly, bounds
-    |F'(y) - F'(Y)| by the absolute-value forms at |Y| + R minus at |Y|,
-    and drops t low bits so that Y and R keep at most `prec` bits; then
+    coordinatewise.  Each step evaluates F' at Y exactly through the lift's
+    compiled function F(c, ...), bounds |F'(y) - F'(Y)| by the error forms
+    F(|c|, |Y| + R) - F(|c|, |Y|) (|Y^e| = |Y|^e for every monomial), and
+    drops t low bits so that Y and R keep at most `prec` bits; then
     m <- d m + t and k <- d k + 1.  A point whose coordinates need few bits
     runs exactly (R = 0) until they outgrow `prec`."""
-    d, D, forms = lift.d, lift.D, lift.forms
+    d, D, F, c = lift.d, lift.D, lift.F, lift.c
+    abs_c = tuple(map(abs, c))
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
-    s = prec - max(c.numerator.bit_length() - c.denominator.bit_length() for c in pt if c)
-    if all(c.denominator & (c.denominator - 1) == 0 for c in pt):  # dyadic: exact
-        s = min(s, max(c.denominator.bit_length() for c in pt) - 1)
-    Y, R = zip(*(_floor_scaled(c, s) for c in pt))
+    s = prec - max(q.numerator.bit_length() - q.denominator.bit_length() for q in pt if q)
+    if all(q.denominator & (q.denominator - 1) == 0 for q in pt):  # dyadic: exact
+        s = min(s, max(q.denominator.bit_length() for q in pt) - 1)
+    Y, R = zip(*(_floor_scaled(q, s) for q in pt))
     m, k = -s, 0
     for _ in range(n):
-        vals = lift._monomials(Y)
-        V = [sum(c * vals[e] for e, c in form) for form in forms]
+        V = F(c, *Y)
         if any(R):
-            u = lift._monomials([abs(y) + r for y, r in zip(Y, R)])
-            errs = [x - abs(v) for x, v in zip(u, vals)]
-            E = [sum(abs(c) * errs[e] for e, c in form) for form in forms]
+            a0, a1, a2 = map(abs, Y)
+            E = [u - v for u, v in zip(F(abs_c, a0 + R[0], a1 + R[1], a2 + R[2]),
+                                       F(abs_c, a0, a1, a2))]
         else:
             E = (0, 0, 0)
         t = max(0, max(x.bit_length() for x in (*V, *E)) - prec)

@@ -4,15 +4,21 @@ A polynomial map f = (P, Q) of degree d is *regular* when the top-degree
 forms P_d, Q_d share no projective zero, i.e. their homogeneous resultant
 is nonzero.  Such a map extends to the projective plane, fixes the line
 at infinity, and restricts there to the degree-d map [P_d : Q_d].
+
+`make_regular_map` certifies a map by one elimination of the transposed
+Sylvester matrix, which gives the resultant and the cofactors of the Green
+constants together, and builds its integer lift, which every orbit and
+Green kernel evaluates through one straight-line function compiled per
+support (`_kernel`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .polyalg import MultiPoly, _over_den, parse_poly
+from .polyalg import MultiPoly, parse_poly
 
 
 class NotRegular(ValueError):
@@ -24,30 +30,31 @@ class DegreeTooLow(ValueError):
 
 
 def _sylvester_rows(p: MultiPoly, q: MultiPoly, d: int) -> list:
-    """Sylvester matrix of two binary forms of formal degree d: rows
-    z^(d-1-s) w^s * p, then * q, column j the coefficient of z^(2d-1-j) w^j.
-    Padding to formal degree d handles a zero at [1:0] uniformly."""
+    """Sylvester matrix of two binary forms of formal degree d, on their
+    integer numerators: rows z^(d-1-s) w^s * p.num, then * q.num, column j
+    the coefficient of z^(2d-1-j) w^j, so that its determinant is the
+    resultant times (p.den q.den)^d.  Padding to formal degree d handles a
+    zero at [1:0] uniformly."""
     rows = []
     for form in (p, q):
-        c = [form.coefficient(d - k, k) for k in range(d + 1)]
-        rows += [[c[j - s] if 0 <= j - s <= d else Fraction(0) for j in range(2 * d)]
-                 for s in range(d)]
+        c = [form.num.get((d - k, k), 0) for k in range(d + 1)]
+        rows += [[c[j - s] if 0 <= j - s <= d else 0 for j in range(2 * d)] for s in range(d)]
     return rows
 
 
 def _solve_rational(rows: list, rhs: list = ()) -> tuple:
-    """(det, xs) for a square matrix over Q: its determinant and, for each
-    column b of rhs, the solution x of rows · x = b (xs is None when det = 0),
-    by fraction-free (Bareiss) elimination on [rows | rhs], its rows cleared
-    of denominators, then back-substitution over the integer determinant."""
+    """(det, ys) for a square integer matrix: its determinant and, for each
+    column b of rhs, y = det·x, x the rational solution of rows · x = b (ys
+    is None when det = 0), by fraction-free (Bareiss) elimination on
+    [rows | rhs], then back-substitution over the last pivot, ±det, so that
+    every number stays an integer (y is integral by Cramer's rule)."""
     n = len(rows)
-    m, dens = zip(*[_over_den(list(row) + [b[i] for b in rhs]) for i, row in enumerate(rows)])
-    m = list(m)
+    m = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return Fraction(0), None
+            return 0, None
         if piv != k:
             m[k], m[piv], sign = m[piv], m[k], -sign
         top, p = m[k], m[k][k]
@@ -55,18 +62,13 @@ def _solve_rational(rows: list, rhs: list = ()) -> tuple:
             r, c = m[i], m[i][k]
             m[i] = [0] * (k + 1) + [(p * r[j] - c * top[j]) // prev for j in range(k + 1, len(r))]
         prev = p
-    xs = []
+    ys = []
     for col in range(n, n + len(rhs)):
-        y = [0] * n  # y = prev * x, integral by Cramer's rule
+        y = [0] * n  # prev * x
         for i in range(n - 1, -1, -1):
             y[i] = (prev * m[i][col] - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
-        xs.append([Fraction(v, prev) for v in y])
-    return Fraction(sign * prev, math.prod(dens)), xs
-
-
-def binary_form_resultant(p: MultiPoly, q: MultiPoly, d: int) -> Fraction:
-    """Resultant of two binary forms of formal degree d (Sylvester determinant)."""
-    return _solve_rational(_sylvester_rows(p, q, d))[0]
+        ys.append([sign * v for v in y])
+    return sign * prev, ys
 
 
 # the step cap of every exact orbit of a point: of a rational point of P^2
@@ -93,37 +95,66 @@ def _exact_orbit(step, start, max_steps: int, too_big) -> tuple:
     return orbit, None
 
 
+@lru_cache(maxsize=128)
+def _kernel(support: tuple):
+    """The function F(c, x0, x1, x2) that evaluates an integer lift with
+    this support (`IntegerLift.support`) and coefficients c at (x0, x1, x2):
+    one straight-line sum c[k] x0^a x1^i x2^j per coordinate, the powers
+    built once by repeated products.  Its source is generated from the
+    exponents and the coefficient indices alone, so one compiled function
+    serves every map of one support, and any evaluation order gives the
+    same integers."""
+    d, *forms = support
+    exps = [[(d, 0, 0)]] + [[(d - i - j, i, j) for i, j in form] for form in forms]
+    terms = [t for form in exps for t in form]
+
+    def power(v, e):
+        return f"x{v}" if e == 1 else f"x{v}_{e}"
+    body = [f"{power(v, e)} = {power(v, e - 1)} * x{v}"
+            for v in range(3) for e in range(2, max(t[v] for t in terms) + 1)]
+    index = iter(range(len(terms)))
+    sums = [" + ".join(" * ".join([f"c[{next(index)}]"]
+                                  + [power(v, e) for v, e in enumerate(t) if e]) for t in form)
+            or "0" for form in exps]
+    src = "def F(c, x0, x1, x2):\n" + "".join(
+        f"    {line}\n" for line in body + [f"return [{', '.join(sums)}]"])
+    namespace = {}
+    exec(compile(src, "<regdyn.maps._kernel>", "exec"), namespace)
+    return namespace["F"]
+
+
 class IntegerLift:
     """The homogeneous lift F' = D·(z0^d, P^h, Q^h) of a pair (P, Q) of
     degree d, P^h and Q^h being P and Q made homogeneous in (z0, z1, z2) and
-    D = lcm(P.den, Q.den), so that every coefficient is an integer: `monos`
-    lists the exponents (a, i, j) of the monomials z0^a z1^i z2^j, and
-    `forms` each coordinate of F' as pairs (index into monos, coefficient).
-    At z0 = 1 it is (P, Q) scaled, at z0 = 0 the top forms scaled."""
+    D = lcm(P.den, Q.den), so that every coefficient is an integer.  At
+    z0 = 1 it is (P, Q) scaled, at z0 = 0 the top forms scaled.
+
+    `support` is (d, the exponents (i, j) of P's terms, then of Q's), each
+    term z0^(d-i-j) z1^i z2^j, and `c` the integer coefficients: D for the
+    z0^d of the first coordinate, then those of P's terms and Q's, in the
+    order of `support`.  `F` is the compiled function of that support
+    (`_kernel`), called as F(c, x0, x1, x2); every evaluation of the lift
+    goes through it."""
 
     def __init__(self, P: MultiPoly, Q: MultiPoly):
         self.d = d = max(P.degree, Q.degree)
         self.D = D = math.lcm(P.den, Q.den)
-        monos = {(d, 0, 0): 0}
-        self.forms = [[(0, D)]] + [
-            [(monos.setdefault((d - i - j, i, j), len(monos)), c * (D // g.den))
-             for (i, j), c in g.num.items()] for g in (P, Q)]
-        self.monos = list(monos)
+        terms = [sorted(g.num.items()) for g in (P, Q)]
+        self.support = (d, *(tuple(e for e, _ in t) for t in terms))
+        self.c = (D, *(c * (D // g.den) for g, t in zip((P, Q), terms) for _, c in t))
 
-    def _monomials(self, X) -> list:
-        """The values of `monos` at a triple X."""
-        p0, p1, p2 = ([x**e for e in range(self.d + 1)] for x in X)
-        return [p0[a] * p1[i] * p2[j] for a, i, j in self.monos]
+    @cached_property
+    def F(self):
+        return _kernel(self.support)
 
     def __call__(self, X) -> list:
         """F'(X), exactly."""
-        vals = self._monomials(X)
-        return [sum(c * vals[e] for e, c in form) for form in self.forms]
+        return self.F(self.c, *X)
 
     def step(self, X: tuple) -> tuple:
         """The primitive triple (`_primitive`) on the line through F'(X): the
         one exact step of every orbit of a rational point."""
-        return _primitive(self(X))
+        return _primitive(self.F(self.c, *X))
 
 
 def _primitive(V) -> tuple:
@@ -155,13 +186,14 @@ class RegularMap:
     the lift of the top forms."""
 
     def __init__(self, P: MultiPoly, Q: MultiPoly, d: int, top_P: MultiPoly,
-                 top_Q: MultiPoly, res: Fraction):
+                 top_Q: MultiPoly, res: Fraction, solutions: list):
         self.P = P
         self.Q = Q
         self.d = d
         self.top_P = top_P
         self.top_Q = top_Q
         self.res = res
+        self._solutions = solutions  # of make_regular_map's elimination, for _cofactors
         self.lift = IntegerLift(P, Q)
         # regdyn.green's constants, found on first use: (C_v, good
         # reduction) by place, and the height support with Λ (`height_box`)
@@ -197,17 +229,14 @@ class RegularMap:
 
             A1*P_d + B1*Q_d = Res * z^(2d-1),   A2*P_d + B2*Q_d = Res * w^(2d-1),
 
-        unique since the Sylvester determinant Res is nonzero."""
-        d = self.d
-        n = 2 * d
-        # the coefficients of A (z^(d-1-s) w^s, s < d) then B solve S^T x = rhs,
-        # S the Sylvester matrix, row k the coefficient of z^(2d-1-k) w^k
-        S = _sylvester_rows(self.top_P, self.top_Q, d)
-        rhs = [[self.res if k == target else Fraction(0) for k in range(n)]
-               for target in (0, n - 1)]
-        _, xs = _solve_rational(list(zip(*S)), rhs)
-        return tuple(MultiPoly({(d - 1 - s, s): x[k + s] for s in range(d)})
-                     for x in xs for k in (0, d))
+        unique since the Sylvester determinant Res is nonzero: Res times the
+        solutions of `make_regular_map`'s one elimination, read from its
+        integer vectors with no system solved."""
+        d, (P, Q) = self.d, (self.top_P, self.top_Q)
+        scale = (P.den * Q.den) ** d
+        return tuple(MultiPoly({(d - 1 - s, s): Fraction(g.den * y[k + s], scale)
+                                for s in range(d)})
+                     for y in self._solutions for k, g in ((0, P), (d, Q)))
 
     def __repr__(self):
         return f"RegularMap(({self.P.to_string()}, {self.Q.to_string()}), d={self.d})"
@@ -224,8 +253,14 @@ def make_regular_map(P, Q) -> RegularMap:
         raise DegreeTooLow(f"degree {d} < 2")
     top_P = P.homogeneous_part(d)
     top_Q = Q.homogeneous_part(d)
-    res = binary_form_resultant(top_P, top_Q, d)
-    if res == 0:
+    # one elimination of N^T, N the integer Sylvester matrix: det N^T = det N
+    # = Res t, t = (P_d.den Q_d.den)^d, and its vectors y (N^T y = det e_0,
+    # det e_(2d-1)) are t A / P_d.den, then t B / Q_d.den, for the cofactors
+    # A, B of `RegularMap._cofactors`
+    n = 2 * d
+    det, ys = _solve_rational(list(zip(*_sylvester_rows(top_P, top_Q, d))),
+                              [[int(k == target) for k in range(n)] for target in (0, n - 1)])
+    if det == 0:
         raise NotRegular("top-degree forms share a projective zero "
                          "(homogeneous resultant vanishes)")
-    return RegularMap(P, Q, d, top_P, top_Q, res)
+    return RegularMap(P, Q, d, top_P, top_Q, Fraction(det, (top_P.den * top_Q.den) ** d), ys)

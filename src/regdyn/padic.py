@@ -3,10 +3,11 @@
 G_p at a point is the escape rate of its orbit under the homogeneous lift
 F = (z0^d, P^h, Q^h) of the map.  Only one valuation per step is needed,
 so the orbit runs on a primitive integer triple known modulo p^k: each step
-evaluates the map's integer lift F' = D F (`regdyn.maps.IntegerLift`) and
-divides by p^t, t the least valuation of the three residues.  F is
-homogeneous, so the prime-to-p part of D, a p-adic unit, only scales the
-triple, and s = v_p(D) is all the exponent sees.  The triple stays
+evaluates the map's integer lift F' = D F (`regdyn.maps.IntegerLift`)
+through its compiled function F(c, x0, x1, x2), and divides by p^t, t the
+least valuation of the three residues.  F is homogeneous, so the
+prime-to-p part of D, a p-adic unit, only scales the triple, and
+s = v_p(D) is all the exponent sees.  The triple stays
 primitive and loses t digits, while the exponent stays exact.
 When all three residues vanish the digits are exhausted, and
 :class:`PrecisionLoss` asks the caller to restart with a larger k.
@@ -40,12 +41,12 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
     X_n, the primitive triple on the line through (z0, a_n, b_n), is that
     point scaled by a number of valuation m_n, and F'(X_n) = p^t X_(n+1)
     gives m_(n+1) = d m_n + s - t."""
-    d, s, mod = lift.d, _int_valuation(lift.D, p), p**k
+    d, s, mod, F, c = lift.d, _int_valuation(lift.D, p), p**k, lift.F, lift.c
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
-    m = -min(valuation(c, p) for c in pt if c)
-    X = [_residue(c * Fraction(p)**m, mod) for c in pt]
+    m = -min(valuation(q, p) for q in pt if q)
+    X = [_residue(q * Fraction(p)**m, mod) for q in pt]
     for _ in range(n):
-        Y = [y % mod for y in lift(X)]
+        Y = [y % mod for y in F(c, *X)]
         t = min((_int_valuation(y, p) for y in Y if y), default=None)
         if t is None:
             raise PrecisionLoss(f"the orbit has exhausted its {p}-adic digits")

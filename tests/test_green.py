@@ -265,9 +265,24 @@ def _exact_iterate(P, Q, pt, n):
     return z, w
 
 
+@st.composite
+def sparse_quartic_maps(draw):
+    """(f, []): a regular map of degree 4 on a sparse support, z^4 in P and
+    w^4 in Q and up to four more terms in each."""
+    monomials = [(i, k - i) for k in range(5) for i in range(k + 1)]
+    unit = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 9))
+    P, Q = ({e: draw(unit) for e in draw(st.sets(st.sampled_from(monomials), max_size=4))}
+            for _ in range(2))
+    P[(4, 0)], Q[(0, 4)] = draw(unit), draw(unit)
+    try:
+        return make_regular_map(MultiPoly(P), MultiPoly(Q)), []
+    except NotRegular:
+        assume(False)
+
+
 @settings(max_examples=40, deadline=None)
-@given(regular_maps(), st.sampled_from([0, 1]), st.tuples(small_q, small_q),
-       st.sampled_from([8, 24, 53, 120]), st.integers(0, 4))
+@given(st.one_of(regular_maps(), sparse_quartic_maps()), st.sampled_from([0, 1]),
+       st.tuples(small_q, small_q), st.sampled_from([8, 24, 53, 120]), st.integers(0, 4))
 def test_escape_norm_encloses_the_exact_values(case, z0, pt, prec, n):
     # max(|a_n|, |b_n|) lies in 2^m D^-k [lo, hi], exactly, and the
     # logarithm the kernel returns encloses log max(z0, |a_n|, |b_n|) / d^n

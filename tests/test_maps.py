@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from regdyn.cli import MAX_BITS, run
 from regdyn.heights import PreperiodicityVerdict, orbit_verdict
 from regdyn.infinity import InfinityPoint, infinity_orbit_preperiodicity
-from regdyn.maps import (ORBIT_CAP, DegreeTooLow, NotRegular, _affine, _exact_orbit,
-                         _solve_rational, _triple, binary_form_resultant, make_regular_map)
-from regdyn.polyalg import MultiPoly, parse_poly
+from regdyn.maps import (ORBIT_CAP, DegreeTooLow, IntegerLift, NotRegular, _affine,
+                         _exact_orbit, _kernel, _solve_rational, _triple, make_regular_map)
+from regdyn.polyalg import MultiPoly
 
 
 def test_regular_accepts():
@@ -41,12 +41,18 @@ def test_mixed_degree_rejection():
 
 
 def test_binary_form_resultant_oracle():
-    # Res(z^2, w^2) = 1 (up to sign conventions it is +-1); nonzero suffices
-    r = binary_form_resultant(parse_poly("z^2"), parse_poly("w^2"), 2)
-    assert r != 0
+    # the resultant of make_regular_map's one elimination, against sympy's
+    # determinant of the Sylvester matrix of the top forms at formal degree d
+    for P, Q in [("z^2", "w^2"), ("1/2*z^2 - 3*z*w + w", "2/3*z*w + 5*w^2 - z"),
+                 ("z^3 + 2*w^3", "1/7*z*w^2 - z^2*w"), ("w^2", "z^2")]:
+        f = make_regular_map(P, Q)
+        d = f.d
+        rows = [[sp.Rational(str(g.coefficient(d - j + s, j - s))) if 0 <= j - s <= d else 0
+                 for j in range(2 * d)] for g in (f.top_P, f.top_Q) for s in range(d)]
+        assert f.res == _fraction(sp.Matrix(rows).det())
     # shared root [1:1] of (z-w)^2 and z*w - w^2 = w(z-w)
-    r = binary_form_resultant(parse_poly("(z-w)^2"), parse_poly("z*w - w^2"), 2)
-    assert r == 0
+    with pytest.raises(NotRegular):
+        make_regular_map("(z-w)^2", "z*w - w^2")
 
 
 def test_apply():
@@ -55,17 +61,17 @@ def test_apply():
 
 
 @st.composite
-def rational_systems(draw):
-    """(rows, rhs): a random square rational matrix up to 7 x 7, sparse, and
+def integer_systems(draw):
+    """(rows, rhs): a random square integer matrix up to 7 x 7, sparse, and
     singular in about one draw of four, with 0-2 right-hand sides."""
     n = draw(st.integers(1, 7))
-    entry = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=12))
+    entry = st.one_of(st.just(0), st.integers(-20, 20))
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     if n > 1 and draw(st.integers(0, 3)) == 0:  # a row a combination of two others
         i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
         s, t = draw(entry), draw(entry)
         rows[k] = [s * a + t * b for a, b in zip(rows[i], rows[j])] if k not in (i, j) \
-            else [F(0)] * n
+            else [0] * n
     rhs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2))
     return rows, rhs
 
@@ -75,25 +81,125 @@ def _fraction(x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_systems())
+@given(integer_systems())
 def test_fraction_free_solve_matches_sympy(system):
+    # det, and det times each solution, all integers
     rows, rhs = system
-    det, xs = _solve_rational(rows, rhs)
-    M = sp.Matrix([[sp.Rational(a.numerator, a.denominator) for a in row] for row in rows])
-    assert type(det) is F and det == _fraction(M.det())
+    det, ys = _solve_rational(rows, rhs)
+    M = sp.Matrix(rows)
+    assert type(det) is int and det == M.det()
     if det == 0:
-        assert xs is None
+        assert ys is None
         return
-    assert len(xs) == len(rhs)
-    for b, x in zip(rhs, xs):
-        want = M.LUsolve(sp.Matrix([sp.Rational(c.numerator, c.denominator) for c in b]))
-        assert x == [_fraction(c) for c in want]
-        assert all(type(c) is F for c in x)
+    assert len(ys) == len(rhs)
+    for b, y in zip(rhs, ys):
+        assert all(type(c) is int for c in y)
+        assert [F(c, det) for c in y] == [_fraction(c) for c in M.LUsolve(sp.Matrix(b))]
+
+
+# -- the cofactors of the one elimination, in exact polynomial arithmetic -----
+
+nonzero_q = st.builds(F, st.sampled_from([-9, -5, -3, -2, -1, 1, 2, 3, 4, 7]),
+                      st.integers(1, 9))
+
+
+def _assert_cofactor_identities(f):
+    # A1 P_d + B1 Q_d = Res z^(2d-1) and A2 P_d + B2 Q_d = Res w^(2d-1)
+    A1, B1, A2, B2 = f._cofactors
+    n = 2 * f.d - 1
+    assert A1 * f.top_P + B1 * f.top_Q == MultiPoly({(n, 0): f.res})
+    assert A2 * f.top_P + B2 * f.top_Q == MultiPoly({(0, n): f.res})
+    assert all(g.degree < f.d for g in (A1, B1, A2, B2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.just(d), *[st.dictionaries(st.sampled_from(
+        [(i, k - i) for k in range(d + 1) for i in range(k + 1)]), nonzero_q, min_size=1)] * 2)))
+def test_cofactors_solve_the_resultant_identities(case):
+    d, P, Q = case
+    P[(d, 0)], Q[(0, d)] = P.get((d, 0), F(1)), Q.get((0, d), F(-2))
+    try:
+        f = make_regular_map(MultiPoly(P), MultiPoly(Q))
+    except NotRegular:
+        assume(False)
+    _assert_cofactor_identities(f)
+
+
+def test_cofactors_after_a_row_swap_and_a_shared_zero():
+    # (w^2, z^2): the first row of the transposed Sylvester matrix is (0, 0, 1, 0),
+    # so the elimination swaps rows at its first pivot
+    f = make_regular_map("w^2", "z^2 + w")
+    _assert_cofactor_identities(f)
+    assert f.res == 1
+    # w^2 and z w + w^2 share the zero [1 : 0]
+    with pytest.raises(NotRegular):
+        make_regular_map("w^2", "z*w + w^2")
 
 
 # -- the integer lift and its one step against Fraction arithmetic ------------
 
 small_q = st.builds(F, st.integers(-3, 3), st.integers(1, 9))
+big = st.integers(-2**300, 2**300)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(P, Q): a pair of degree 2-5 on random sparse supports, some of a
+    single term, nonzero coefficients with denominators 1-9."""
+    d = draw(st.integers(2, 5))
+    monomials = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    forms = []
+    for _ in range(2):
+        size = draw(st.sampled_from([1, 2, 4, len(monomials)]))
+        support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=size,
+                                unique=True))
+        forms.append({e: draw(nonzero_q) for e in support})
+    top = draw(st.sampled_from([e for e in monomials if sum(e) == d]))
+    forms[0][top] = draw(nonzero_q)
+    return tuple(map(MultiPoly, forms))
+
+
+def _lift_reference(P, Q, X) -> list:
+    """D (x0^d, x0^d P(x1/x0, x2/x0), x0^d Q(...)) in Fraction arithmetic,
+    through RegularMap.apply when (P, Q) is regular; D (0, P_d, Q_d)(x1, x2)
+    at x0 = 0."""
+    d = max(P.degree, Q.degree)
+    D = math.lcm(P.den, Q.den)
+    x0, x1, x2 = X
+    if not x0:
+        return [0] + [D * g.homogeneous_part(d).eval(F(x1), F(x2)) for g in (P, Q)]
+    try:
+        apply = make_regular_map(P, Q).apply
+    except NotRegular:
+        def apply(pt):
+            return P.eval(*pt), Q.eval(*pt)
+    return [D * F(x0) ** d] + [D * F(x0) ** d * v for v in apply((F(x1, x0), F(x2, x0)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_pairs(), st.tuples(st.one_of(st.just(0), big), big, big), st.data())
+def test_the_lift_kernel_matches_fraction_arithmetic_on_sparse_supports(pair, X, data):
+    P, Q = pair
+    assume(any(X))
+    lift = IntegerLift(P, Q)
+    assert lift(X) == _lift_reference(P, Q, X)
+    # another map of the same support shares the compiled function and gets
+    # its own values
+    P2, Q2 = (MultiPoly({e: data.draw(nonzero_q) for e in g.num}) for g in pair)
+    other = IntegerLift(P2, Q2)
+    assert other.support == lift.support and other.F is lift.F
+    assert other(X) == _lift_reference(P2, Q2, X)
+    if (P2, Q2) != (P, Q):
+        assert other.c != lift.c
+
+
+def test_the_lift_kernel_is_cached_by_support():
+    # the cache holds compiled code keyed by support, not by map or by point
+    f, g = make_regular_map("z^2 + 1/3*w", "w^2 - z"), make_regular_map("5*z^2 + w", "7*w^2 + z")
+    assert f.lift.F is g.lift.F
+    assert _kernel.cache_info().maxsize is not None
+    assert f.lift((1, 2, 3)) == [3, 15, 21] and g.lift((1, 2, 3)) == [1, 23, 65]
 
 
 @st.composite
