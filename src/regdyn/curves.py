@@ -722,7 +722,7 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
             else sorted((n, -a % n) for n, a in mirror)
         tried[n1, a1] = tries
         for n2, a2 in tries:
-            if n1 <= 2 and n2 <= 2:
+            if n1 <= 2 and n2 <= 2 and height_bound >= 1:
                 continue  # (+-1, +-1) already covered by the rational search
             val = 0j
             for c in row:

@@ -20,7 +20,8 @@ from functools import cache, cached_property
 from typing import Optional
 
 from .intervals import RealInterval
-from .numberfield import NumberField
+from .numberfield import NumberField, _pdivmod
+from .polyalg import _conv
 
 
 class _Sympy:
@@ -389,10 +390,10 @@ def cyclotomic_coeffs(n: int) -> tuple:
     """The n-th cyclotomic polynomial, n >= 1, as ascending integer
     coefficients: the Moebius inversion Phi_n = prod over d | n of (x^d -
     1)^mu(n/d) of x^n - 1 = prod over d | n of Phi_d.  The factors of mu = 1
-    are multiplied in, then those of mu = -1 divide the product exactly,
-    each by q_k = a_(k+d) + q_(k+d), read off A = Q (x^d - 1) from the top.
-    A step costs the degree, so Phi_4032 takes milliseconds, where dividing
-    x^n - 1 by every Phi_d, d | n, would cost about n^2."""
+    are multiplied in, then those of mu = -1 divide the product exactly.
+    x^d - 1 has two terms, so a step costs the degree, and Phi_4032 takes
+    milliseconds, where dividing x^n - 1 by every Phi_d, d | n, would cost
+    about n^2."""
     primes = sorted(prime_factors(n))
     up, down = [], []  # the d = n / s, s squarefree, with mu(s) = 1 and -1
     for mask in range(1 << len(primes)):
@@ -400,16 +401,9 @@ def cyclotomic_coeffs(n: int) -> tuple:
         (down if bin(mask).count("1") % 2 else up).append(n // s)
     a = [1]
     for d in up:
-        b = [0] * (len(a) + d)
-        for k, c in enumerate(a):
-            b[k] -= c
-            b[k + d] += c
-        a = b
+        a = _conv(a, [(0, -1), (d, 1)], len(a) + d - 1)
     for d in down:
-        q = [0] * (len(a) - d)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = a[k + d] + (q[k + d] if k + d < len(q) else 0)
-        a = q
+        a = _pdivmod(a, [-1] + [0] * (d - 1) + [1])[1]
     return tuple(a)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -482,8 +481,7 @@ def parabolic_normal_form(germ: LocalGerm, phi: Optional[TruncSeries] = None) ->
 
 
 def _eval_c(s: TruncSeries2, x: complex, y: complex) -> complex:
-    return _eval_terms(((e, float(c)) for e, c in s.coeffs.items()), x, y,
-                       operator.add, operator.mul, operator.pow)
+    return _eval_terms(((e, float(c)) for e, c in s.coeffs.items()), x, y)
 
 
 def rescaling_check(germ: LocalGerm, n: int, r: float, grid: int = 8) -> float:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .polyalg import _over_den
+from .polyalg import _conv, _Exact, _over_den, _sum
 
 
 def _trim(cs):
@@ -27,15 +27,9 @@ def _trim(cs):
     return cs
 
 
-def _conv(a, b):
-    """Product of two integer polynomials (ascending coefficient lists)."""
-    out = [0] * (len(a) + len(b) - 1)
-    nzb = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in nzb:
-                out[i + j] += ai * bj
-    return out
+def _product(a, b) -> list:
+    """The product of two integer polynomials (ascending coefficient lists)."""
+    return _conv(a, [(j, c) for j, c in enumerate(b) if c], len(a) + len(b) - 2)
 
 
 def _pdivmod(a, b):
@@ -85,7 +79,7 @@ class NumberField:
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
-        return NFElement(self, tuple(nums), den)
+        return NFElement._make(self, tuple(nums), den)
 
     def __call__(self, coeffs) -> "NFElement":
         if isinstance(coeffs, NFElement):
@@ -115,16 +109,15 @@ class NumberField:
         return f"NumberField(deg={self.degree})"
 
 
-class NFElement:
+class NFElement(_Exact):
     """num / den in its field: `num` a tuple of field.degree ints, `den` a
-    positive int, gcd(*num, den) == 1."""
+    positive int, gcd(*num, den) == 1.  Built by its field."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, num: tuple, den: int):
-        self.field = field
-        self.num = num
-        self.den = den
+    def _set(self, field: NumberField, num: tuple, den: int):
+        """A form that its field has already reduced and put in lowest terms."""
+        self.field, self.num, self.den = field, num, den
 
     @property
     def coeffs(self) -> tuple:
@@ -139,28 +132,14 @@ class NFElement:
             return self.field(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return self.field._make([a + b for a, b in zip(self.num, o.num)], da)
-        return self.field._make([a * db + b * da for a, b in zip(self.num, o.num)], da * db)
-
-    __radd__ = __add__
+        return self.field._make(*_sum(self.num, self.den, o.num, o.den, sign))
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.num), self.den)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return NFElement._make(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,7 +148,7 @@ class NFElement:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.field._make(_conv(self.num, o.num), self.den * o.den)
+        return self.field._make(_product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -186,7 +165,7 @@ class NFElement:
             r = _trim(r)
             if not r:
                 raise ZeroDivisionError("element not invertible; modulus reducible?")
-            t = [s * a - b for a, b in zip_longest(t0, _conv(q, t1), fillvalue=0)]
+            t = [s * a - b for a, b in zip_longest(t0, _product(q, t1), fillvalue=0)]
             g = math.gcd(*r, *t)
             r0, t0, r1, t1 = r1, t1, [c // g for c in r], [c // g for c in t]
         # t1 * num ≡ r1[0], so 1 / (num / den) = den * t1 / r1[0]
@@ -201,16 +180,7 @@ class NFElement:
         return self * o.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base = None, self  # None stands for one, which no product needs
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.field.one() if result is None else result
+        return self.inverse() ** -n if n < 0 else _Exact.__pow__(self, n)
 
     def is_zero(self) -> bool:
         return not any(self.num)

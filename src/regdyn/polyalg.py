@@ -1,10 +1,10 @@
 """Exact bivariate polynomials over Q: arithmetic, evaluation, parsing; and
-the integer helpers the series, number fields and curves share with it."""
+the integer helpers and operators (`_Exact`) the series, number fields and
+curves share with it."""
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 
@@ -19,6 +19,27 @@ def _over_den(cs):
     cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in cs]
     den = math.lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _conv(a: list, tb: list, n: int) -> list:
+    """Integer numerators of a * b mod y^(n+1): a has at most n + 1 entries,
+    tb lists the nonzero (k, b_k) of b by increasing k."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in tb:
+                if i + j > n:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def _sum(na: list, da: int, nb: list, db: int, sign: int = 1):
+    """na/da + sign * nb/db for numerator lists of one length, over
+    lcm(da, db), not reduced."""
+    den = da if da == db else math.lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    return [x * fa + y * fb for x, y in zip(na, nb)], den
 
 
 def _times(h: dict, g: dict) -> dict:
@@ -187,9 +208,9 @@ def _factor_list(cs) -> list:
     return factors
 
 
-def _eval_terms(terms, z, w, add, mul, pow):
+def _eval_terms(terms, z, w):
     """The sum of c * z**i * w**j over the ((i, j), c) terms, in their order,
-    in the ring whose operations are add, mul and pow; the int 0 for no terms.
+    in the ring of z and w; the int 0 for no terms.
 
     The sum starts from the first term and zero exponents are skipped, so no
     int 0 or 1 is mixed into the ring; each power is computed once."""
@@ -198,17 +219,59 @@ def _eval_terms(terms, z, w, add, mul, pow):
     for (i, j), t in terms:
         if i:
             if i not in zp:
-                zp[i] = pow(z, i)
-            t = mul(t, zp[i])
+                zp[i] = z ** i
+            t = t * zp[i]
         if j:
             if j not in wp:
-                wp[j] = pow(w, j)
-            t = mul(t, wp[j])
-        total = t if total is None else add(total, t)
+                wp[j] = w ** j
+            t = t * wp[j]
+        total = t if total is None else total + t
     return 0 if total is None else total
 
 
-class MultiPoly:
+class _Exact:
+    """The operators of the exact types, each stored as integer numerators
+    over one positive denominator in lowest terms (MultiPoly, the series,
+    NFElement).  A subclass gives `_set` (store its form, put in lowest
+    terms), `_plus(other, sign)`, `__neg__` and `__mul__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, *form):
+        """The value of a stored form whose numerators no one else changes,
+        bypassing __init__ (see the subclass's `_set`)."""
+        x = object.__new__(cls)
+        x._set(*form)
+        return x
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        """Repeated squaring from self, so no product by one and no square
+        past the top bit; self ** 0 is the one of self's type and order."""
+        if n < 0:
+            raise ValueError("negative power of a value without an inverse")
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self * 0 + 1 if result is None else result
+
+
+class MultiPoly(_Exact):
     """Sparse bivariate polynomial over Q: the coefficient of z^i w^j is
     num[(i, j)] / den, num holding the nonzero integer numerators over one
     positive den, in lowest terms (gcd(den, *num) == 1; den 1 for the zero
@@ -222,15 +285,8 @@ class MultiPoly:
         num, den = _over_den([c for _, c in terms])
         self._set({e: n for (e, _), n in zip(terms, num)}, den)
 
-    @classmethod
-    def _make(cls, num: dict, den: int) -> "MultiPoly":
-        """num / den for a dict of nonzero ints that no one else changes and
-        den > 0, put in lowest terms."""
-        P = object.__new__(cls)
-        P._set(num, den)
-        return P
-
     def _set(self, num: dict, den: int):
+        """num / den for a dict of nonzero ints and den > 0."""
         g = math.gcd(den, *num.values())
         if g != 1:
             num = {e: c // g for e, c in num.items()}
@@ -293,19 +349,8 @@ class MultiPoly:
             return NotImplemented
         return MultiPoly._make(*_sum2(self.num, self.den, o.num, o.den, sign))
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly._make({e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -315,18 +360,6 @@ class MultiPoly:
                                self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -341,8 +374,7 @@ class MultiPoly:
 
     def eval(self, z, w):
         """Evaluate at a point of any commutative ring (see :func:`_eval_terms`)."""
-        return _eval_terms(self.coeffs.items(), z, w, operator.add, operator.mul,
-                           operator.pow)
+        return _eval_terms(self.coeffs.items(), z, w)
 
     def compose(self, u: "MultiPoly", v: "MultiPoly") -> "MultiPoly":
         """Substitute polynomials for the two variables."""

@@ -34,7 +34,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .polyalg import MultiPoly, _over_den, _sum2
+from .polyalg import MultiPoly, _conv, _Exact, _over_den, _sum, _sum2
 
 
 def _rat(c):
@@ -42,19 +42,6 @@ def _rat(c):
     if not isinstance(c, (int, Fraction)):
         c = Fraction(c)
     return c.numerator, c.denominator
-
-
-def _conv(a: list, tb: list, n: int) -> list:
-    """Integer numerators of a * b mod y^(n+1): a has at most n + 1 entries,
-    tb lists the nonzero (k, b_k) of b by increasing k."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in tb:
-                if i + j > n:
-                    break
-                out[i + j] += ai * bj
-    return out
 
 
 def _conv2(ta: list, tb: list, n: int, w: int) -> list:
@@ -107,13 +94,6 @@ def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncS
     return TruncSeries._make([x * den**k for k, x in enumerate(X)], Q, n)
 
 
-def _sum(na: list, da: int, nb: list, db: int, sign: int = 1):
-    """na/da + sign * nb/db over lcm(da, db), not reduced."""
-    den = da if da == db else math.lcm(da, db)
-    fa, fb = den // da, sign * (den // db)
-    return [x * fa + y * fb for x, y in zip(na, nb)], den
-
-
 def _lift(s, order: int):
     """s as a series of a higher order, its missing terms zero."""
     num = s.num + [0] * (order - s.order) if isinstance(s, TruncSeries) else s.num
@@ -135,32 +115,12 @@ def _fixed_point(step, start, N: int):
     raise ArithmeticError("fixed-point iteration did not settle")
 
 
-class _Series:
-    """The operators TruncSeries and TruncSeries2 share.  A subclass gives
-    `_set` (store num / den in lowest terms), `_plus`, `__neg__`,
-    `__mul__`, `reciprocal` and `truncate`."""
+class _Series(_Exact):
+    """The operators TruncSeries and TruncSeries2 share past `_Exact`'s.  A
+    subclass gives `_set(num, den, order)`, `_plus`, `__neg__`, `__mul__`,
+    `reciprocal` and `truncate`."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, num, den: int, order: int):
-        """num / den for numerators that no one else changes (the subclass's
-        form) and den > 0, put in lowest terms."""
-        s = object.__new__(cls)
-        s._set(num, den, order)
-        return s
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use reciprocal for negative powers")
-        result = self * 0 + 1  # the series 1, of the same type and order
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
@@ -171,17 +131,6 @@ class _Series:
     def _common(self, other):
         n = min(self.order, other.order)
         return self.truncate(n), other.truncate(n)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __truediv__(self, other):
         if isinstance(other, type(self)):

@@ -127,6 +127,14 @@ def test_find_preperiodic_points_diagonal():
     assert len(pts) > 3  # roots-of-unity pairs beyond the rational ones
 
 
+def test_find_preperiodic_points_at_height_bound_zero():
+    # no rational probe runs, so the roots-of-unity probe finds (+-1, +-1) too
+    f = make_regular_map("z^2", "w^2")
+    pts = find_preperiodic_points(f, PlaneCurve("w - z"), height_bound=0, max_order=3)
+    assert [p.point for p in pts] == [(Zeta(F(t)), Zeta(F(t)))
+                                      for t in (0, F(1, 2), F(1, 3), F(2, 3))]
+
+
 def test_find_preperiodic_points_off_diagonal_line():
     # w = z + 1 picks up (0, 1) (0 and 1 both fixed by squaring)
     f = make_regular_map("z^2", "w^2")
@@ -299,10 +307,10 @@ def test_find_preperiodic_points_on_a_swapped_map():
 
 
 def _pair_scan(f, C, max_order):
-    """The roots-of-unity points of find_preperiodic_points found by testing
-    every ordered pair of roots of unity of order at most max_order: the
-    reference for the probe, which tries only those near the roots of each
-    row R(z1, w)."""
+    """The roots-of-unity points of find_preperiodic_points at height bound 0
+    found by testing every ordered pair of roots of unity of order at most
+    max_order: the reference for the probe, which tries only those near the
+    roots of each row R(z1, w)."""
     R = C.poly
     rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
             for a, n in curves._roots_of_unity(max_order)]
@@ -313,8 +321,6 @@ def _pair_scan(f, C, max_order):
         for (i, j), c in R.num.items():
             row[dw - j] += complex(c) * z1**i
         for a2, n2, z2 in rous:
-            if n1 <= 2 and n2 <= 2:
-                continue
             val = 0j
             for c in row:
                 val = val * z2 + c

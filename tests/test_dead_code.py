@@ -1,9 +1,11 @@
 """No dead code in src/regdyn, by the stdlib ast module alone: every import
 is used by its module (or marked `# noqa: F401`), and every top-level
-function or class is named somewhere under src/, tests/, demos/ or
-regbench/ outside its own body."""
+function or class, and every method or property of a class that is not a
+dunder, is named somewhere under src/, tests/, demos/ or regbench/ outside
+its own body."""
 
 import ast
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,16 @@ PACKAGE = ROOT / "src" / "regdyn"
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+@functools.cache
+def _trees() -> dict:
+    files = [p for d in ("src", "tests", "demos", "regbench") for p in (ROOT / d).rglob("*.py")]
+    return {p: _parse(p) for p in files}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _names(node) -> set:
@@ -52,11 +64,9 @@ def test_every_import_is_used():
 
 
 def test_every_top_level_definition_is_named_elsewhere():
-    files = [p for d in ("src", "tests", "demos", "regbench") for p in (ROOT / d).rglob("*.py")]
-    trees = {p: _parse(p) for p in files}
     named = set()  # the names read outside the src/regdyn definitions
     defs = []
-    for path, tree in trees.items():
+    for path, tree in _trees().items():
         for node in tree.body:
             if path.parent == PACKAGE and isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -68,6 +78,31 @@ def test_every_top_level_definition_is_named_elsewhere():
     readers = Counter(name for names in reads for name in names)
     dead = [f"{path.name}:{node.lineno} {node.name}"
             for (path, node), own in zip(defs, reads)
-            if not (node.name.startswith("__") and node.name.endswith("__"))
+            if not _is_dunder(node.name)
             and node.name not in named and readers[node.name] == (node.name in own)]
+    assert not dead, dead
+
+
+def test_every_method_is_named_outside_its_own_body():
+    # each method of a src/regdyn class is one unit; every other top-level
+    # statement, and the rest of each class (bases, decorators, attributes),
+    # is another
+    units, methods = [], []
+    for path, tree in _trees().items():
+        for node in tree.body:
+            if path.parent != PACKAGE or not isinstance(node, ast.ClassDef):
+                units.append(_names(node))
+                continue
+            rest = node.bases + node.keywords + node.decorator_list
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    units.append(_names(member))
+                    methods.append((f"{path.name}:{member.lineno} {node.name}.{member.name}",
+                                    member.name, units[-1]))
+                else:
+                    rest.append(member)
+            units.append(set().union(*map(_names, rest)))
+    readers = Counter(name for names in units for name in names)
+    dead = [where for where, name, own in methods
+            if not _is_dunder(name) and readers[name] == (name in own)]
     assert not dead, dead

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.exactnum import FactoringCap, Place, abs_at_place_exact
 from regdyn.green import (GreenContext, _arch_log_norm, _cofactor_bound, _line_constant, _size,
@@ -283,17 +284,29 @@ def sparse_quartic_maps(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(regular_maps(), sparse_quartic_maps()), st.sampled_from([0, 1]),
        st.tuples(small_q, small_q), st.sampled_from([8, 24, 53, 120]), st.integers(0, 4))
+@example((make_regular_map("-z^4 + 3*z*w^3 - 3*w - 3", "-3*w^4"), []), 0,
+         (F(-2, 3), F(-1, 3)), 8, 2)
 def test_escape_norm_encloses_the_exact_values(case, z0, pt, prec, n):
     # max(|a_n|, |b_n|) lies in 2^m D^-k [lo, hi], exactly, and the
-    # logarithm the kernel returns encloses log max(z0, |a_n|, |b_n|) / d^n
+    # logarithm the kernel returns encloses log max(z0, |a_n|, |b_n|) / d^n.
+    # The kernel sees only the cell of 2^-s Z^2 that pt starts in, so the
+    # enclosure is the same, and as sound, from each point near a corner of
+    # that cell: error radii that miss the worst point of a cell fail there
     f, _ = case
     P, Q = (f.P, f.Q) if z0 else (f.top_P, f.top_Q)
     assume(z0 or any(pt))
-    a, b = _exact_iterate(P, Q, pt, n)
     lift = IntegerLift(P, Q)
-    m, k, D, lo, hi = escape_norm(lift, z0, pt[0], pt[1], n, prec)
+    m, k, D, lo, hi = enclosure = escape_norm(lift, z0, pt[0], pt[1], n, prec)
     scale = F(2) ** m / F(D) ** k
-    assert scale * lo <= max(abs(a), abs(b)) <= scale * hi
+    s = -escape_norm(lift, z0, pt[0], pt[1], 0, prec)[0]
+    corners = {tuple(q if (q * 2**s).denominator == 1 else (math.floor(q * 2**s) + u) / 2**s
+                     for q, u in zip(pt, us))
+               for us in itertools.product([F(1, 999), F(998, 999)], repeat=2)}
+    # pt last: the logarithm below is checked against its a_n, b_n
+    for start in [c for c in corners if escape_norm(lift, z0, *c, 0, prec)[0] == -s] + [pt]:
+        assert escape_norm(lift, z0, *start, n, prec) == enclosure
+        a, b = _exact_iterate(P, Q, start, n)
+        assert scale * lo <= max(abs(a), abs(b)) <= scale * hi
     if not (z0 or lo):  # the enclosure of max(|a_n|, |b_n|) reaches 0
         with pytest.raises(PrecisionLoss):
             _arch_log_norm(lift, z0, pt[0], pt[1], n, f.d, prec)

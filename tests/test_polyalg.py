@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from regdyn.numberfield import NumberField
 from regdyn.polyalg import (MultiPoly, PolyParseError, _low_degree_factors, homogeneous_top,
                             parse_poly)
+from regdyn.series import TruncSeries, TruncSeries2
 
 
 def test_parse_basic():
@@ -228,6 +229,51 @@ def test_integer_form_is_canonical_and_matches_a_fraction_reference(ta, tb, tc, 
     for p, q in [((a + b) - b, a), (a * b, b * a), (a * (b + c), a * b + a * c),
                  (a - a, MultiPoly.zero()), (a * F(2, 3) * F(3, 2), a)]:
         assert p == q and hash(p) == hash(q)
+
+
+# -- the operators the exact types share (polyalg._Exact) ---------------------
+
+_small = st.fractions(-3, 3, max_denominator=4)
+_pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def exact_pairs(draw):
+    """(x, y, one): two values of one exact type and the one of x's type and
+    order.  The series orders may differ; the number fields are Q(sqrt 2),
+    Q(zeta_5) and Q(sqrt(3/2)), whose modulus is not monic."""
+    kind = draw(st.sampled_from(["poly", "series", "series2", "nf"]))
+    if kind == "poly":
+        x, y = (MultiPoly(draw(st.dictionaries(_pairs, _small, max_size=3))) for _ in "xy")
+        return x, y, MultiPoly.constant(1)
+    if kind == "series":
+        x, y = (TruncSeries(draw(st.lists(_small, max_size=4)), draw(st.integers(0, 4)))
+                for _ in "xy")
+        return x, y, TruncSeries.one(x.order)
+    if kind == "series2":
+        x, y = (TruncSeries2(draw(st.dictionaries(_pairs, _small, max_size=3)),
+                             draw(st.integers(0, 3))) for _ in "xy")
+        return x, y, TruncSeries2.constant(1, x.order)
+    K = NumberField(draw(st.sampled_from([[-2, 0, 1], [1, 1, 1, 1, 1], [-3, 0, 2]])))
+    x, y = (K(draw(st.lists(_small, min_size=1, max_size=K.degree))) for _ in "xy")
+    return x, y, K.one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_pairs(), st.integers(-3, 3), st.integers(1, 3))
+def test_the_shared_operators_of_every_exact_type(case, k, m):
+    x, y, one = case
+    product = one  # x ** 0 is the one of x's type and order
+    for n in range(9):
+        assert x ** n == product and type(x ** n) is type(x)
+        product = product * x
+    assert x - y == x + (-y)
+    assert k - x == -(x - k)
+    if isinstance(x, MultiPoly | TruncSeries | TruncSeries2):
+        with pytest.raises(ValueError):
+            x ** -m
+    elif not x.is_zero():
+        assert x ** -m == x.inverse() ** m
 
 
 # -- factors of univariate integer polynomials --------------------------------
