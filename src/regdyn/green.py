@@ -62,26 +62,43 @@ class GreenContext:
                 f"good={self.good_reduction})")
 
 
-def _size(poly: MultiPoly, v: Place, below=None) -> Fraction:
+def _pmax(*qs) -> tuple:
+    """The largest of rationals held as pairs (num, den), den > 0, the form
+    the constants are built in, with one Fraction at the end."""
+    best = qs[0]
+    for q in qs[1:]:
+        if q[0] * best[1] > best[0] * q[1]:
+            best = q
+    return best
+
+
+def _psum(a: tuple, b: tuple) -> tuple:
+    """a + b for rationals held as pairs."""
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _size(poly: MultiPoly, v: Place, below=None) -> tuple:
     """Sum of coefficient absolute values (sound bound at every place), of
-    the terms of total degree below `below` when given.  At p it is
-    p^v_p(den) Σ p^-v_p(c) over the integer numerators c, summed over the
-    common denominator p^m, m the largest v_p(c)."""
+    the terms of total degree below `below` when given, as a pair.  At p it
+    is p^v_p(den) Σ p^-v_p(c) over the integer numerators c, summed over
+    the common denominator p^m, m the largest v_p(c)."""
     nums = [c for (i, j), c in poly.num.items() if below is None or i + j < below]
     if not v.is_finite:
-        return Fraction(sum(map(abs, nums)), poly.den)
+        return sum(map(abs, nums)), poly.den
     p = v.prime
     vals = [_int_valuation(c, p) for c in nums]
     m = max(vals, default=0)
-    return Fraction(p ** _int_valuation(poly.den, p) * sum(p ** (m - e) for e in vals), p ** m)
+    return p ** _int_valuation(poly.den, p) * sum(p ** (m - e) for e in vals), p ** m
 
 
-def _cofactor_bound(f: RegularMap, v: Place) -> Fraction:
-    """c1/|Res|_v, with c1 bounding the cofactors of `RegularMap._cofactors`:
-    max(|z|,|w|)^d <= (c1/|Res|_v) max(|P_d|,|Q_d|) at v."""
-    A1, B1, A2, B2 = f._cofactors
-    c1 = max(_size(A1, v) + _size(B1, v), _size(A2, v) + _size(B2, v))
-    return c1 / abs_at_place_exact(f.res, v)
+def _cofactor_bound(f: RegularMap, v: Place) -> tuple:
+    """c1/|Res|_v as a pair, with c1 bounding the cofactors of
+    `RegularMap._cofactors`: max(|z|,|w|)^d <= (c1/|Res|_v) max(|P_d|,|Q_d|)
+    at v."""
+    A1, B1, A2, B2 = (_size(g, v) for g in f._cofactors)
+    n, m = _pmax(_psum(A1, B1), _psum(A2, B2))
+    r = abs_at_place_exact(f.res, v)
+    return n * r.denominator, m * r.numerator
 
 
 def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
@@ -106,14 +123,14 @@ def nullstellensatz_constant(f: RegularMap, v: Place) -> tuple:
     mono = f._monomial
     if mono and not mono[2] and all(abs_at_place_exact(c, v) == 1 for c in mono[:2]):
         return Fraction(1), True  # (c1 z^d, c2 w^d), |c_i|_v = 1: the max-norm identity
-    k = _cofactor_bound(f, v)
-    e = max(_size(f.P, v, f.d), _size(f.Q, v, f.d))  # the terms below the top forms
+    k1, k2 = _cofactor_bound(f, v)
+    e1, e2 = _pmax(_size(f.P, v, f.d), _size(f.Q, v, f.d))  # the terms below the top forms
     # lower bound: for m = max(|z|,|w|) >= m0 the cofactor identity gives
     # max(|P|,|Q|) >= m^d / (2 k); below m0 use max(1,...) >= 1
-    m0 = max(Fraction(1), 2 * k * e)
-    C_low = max(Fraction(1), 2 * k, m0 ** f.d)
-    C_up = max(Fraction(1), _size(f.P, v), _size(f.Q, v))
-    return max(C_low, C_up), False
+    m1, m2 = _pmax((1, 1), (2 * k1 * e1, k2 * e2))
+    C_low = _pmax((1, 1), (2 * k1, k2), (m1 ** f.d, m2 ** f.d))
+    C_up = _pmax((1, 1), _size(f.P, v), _size(f.Q, v))
+    return Fraction(*_pmax(C_low, C_up)), False
 
 
 def _line_constant(ctx: GreenContext) -> Fraction:
@@ -125,7 +142,8 @@ def _line_constant(ctx: GreenContext) -> Fraction:
     f, v = ctx.f, ctx.place
     if ctx.good_reduction:
         return Fraction(1)
-    return max(Fraction(1), _cofactor_bound(f, v), _size(f.top_P, v), _size(f.top_Q, v))
+    return Fraction(*_pmax((1, 1), _cofactor_bound(f, v), _size(f.top_P, v),
+                           _size(f.top_Q, v)))
 
 
 def bad_places(f: RegularMap) -> set:
@@ -168,47 +186,41 @@ def _box_orbit(f: RegularMap, X: tuple, ctx: GreenContext = None) -> tuple:
     d = f.d
     if ctx is None:
         inf = Place.archimedean()
-        low, p = max(Fraction(1), _size(f.P, inf), _size(f.Q, inf)), None
+        (ln, ld), p = _pmax((1, 1), _size(f.P, inf), _size(f.Q, inf)), None
     else:
-        low, p = ctx.C, ctx.place.prime
+        ln, ld, p = ctx.C.numerator, ctx.C.denominator, ctx.place.prime
 
-    def out(Y):
+    def out(Y):  # each bound q compared as M q.den > q.num
         M = max(map(abs, Y)) ** (d - 1)
-        if ctx is not None and (p ** ((d - 1) * _int_valuation(Y[0], p)) > low if p
-                                else M > low * Y[0] ** (d - 1)):
+        if ctx is not None and (p ** ((d - 1) * _int_valuation(Y[0], p)) * ld > ln if p
+                                else M * ld > ln * Y[0] ** (d - 1)):
             return True  # past v's box
-        if M <= low:  # inside the height box, as Λ >= low
+        if M * ld <= ln:  # inside the height box, as Λ >= ln/ld
             return False
         try:
-            return M > height_box(f)[1]
+            box = height_box(f)[1]
         except FactoringCap:
             if ctx is None:
                 raise
             return True
+        return M * box.denominator > box.numerator
     if out(X):
         return [X], None
     return _exact_orbit(f.lift.step, X, ORBIT_CAP, out)
 
 
 def _tail_iterations(log_C: Fraction, d: int, tol: Fraction) -> int:
-    """Smallest n with log(C)/(d^n (d-1)) <= tol, log_C an upper bound of log C."""
+    """Smallest n with log(C)/(d^n (d-1)) <= tol, log_C = a/b an upper bound
+    of log C: the least n with d^n b t (d-1) >= a u, tol = t/u."""
     if not log_C:
         return 0
-    target = log_C / (Fraction(tol) * (d - 1))
+    target = log_C.numerator * tol.denominator
+    scaled = log_C.denominator * tol.numerator * (d - 1)
     n = 0
-    power = 1
-    while power < target:
-        power *= d
+    while scaled < target:
+        scaled *= d
         n += 1
     return n
-
-
-def _widen_by_tail(val: RealInterval, log_C: Fraction, d: int, n: int) -> RealInterval:
-    """val widened on both sides by the telescoped tail log(C)/(d^n (d-1))."""
-    if not log_C:
-        return val
-    tail = log_C / (d**n * (d - 1))
-    return RealInterval(val.lower - tail, val.upper + tail)
 
 
 # precisions a Green value tries, doubling from the first, before PrecisionLoss
@@ -276,6 +288,7 @@ def _orbit_green(ctx: GreenContext, z0, z1, z2, tol: Fraction) -> RealInterval:
     lift, C = f.lift, (ctx.C if z0 else _line_constant(ctx))
     log_C = 0 if C == 1 else log_of_fraction(C).upper
     n = _tail_iterations(log_C, d, tol / 2)
+    tail = log_C / (d**n * (d - 1)) if log_C else 0  # the telescoped tail, each side
     prec = 64 if v.is_finite else DEFAULT_PREC
     for _ in range(ATTEMPTS):
         try:
@@ -287,8 +300,8 @@ def _orbit_green(ctx: GreenContext, z0, z1, z2, tol: Fraction) -> RealInterval:
             prec *= 2
             continue
         if v.is_finite:  # log max(z0, |a_n|_p, |b_n|_p) / d^n, p^m that max
-            val = _log_to_width(Fraction(v.prime), m, tol / 2).scale(Fraction(1, d**n))
-        out = _widen_by_tail(val, log_C, d, n)
+            val = _log_to_width(v.prime, m, tol / 2).scale(Fraction(1, d**n))
+        out = RealInterval(val.lower - tail, val.upper + tail)
         if z0:
             out = out.clamp_nonnegative()  # G_v(1, z, w) >= log 1
         if v.is_finite or out.width <= tol:
@@ -308,8 +321,7 @@ def _arch_log_norm(lift, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
         q, shift = Fraction(2) ** m / D**k, 0
     else:
         q = 1
-        shift = (log_of_fraction(Fraction(2), prec).scale(m)
-                 - log_of_fraction(Fraction(D), prec).scale(k))
+        shift = log_of_fraction(2, prec).scale(m) - log_of_fraction(D, prec).scale(k)
     lower = (shift + log_of_fraction(q * lo, prec)).lower if lo else 0
     upper = (shift + log_of_fraction(q * hi, prec)).upper if hi else 0
     if z0:  # max(1, |a_n|, |b_n|)

@@ -4,10 +4,10 @@ Three layers:
 
 * :class:`RealInterval` -- dyadic-rational endpoints, the type every
   certified numeric answer is reported in.
-* a thin bridge to mpmath interval contexts, used internally for
-  logarithms.  Each precision has its own context, built once and never
-  mutated, so no computation depends on a global working precision.
-  mpmath interval endpoints are dyadic floats with arbitrary-precision
+* :func:`log_of_fraction`, the enclosure of a logarithm by mpmath's
+  outward-rounded interval functions (`mpmath.libmp`), called at an
+  explicit precision, so no computation depends on a global working
+  precision.  Their endpoints are dyadic floats with arbitrary-precision
   exponents, so the conversion back to :class:`RealInterval` is exact.
 * :func:`escape_norm`, the orbit of a point under the homogeneous lift of a
   polynomial map on integers with error radii and exact scale exponents,
@@ -20,27 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_int, mpi_div, mpi_log, round_ceiling, round_floor
 
 DEFAULT_PREC = 120
 
 
-@cache
-def iv_context(prec: int) -> MPIntervalContext:
-    """The mpmath interval context working at ``prec`` bits."""
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    return ctx
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
+def _mpf_to_fraction(t) -> Fraction:
+    """The value of a finite mpf tuple (sign, man, exp, bc): (-1)^sign man 2^exp."""
     sign, man, exp, bc = t
     if man == 0 and exp != 0:
         raise ValueError("non-finite mpf endpoint")
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 @dataclass(frozen=True)
@@ -58,11 +51,6 @@ class RealInterval:
     def exact(x) -> "RealInterval":
         q = Fraction(x)
         return RealInterval(q, q)
-
-    @staticmethod
-    def from_mpi(x) -> "RealInterval":
-        lo, hi = x._mpi_
-        return RealInterval(_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
 
     @property
     def width(self) -> Fraction:
@@ -106,18 +94,17 @@ def _coerce(x) -> RealInterval:
     return RealInterval.exact(x)
 
 
-def frac_to_mpi(q: Fraction, ctx: MPIntervalContext):
-    """Enclosure of a rational in the interval context ``ctx``."""
-    q = Fraction(q)
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-
-
 def log_of_fraction(q: Fraction, prec: int = DEFAULT_PREC) -> RealInterval:
-    """Certified enclosure of log(q) for q > 0."""
-    if q <= 0:
+    """Certified enclosure of log(q) for a rational (Fraction or int)
+    q > 0: the numerator and the denominator rounded outward to prec bits,
+    their quotient and its logarithm enclosed at prec bits, so that the
+    endpoints are those of mpmath's interval context `mpmath.iv` there."""
+    if q.numerator <= 0:
         raise ValueError("log of nonpositive rational")
-    ctx = iv_context(prec)
-    return RealInterval.from_mpi(ctx.log(frac_to_mpi(q, ctx)))
+    num, den = ((from_int(n, prec, round_floor), from_int(n, prec, round_ceiling))
+                for n in (q.numerator, q.denominator))
+    lo, hi = mpi_log(mpi_div(num, den, prec), prec)
+    return RealInterval(_mpf_to_fraction(lo), _mpf_to_fraction(hi))
 
 
 def _floor_scaled(q: Fraction, s: int) -> tuple:
@@ -152,24 +139,26 @@ def escape_norm(lift, z0: int, z1: Fraction, z2: Fraction, n: int, prec: int) ->
     s = prec - max(q.numerator.bit_length() - q.denominator.bit_length() for q in pt if q)
     if all(q.denominator & (q.denominator - 1) == 0 for q in pt):  # dyadic: exact
         s = min(s, max(q.denominator.bit_length() for q in pt) - 1)
-    Y, R = zip(*(_floor_scaled(q, s) for q in pt))
+    (y0, r0), (y1, r1), (y2, r2) = (_floor_scaled(q, s) for q in pt)
     m, k = -s, 0
     for _ in range(n):
-        V = F(c, *Y)
-        if any(R):
-            a0, a1, a2 = map(abs, Y)
-            E = [u - v for u, v in zip(F(abs_c, a0 + R[0], a1 + R[1], a2 + R[2]),
-                                       F(abs_c, a0, a1, a2))]
-        else:
-            E = (0, 0, 0)
-        t = max(0, max(x.bit_length() for x in (*V, *E)) - prec)
-        if t:
+        v0, v1, v2 = F(c, y0, y1, y2)
+        if r0 or r1 or r2:
+            a0, a1, a2 = abs(y0), abs(y1), abs(y2)
+            u0, u1, u2 = F(abs_c, a0 + r0, a1 + r1, a2 + r2)
+            w0, w1, w2 = F(abs_c, a0, a1, a2)
+            r0, r1, r2 = u0 - w0, u1 - w1, u2 - w2
+        t = max(v0.bit_length(), v1.bit_length(), v2.bit_length(),
+                r0.bit_length(), r1.bit_length(), r2.bit_length()) - prec
+        if t > 0:  # Y = V >> t, R = ceil(E / 2^t) + 1 where bits are dropped
             mask = (1 << t) - 1
-            Y = [v >> t for v in V]
-            R = [((e + mask) >> t) + bool(v & mask) for v, e in zip(V, E)]
+            y0, y1, y2 = v0 >> t, v1 >> t, v2 >> t
+            r0 = ((r0 + mask) >> t) + bool(v0 & mask)
+            r1 = ((r1 + mask) >> t) + bool(v1 & mask)
+            r2 = ((r2 + mask) >> t) + bool(v2 & mask)
         else:
-            Y, R = V, E
+            y0, y1, y2, t = v0, v1, v2, 0
         m, k = d * m + t, d * k + 1
-    lo = max(max(abs(y) - r, 0) for y, r in zip(Y[1:], R[1:]))
-    hi = max(abs(y) + r for y, r in zip(Y[1:], R[1:]))
+    lo = max(abs(y1) - r1, abs(y2) - r2, 0)
+    hi = max(abs(y1) + r1, abs(y2) + r2)
     return m, k, D, lo, hi

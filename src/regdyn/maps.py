@@ -234,8 +234,8 @@ class RegularMap:
         integer vectors with no system solved."""
         d, (P, Q) = self.d, (self.top_P, self.top_Q)
         scale = (P.den * Q.den) ** d
-        return tuple(MultiPoly({(d - 1 - s, s): Fraction(g.den * y[k + s], scale)
-                                for s in range(d)})
+        return tuple(MultiPoly._make({(d - 1 - s, s): g.den * y[k + s]
+                                      for s in range(d) if y[k + s]}, scale)
                      for y in self._solutions for k, g in ((0, P), (d, Q)))
 
     def __repr__(self):

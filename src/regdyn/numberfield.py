@@ -93,12 +93,6 @@ class NumberField:
     def generator(self) -> "NFElement":
         return self([0, 1])
 
-    def zero(self) -> "NFElement":
-        return self(0)
-
-    def one(self) -> "NFElement":
-        return self(1)
-
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
 

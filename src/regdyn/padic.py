@@ -5,16 +5,17 @@ F = (z0^d, P^h, Q^h) of the map.  Only one valuation per step is needed,
 so the orbit runs on a primitive integer triple known modulo p^k: each step
 evaluates the map's integer lift F' = D F (`regdyn.maps.IntegerLift`)
 through its compiled function F(c, x0, x1, x2), and divides by p^t, t the
-least valuation of the three residues.  F is homogeneous, so the
-prime-to-p part of D, a p-adic unit, only scales the triple, and
-s = v_p(D) is all the exponent sees.  The triple stays
-primitive and loses t digits, while the exponent stays exact.
-When all three residues vanish the digits are exhausted, and
-:class:`PrecisionLoss` asks the caller to restart with a larger k.
+least valuation of the three residues, so that p^t is their gcd with p^k.
+F is homogeneous, so the prime-to-p part of D, a p-adic unit, only scales
+the triple, and s = v_p(D) is all the exponent sees.  The triple stays
+primitive and loses t digits, while the exponent stays exact.  When all
+three residues vanish (their gcd with p^k is p^k) the digits are exhausted,
+and :class:`PrecisionLoss` asks the caller to restart with a larger k.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import _int_valuation, valuation
@@ -44,15 +45,17 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
     d, s, mod, F, c = lift.d, _int_valuation(lift.D, p), p**k, lift.F, lift.c
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     m = -min(valuation(q, p) for q in pt if q)
-    X = [_residue(q * Fraction(p)**m, mod) for q in pt]
+    x0, x1, x2 = (_residue(q * Fraction(p)**m, mod) for q in pt)
     for _ in range(n):
-        Y = [y % mod for y in F(c, *X)]
-        t = min((_int_valuation(y, p) for y in Y if y), default=None)
-        if t is None:
-            raise PrecisionLoss(f"the orbit has exhausted its {p}-adic digits")
-        if t:
-            mod //= p**t
-            Y = [y // p**t % mod for y in Y]
-        X = Y
+        y0, y1, y2 = F(c, x0, x1, x2)
+        g = math.gcd(mod, y0, y1, y2)  # as of the residues: p^t, t their least valuation
+        t = 0
+        if g > 1:
+            if g == mod:
+                raise PrecisionLoss(f"the orbit has exhausted its {p}-adic digits")
+            t = _int_valuation(g, p)
+            mod //= g
+            y0, y1, y2 = y0 // g, y1 // g, y2 // g
+        x0, x1, x2 = y0 % mod, y1 % mod, y2 % mod
         m = d * m + s - t
     return m

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction as F
 from unittest import mock
 
+import mpmath
 import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.exactnum import FactoringCap, Place, abs_at_place_exact
 from regdyn.green import (GreenContext, _arch_log_norm, _cofactor_bound, _line_constant, _size,
-                          bad_places, green_homog, green_value, nullstellensatz_constant)
+                          _tail_iterations, bad_places, green_homog, green_value,
+                          nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
 from regdyn.maps import IntegerLift, NotRegular, make_regular_map
@@ -225,8 +227,8 @@ def test_the_constants_are_two_sided_near_m0(case, data):
     f, places = case
     for v in places:
         ctx = GreenContext(f, v)
-        e = max(_size(f.P, v, f.d), _size(f.Q, v, f.d))
-        m0 = F(1) if ctx.good_reduction else max(F(1), 2 * _cofactor_bound(f, v) * e)
+        e = max(F(*_size(f.P, v, f.d)), F(*_size(f.Q, v, f.d)))
+        m0 = F(1) if ctx.good_reduction else max(F(1), 2 * F(*_cofactor_bound(f, v)) * e)
         for _ in range(8):
             s = _near(m0, v, data)
             if v.is_finite:
@@ -382,3 +384,65 @@ def test_green_value_needs_the_bad_places_only_past_its_own_box():
     assert g.lower == 0 and g.upper <= TOL
     with pytest.raises(FactoringCap):
         canonical_height(f, (F(1, 2), F(0)), TOL)
+
+
+# -- the logarithm and the tail count on integers ------------------------------
+
+
+def _mpf_value(t) -> F:
+    sign, man, exp, _ = t
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+# 2^-200 <= q <= 2^400, and q near 1, where the last bits of the logarithm
+# see how its numerator and denominator were rounded
+_log_args = st.one_of(st.builds(F, st.integers(1, 2**400), st.integers(1, 2**200)),
+                      st.builds(lambda den, k: F(max(den + k, 1), den),
+                                st.integers(1, 2**200), st.integers(-2**20, 2**20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_args, st.sampled_from([53, 120, 240, 480]))
+@example(F(2**150 + 1, 2**150 + 3), 53)
+@example(F(3**190 - 1, 3**190), 120)
+def test_log_of_fraction_is_the_interval_context_log(q, prec):
+    # the reference: mpmath.iv at prec on the exact quotient
+    saved = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = prec
+        ref = mpmath.iv.log(mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator))
+    finally:
+        mpmath.iv.prec = saved
+    got = log_of_fraction(q, prec)
+    assert (got.lower, got.upper) == tuple(map(_mpf_value, ref._mpi_))
+
+
+def _tail_iterations_by_fractions(log_C, d, tol):
+    if not log_C:
+        return 0
+    target = log_C / (F(tol) * (d - 1))
+    n, power = 0, 1
+    while power < target:
+        power *= d
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("log_C, d, tol, n", [
+    (0, 2, F(1, 10**30), 0),
+    (F(8), 2, F(1), 3),  # d^3 (d - 1) tol = log_C exactly: n = 3 already suffices
+    (F(8) + F(1, 10**40), 2, F(1), 4),
+    (F(18), 3, F(1), 2),  # 3^2 2 = 18
+    (F(18, 7), 3, F(1, 7), 2),
+    (F(1, 3), 2, F(1), 0),
+    (F(1), 2, F(1), 0),
+])
+def test_tail_iterations_at_the_boundary(log_C, d, tol, n):
+    assert _tail_iterations(log_C, d, tol) == n == _tail_iterations_by_fractions(log_C, d, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, 10**6), st.integers(2, 5),
+       st.builds(F, st.integers(1, 10**6), st.integers(1, 10**40)))
+def test_tail_iterations_matches_the_fraction_loop(log_C, d, tol):
+    assert _tail_iterations(log_C, d, tol) == _tail_iterations_by_fractions(log_C, d, tol)

@@ -164,4 +164,4 @@ def test_mixed_fields_are_rejected():
     with pytest.raises(ValueError):
         K.generator() * L.generator()
     with pytest.raises(ZeroDivisionError):
-        K.zero().inverse()
+        K(0).inverse()

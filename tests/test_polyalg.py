@@ -256,7 +256,7 @@ def exact_pairs(draw):
         return x, y, TruncSeries2.constant(1, x.order)
     K = NumberField(draw(st.sampled_from([[-2, 0, 1], [1, 1, 1, 1, 1], [-3, 0, 2]])))
     x, y = (K(draw(st.lists(_small, min_size=1, max_size=K.degree))) for _ in "xy")
-    return x, y, K.one()
+    return x, y, K(1)
 
 
 @settings(max_examples=200, deadline=None)
