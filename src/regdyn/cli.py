@@ -122,19 +122,10 @@ def _parse_place(text: str) -> Place:
 # -- JSON rendering ---------------------------------------------------------
 
 
-def _json(value):
-    """Recursively render domain objects into JSON-serializable data."""
-    if type(value) in (int, float, str, bool, type(None)):  # one exact-type test
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json(v) for v in value]
-    node = _json_node(value)
-    return {k: _json(v) for k, v in node.items()} if isinstance(node, dict) else node
-
-
 def _json_node(value):
-    """One level of `_json` for a value that is no JSON scalar, list or
-    tuple: a dict whose values may still be domain objects, or a scalar."""
+    """The JSON form of a value that is no JSON scalar, list or tuple, one
+    level deep: a dict whose values may still be domain objects, or a
+    scalar.  `_encode` renders the handlers' domain objects through it."""
     # first a dmm report's roots of unity (dataclasses that print as sympy's exp)
     if isinstance(value, Zeta):
         return str(value)
@@ -168,12 +159,13 @@ def _json_node(value):
 
 
 def _point_json(pt):
-    return {"chart": pt.chart, "coordinate": _json(pt.coordinate),
+    return {"chart": pt.chart, "coordinate": pt.coordinate,
             "multiplicity": pt.multiplicity}
 
 
 # -- subcommand handlers ----------------------------------------------------
-# each returns (result, witnesses, caps, exit_code)
+# each returns (result, witnesses, caps, exit_code), holding domain objects
+# that `_print` renders
 
 
 def _cmd_classify(args):
@@ -184,8 +176,8 @@ def _cmd_classify(args):
     for pt in pts:
         lam = multiplier((f.top_P, f.top_Q), pt)
         result["fixed_points_at_infinity"].append({
-            "point": _point_json(pt), "multiplier": _json(lam),
-            "classification": _json(classify_multiplier(lam))})
+            "point": _point_json(pt), "multiplier": lam,
+            "classification": classify_multiplier(lam)})
     return result, {"multiplicity_sum": sum(p.multiplicity for p in pts)}, {}, 0
 
 
@@ -201,14 +193,14 @@ def _cmd_green(args):
         if not any(pt):
             raise InputError("the homogeneous point must not be 0,0,0")
         g = green_homog(ctx, pt, tol)
-        inp = {"homogeneous_point": [_json(c) for c in pt]}
+        inp = {"homogeneous_point": pt}
     else:
         pt = _parse_point(args.point)
         g = green_value(ctx, pt, tol)
-        inp = {"point": [_json(c) for c in pt]}
-    result = {"green": _json(g), "place": _json(v)}
+        inp = {"point": pt}
+    result = {"green": g, "place": v}
     result.update(inp)
-    wit = {"nullstellensatz_constant": _json(ctx.C),
+    wit = {"nullstellensatz_constant": ctx.C,
            "good_reduction": ctx.good_reduction}
     return result, wit, {"tol": float(tol)}, 0
 
@@ -218,12 +210,11 @@ def _cmd_height(args):
     pt = _parse_point(args.point)
     tol = _parse_tol(args.tol) if args.tol else DEFAULT_TOL
     h = canonical_height(f, pt, tol)
-    result = {"canonical_height": _json(h.value),
-              "support": [_json(v) for v in h.support],
+    result = {"canonical_height": h.value, "support": h.support,
               "certified": True,  # every enclosure is proved; a key of the v1 schema
-              "preperiodicity": _json(h.verdict)}
+              "preperiodicity": h.verdict}
     code = 3 if h.verdict.kind == "Unknown" else 0
-    return result, {"verdict_witness": _json(h.verdict)}, {"tol": float(tol)}, code
+    return result, {"verdict_witness": h.verdict}, {"tol": float(tol)}, code
 
 
 def _cmd_orbit(args):
@@ -240,8 +231,7 @@ def _cmd_orbit(args):
             capped = True
             break
         rows.append(pt)
-    result = {"orbit": [[_json(c) for c in row] for row in rows],
-              "length": len(rows)}
+    result = {"orbit": rows, "length": len(rows)}
     caps = {"n": args.n, "bit_capped": capped, "max_bits": MAX_BITS}
     return result, {}, caps, 0
 
@@ -272,10 +262,10 @@ def _cmd_stable_manifold(args):
         except ValueError as exc:  # e.g. the y^d coefficient has no rational root
             raise InputError(f"cannot localize at the fixed point "
                              f"{p.coordinate.as_rational()}: {exc}") from exc
-        entry = {"point": _point_json(p), "lambda": _json(germ.lam)}
+        entry = {"point": _point_json(p), "lambda": germ.lam}
         try:
             phi = super_stable_series(germ)
-            entry["phi_coefficients"] = [_json(c) for c in phi.coeffs]
+            entry["phi_coefficients"] = phi.coeffs
             if germ.lam == 1:
                 k, res = parabolic_normal_form(germ, phi)
                 nf = {"kind": "parabolic", "k": k}
@@ -302,7 +292,7 @@ def _cmd_curve(args):
     result = {"curve": C.poly.to_string(),
               "points_at_infinity": [_point_json(p) for p in points_at_infinity(C)],
               "pushforward": img.poly.to_string(),
-              "orbit_status": _json(status)}
+              "orbit_status": status}
     caps = {"max_iters": args.max_iters, "max_degree": args.max_degree}
     code = 3 if status.kind == "NotDetectedPreperiodic" else 0
     return result, {"orbit_degrees": [c.degree for c in status.orbit]}, caps, code
@@ -324,7 +314,6 @@ def _cmd_dmm(args):
         "hypothesis_witnessed": rep.hypothesis_witnessed,
         "conclusion_witnessed": rep.conclusion_witnessed,
         "consistency": rep.consistency,
-        # the report's objects are rendered as they are printed (`_print`)
         "curve_status": rep.curve_status,
         "infinity_points": [{
             "point": _point_json(r.point),
@@ -351,8 +340,10 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def _build_parser():
+    """The top parser; its `commands` maps each subcommand to its parser."""
     p = _Parser(prog="regdyn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     def add(name, handler, **kw):
         sp = sub.add_parser(name, **kw)
@@ -414,10 +405,10 @@ _SCALARS = {str: _ASCII, int: int.__repr__, float: _float_text, type(None): lamb
 
 
 def _encode(value, out: list, indent: str):
-    """Append to out the text json.dumps(_json(value), indent=2) prints
-    for value at this indent, in one pass: domain objects are rendered on
-    the way, where the standard library's indented encoder runs in Python
-    through a generator per container."""
+    """Append to out the text json.dumps(value, indent=2) prints for value
+    at this indent, in one pass: domain objects are rendered on the way
+    (`_json_node`), where the standard library's indented encoder runs in
+    Python through a generator per container."""
     text = _SCALARS.get(type(value))
     if text is not None:
         out.append(text(value))
@@ -438,7 +429,7 @@ def _encode(value, out: list, indent: str):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(_float_text(value))
-    else:  # a domain object, rendered as `_json` renders it
+    else:  # a domain object
         _encode(_json_node(value), out, indent)
 
 
@@ -461,8 +452,8 @@ def _encode_items(items, brackets: str, out: list, indent: str):
 
 
 def _print(doc: dict):
-    """Print the one JSON document, as print(json.dumps(_json(doc),
-    indent=2)) would.  When the reader has closed stdout (as `| head`
+    """Print the one JSON document, its domain objects rendered (`_encode`),
+    with indent 2.  When the reader has closed stdout (as `| head`
     does) stdout goes to devnull instead, so that neither this print nor
     the flush at exit ends in a traceback, and the exit code stands."""
     out = []
@@ -484,8 +475,16 @@ def _error(doc: dict, exc: Exception, t0: float) -> int:
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     t0 = time.monotonic()
+    top = _build_parser()
+    sub = top.commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if sub is None or "-h" in argv or "--help" in argv:
+            args = top.parse_args(argv)
+        else:  # the subcommand's parser alone, as the top parser would call it
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                top.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 2
     except InputError as exc:

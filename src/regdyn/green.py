@@ -29,7 +29,7 @@ from fractions import Fraction
 from .exactnum import (FactoringCap, Place, _int_valuation, abs_at_place_exact, prime_factors,
                        valuation)
 from .exactnum import sp  # noqa: F401  regbench's tracer swaps this module's sp
-from .intervals import RealInterval, escape_norm, log_of_fraction, DEFAULT_PREC
+from .intervals import RealInterval, escape_norm, log_bound, log_of_fraction, DEFAULT_PREC
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit, _triple
 from .padic import PrecisionLoss, escape_exponent
 from .polyalg import MultiPoly
@@ -318,12 +318,13 @@ def _arch_log_norm(lift, z0, z1, z2, n: int, d: int, prec: int) -> RealInterval:
     if not (lo or z0):
         raise PrecisionLoss("the enclosure of max(|a_n|, |b_n|) reaches 0")
     if abs(m) + k * D.bit_length() <= 4 * prec:
-        q, shift = Fraction(2) ** m / D**k, 0
+        q, shift = Fraction(2) ** m / D**k, RealInterval.exact(0)
     else:
         q = 1
         shift = log_of_fraction(2, prec).scale(m) - log_of_fraction(D, prec).scale(k)
-    lower = (shift + log_of_fraction(q * lo, prec)).lower if lo else 0
-    upper = (shift + log_of_fraction(q * hi, prec)).upper if hi else 0
+    # each end of the logarithm alone, rounded its way
+    lower = shift.lower + log_bound(q * lo, prec, False) if lo else 0
+    upper = shift.upper + log_bound(q * hi, prec, True) if hi else 0
     if z0:  # max(1, |a_n|, |b_n|)
         lower, upper = max(lower, 0), max(upper, 0)
     return RealInterval(lower, upper).scale(Fraction(1, d**n))

@@ -108,10 +108,19 @@ def _chart_pair(point: InfinityPoint) -> tuple:
     return (one, a) if point.chart == 0 else (a, one)
 
 
-def _diff(F: MultiPoly, var: int) -> MultiPoly:
-    """dF/dz (var 0) or dF/dw (var 1)."""
-    return MultiPoly({(i - 1 + var, j - var): c * (j if var else i)
-                      for (i, j), c in F.coeffs.items() if (j if var else i)})
+def _value_and_partial(F: MultiPoly, x, y, var: int) -> tuple:
+    """(F~(x, y), dF~/dz (var 0) or dF~/dw (var 1) at (x, y)), F~ = F.den F."""
+    X, Y = [1], [1]
+    for _ in range(F.degree):
+        X.append(X[-1] * x)
+        Y.append(Y[-1] * y)
+    value = partial = 0
+    for (i, j), c in F.num.items():
+        value += c * X[i] * Y[j]
+        k = j if var else i  # the exponent of the variable of the partial
+        if k:
+            partial += k * c * (X[i] * Y[j - 1] if var else X[i - 1] * Y[j])
+    return value, partial
 
 
 def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
@@ -120,19 +129,29 @@ def multiplier(forms: tuple, point: InfinityPoint) -> AlgebraicNumber:
     exactly in Q(coordinate).
 
     chart 1: t = z/w, map t -> A(t,1)/B(t,1); chart 0: t = w/z,
-    map t -> B(1,t)/A(1,t).  So the derivative of numerator and denominator
-    in t is their partial derivative in z (chart 1) or w (chart 0)."""
+    map t -> B(1,t)/A(1,t), numerator N, denominator D, each differentiated
+    in z (chart 1) or w (chart 0) on its integer numerators N~ = N.den N at
+    (x, y) = (u, a) (chart 0) or (a, u): a/u = p/q for a rational t, a the
+    generator of Q(t) and u = 1 otherwise.  As N~(x, y) = u^d N~(t) and
+    N~'(x, y) = u^(d-1) N~'(t), lam = u D.den (N~' D~ - N~ D~') / (N.den D~^2)."""
     A, B = forms
-    pair = _chart_pair(point)
-    a, b = A.eval(*pair), B.eval(*pair)
-    if pair[1] * a != pair[0] * b:
-        raise ValueError("point is not fixed by the map at infinity")
-    (N, n), (D, d) = ((B, b), (A, a)) if point.chart == 0 else ((A, a), (B, b))
+    t = point.coordinate
+    if t.is_rational():
+        p, u = t.minpoly_coeffs()  # the root -p/u, u > 0
+        a = -p
+    else:
+        a, u = t.number_field().generator(), 1
+    x, y = (u, a) if point.chart == 0 else (a, u)
     var = 1 - point.chart
-    lam = (_diff(N, var).eval(*pair) * d - n * _diff(D, var).eval(*pair)) / (d * d)
-    if point.coordinate.is_rational():
-        return AlgebraicNumber.from_rational(lam)
-    return _algebraic_from_nf(lam, point.coordinate)
+    (fa, fa_v), (fb, fb_v) = (_value_and_partial(F, x, y, var) for F in forms)
+    if y * fa * B.den != x * fb * A.den:
+        raise ValueError("point is not fixed by the map at infinity")
+    (N, n, n_v), (D, d, d_v) = ((B, fb, fb_v), (A, fa, fa_v)) if var else \
+        ((A, fa, fa_v), (B, fb, fb_v))
+    num, den = (n_v * d - n * d_v) * (u * D.den), d * d * N.den
+    if t.is_rational():
+        return AlgebraicNumber.from_rational(Fraction(num, den))
+    return _algebraic_from_nf(num / den, t)
 
 
 def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:

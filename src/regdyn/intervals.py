@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import from_int, mpi_div, mpi_log, round_ceiling, round_floor
+from mpmath.libmp import from_int, mpf_div, mpf_log, round_ceiling, round_floor
 
 DEFAULT_PREC = 120
 
@@ -48,9 +48,17 @@ class RealInterval:
             raise ValueError(f"empty interval: {self.lower} > {self.upper}")
 
     @staticmethod
+    def _ordered(lower: Fraction, upper: Fraction) -> "RealInterval":
+        """[lower, upper], ordered by construction: no `__post_init__` check."""
+        x = object.__new__(RealInterval)
+        object.__setattr__(x, "lower", lower)
+        object.__setattr__(x, "upper", upper)
+        return x
+
+    @staticmethod
     def exact(x) -> "RealInterval":
         q = Fraction(x)
-        return RealInterval(q, q)
+        return RealInterval._ordered(q, q)
 
     @property
     def width(self) -> Fraction:
@@ -65,12 +73,12 @@ class RealInterval:
 
     def __add__(self, other):
         other = _coerce(other)
-        return RealInterval(self.lower + other.lower, self.upper + other.upper)
+        return RealInterval._ordered(self.lower + other.lower, self.upper + other.upper)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealInterval(-self.upper, -self.lower)
+        return RealInterval._ordered(-self.upper, -self.lower)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -78,11 +86,11 @@ class RealInterval:
     def scale(self, q) -> "RealInterval":
         q = Fraction(q)
         if q >= 0:
-            return RealInterval(self.lower * q, self.upper * q)
-        return RealInterval(self.upper * q, self.lower * q)
+            return RealInterval._ordered(self.lower * q, self.upper * q)
+        return RealInterval._ordered(self.upper * q, self.lower * q)
 
     def clamp_nonnegative(self) -> "RealInterval":
-        return RealInterval(max(self.lower, Fraction(0)), max(self.upper, Fraction(0)))
+        return RealInterval._ordered(max(self.lower, Fraction(0)), max(self.upper, Fraction(0)))
 
     def __repr__(self):
         return f"RealInterval({float(self.lower)!r}, {float(self.upper)!r})"
@@ -101,10 +109,15 @@ def log_of_fraction(q: Fraction, prec: int = DEFAULT_PREC) -> RealInterval:
     endpoints are those of mpmath's interval context `mpmath.iv` there."""
     if q.numerator <= 0:
         raise ValueError("log of nonpositive rational")
-    num, den = ((from_int(n, prec, round_floor), from_int(n, prec, round_ceiling))
-                for n in (q.numerator, q.denominator))
-    lo, hi = mpi_log(mpi_div(num, den, prec), prec)
-    return RealInterval(_mpf_to_fraction(lo), _mpf_to_fraction(hi))
+    return RealInterval(log_bound(q, prec, False), log_bound(q, prec, True))
+
+
+def log_bound(q: Fraction, prec: int, upper: bool) -> Fraction:
+    """The lower (upper) end of `log_of_fraction(q, prec)` alone, rounded
+    down (up) at each step as mpmath's `mpi_div` and `mpi_log` round it."""
+    r, s = (round_ceiling, round_floor) if upper else (round_floor, round_ceiling)
+    x = mpf_div(from_int(q.numerator, prec, r), from_int(q.denominator, prec, s), prec, r)
+    return _mpf_to_fraction(mpf_log(x, prec, r))
 
 
 def _floor_scaled(q: Fraction, s: int) -> tuple:

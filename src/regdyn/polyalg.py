@@ -5,7 +5,9 @@ curves share with it."""
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 
 class PolyParseError(ValueError):
@@ -442,44 +444,9 @@ def homogeneous_top(P: MultiPoly) -> MultiPoly:
 # parser
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-
-    def peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self):
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def take_uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolyParseError("expected integer", start)
-        return int(self.text[start:self.pos])
-
-    def take_name(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise PolyParseError("expected name", start)
-        return self.text[start:self.pos]
+# a run of decimal digits, a name or any other non-space character; `split`
+# returns them between the whitespace runs, so every token has its position
+_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|\S)")
 
 
 def parse_poly(text: str, vars=("z", "w")) -> MultiPoly:
@@ -488,97 +455,117 @@ def parse_poly(text: str, vars=("z", "w")) -> MultiPoly:
     Grammar: expr := ['-'] term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := base ('^' uint)?; base := rational | var | '(' expr ')'.
 
-    Each term is read as one monomial c z^i w^j and summed straight into a
-    coefficient dict; MultiPoly products and powers are used only for
-    parenthesised sub-expressions."""
-    tok = _Tokenizer(text)
-    result = _parse_expr(tok, vars)
-    tok._skip_ws()
-    if tok.pos != len(text):
-        raise PolyParseError(f"unexpected character {text[tok.pos]!r}", tok.pos)
-    return MultiPoly(result)
+    The text is split into tokens once, each with its position (then "" at
+    the end of the text), and the descent reads them by index.  Each term is
+    read as one monomial c z^i w^j, c a pair (num, den), summed straight into
+    a coefficient dict; MultiPoly products and powers only for parentheses."""
+    parts = _TOKEN.split(text)
+    toks = parts[1::2]
+    toks.append("")
+    at = list(accumulate(map(len, parts)))[::2]
+    terms, i = _parse_expr(toks, at, 0, vars)
+    if toks[i]:
+        raise PolyParseError(f"unexpected character {text[at[i]]!r}", at[i])
+    return _from_pairs(terms)
 
 
-def _parse_expr(tok: _Tokenizer, vars) -> dict:
-    """The coefficient dict of an expr, its values ints or Fractions.  A
-    monomial enters it where it first appears, leaves it when its
-    coefficients cancel and may then re-enter at the end: the order of
-    MultiPoly sums, which MultiPoly.eval follows."""
+def _from_pairs(terms: dict) -> MultiPoly:
+    """The MultiPoly of a dict of nonzero coefficients (num, den), den > 0."""
+    den = math.lcm(*[d for _, d in terms.values()])
+    return MultiPoly._make({e: n * (den // d) for e, (n, d) in terms.items()}, den)
+
+
+def _parse_expr(toks: list, at: list, i: int, vars) -> tuple:
+    """(the coefficient dict of the expr at token i, the index after it),
+    its values nonzero pairs (num, den).  A monomial enters it where it
+    first appears, leaves it when its coefficients cancel and may then
+    re-enter at the end: the order of MultiPoly sums, which MultiPoly.eval
+    follows."""
     sign = 1
-    if tok.peek() == "-":
-        tok.take()
-        sign = -1
-    elif tok.peek() == "+":
-        tok.take()
+    if toks[i] == "-":
+        i, sign = i + 1, -1
+    elif toks[i] == "+":
+        i += 1
     out = {}
     while True:
-        for e, c in _parse_term(tok, vars):
-            c = out.get(e, 0) + sign * c
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-        if tok.peek() not in ("+", "-"):
-            return out
-        sign = 1 if tok.take() == "+" else -1
+        items, i = _parse_term(toks, at, i, vars)
+        for e, (n, d) in items:
+            old = out.get(e)
+            if old is not None:
+                m, c = old
+                n, d = (m + sign * n, d) if c == d else (m * d + sign * n * c, c * d)
+                if not n:
+                    del out[e]
+                    continue
+            elif sign < 0:
+                n = -n
+            out[e] = (n, d)
+        if toks[i] == "+":
+            sign = 1
+        elif toks[i] == "-":
+            sign = -1
+        else:
+            return out, i
+        i += 1
 
 
-def _parse_term(tok: _Tokenizer, vars):
-    """The ((i, j), c) items of a term: one monomial, or a MultiPoly product
-    when the term has parenthesised factors."""
-    c, i, j, rest = 1, 0, 0, None
+def _uint(toks: list, at: list, i: int) -> int:
+    if not toks[i].isdecimal():
+        raise PolyParseError("expected integer", at[i])
+    return int(toks[i])
+
+
+def _parse_term(toks: list, at: list, i: int, vars) -> tuple:
+    """(the ((i, j), (num, den)) items of the term at token i, the index after
+    it): one monomial, or a MultiPoly product for parenthesised factors."""
+    num, den, a, b, rest = 1, 1, 0, 0, None
     while True:
-        base = _parse_base(tok, vars)
-        if tok.peek() == "^":
-            tok.take()
-            k = tok.take_uint()
+        base, i = _parse_base(toks, at, i, vars)
+        if toks[i] == "^":
+            k = _uint(toks, at, i + 1)
+            i += 2
         else:
             k = 1
         if isinstance(base, MultiPoly):
             base = base ** k
             rest = base if rest is None else rest * base
-        elif isinstance(base, tuple):
-            i, j = i + k * base[0], j + k * base[1]
         else:
-            c *= base ** k
-        if tok.peek() != "*":
+            n, d, x, y = base
+            num, den, a, b = num * n ** k, den * d ** k, a + k * x, b + k * y
+        if toks[i] != "*":
             break
-        tok.take()
-    if not c:
-        return ()
+        i += 1
+    if not num:
+        return (), i
     if rest is None:
-        return (((i, j), c),)
-    return (rest * MultiPoly({(i, j): c})).coeffs.items()
+        return (((a, b), (num, den)),), i
+    rest = rest * MultiPoly._make({(a, b): num}, den)
+    return [(e, (n, rest.den)) for e, n in rest.num.items()], i
 
 
-def _parse_base(tok: _Tokenizer, vars):
-    """A rational (an int or a Fraction), a variable (its exponent pair) or
-    a parenthesised expr (MultiPoly)."""
-    c = tok.peek()
-    if c is None:
-        raise PolyParseError("unexpected end of input", tok.pos)
-    if c == "(":
-        tok.take()
-        inner = _parse_expr(tok, vars)
-        if tok.peek() != ")":
-            raise PolyParseError("expected ')'", tok.pos)
-        tok.take()
-        return MultiPoly(inner)
-    if c.isdigit():
-        num = tok.take_uint()
-        if tok.peek() == "/":
-            tok.take()
-            den = tok.take_uint()
-            if den == 0:
-                raise PolyParseError("zero denominator", tok.pos)
-            return Fraction(num, den)
-        return num
-    if c.isalpha():
-        pos = tok.pos
-        name = tok.take_name()
-        if name == vars[0]:
-            return (1, 0)
-        if name == vars[1]:
-            return (0, 1)
-        raise PolyParseError(f"unknown variable {name!r}", pos)
-    raise PolyParseError(f"unexpected character {c!r}", tok.pos)
+_VARS = ((1, 1, 1, 0), (1, 1, 0, 1))  # z and w as monomials (num, den, i, j)
+
+
+def _parse_base(toks: list, at: list, i: int, vars) -> tuple:
+    """(the base at token i, the index after it): a rational or a variable
+    as a monomial (num, den, i, j), or a parenthesised expr as a MultiPoly."""
+    t = toks[i]
+    if t == "(":
+        terms, i = _parse_expr(toks, at, i + 1, vars)
+        if toks[i] != ")":
+            raise PolyParseError("expected ')'", at[i])
+        return _from_pairs(terms), i + 1
+    if t.isdecimal():
+        if toks[i + 1] != "/":
+            return (int(t), 1, 0, 0), i + 1
+        den = _uint(toks, at, i + 2)
+        if den == 0:
+            raise PolyParseError("zero denominator", at[i + 2] + len(toks[i + 2]))
+        return (int(t), den, 0, 0), i + 3
+    if t in vars:
+        return _VARS[vars.index(t)], i + 1
+    if not t:
+        raise PolyParseError("unexpected end of input", at[i])
+    if t[0].isalpha():
+        raise PolyParseError(f"unknown variable {t!r}", at[i])
+    raise PolyParseError(f"unexpected character {t[0]!r}", at[i])

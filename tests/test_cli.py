@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regdyn
-from regdyn import exactnum
+from regdyn import cli, exactnum
 from regdyn.cli import run
 from regdyn.curves import PlaneCurve
 from regdyn.exactnum import Place
@@ -402,14 +402,17 @@ def test_json_is_single_document(capsys):
 
 
 def test_json_keeps_plain_scalars_and_renders_the_rest():
-    # bool, None, int, float and str are returned as they are (True stays
-    # True, not 1 or "True"); tuples become lists and a Zeta its text
-    from regdyn.cli import _json
+    # bool, None, int, float and str are printed as json.dumps prints them
+    # (True stays true, not 1 or "True"); tuples become lists and a Zeta its text
+    from regdyn.cli import _encode
     from regdyn.curves import Zeta
-    leaves = [True, False, None, 0, 2**70, 2.5, "s"]
-    assert all(_json(v) is v for v in leaves)
-    assert _json((True, [None, (Zeta(F(1, 4)), F(1, 2))])) == \
-        [True, [None, ["I", {"exact": "1/2", "approx": 0.5}]]]
+    for value, plain in [(True, True), (False, False), (None, None), (0, 0), (2**70, 2**70),
+                         (2.5, 2.5), ("s", "s"),
+                         ((True, [None, (Zeta(F(1, 4)), F(1, 2))]),
+                          [True, [None, ["I", {"exact": "1/2", "approx": 0.5}]]])]:
+        out = []
+        _encode(value, out, "")
+        assert "".join(out) == json.dumps(plain, indent=2)
 
 
 _json_values = st.recursive(
@@ -432,14 +435,20 @@ def test_the_writer_prints_what_json_dumps_prints(value):
 
 
 def test_the_writer_renders_domain_objects_as_json_does():
-    from regdyn.cli import _encode, _json
+    from regdyn.cli import _encode
     from regdyn.curves import Zeta, CurveOrbitStatus
     value = [Zeta(F(1, 3)), F(-7, 2), F(10**400), Place(5), Place(None),
              RealInterval(F(1, 3), F(1, 2)), CurveOrbitStatus("Fixed", 0, 1, [], {1: 2}),
              {"nested": (Zeta(F(1, 2)), object)}]
+    plain = ["exp(2*I*pi/3)", {"exact": "-7/2", "approx": -3.5},
+             {"exact": f"{10**400}/1", "approx": None}, 5, "inf",
+             {"lo": 1 / 3, "hi": 0.5, "lo_exact": "1/3", "hi_exact": "1/2"},
+             {"type": "CurveOrbitStatus", "kind": "Fixed", "preperiod": 0, "period": 1,
+              "orbit": [], "caps": {"1": 2}},
+             {"nested": ["-1", repr(object)]}]
     out = []
     _encode(value, out, "")
-    assert "".join(out) == json.dumps(_json(value), indent=2)
+    assert "".join(out) == json.dumps(plain, indent=2)
 
 
 def test_a_dmm_document_is_printed_as_json_dumps_prints_it(capsys):
@@ -574,6 +583,63 @@ def test_usage_error_names_the_subcommand_and_the_argument(capsys):
 def test_help_still_exits_0_with_usage_text(capsys):
     assert run(["classify", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: regdyn classify")
+
+
+_MAP = "z^2+w, w^2-z"
+
+
+def _outcome(argv):
+    """The exit code and the printed document minus its timing (or the
+    printed text, for --help)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    text = out.getvalue()
+    if not text.startswith("{"):
+        return code, text
+    doc = json.loads(text)
+    del doc["timing"]
+    return code, doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--map", "z^2, w^2"],
+    ["classify", "--map=(z + 1)^2 - w ,  w^2 + 1/2 * z"],
+    ["green", "--map", _MAP, "--point", "1,2", "--place", "3"],
+    ["green", f"--map={_MAP}", "--homog=0,1,2", "--tol=1e-5"],
+    ["green", "--map", "z^2, w^2", "--poi=1,2"],
+    ["height", "--map", _MAP, "--point=1,2", "--tol", "1e-6"],
+    ["orbit", "--map", _MAP, "--point", "1,2", "-n5"],
+    ["orbit", f"--map={_MAP}", "--point=1,2", "-n", "3"],
+    ["stable-manifold", "--map", "2*z^2+w, w^2", "--point", "2", "--order", "6"],
+    ["stable-manifold", "--map=2*z^2+w, w^2", "--order=6"],
+    ["curve", "--map", "z^2, w^2", "--curve", "w - z", "--max-iters", "2", "--max-degree=4"],
+    ["dmm", "--map", "z^2, w^2", "--curve=w - z", "--max-iters=1", "--max-degree", "4",
+     "--height-bound", "1", "--max-order", "2"],
+    ["height", "--map", _MAP],
+    ["height", "--map", _MAP, "--point=1,2", "--bogus", "1"],
+    ["classify", "--map", "z^2, w^2", "extra"],
+    ["classify", "--", "--map", "z^2, w^2"],
+    ["dmm", "--map", "z^2, w^2", "--curve", "w - z", "--max", "1"],
+    ["height", "--map", _MAP, "--point", "-1,2"],
+    ["orbit", "--map", _MAP, "--point=1,2", "-n", "x"],
+    [],
+    ["collapse", "--map", "z^2, w^2"],
+    ["--map", "z^2, w^2"],
+    ["--help"],
+    ["height", "--help"],
+    ["orbit", "-h", "--map", _MAP],
+], ids=["classify", "classify-spaced", "green-point", "green-homog-equals", "green-abbreviated",
+        "height", "orbit-n5", "orbit-equals", "stable-manifold", "stable-manifold-equals",
+        "curve", "dmm", "missing-option", "unknown-option", "stray-positional",
+        "double-dash", "ambiguous-abbreviation", "negative-looking-value", "bad-count",
+        "bare", "unknown-command", "option-first", "help", "height-help", "orbit-h"])
+def test_one_argparse_pass_gives_the_two_pass_document(monkeypatch, argv):
+    got = _outcome(argv)
+    # the oracle: every argv through the top parser's parse_args, which
+    # runs the subcommand's parser inside it
+    monkeypatch.setattr(cli._build_parser(), "commands", {})
+    assert got == _outcome(argv)
 
 
 def _count_pushforwards(monkeypatch):

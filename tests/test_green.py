@@ -417,6 +417,19 @@ def test_log_of_fraction_is_the_interval_context_log(q, prec):
     assert (got.lower, got.upper) == tuple(map(_mpf_value, ref._mpi_))
 
 
+def test_a_disordered_interval_is_refused_and_every_operation_keeps_the_order():
+    with pytest.raises(ValueError, match="empty interval"):
+        RealInterval(F(2), F(1))
+    x = RealInterval(F(-1, 3), F(1, 2))
+    # the results built without the order check: each is a valid interval
+    for y, ends in [(x + x, (F(-2, 3), 1)), (-x, (F(-1, 2), F(1, 3))),
+                    (x - x, (F(-5, 6), F(5, 6))), (x.scale(-3), (F(-3, 2), 1)),
+                    (x.scale(F(1, 2)), (F(-1, 6), F(1, 4))), (x.clamp_nonnegative(), (0, F(1, 2))),
+                    (RealInterval.exact(F(5, 7)), (F(5, 7), F(5, 7)))]:
+        assert (y.lower, y.upper) == ends
+        assert y == RealInterval(*ends)
+
+
 def _tail_iterations_by_fractions(log_C, d, tol):
     if not log_C:
         return 0

@@ -334,6 +334,52 @@ def test_every_fixed_point_passes_the_fixedness_check(cs):
             assert multiplier(forms, p).as_rational() == _chart_derivative(forms, p)
 
 
+_den_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_every_multiplier_is_the_derivative_of_the_chart_map(d, data):
+    # random regular maps of degree 2 and 3 with coefficient denominators,
+    # their fixed form w P_d - z Q_d drawn as a product of linear and
+    # quadratic forms, so that most fixed points have degree 1 or 2; sympy
+    # differentiates the chart map and evaluates it at each of those in
+    # radicals (higher degrees take CRootOf values and are left to
+    # `test_irrational_multiplier_is_a_root_of_its_minimal_polynomial`)
+    z, w, t = sp.symbols("z w t")
+    fixed = MultiPoly.constant(data.draw(_den_coeffs.filter(bool)))
+    degrees = data.draw(st.sampled_from([(1, 2), (1, 1, 1)] if d == 2 else
+                                        [(2, 2), (1, 1, 2), (1, 3)]))
+    for k in degrees:
+        cs = data.draw(st.lists(_den_coeffs, min_size=k + 1, max_size=k + 1))
+        fixed = fixed * MultiPoly({(k - j, j): c for j, c in enumerate(cs)})
+    P = data.draw(st.lists(_den_coeffs, min_size=d, max_size=d))
+    P = MultiPoly({**{(d - j, j): c for j, c in enumerate(P)},
+                   (0, d): fixed.coeffs.get((0, d + 1), 0)})
+    # Q_d = (w P_d - fixed) / z, every term of the numerator having a z
+    Q = MultiPoly({(i - 1, j): c
+                   for (i, j), c in (MultiPoly.variable(1) * P - fixed).coeffs.items()})
+    P = P + MultiPoly({(0, 1): data.draw(_den_coeffs)})
+    Q = Q + MultiPoly({(1, 0): data.draw(_den_coeffs)})
+    try:
+        f = make_regular_map(P, Q)
+    except (NotRegular, ValueError):
+        assume(False)
+    A, B = (form.to_poly(z, w).as_expr() for form in (f.top_P, f.top_Q))
+    for p in fixed_points_infinity(f):
+        if p.coordinate.degree > 2:
+            continue
+        if p.chart == 0:
+            g = B.subs({z: 1, w: t}) / A.subs({z: 1, w: t})
+        else:
+            g = A.subs({z: t, w: 1}) / B.subs({z: t, w: 1})
+        root = p.coordinate.minpoly.all_roots()[p.coordinate.embedding_index]
+        want = sp.diff(g, t).subs(t, root)
+        lam = multiplier((f.top_P, f.top_Q), p)
+        got = lam.minpoly.all_roots()[lam.embedding_index]
+        assert sp.expand(sp.radsimp(want - got)) == 0
+
+
 def test_multiplier_refuses_a_point_that_is_not_fixed():
     f = make_regular_map("z^2", "w^2")
     with pytest.raises(ValueError):

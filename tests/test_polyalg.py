@@ -80,11 +80,57 @@ def test_parse_errors_keep_their_message_and_position():
             ("z^2 + + w", "unexpected character '+'", 6), ("z^", "expected integer", 2),
             ("(z + w", "expected ')'", 6), ("z + 1/0", "zero denominator", 7),
             ("z * x", "unknown variable 'x'", 4), ("z w", "unexpected character 'w'", 2),
-            ("", "unexpected end of input", 0), ("z*-1", "unexpected character '-'", 2)]:
+            ("", "unexpected end of input", 0), ("z*-1", "unexpected character '-'", 2),
+            ("1/ 0", "zero denominator", 4), ("z*", "unexpected end of input", 2),
+            ("z^ ", "expected integer", 3), ("((z)", "expected ')'", 4),
+            ("1 / 00 ", "zero denominator", 6), ("z2", "unknown variable 'z2'", 0),
+            ("2z", "unexpected character 'z'", 1), ("_z", "unexpected character '_'", 0),
+            ("z\t+\n", "unexpected end of input", 4), ("1/x", "expected integer", 2)]:
         with pytest.raises(PolyParseError) as err:
             parse_poly(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+
+# the same grammar as text only, each token after a random run of spaces,
+# tabs or newlines
+_space = st.text(" \t\n", max_size=2)
+
+
+@st.composite
+def _spaced_expressions(draw, depth=2):
+    def token(t):
+        return draw(_space) + t
+
+    def factor(depth):
+        kind = draw(st.integers(0, 3 if depth else 2))
+        if kind == 0:  # no power: sympy reads n/d^k as n/(d^k), the grammar (n/d)^k
+            n, d = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+            return token(str(n)) + token("/") + token(str(d))
+        base = (token(str(draw(st.integers(0, 12)))) if kind == 1 else
+                token(draw(st.sampled_from("zw"))) if kind == 2 else
+                token("(") + expr(depth - 1) + token(")"))
+        return base + token("^") + token(str(draw(st.integers(0, 3)))) if draw(st.booleans()) \
+            else base
+
+    def expr(depth):
+        text = token(draw(st.sampled_from(["", "-", "+"])))
+        for k in range(draw(st.integers(1, 3))):
+            if k:
+                text += token(draw(st.sampled_from("+-")))
+            text += token("*").join(factor(depth) for _ in range(draw(st.integers(1, 3))))
+        return text
+
+    return expr(depth) + draw(_space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spaced_expressions())
+def test_parse_matches_sympy_on_sums_of_products_with_any_spacing(text):
+    z, w = sp.symbols("z w")
+    want = sp.Poly(sp.sympify(" ".join(text.split()), locals={"z": z, "w": w}), z, w)
+    got = parse_poly(text).coeffs
+    assert got == {e: F(int(c.p), int(c.q)) for e, c in want.terms() if c}
 
 
 def test_roundtrip_printer():
