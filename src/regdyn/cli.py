@@ -122,22 +122,21 @@ def _parse_place(text: str) -> Place:
 # -- JSON rendering ---------------------------------------------------------
 
 
+def _fraction_json(q: Fraction) -> dict:
+    try:
+        approx = float(q)
+    except OverflowError:  # outside the float range
+        approx = None
+    return {"exact": f"{q.numerator}/{q.denominator}", "approx": approx}
+
+
 def _json_node(value):
-    """The JSON form of a value that is no JSON scalar, list or tuple, one
-    level deep: a dict whose values may still be domain objects, or a
-    scalar.  `_encode` renders the handlers' domain objects through it."""
-    # first a dmm report's roots of unity (dataclasses that print as sympy's exp)
-    if isinstance(value, Zeta):
-        return str(value)
-    if isinstance(value, Fraction):
-        try:
-            approx = float(value)
-        except OverflowError:  # outside the float range
-            approx = None
-        return {"exact": f"{value.numerator}/{value.denominator}", "approx": approx}
+    """The JSON form of a domain object that has no writer of its own
+    (`_new_writer`), one level deep: a dict whose values may still be domain
+    objects, or a scalar."""
     if isinstance(value, AlgebraicNumber):
         if value.is_rational():
-            return _json_node(value.as_rational())
+            return _fraction_json(value.as_rational())
         z = complex(value.approx())
         return {"minpoly": value.minpoly_text(),
                 "root_index": value.embedding_index,
@@ -149,12 +148,6 @@ def _json_node(value):
         return {"lo": float(value.lower), "hi": float(value.upper),
                 "lo_exact": f"{value.lower.numerator}/{value.lower.denominator}",
                 "hi_exact": f"{value.upper.numerator}/{value.upper.denominator}"}
-    if hasattr(value, "__dataclass_fields__"):
-        d = {"type": type(value).__name__}
-        d.update({k: getattr(value, k) for k in value.__dataclass_fields__})
-        return d
-    if isinstance(value, dict):
-        return {str(k): v for k, v in value.items()}
     return repr(value)
 
 
@@ -399,56 +392,92 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else _FLOATS.get(x) or float.__repr__(x)
 
 
-# the text of each exact scalar type, and of a root of unity, by type
+# the text of each exact scalar type, and of a root of unity, by type; the
+# subclasses of str, int and float join as they are met (`_new_writer`)
 _SCALARS = {str: _ASCII, int: int.__repr__, float: _float_text, type(None): lambda _: "null",
             bool: lambda b: "true" if b else "false", Zeta: lambda z: _ASCII(str(z))}
+_KEYS = {}  # the text '"key": ' of each str dict key met so far
 
 
 def _encode(value, out: list, indent: str):
     """Append to out the text json.dumps(value, indent=2) prints for value
-    at this indent, in one pass: domain objects are rendered on the way
-    (`_json_node`), where the standard library's indented encoder runs in
-    Python through a generator per container."""
+    at this indent, in one pass: domain objects are rendered on the way,
+    where the standard library's indented encoder runs in Python through a
+    generator per container.  Every other type has one writer (`_WRITERS`),
+    chosen when the type is first met."""
     text = _SCALARS.get(type(value))
     if text is not None:
         out.append(text(value))
-    elif isinstance(value, (list, tuple)):
-        if value:
-            _encode_items(((None, v) for v in value), "[]", out, indent)
-        else:
-            out.append("[]")
-    elif isinstance(value, dict):
-        if value:
-            _encode_items(((_ASCII(str(k)) + ": ", v) for k, v in value.items()), "{}", out,
-                          indent)
-        else:
-            out.append("{}")
-    elif isinstance(value, str):  # subclasses, as json.dumps takes them
-        out.append(_ASCII(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    else:  # a domain object
-        _encode(_json_node(value), out, indent)
+    else:
+        _WRITERS.get(type(value), _new_writer)(value, out, indent)
 
 
-def _encode_items(items, brackets: str, out: list, indent: str):
-    """The items of a nonempty list or dict, each (key text or None, value),
-    one a line inside the brackets."""
+def _write_list(value, out: list, indent: str):
+    if not value:
+        out.append("[]")
+        return
     inner = indent + "  "
-    sep = brackets[0] + "\n" + inner
-    for key, v in items:
-        if key is not None:
-            sep += key
+    sep, head = ",\n" + inner, "[\n" + inner
+    texts = [_SCALARS.get(type(v)) for v in value]
+    if None not in texts:  # a leaf container, all scalars: one join
+        out.append(head + sep.join([text(v) for text, v in zip(texts, value)])
+                   + "\n" + indent + "]")
+        return
+    for text, v in zip(texts, value):
+        if text is None:
+            out.append(head)
+            _WRITERS.get(type(v), _new_writer)(v, out, inner)
+        else:  # a scalar, in the same append as its separator
+            out.append(head + text(v))
+        head = sep
+    out.append("\n" + indent + "]")
+
+
+def _write_dict(value, out: list, indent: str):
+    if not value:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    sep, head = ",\n" + inner, "{\n" + inner
+    for k, v in value.items():
+        key = _KEYS.get(k)
+        if key is None:
+            key = _ASCII(k if isinstance(k, str) else str(k)) + ": "
+            if type(k) is str:
+                _KEYS[k] = key
         text = _SCALARS.get(type(v))
         if text is None:
-            out.append(sep)
-            _encode(v, out, inner)
-        else:  # a scalar, in the same append as its separator
-            out.append(sep + text(v))
-        sep = ",\n" + inner
-    out.append("\n" + indent + brackets[1])
+            out.append(head + key)
+            _WRITERS.get(type(v), _new_writer)(v, out, inner)
+        else:
+            out.append(head + key + text(v))
+        head = sep
+    out.append("\n" + indent + "}")
+
+
+_WRITERS = {list: _write_list, tuple: _write_list, dict: _write_dict,
+            Fraction: lambda q, out, indent: _write_dict(_fraction_json(q), out, indent)}
+
+
+def _new_writer(value, out: list, indent: str):
+    """Write a value of a type met for the first time, keeping its writer: a
+    subclass of a JSON type, of Zeta or of Fraction prints as its base, a
+    dataclass as {"type": its class name, field: value, ...}, the rest as
+    `_json_node` renders it."""
+    t = type(value)
+    base = next((b for b in (list, tuple, dict, str, int, float, Zeta, Fraction)
+                 if issubclass(t, b)), None)
+    if base in _SCALARS:
+        _SCALARS[t] = _SCALARS[base]
+    elif base is not None:
+        _WRITERS[t] = _WRITERS[base]
+    elif hasattr(t, "__dataclass_fields__") and not issubclass(t, (Place, RealInterval)):
+        names, name = tuple(t.__dataclass_fields__), t.__name__
+        _WRITERS[t] = lambda value, out, indent: _write_dict(
+            {"type": name, **{k: getattr(value, k) for k in names}}, out, indent)
+    else:
+        _WRITERS[t] = lambda value, out, indent: _encode(_json_node(value), out, indent)
+    _encode(value, out, indent)
 
 
 def _print(doc: dict):

@@ -359,20 +359,35 @@ def _divides(R: dict, H: dict) -> bool:
     when R is free of w.  With n = deg_w R and l its leading coefficient in
     w, each step takes H to l H - t w^(k-n) R, t w^k the leading term of H
     in w; R divides the new H iff it divides H, as it does not divide l.  So
-    R | H iff H reaches 0 before its w-degree falls below n.  Written apart
-    from `_normal_form`, so that the test is independent of the kernel."""
+    R | H iff H reaches 0 before its w-degree falls below n.  H is kept as
+    rows {w-degree: {z-exponent: c}}.  Written apart from `_normal_form`, so
+    that the test is independent of the kernel."""
     if not any(j for _, j in R):  # R in Z[z]: swap z and w
         R, H = _swap(R), _swap(H)
     n = max(j for _, j in R)
-    lead = {(i, 0): c for (i, j), c in R.items() if j == n}
-    tail = {m: c for m, c in R.items() if m[1] < n}
-    H = {m: c for m, c in H.items() if c}
-    while H:
-        k = max(j for _, j in H)
+    lead, tail, rows = {}, {}, {}
+    for (i, j), c in R.items():
+        (lead if j == n else tail.setdefault(j, {}))[i] = c
+    for (i, j), c in H.items():
+        rows.setdefault(j, {})[i] = c
+    while rows:  # the rows may hold zero terms
+        k = max(rows)
+        top = {i: c for i, c in rows.pop(k).items() if c}
+        if not top:
+            continue
         if k < n:
             return False
-        top = {(i, k - n): H.pop((i, j)) for i, j in list(H) if j == k}
-        H = {m: c for m, c in _combine(_times(H, lead), 1, _times(top, tail), 1).items() if c}
+        if lead != {0: 1}:  # the rows times l
+            for j, row in rows.items():
+                rows[j] = prod = {}
+                for i, c in row.items():
+                    for h, e in lead.items():
+                        prod[i + h] = prod.get(i + h, 0) + c * e
+        for j, t in tail.items():  # minus top * tail, row by row
+            row = rows.setdefault(j + k - n, {})
+            for i, c in top.items():
+                for h, e in t.items():
+                    row[i + h] = row.get(i + h, 0) - c * e
     return True
 
 
@@ -607,9 +622,17 @@ def _unit_monomial_orbit(f: RegularMap, start: tuple):
     """The verdict of the exact orbit of the pair of roots of unity
     exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under f = (s1 z^d, s2
     w^d) or, swapped, (s1 w^d, s2 z^d), s_i = +-1 (`RegularMap._monomial`);
-    None if no cycle closes within ORBIT_CAP steps.  The orbit runs on the
+    None if no cycle closes within ORBIT_CAP steps."""
+    orbit = _exponent_orbit(f, start)
+    return None if orbit is None else _zeta_verdict(*orbit, 1)
+
+
+def _exponent_orbit(f: RegularMap, start: tuple):
+    """(N, orbit, k) for the orbit of `_unit_monomial_orbit`, run on the
     integer exponents of zeta_N, N = lcm(n1, n2, 2), so s_i = -1 is a half
-    turn N / 2; they stay in 0..N-1, so no size cap is needed."""
+    turn N / 2: its next point repeats orbit[k]; None if no cycle closes
+    within ORBIT_CAP steps.  The exponents stay in 0..N-1, so no size cap
+    is needed."""
     (e1, n1), (e2, n2) = start
     N, d = math.lcm(n1, n2, 2), f.d
     s1, s2, swapped = f._monomial
@@ -621,10 +644,14 @@ def _unit_monomial_orbit(f: RegularMap, start: tuple):
 
     orbit, k = _exact_orbit(step, (e1 * N // n1 % N, e2 * N // n2 % N), ORBIT_CAP,
                             lambda e: False)
-    if k is None:
-        return None
-    return PreperiodicityVerdict.preperiodic([(_zeta(e1, N), _zeta(e2, N)) for e1, e2 in orbit],
-                                             k)
+    return None if k is None else (N, orbit, k)
+
+
+def _zeta_verdict(N: int, orbit: list, k: int, power: int) -> PreperiodicityVerdict:
+    """The verdict of sigma(orbit), an exponent orbit of zeta_N whose next
+    point repeats orbit[k], sigma the Galois automorphism zeta_N -> zeta_N^power."""
+    return PreperiodicityVerdict.preperiodic(
+        [(_zeta(power * e1 % N, N), _zeta(power * e2 % N, N)) for e1, e2 in orbit], k)
 
 
 @lru_cache(maxsize=4096)
@@ -675,7 +702,10 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     near the roots of R(z1, w) (`_approx_roots`, `_roots_of_unity_near`),
     whose radii cover every exact root; a row R(z1, w) that vanishes in w,
     a vertical component, tries every z2.  The points of one z1 come in the
-    order of (order, exponent) of z2."""
+    order of (order, exponent) of z2.  The probe runs at z1 = zeta_n1 alone
+    (Lang; Beukers-Smyth): sigma_k, zeta -> zeta^k for k prime to 2 and to
+    every order up to max_order, fixes R and commutes with f, so it takes the
+    points over zeta_n1, and their orbits, to those over zeta_n1^k."""
     R = C.poly
     found = []
     seen = set()
@@ -704,24 +734,21 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     mono = f._monomial
     if mono is None or abs(mono[0]) != 1 or abs(mono[1]) != 1:
         return found
-    # roots-of-unity probes (numeric prefilter, exact confirmation)
+    # roots-of-unity probes (numeric prefilter, exact confirmation) at z1 = zeta_n1
     unit = {(n, a): complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n))
             for a, n in _roots_of_unity(max_order)}
     # bounds the rounding of each computed row coefficient and of Horner's
     # rule on the row, up to degrees in the thousands
     tol = 2.0 ** -40 * sum(map(abs, R.num.values()))
-    tried = {}  # (order, exponent) of the z2 tried, per z1
-    for (n1, a1), z1 in unit.items():
+    primes = math.factorial(max(max_order, 2))  # k prime to it is prime to every order
+    for n1 in range(1, max_order + 1):
+        a1 = 1 if n1 > 1 else 0
         # R(z1, w) = sum of row[dw - j] * w^j, for a Horner step per z2
         row = [0j] * (dw + 1)
         for (i, j), c in R.num.items():
-            row[dw - j] += complex(c) * z1**i
-        mirror = tried.get((n1, -a1 % n1))
-        # R(z1, w) = conj R(conj z1, conj w), R being real
-        tries = _unit_roots_tried(R, row, n1, a1, tol, max_order) if mirror is None \
-            else sorted((n, -a % n) for n, a in mirror)
-        tried[n1, a1] = tries
-        for n2, a2 in tries:
+            row[dw - j] += complex(c) * unit[n1, a1]**i
+        base = []  # (order, exponent) of z2 and its exponent orbit, at z1 = zeta_n1
+        for n2, a2 in _unit_roots_tried(R, row, n1, a1, tol, max_order):
             if n1 <= 2 and n2 <= 2 and height_bound >= 1:
                 continue  # (+-1, +-1) already covered by the rational search
             val = 0j
@@ -729,9 +756,13 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
                 val = val * unit[n2, a2] + c
             if abs(val) > 1e-8 or not _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
                 continue
-            verdict = _unit_monomial_orbit(f, ((a1, n1), (a2, n2)))
-            if verdict is not None:
-                found.append(FoundPoint((_zeta(a1, n1), _zeta(a2, n2)), verdict))
+            orbit = _exponent_orbit(f, ((a1, n1), (a2, n2)))
+            if orbit is not None:
+                base.append((n2, a2, orbit))
+        for a1 in (a for a in range(a1, n1) if math.gcd(a, n1) == 1):
+            k = next(k for k in range(a1, primes, n1) if math.gcd(k, primes) == 1)
+            for n2, a2, orbit in sorted((n2, k * a2 % n2, o) for n2, a2, o in base):
+                found.append(FoundPoint((_zeta(a1, n1), _zeta(a2, n2)), _zeta_verdict(*orbit, k)))
     return found
 
 

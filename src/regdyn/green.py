@@ -286,7 +286,7 @@ def _orbit_green(ctx: GreenContext, z0, z1, z2, tol: Fraction) -> RealInterval:
         return (_orbit_green(ctx, 1, z1, z2, tol / 2)
                 + _log_to_width(abs_at_place_exact(z0, v), 1, tol / 2))
     lift, C = f.lift, (ctx.C if z0 else _line_constant(ctx))
-    log_C = 0 if C == 1 else log_of_fraction(C).upper
+    log_C = 0 if C == 1 else log_bound(C, DEFAULT_PREC, True)
     n = _tail_iterations(log_C, d, tol / 2)
     tail = log_C / (d**n * (d - 1)) if log_C else 0  # the telescoped tail, each side
     prec = 64 if v.is_finite else DEFAULT_PREC

@@ -41,12 +41,22 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
 
     X_n, the primitive triple on the line through (z0, a_n, b_n), is that
     point scaled by a number of valuation m_n, and F'(X_n) = p^t X_(n+1)
-    gives m_(n+1) = d m_n + s - t."""
+    gives m_(n+1) = d m_n + s - t.
+
+    While t = 0, X_(n+1) reduces to F'(X_n) reduced in P^2(F_p), where F'
+    does not vanish.  So once a reduction repeats with no t > 0 step since,
+    t = 0 for good, and m_(n+r) = d^r m_n + s (d^r - 1) / (d - 1)."""
     d, s, mod, F, c = lift.d, _int_valuation(lift.D, p), p**k, lift.F, lift.c
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     m = -min(valuation(q, p) for q in pt if q)
     x0, x1, x2 = (_residue(q * Fraction(p)**m, mod) for q in pt)
-    for _ in range(n):
+    seen = set()  # the reductions since the last step with t > 0
+    for r in range(n, 0, -1):
+        u = pow(x0 % p or x1 % p or x2 % p, -1, p)  # the triple is primitive
+        point = (x0 * u % p, x1 * u % p, x2 * u % p)
+        if point in seen:
+            return d**r * m + s * (d**r - 1) // (d - 1)
+        seen.add(point)
         y0, y1, y2 = F(c, x0, x1, x2)
         g = math.gcd(mod, y0, y1, y2)  # as of the residues: p^t, t their least valuation
         t = 0
@@ -56,6 +66,7 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
             t = _int_valuation(g, p)
             mod //= g
             y0, y1, y2 = y0 // g, y1 // g, y2 // g
+            seen.clear()
         x0, x1, x2 = y0 % mod, y1 % mod, y2 % mod
         m = d * m + s - t
     return m

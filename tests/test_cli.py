@@ -9,6 +9,7 @@ from datetime import timedelta
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import regdyn
@@ -446,6 +447,77 @@ def test_the_writer_renders_domain_objects_as_json_does():
              {"type": "CurveOrbitStatus", "kind": "Fixed", "preperiod": 0, "period": 1,
               "orbit": [], "caps": {"1": 2}},
              {"nested": ["-1", repr(object)]}]
+    out = []
+    _encode(value, out, "")
+    assert "".join(out) == json.dumps(plain, indent=2)
+
+
+class _Str(str):
+    def __str__(self):  # json.dumps prints the characters, not str()
+        return "str() of a str subclass"
+
+
+class _Int(int):
+    def __repr__(self):  # json.dumps prints int.__repr__, not repr()
+        return "repr() of an int subclass"
+
+    __str__ = __repr__
+
+
+def _plain_fraction(q):
+    try:
+        approx = float(q)
+    except OverflowError:
+        approx = None
+    return {"exact": f"{q.numerator}/{q.denominator}", "approx": approx}
+
+
+def _pairs(values):
+    return [v for v, _ in values], [p for _, p in values]
+
+
+def _documents(inner):
+    """(document, the plain tree json.dumps prints the same) for containers
+    and the dataclasses of a dmm document, built over inner pairs."""
+    from regdyn.curves import CurveOrbitStatus, FoundPoint, PreperiodicityVerdict
+
+    def dataclass(cls, names):
+        return st.tuples(*[inner] * len(names)).map(lambda vs: (
+            cls(*(v for v, _ in vs)),
+            {"type": cls.__name__, **{n: p for n, (_, p) in zip(names, vs)}}))
+
+    lists = st.lists(inner, max_size=4).map(_pairs)
+    return (lists | lists.map(lambda vp: (tuple(vp[0]), vp[1]))
+            | st.dictionaries(st.text(max_size=3) | st.text(max_size=3).map(_Str), inner,
+                              max_size=4).map(
+                lambda d: ({k: v for k, (v, _) in d.items()}, {k: p for k, (_, p) in d.items()}))
+            | dataclass(FoundPoint, ["point", "verdict"])
+            | dataclass(PreperiodicityVerdict,
+                        ["kind", "preperiod", "period", "orbit", "height_lower"])
+            | dataclass(CurveOrbitStatus, ["kind", "preperiod", "period", "orbit", "caps"]))
+
+
+_leaves = (
+    (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4))
+    .map(lambda v: (v, v))
+    | st.text(max_size=4).map(lambda t: (_Str(t), t))
+    | st.integers(-2**70, 2**70).map(lambda i: (_Int(i), i))
+    | (st.fractions(max_denominator=10**6)
+       | st.builds(F, st.integers(-10**400, 10**400), st.integers(1, 10**6))).map(
+        lambda q: (q, _plain_fraction(q)))
+    | st.integers(1, 40).flatmap(lambda n: st.integers(0, n - 1).map(lambda a: (
+        exactnum.Zeta(F(a, n)), str(sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(a, n))))))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaves, _documents, max_leaves=25))
+def test_the_writer_prints_documents_of_domain_objects_as_json_dumps_prints_them(pair):
+    # nested dicts, lists and tuples of the dataclasses a dmm document holds,
+    # Fractions in and past the float range, Zetas, empty containers, and
+    # subclasses of str and int, against json.dumps of the plain tree
+    from regdyn.cli import _encode
+    value, plain = pair
     out = []
     _encode(value, out, "")
     assert "".join(out) == json.dumps(plain, indent=2)

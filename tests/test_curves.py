@@ -378,6 +378,18 @@ def test_roots_of_unity_probe_matches_the_pair_scan(case):
     assert got == _pair_scan(f, C, max_order)
 
 
+@pytest.mark.parametrize("P, Q, curve", [("-z^3", "w^3", "w - z"), ("z^2", "-w^2", "-z^3 + w"),
+                                         ("z^2", "-w^2", "w^4 - z^2")])
+def test_the_probe_matches_the_pair_scan_over_many_conjugates(P, Q, curve):
+    # at order 24 most points lie over a z1 = zeta_n^a with a != 1: they come
+    # from those over zeta_n by sigma_k, k = a mod n; over each z1, w^4 = z^2
+    # has four points, which sigma_k reorders
+    f, C = make_regular_map(P, Q), PlaneCurve(curve)
+    got = [(p.point, p.verdict) for p in find_preperiodic_points(f, C, 0, 24)]
+    assert len(got) > 100
+    assert got == _pair_scan(f, C, 24)
+
+
 def test_dmm_report_diagonal():
     f = make_regular_map("z^2", "w^2")
     rep = dmm_report(f, PlaneCurve("w - z"), height_bound=2, max_order=8)
@@ -653,6 +665,26 @@ def test_pseudo_division_agrees_with_sympy_rem(case):
     Rp = sp.Poly.from_dict(dict(R), z, w, domain=sp.ZZ)
     expected = not H or sp.Poly.from_dict(dict(H), z, w, domain=sp.ZZ).rem(Rp).is_zero
     assert curves._divides(R, H) == expected
+
+
+_L = {(1, 1): 2, (0, 1): 1, (2, 0): -1, (0, 0): -1}  # (2z + 1) w - z^2 - 1
+
+
+@pytest.mark.parametrize("R, S, extra, divides", [
+    # l(z) = 2z + 1: each step multiplies the rest of H by l
+    (_L, {(0, 1): 1}, {}, True),
+    (_L, {(0, 2): 1, (1, 0): 3}, {}, True),
+    (_L, {(0, 1): 1}, {(1, 0): 1}, False),
+    # R = z^2 + 1, free of w: the division runs in z
+    ({(2, 0): 1, (0, 0): 1}, {(0, 3): 1, (1, 1): 1}, {}, True),
+    ({(2, 0): 1, (0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, False),
+    # l = 1
+    ({(0, 1): 1, (2, 0): -1}, {(0, 2): 1, (0, 0): 3}, {}, True),
+    ({(0, 1): 1, (2, 0): -1}, {(0, 2): 1, (0, 0): 3}, {(0, 1): 1}, False),
+])
+def test_pseudo_division_by_each_kind_of_leading_coefficient(R, S, extra, divides):
+    H = curves._combine(curves._times(R, S), 1, extra, -1)  # R S + extra
+    assert curves._divides(R, H) is divides
 
 
 # -- pushforward against an independent oracle ---------------------------------

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.cli import run
 from regdyn.exactnum import valuation
@@ -93,3 +93,41 @@ def test_an_escalating_green_value_keeps_its_enclosure(capsys):
     assert green["hi_exact"] == (
         "970539948781356334229266889259902436746576145228634956848842784547088549/"
         "3533694129556768659166595001485837031654967793751237916243212402585239552")
+
+
+def _plain_escape_exponent(lift, z0, z1, z2, n, p, k):
+    """escape_exponent as the plain loop of n steps, with no early stop."""
+    d, s, mod = lift.d, valuation(F(lift.D), p), p**k
+    pt = (F(z0), F(z1), F(z2))
+    m = -min(valuation(q, p) for q in pt if q)
+    X = [(q * F(p)**m).numerator * pow((q * F(p)**m).denominator, -1, mod) % mod for q in pt]
+    for _ in range(n):
+        Y = lift(X)
+        t = min(valuation(F(y), p) if y % mod else k for y in Y)
+        if t >= k:
+            raise PrecisionLoss("digits exhausted")
+        k -= t
+        mod = p**k
+        X = [y // p**t % mod for y in Y]
+        m = d * m + s - t
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_maps(), st.tuples(small_q, small_q), st.sampled_from([2, 3, 5, 7]),
+       st.integers(0, 40), st.booleans(), st.integers(1, 10))
+@example(make_regular_map("z^2 + 1/5*w", "w^2 - z"), (F(1), F(2)), 5, 40, True, 3)
+@example(make_regular_map(*ESCALATING[1].split(",")), (F(1), F(1, 2)), 3, 40, True, 4)
+def test_the_early_stop_gives_the_plain_loops_exponent(f, pt, p, n, affine, k):
+    # a repeated reduction mod p ends the loop early; its exponent, or its
+    # PrecisionLoss, is that of running every step
+    z0, (P, Q) = (1, (f.P, f.Q)) if affine else (0, (f.top_P, f.top_Q))
+    assume(affine or any(pt))
+    lift = IntegerLift(P, Q)
+    try:
+        want = _plain_escape_exponent(lift, z0, *pt, n, p, k)
+    except PrecisionLoss:
+        with pytest.raises(PrecisionLoss):
+            escape_exponent(lift, z0, *pt, n, p, k)
+    else:
+        assert escape_exponent(lift, z0, *pt, n, p, k) == want
