@@ -44,8 +44,8 @@ def escape_exponent(lift, z0: int, z1: Fraction, z2: Fraction, n: int, p: int,
     gives m_(n+1) = d m_n + s - t.
 
     While t = 0, X_(n+1) reduces to F'(X_n) reduced in P^2(F_p), where F'
-    does not vanish.  So once a reduction repeats with no t > 0 step since,
-    t = 0 for good, and m_(n+r) = d^r m_n + s (d^r - 1) / (d - 1)."""
+    does not vanish.  So once a reduction repeats with no t > 0 step between
+    its visits, t = 0 for good, and m_(n+r) = d^r m_n + s (d^r - 1) / (d - 1)."""
     d, s, mod, F, c = lift.d, _int_valuation(lift.D, p), p**k, lift.F, lift.c
     pt = (Fraction(z0), Fraction(z1), Fraction(z2))
     m = -min(valuation(q, p) for q in pt if q)
