@@ -122,12 +122,15 @@ def _parse_place(text: str) -> Place:
 # -- JSON rendering ---------------------------------------------------------
 
 
-def _fraction_json(q: Fraction) -> dict:
+def _approx(q: Fraction):
     try:
-        approx = float(q)
+        return float(q)
     except OverflowError:  # outside the float range
-        approx = None
-    return {"exact": f"{q.numerator}/{q.denominator}", "approx": approx}
+        return None
+
+
+def _fraction_json(q: Fraction) -> dict:
+    return {"exact": f"{q.numerator}/{q.denominator}", "approx": _approx(q)}
 
 
 def _json_node(value):
@@ -195,7 +198,7 @@ def _cmd_green(args):
     result.update(inp)
     wit = {"nullstellensatz_constant": ctx.C,
            "good_reduction": ctx.good_reduction}
-    return result, wit, {"tol": float(tol)}, 0
+    return result, wit, {"tol": _approx(tol)}, 0
 
 
 def _cmd_height(args):
@@ -207,7 +210,7 @@ def _cmd_height(args):
               "certified": True,  # every enclosure is proved; a key of the v1 schema
               "preperiodicity": h.verdict}
     code = 3 if h.verdict.kind == "Unknown" else 0
-    return result, {"verdict_witness": h.verdict}, {"tol": float(tol)}, code
+    return result, {"verdict_witness": h.verdict}, {"tol": _approx(tol)}, code
 
 
 def _cmd_orbit(args):

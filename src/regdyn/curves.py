@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .heights import PreperiodicityVerdict, orbit_verdict
 from .infinity import (InfinityPoint, Superattracting, classify_multiplier, compose_forms,
                        infinity_orbit_preperiodicity, multiplier, projective_roots)
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
-from .numberfield import NumberField
+from .numberfield import _pdivmod
 from .polyalg import (MultiPoly, _approx_roots, _combine, _factor_list, _integer_nthroot, _times,
                       homogeneous_top, parse_poly)
 
@@ -566,36 +565,16 @@ def _bounded_rationals(height_bound: int):
                 yield q
 
 
-def _roots_of_unity(max_order: int):
-    """(exponent a, order n) for each root of unity exp(2*pi*i*a/n)."""
-    for n in range(1, max_order + 1):
-        for a in range(n):
-            if math.gcd(a, n) == 1:
-                yield a, n
-
-
-@lru_cache(maxsize=1024)
-def _cyclotomic_field(L: int) -> NumberField:
-    """Q(zeta_L), modulus the L-th cyclotomic polynomial."""
-    return NumberField(cyclotomic_coeffs(L))
-
-
 def _on_curve_cyclotomic(R: dict, a1, n1, a2, n2) -> bool:
-    """Exact test R(zeta^e1, zeta^e2) = 0 in the lcm cyclotomic field, for
-    an integer dict R."""
+    """Exact test R(zeta^e1, zeta^e2) = 0, zeta = zeta_L for L = lcm(n1, n2),
+    for an integer dict R: the remainder of the exponent sum mod the monic
+    Phi_L vanishes."""
     L = n1 * n2 // math.gcd(n1, n2)
     e1, e2 = a1 * L // n1, a2 * L // n2
     cs = [0] * L
     for (i, j), c in R.items():
         cs[(i * e1 + j * e2) % L] += c
-    return _cyclotomic_field(L)(cs).is_zero()
-
-
-@lru_cache(maxsize=64)
-def _unit_fractions(max_order: int) -> list:
-    """(a / n, n, a) for each root of unity exp(2*pi*i*a/n) of order n <=
-    max_order, sorted; read-only."""
-    return sorted((a / n, n, a) for a, n in _roots_of_unity(max_order))
+    return not any(_pdivmod(cs, cyclotomic_coeffs(L))[2])
 
 
 def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
@@ -604,18 +583,16 @@ def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
     the unit circle at angle phi from x is at least |x| |sin phi| from x,
     and at least |x| when |phi| >= pi/2; so for r < |x| the window is the
     arc |phi| <= asin(r / |x|), and for r >= |x| (or r = inf) the whole
-    circle."""
-    table = _unit_fractions(max_order)
-    if r == math.inf:
-        return [(n, a) for _f, n, a in table]
+    circle.  The window's a run from n (t - half) to n (t + half), in turns."""
     m = abs(x)
     if r < abs(m - 1):
         return []
-    half = 0.5 if r >= m else math.asin(r / m) / (2 * math.pi)  # in turns
-    t = cmath.phase(x) / (2 * math.pi)  # in [-1/2, 1/2]; the table spans [0, 1)
-    return [(n, a) for s in (0, 1)
-            for _f, n, a in table[bisect_left(table, (t - half + s,)):
-                                  bisect_right(table, (t + half + s, math.inf))]]
+    t, half = 0.0, 0.5  # in turns
+    if r < m:
+        t, half = cmath.phase(x) / (2 * math.pi), math.asin(r / m) / (2 * math.pi)
+    return [(n, a % n) for n in range(1, max_order + 1)
+            for a in range(math.ceil(n * (t - half)), math.floor(n * (t + half)) + 1)
+            if math.gcd(a, n) == 1]
 
 
 def _unit_monomial_orbit(f: RegularMap, start: tuple):
@@ -665,7 +642,8 @@ def _unit_roots_tried(R: MultiPoly, row: list, n1: int, a1: int, tol: float,
     """The (order, exponent) pairs, sorted, of the roots of unity of order at
     most max_order that the probe tries as z2 with z1 = exp(2*pi*i*a1/n1):
     all that solve R(z1, w) = 0, and a few more.  row holds the coefficients
-    of R(z1, w) by descending powers of w, each within tol of the exact one."""
+    of R(z1, w) / 2^s by descending powers of w, each within tol of the exact
+    one."""
     dw = len(row) - 1
     k = dw  # the degree of R(z1, w): a coefficient within tol of 0 is tested exactly
     while k >= 0 and abs(row[dw - k]) <= tol and _on_curve_cyclotomic(
@@ -673,8 +651,10 @@ def _unit_roots_tried(R: MultiPoly, row: list, n1: int, a1: int, tol: float,
         k -= 1
     poly = row[dw - k:][::-1] if k >= 0 else []
     mags = list(map(abs, poly))
-    if not poly:
-        roots = [(0j, math.inf)]  # R(z1, w) = 0: a vertical component
+    if not poly or mags[-1] <= tol:
+        # R(z1, w) = 0, a vertical component, or a leading coefficient whose
+        # radius would be infinite
+        roots = [(0j, math.inf)]
     elif 2 * max(mags) > sum(mags) + (k + 1) * tol:
         roots = []  # one term outweighs the rest on |w| = 1, so no root lies there
     else:
@@ -694,9 +674,9 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     """Preperiodic points found on C: rational points from vertical-line
     slices at bounded-height rationals, plus, when f is a unit monomial map
     (`RegularMap._monomial` with coefficients +-1), the pairs of roots of
-    unity of order at most max_order on C, as Zetas.  Membership is checked
-    exactly in a cyclotomic field and orbits exactly on the exponents.
-    Other maps get no roots-of-unity probe.
+    unity of order at most max_order on C, as Zetas.  Membership is decided
+    exactly mod a cyclotomic polynomial for every pair tried, and orbits
+    exactly on the exponents.  Other maps get no roots-of-unity probe.
 
     For each root of unity z1 the probe tries as z2 only the roots of unity
     near the roots of R(z1, w) (`_approx_roots`, `_roots_of_unity_near`),
@@ -734,31 +714,26 @@ def find_preperiodic_points(f: RegularMap, C: PlaneCurve, height_bound: int = 3,
     mono = f._monomial
     if mono is None or abs(mono[0]) != 1 or abs(mono[1]) != 1:
         return found
-    # roots-of-unity probes (numeric prefilter, exact confirmation) at z1 = zeta_n1
-    unit = {(n, a): complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n))
-            for a, n in _roots_of_unity(max_order)}
-    # bounds the rounding of each computed row coefficient and of Horner's
-    # rule on the row, up to degrees in the thousands
-    tol = 2.0 ** -40 * sum(map(abs, R.num.values()))
+    # roots-of-unity probes (numeric window, exact test) at z1 = zeta_n1, on
+    # the rows of R / 2^s, whose coefficients lie in the double range
+    scale = 2 ** max(0, max(abs(c) for c in R.num.values()).bit_length() - 1000)
+    # bounds the rounding of each computed row coefficient, up to degrees in the thousands
+    tol = 2.0 ** -40 * (sum(map(abs, R.num.values())) / scale)
     primes = math.factorial(max(max_order, 2))  # k prime to it is prime to every order
     for n1 in range(1, max_order + 1):
         a1 = 1 if n1 > 1 else 0
-        # R(z1, w) = sum of row[dw - j] * w^j, for a Horner step per z2
-        row = [0j] * (dw + 1)
+        z1 = complex(math.cos(2 * math.pi * a1 / n1), math.sin(2 * math.pi * a1 / n1))
+        row = [0j] * (dw + 1)  # R(z1, w) / 2^s = sum of row[dw - j] * w^j
         for (i, j), c in R.num.items():
-            row[dw - j] += complex(c) * unit[n1, a1]**i
+            row[dw - j] += c / scale * z1**i
         base = []  # (order, exponent) of z2 and its exponent orbit, at z1 = zeta_n1
         for n2, a2 in _unit_roots_tried(R, row, n1, a1, tol, max_order):
             if n1 <= 2 and n2 <= 2 and height_bound >= 1:
                 continue  # (+-1, +-1) already covered by the rational search
-            val = 0j
-            for c in row:
-                val = val * unit[n2, a2] + c
-            if abs(val) > 1e-8 or not _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
-                continue
-            orbit = _exponent_orbit(f, ((a1, n1), (a2, n2)))
-            if orbit is not None:
-                base.append((n2, a2, orbit))
+            if _on_curve_cyclotomic(R.num, a1, n1, a2, n2):
+                orbit = _exponent_orbit(f, ((a1, n1), (a2, n2)))
+                if orbit is not None:
+                    base.append((n2, a2, orbit))
         for a1 in (a for a in range(a1, n1) if math.gcd(a, n1) == 1):
             k = next(k for k in range(a1, primes, n1) if math.gcd(k, primes) == 1)
             for n2, a2, orbit in sorted((n2, k * a2 % n2, o) for n2, a2, o in base):

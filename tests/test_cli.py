@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import regdyn
 from regdyn import cli, exactnum
@@ -799,7 +799,7 @@ def _cap(hi):
 
 
 _place = _mostly(st.sampled_from(["inf", "2", "3", "5"]), ["oo", "arch", "4", "1", "0", "-2", "p"])
-_tol = _mostly(st.sampled_from(["1e-3", "1/1000", "1e-9"]), ["0", "-1", "abc", "1/0"])
+_tol = _mostly(st.sampled_from(["1e-3", "1/1000", "1e-9", "1e400"]), ["0", "-1", "abc", "1/0"])
 # each subcommand with its options; small caps keep most runs under a second,
 # but `classify` has no cap, and on some maps sympy takes seconds to match the
 # embedding of an irrational multiplier (ROADMAP O9)
@@ -815,10 +815,23 @@ _OPTIONS = {
 }
 
 
+# (+-z^d, +-w^d) or (+-w^d, +-z^d), d = 2 or 3, and a line with a coefficient
+# of 10 or 401 digits, past the double range: the roots-of-unity probe scales
+# its rows.  Under other maps, or on curves that are not lines, sympy's
+# factoring and the linear kernel take seconds to minutes on such coefficients
+_unit_monomial_map = st.tuples(st.sampled_from(["", "-"]), st.sampled_from(["", "-"]),
+                               st.sampled_from([2, 3]), st.sampled_from(["zw", "wz"])).map(
+    lambda t: f"{t[0]}{t[3][0]}^{t[2]}, {t[1]}{t[3][1]}^{t[2]}")
+_big_line = st.tuples(st.sampled_from(["1000000000", f"-{10**400}"]), _coef, _coef).map(
+    lambda c: _sum([(c[0], "z"), (c[1], "w"), (c[2], "1")]))
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS) + ["collapse"]))
     options = {"--map": _maps, **_OPTIONS.get(command, {})}
+    if command in ("curve", "dmm") and draw(st.integers(0, 3)) == 0:
+        options.update({"--map": _unit_monomial_map, "--curve": _big_line})
     argv = [command] + [f"{flag}={draw(value)}" for flag, value in options.items()
                         if draw(st.integers(0, 9)) > 0]  # an option is left out 1 in 10
     if draw(st.integers(0, 9)) == 0:  # a stray token
@@ -829,6 +842,11 @@ def _argv(draw):
 
 @settings(max_examples=100, deadline=timedelta(seconds=120))
 @given(_argv())
+# a tol past the double range, and a curve coefficient past it in the probe's rows
+@example(["green", "--map=z^2+w, w^2-z", "--point=1,2", "--tol=1e400"])
+@example(["height", "--map=z^2+w, w^2-z", "--point=1,2", "--tol=1e400"])
+@example(["dmm", "--map=z^2, w^2", f"--curve=-{10**400}*z + w + 1", "--max-iters=1",
+          "--max-order=8"])
 def test_any_argv_prints_one_json_document_and_exits_0_2_or_3(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

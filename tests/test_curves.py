@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -306,25 +307,26 @@ def test_find_preperiodic_points_on_a_swapped_map():
                        (Zeta(F(0)), Zeta(F(1, 2)))]
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_field(L):
+    return NumberField(sp.Poly(sp.cyclotomic_poly(L, sp.Symbol("x"))).all_coeffs()[::-1])
+
+
 def _pair_scan(f, C, max_order):
     """The roots-of-unity points of find_preperiodic_points at height bound 0
     found by testing every ordered pair of roots of unity of order at most
-    max_order: the reference for the probe, which tries only those near the
-    roots of each row R(z1, w)."""
-    R = C.poly
-    rous = [(a, n, complex(math.cos(2 * math.pi * a / n), math.sin(2 * math.pi * a / n)))
-            for a, n in curves._roots_of_unity(max_order)]
-    dw = R.degree_in(1)
+    max_order exactly, as an element of Q(zeta_L) built on sympy's
+    cyclotomic polynomial: the reference for the probe, which tries only
+    those near the roots of each row R(z1, w)."""
+    rous = [(a, n) for n in range(1, max_order + 1) for a in range(n) if math.gcd(a, n) == 1]
     found = []
-    for a1, n1, z1 in rous:
-        row = [0j] * (dw + 1)
-        for (i, j), c in R.num.items():
-            row[dw - j] += complex(c) * z1**i
-        for a2, n2, z2 in rous:
-            val = 0j
-            for c in row:
-                val = val * z2 + c
-            if abs(val) > 1e-8 or not curves._on_curve_cyclotomic(R.num, a1, n1, a2, n2):
+    for a1, n1 in rous:
+        for a2, n2 in rous:
+            L = math.lcm(n1, n2)
+            cs = [0] * L  # R(zeta_L^e1, zeta_L^e2) as a polynomial in zeta_L
+            for (i, j), c in C.poly.num.items():
+                cs[(i * a1 * (L // n1) + j * a2 * (L // n2)) % L] += c
+            if not _cyclotomic_field(L)(cs).is_zero():
                 continue
             verdict = curves._unit_monomial_orbit(f, ((a1, n1), (a2, n2)))
             if verdict is not None:
@@ -339,13 +341,15 @@ _Z_FACTORS = ["z^2 + z + 1", "z + 1", "z^2 + 1", "z^2 - z + 1", "z^4 + 1"]
 def unit_monomial_cases(draw):
     """A unit monomial map (signs +-1, degree 2 or 3, maybe swapped) and a
     line, a binomial (coprime exponents or not), a conic, a product with a
-    factor free of w (whose rows vanish at its roots) or a curve whose rows
-    have a double or triple root at roots of unity."""
+    factor free of w (whose rows vanish at its roots), a curve whose rows
+    have a double or triple root at roots of unity, or N Z(z) + w -+ z^k for
+    a large N and a cyclotomic factor Z (a line or a conic of nonzero
+    determinant, so no sympy factoring)."""
     d = draw(st.sampled_from([2, 3]))
     s1, s2 = (draw(st.sampled_from(["", "-"])) for _ in range(2))
     P, Q = (f"{s1}w^{d}", f"{s2}z^{d}") if draw(st.booleans()) else (f"{s1}z^{d}", f"{s2}w^{d}")
     c = st.sampled_from([-2, -1, 1, 2])
-    kind = draw(st.sampled_from(["line", "binomial", "conic", "vertical", "multiple"]))
+    kind = draw(st.sampled_from(["line", "binomial", "conic", "vertical", "multiple", "large"]))
     if kind == "line":
         curve = f"{draw(c)}*z + {draw(c)}*w + {draw(st.integers(-1, 1))}"
     elif kind == "binomial":
@@ -357,9 +361,13 @@ def unit_monomial_cases(draw):
     elif kind == "vertical":
         zf, k = draw(st.sampled_from(_Z_FACTORS)), draw(st.integers(1, 2))
         curve = f"({zf})*(w - {draw(c)}*z^{k})"
-    else:
+    elif kind == "multiple":
         e = draw(st.integers(2, 3))
         curve = f"(w - z^{draw(st.integers(1, 2))})^{e} - ({draw(st.sampled_from(_Z_FACTORS))})"
+    else:  # N from 10^9 to past the double range, whose terms cancel at the points
+        N = draw(st.integers(10**9, 10**12)) * 10 ** draw(st.sampled_from([0, 200, 300, 400]))
+        zf, k = draw(st.sampled_from(_Z_FACTORS[:4])), draw(st.integers(1, 2))
+        curve = f"{N}*({zf}) + w {draw(st.sampled_from(['+', '-']))} z^{k}"
     return make_regular_map(P, Q), curve, draw(st.sampled_from([4, 6, 8, 12]))
 
 
@@ -367,6 +375,10 @@ def unit_monomial_cases(draw):
 @given(unit_monomial_cases())
 @example((make_regular_map("z^2", "w^2"), "(z^2 + z + 1)*(w - z)", 12))
 @example((make_regular_map("w^2", "-z^2"), "(w - z)^2 - (z^2 + z + 1)", 12))
+@example((make_regular_map("z^2", "w^2"), "(w - z)*(1000000000000*z + 1)", 12))
+@example((make_regular_map("z^2", "w^2"), f"{10**400}*(z^2 + z + 1) + w - z", 8))
+# rows whose leading coefficient, 1 / 2^s, rounds to 0 past the double range
+@example((make_regular_map("z^2", "w^2"), f"w^2 + {2**3000}*w - {2**3000}*z", 4))
 def test_roots_of_unity_probe_matches_the_pair_scan(case):
     # same points, same verdicts, same order as testing every pair
     f, curve, max_order = case
