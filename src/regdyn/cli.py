@@ -487,9 +487,15 @@ def _print(doc: dict):
     """Print the one JSON document, its domain objects rendered (`_encode`),
     with indent 2.  When the reader has closed stdout (as `| head`
     does) stdout goes to devnull instead, so that neither this print nor
-    the flush at exit ends in a traceback, and the exit code stands."""
-    out = []
-    _encode(doc, out, "")
+    the flush at exit ends in a traceback, and the exit code stands.  An
+    exact coefficient prints in full past Python's 4,300-digit default limit
+    on int to str (an image of a line with a 401-digit coefficient)."""
+    out, limit = [], sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _encode(doc, out, "")
+    finally:
+        sys.set_int_max_str_digits(limit)
     out.append("\n")
     try:
         sys.stdout.write("".join(out))
