@@ -16,9 +16,9 @@ integer triple known mod p^k (regdyn.padic), doubling the precision until
 the enclosure is certified and narrow enough; any other z0 adds log|z0|_v.
 
 Λ = Π C_v over {∞} and the bad places gives |ĥ - h| <= log Λ / (d - 1)
-(Call-Silverman, Compositio Math. 89, 1993), so the exact orbit of a
-rational point either closes or leaves the height box (`_box_orbit`).
-`green_value` alone first runs that orbit: when it closes, g_v = 0 exactly.
+(Call-Silverman, Compositio Math. 89, 1993): leaving this box (`_past_box`)
+is the one stop rule of every exact orbit of a point, within ORBIT_CAP.
+`green_value` alone first runs its point's orbit: when it closes, g_v = 0 exactly.
 """
 
 from __future__ import annotations
@@ -172,38 +172,58 @@ def height_support(f: RegularMap) -> list:
     return list(height_box(f)[0])
 
 
+def _mahler_lower(cs) -> tuple:
+    """max_i |c_i| / C(n, i) <= M(c_0 + ... + c_n x^n), the Mahler measure of
+    an integer polynomial, as a pair (Mahler's inequality)."""
+    return _pmax(*((abs(c), math.comb(len(cs) - 1, i)) for i, c in enumerate(cs)))
+
+
+def _box_floor(f: RegularMap) -> tuple:
+    """max(1, _size(P), _size(Q)) at ∞, a pair <= C_∞ <= Λ."""
+    inf = Place.archimedean()
+    return _pmax((1, 1), _size(f.P, inf), _size(f.Q, inf))
+
+
+def _past_box(f: RegularMap, M: tuple, n: int, low: tuple) -> bool:
+    """M^(d-1) > Λ^n (`height_box`), for a pair M <= M(χ), χ the primitive
+    integer characteristic polynomial, of degree n, of a point's coordinate
+    (n = 1 and M = max|X_i| for a primitive triple X): then h = log M(χ)/n >
+    log Λ/(d-1) >= h - ĥ.  Λ is found only past a pair low <= Λ, such as
+    `_box_floor` (FactoringCap when it cannot be)."""
+    a, b = M[0] ** (f.d - 1), M[1] ** (f.d - 1)
+    if a * low[1] ** n <= low[0] ** n * b:  # inside the height box, as Λ >= low
+        return False
+    box = height_box(f)[1]
+    return a * box.denominator ** n > box.numerator ** n * b
+
+
 def _box_orbit(f: RegularMap, X: tuple, ctx: GreenContext = None) -> tuple:
     """(orbit, k) of `_exact_orbit` for the primitive triple X under the
     map's lift, ORBIT_CAP steps, cut at the first X_n, X included, past the
-    height box: M = max|X_n,i|^(d-1) > Λ (`height_box`), which a
-    preperiodic orbit, of ĥ = 0 and h(X_n) = log max|X_n,i|, never leaves
-    (on the line at infinity too: `_line_constant` <= C_v).  Λ is found
-    only for M past a lower bound: C_v, else max(1, _size(P), _size(Q)) at ∞.
+    height box (`_past_box` at M = max|X_n,i|), which a preperiodic orbit,
+    of ĥ = 0, never leaves (on the line at infinity too: `_line_constant`
+    <= C_v), with Λ found only past C_v, else `_box_floor`.
     With a context at v (X affine) the orbit is also cut past v's box,
-    max(1, |y1/y0|_v, |y2/y0|_v)^(d-1) > C_v, where g_v > 0 (M y0^-(d-1) at
-    ∞, p^((d-1) v_p(y0)) at p), and where Λ would be needed but the bad
+    max(1, |y1/y0|_v, |y2/y0|_v)^(d-1) > C_v, where g_v > 0 ((M/y0)^(d-1)
+    at ∞, p^((d-1) v_p(y0)) at p), and where Λ would be needed but the bad
     places cannot be found (FactoringCap)."""
     d = f.d
     if ctx is None:
-        inf = Place.archimedean()
-        (ln, ld), p = _pmax((1, 1), _size(f.P, inf), _size(f.Q, inf)), None
+        (ln, ld), p = _box_floor(f), None
     else:
         ln, ld, p = ctx.C.numerator, ctx.C.denominator, ctx.place.prime
 
     def out(Y):  # each bound q compared as M q.den > q.num
-        M = max(map(abs, Y)) ** (d - 1)
+        top = max(map(abs, Y))
         if ctx is not None and (p ** ((d - 1) * _int_valuation(Y[0], p)) * ld > ln if p
-                                else M * ld > ln * Y[0] ** (d - 1)):
+                                else top ** (d - 1) * ld > ln * Y[0] ** (d - 1)):
             return True  # past v's box
-        if M * ld <= ln:  # inside the height box, as Λ >= ln/ld
-            return False
         try:
-            box = height_box(f)[1]
+            return _past_box(f, (top, 1), 1, (ln, ld))
         except FactoringCap:
             if ctx is None:
                 raise
             return True
-        return M * box.denominator > box.numerator
     if out(X):
         return [X], None
     return _exact_orbit(f.lift.step, X, ORBIT_CAP, out)

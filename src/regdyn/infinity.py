@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exactnum import (AlgebraicNumber, ExpandingPlaceWitness, Place,
                        find_expanding_place, is_root_of_unity, sp)
+from .green import _box_floor, _mahler_lower, _past_box
 from .heights import PreperiodicityVerdict, canonical_height
 from .maps import ORBIT_CAP, RegularMap, _exact_orbit
 from .polyalg import MultiPoly, _factor_list
@@ -171,15 +172,10 @@ def _algebraic_from_nf(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def _embedded_root(elem, alpha: AlgebraicNumber) -> AlgebraicNumber:
-    """_algebraic_from_nf at any degree, by a resultant and CRootOf values."""
-    # Res_t(m(t), den*x - num(t)) is, up to a constant, the characteristic
-    # polynomial of multiplication by elem: a power of its minimal polynomial
-    t, x = sp.symbols("t x")
-    m = sp.Poly.from_dict({(k, 0): c for (k,), c in alpha.minpoly.terms()}, t, x)
-    g = sp.Poly.from_dict({(0, 1): elem.den, **{(k, 0): -n for k, n in enumerate(elem.num)}},
-                          t, x)
-    (fac, _m), = _factor_list([int(c) for c in m.resultant(g).all_coeffs()[::-1]])
-    minpoly = sp.Poly(fac[::-1], x)
+    """_algebraic_from_nf at any degree, by the characteristic polynomial of
+    elem (a power of its minimal polynomial) and CRootOf values."""
+    (fac, _m), = _factor_list(elem.charpoly())
+    minpoly = sp.Poly(fac[::-1], sp.Symbol("x"))
     roots = minpoly.all_roots()
     root = alpha.minpoly.all_roots()[alpha.embedding_index]
     expr = sum(sp.Rational(n, elem.den) * root**k for k, n in enumerate(elem.num))
@@ -225,7 +221,7 @@ def infinity_orbit_preperiodicity(f: RegularMap, point: InfinityPoint) -> Preper
     """Exact orbit of a point of the line at infinity under [P_d : Q_d]
     with cycle detection inside the field of definition; a rational point
     [0 : a : b] gets the verdict of its canonical height, its orbit the
-    coprime pairs (a, b)."""
+    coprime pairs (a, b).  The one stop rule is the height box (`_past_box`)."""
     if point.coordinate.degree > DEGREE_CAP:
         return PreperiodicityVerdict.unknown()
     if point.coordinate.is_rational():
@@ -240,13 +236,13 @@ def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint):
             raise RuntimeError("regular map sent a projective point to 0")
         return _normalize_nf_pair((nz1, nz2))
 
-    def too_big(pair):
-        # the cap is per coefficient in lowest terms; max|num| and den bound it
-        return max(max(map(abs, z.num)).bit_length() + z.den.bit_length() for z in pair) > 4096 \
-            and max(c.numerator.bit_length() + c.denominator.bit_length()
-                    for z in pair for c in z.coeffs) > 4096
+    low = _box_floor(f)
 
-    orbit, k = _exact_orbit(step, _normalize_nf_pair(_chart_pair(point)), ORBIT_CAP, too_big)
+    def out(pair):  # [β : 1], or [1 : 0] of height 0
+        chi = pair[0].charpoly() if not pair[1].is_zero() else [1]
+        return _past_box(f, _mahler_lower(chi), len(chi) - 1, low)
+
+    orbit, k = _exact_orbit(step, _normalize_nf_pair(_chart_pair(point)), ORBIT_CAP, out)
     if k is not None:
         return PreperiodicityVerdict.preperiodic(orbit, k)
     return PreperiodicityVerdict.unknown()
@@ -255,5 +251,5 @@ def _nf_infinity_orbit(f: RegularMap, point: InfinityPoint):
 def _normalize_nf_pair(pair):
     z1, z2 = pair
     if not z2.is_zero():
-        return (z1 / z2, z2 / z2)
-    return (z1 / z1, z2 / z1)
+        return (z1 / z2, z2.field(1))
+    return (z1.field(1), z2)

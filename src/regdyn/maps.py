@@ -72,8 +72,8 @@ def _solve_rational(rows: list, rhs: list = ()) -> tuple:
 
 
 # the step cap of every exact orbit of a point: of a rational point of P^2
-# (the preperiodicity verdict and the Green shortcut, both also cut at the
-# height box of regdyn.green) and on a curve
+# (the preperiodicity verdict and the Green shortcut) or an algebraic point
+# at infinity, all also cut at the height box of regdyn.green, and on a curve
 ORBIT_CAP = 64
 
 

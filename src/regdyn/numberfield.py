@@ -176,6 +176,29 @@ class NFElement(_Exact):
     def __pow__(self, n: int):
         return self.inverse() ** -n if n < 0 else _Exact.__pow__(self, n)
 
+    def charpoly(self) -> list:
+        """The characteristic polynomial of multiplication by the element, a
+        primitive integer polynomial (ascending, leading coefficient > 0).
+        θ = a x, a the modulus' leading coefficient, has a monic integer
+        minimal polynomial mt, and self = G(θ)/(den a^(n-1)), G integer:
+        Newton's identities p_k + c_1 p_(k-1) + ... + k c_k = 0 give θ's
+        power sums S_j from mt, then G(θ)'s polynomial from Tr(G(θ)^k)."""
+        m, n = self.field.modulus, self.field.degree
+        a = m[-1]
+        mt = [c * a ** (n - 1 - j) for j, c in enumerate(m[:-1])] + [1]
+        g = [c * a ** (n - 1 - j) for j, c in enumerate(self.num)]
+        S = [n]
+        for k in range(1, n):
+            S.append(-k * mt[n - k] - sum(mt[n - i] * S[k - i] for i in range(1, k)))
+        c, p, power = [1], [n], [1]
+        for k in range(1, n + 1):
+            power = _pdivmod(_product(power, g), mt)[2]
+            p.append(sum(x * y for x, y in zip(power, S)))
+            c.append(-sum(c[i] * p[k - i] for i in range(k)) // k)  # exact: G(θ) is integral
+        cs = [c[n - i] * (self.den * a ** (n - 1)) ** i for i in range(n + 1)]
+        content = math.gcd(*cs)
+        return [x // content for x in cs]
+
     def is_zero(self) -> bool:
         return not any(self.num)
 

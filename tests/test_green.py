@@ -10,9 +10,9 @@ import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from regdyn.exactnum import FactoringCap, Place, abs_at_place_exact
-from regdyn.green import (GreenContext, _arch_log_norm, _cofactor_bound, _line_constant, _size,
-                          _tail_iterations, bad_places, green_homog, green_value,
-                          nullstellensatz_constant)
+from regdyn.green import (GreenContext, _arch_log_norm, _box_floor, _cofactor_bound, _line_constant,
+                          _past_box, _size, _tail_iterations, bad_places, green_homog, green_value,
+                          height_box, nullstellensatz_constant)
 from regdyn.heights import canonical_height
 from regdyn.intervals import RealInterval, escape_norm, log_of_fraction
 from regdyn.maps import IntegerLift, NotRegular, make_regular_map
@@ -459,3 +459,15 @@ def test_tail_iterations_at_the_boundary(log_C, d, tol, n):
        st.builds(F, st.integers(1, 10**6), st.integers(1, 10**40)))
 def test_tail_iterations_matches_the_fraction_loop(log_C, d, tol):
     assert _tail_iterations(log_C, d, tol) == _tail_iterations_by_fractions(log_C, d, tol)
+
+
+@pytest.mark.parametrize("maps, d", [(("z^2 + w", "w^2 - z"), 2), (("z^3 + 2*w", "w^3 - z"), 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_box_test_compares_with_the_nth_power_of_the_box(maps, d, n):
+    # the least integer M with M^(d-1) > Λ^n is past the box, M - 1 is not
+    f = make_regular_map(*maps)
+    target = height_box(f)[1] ** n
+    M = math.floor(target) + 1 if d == 2 else math.isqrt(math.floor(target)) + 1
+    for low in ((1, 1), _box_floor(f)):
+        assert _past_box(f, (M, 1), n, low) and not _past_box(f, (M - 1, 1), n, low)
+        assert _past_box(f, (2 * M, 2), n, low) and not _past_box(f, (2 * M - 2, 2), n, low)

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -8,15 +10,19 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from regdyn import infinity
+from regdyn.cli import run
 from regdyn.curves import PlaneCurve, points_at_infinity
-from regdyn.exactnum import AlgebraicNumber, Place
+from regdyn.exactnum import AlgebraicNumber, FactoringCap, Place
 from regdyn.green import GreenContext, bad_places, green_homog
 from regdyn.intervals import log_of_fraction
 from regdyn.infinity import (ExpandingPlace, InfinityPoint, RootOfUnity, Superattracting,
                              classify_multiplier, compose_forms, fixed_points_infinity,
                              infinity_orbit_preperiodicity, multiplier, projective_roots)
-from regdyn.maps import NotRegular, make_regular_map
+from regdyn.maps import ORBIT_CAP, NotRegular, make_regular_map
 from regdyn.polyalg import MultiPoly, homogeneous_top
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from pin_answers import answer  # noqa: E402
 
 
 def _rat(q):
@@ -421,3 +427,120 @@ def test_quadratic_field_elements_in_closed_form_match_the_resultant_path(alpha,
     # num(t) / den; n1 = 0 gives a rational
     elem = alpha.number_field()([F(n0, den), F(n1, den)])
     assert infinity._algebraic_from_nf(elem, alpha) == infinity._embedded_root(elem, alpha)
+
+
+def _bit_capped_orbit(f, point):
+    """(kind, preperiod, period) of the plain number-field orbit of a point
+    at infinity, normalised to [β : 1] or [1 : 0], at most ORBIT_CAP steps,
+    stopped after the first point with a coefficient of more than 4,096
+    bits in lowest terms: the stop rule before the height box."""
+    K = point.coordinate.number_field()
+    one, a = K(1), K.generator()
+
+    def normal(z1, z2):
+        return (z1 / z2, one) if not z2.is_zero() else (one, K(0))
+
+    x = normal(*((one, a) if point.chart == 0 else (a, one)))
+    seen = {x: 0}
+    for n in range(1, ORBIT_CAP + 1):
+        x = normal(f.top_P.eval(*x), f.top_Q.eval(*x))
+        if x in seen:
+            return "Preperiodic", seen[x], n - seen[x]
+        if max(c.numerator.bit_length() + c.denominator.bit_length()
+               for z in x for c in z.coeffs) > 4096:
+            break
+        seen[x] = n
+    return "Unknown", None, None
+
+
+def _answer(f, point):
+    v = infinity_orbit_preperiodicity(f, point)
+    return v.kind, v.preperiod, v.period
+
+
+@st.composite
+def _regular_maps(draw):
+    d = draw(st.integers(2, 3))
+    monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    nonzero = _den_coeffs.filter(bool)
+    # z^d in P and w^d in Q, so that the top forms rarely share a zero
+    P, Q = (MultiPoly({**draw(st.dictionaries(st.sampled_from(monomials), _den_coeffs,
+                                              max_size=5)), top: draw(nonzero)})
+            for top in ((d, 0), (0, d)))
+    try:
+        return make_regular_map(P, Q)
+    except (NotRegular, ValueError):
+        assume(False)
+
+
+@st.composite
+def _algebraic_points(draw):
+    n = draw(st.integers(2, 3))
+    cs = ([draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))]
+          + draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1))
+          + [draw(st.integers(1, 4))])
+    try:
+        t = AlgebraicNumber(cs, draw(st.integers(0, n - 1)))
+    except ValueError:  # reducible
+        assume(False)
+    return InfinityPoint(t, draw(st.integers(0, 1)), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_regular_maps(), _algebraic_points())
+def test_the_height_box_gives_the_bit_capped_orbits_answers(f, point):
+    # random points of degree 2-3, and the irrational fixed points at
+    # infinity of the map, planted preperiodic, of degree 2-3
+    assert _answer(f, point) == _bit_capped_orbit(f, point)
+    for p in fixed_points_infinity(f):
+        if 2 <= p.coordinate.degree <= 3:
+            assert _answer(f, p) == _bit_capped_orbit(f, p) == ("Preperiodic", 0, 1)
+
+
+@pytest.mark.parametrize("minpoly, chart, want", [
+    ([1, 1, 1], 0, (0, 2)),   # zeta_3 -> zeta_3^2 -> zeta_3
+    ([1, 1, 1], 1, (0, 2)),
+    ([1, -1, 1], 0, (1, 2)),  # -zeta_3 -> zeta_3^2
+    ([1, 0, 1], 1, (2, 1)),   # i -> -1 -> 1, rational inside Q(i)
+])
+def test_planted_roots_of_unity_stay_preperiodic_under_squaring(minpoly, chart, want):
+    f = make_regular_map("z^2", "w^2")
+    for index in range(len(minpoly) - 1):
+        point = InfinityPoint(AlgebraicNumber(minpoly, index), chart, 1)
+        assert _answer(f, point) == _bit_capped_orbit(f, point) == ("Preperiodic", *want)
+
+
+def test_conic_points_at_infinity_stop_at_the_height_box():
+    # [1 : +-i] of z^2 + w^2 - 1 leave the box at their 6th point, where the
+    # 4,096-bit rule ran 13; the document is the one of that rule (the digest
+    # of tests/pin_answers.py), exit 3
+    argv = ["dmm", "--map", "z^2 - z*w + w, 2*w^2 - z + 2", "--curve", "z^2 + w^2 - 1",
+            "--max-iters", "8", "--max-degree", "2", "--height-bound", "1", "--max-order", "8"]
+    normal, orbit = infinity._normalize_nf_pair, infinity._nf_infinity_orbit
+    calls, points = [0], []
+
+    def counted_normal(pair):  # once for the start, once per step
+        calls[0] += 1
+        return normal(pair)
+
+    def counted_orbit(f, point):
+        calls[0] = 0
+        v = orbit(f, point)
+        points.append(calls[0])
+        return v
+
+    with mock.patch.object(infinity, "_normalize_nf_pair", counted_normal), \
+            mock.patch.object(infinity, "_nf_infinity_orbit", counted_orbit):
+        assert answer(run, argv)[:2] == (3, "a7bc5db26ec2684f")
+    assert len(points) == 2 and max(points) <= 6
+
+
+def test_an_algebraic_orbit_needing_an_unfactorable_box_raises_the_factoring_cap():
+    # the resultant of the top forms is the RSA-100 semiprime: [1 : i]
+    # outgrows the trivial bound of the box, and its bad places cannot be
+    # found, as for a rational point
+    N = int("15226050279225333605356183781326374297180681149613806886579084945801229632589528"
+            "97654000350692006139")
+    f = make_regular_map(f"z^2 + {N}*w^2", "z*w")
+    with pytest.raises(FactoringCap):
+        infinity_orbit_preperiodicity(f, InfinityPoint(AlgebraicNumber([1, 0, 1], 0), 0, 1))

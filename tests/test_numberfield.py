@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.polyerrors import NotInvertible
 
+from regdyn.green import _mahler_lower
 from regdyn.numberfield import NumberField
 
 x = sp.Symbol("x")
@@ -165,3 +167,49 @@ def test_mixed_fields_are_rejected():
         K.generator() * L.generator()
     with pytest.raises(ZeroDivisionError):
         K(0).inverse()
+
+
+@st.composite
+def irreducible_moduli(draw):
+    n = draw(st.integers(2, 4))
+    cs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [draw(st.integers(1, 5))]
+    assume(sp.Poly(cs[::-1], x).is_irreducible)
+    return cs
+
+
+@settings(max_examples=80, deadline=None)
+@given(irreducible_moduli(), st.data())
+def test_charpoly_is_the_primitive_part_of_the_resultant(cs, data):
+    # Res_t(m(t), den x - num(t)) is the characteristic polynomial of
+    # num(alpha) / den times a constant
+    num = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(cs) - 1,
+                             max_size=len(cs) - 1))
+    den = data.draw(st.integers(1, 10**4))
+    t = sp.Symbol("t")
+    res = sp.resultant(sp.Poly(cs[::-1], t).as_expr(),
+                       den * x - sp.Poly(num[::-1], t).as_expr(), t)
+    want = ascending(sp.Poly(res, x).primitive()[1])
+    want = want if want[-1] > 0 else [-c for c in want]
+    assert NumberField(cs)([F(c, den) for c in num]).charpoly() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10**4, 10**4), min_size=n, max_size=n),
+    st.integers(-10**4, 10**4).filter(bool))))
+@example(([1, 4, 6, 4], 1))  # (x + 1)^4, where every |c_i| = C(4, i) M
+@example(([-1, 0, 0, 0, 0, 0, 0, 0], 1))  # x^8 - 1
+def test_the_mahler_lower_bound_never_exceeds_the_measure(case):
+    # M(c g_1 g_2^2 ...) = |c| M(g_1) M(g_2)^2 ..., each g_i square-free, so
+    # that polyroots converges
+    low, lead = case
+    cs = low + [lead]
+    content, factors = sp.Poly(cs[::-1], x).sqf_list()
+    with mpmath.workdps(50):
+        measure = abs(mpmath.mpf(int(content)))
+        for g, k in factors:
+            gs = [int(c) for c in g.all_coeffs()]
+            roots = mpmath.polyroots(gs, maxsteps=200, extraprec=100) if len(gs) > 1 else []
+            measure *= (abs(gs[0]) * mpmath.fprod(max(1, abs(r)) for r in roots)) ** k
+        num, den = _mahler_lower(cs)
+        assert mpmath.mpf(num) / den <= measure * (1 + mpmath.mpf(10) ** -40)
