@@ -155,13 +155,14 @@ class HigherScale(Conjugacy):
         return x * (self.phi.to_series2(order) * x**self.n + 1), _y2(order)
 
     def _solve(self, germ, f1, f2):
-        # G1 = F1 / (1 + phi(G2)*G1^n): one pass for n = 0, where the right
-        # side does not involve G1, else fixed-point iteration
+        # G1 (1 + phi(G2)*G1^n) = F1: one division for n = 0, where phi(G2)
+        # does not involve G1; for n >= 1 the iteration G1 = F1 - phi(G2)*G1^(n+1),
+        # which fixes one more degree each pass since G1 vanishes at 0
         phi2 = self.phi.compose(f2)
-
-        def step(g1):
-            return f1 * (phi2 * g1**self.n + 1).reciprocal()
-        g1 = step(f1) if self.n == 0 else _settle(step, f1, germ.N)
+        if self.n == 0:
+            g1 = f1 / (phi2 + 1)
+        else:
+            g1 = _settle(lambda g: f1 - phi2 * g**(self.n + 1), f1, germ.N)
         return LocalGerm(g1, f2, germ.d)
 
 
@@ -260,9 +261,8 @@ def localize_at_infinity(f: RegularMap, point: tuple, N: int = 16) -> LocalGerm:
     c0 = D2[(0, 0)]
     if c0 == 0:
         raise ValueError("point is not in the domain of this chart")
-    inv = D2.reciprocal()
-    first = (Nm2 - D2 * b) * inv
-    second = inv.shift(0, d)
+    first = Nm2 / D2 - b
+    second = TruncSeries2({(0, d): 1}, N) / D2
     if first[(0, 0)] != 0:
         raise ValueError("point is not fixed by the map at infinity")
     if first[(1, 0)] == 0:

@@ -24,8 +24,10 @@ both components of a germ share; other polynomials with scalar
 coefficients in a bivariate series take baby-step/giant-step (Paterson &
 Stockmeyer, SIAM J. Comput. 2, 1973; `_eval`).  Reversion solves the
 triangular system sum_k g_k [y^j] f^k = [j = 1] over the table of f
-(`_triangular`, Knuth, TAOCP Vol. 2, 4.7); `_fixed_point` iterates the
-equations that are not triangular in the coefficients.
+(`_triangular`, Knuth, TAOCP Vol. 2, 4.7), and a bivariate quotient is the
+same kind of pass over the cells by degree (`TruncSeries2.__truediv__`);
+`_fixed_point` iterates the equations that are not triangular in the
+coefficients.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _cells(w: int) -> list:
 
 
 def _unflatten(out: list, w: int) -> dict:
-    """The nonzero terms {(i, j): c} of a flat array of width w."""
+    """The nonzero terms {(i, j): c} of a flat array of width w, by degree."""
     return {e: out[k] for k, e, _ in _cells(w) if out[k]}
 
 
@@ -78,7 +80,8 @@ def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncS
         diag(j) * x_j = rhs(j) - sum_{first <= k < j} x_k * table[k][j],
     int table entries (the rows past the table read as zero), rational
     rhs(j) and diag(j); diag is called only when the right side is nonzero,
-    else x_j is 0.  The x_k are kept over one common denominator Q."""
+    else x_j is 0.  The x_k are kept over one common denominator Q, which
+    grows by the least factor that keeps the new x_j * Q integral."""
     X, Q = [0] * (n + 1), 1
     for j in range(first, n + 1):
         p, q = _rat(rhs(j))
@@ -86,11 +89,11 @@ def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncS
         if not r:
             continue
         a, b = _rat(diag(j))
-        x = Fraction(r * b, q * Q * a)
-        if Q % x.denominator:
-            f = x.denominator // math.gcd(Q, x.denominator)
-            X, Q = [c * f for c in X], Q * f
-        X[j] = x.numerator * (Q // x.denominator)
+        r, qa = r * b, q * a  # x_j * Q = r / qa
+        f = abs(qa) // math.gcd(r, qa)
+        if f != 1:
+            X, Q, r = [c * f for c in X], Q * f, r * f
+        X[j] = r // qa
     return TruncSeries._make([x * den**k for k, x in enumerate(X)], Q, n)
 
 
@@ -281,16 +284,14 @@ class TruncSeries(_Series):
         if isinstance(inner, TruncSeries2):
             r = inner._eval([dict(enumerate(a[: n + 1]))], n)[0]
             return TruncSeries2._make(r.num, r.den * self.den, n)
-        # Horner: the partial sum that inner^k multiplies later is kept to
-        # order n - k*val(inner)
+        # Horner on integer numerators, reduced once at the end: the partial
+        # sum that inner^k multiplies later is kept to order n - k*val(inner)
         val, tb, di = val or n + 1, inner._nonzero(), inner.den
         r, dr = [a[n // val]], 1
         for k in range(n // val - 1, -1, -1):
             r = _conv(r, tb, n - k * val)
             dr *= di
             r[0] += a[k] * dr
-            g = math.gcd(dr, *r)
-            r, dr = [c // g for c in r], dr // g
         return TruncSeries._make(r + [0] * (n + 1 - len(r)), dr * self.den, n)
 
     def reciprocal(self) -> "TruncSeries":
@@ -493,7 +494,10 @@ class TruncSeries2(_Series):
         """self * b mod total degree n + 1, the terms either lacks read as zero."""
         w = n + 1  # x^i y^j at flat index i*w + j: no carries below degree w
         out = _conv2(self._nonzero(w), b._nonzero(w), n, w)
-        return TruncSeries2._make(_unflatten(out, w), self.den * b.den, n)
+        r = TruncSeries2._make(_unflatten(out, w), self.den * b.den, n)
+        # the terms are by degree already: the next product need not sort them
+        r._nz[w] = [(i + j, i * w + j, c) for (i, j), c in r.num.items()]
+        return r
 
     def _horner(self, rows: dict, n: int) -> "TruncSeries2":
         """sum_i rows[i] * self^i mod degree n + 1, rows[i] of order >= n, on
@@ -574,22 +578,49 @@ class TruncSeries2(_Series):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self / other, other a scalar or a series b with b_00 != 0: one
+        pass over the cells by degree (Knuth, TAOCP Vol. 2, 4.7).  A cell
+        holds R times the products scattered into it less a, until its
+        quotient numerator over R replaces that and is scattered against the
+        other terms of b, as in `_conv2`; R grows by the least factor that
+        keeps the new numerator integral, as in `_triangular`."""
+        if not isinstance(other, TruncSeries2):
+            return super().__truediv__(other)
+        a, b = self._common(other)
+        n, w = a.order, a.order + 1
+        tb = b._nonzero(w)
+        if not tb or tb[0][0]:
+            raise ZeroDivisionError("division by a series vanishing at 0")
+        b0, rest, R = tb[0][2], tb[1:], 1
+        out = [0] * (w * w)
+        for (i, j), c in a.num.items():
+            out[i * w + j] = -c
+        for k, _, d in _cells(w):
+            r = -out[k]
+            if not r:
+                continue
+            f = abs(b0) // math.gcd(r, b0)
+            if f != 1:
+                out, R, r = [x * f for x in out], R * f, r * f
+            x = out[k] = r // b0
+            room = n - d
+            for d2, k2, c2 in rest:
+                if d2 > room:
+                    break
+                out[k + k2] += x * c2
+        q = TruncSeries2._make(_unflatten(out, w), R * a.den, n)
+        return q if b.den == 1 else q * b.den
+
     def reciprocal(self) -> "TruncSeries2":
-        """1/self; constant term must be invertible (Newton doubling, each
-        pass at the order it makes correct)."""
-        c0 = self.num.get((0, 0), 0)
-        if c0 == 0:
-            raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        r = TruncSeries2.constant(Fraction(self.den, c0), 0)
-        while r.order < self.order:  # correct mod degree k gives 2k
-            r = _lift(r, min(2 * r.order + 1, self.order))
-            r = r * (2 - self * r)
-        return r
+        """1/self; the constant term must be nonzero."""
+        return TruncSeries2.constant(1, self.order) / self
 
     def compose(self, u: "TruncSeries2", v: "TruncSeries2") -> "TruncSeries2":
         """self(u, v); both inner series must vanish at the origin.
 
-        A term c x^i y^j with i*val(u) + j*val(v) > n is skipped.  The
+        x(u, v) is u and y(u, v) is v, with no product.  Else a term
+        c x^i y^j with i*val(u) + j*val(v) > n is skipped.  The
         substitutions (x, v(y)), (u(x), y) and (x*b(y), y) read every term
         off the power table of the one univariate series they hold
         (_sum_powers).  Otherwise, if every row is a scalar, self(u) is one
@@ -599,6 +630,8 @@ class TruncSeries2(_Series):
             raise ValueError("inner series must vanish at the origin")
         n = min(self.order, u.order, v.order)
         s, u, v = self.truncate(n), u.truncate(n), v.truncate(n)
+        if s.den == 1 and s.num in ({(1, 0): 1}, {(0, 1): 1}):  # self is x or y
+            return u if (1, 0) in s.num else v
         u_is_x = u.den == 1 and u.num == {(1, 0): 1}
         v_is_y = v.den == 1 and v.num == {(0, 1): 1}
         vu, vv = u.valuation() or n + 1, v.valuation() or n + 1

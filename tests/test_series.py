@@ -366,6 +366,36 @@ def test_bivariate_compose_and_reciprocal_match_fraction_oracle(s, u, v, shape):
         _same(s * r, TruncSeries2.constant(1, s.order))
 
 
+@st.composite
+def quotients2(draw):
+    """(a, b) of orders up to 8, b(0, 0) not 0 or +-1, so the quotient's
+    denominators grow with the degree."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    exps = st.integers(0, n).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, n - i)))
+    a = draw(st.dictionaries(exps, wide, max_size=30))
+    b = draw(st.dictionaries(exps, wide, max_size=30))
+    b[(0, 0)] = draw(wide.filter(lambda c: c not in (0, 1, -1)))
+    return TruncSeries2(a, n), TruncSeries2(b, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients2())
+def test_bivariate_division_matches_fraction_oracle(ab):
+    a, b = ab
+    n = min(a.order, b.order)
+    want, b0 = {}, b[(0, 0)]
+    for d in range(n + 1):  # q_e = (a_e - sum_{f != 0} b_f q_(e - f)) / b_00
+        for i in range(d + 1):
+            e = (i, d - i)
+            want[e] = (a[e] - sum(x * want.get((i - p, d - i - q), F(0))
+                                  for (p, q), x in b.coeffs.items() if (p, q) != (0, 0))) / b0
+    q = _canonical(a / b)
+    assert q.order == n and q.coeffs == {e: x for e, x in want.items() if x != 0}
+    _same(b * q, a.truncate(n))
+    with pytest.raises(ZeroDivisionError):
+        a / (b - b0)
+
+
 # -- composition computes only the terms the truncation keeps: inner series
 # of valuation 1-3, powers of v shared by every row, polynomials in one
 # variable by baby-step/giant-step, at orders up to 16
