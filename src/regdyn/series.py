@@ -379,7 +379,7 @@ class TruncSeries2(_Series):
     """Bivariate series mod total degree N+1: the coefficient of x^i y^j is
     num[(i, j)] / den, and num holds the nonzero numerators only."""
 
-    __slots__ = ("num", "den", "order", "_view", "_nz", "_uni")
+    __slots__ = ("num", "den", "order", "_view", "_nz", "_uni", "_by_degree")
 
     def __init__(self, coeffs: dict, order: int):
         keep = [((i, j), c) for (i, j), c in coeffs.items() if i + j <= order]
@@ -393,7 +393,7 @@ class TruncSeries2(_Series):
             den //= g
         self.num, self.den, self.order = num, den, order
         self._view = self._uni = None
-        self._nz = {}
+        self._nz, self._by_degree = {}, False
 
     @staticmethod
     def zero(order: int) -> "TruncSeries2":
@@ -416,10 +416,12 @@ class TruncSeries2(_Series):
 
     def _nonzero(self, w: int) -> list:
         """The terms as (i + j, flat index i*w + j, numerator), by degree;
-        kept per width."""
+        kept per width.  A product's terms come by degree already."""
         nz = self._nz.get(w)
         if nz is None:
-            nz = self._nz[w] = sorted((i + j, i * w + j, c) for (i, j), c in self.num.items())
+            nz = self._nz[w] = [(i + j, i * w + j, c) for (i, j), c in self.num.items()]
+            if not self._by_degree:
+                nz.sort()
         return nz
 
     def _one_variable(self) -> tuple:
@@ -495,8 +497,7 @@ class TruncSeries2(_Series):
         w = n + 1  # x^i y^j at flat index i*w + j: no carries below degree w
         out = _conv2(self._nonzero(w), b._nonzero(w), n, w)
         r = TruncSeries2._make(_unflatten(out, w), self.den * b.den, n)
-        # the terms are by degree already: the next product need not sort them
-        r._nz[w] = [(i + j, i * w + j, c) for (i, j), c in r.num.items()]
+        r._by_degree = True
         return r
 
     def _horner(self, rows: dict, n: int) -> "TruncSeries2":
