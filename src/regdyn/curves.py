@@ -595,21 +595,14 @@ def _roots_of_unity_near(x: complex, r: float, max_order: int) -> list:
             if math.gcd(a, n) == 1]
 
 
-def _unit_monomial_orbit(f: RegularMap, start: tuple):
-    """The verdict of the exact orbit of the pair of roots of unity
-    exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under f = (s1 z^d, s2
-    w^d) or, swapped, (s1 w^d, s2 z^d), s_i = +-1 (`RegularMap._monomial`);
-    None if no cycle closes within ORBIT_CAP steps."""
-    orbit = _exponent_orbit(f, start)
-    return None if orbit is None else _zeta_verdict(*orbit, 1)
-
-
 def _exponent_orbit(f: RegularMap, start: tuple):
-    """(N, orbit, k) for the orbit of `_unit_monomial_orbit`, run on the
-    integer exponents of zeta_N, N = lcm(n1, n2, 2), so s_i = -1 is a half
-    turn N / 2: its next point repeats orbit[k]; None if no cycle closes
-    within ORBIT_CAP steps.  The exponents stay in 0..N-1, so no size cap
-    is needed."""
+    """(N, orbit, k) for the exact orbit of the pair of roots of unity
+    exp(2*pi*i*a/n), start = ((a1, n1), (a2, n2)), under f = (s1 z^d, s2
+    w^d) or, swapped, (s1 w^d, s2 z^d), s_i = +-1 (`RegularMap._monomial`).
+    It runs on the integer exponents of zeta_N, N = lcm(n1, n2, 2), so
+    s_i = -1 is a half turn N / 2: its next point repeats orbit[k]; None if
+    no cycle closes within ORBIT_CAP steps.  The exponents stay in 0..N-1,
+    so no size cap is needed."""
     (e1, n1), (e2, n2) = start
     N, d = math.lcm(n1, n2, 2), f.d
     s1, s2, swapped = f._monomial

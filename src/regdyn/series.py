@@ -22,12 +22,15 @@ bivariate composition whose inner series is one univariate series,
 (x, v(y)), (u(x), y) or (x*b(y), y), reads its terms off that table, which
 both components of a germ share; other polynomials with scalar
 coefficients in a bivariate series take baby-step/giant-step (Paterson &
-Stockmeyer, SIAM J. Comput. 2, 1973; `_eval`).  Reversion solves the
-triangular system sum_k g_k [y^j] f^k = [j = 1] over the table of f
-(`_triangular`, Knuth, TAOCP Vol. 2, 4.7), and a bivariate quotient is the
-same kind of pass over the cells by degree (`TruncSeries2.__truediv__`);
-`_fixed_point` iterates the equations that are not triangular in the
-coefficients.
+Stockmeyer, SIAM J. Comput. 2, 1973; `_eval`).
+
+Three solvers, one job each.  `_triangular` solves every linear
+one-variable recurrence (Knuth, TAOCP Vol. 2, 4.7): reversion (the system
+sum_k g_k [y^j] f^k = [j = 1] over the table of f), division, exp, log,
+and the Koenigs and Böttcher equations of `localdyn`.  A bivariate
+quotient is the same kind of pass over the cells by degree
+(`TruncSeries2.__truediv__`).  `_fixed_point` iterates the equations that
+are not linear in their unknown.  `reciprocal` is 1/self for both types.
 """
 
 from __future__ import annotations
@@ -81,11 +84,12 @@ def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncS
     int table entries (the rows past the table read as zero), rational
     rhs(j) and diag(j); diag is called only when the right side is nonzero,
     else x_j is 0.  The x_k are kept over one common denominator Q, which
-    grows by the least factor that keeps the new x_j * Q integral."""
-    X, Q = [0] * (n + 1), 1
+    grows by the least factor that keeps the new x_j * Q integral; the sum
+    runs over the nonzero x_k only."""
+    X, Q, nz = [0] * (n + 1), 1, []
     for j in range(first, n + 1):
         p, q = _rat(rhs(j))
-        r = p * Q - q * sum(X[k] * table[k][j] for k in range(first, min(j, len(table))))
+        r = p * Q - q * sum(X[k] * table[k][j] for k in nz)
         if not r:
             continue
         a, b = _rat(diag(j))
@@ -94,6 +98,8 @@ def _triangular(table: list, den: int, first: int, n: int, rhs, diag) -> "TruncS
         if f != 1:
             X, Q, r = [c * f for c in X], Q * f, r * f
         X[j] = r // qa
+        if j < len(table):
+            nz.append(j)
     return TruncSeries._make([x * den**k for k, x in enumerate(X)], Q, n)
 
 
@@ -121,7 +127,7 @@ def _fixed_point(step, start, N: int):
 class _Series(_Exact):
     """The operators TruncSeries and TruncSeries2 share past `_Exact`'s.  A
     subclass gives `_set(num, den, order)`, `_plus`, `__neg__`, `__mul__`,
-    `reciprocal` and `truncate`."""
+    `truncate`, and `__truediv__` for a series divisor."""
 
     __slots__ = ()
 
@@ -136,9 +142,11 @@ class _Series(_Exact):
         return self.truncate(n), other.truncate(n)
 
     def __truediv__(self, other):
-        if isinstance(other, type(self)):
-            return self * other.reciprocal()
         return self * (Fraction(1) / Fraction(other))
+
+    def reciprocal(self):
+        """1/self; the constant term must be nonzero."""
+        return (self * 0 + 1) / self
 
 
 class TruncSeries(_Series):
@@ -231,8 +239,6 @@ class TruncSeries(_Series):
 
     def _plus(self, other, sign: int) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
-            if not self.num:  # order -1, the derivative of an order-0 series
-                return self
             p, q = _rat(other)
             return self._plus(TruncSeries._make([p] + [0] * self.order, q, self.order), sign)
         a, b = self._common(other)
@@ -273,6 +279,20 @@ class TruncSeries(_Series):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self / other, other a scalar or a series b with b_0 != 0: the
+        quotient q solves sum_k q_k B_(j-k) = a_j * b.den, B = b.num, a
+        triangular system with diagonal B_0 (`_triangular`)."""
+        if not isinstance(other, TruncSeries):
+            return super().__truediv__(other)
+        a, b = self._common(other)
+        n, B = a.order, b.num
+        if not B[0]:
+            raise ZeroDivisionError("division by a series vanishing at 0")
+        table = [[0] * k + B[: n + 1 - k] for k in range(n + 1)]
+        return _triangular(table, 1, 0, n, lambda j: Fraction(a.num[j] * b.den, a.den),
+                           lambda j: B[0])
+
     def compose(self, inner):
         """self(inner); inner, a TruncSeries or TruncSeries2, must vanish at 0.
         The numerators of self are evaluated at inner, by _eval when inner is
@@ -293,29 +313,6 @@ class TruncSeries(_Series):
             dr *= di
             r[0] += a[k] * dr
         return TruncSeries._make(r + [0] * (n + 1 - len(r)), dr * self.den, n)
-
-    def reciprocal(self) -> "TruncSeries":
-        """1/self; constant term must be invertible."""
-        a, n = self.num, self.order
-        a0 = a[0]
-        if a0 == 0:
-            raise ZeroDivisionError("reciprocal of a series vanishing at 0")
-        # 1/A = sum_k c_k y^k / a0^(k+1) with c_0 = 1 and
-        # c_k = -sum_{j=1..k} a_j c_{k-j} a0^(j-1); then 1/self = den/A
-        pw = [1]
-        for _ in range(n):
-            pw.append(pw[-1] * a0)
-        c = [1] + [0] * n
-        for k in range(1, n + 1):
-            c[k] = -sum(a[j] * c[k - j] * pw[j - 1] for j in range(1, k + 1) if a[j])
-        sign = -1 if a0 < 0 and n % 2 == 0 else 1  # makes the denominator positive
-        den = sign * pw[n] * a0
-        return TruncSeries._make([sign * self.den * c[k] * pw[n - k] for k in range(n + 1)],
-                                 den, n)
-
-    def derivative(self) -> "TruncSeries":
-        return TruncSeries._make([k * self.num[k] for k in range(1, self.order + 1)],
-                                 self.den, self.order - 1)
 
     def reversion(self) -> "TruncSeries":
         """Compositional inverse; needs a_0 = 0 and a_1 invertible.
@@ -343,36 +340,23 @@ class TruncSeries(_Series):
 
 
 def log_unit(s: TruncSeries) -> TruncSeries:
-    """log of a series with constant term 1, via (log s)' = s'/s."""
+    """log of a series with constant term 1: L = log s solves s L' = s', i.e.
+    j S_0 L_j = j S_j - sum_{0<k<j} k S_(j-k) L_k with S = s.num."""
     if s[0] != 1:
         raise ValueError("log needs constant term 1")
-    n = s.order
-    if n < 1:
-        return TruncSeries.zero(n)
-    d = s.derivative() * s.truncate(n - 1).reciprocal()
-    # integrate: the y^k coefficient is d_{k-1}/k, over den * lcm(1..n)
-    m = math.lcm(*range(1, n + 1))
-    return TruncSeries._make([0] + [d.num[k - 1] * (m // k) for k in range(1, n + 1)],
-                             d.den * m, n)
+    S, n = s.num, s.order
+    table = [[0] * k + [k * c for c in S[: n + 1 - k]] for k in range(n + 1)]
+    return _triangular(table, 1, 1, n, lambda j: j * S[j], lambda j: j * S[0])
 
 
 def exp_series(a: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term (coefficient recursion e' = a'e)."""
+    """exp of a series with zero constant term: e = exp(a) solves e' = a' e,
+    i.e. j D e_j = sum_{k<j} (j-k) A_(j-k) e_k with e_0 = 1, a = A/D."""
     if a.num[0] != 0:
         raise ValueError("exp needs zero constant term")
     A, D, n = a.num, a.den, a.order
-    # e_k = E_k / (k! D^k) with E_0 = 1 and
-    # E_k = sum_{m=1..k} m A_m D^(m-1) E_{k-m} (k-1)!/(k-m)!
-    fact, pw = [1], [1]
-    for k in range(1, n + 1):
-        fact.append(fact[-1] * k)
-        pw.append(pw[-1] * D)
-    E = [1] + [0] * n
-    for k in range(1, n + 1):
-        E[k] = sum(m * A[m] * pw[m - 1] * E[k - m] * (fact[k - 1] // fact[k - m])
-                   for m in range(1, k + 1) if A[m])
-    return TruncSeries._make([E[k] * (fact[n] // fact[k]) * pw[n - k] for k in range(n + 1)],
-                             fact[n] * pw[n], n)
+    table = [[0] * k + [-i * A[i] for i in range(n + 1 - k)] for k in range(n + 1)]
+    return _triangular(table, 1, 0, n, lambda j: int(j == 0), lambda j: j * D or 1)
 
 
 class TruncSeries2(_Series):
@@ -612,10 +596,6 @@ class TruncSeries2(_Series):
                 out[k + k2] += x * c2
         q = TruncSeries2._make(_unflatten(out, w), R * a.den, n)
         return q if b.den == 1 else q * b.den
-
-    def reciprocal(self) -> "TruncSeries2":
-        """1/self; the constant term must be nonzero."""
-        return TruncSeries2.constant(1, self.order) / self
 
     def compose(self, u: "TruncSeries2", v: "TruncSeries2") -> "TruncSeries2":
         """self(u, v); both inner series must vanish at the origin.

@@ -272,8 +272,9 @@ def test_unit_monomial_orbit_matches_a_cyclotomic_replay(case):
         return K([0] * int(t * L) + [1])
 
     replay, k = _cyclotomic_replay(f, (power(t1), power(t2)), L, ORBIT_CAP)
-    verdict = curves._unit_monomial_orbit(f, ((t1.numerator, t1.denominator),
-                                              (t2.numerator, t2.denominator)))
+    orbit = curves._exponent_orbit(f, ((t1.numerator, t1.denominator),
+                                       (t2.numerator, t2.denominator)))
+    verdict = None if orbit is None else curves._zeta_verdict(*orbit, 1)
     if k is None:
         assert verdict is None
         return
@@ -328,9 +329,9 @@ def _pair_scan(f, C, max_order):
                 cs[(i * a1 * (L // n1) + j * a2 * (L // n2)) % L] += c
             if not _cyclotomic_field(L)(cs).is_zero():
                 continue
-            verdict = curves._unit_monomial_orbit(f, ((a1, n1), (a2, n2)))
-            if verdict is not None:
-                found.append(((Zeta(F(a1, n1)), Zeta(F(a2, n2))), verdict))
+            orbit = curves._exponent_orbit(f, ((a1, n1), (a2, n2)))
+            if orbit is not None:
+                found.append(((Zeta(F(a1, n1)), Zeta(F(a2, n2))), curves._zeta_verdict(*orbit, 1)))
     return found
 
 
